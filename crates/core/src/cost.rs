@@ -81,8 +81,8 @@ pub fn estimate(program: &Program, params: &CostParams) -> CostEstimate {
         est.bytecodes += 1;
         let out_nelem = instr
             .out_view()
-            .and_then(|v| program.resolve_view(v).ok())
-            .map(|g| g.nelem() as u64);
+            .and_then(|v| program.view_nelem(v))
+            .map(|n| n as u64);
         match instr.op.kind() {
             OpKind::System => {
                 // Syncs/frees are runtime bookkeeping, not kernels.
@@ -98,9 +98,9 @@ pub fn estimate(program: &Program, params: &CostParams) -> CostEstimate {
                     // Reductions/scans do work proportional to the input.
                     OpKind::Reduction | OpKind::Scan => instr.operands[1]
                         .as_view()
-                        .and_then(|v| program.resolve_view(v).ok())
-                        .map(|g| g.nelem() as u64)
-                        .unwrap_or(0),
+                        .and_then(|v| program.view_nelem(v))
+                        .unwrap_or(0)
+                        as u64,
                     _ => out_nelem.unwrap_or(0),
                 };
                 est.flops += instr.op.unit_cost() * work_nelem;
@@ -118,8 +118,8 @@ fn view_traffic(program: &Program, instr: &bh_ir::Instruction) -> u64 {
     let mut bytes = 0u64;
     for o in &instr.operands {
         if let Operand::View(v) = o {
-            if let Ok(g) = program.resolve_view(v) {
-                bytes += g.nelem() as u64 * program.base(v.reg).dtype.size_of() as u64;
+            if let Some(n) = program.view_nelem(v) {
+                bytes += n as u64 * program.base(v.reg).dtype.size_of() as u64;
             }
         }
     }

@@ -59,6 +59,4 @@ pub use cost::{estimate, CostEstimate, CostParams};
 pub use pipeline::{
     optimize, optimize_at, standard_rules, AuditMode, OptLevel, OptOptions, OptReport, Optimizer,
 };
-pub use rule::{
-    is_full_view, reassoc_allowed, views_equivalent, LiveAtExit, RewriteCtx, RewriteRule,
-};
+pub use rule::{reassoc_allowed, LiveAtExit, RewriteCtx, RewriteRule};

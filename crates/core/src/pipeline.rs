@@ -183,11 +183,8 @@ impl Optimizer {
     /// Transform `program` in place and report what happened.
     pub fn run(&self, program: &mut Program) -> OptReport {
         let before = estimate(program, &self.options.cost_params);
-        let mut by_rule: Vec<(String, usize)> = self
-            .rules
-            .iter()
-            .map(|r| (r.name().to_owned(), 0))
-            .collect();
+        let mut by_rule: Vec<(&'static str, usize)> =
+            self.rules.iter().map(|r| (r.name(), 0)).collect();
         let audit = self.options.audit == AuditMode::PerRule;
         let equiv_opts = self.options.equiv_options();
         let mut audits = 0;
@@ -264,7 +261,7 @@ pub struct OptReport {
     /// Fixpoint sweeps performed.
     pub iterations: usize,
     /// Applications per rule, in schedule order.
-    pub by_rule: Vec<(String, usize)>,
+    pub by_rule: Vec<(&'static str, usize)>,
     /// Static cost before transformation.
     pub before: CostEstimate,
     /// Static cost after transformation.
@@ -277,6 +274,22 @@ pub struct OptReport {
 }
 
 impl OptReport {
+    /// The report of one sweep of an empty rule schedule over `program` —
+    /// what [`OptLevel::O0`] with `max_iterations: 1` returns: nothing
+    /// fired and the cost is unchanged. For callers that serve a program
+    /// untransformed and owe its plan an honest report.
+    pub fn untransformed(program: &Program, cost_params: &CostParams) -> OptReport {
+        let cost = estimate(program, cost_params);
+        OptReport {
+            iterations: 1,
+            by_rule: Vec::new(),
+            before: cost,
+            after: cost,
+            audits: 0,
+            audit_rollbacks: 0,
+        }
+    }
+
     /// Total rewrites applied across all rules.
     pub fn total_applications(&self) -> usize {
         self.by_rule.iter().map(|(_, n)| n).sum()
@@ -350,6 +363,22 @@ BH_SYNC a0 [0:10:1]
         let report = optimize_at(&mut p, OptLevel::O0);
         assert_eq!(report.total_applications(), 0);
         assert_eq!(p.instrs().len(), 5);
+    }
+
+    #[test]
+    fn untransformed_report_is_the_single_sweep_o0_report() {
+        let mut p = parse_program(LISTING2).unwrap();
+        let mut options = OptOptions::level(OptLevel::O0);
+        options.max_iterations = 1;
+        let ran = Optimizer::new(options.clone()).run(&mut p);
+        let direct = OptReport::untransformed(&p, &options.cost_params);
+        assert_eq!(direct.iterations, ran.iterations);
+        assert_eq!(direct.by_rule, ran.by_rule);
+        assert_eq!((direct.before, direct.after), (ran.before, ran.after));
+        assert_eq!(
+            (direct.audits, direct.audit_rollbacks),
+            (ran.audits, ran.audit_rollbacks)
+        );
     }
 
     #[test]

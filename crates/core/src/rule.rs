@@ -5,7 +5,7 @@
 //! byte-code sequences with cheaper equivalent ones, leaving `BH_NONE`
 //! placeholders that the pass manager compacts away.
 
-use bh_ir::{Program, ViewRef};
+use bh_ir::Program;
 use bh_tensor::DType;
 
 /// What counts as observable at program exit, for liveness-based rules.
@@ -70,29 +70,6 @@ impl std::fmt::Debug for dyn RewriteRule {
     }
 }
 
-/// True when two view operands address exactly the same elements of the
-/// same register (resolved geometrically, so `a0` and `a0[0:10:1]` over a
-/// 10-element base agree).
-pub fn views_equivalent(program: &Program, a: &ViewRef, b: &ViewRef) -> bool {
-    if a.reg != b.reg {
-        return false;
-    }
-    match (program.resolve_view(a), program.resolve_view(b)) {
-        (Ok(ga), Ok(gb)) => ga == gb,
-        _ => false,
-    }
-}
-
-/// True when the view covers its whole base contiguously.
-pub fn is_full_view(program: &Program, v: &ViewRef) -> bool {
-    match program.resolve_view(v) {
-        Ok(g) => {
-            g.offset() == 0 && g.is_contiguous() && g.nelem() == program.base(v.reg).shape.nelem()
-        }
-        Err(_) => false,
-    }
-}
-
 /// True when a float-rounding-sensitive rewrite may fire for `dtype` under
 /// the context's `fast_math` policy (always true for non-float data).
 pub fn reassoc_allowed(ctx: &RewriteCtx, dtype: DType) -> bool {
@@ -102,7 +79,6 @@ pub fn reassoc_allowed(ctx: &RewriteCtx, dtype: DType) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bh_tensor::{Shape, Slice};
 
     #[test]
     fn defaults_match_bohrium_behaviour() {
@@ -110,38 +86,6 @@ mod tests {
         assert!(ctx.fast_math);
         assert_eq!(ctx.live_at_exit, LiveAtExit::SyncedOnly);
         assert!(ctx.max_power_multiplies >= 4); // enough for x^10
-    }
-
-    #[test]
-    fn view_equivalence_resolves_geometry() {
-        let mut p = Program::new();
-        let r = p.declare("a0", DType::Float64, Shape::vector(10));
-        let implicit = ViewRef::full(r);
-        let explicit = ViewRef::sliced(r, vec![Slice::new(Some(0), Some(10), 1)]);
-        let half = ViewRef::sliced(r, vec![Slice::range(0, 5)]);
-        assert!(views_equivalent(&p, &implicit, &explicit));
-        assert!(!views_equivalent(&p, &implicit, &half));
-        let other = p.declare("a1", DType::Float64, Shape::vector(10));
-        assert!(!views_equivalent(&p, &implicit, &ViewRef::full(other)));
-    }
-
-    #[test]
-    fn full_view_detection() {
-        let mut p = Program::new();
-        let r = p.declare("a0", DType::Float64, Shape::vector(10));
-        assert!(is_full_view(&p, &ViewRef::full(r)));
-        assert!(is_full_view(
-            &p,
-            &ViewRef::sliced(r, vec![Slice::new(Some(0), Some(10), 1)])
-        ));
-        assert!(!is_full_view(
-            &p,
-            &ViewRef::sliced(r, vec![Slice::range(1, 10)])
-        ));
-        assert!(!is_full_view(
-            &p,
-            &ViewRef::sliced(r, vec![Slice::new(None, None, 2)])
-        ));
     }
 
     #[test]

@@ -13,12 +13,134 @@
 //! (`(x−c₁)−c₂ → x−(c₁+c₂)`).
 
 use crate::fold::const_eval;
-use crate::rule::{reassoc_allowed, views_equivalent, RewriteCtx, RewriteRule};
-use bh_ir::{DefUse, Instruction, Opcode, Operand, Program};
+use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
+use bh_ir::{Instruction, Opcode, Operand, Program, Reg};
+use bh_tensor::Scalar;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// See the module documentation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ConstantMerge;
+
+/// What the pass knows about the program as it stands after the merges
+/// made so far. The per-register entries describe the scanned prefix;
+/// the per-instruction entries are filled when the scan reaches an
+/// instruction and kept current by [`Chains::merged`], so a position
+/// behind the scan can be judged again with the same facts the scan had.
+///
+/// For `j: r = r ⊕ c₂` the one candidate is `i = prev_def[j]`, the
+/// nearest live write of `r` before it. That definition is *open* to `j`
+/// exactly while
+///
+/// * nothing reads `r` strictly between them (`read_since_def[j]`) — a
+///   read in between observes the intermediate value. No merge moves a
+///   read into or out of such an interval, so this is decided once;
+/// * nothing writes `r` between them, which holds by construction: the
+///   live writes of a register form a chain and `i` is `j`'s predecessor;
+/// * no live write of `i`'s source register lies between them — the
+///   merged instruction reads the source at `j`, later than `i` did. The
+///   first live write of the source after `i` is the successor of the
+///   write that reached `i` (`src_reach[i]`), so this is one lookup. It
+///   is the only condition a later merge can lift, by absorbing that
+///   write forward past `j`.
+struct Chains {
+    regs: Vec<RegTrail>,
+    instrs: Vec<Link>,
+}
+
+/// Per register, over the scanned prefix.
+#[derive(Clone, Default)]
+struct RegTrail {
+    /// Latest scanned instruction that writes / reads the register
+    /// (system ops read their target).
+    last_def: Option<usize>,
+    last_read: Option<usize>,
+    /// The register's first live write.
+    first_def: Option<usize>,
+}
+
+/// Per instruction.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    /// Its neighbours in the chain of live writes of its output register.
+    prev_def: Option<usize>,
+    next_def: Option<usize>,
+    /// Is its output register read strictly between `prev_def` and it?
+    read_since_def: bool,
+    /// The live write of its first view input's register that reaches it
+    /// (`None`: the register's initial value does).
+    src_reach: Option<usize>,
+}
+
+impl Chains {
+    fn new(n_regs: usize, n_instrs: usize) -> Chains {
+        Chains {
+            regs: vec![RegTrail::default(); n_regs],
+            instrs: vec![Link::default(); n_instrs],
+        }
+    }
+
+    /// Advance the scan over the instruction at `idx`.
+    fn scan(&mut self, idx: usize, instr: &Instruction) {
+        let out = instr.out_reg();
+        if let Some(r) = out {
+            let trail = &self.regs[r.index()];
+            let prev = trail.last_def;
+            self.instrs[idx].prev_def = prev;
+            self.instrs[idx].read_since_def = prev.is_some() && trail.last_read > prev;
+            self.link(r, prev, idx);
+        }
+        if let Some(s) = instr.input_regs().next() {
+            self.instrs[idx].src_reach = self.regs[s.index()].last_def;
+        }
+        for r in instr.input_regs() {
+            self.regs[r.index()].last_read = Some(idx);
+        }
+        if let Some(r) = out {
+            self.regs[r.index()].last_def = Some(idx);
+        }
+    }
+
+    /// Make `next` the live write of `r` that follows `prev`.
+    fn link(&mut self, r: Reg, prev: Option<usize>, next: usize) {
+        match prev {
+            Some(p) => self.instrs[p].next_def = Some(next),
+            None => self.regs[r.index()].first_def = Some(next),
+        }
+    }
+
+    /// First live write of `reg` after `i`, which reads it.
+    fn next_write_of_source(&self, reg: Reg, i: usize) -> Option<usize> {
+        match self.instrs[i].src_reach {
+            Some(d) => self.instrs[d].next_def,
+            None => self.regs[reg.index()].first_def,
+        }
+    }
+
+    /// `j` absorbed `i`, the write of `r` before it: `i` leaves the chain
+    /// and `j` takes over what was known of it — what lies before it, and
+    /// its read of `src`, which no write separates from `j`.
+    fn merged(&mut self, r: Reg, src: Reg, i: usize, j: usize) {
+        self.instrs[j] = Link {
+            next_def: self.instrs[j].next_def,
+            ..self.instrs[i]
+        };
+        self.link(r, self.instrs[j].prev_def, j);
+        let read = &mut self.regs[src.index()].last_read;
+        *read = (*read).max(Some(j));
+    }
+}
+
+/// What judging a position found, when the instruction and the
+/// definition before it match at all.
+enum Attempt {
+    /// Fold into the definition at this index, with this constant.
+    Merge(usize, Scalar),
+    /// This live write of the definition's source register lies in
+    /// between.
+    Blocked(usize),
+}
 
 impl RewriteRule for ConstantMerge {
     fn name(&self) -> &'static str {
@@ -26,16 +148,40 @@ impl RewriteRule for ConstantMerge {
     }
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
+        let n = program.instrs().len();
+        let mut chains = Chains::new(program.bases().len(), n);
+        // Positions behind the scan to judge again, and the blocked ones
+        // keyed by the write that blocks them. The merge performed is
+        // always the one at the smallest position that has one — the order
+        // in which constants fold along a chain, which floats can tell.
+        let mut retry = BinaryHeap::new();
+        let mut blocked_by: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut scanned = 0;
         let mut applied = 0;
         loop {
-            let du = DefUse::compute(program);
-            let Some((i, j, merged)) = find_merge(program, &du, ctx) else {
-                break;
+            let j = match retry.pop() {
+                Some(Reverse(j)) => j,
+                None if scanned < n => {
+                    chains.scan(scanned, &program.instrs()[scanned]);
+                    scanned += 1;
+                    scanned - 1
+                }
+                None => break,
+            };
+            let (i, merged) = match try_merge_at(program, &chains, ctx, j) {
+                Some(Attempt::Merge(i, merged)) => (i, merged),
+                Some(Attempt::Blocked(write)) => {
+                    blocked_by.entry(write).or_default().push(j);
+                    continue;
+                }
+                None => continue,
             };
             // i: r = src ⊕ c1   (dropped)
             // j: r = r ⊕ c2     (becomes r = src ⊕ merged)
             let src = program.instrs()[i].inputs()[src_index(&program.instrs()[i])].clone();
             let instr_j = &mut program.instrs_mut()[j];
+            let r = instr_j.out_reg().expect("binary ops have outputs");
+            chains.merged(r, src.reg().expect("the other input is a view"), i, j);
             let const_pos = 1 + instr_j
                 .sole_const_input()
                 .expect("matched pattern has a constant")
@@ -45,6 +191,13 @@ impl RewriteRule for ConstantMerge {
             instr_j.operands[const_pos] = Operand::Const(merged);
             program.instrs_mut()[i] = Instruction::noop();
             applied += 1;
+            // The write at `i` is gone: whatever it blocked is open again
+            // or blocked by a later write, and `j` now faces the
+            // definition before `i`.
+            if !blocked_by.is_empty() {
+                retry.extend(blocked_by.remove(&i).into_iter().flatten().map(Reverse));
+            }
+            retry.push(Reverse(j));
         }
         applied
     }
@@ -57,23 +210,10 @@ fn src_index(instr: &Instruction) -> usize {
     1 - const_pos
 }
 
-/// Find one mergeable pair `(i, j, folded_constant)`.
-fn find_merge(
-    program: &Program,
-    du: &DefUse,
-    ctx: &RewriteCtx,
-) -> Option<(usize, usize, bh_tensor::Scalar)> {
-    (0..program.instrs().len()).find_map(|j| try_merge_at(program, du, ctx, j))
-}
-
-/// Check whether the instruction at `j` can absorb the constant of the
-/// nearest earlier definition of its register.
-fn try_merge_at(
-    program: &Program,
-    du: &DefUse,
-    ctx: &RewriteCtx,
-    j: usize,
-) -> Option<(usize, usize, bh_tensor::Scalar)> {
+/// Judge whether the instruction at `j` can absorb the constant of the
+/// live definition of its register before it. `None` is final: no other
+/// merge can change it.
+fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) -> Option<Attempt> {
     let instrs = program.instrs();
     let b = &instrs[j];
     if !mergeable_shape(b) {
@@ -84,7 +224,7 @@ fn try_merge_at(
     // The non-const input must read the same view the instruction writes
     // (r = r ⊕ c), anchoring the chain on register r.
     let vb = b.inputs()[1 - cb_pos].as_view()?;
-    if !views_equivalent(program, out_b, vb) || !const_position_ok(b.op, cb_pos) {
+    if !program.same_elements(out_b, vb) || !const_position_ok(b.op, cb_pos) {
         return None;
     }
     let dtype = program.base(out_b.reg).dtype;
@@ -92,28 +232,22 @@ fn try_merge_at(
         return None;
     }
     // Nearest earlier definition of r.
-    let i = *du.defs(out_b.reg).iter().rfind(|&&d| d < j)?;
+    let i = chains.instrs[j].prev_def?;
     let a = &instrs[i];
     if a.op != b.op || !mergeable_shape(a) {
         return None;
     }
     let out_a = a.out_view().expect("binary ops have outputs");
-    if !views_equivalent(program, out_a, out_b) {
+    if !program.same_elements(out_a, out_b) {
         return None;
     }
     let (ca_pos, ca) = a.sole_const_input().expect("mergeable_shape checked");
     if !const_position_ok(a.op, ca_pos) {
         return None;
     }
-    // Nothing may observe r strictly between i and j, and the source
-    // operand of i must not be redefined in between.
-    if du.read_between(out_b.reg, i, j) || du.written_between(out_b.reg, i, j) {
+    // Nothing may observe r strictly between i and j.
+    if chains.instrs[j].read_since_def {
         return None;
-    }
-    if let Some(src) = a.inputs()[1 - ca_pos].as_view() {
-        if du.written_between(src.reg, i, j) {
-            return None;
-        }
     }
     // Fold: for Add/Mul chains the constants combine with the same op; for
     // Subtract/Divide right-chains they combine with Add/Mul. Bool
@@ -126,7 +260,17 @@ fn try_merge_at(
         op => op,
     };
     let merged = const_eval(fold_op, ca, cb, dtype)?;
-    Some((i, j, merged))
+    // The source operand of i must not be redefined in between. (When it
+    // is r itself, i and j are neighbours in r's chain.)
+    let src = a.inputs()[1 - ca_pos].as_view()?;
+    if src.reg != out_b.reg {
+        if let Some(write) = chains.next_write_of_source(src.reg, i) {
+            if write < j {
+                return Some(Attempt::Blocked(write));
+            }
+        }
+    }
+    Some(Attempt::Merge(i, merged))
 }
 
 /// Binary element-wise with exactly one constant input and an associative
@@ -244,6 +388,78 @@ BH_SYNC a0 [0:10:1]
         );
         assert_eq!(n, 0);
         assert_eq!(p.count_op(Opcode::Add), 3);
+    }
+
+    #[test]
+    fn rewritten_source_closes_the_definition() {
+        // a0 = b0 + 1 may not absorb a later a0 += 2 across a write to b0:
+        // the merged add would read the *new* b0.
+        let (p, n) = optimize_text(
+            "BH_IDENTITY b0 [0:4:1] 7\n\
+             BH_ADD a0 [0:4:1] b0 1\n\
+             BH_IDENTITY b0 9\n\
+             BH_ADD a0 a0 2\n\
+             BH_SYNC a0\nBH_SYNC b0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+        assert_eq!(p.count_op(Opcode::Add), 2);
+    }
+
+    #[test]
+    fn cross_register_source_is_carried_along_the_chain() {
+        let (p, n) = optimize_text(
+            "BH_IDENTITY b0 [0:4:1] 7\n\
+             BH_ADD a0 [0:4:1] b0 1\nBH_ADD a0 a0 2\nBH_ADD a0 a0 3\n\
+             BH_SYNC a0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 2);
+        assert!(p.to_text(PrintStyle::COMPACT).contains("BH_ADD a0 b0 6"));
+    }
+
+    #[test]
+    fn a_source_write_absorbed_later_reopens_the_definition() {
+        // When the scan reaches `a0 += 2`, `b0 = max(b0, 3)` stands
+        // between it and `a0 = b0 + 1`. Once the later `max(b0, 1)`
+        // absorbs that write, nothing does, and the adds merge in the same
+        // application — as if the scan had started over.
+        let (p, n) = optimize_text(
+            "BH_IDENTITY b0 [0:4:1] 7\n\
+             BH_ADD a0 [0:4:1] b0 1\n\
+             BH_MAXIMUM b0 b0 3\n\
+             BH_ADD a0 a0 2\n\
+             BH_MAXIMUM b0 b0 1\n\
+             BH_SYNC a0\nBH_SYNC b0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 2);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_ADD a0 b0 3"), "{text}");
+        assert!(text.contains("BH_MAXIMUM b0 b0 3"), "{text}");
+    }
+
+    #[test]
+    fn a_reopened_position_merges_before_the_scan_moves_on() {
+        // `a0 += 2` (position 3) is re-opened when position 4 absorbs the
+        // write of b0, and merges into `a0 = b0 + 1` there and then. The
+        // last add therefore meets `a0 = b0 + 3` with the new write of b0
+        // in between and stays; had it been judged first it would have
+        // folded into `a0 += 2` instead.
+        let (p, n) = optimize_text(
+            "BH_IDENTITY b0 [0:4:1] 7\n\
+             BH_ADD a0 [0:4:1] b0 1\n\
+             BH_MAXIMUM b0 b0 3\n\
+             BH_ADD a0 a0 2\n\
+             BH_MAXIMUM b0 b0 1\n\
+             BH_ADD a0 a0 4\n\
+             BH_SYNC a0\nBH_SYNC b0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 2);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_ADD a0 b0 3.0\n"), "{text}");
+        assert!(text.contains("BH_ADD a0 a0 4\n"), "{text}");
     }
 
     #[test]

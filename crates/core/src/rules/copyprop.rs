@@ -4,13 +4,42 @@
 //! either register is rewritten). The copy itself then becomes dead and
 //! falls to [`crate::rules::DeadCodeElimination`].
 
-use crate::rule::{is_full_view, RewriteCtx, RewriteRule};
+use crate::rule::{RewriteCtx, RewriteRule};
 use bh_ir::{Opcode, Operand, Program, Reg, ViewRef};
-use std::collections::HashMap;
 
 /// See the module documentation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CopyPropagation;
+
+/// The still-valid full copies at the scan position. Invariant:
+/// `source_of[b] = Some(a)` iff a `BH_IDENTITY b a` (full views, same
+/// dtype and shape) was seen and neither `a` nor `b` has been written or
+/// freed since.
+struct Copies {
+    /// target reg -> source reg
+    source_of: Vec<Option<Reg>>,
+    /// source reg -> targets recorded against it; may name targets whose
+    /// copy has since been dropped or re-pointed, so readers re-check
+    /// `source_of`.
+    targets_of: Vec<Vec<Reg>>,
+}
+
+impl Copies {
+    fn record(&mut self, target: Reg, source: Reg) {
+        self.source_of[target.index()] = Some(source);
+        self.targets_of[source.index()].push(target);
+    }
+
+    /// Drop every copy that involves `reg`, as target or as source.
+    fn invalidate(&mut self, reg: Reg) {
+        self.source_of[reg.index()] = None;
+        for target in self.targets_of[reg.index()].drain(..) {
+            if self.source_of[target.index()] == Some(reg) {
+                self.source_of[target.index()] = None;
+            }
+        }
+    }
+}
 
 impl RewriteRule for CopyPropagation {
     fn name(&self) -> &'static str {
@@ -19,12 +48,15 @@ impl RewriteRule for CopyPropagation {
 
     fn apply(&self, program: &mut Program, _ctx: &RewriteCtx) -> usize {
         let mut applied = 0;
-        // target reg -> source reg of a still-valid full copy
-        let mut copies: HashMap<Reg, Reg> = HashMap::new();
+        let n_regs = program.bases().len();
+        let mut copies = Copies {
+            source_of: vec![None; n_regs],
+            targets_of: vec![Vec::new(); n_regs],
+        };
+        let mut replacements: Vec<(usize, Reg)> = Vec::new();
         for idx in 0..program.instrs().len() {
             // 1. Rewrite this instruction's *input* full views through the
             //    copy map (output operands must keep their register).
-            let mut replacements: Vec<(usize, Reg)> = Vec::new();
             {
                 let instr = &program.instrs()[idx];
                 // System ops (BH_SYNC/BH_FREE) *name* a register rather than
@@ -38,8 +70,8 @@ impl RewriteRule for CopyPropagation {
                 };
                 for (k, o) in instr.operands.iter().enumerate().skip(first_input) {
                     if let Operand::View(v) = o {
-                        if let Some(&src) = copies.get(&v.reg) {
-                            if v.is_syntactically_full() || is_full_view(program, v) {
+                        if let Some(src) = copies.source_of[v.reg.index()] {
+                            if v.is_syntactically_full() || program.is_full_view(v) {
                                 replacements.push((k, src));
                             }
                         }
@@ -47,25 +79,23 @@ impl RewriteRule for CopyPropagation {
                 }
             }
             if !replacements.is_empty() {
-                let instr = &mut program.instrs_mut()[idx];
-                for (k, src) in &replacements {
-                    instr.operands[*k] = Operand::View(ViewRef::full(*src));
-                }
                 applied += replacements.len();
+                let instr = &mut program.instrs_mut()[idx];
+                for (k, src) in replacements.drain(..) {
+                    instr.operands[k] = Operand::View(ViewRef::full(src));
+                }
             }
 
             // 2. Update the copy map with this instruction's effect.
             let instr = &program.instrs()[idx];
-            let out_reg = instr.out_reg();
             // Any write invalidates copies involving the written register.
-            if let Some(w) = out_reg {
-                copies.retain(|&dst, &mut src| dst != w && src != w);
+            if let Some(w) = instr.out_reg() {
+                copies.invalidate(w);
             }
             // BH_FREE invalidates too: the source data is gone.
             if instr.op == Opcode::Free {
                 if let Some(v) = instr.operands.first().and_then(|o| o.as_view()) {
-                    let f = v.reg;
-                    copies.retain(|&dst, &mut src| dst != f && src != f);
+                    copies.invalidate(v.reg);
                 }
             }
             // Record fresh full-view same-dtype copies.
@@ -76,10 +106,10 @@ impl RewriteRule for CopyPropagation {
                     if out.reg != input.reg
                         && same_dtype
                         && same_shape
-                        && is_full_view(program, out)
-                        && is_full_view(program, input)
+                        && program.is_full_view(out)
+                        && program.is_full_view(input)
                     {
-                        copies.insert(out.reg, input.reg);
+                        copies.record(out.reg, input.reg);
                     }
                 }
             }

@@ -5,6 +5,11 @@
 //! redundant by copy propagation. Observability follows the context's
 //! [`LiveAtExit`] policy.
 //!
+//! One backward walk with a [`Liveness`] cursor: a pure store to a
+//! register that is not live just after it is dropped *without* stepping
+//! the cursor across it, so its inputs never become live on its account
+//! and the stores that fed only it are found dead in the same walk.
+//!
 //! [`LiveAtExit`]: crate::rule::LiveAtExit
 
 use crate::rule::{LiveAtExit, RewriteCtx, RewriteRule};
@@ -20,31 +25,19 @@ impl RewriteRule for DeadCodeElimination {
     }
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
+        let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
+            LiveAtExit::SyncedOnly => Vec::new(),
+            LiveAtExit::AllRegisters => (0..program.bases().len() as u32).map(Reg).collect(),
+        };
+        let mut live = Liveness::at_exit(program, &live_at_exit);
         let mut applied = 0;
-        // Iterate to fixpoint internally: removing one dead store can kill
-        // the stores feeding it.
-        loop {
-            let liveness = match ctx.live_at_exit {
-                LiveAtExit::SyncedOnly => Liveness::compute(program),
-                LiveAtExit::AllRegisters => {
-                    let all: Vec<Reg> = (0..program.bases().len() as u32).map(Reg).collect();
-                    Liveness::compute_with_exit(program, &all)
-                }
-            };
-            let mut changed = false;
-            for idx in 0..program.instrs().len() {
-                let instr = &program.instrs()[idx];
-                if instr.is_noop() || !is_pure(instr) {
-                    continue;
-                }
-                if !liveness.write_is_live(program, idx) {
-                    program.instrs_mut()[idx] = Instruction::noop();
-                    applied += 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+        for idx in (0..program.instrs().len()).rev() {
+            let instr = &program.instrs()[idx];
+            if is_pure(instr) && !live.write_is_live(instr) {
+                program.instrs_mut()[idx] = Instruction::noop();
+                applied += 1;
+            } else {
+                live.step_back(program, instr);
             }
         }
         applied

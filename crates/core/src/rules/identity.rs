@@ -5,7 +5,7 @@
 //! `x ∧ false`, `x ∨ true` collapse to a constant fill. These are the
 //! smallest of the paper's "loop-fusion-like contractions of byte-codes".
 
-use crate::rule::{reassoc_allowed, views_equivalent, RewriteCtx, RewriteRule};
+use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program};
 
 /// See the module documentation.
@@ -47,7 +47,7 @@ impl RewriteRule for AlgebraicSimplify {
             if identity_applies && identity_exact {
                 program.instrs_mut()[idx] = if other
                     .as_view()
-                    .is_some_and(|v| views_equivalent(program, v, &out))
+                    .is_some_and(|v| program.same_elements(v, &out))
                 {
                     Instruction::noop()
                 } else {
@@ -93,7 +93,7 @@ impl RewriteRule for TrivialCopyElision {
                 continue;
             };
             if let Some(input) = instr.inputs()[0].as_view() {
-                if views_equivalent(program, input, out)
+                if program.same_elements(input, out)
                     && program.base(input.reg).dtype == program.base(out.reg).dtype
                 {
                     program.instrs_mut()[idx] = Instruction::noop();

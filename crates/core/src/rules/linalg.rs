@@ -11,7 +11,7 @@
 //! computations." (§2). That side condition is exactly what
 //! [`DefUse::read_after`] checks.
 
-use crate::rule::{is_full_view, LiveAtExit, RewriteCtx, RewriteRule};
+use crate::rule::{LiveAtExit, RewriteCtx, RewriteRule};
 use bh_ir::{DefUse, Instruction, Opcode, Program};
 
 /// See the module documentation.
@@ -32,11 +32,22 @@ impl RewriteRule for InverseSolveRewrite {
         if !matches!(ctx.live_at_exit, LiveAtExit::SyncedOnly) {
             return 0;
         }
+        // No BH_INVERSE, no pattern: skip the def-use index altogether.
+        if !program.instrs().iter().any(|i| i.op == Opcode::Inverse) {
+            return 0;
+        }
+        // One index, built before the first rewrite, serves the whole
+        // scan. A rewrite removes t's only definition and moves the read
+        // of A from the inverse to the solve; neither can create or
+        // destroy another pattern: a pattern's t has exactly one
+        // definition and one non-free reader, so two patterns never share
+        // a t, and a register that gains or loses a read (A) had — and
+        // keeps — a reader besides any matmul that might consume it.
+        let du = DefUse::compute(program);
         let mut applied = 0;
-        loop {
-            let du = DefUse::compute(program);
-            let Some((inv_idx, mm_idx)) = find_pattern(program, &du) else {
-                break;
+        for mm_idx in 0..program.instrs().len() {
+            let Some(inv_idx) = match_pattern(program, &du, mm_idx) else {
+                continue;
             };
             let a = program.instrs()[inv_idx].inputs()[0].clone();
             let mm = &mut program.instrs_mut()[mm_idx];
@@ -49,62 +60,51 @@ impl RewriteRule for InverseSolveRewrite {
     }
 }
 
-fn find_pattern(program: &Program, du: &DefUse) -> Option<(usize, usize)> {
+/// If the instruction at `mm_idx` is `x = t @ B` and `t` is an inverse
+/// nothing else observes, the index of the defining `BH_INVERSE`.
+fn match_pattern(program: &Program, du: &DefUse, mm_idx: usize) -> Option<usize> {
     let instrs = program.instrs();
-    for (mm_idx, mm) in instrs.iter().enumerate() {
-        if mm.op != Opcode::MatMul {
-            continue;
-        }
-        // x = t @ B with t the *left* operand (A⁻¹B solves Ax = B; B·A⁻¹
-        // would be the transposed system and is out of scope).
-        let Some(t) = mm.inputs()[0].as_view() else {
-            continue;
-        };
-        let Some(b) = mm.inputs()[1].as_view() else {
-            continue;
-        };
-        if !is_full_view(program, t) {
-            continue;
-        }
-        // Find the defining BH_INVERSE of t.
-        let Some(&inv_idx) = du.defs(t.reg).iter().rfind(|&&d| d < mm_idx) else {
-            continue;
-        };
-        let inv = &instrs[inv_idx];
-        if inv.op != Opcode::Inverse {
-            continue;
-        }
-        let Some(inv_out) = inv.out_view() else {
-            continue;
-        };
-        if !is_full_view(program, inv_out) {
-            continue;
-        }
-        let Some(a) = inv.inputs()[0].as_view() else {
-            continue;
-        };
-        // Side condition 1: the inverse is used *only* by this matmul
-        // (later BH_FREEs of t are fine — the value itself is not read).
-        let extra_use = du
-            .uses(t.reg)
-            .iter()
-            .any(|&u| u != mm_idx && !matches!(instrs[u].op, Opcode::Free));
-        if extra_use {
-            continue;
-        }
-        // Side condition 2: t is defined exactly once (no partial updates
-        // blending other data into the "inverse").
-        if du.defs(t.reg).len() != 1 {
-            continue;
-        }
-        // Side condition 3: A and B unchanged between the two sites.
-        if du.written_between(a.reg, inv_idx, mm_idx) || du.written_between(b.reg, inv_idx, mm_idx)
-        {
-            continue;
-        }
-        return Some((inv_idx, mm_idx));
+    let mm = &instrs[mm_idx];
+    if mm.op != Opcode::MatMul {
+        return None;
     }
-    None
+    // x = t @ B with t the *left* operand (A⁻¹B solves Ax = B; B·A⁻¹
+    // would be the transposed system and is out of scope).
+    let t = mm.inputs()[0].as_view()?;
+    let b = mm.inputs()[1].as_view()?;
+    if !program.is_full_view(t) {
+        return None;
+    }
+    // Find the defining BH_INVERSE of t.
+    let inv_idx = *du.defs(t.reg).iter().rfind(|&&d| d < mm_idx)?;
+    let inv = &instrs[inv_idx];
+    if inv.op != Opcode::Inverse {
+        return None;
+    }
+    let inv_out = inv.out_view()?;
+    if !program.is_full_view(inv_out) {
+        return None;
+    }
+    let a = inv.inputs()[0].as_view()?;
+    // Side condition 1: the inverse is used *only* by this matmul
+    // (later BH_FREEs of t are fine — the value itself is not read).
+    let extra_use = du
+        .uses(t.reg)
+        .iter()
+        .any(|&u| u != mm_idx && !matches!(instrs[u].op, Opcode::Free));
+    if extra_use {
+        return None;
+    }
+    // Side condition 2: t is defined exactly once (no partial updates
+    // blending other data into the "inverse").
+    if du.defs(t.reg).len() != 1 {
+        return None;
+    }
+    // Side condition 3: A and B unchanged between the two sites.
+    if du.written_between(a.reg, inv_idx, mm_idx) || du.written_between(b.reg, inv_idx, mm_idx) {
+        return None;
+    }
+    Some(inv_idx)
 }
 
 #[cfg(test)]
@@ -226,6 +226,27 @@ BH_SYNC x
 ");
         assert_eq!(n, 1);
         assert!(p.to_text(PrintStyle::COMPACT).contains("BH_SOLVE x a b"));
+    }
+
+    #[test]
+    fn inverse_of_an_inverse_rewrites_only_the_unshared_one() {
+        // a = z⁻¹ feeds both a matmul and a second inverse, so it stays;
+        // t = a⁻¹ has one reader and becomes a solve — whichever matmul
+        // comes first in the program.
+        for order in [
+            "BH_MATMUL w a b\nBH_INVERSE t a\nBH_MATMUL x t b\n",
+            "BH_INVERSE t a\nBH_MATMUL x t b\nBH_MATMUL w a b\n",
+        ] {
+            let (p, n) = run(&format!(
+                ".base z f64[4,4] input\n.base b f64[4] input\n.base a f64[4,4]\n\
+                 .base t f64[4,4]\n.base x f64[4]\n.base w f64[4]\n\
+                 BH_INVERSE a z\n{order}BH_SYNC x\nBH_SYNC w\n"
+            ));
+            assert_eq!(n, 1);
+            let text = p.to_text(PrintStyle::COMPACT);
+            assert!(text.contains("BH_SOLVE x a b"), "{text}");
+            assert!(text.contains("BH_MATMUL w a b"), "{text}");
+        }
     }
 
     #[test]

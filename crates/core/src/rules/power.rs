@@ -15,7 +15,7 @@
 //! into the optimal four-multiply schedule.
 
 use crate::chains::{optimal_chain, optimal_multiplies, ChainStep};
-use crate::rule::{reassoc_allowed, views_equivalent, RewriteCtx, RewriteRule};
+use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program, ViewRef};
 use bh_tensor::Scalar;
 
@@ -30,26 +30,33 @@ impl RewriteRule for PowerExpansion {
     }
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
+        if !program.instrs().iter().any(|i| i.op == Opcode::Power) {
+            return 0;
+        }
+        // Rebuild the list in one pass: splicing each expansion into place
+        // would move the whole tail once per BH_POWER.
         let mut applied = 0;
-        let mut idx = 0;
-        while idx < program.instrs().len() {
-            if let Some(expansion) = match_power(program, idx, ctx) {
-                let tail = program.instrs_mut().split_off(idx + 1);
-                program.instrs_mut().pop(); // the BH_POWER itself
-                program.instrs_mut().extend(expansion.iter().cloned());
-                program.instrs_mut().extend(tail);
-                idx += expansion.len();
-                applied += 1;
-            } else {
-                idx += 1;
+        let source = std::mem::take(program.instrs_mut());
+        let mut rebuilt = Vec::with_capacity(source.len());
+        for instr in source {
+            match match_power(program, &instr, ctx) {
+                Some(expansion) => {
+                    rebuilt.extend(expansion);
+                    applied += 1;
+                }
+                None => rebuilt.push(instr),
             }
         }
+        *program.instrs_mut() = rebuilt;
         applied
     }
 }
 
-fn match_power(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Vec<Instruction>> {
-    let instr = &program.instrs()[idx];
+fn match_power(
+    program: &Program,
+    instr: &Instruction,
+    ctx: &RewriteCtx,
+) -> Option<Vec<Instruction>> {
     if instr.op != Opcode::Power {
         return None;
     }
@@ -81,7 +88,7 @@ fn match_power(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Vec<In
         // In-place x = x^n: the origin is destroyed by the first write, so
         // only pure-squaring schedules (n a power of two) are expressible
         // without the temporaries §3.1 rules out.
-        if !n.is_power_of_two() || !views_equivalent(program, &out, &base) {
+        if !n.is_power_of_two() || !program.same_elements(&out, &base) {
             return None;
         }
         let k = n.trailing_zeros() as usize;
@@ -164,7 +171,7 @@ fn match_chain(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<(usize
     let a = head.inputs()[0].as_view()?;
     let b = head.inputs()[1].as_view()?;
     // Head must be acc = origin · origin with acc ≠ origin.
-    if a.reg == acc.reg || !views_equivalent(program, a, b) {
+    if a.reg == acc.reg || !program.same_elements(a, b) {
         return None;
     }
     let origin = a.clone();
@@ -179,14 +186,14 @@ fn match_chain(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<(usize
             break;
         }
         let Some(out) = instr.out_view() else { break };
-        if !views_equivalent(program, out, acc) {
+        if !program.same_elements(out, acc) {
             break;
         }
         let (Some(x), Some(y)) = (instr.inputs()[0].as_view(), instr.inputs()[1].as_view()) else {
             break;
         };
-        let is_acc = |v: &ViewRef| views_equivalent(program, v, acc);
-        let is_origin = |v: &ViewRef| views_equivalent(program, v, &origin);
+        let is_acc = |v: &ViewRef| program.same_elements(v, acc);
+        let is_origin = |v: &ViewRef| program.same_elements(v, &origin);
         if is_acc(x) && is_acc(y) {
             exponent = exponent.checked_mul(2)?;
         } else if (is_acc(x) && is_origin(y)) || (is_origin(x) && is_acc(y)) {

@@ -7,7 +7,7 @@
 //! * `x − x → 0` and `x ⊻ x → 0` (integer exact; float `x−x` gated on
 //!   `fast_math` because `∞ − ∞ = NaN`).
 
-use crate::rule::{reassoc_allowed, views_equivalent, RewriteCtx, RewriteRule};
+use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program};
 use bh_tensor::Scalar;
 
@@ -42,7 +42,7 @@ fn reduce(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Instruction
 
     // x ⊖ x patterns.
     if let (Some(a), Some(b)) = (instr.inputs()[0].as_view(), instr.inputs()[1].as_view()) {
-        if views_equivalent(program, a, b) {
+        if program.same_elements(a, b) {
             match instr.op {
                 Opcode::Subtract if reassoc_allowed(ctx, dtype) => {
                     return Some(Instruction::unary(

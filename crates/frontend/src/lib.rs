@@ -139,7 +139,7 @@ BH_ADD a0 [0:10:1] a0 [0:10:1] 1.0
             .by_rule
             .iter()
             .filter(|(_, n)| *n > 0)
-            .map(|(name, _)| name.as_str())
+            .map(|(name, _)| *name)
             .collect();
         assert!(fired.contains(&"power-expansion"), "{fired:?}");
     }
@@ -160,7 +160,7 @@ BH_ADD a0 [0:10:1] a0 [0:10:1] 1.0
             .report()
             .by_rule
             .iter()
-            .any(|(name, n)| name == "inverse-solve" && *n > 0);
+            .any(|(name, n)| *name == "inverse-solve" && *n > 0);
         assert!(solved, "{}", outcome.report());
     }
 

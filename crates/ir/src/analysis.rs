@@ -1,10 +1,10 @@
 //! Data-flow analyses over byte-code sequences.
 //!
-//! The transformation engine needs to answer questions like *"is `a0`
-//! touched between these two `BH_ADD`s?"* (constant merging) and *"is the
-//! inverse used for anything else?"* (the Eq. 2 context-aware rewrite).
-//! This module provides the def-use and liveness machinery behind those
-//! answers.
+//! The transformation engine needs to answer questions like *"is the
+//! inverse used for anything else?"* (the Eq. 2 context-aware rewrite)
+//! and *"is this store ever observed?"* (dead-code elimination, the W100
+//! lint). This module provides the def-use and liveness machinery behind
+//! those answers.
 
 use crate::instr::Instruction;
 use crate::operand::Reg;
@@ -48,12 +48,6 @@ impl DefUse {
         &self.uses[reg.index()]
     }
 
-    /// True when some instruction with index in `(after, before)`
-    /// (exclusive both ends) reads `reg`.
-    pub fn read_between(&self, reg: Reg, after: usize, before: usize) -> bool {
-        self.uses(reg).iter().any(|&i| i > after && i < before)
-    }
-
     /// True when some instruction with index in `(after, before)` writes
     /// `reg`.
     pub fn written_between(&self, reg: Reg, after: usize, before: usize) -> bool {
@@ -69,74 +63,96 @@ impl DefUse {
     }
 }
 
-/// Backward liveness: which registers may still be read at each program
-/// point.
+/// Backward liveness as a cursor: the set of registers that may still be
+/// read *after* the current program point, held as a register bitset and
+/// moved one instruction towards the program start per
+/// [`Liveness::step_back`].
 ///
 /// A full-view write kills liveness (the old value is gone); a sliced write
-/// does not, because untouched elements survive.
-#[derive(Debug, Clone)]
+/// does not, because untouched elements survive. One backward walk costs
+/// O(instructions) time and O(registers) space, whatever the program
+/// length.
+///
+/// # Examples
+///
+/// Find the dead stores of a program — writes whose register is not live
+/// just after them:
+///
+/// ```
+/// use bh_ir::{parse_program, Liveness};
+///
+/// let p = parse_program(
+///     "BH_IDENTITY a [0:4:1] 1\nBH_IDENTITY a [0:4:1] 2\nBH_SYNC a\n")?;
+/// let mut live = Liveness::at_exit(&p, &[]);
+/// let mut dead = Vec::new();
+/// for (idx, instr) in p.instrs().iter().enumerate().rev() {
+///     if !live.write_is_live(instr) {
+///         dead.push(idx);
+///     }
+///     live.step_back(&p, instr);
+/// }
+/// assert_eq!(dead, [0]); // overwritten before anything read it
+/// # Ok::<(), bh_ir::ParseError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Liveness {
-    /// `live[i][r]` = is register `r` live *before* instruction `i`?
-    /// `live[n]` is the live-at-exit row.
-    live: Vec<Vec<bool>>,
+    /// Bit `r` of word `r / 64` = is register `r` live at the cursor?
+    live: Vec<u64>,
 }
 
 impl Liveness {
-    /// Compute liveness with an empty live-at-exit set: the only observable
-    /// results are those a `BH_SYNC` reads before the program ends
-    /// (matching Bohrium, where the bridge syncs before touching data).
-    pub fn compute(program: &Program) -> Liveness {
-        Self::compute_with_exit(program, &[])
-    }
-
-    /// Compute liveness with the given registers live at exit (used when a
-    /// host embedding will read bases directly without sync instructions).
-    pub fn compute_with_exit(program: &Program, live_at_exit: &[Reg]) -> Liveness {
-        let n_regs = program.bases().len();
-        let n = program.instrs().len();
-        let mut live = vec![vec![false; n_regs]; n + 1];
-        for r in live_at_exit {
-            live[n][r.index()] = true;
+    /// The cursor at program exit, with the given registers live there.
+    /// An empty set means the only observable results are those a
+    /// `BH_SYNC` reads before the program ends (matching Bohrium, where
+    /// the bridge syncs before touching data); a host embedding that reads
+    /// bases directly names them here.
+    pub fn at_exit(program: &Program, live_at_exit: &[Reg]) -> Liveness {
+        let mut live = Liveness {
+            live: vec![0; program.bases().len().div_ceil(64)],
+        };
+        for &r in live_at_exit {
+            live.set(r, true);
         }
-        for i in (0..n).rev() {
-            let instr = &program.instrs()[i];
-            let mut row = live[i + 1].clone();
-            // Kill: a full write makes the previous value dead.
-            if let Some(out) = instr.out_view() {
-                if is_full_write(program, instr) {
-                    row[out.reg.index()] = false;
-                }
-            }
-            // Gen: inputs become live. BH_FREE names its target but does
-            // not read the *value*, so it generates no liveness — otherwise
-            // dead computations kept alive only by their eventual free
-            // could never be eliminated.
-            if instr.op != crate::opcode::Opcode::Free {
-                for r in instr.input_regs() {
-                    row[r.index()] = true;
-                }
-            }
-            live[i] = row;
+        live
+    }
+
+    /// Is `reg` live at the cursor?
+    pub fn is_live(&self, reg: Reg) -> bool {
+        self.live[reg.index() / 64] >> (reg.index() % 64) & 1 == 1
+    }
+
+    fn set(&mut self, reg: Reg, live: bool) {
+        let bit = 1u64 << (reg.index() % 64);
+        if live {
+            self.live[reg.index() / 64] |= bit;
+        } else {
+            self.live[reg.index() / 64] &= !bit;
         }
-        Liveness { live }
     }
 
-    /// Is `reg` live immediately *before* instruction `idx`?
-    pub fn live_before(&self, idx: usize, reg: Reg) -> bool {
-        self.live[idx][reg.index()]
+    /// With the cursor just *after* `instr`: is the value it writes ever
+    /// observed? (The dead-store test.) Instructions without an output
+    /// are effects, never dead stores.
+    pub fn write_is_live(&self, instr: &Instruction) -> bool {
+        instr.out_reg().is_none_or(|r| self.is_live(r))
     }
 
-    /// Is `reg` live immediately *after* instruction `idx`?
-    pub fn live_after(&self, idx: usize, reg: Reg) -> bool {
-        self.live[idx + 1][reg.index()]
-    }
-
-    /// Is the value written by instruction `idx` ever observed? (Dead-store
-    /// test used by DCE.)
-    pub fn write_is_live(&self, program: &Program, idx: usize) -> bool {
-        match program.instrs()[idx].out_reg() {
-            Some(r) => self.live_after(idx, r),
-            None => true, // system ops are effects, never "dead stores"
+    /// Move the cursor from just after `instr` to just before it.
+    pub fn step_back(&mut self, program: &Program, instr: &Instruction) {
+        // Kill: a full write makes the previous value dead.
+        if let Some(out) = instr.out_view() {
+            if program.is_full_view(out) {
+                self.set(out.reg, false);
+            }
+        }
+        // Gen: inputs become live. BH_FREE names its target but does not
+        // read the *value*, so it generates no liveness — otherwise dead
+        // computations kept alive only by their eventual free could never
+        // be eliminated.
+        if instr.op != crate::opcode::Opcode::Free {
+            for r in instr.input_regs() {
+                self.set(r, true);
+            }
         }
     }
 }
@@ -149,7 +165,7 @@ impl Liveness {
 /// A re-run only observes leftover state through a read of a non-input
 /// register position the current run has not yet defined. So the program
 /// is re-run safe when every read of a non-input register is preceded by
-/// a *full* write ([`is_full_write`]) or a `BH_FREE` (a freed base
+/// a *full* write ([`Program::is_full_view`]) or a `BH_FREE` (a freed base
 /// re-allocates zero-filled, exactly the state a first run sees).
 /// Partial-view writes define nothing for this purpose: validation
 /// accepts `write a[0:2] ; read a[0:4]`, whose untouched tail would leak
@@ -179,30 +195,12 @@ pub fn rerun_safe(program: &Program) -> bool {
             }
         }
         if let Some(v) = instr.out_view() {
-            if is_full_write(program, instr) {
+            if program.is_full_view(v) {
                 fresh[v.reg.index()] = true;
             }
         }
     }
     true
-}
-
-/// True when the instruction's output view covers its whole base, so the
-/// write fully replaces the register's previous value.
-pub fn is_full_write(program: &Program, instr: &Instruction) -> bool {
-    match instr.out_view() {
-        None => false,
-        Some(v) => match program.resolve_view(v) {
-            Ok(geom) => {
-                geom.nelem() == program.base(v.reg).shape.nelem() && {
-                    // Same element count and contiguity from offset 0 ⇒ covers
-                    // the base exactly.
-                    geom.offset() == 0 && geom.is_contiguous()
-                }
-            }
-            Err(_) => false,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -235,28 +233,42 @@ mod tests {
     }
 
     #[test]
-    fn read_between_and_after() {
+    fn written_between_and_read_after() {
         let p = listing2();
         let du = DefUse::compute(&p);
         let a0 = p.reg_by_name("a0").unwrap();
-        assert!(du.read_between(a0, 0, 2)); // the add at 1 reads a0
-        assert!(!du.read_between(a0, 3, 4)); // nothing strictly between
+        assert!(du.written_between(a0, 0, 2)); // the add at 1 writes a0
+        assert!(!du.written_between(a0, 2, 3)); // nothing strictly between
         assert!(du.read_after(a0, 3)); // sync reads it
         assert!(!du.read_after(a0, 4));
+    }
+
+    /// `write_is_live` for every instruction, by one backward walk.
+    fn live_writes(p: &Program, live_at_exit: &[Reg]) -> Vec<bool> {
+        let mut live = Liveness::at_exit(p, live_at_exit);
+        let mut out = vec![true; p.instrs().len()];
+        for (idx, instr) in p.instrs().iter().enumerate().rev() {
+            out[idx] = live.write_is_live(instr);
+            live.step_back(p, instr);
+        }
+        out
     }
 
     #[test]
     fn liveness_sync_keeps_value_alive() {
         let p = listing2();
-        let lv = Liveness::compute(&p);
         let a0 = p.reg_by_name("a0").unwrap();
-        // Live between the adds and before the sync.
-        assert!(lv.live_after(1, a0));
-        assert!(lv.live_after(3, a0));
+        let mut live = Liveness::at_exit(&p, &[]);
         // Dead after the sync (nothing reads it later).
-        assert!(!lv.live_after(4, a0));
+        assert!(!live.is_live(a0));
+        // Live before the sync and between the adds.
+        for idx in (1..=4).rev() {
+            live.step_back(&p, &p.instrs()[idx]);
+            assert!(live.is_live(a0), "before instruction {idx}");
+        }
         // Dead before the identity (the full write kills upward liveness).
-        assert!(!lv.live_before(0, a0));
+        live.step_back(&p, &p.instrs()[0]);
+        assert!(!live.is_live(a0));
     }
 
     #[test]
@@ -267,9 +279,7 @@ mod tests {
         b.identity_const(a0, Scalar::F64(2.0));
         b.sync(a0);
         let p = b.build();
-        let lv = Liveness::compute(&p);
-        assert!(!lv.write_is_live(&p, 0));
-        assert!(lv.write_is_live(&p, 1));
+        assert_eq!(live_writes(&p, &[]), [false, true, true]);
     }
 
     #[test]
@@ -288,11 +298,8 @@ mod tests {
             Scalar::F64(2.0),
         ));
         p.push(Instruction::sync(ViewRef::full(a0)));
-        let lv = Liveness::compute(&p);
         // The first write is still (partially) observable.
-        assert!(lv.write_is_live(&p, 0));
-        assert!(!is_full_write(&p, &p.instrs()[1]));
-        assert!(is_full_write(&p, &p.instrs()[0]));
+        assert!(live_writes(&p, &[])[0]);
     }
 
     #[test]
@@ -301,10 +308,34 @@ mod tests {
         let a0 = b.reg("a0");
         b.identity_const(a0, Scalar::F64(1.0));
         let p = b.build();
-        let lv = Liveness::compute(&p);
-        assert!(!lv.write_is_live(&p, 0));
-        let lv = Liveness::compute_with_exit(&p, &[a0]);
-        assert!(lv.write_is_live(&p, 0));
+        assert_eq!(live_writes(&p, &[]), [false]);
+        assert_eq!(live_writes(&p, &[a0]), [true]);
+    }
+
+    #[test]
+    fn free_names_its_target_without_reading_it() {
+        let p = crate::parse_program("BH_IDENTITY a [0:4:1] 1\nBH_FREE a\n").unwrap();
+        assert_eq!(live_writes(&p, &[]), [false, true]);
+    }
+
+    #[test]
+    fn liveness_spans_more_than_one_bitset_word() {
+        let mut p = Program::new();
+        let regs: Vec<Reg> = (0..130)
+            .map(|i| p.declare(&format!("r{i}"), DType::Float64, Shape::vector(2)))
+            .collect();
+        for &r in &regs {
+            p.push(Instruction::unary(
+                Opcode::Identity,
+                ViewRef::full(r),
+                Scalar::F64(1.0),
+            ));
+        }
+        p.push(Instruction::sync(ViewRef::full(regs[129])));
+        p.push(Instruction::sync(ViewRef::full(regs[64])));
+        let live = live_writes(&p, &[regs[3]]);
+        let kept: Vec<usize> = (0..130).filter(|&i| live[i]).collect();
+        assert_eq!(kept, [3, 64, 129]);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod program;
 pub mod validate;
 pub mod verify;
 
-pub use analysis::{is_full_write, rerun_safe, DefUse, Liveness};
+pub use analysis::{rerun_safe, DefUse, Liveness};
 pub use digest::ProgramDigest;
 pub use equiv::{check_equiv, EquivCode, EquivError, EquivOptions, EquivWitness};
 pub use fold::const_eval;

@@ -112,8 +112,16 @@ impl Program {
     /// never fails and never rejects: callers at most count the result.
     pub fn lint(&self) -> Vec<LintWarning> {
         let mut out = Vec::new();
-        let live = Liveness::compute(self);
         let instrs = self.instrs();
+        // One backward liveness walk marks the dead stores (synced-only
+        // observation model); the forward pass below reports them in
+        // instruction order with the other findings.
+        let mut live = Liveness::at_exit(self, &[]);
+        let mut dead_store = vec![false; instrs.len()];
+        for (idx, instr) in instrs.iter().enumerate().rev() {
+            dead_store[idx] = !live.write_is_live(instr);
+            live.step_back(self, instr);
+        }
 
         for (idx, instr) in instrs.iter().enumerate() {
             let op = instr.op;
@@ -122,7 +130,7 @@ impl Program {
             }
 
             // W100 — dead store under the synced-only observation model.
-            if op.has_output() && !live.write_is_live(self, idx) {
+            if dead_store[idx] {
                 let name = instr
                     .out_view()
                     .map(|v| self.base(v.reg).name.clone())

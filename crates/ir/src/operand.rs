@@ -30,7 +30,7 @@ impl fmt::Display for Reg {
 ///
 /// `slices: None` means the full base view, matching the listings that
 /// elide `[0:10:1]` "since the view is the same for all registers".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ViewRef {
     /// Base register.
     pub reg: Reg,

@@ -173,6 +173,48 @@ impl Program {
         }
     }
 
+    /// True when the view covers its whole base contiguously, so a write
+    /// through it replaces the register's entire value. A view without
+    /// slices is full by definition and is answered without building
+    /// geometry; an unresolvable view is never full.
+    pub fn is_full_view(&self, view: &ViewRef) -> bool {
+        if view.slices.is_none() {
+            return true;
+        }
+        self.resolve_view(view).is_ok_and(|g| {
+            g.offset() == 0 && g.is_contiguous() && g.nelem() == self.base(view.reg).shape.nelem()
+        })
+    }
+
+    /// True when two view operands address exactly the same elements of
+    /// the same register (resolved geometrically, so `a0` and
+    /// `a0[0:10:1]` over a 10-element base agree). Unresolvable views are
+    /// equivalent to nothing, themselves included. Two views without
+    /// slices are answered without building geometry, and syntactically
+    /// identical slices resolve once instead of twice.
+    pub fn same_elements(&self, a: &ViewRef, b: &ViewRef) -> bool {
+        if a.reg != b.reg {
+            return false;
+        }
+        match (&a.slices, &b.slices) {
+            (None, None) => true,
+            (x, y) if x == y => self.resolve_view(a).is_ok(),
+            _ => match (self.resolve_view(a), self.resolve_view(b)) {
+                (Ok(ga), Ok(gb)) => ga == gb,
+                _ => false,
+            },
+        }
+    }
+
+    /// Logical element count of a view (`None` when its slices do not
+    /// resolve); a view without slices answers from the base shape.
+    pub fn view_nelem(&self, view: &ViewRef) -> Option<usize> {
+        match &view.slices {
+            None => Some(self.base(view.reg).shape.nelem()),
+            Some(_) => self.resolve_view(view).ok().map(|g| g.nelem()),
+        }
+    }
+
     /// The dtype an operand contributes to instruction typing: the base
     /// dtype for views, the scalar's own dtype for constants.
     pub fn operand_dtype(&self, operand: &Operand) -> DType {
@@ -233,14 +275,7 @@ impl Program {
                     // A view that geometrically covers the whole base can be
                     // elided (Listing 3–5 style) or spelled out [0:n:1]
                     // (Listing 2 style); partial views always print.
-                    let covers_base = match self.resolve_view(v) {
-                        Ok(g) => {
-                            g.offset() == 0
-                                && g.is_contiguous()
-                                && g.nelem() == self.base(v.reg).shape.nelem()
-                        }
-                        Err(_) => false,
-                    };
+                    let covers_base = self.is_full_view(v);
                     let explicit = match (&v.slices, style.explicit_views) {
                         (Some(sl), _) if !covers_base => Some(sl.clone()),
                         (Some(sl), true) => Some(sl.clone()),
@@ -285,9 +320,8 @@ impl Program {
                 let n = i
                     .out_view()
                     .or_else(|| i.operands.first().and_then(|o| o.as_view()))
-                    .and_then(|v| self.resolve_view(v).ok())
-                    .map(|g| g.nelem() as u64)
-                    .unwrap_or(0);
+                    .and_then(|v| self.view_nelem(v))
+                    .unwrap_or(0) as u64;
                 i.op.unit_cost() * n
             })
             .sum()
@@ -509,6 +543,35 @@ BH_SYNC a0 [0:10:1]
         p.compact();
         assert_eq!(p.instrs().len(), 4);
         assert_eq!(p.count_op(Opcode::Add), 2);
+    }
+
+    #[test]
+    fn view_predicates_agree_with_resolved_geometry() {
+        let mut p = Program::new();
+        let a = p.declare("a", DType::Float64, Shape::vector(10));
+        let b = p.declare("b", DType::Float64, Shape::vector(10));
+        let full = ViewRef::full(a);
+        let spelled = ViewRef::sliced(a, vec![Slice::new(Some(0), Some(10), 1)]);
+        let half = ViewRef::sliced(a, vec![Slice::range(0, 5)]);
+        let strided = ViewRef::sliced(a, vec![Slice::new(None, None, 2)]);
+        // Two slices on a rank-1 base never resolve.
+        let broken = ViewRef::sliced(a, vec![Slice::full(), Slice::full()]);
+
+        assert!(p.is_full_view(&full) && p.is_full_view(&spelled));
+        assert!(!p.is_full_view(&half) && !p.is_full_view(&strided));
+        assert!(!p.is_full_view(&broken));
+
+        assert!(p.same_elements(&full, &full) && p.same_elements(&full, &spelled));
+        assert!(p.same_elements(&half, &half.clone()));
+        assert!(!p.same_elements(&full, &half) && !p.same_elements(&half, &strided));
+        assert!(!p.same_elements(&full, &ViewRef::full(b)));
+        // An unresolvable view addresses nothing, itself included.
+        assert!(!p.same_elements(&broken, &broken.clone()));
+
+        assert_eq!(p.view_nelem(&full), Some(10));
+        assert_eq!(p.view_nelem(&half), Some(5));
+        assert_eq!(p.view_nelem(&strided), Some(5));
+        assert_eq!(p.view_nelem(&broken), None);
     }
 
     #[test]

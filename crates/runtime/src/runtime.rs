@@ -5,7 +5,7 @@ use crate::persist;
 use crate::stats::RuntimeStats;
 use bh_ir::Program;
 use bh_observe::{DigestProfile, EvalSample, ProfileTable, Tier, TracePhase, TraceSink};
-use bh_opt::{OptLevel, OptOptions, Optimizer, RewriteCtx};
+use bh_opt::{OptLevel, OptOptions, OptReport, Optimizer, RewriteCtx};
 use bh_tensor::Tensor;
 use bh_vm::{Engine, PooledVm, Vm, VmError, VmPool};
 use parking_lot::Mutex;
@@ -387,7 +387,7 @@ impl Runtime {
             (options.clone(), Tier::Tier2)
         };
         let equiv_options = self.audit.then(|| build_options.equiv_options());
-        let rollback_options = self.audit.then(|| tier0_options(&build_options));
+        let cost_params = build_options.cost_params;
         let mut optimised = program.clone();
         self.trace(TracePhase::Begin, "optimise", fingerprint);
         let opt_begun = Instant::now();
@@ -414,11 +414,10 @@ impl Runtime {
             }
             if !proved {
                 optimised = program.clone();
-                // An O0 sweep over the fresh clone yields an honest
-                // report for the plan that will actually run (zero
-                // rewrites), instead of one describing discarded work.
-                report = Optimizer::new(rollback_options.expect("set alongside equiv_options"))
-                    .run(&mut optimised);
+                // An honest report for the plan that will actually run
+                // (zero rewrites), instead of one describing discarded
+                // work.
+                report = OptReport::untransformed(&optimised, &cost_params);
             }
         }
         // The promotion baseline: hits the digest already has *before*
@@ -778,7 +777,7 @@ impl PromotionJob {
         // Kept whole so the promoted plan stays self-contained: the audit
         // (when on) and the plan's persistable `source` both need it.
         let source = Arc::new(self.program);
-        let rollback_options = self.audit.map(|_| tier0_options(&self.options));
+        let cost_params = self.options.cost_params;
         let mut optimised = (*source).clone();
         trace_to(&self.tracer, TracePhase::Begin, "optimise", fingerprint);
         let opt_begun = Instant::now();
@@ -805,8 +804,7 @@ impl PromotionJob {
             }
             if !proved {
                 optimised = (*source).clone();
-                report = Optimizer::new(rollback_options.expect("set alongside audit"))
-                    .run(&mut optimised);
+                report = OptReport::untransformed(&optimised, &cost_params);
             }
         }
         {

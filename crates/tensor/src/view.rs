@@ -24,7 +24,7 @@ use std::fmt;
 /// let r = Slice::new(None, None, -1);
 /// assert_eq!(r.resolve(4).unwrap(), (3, 4, -1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slice {
     /// Start index; `None` means "from the beginning" (or end for step < 0).
     pub start: Option<i64>,

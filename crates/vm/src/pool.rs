@@ -200,9 +200,18 @@ impl RangeExecutor for WorkerPool {
         }
         self.shared.work.notify_all();
         // The caller participates as a worker until the job drains.
+        //
+        // Invariant: epochs only grow and at most one job is published at
+        // a time, so `done_epoch >= my_epoch` holds exactly when *this*
+        // job has retired. The test is monotonic (the pool is shared by
+        // every VM of a `VmPool`: while this thread was descheduled a
+        // later job may have been published, or already finished, and
+        // `done_epoch` moved past `my_epoch`) and it comes before any
+        // grab, so a submitter can never claim a shard of a job it did
+        // not publish — that would run *its* closure over a foreign range.
         let mut g = self.shared.state.lock().unwrap();
         loop {
-            if g.done_epoch == my_epoch {
+            if g.done_epoch >= my_epoch {
                 return shards;
             }
             match g.grab_shard() {

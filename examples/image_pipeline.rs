@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expansion_fired = report
         .by_rule
         .iter()
-        .any(|(name, n)| name == "power-expansion" && *n > 0);
+        .any(|(name, n)| *name == "power-expansion" && *n > 0);
     assert!(expansion_fired, "gamma correction should expand x^3");
 
     let total = (h * w) as f64;

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rewrote = report
         .by_rule
         .iter()
-        .any(|(name, n)| name == "inverse-solve" && *n > 0);
+        .any(|(name, n)| *name == "inverse-solve" && *n > 0);
     assert!(rewrote, "the Eq. 2 rewrite should have fired");
 
     // --- verification: the solution actually solves the system -----------

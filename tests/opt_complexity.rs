@@ -1,0 +1,110 @@
+//! Complexity guard: the plan-cache miss path stays linear in program
+//! length.
+//!
+//! A program that verifies and fits a wire frame can be tens of thousands
+//! of instructions long, and a miss runs optimise → audit → verify over
+//! all of it on a serve worker. With per-rewrite rescans the optimiser
+//! alone needed over a second at 4 000 instructions (debug or release)
+//! and minutes at this size; every sweep is now one pass. The bounds here
+//! are absolute and generous — a debug build on a slow shared runner
+//! passes with an order of magnitude to spare — so only a return to
+//! quadratic behaviour trips them.
+
+use bohrium_repro::ir::{check_equiv, parse_program, verify, Program};
+use bohrium_repro::opt::{OptOptions, Optimizer};
+use bohrium_repro::runtime::Runtime;
+use std::fmt::Write;
+use std::time::{Duration, Instant};
+
+const INSTRUCTIONS: usize = 50_000;
+const BUDGET: Duration = Duration::from_secs(10);
+
+/// Blocks of: a run of mergeable adds, two temporaries, a run of
+/// mergeable multiplies, a CSE-able pair, and the pair folded back into
+/// the accumulator — every linear-time rule has work in every block.
+fn long_program(instructions: usize) -> Program {
+    let mut text = String::from(
+        ".base a f64[64]\n.base t0 f64[64]\n.base t1 f64[64]\n.base u f64[64]\n.base v f64[64]\n\
+         BH_RANGE a\n",
+    );
+    let mut emitted = 1;
+    let mut block = 0;
+    while emitted + 14 < instructions {
+        let c = 1 + block % 3;
+        let _ = write!(
+            text,
+            "BH_ADD a a {c}\nBH_ADD a a 1\nBH_ADD a a 2\nBH_ADD a a {c}\n\
+             BH_MULTIPLY t0 a 0.5\nBH_ADD t1 t0 {c}\n\
+             BH_MULTIPLY a a 0.5\nBH_MULTIPLY a a 2\nBH_MULTIPLY a a 0.5\nBH_MULTIPLY a a 0.25\n\
+             BH_ADD u a t1\nBH_ADD v a t1\n\
+             BH_MINIMUM a u v\nBH_MINIMUM a a 64\n"
+        );
+        emitted += 14;
+        block += 1;
+    }
+    while emitted + 1 < instructions {
+        text.push_str("BH_ADD a a 1\n");
+        emitted += 1;
+    }
+    text.push_str("BH_SYNC a\n");
+    let program = parse_program(&text).expect("generated byte-code parses");
+    assert_eq!(program.instrs().len(), instructions);
+    program
+}
+
+#[test]
+fn a_long_program_optimises_audits_and_verifies_in_bounded_time() {
+    let source = long_program(INSTRUCTIONS);
+    verify(&source).expect("the generated program verifies");
+
+    let begun = Instant::now();
+    let options = OptOptions::default();
+    let mut optimised = source.clone();
+    let report = Optimizer::new(options.clone()).run(&mut optimised);
+    let optimise = begun.elapsed();
+    check_equiv(&source, &optimised, &options.equiv_options())
+        .expect("the optimised plan is provably equivalent");
+    let audit = begun.elapsed() - optimise;
+    verify(&optimised).expect("the optimised plan verifies");
+    let total = begun.elapsed();
+
+    // The rules did real work on it: merges, CSE copies and dead stores.
+    let fired = |rule: &str| {
+        report
+            .by_rule
+            .iter()
+            .find(|(name, _)| *name == rule)
+            .map_or(0, |(_, n)| *n)
+    };
+    let blocks = (INSTRUCTIONS - 2) / 14;
+    assert!(fired("constant-merge") >= 6 * blocks, "{report}");
+    assert!(fired("common-subexpression") >= blocks, "{report}");
+    assert!(fired("dead-code-elimination") >= blocks, "{report}");
+    assert!(optimised.instrs().len() <= INSTRUCTIONS / 2, "{report}");
+    assert!(
+        total < BUDGET,
+        "optimise {optimise:?} + audit {audit:?} + verify = {total:?} for {INSTRUCTIONS} \
+         instructions exceeds {BUDGET:?}: a sweep is no longer linear"
+    );
+}
+
+#[test]
+fn a_long_program_evaluates_through_the_runtime() {
+    let source = long_program(INSTRUCTIONS);
+    let reg = source.reg_by_name("a").expect("declared above");
+    let rt = Runtime::builder().audit(true).build();
+    let begun = Instant::now();
+    let (values, outcome) = rt
+        .eval(&source, &[], reg)
+        .expect("the long program evaluates");
+    assert_eq!(values.to_f64_vec().len(), 64);
+    assert!(!outcome.cache_hit);
+    let stats = rt.stats();
+    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.audits.passed, 1);
+    assert!(
+        begun.elapsed() < BUDGET,
+        "a miss on {INSTRUCTIONS} instructions took {:?}",
+        begun.elapsed()
+    );
+}
