@@ -31,7 +31,6 @@
 //! `hot` is the all-cache-hit regime (a single shared program), where
 //! batching only amortises per-eval bookkeeping.
 
-use bh_opt::{OptLevel, OptOptions};
 use bh_runtime::Runtime;
 use bh_serve::{ProgramHandle, Request, Server};
 use bh_tensor::Tensor;
@@ -341,7 +340,7 @@ fn run_audit_overhead() -> AuditOverhead {
     // workload here): the O2 fixpoint dominates `prepare`, the regime
     // where a whole-plan audit pass has the most to add.
     let programs: Vec<ProgramHandle> = (0..PROGRAMS)
-        .map(|i| mix_program(4096 + i, CHAIN))
+        .map(|i| chain_program(4096 + i, CHAIN))
         .collect();
     let measure = |audit: bool| -> f64 {
         let mut best: Option<f64> = None;
@@ -448,144 +447,17 @@ fn run_observe_overhead() -> ObserveOverhead {
     }
 }
 
-/// The tiered-optimisation regime (DESIGN.md §14): the same mixed
-/// hot/churn trace driven through three compilation policies.
-const MIX_HOT_PROGRAMS: usize = 4;
-const MIX_CHURN_PROGRAMS: usize = 48;
-const MIX_STEADY_EVALS: usize = 2000;
-const MIX_CHURN_EVERY: usize = 8; // 1-in-8 steady evals hits a fresh digest
-const TIERED_PROMOTE_AFTER: u64 = 16;
-
-/// A mix program: `adds`-long constant chain over an `n`-vector.
-/// Distinct `n` ⇒ distinct structural digest. Long chain over a *small*
-/// vector is the regime tiering targets: the O2 fixpoint over ~100
-/// instructions costs hundreds of microseconds while one eval costs a
-/// few, so compile policy — not execution — dominates a digest's
-/// first-eval latency.
-fn mix_program(n: usize, adds: usize) -> ProgramHandle {
+/// An `adds`-long constant chain over an `n`-vector. Distinct `n` ⇒
+/// distinct structural digest. A long chain over a *small* vector is the
+/// compile-dominated regime: `prepare` over ~100 instructions costs far
+/// more than the eval of the merged plan.
+fn chain_program(n: usize, adds: usize) -> ProgramHandle {
     let mut text = format!("BH_IDENTITY a [0:{n}:1] 0\n");
     for _ in 0..adds {
         text.push_str("BH_ADD a a 1\n");
     }
     text.push_str("BH_SYNC a\n");
     ProgramHandle::new(bh_ir::parse_program(&text).expect("generated program parses"))
-}
-
-/// Which compilation policy a tiered-mix run measures.
-#[derive(Clone, Copy)]
-enum MixPolicy {
-    /// Every miss pays the full O2 fixpoint up front (the non-tiered
-    /// default — today's baseline).
-    AlwaysMax,
-    /// Every miss compiles tier-0-style (O0, one sweep) and *stays*
-    /// there: minimal cold latency, maximal steady-state regret.
-    AlwaysCheap,
-    /// Tier-0 on miss, full-strength promotion once a digest proves hot.
-    Tiered,
-}
-
-impl MixPolicy {
-    fn name(self) -> &'static str {
-        match self {
-            MixPolicy::AlwaysMax => "always_max",
-            MixPolicy::AlwaysCheap => "always_cheap",
-            MixPolicy::Tiered => "tiered",
-        }
-    }
-
-    fn runtime(self) -> Arc<Runtime> {
-        let builder = Runtime::builder().threads(1);
-        match self {
-            MixPolicy::AlwaysMax => builder.build_shared(),
-            MixPolicy::AlwaysCheap => {
-                let options = OptOptions {
-                    level: OptLevel::O0,
-                    max_iterations: 1,
-                    ..OptOptions::default()
-                };
-                builder.options(options).build_shared()
-            }
-            MixPolicy::Tiered => builder
-                .tiered(true)
-                .promote_after(TIERED_PROMOTE_AFTER)
-                .build_shared(),
-        }
-    }
-}
-
-struct MixMeasured {
-    cold_first_eval_us: f64,
-    hot_rps: f64,
-    steady_rps: f64,
-    tier0_builds: u64,
-    promotions: u64,
-}
-
-/// One policy through the mixed trace: cold first-evals over churn
-/// digests, a warm-up that takes the hot set past the promotion
-/// threshold, then timed hot-only and mixed steady-state phases.
-fn run_tiered_mix(policy: MixPolicy) -> MixMeasured {
-    const CHAIN: usize = 96;
-    let rt = policy.runtime();
-    let eval = |h: &ProgramHandle| {
-        let a = h.program().reg_by_name("a").expect("result register");
-        let (value, _) = rt.eval(h.program(), &[], a).expect("mix program evaluates");
-        assert_eq!(value.to_f64_vec()[0], CHAIN as f64);
-    };
-
-    // Phase 1 — cold first-eval latency: every digest is new, so each
-    // eval pays this policy's full compile (fixpoint + verify) inline.
-    // Vector-length ranges are disjoint across phases (64–111 churn,
-    // 512–515 hot, 1024+ steady churn) so no digest is ever shared.
-    let churn: Vec<ProgramHandle> = (0..MIX_CHURN_PROGRAMS)
-        .map(|i| mix_program(64 + i, CHAIN))
-        .collect();
-    let start = Instant::now();
-    for h in &churn {
-        eval(h);
-    }
-    let cold_first_eval_us = start.elapsed().as_secs_f64() * 1e6 / MIX_CHURN_PROGRAMS as f64;
-
-    // Phase 2 — warm-up: the hot set earns its hits; on the tiered
-    // policy every hot digest crosses `promote_after` and promotes.
-    let hot: Vec<ProgramHandle> = (0..MIX_HOT_PROGRAMS)
-        .map(|i| mix_program(512 + i, CHAIN))
-        .collect();
-    for _ in 0..(TIERED_PROMOTE_AFTER as usize + 2) {
-        for h in &hot {
-            eval(h);
-        }
-    }
-
-    // Phase 3 — hot-only throughput: pure cache hits on the hot set.
-    let start = Instant::now();
-    for i in 0..MIX_STEADY_EVALS {
-        eval(&hot[i % MIX_HOT_PROGRAMS]);
-    }
-    let hot_rps = MIX_STEADY_EVALS as f64 / start.elapsed().as_secs_f64();
-
-    // Phase 4 — steady-state mix: mostly hot traffic with a trickle of
-    // never-seen digests, the regime a long-lived service actually runs.
-    let mut fresh = 0usize;
-    let start = Instant::now();
-    for i in 0..MIX_STEADY_EVALS {
-        if i % MIX_CHURN_EVERY == 0 {
-            fresh += 1;
-            eval(&mix_program(1024 + fresh, CHAIN));
-        } else {
-            eval(&hot[i % MIX_HOT_PROGRAMS]);
-        }
-    }
-    let steady_rps = MIX_STEADY_EVALS as f64 / start.elapsed().as_secs_f64();
-
-    let stats = rt.stats();
-    MixMeasured {
-        cold_first_eval_us,
-        hot_rps,
-        steady_rps,
-        tier0_builds: stats.tiers.tier0_builds,
-        promotions: stats.tiers.promotions,
-    }
 }
 
 /// The plan-persistence regime (DESIGN.md §16): restart cost with and
@@ -631,10 +503,10 @@ fn run_warm_start() -> WarmStart {
     const POPULATION: usize = 24;
     const CHAIN: usize = 256;
     const REPS: usize = 3;
-    // Compile-dominated population (long chains, small vectors — the
-    // same regime as the tiered mix, disjoint length range 2048–2079).
+    // Compile-dominated population (long chains, small vectors;
+    // disjoint length range 2048–2079).
     let programs: Vec<ProgramHandle> = (0..POPULATION)
-        .map(|i| mix_program(2048 + i, CHAIN))
+        .map(|i| chain_program(2048 + i, CHAIN))
         .collect();
     let serve_all = |rt: &Runtime| {
         for h in &programs {
@@ -836,40 +708,6 @@ fn main() {
         vs_best_fixed,
     );
 
-    // The tiered-optimisation regime: the same mixed hot/churn trace
-    // under three compilation policies (DESIGN.md §14).
-    let mix_max = run_tiered_mix(MixPolicy::AlwaysMax);
-    let mix_cheap = run_tiered_mix(MixPolicy::AlwaysCheap);
-    let mix_tiered = run_tiered_mix(MixPolicy::Tiered);
-    for (policy, m) in [
-        (MixPolicy::AlwaysMax, &mix_max),
-        (MixPolicy::AlwaysCheap, &mix_cheap),
-        (MixPolicy::Tiered, &mix_tiered),
-    ] {
-        eprintln!(
-            "tiered_mix {:>12}: cold first-eval {:.1}us, hot {:.0} eval/s, \
-             steady {:.0} eval/s (t0 builds {}, promotions {})",
-            policy.name(),
-            m.cold_first_eval_us,
-            m.hot_rps,
-            m.steady_rps,
-            m.tier0_builds,
-            m.promotions,
-        );
-    }
-    let tiered_vs_max_steady = mix_tiered.steady_rps / mix_max.steady_rps;
-    let tiered_vs_cheap_hot = mix_tiered.hot_rps / mix_cheap.hot_rps;
-    let tiered_vs_max_cold = mix_max.cold_first_eval_us / mix_tiered.cold_first_eval_us;
-    let tiered_vs_cheap_steady = mix_tiered.steady_rps / mix_cheap.steady_rps;
-    let tiered_vs_cheap_cold = mix_tiered.cold_first_eval_us / mix_cheap.cold_first_eval_us;
-    eprintln!(
-        "tiered_mix: {tiered_vs_max_steady:.2}x always-max steady-state, \
-         {tiered_vs_cheap_hot:.2}x always-cheap hot throughput, \
-         {tiered_vs_max_cold:.2}x faster cold first-eval than always-max; \
-         {tiered_vs_cheap_steady:.2}x always-cheap steady-state, \
-         {tiered_vs_cheap_cold:.2}x always-cheap cold first-eval latency"
-    );
-
     let warm = run_warm_start();
     eprintln!(
         "warm_start: cold restart {:.1}ms vs warm restart {:.1}ms over {} \
@@ -1006,40 +844,6 @@ fn main() {
         warm.warm_loads,
         warm.warm_rejects,
     );
-    out.push_str("  \"tiered_mix\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"config\": {{ \"hot_programs\": {MIX_HOT_PROGRAMS}, \
-         \"churn_programs\": {MIX_CHURN_PROGRAMS}, \
-         \"steady_evals\": {MIX_STEADY_EVALS}, \
-         \"churn_every\": {MIX_CHURN_EVERY}, \
-         \"promote_after\": {TIERED_PROMOTE_AFTER} }},"
-    );
-    for (policy, m) in [
-        (MixPolicy::AlwaysMax, &mix_max),
-        (MixPolicy::AlwaysCheap, &mix_cheap),
-        (MixPolicy::Tiered, &mix_tiered),
-    ] {
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{ \"cold_first_eval_us\": {:.2}, \"hot_rps\": {:.1}, \
-             \"steady_rps\": {:.1}, \"tier0_builds\": {}, \"promotions\": {} }},",
-            policy.name(),
-            m.cold_first_eval_us,
-            m.hot_rps,
-            m.steady_rps,
-            m.tier0_builds,
-            m.promotions,
-        );
-    }
-    let _ = write!(
-        out,
-        "    \"tiered_vs_max_steady\": {tiered_vs_max_steady:.3},\n    \
-         \"tiered_vs_cheap_hot\": {tiered_vs_cheap_hot:.3},\n    \
-         \"tiered_cold_speedup_vs_max\": {tiered_vs_max_cold:.3},\n    \
-         \"tiered_vs_cheap_steady\": {tiered_vs_cheap_steady:.3},\n    \
-         \"tiered_cold_latency_vs_cheap\": {tiered_vs_cheap_cold:.3}\n  }},\n"
-    );
     // The exporter's own JSON rendering, embedded verbatim: the perf
     // artifact carries the same counters a live scrape would.
     let _ = write!(
@@ -1087,13 +891,6 @@ fn main() {
          (load + re-validation + first eval), measured {:.0}us",
         warm.warm_us_per_plan()
     );
-    // The tiered lifecycle itself is deterministic — assert it anywhere.
-    assert_eq!(
-        mix_tiered.promotions, MIX_HOT_PROGRAMS as u64,
-        "every hot digest (and nothing else) must promote"
-    );
-    assert_eq!(mix_max.promotions, 0);
-    assert_eq!(mix_cheap.promotions, 0);
     // The throughput/latency comparisons are only stable with real
     // parallel headroom: on tiny CI boxes a scheduler hiccup can swamp
     // the margins, so gate the ratio asserts on >= 4 cpus (the numbers
@@ -1105,27 +902,6 @@ fn main() {
             "the adaptive policy must match the best hand-tuned fixed max_batch \
              on the churn workload (>= 0.9x), measured {vs_best_fixed:.2}x \
              vs fixed max_batch {best_fixed_batch}"
-        );
-        // Tiering is judged against the policy whose compile it borrows
-        // on a miss. Against always-max it loses both steady state and
-        // cold first-eval on this mix — with a linear-time optimiser a
-        // cold always-max eval costs less than running the unoptimised
-        // chain once — so those two ratios are reported, not asserted
-        // (ROADMAP, first open item).
-        assert!(
-            tiered_vs_cheap_hot > 1.0,
-            "tiered must beat always-cheap on hot-digest throughput, \
-             measured {tiered_vs_cheap_hot:.2}x"
-        );
-        assert!(
-            tiered_vs_cheap_steady > 1.0,
-            "tiered must beat always-cheap on steady-state throughput, \
-             measured {tiered_vs_cheap_steady:.2}x"
-        );
-        assert!(
-            tiered_vs_cheap_cold <= 1.25,
-            "a tier-0 miss must cost no more than an always-cheap one \
-             (<= 1.25x cold first-eval latency), measured {tiered_vs_cheap_cold:.2}x"
         );
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::error::ContainerError;
 use bh_ir::{Instruction, Opcode, Operand, Program, Reg, ViewRef};
-use bh_observe::Tier;
 use bh_tensor::{DType, Scalar, Shape, Slice};
 use std::str::FromStr;
 
@@ -359,23 +358,6 @@ impl<'a> Dec<'a> {
                 value,
             }),
         }
-    }
-
-    /// Decode a tier byte as written by [`tier_byte`].
-    pub(crate) fn tier(&mut self) -> Result<Tier, ContainerError> {
-        match self.u8_("tier byte")? {
-            0 => Ok(Tier::Tier0),
-            2 => Ok(Tier::Tier2),
-            value => Err(ContainerError::BadTier { value }),
-        }
-    }
-}
-
-/// The wire byte for a [`Tier`].
-pub(crate) fn tier_byte(tier: Tier) -> u8 {
-    match tier {
-        Tier::Tier0 => 0,
-        Tier::Tier2 => 2,
     }
 }
 

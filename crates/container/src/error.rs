@@ -90,7 +90,8 @@ pub enum ContainerError {
         /// Which string field.
         context: &'static str,
     },
-    /// C112 — a tier byte that names no [`bh_observe::Tier`].
+    /// C112 — a plan payload whose tier byte is not `2` (the only tier
+    /// this format version still admits).
     BadTier {
         /// The byte as read.
         value: u8,
@@ -164,7 +165,7 @@ impl fmt::Display for ContainerError {
                 write!(f, "invalid UTF-8 in {context}")
             }
             ContainerError::BadTier { value } => {
-                write!(f, "byte {value} names no optimisation tier")
+                write!(f, "plan tier byte is {value}, only 2 is admitted")
             }
         }
     }

@@ -18,10 +18,10 @@
 //!
 //! Section `1` (required) carries the source [`Program`]; section `2`
 //! (optional) carries its optimised plan: the transformed instruction
-//! sequence, the tier it was compiled at, a fingerprint of the optimiser
-//! options, and the source program's canonical digest. Unknown section
-//! ids are skipped, so older readers tolerate newer writers that append
-//! sections; a bumped *format version* is the breaking-change channel.
+//! sequence, a fingerprint of the optimiser options, and the source
+//! program's canonical digest. Unknown section ids are skipped, so older
+//! readers tolerate newer writers that append sections; a bumped *format
+//! version* is the breaking-change channel.
 //!
 //! # Trust boundary
 //!
@@ -58,8 +58,7 @@ pub use error::ContainerError;
 pub use fingerprint::{stable_fingerprint, StableHasher};
 
 use bh_ir::{Program, ProgramDigest};
-use bh_observe::Tier;
-use codec::{tier_byte, Dec, Enc};
+use codec::{Dec, Enc};
 
 /// The four magic bytes every container starts with ("BHPC": Bohrium
 /// plan container).
@@ -77,19 +76,24 @@ pub const SECTION_PROGRAM: u16 = 1;
 /// Section id of the (optional) optimised-plan payload.
 pub const SECTION_PLAN: u16 = 2;
 
+/// First byte of every plan payload. Format version 1 once stored an
+/// optimisation tier here (`0` = cheap first compile, `2` = full
+/// strength); only full-strength plans exist now, so the writer emits
+/// the constant and the reader rejects anything else as `C112` — a
+/// snapshot left by an older process can never smuggle in a weak plan.
+const PLAN_TIER_BYTE: u8 = 2;
+
 /// An optimised plan travelling alongside its source program.
 ///
-/// Everything in here is a *claim* until re-checked: the tier and
-/// fingerprint say how the plan was built, the digest says which source
-/// it belongs to, and the program is the transformed instruction
-/// sequence — none of it is trusted by consumers until verification and
-/// audit re-establish it (see the crate docs' trust-boundary argument).
+/// Everything in here is a *claim* until re-checked: the fingerprint
+/// says how the plan was built, the digest says which source it belongs
+/// to, and the program is the transformed instruction sequence — none of
+/// it is trusted by consumers until verification and audit re-establish
+/// it (see the crate docs' trust-boundary argument).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSection {
     /// The optimised instruction sequence (unchecked).
     pub program: Program,
-    /// The tier the plan was compiled at.
-    pub tier: Tier,
     /// [`stable_fingerprint`] of the optimiser options the plan was
     /// built under. A loader whose live options hash differently must
     /// discard the plan.
@@ -148,7 +152,7 @@ impl Container {
 
         let plan_payload = self.plan.as_ref().map(|plan| {
             let mut e = Enc::new();
-            e.u8_(tier_byte(plan.tier));
+            e.u8_(PLAN_TIER_BYTE);
             e.u64_(plan.options_fingerprint);
             e.bytes_(&plan.source_digest);
             e.program(&plan.program);
@@ -237,14 +241,16 @@ impl Container {
                 }
                 SECTION_PLAN => {
                     let mut d = Dec::new(payload);
-                    let tier = d.tier()?;
+                    let tier = d.u8_("tier byte")?;
+                    if tier != PLAN_TIER_BYTE {
+                        return Err(ContainerError::BadTier { value: tier });
+                    }
                     let options_fingerprint = d.u64_("options fingerprint")?;
                     let source_digest = d.vec_("source digest")?;
                     let plan_program = d.program()?;
                     check_drained(&d, "plan section")?;
                     plan = Some(PlanSection {
                         program: plan_program,
-                        tier,
                         options_fingerprint,
                         source_digest,
                     });
@@ -300,7 +306,6 @@ mod tests {
             p.clone(),
             PlanSection {
                 program: p.clone(),
-                tier: Tier::Tier2,
                 options_fingerprint: 0xdead_beef,
                 source_digest: digest.as_bytes().to_vec(),
             },
@@ -308,7 +313,6 @@ mod tests {
         let back = Container::decode(&c.encode()).unwrap();
         assert_eq!(back, c);
         let plan = back.plan.unwrap();
-        assert_eq!(plan.tier, Tier::Tier2);
         assert!(plan.digest_matches(&digest));
         assert!(!plan.digest_matches(&Program::default().structural_digest()));
     }
@@ -331,7 +335,6 @@ mod tests {
             p.clone(),
             PlanSection {
                 program: p.clone(),
-                tier: Tier::Tier0,
                 options_fingerprint: 0,
                 source_digest: vec![1, 2, 3],
             },

@@ -5,7 +5,6 @@
 
 use bh_container::{Container, ContainerError, PlanSection, FORMAT_VERSION, MAGIC};
 use bh_ir::{parse_program, Program};
-use bh_observe::Tier;
 
 fn sample() -> Container {
     let program = parse_program(
@@ -18,7 +17,6 @@ fn sample() -> Container {
         program.clone(),
         PlanSection {
             program,
-            tier: Tier::Tier2,
             options_fingerprint: 0x1234_5678_9abc_def0,
             source_digest: digest.as_bytes().to_vec(),
         },
@@ -288,10 +286,31 @@ fn non_canonical_scalar_is_c109() {
 
 #[test]
 fn bad_tier_byte_is_c112() {
+    // Only `2` is admitted: `0` was a cheap first-compile plan in older
+    // writers, `1` and everything above never named a tier.
     let empty_program = [0u8; 16];
-    let plan_payload = [1u8]; // tier byte 1 names no tier
-    let bytes = container_with(&[(1, &empty_program), (2, &plan_payload)]);
-    expect_code(&bytes, "C112");
+    for tier in (0..=u8::MAX).filter(|&b| b != 2) {
+        let bytes = container_with(&[(1, &empty_program), (2, &[tier])]);
+        expect_code(&bytes, "C112");
+    }
+}
+
+/// The format promise: a plan container encoded by this commit is
+/// byte-for-byte what format version 1 has always written for a
+/// full-strength plan (fixture generated at the last commit whose
+/// `PlanSection` still carried a tier field, from this file's `sample()`).
+#[test]
+fn plan_container_bytes_match_the_v1_fixture() {
+    let fixture: Vec<u8> = include_str!("fixtures/plan_v1.hex")
+        .split_whitespace()
+        .flat_map(|line| {
+            (0..line.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex fixture"))
+        })
+        .collect();
+    assert_eq!(sample().encode(), fixture);
+    assert_eq!(Container::decode(&fixture).unwrap(), sample());
 }
 
 #[test]

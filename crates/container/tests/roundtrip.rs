@@ -7,7 +7,6 @@
 
 use bh_container::{stable_fingerprint, Container, PlanSection};
 use bh_ir::{Instruction, Operand, Program, Reg, ViewRef, ALL_OPCODES};
-use bh_observe::Tier;
 use bh_tensor::{Scalar, Shape, Slice, ALL_DTYPES};
 use proptest::prelude::*;
 
@@ -137,14 +136,12 @@ proptest! {
     fn plan_container_round_trips(
         source in arb_program(),
         plan_program in arb_program(),
-        tier_sel in 0usize..2,
         fingerprint_seed in 0u64..u64::MAX,
     ) {
         let source = close_registers(source);
         let digest = source.structural_digest();
         let plan = PlanSection {
             program: plan_program,
-            tier: if tier_sel == 0 { Tier::Tier0 } else { Tier::Tier2 },
             options_fingerprint: stable_fingerprint(&fingerprint_seed),
             source_digest: digest.as_bytes().to_vec(),
         };

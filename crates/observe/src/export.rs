@@ -348,11 +348,6 @@ impl Collect for ProfileTable {
                 "Plan builds (cache misses and promotions) recorded per digest.",
             )
             .labelled(&[("digest", &digest)], p.plan_builds);
-            set.gauge(
-                "bh_profile_digest_tier",
-                "Optimisation tier of the digest's current plan (0 = cheap tier-0, 2 = full-strength tier-2).",
-            )
-            .labelled(&[("digest", &digest), ("tier", p.tier.name())], p.tier.level());
             for (stage, hist) in p.stages.iter() {
                 if hist.count() == 0 {
                     continue;
@@ -475,7 +470,6 @@ mod tests {
             Duration::from_micros(2),
             &census,
         );
-        table.set_tier(0xfeed, crate::profile::Tier::Tier2);
         for _ in 0..3 {
             table.record_eval(
                 0xfeed,
@@ -493,9 +487,6 @@ mod tests {
         }
         let text = MetricSet::collect_from(&[&table]).to_prometheus();
         assert!(text.contains("bh_profile_digests 1\n"));
-        assert!(
-            text.contains("bh_profile_digest_tier{digest=\"000000000000feed\",tier=\"tier2\"} 2\n")
-        );
         assert!(text.contains("bh_profile_digest_hits_total{digest=\"000000000000feed\"} 3\n"));
         assert!(text.contains(
             "bh_profile_stage_samples_total{digest=\"000000000000feed\",stage=\"execute\"} 3\n"

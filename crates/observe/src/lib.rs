@@ -9,9 +9,8 @@
 //!    lock-striped table keyed by program-digest fingerprint recording
 //!    hit counts, per-[`Stage`] latency histograms (queue-wait →
 //!    optimise → verify → bind → execute → read-back), per-opcode
-//!    execution accounting and fused-group composition. This is the
-//!    hotness signal the ROADMAP's tiered, profile-guided optimisation
-//!    consumes via `Runtime::profile()`.
+//!    execution accounting and fused-group composition, read back via
+//!    `Runtime::profile()`.
 //! 2. **Request-lifecycle tracing** ([`TraceSink`], [`RingTraceSink`])
 //!    — a zero-dependency span-event flight recorder, off by default
 //!    and costing one branch when disabled.
@@ -32,5 +31,5 @@ mod trace;
 
 pub use export::{Collect, MetricFamily, MetricKind, MetricSet, MetricValue, Sample, EXPORT_TOP_K};
 pub use hist::{LatencyHistogram, LATENCY_BUCKETS};
-pub use profile::{DigestProfile, EvalSample, ProfileTable, Stage, StageLatencies, Tier};
+pub use profile::{DigestProfile, EvalSample, ProfileTable, Stage, StageLatencies};
 pub use trace::{RingTraceSink, TraceEvent, TracePhase, TraceSink};

@@ -1,14 +1,12 @@
 //! The per-digest profile table: hotness, stage latencies and per-opcode
 //! execution accounting, keyed by program digest.
 //!
-//! This is the measurement side of the "tiered, profile-guided
-//! optimisation" plan: the runtime already decides per digest whether to
-//! re-run the rewrite fixpoint; the [`ProfileTable`] records what each
-//! digest *costs* — how often it runs ([`DigestProfile::hits`]), where
-//! each of those runs spends its time (per-[`Stage`] latency
-//! histograms), and what it executes (per-opcode instruction counts,
-//! fused-group composition via [`bh_vm::ExecStats`]) — so a tiering
-//! policy can promote digests from measured data.
+//! The runtime already decides per digest whether to re-run the rewrite
+//! fixpoint; the [`ProfileTable`] records what each digest *costs* — how
+//! often it runs ([`DigestProfile::hits`]), where each of those runs
+//! spends its time (per-[`Stage`] latency histograms), and what it
+//! executes (per-opcode instruction counts, fused-group composition via
+//! [`bh_vm::ExecStats`]).
 //!
 //! # Bounding and eviction
 //!
@@ -40,49 +38,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
-
-/// Optimisation tier of a digest's cached plan.
-///
-/// Defined here (the bottom of the dependency graph) so the runtime's
-/// tiering policy, the profile table and the exporter all share one
-/// vocabulary. A non-tiered runtime builds every plan at full strength,
-/// so its plans are [`Tier::Tier2`] from birth; a tiered runtime builds
-/// [`Tier::Tier0`] plans on cache misses and re-optimises hot digests to
-/// `Tier2` (the cold → promoted lifecycle, DESIGN.md §14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Tier {
-    /// The cheap first-eval pipeline: no rewrite fixpoint (`O0`, one
-    /// sweep), minimal time between cache miss and first execution.
-    #[default]
-    Tier0,
-    /// Full-strength optimisation: the complete rule schedule run to
-    /// fixpoint, the plan a hot digest deserves.
-    Tier2,
-}
-
-impl Tier {
-    /// Stable snake_case name, used as the exporter's `tier` label.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Tier::Tier0 => "tier0",
-            Tier::Tier2 => "tier2",
-        }
-    }
-
-    /// Numeric level for gauge export (0 or 2).
-    pub const fn level(self) -> u64 {
-        match self {
-            Tier::Tier0 => 0,
-            Tier::Tier2 => 2,
-        }
-    }
-}
-
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Pipeline stages a request's lifetime decomposes into. `QueueWait` is
 /// recorded by the serving layer (time between submission and batch
@@ -161,12 +116,6 @@ pub struct DigestProfile {
     pub hits: u64,
     /// Plan builds recorded (cache misses: optimise + verify ran).
     pub plan_builds: u64,
-    /// Optimisation tier of the digest's *live* plan, as reported by
-    /// [`ProfileTable::set_tier`] each time a plan transition commits.
-    /// Starts at [`Tier::Tier0`]; a tiered runtime's promotion step
-    /// moves it to [`Tier::Tier2`], and an eviction-forced rebuild moves
-    /// it back.
-    pub tier: Tier,
     /// Per-stage latency histograms, indexed by [`Stage`].
     pub stages: StageLatencies,
     /// Aggregated VM execution counters across all recorded evaluations.
@@ -184,7 +133,6 @@ impl DigestProfile {
             fingerprint,
             hits: 0,
             plan_builds: 0,
-            tier: Tier::default(),
             stages: StageLatencies::default(),
             exec: ExecStats::default(),
             opcodes_per_eval: opcodes.to_vec(),
@@ -218,7 +166,6 @@ impl DigestProfile {
             self.fingerprint,
             self.hits,
             self.plan_builds,
-            self.tier,
             self.opcode_totals(),
             (
                 self.exec.instructions,
@@ -376,17 +323,10 @@ impl ProfileTable {
         &self.stripes[(fingerprint as usize) & (self.stripes.len() - 1)]
     }
 
-    /// Record one plan build — a cache miss *or* a tier promotion: the
-    /// optimise and verify stage durations and the per-eval opcode census
-    /// of the built plan. The census replaces the entry's previous one:
-    /// it describes the digest's *current* plan (so
-    /// [`DigestProfile::opcode_totals`] is exact between builds and an
-    /// approximation across a promotion).
-    ///
-    /// The entry's [`DigestProfile::tier`] is deliberately *not* written
-    /// here: a build that loses an insert race never goes live, so the
-    /// runtime reports the surviving plan's tier separately via
-    /// [`ProfileTable::set_tier`], ordered with the cache transition.
+    /// Record one plan build (a cache miss): the optimise and verify
+    /// stage durations and the per-eval opcode census of the built plan.
+    /// The census replaces the entry's previous one: it describes the
+    /// digest's *current* plan.
     pub fn record_plan_build(
         &self,
         fingerprint: u64,
@@ -406,25 +346,6 @@ impl ProfileTable {
             .stages
             .get_mut(Stage::Verify)
             .record_nanos(u64::try_from(verify.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Report the optimisation tier of the digest's *live* plan — the
-    /// value the `bh_profile_digest_tier` gauge renders.
-    ///
-    /// Callers must invoke this only when a plan transition actually
-    /// commits (an insert that was kept, a promotion swap that landed),
-    /// and ordered with that transition — the runtime calls it under its
-    /// plan-cache lock. A build that lost an insert race must *not*
-    /// report its tier: on a loaded host the losing tier-0 builder can
-    /// finish arbitrarily late and would otherwise overwrite the
-    /// promoted entry's `tier2` with a stale `tier0`. No entry is
-    /// created when the digest has been displaced: a tier without a
-    /// resident profile carries no signal.
-    pub fn set_tier(&self, fingerprint: u64, tier: Tier) {
-        let mut stripe = self.stripe(fingerprint).lock();
-        if let Some(entry) = stripe.map.get_mut(&fingerprint) {
-            entry.profile.tier = tier;
-        }
     }
 
     /// Record one evaluation: bind/execute/read-back stage timings and
@@ -465,9 +386,8 @@ impl ProfileTable {
     }
 
     /// The recorded hit count of one digest (zero when the digest has no
-    /// entry — never recorded, or displaced by eviction). This is the
-    /// tiering policy's hotness read path: one stripe lock, one hash of
-    /// a `u64`, cheap enough to consult on every cache hit.
+    /// entry — never recorded, or displaced by eviction): one stripe
+    /// lock, one hash of a `u64`.
     pub fn hits(&self, fingerprint: u64) -> u64 {
         self.stripe(fingerprint)
             .lock()
@@ -498,8 +418,7 @@ impl ProfileTable {
         all
     }
 
-    /// The `k` hottest digests (by hit count, deterministic ties) — the
-    /// view a tiering policy consumes.
+    /// The `k` hottest digests (by hit count, deterministic ties).
     pub fn top_k(&self, k: usize) -> Vec<DigestProfile> {
         let mut all = self.snapshot();
         all.truncate(k);
@@ -538,7 +457,6 @@ mod tests {
             Duration::from_micros(1),
             &census,
         );
-        t.set_tier(7, Tier::Tier0);
         for _ in 0..3 {
             t.record_eval(7, &eval_sample(1_000), &census);
         }
@@ -551,7 +469,6 @@ mod tests {
         assert_eq!(p.fingerprint, 7);
         assert_eq!(p.hits, 3);
         assert_eq!(p.plan_builds, 1);
-        assert_eq!(p.tier, Tier::Tier0);
         assert_eq!(p.exec.instructions, 9);
         assert_eq!(p.stages.get(Stage::Execute).count(), 3);
         assert_eq!(p.stages.get(Stage::Optimise).count(), 1);
@@ -561,44 +478,29 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rebuild_updates_tier_and_census() {
+    fn rebuild_replaces_the_census() {
         let t = ProfileTable::new(64);
-        let tier0_census = ops(&[(Opcode::Add, 24), (Opcode::Sync, 1)]);
+        let first = ops(&[(Opcode::Add, 24), (Opcode::Sync, 1)]);
         t.record_plan_build(
             9,
             Duration::from_micros(2),
             Duration::from_micros(1),
-            &tier0_census,
+            &first,
         );
-        t.set_tier(9, Tier::Tier0);
-        t.record_eval(9, &eval_sample(500), &tier0_census);
-        // The promoted plan executes fewer instructions per eval; the
-        // entry's census must describe the *current* plan.
-        let tier2_census = ops(&[(Opcode::Add, 1), (Opcode::Sync, 1)]);
+        t.record_eval(9, &eval_sample(500), &first);
+        // A rebuild (e.g. after a cache eviction under other options)
+        // may execute fewer instructions per eval; the entry's census
+        // must describe the *current* plan.
+        let second = ops(&[(Opcode::Add, 1), (Opcode::Sync, 1)]);
         t.record_plan_build(
             9,
             Duration::from_micros(40),
             Duration::from_micros(1),
-            &tier2_census,
+            &second,
         );
-        t.set_tier(9, Tier::Tier2);
         let p = &t.snapshot()[0];
-        assert_eq!(p.tier, Tier::Tier2);
         assert_eq!(p.plan_builds, 2);
-        assert_eq!(p.opcodes_per_eval, tier2_census);
-        assert_eq!(Tier::Tier0.name(), "tier0");
-        assert_eq!(Tier::Tier2.level(), 2);
-        // A build that never went live (lost an insert race) records its
-        // work but must not overwrite the live tier.
-        t.record_plan_build(
-            9,
-            Duration::from_micros(2),
-            Duration::from_micros(1),
-            &tier0_census,
-        );
-        let p = &t.snapshot()[0];
-        assert_eq!(p.plan_builds, 3);
-        assert_eq!(p.tier, Tier::Tier2, "stale build overwrote the live tier");
+        assert_eq!(p.opcodes_per_eval, second);
     }
 
     #[test]

@@ -11,17 +11,13 @@
 //! entries. Eviction is least-recently-used.
 
 use bh_ir::{Opcode, Program, ProgramDigest, Verified};
-use bh_observe::Tier;
 use bh_opt::{OptOptions, OptReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// An optimised, verified, ready-to-execute program plus the report of
 /// how it got that way. Immutable once built; shared via `Arc` between
-/// the cache and every [`crate::EvalOutcome`] that used it. A tiered
-/// runtime may *replace* a cache entry's plan with a stronger one
-/// (promotion), but each `EvalPlan` value itself never changes — readers
-/// holding an `Arc` clone keep a coherent plan through any swap.
+/// the cache and every [`crate::EvalOutcome`] that used it.
 #[derive(Debug)]
 pub struct EvalPlan {
     /// The transformed program wrapped in its [`bh_ir::Verified`]
@@ -40,10 +36,6 @@ pub struct EvalPlan {
     /// build so per-digest opcode accounting costs the profiler nothing
     /// on the eval path: totals are `census × hits`.
     pub opcode_census: Vec<(Opcode, u64)>,
-    /// Which optimisation tier built this plan. Non-tiered runtimes
-    /// build [`Tier::Tier2`] plans directly; a tiered runtime builds
-    /// [`Tier::Tier0`] plans on misses and promotes hot digests.
-    pub tier: Tier,
     /// The source program the plan was transformed from, exactly as it
     /// entered the optimiser. Kept so the plan can be persisted as a
     /// self-contained container (source + plan) and re-audited with
@@ -52,10 +44,31 @@ pub struct EvalPlan {
     pub source: Arc<Program>,
 }
 
+impl EvalPlan {
+    /// Assemble a plan from its verified program, computing the opcode
+    /// census. The one constructor both ways into the cache share: a
+    /// miss (just optimised) and a warm load (just re-validated).
+    pub fn new(
+        program: Verified,
+        report: OptReport,
+        source_fingerprint: u64,
+        source: Arc<Program>,
+    ) -> EvalPlan {
+        let opcode_census = opcode_census(&program);
+        EvalPlan {
+            program,
+            report,
+            source_fingerprint,
+            opcode_census,
+            source,
+        }
+    }
+}
+
 /// Count a program's instructions by op-code (sorted by op-code,
 /// `BH_NONE` excluded — matching what [`bh_vm::ExecStats`] calls an
 /// instruction).
-pub(crate) fn opcode_census(program: &Program) -> Vec<(Opcode, u64)> {
+fn opcode_census(program: &Program) -> Vec<(Opcode, u64)> {
     let mut counts: BTreeMap<Opcode, u64> = BTreeMap::new();
     for instr in program.instrs() {
         if instr.op != Opcode::NoOp {
@@ -76,18 +89,6 @@ pub(crate) struct CacheKey {
 struct Entry {
     plan: Arc<EvalPlan>,
     last_used: u64,
-    /// ProfileTable hit count for this digest at the moment the entry's
-    /// plan was inserted. The promotion policy compares *current* hits
-    /// against this baseline, so hotness accumulated by an earlier
-    /// incarnation of the digest (before an LRU eviction) can never
-    /// instantly re-promote a freshly re-inserted cold entry — the
-    /// stale-hotness fix pinned by the tiering regression suite.
-    baseline_hits: u64,
-    /// True once a promotion has been claimed for this entry. Set
-    /// check-and-set under the cache lock, which makes promotion
-    /// exactly-once per entry incarnation; a fresh insert (including
-    /// re-insertion after eviction) starts unclaimed.
-    promoting: bool,
 }
 
 /// LRU map from `(structural digest, options)` to optimised plans.
@@ -126,16 +127,7 @@ impl TransformCache {
     /// Insert `plan` under `key`, evicting the least-recently-used entry
     /// when full. If a racing thread inserted the same key first, its plan
     /// wins (and is returned) so all callers share one allocation.
-    ///
-    /// `baseline_hits` is the digest's ProfileTable hit count at insert
-    /// time (0 for non-tiered runtimes) — the hotness baseline promotion
-    /// decisions are measured against.
-    pub fn insert(
-        &mut self,
-        key: CacheKey,
-        plan: Arc<EvalPlan>,
-        baseline_hits: u64,
-    ) -> Arc<EvalPlan> {
+    pub fn insert(&mut self, key: CacheKey, plan: Arc<EvalPlan>) -> Arc<EvalPlan> {
         if self.capacity == 0 {
             return plan;
         }
@@ -161,36 +153,9 @@ impl TransformCache {
             Entry {
                 plan: Arc::clone(&plan),
                 last_used: self.tick,
-                baseline_hits,
-                promoting: false,
             },
         );
         plan
-    }
-
-    /// Claim the exactly-once right to promote `key`'s tier-0 plan.
-    /// Succeeds only when the entry exists, still holds a tier-0 plan,
-    /// is not already claimed, and has earned `promote_after` hits *since
-    /// its own insertion* (`hits_now − baseline ≥ promote_after`). The
-    /// baseline comparison is what keeps hotness accumulated before an
-    /// LRU eviction from re-promoting a freshly re-inserted entry.
-    pub fn try_claim_promotion(
-        &mut self,
-        key: &CacheKey,
-        hits_now: u64,
-        promote_after: u64,
-    ) -> bool {
-        let Some(entry) = self.map.get_mut(key) else {
-            return false;
-        };
-        if entry.plan.tier != Tier::Tier0 || entry.promoting {
-            return false;
-        }
-        if hits_now.saturating_sub(entry.baseline_hits) < promote_after {
-            return false;
-        }
-        entry.promoting = true;
-        true
     }
 
     /// Every live entry, for persistence snapshots. Order is
@@ -201,25 +166,6 @@ impl TransformCache {
             .iter()
             .map(|(k, e)| (k.clone(), Arc::clone(&e.plan)))
             .collect()
-    }
-
-    /// Atomically swap a promoted plan into `key`'s entry. Only lands on
-    /// the same entry incarnation whose promotion was claimed
-    /// (`promoting == true`); if the entry was evicted — or evicted and
-    /// re-inserted, which resets the flag — the stale promotion result is
-    /// dropped and `false` is returned. Readers are unaffected either
-    /// way: they hold their own `Arc` to whichever plan they fetched.
-    pub fn install_promoted(&mut self, key: &CacheKey, plan: Arc<EvalPlan>) -> bool {
-        match self.map.get_mut(key) {
-            Some(entry) if entry.promoting => {
-                self.tick += 1;
-                entry.plan = plan;
-                entry.last_used = self.tick;
-                entry.promoting = false;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -240,26 +186,13 @@ mod tests {
                 digest,
                 options: OptOptions::default(),
             },
-            Arc::new(EvalPlan {
-                program: bh_ir::verify_owned(program.clone()).expect("test program verifies"),
+            Arc::new(EvalPlan::new(
+                bh_ir::verify_owned(program).expect("test program verifies"),
                 report,
-                source_fingerprint: fp,
-                opcode_census: opcode_census(&program),
-                tier: Tier::Tier0,
-                source: Arc::new(source),
-            }),
+                fp,
+                Arc::new(source),
+            )),
         )
-    }
-
-    fn retiered(plan: &Arc<EvalPlan>, tier: Tier) -> Arc<EvalPlan> {
-        Arc::new(EvalPlan {
-            program: plan.program.clone(),
-            report: plan.report.clone(),
-            source_fingerprint: plan.source_fingerprint,
-            opcode_census: plan.opcode_census.clone(),
-            tier,
-            source: Arc::clone(&plan.source),
-        })
     }
 
     #[test]
@@ -273,7 +206,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             Arc::clone(&plan),
-            0,
         );
         let got = cache.get(&key).unwrap();
         assert!(Arc::ptr_eq(&got, &plan));
@@ -292,7 +224,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             p1,
-            0,
         );
         cache.insert(
             CacheKey {
@@ -300,7 +231,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             p2,
-            0,
         );
         // Touch k1 so k2 becomes the LRU victim.
         assert!(cache.get(&k1).is_some());
@@ -310,7 +240,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             p3,
-            0,
         );
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&k1).is_some());
@@ -328,7 +257,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             plan,
-            0,
         );
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&key).is_none());
@@ -345,7 +273,6 @@ mod tests {
                 options: OptOptions::default(),
             },
             Arc::clone(&plan_a),
-            0,
         );
         let winner = cache.insert(
             CacheKey {
@@ -353,54 +280,8 @@ mod tests {
                 options: OptOptions::default(),
             },
             plan_b,
-            0,
         );
         assert!(Arc::ptr_eq(&winner, &plan_a));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn promotion_claim_is_exactly_once_and_gated_on_fresh_hits() {
-        let mut cache = TransformCache::new(4);
-        let (key, plan) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
-        // Baseline 10: the digest was hot before this entry existed.
-        cache.insert(key.clone(), Arc::clone(&plan), 10);
-        // Stale hotness alone (10 recorded hits, 0 fresh) must not claim.
-        assert!(!cache.try_claim_promotion(&key, 10, 3));
-        // 12 − 10 = 2 fresh hits: still under the threshold.
-        assert!(!cache.try_claim_promotion(&key, 12, 3));
-        // 13 − 10 = 3: claimed — and only once.
-        assert!(cache.try_claim_promotion(&key, 13, 3));
-        assert!(!cache.try_claim_promotion(&key, 100, 3));
-        // Install lands, flips the tier, and further claims fail (tier-2).
-        let promoted = retiered(&plan, Tier::Tier2);
-        assert!(cache.install_promoted(&key, Arc::clone(&promoted)));
-        assert!(Arc::ptr_eq(&cache.get(&key).unwrap(), &promoted));
-        assert!(!cache.try_claim_promotion(&key, 1000, 3));
-    }
-
-    #[test]
-    fn stale_promotion_is_dropped_after_eviction_or_reinsert() {
-        let mut cache = TransformCache::new(4);
-        let (key, plan) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
-        cache.insert(key.clone(), Arc::clone(&plan), 0);
-        assert!(cache.try_claim_promotion(&key, 5, 3));
-        // The entry is evicted mid-promotion…
-        cache.clear();
-        let promoted = retiered(&plan, Tier::Tier2);
-        assert!(!cache.install_promoted(&key, Arc::clone(&promoted)));
-        // …and re-inserted cold: the old claim must not leak onto the
-        // fresh incarnation either.
-        cache.insert(key.clone(), Arc::clone(&plan), 5);
-        assert!(!cache.install_promoted(&key, promoted));
-        assert_eq!(cache.get(&key).unwrap().tier, Tier::Tier0);
-    }
-
-    #[test]
-    fn claims_on_missing_entries_fail() {
-        let mut cache = TransformCache::new(4);
-        let (key, plan) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
-        assert!(!cache.try_claim_promotion(&key, 100, 1));
-        assert!(!cache.install_promoted(&key, plan));
     }
 }

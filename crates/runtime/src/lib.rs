@@ -15,12 +15,12 @@
 //!   seen skips the rewrite fixpoint *and* re-validation entirely
 //!   (byte-code verification runs at load time, not per execution), and
 //! * aggregated [`RuntimeStats`] across every evaluation from every
-//!   context and thread sharing the runtime, and
-//! * optional **tiered, profile-guided optimisation**
-//!   ([`RuntimeBuilder::tiered`]): misses compile through a cheap tier-0
-//!   pipeline for low first-eval latency, and digests that prove hot in
-//!   the ProfileTable are re-optimised at full strength, re-verified and
-//!   atomically swapped into the cache (DESIGN.md §14).
+//!   context and thread sharing the runtime.
+//!
+//! There is one compile path — a cache miss optimises, optionally
+//! audits, verifies and inserts — and one load path, the warm start from
+//! a persisted snapshot (DESIGN.md §14 records why there is no second,
+//! cheaper tier).
 //!
 //! Front-ends hold an `Arc<Runtime>` and call [`Runtime::eval`]; each
 //! call returns the tensor alongside an [`EvalOutcome`] (plan, per-run
@@ -66,7 +66,6 @@ mod persist;
 mod runtime;
 mod stats;
 
-pub use bh_observe::Tier;
 pub use cache::EvalPlan;
-pub use runtime::{EvalOutcome, Runtime, RuntimeBuilder, StatsSink, DEFAULT_PROMOTE_AFTER};
-pub use stats::{AuditCounters, RuntimeStats, TierDecisions};
+pub use runtime::{EvalOutcome, Runtime, RuntimeBuilder, StatsSink};
+pub use stats::{AuditCounters, RuntimeStats};

@@ -21,12 +21,11 @@
 //! ```
 //!
 //! Each entry's bytes are one [`bh_container::Container`] carrying the
-//! plan's source program plus the optimised plan section (tier, options
+//! plan's source program plus the optimised plan section (options
 //! fingerprint, source digest).
 
-use crate::cache::{opcode_census, CacheKey, EvalPlan};
+use crate::cache::{CacheKey, EvalPlan};
 use bh_container::{stable_fingerprint, Container, PlanSection};
-use bh_observe::Tier;
 use bh_opt::{OptOptions, OptReport};
 use std::fs;
 use std::io::{self, Read, Write};
@@ -54,7 +53,6 @@ pub(crate) fn snapshot_bytes(entries: &[(CacheKey, Arc<EvalPlan>)]) -> Vec<u8> {
             (*plan.source).clone(),
             PlanSection {
                 program: bh_ir::Program::clone(&plan.program),
-                tier: plan.tier,
                 options_fingerprint: stable_fingerprint(&key.options),
                 source_digest: key.digest.as_bytes().to_vec(),
             },
@@ -139,13 +137,11 @@ fn parse_snapshot(bytes: &[u8]) -> Vec<Vec<u8>> {
 /// 2. the plan's options fingerprint must match this runtime's live
 ///    options (a plan built under different rewrite semantics — e.g.
 ///    fast-math vs strict — must never be served),
-/// 3. a tier-0 plan is only admissible on a tiered runtime (a non-tiered
-///    runtime would pin the weak plan forever, with no promotion path),
-/// 4. the *source* program must verify (also makes its digest total),
-/// 5. the recomputed source digest must match the stored one,
-/// 6. the *plan* program must verify (this mints the only
+/// 3. the *source* program must verify (also makes its digest total),
+/// 4. the recomputed source digest must match the stored one,
+/// 5. the *plan* program must verify (this mints the only
 ///    [`bh_ir::Verified`] witness — never the decoder),
-/// 7. the plan must re-prove observationally equivalent to the source
+/// 6. the plan must re-prove observationally equivalent to the source
 ///    under the live options' audit policy — unconditionally, even on
 ///    runtimes built without [`crate::RuntimeBuilder::audit`]: disk
 ///    bytes do not get the benefit of the doubt that a plan the process
@@ -154,18 +150,11 @@ fn parse_snapshot(bytes: &[u8]) -> Vec<Vec<u8>> {
 /// The returned plan carries a synthetic [`OptReport`] (zero rewrite
 /// iterations — the fixpoint genuinely did not run, which is the whole
 /// point of warm-starting) whose before/after costs are re-estimated
-/// from the decoded programs and whose `audits: 1` records step 7.
-pub(crate) fn revalidate(
-    bytes: &[u8],
-    options: &OptOptions,
-    tiered: bool,
-) -> Option<(CacheKey, Arc<EvalPlan>)> {
+/// from the decoded programs and whose `audits: 1` records step 6.
+pub(crate) fn revalidate(bytes: &[u8], options: &OptOptions) -> Option<(CacheKey, Arc<EvalPlan>)> {
     let container = Container::decode(bytes).ok()?;
     let plan = container.plan?;
     if plan.options_fingerprint != stable_fingerprint(options) {
-        return None;
-    }
-    if plan.tier == Tier::Tier0 && !tiered {
         return None;
     }
     let source = container.program;
@@ -176,7 +165,6 @@ pub(crate) fn revalidate(
     }
     let verified = bh_ir::verify_owned(plan.program).ok()?;
     bh_ir::check_equiv(&source, &verified, &options.equiv_options()).ok()?;
-    let census = opcode_census(&verified);
     let report = OptReport {
         iterations: 0,
         by_rule: Vec::new(),
@@ -185,15 +173,12 @@ pub(crate) fn revalidate(
         audits: 1,
         audit_rollbacks: 0,
     };
-    let fingerprint = digest.fingerprint();
-    let eval_plan = Arc::new(EvalPlan {
-        program: verified,
+    let eval_plan = Arc::new(EvalPlan::new(
+        verified,
         report,
-        source_fingerprint: fingerprint,
-        opcode_census: census,
-        tier: plan.tier,
-        source: Arc::new(source),
-    });
+        digest.fingerprint(),
+        Arc::new(source),
+    ));
     Some((
         CacheKey {
             digest,
@@ -210,7 +195,7 @@ mod tests {
     use bh_opt::Optimizer;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn entry_for(text: &str, options: &OptOptions, tier: Tier) -> (CacheKey, Arc<EvalPlan>) {
+    fn entry_for(text: &str, options: &OptOptions) -> (CacheKey, Arc<EvalPlan>) {
         let source = parse_program(text).unwrap();
         let digest = source.structural_digest();
         let mut program = source.clone();
@@ -221,14 +206,12 @@ mod tests {
                 digest,
                 options: options.clone(),
             },
-            Arc::new(EvalPlan {
-                program: bh_ir::verify_owned(program.clone()).expect("verifies"),
+            Arc::new(EvalPlan::new(
+                bh_ir::verify_owned(program).expect("verifies"),
                 report,
-                source_fingerprint: fingerprint,
-                opcode_census: opcode_census(&program),
-                tier,
-                source: Arc::new(source),
-            }),
+                fingerprint,
+                Arc::new(source),
+            )),
         )
     }
 
@@ -244,15 +227,13 @@ mod tests {
         let entry = entry_for(
             "BH_IDENTITY a0 [0:8:1] 0\nBH_ADD a0 a0 1\nBH_ADD a0 a0 1\nBH_SYNC a0\n",
             &options,
-            Tier::Tier2,
         );
         let path = temp_path("roundtrip");
         write_snapshot(&path, std::slice::from_ref(&entry)).unwrap();
         let blobs = read_containers(&path);
         assert_eq!(blobs.len(), 1);
-        let (key, plan) = revalidate(&blobs[0], &options, false).expect("valid entry");
+        let (key, plan) = revalidate(&blobs[0], &options).expect("valid entry");
         assert_eq!(key, entry.0);
-        assert_eq!(plan.tier, Tier::Tier2);
         assert_eq!(plan.source_fingerprint, entry.1.source_fingerprint);
         assert_eq!(*plan.program, *entry.1.program);
         // The fixpoint did not run on load; the audit did.
@@ -267,29 +248,49 @@ mod tests {
         let entry = entry_for(
             "BH_IDENTITY a0 [0:4:1] 0\nBH_ADD a0 a0 1\nBH_SYNC a0\n",
             &options,
-            Tier::Tier2,
         );
         let bytes = snapshot_bytes(std::slice::from_ref(&entry));
         let blobs = parse_snapshot(&bytes);
         let mut strict = options.clone();
         strict.ctx.fast_math = false;
-        assert!(revalidate(&blobs[0], &strict, false).is_none());
-        assert!(revalidate(&blobs[0], &options, false).is_some());
+        assert!(revalidate(&blobs[0], &strict).is_none());
+        assert!(revalidate(&blobs[0], &options).is_some());
     }
 
     #[test]
-    fn tier0_plans_need_a_tiered_runtime() {
+    fn tier_byte_zero_is_rejected_never_served() {
+        // What an older process's cheap first-compile plan looks like on
+        // disk: the plan payload's leading tier byte is `0`. The decoder
+        // refuses it (C112), so the entry is a warm reject, not a plan.
         let options = OptOptions::default();
         let entry = entry_for(
             "BH_IDENTITY a0 [0:4:1] 0\nBH_ADD a0 a0 1\nBH_SYNC a0\n",
             &options,
-            Tier::Tier0,
         );
-        let bytes = snapshot_bytes(std::slice::from_ref(&entry));
-        let blobs = parse_snapshot(&bytes);
-        assert!(revalidate(&blobs[0], &options, false).is_none());
-        let (_, plan) = revalidate(&blobs[0], &options, true).expect("tiered accepts");
-        assert_eq!(plan.tier, Tier::Tier0);
+        let mut bytes = snapshot_bytes(std::slice::from_ref(&entry));
+        assert!(revalidate(&parse_snapshot(&bytes)[0], &options).is_some());
+        // One entry: snapshot header (14) + entry length (8), then the
+        // container, whose second section-table entry sizes the plan
+        // payload that ends the file.
+        let plan_len = u64::from_le_bytes(bytes[22 + 20..22 + 28].try_into().unwrap()) as usize;
+        let tier_at = bytes.len() - plan_len;
+        assert_eq!(bytes[tier_at], 2);
+        bytes[tier_at] = 0;
+        let blob = &parse_snapshot(&bytes)[0];
+        assert_eq!(Container::decode(blob).unwrap_err().code(), "C112");
+        assert!(revalidate(blob, &options).is_none());
+        // End to end: a runtime pointed at such a snapshot counts the
+        // reject and compiles the digest cold.
+        let path = temp_path("tierbyte");
+        fs::write(&path, &bytes).unwrap();
+        let rt = crate::Runtime::builder().persist_path(&path).build();
+        let stats = rt.stats();
+        assert_eq!((stats.warm_loads, stats.warm_rejects), (0, 1));
+        assert_eq!(rt.cached_plans(), 0);
+        let (_, hit) = rt.prepare(&entry.1.source).unwrap();
+        assert!(!hit);
+        drop(rt);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -306,12 +307,11 @@ mod tests {
             source,
             PlanSection {
                 program: lying_plan,
-                tier: Tier::Tier2,
                 options_fingerprint: stable_fingerprint(&options),
                 source_digest: digest.as_bytes().to_vec(),
             },
         );
-        assert!(revalidate(&container.encode(), &options, false).is_none());
+        assert!(revalidate(&container.encode(), &options).is_none());
     }
 
     #[test]
@@ -323,12 +323,11 @@ mod tests {
             source.clone(),
             PlanSection {
                 program: source,
-                tier: Tier::Tier2,
                 options_fingerprint: stable_fingerprint(&options),
                 source_digest: vec![0xde, 0xad],
             },
         );
-        assert!(revalidate(&container.encode(), &options, false).is_none());
+        assert!(revalidate(&container.encode(), &options).is_none());
     }
 
     #[test]
@@ -337,7 +336,6 @@ mod tests {
         let entry = entry_for(
             "BH_IDENTITY a0 [0:4:1] 0\nBH_ADD a0 a0 1\nBH_SYNC a0\n",
             &options,
-            Tier::Tier2,
         );
         let bytes = snapshot_bytes(&[entry.clone(), entry]);
         // Every truncation parses to a (possibly empty) prefix.

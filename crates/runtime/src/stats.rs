@@ -11,50 +11,10 @@ use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::time::Duration;
 
-/// What the tiering policy decided, counted. All zeros on a non-tiered
-/// runtime — enabling [`crate::RuntimeBuilder::tiered`] is what makes
-/// these move (DESIGN.md §14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierDecisions {
-    /// Cheap tier-0 plans built on cache misses (tiered runtimes only).
-    pub tier0_builds: u64,
-    /// Hot digests re-optimised at full strength, re-verified and
-    /// swapped live into the cache.
-    pub promotions: u64,
-    /// Promotions that did *not* go live: the re-optimised plan failed
-    /// re-verification (the tier-0 plan is kept, permanently), or the
-    /// entry was evicted before the swap landed.
-    pub failed_promotions: u64,
-    /// Tier-0 builds for digests that already had ProfileTable hotness —
-    /// i.e. a re-insert after LRU eviction reset the promotion baseline
-    /// (the stale-hotness guard firing, observable).
-    pub rebaselines: u64,
-}
-
-impl Add for TierDecisions {
-    type Output = TierDecisions;
-
-    fn add(self, rhs: TierDecisions) -> TierDecisions {
-        TierDecisions {
-            tier0_builds: self.tier0_builds.saturating_add(rhs.tier0_builds),
-            promotions: self.promotions.saturating_add(rhs.promotions),
-            failed_promotions: self.failed_promotions.saturating_add(rhs.failed_promotions),
-            rebaselines: self.rebaselines.saturating_add(rhs.rebaselines),
-        }
-    }
-}
-
-impl AddAssign for TierDecisions {
-    fn add_assign(&mut self, rhs: TierDecisions) {
-        *self = *self + rhs;
-    }
-}
-
 /// Whole-plan translation-validation audits, counted. All zeros unless
 /// [`crate::RuntimeBuilder::audit`] is on; with auditing enabled the
-/// invariant `audits.total() == cache_misses + tiers.promotions` holds —
-/// exactly one audit per plan *compile*, never one per eval (DESIGN.md
-/// §15).
+/// invariant `audits.total() == cache_misses` holds — exactly one audit
+/// per plan *compile*, never one per eval (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AuditCounters {
     /// Plans proved observationally equivalent to their source by
@@ -105,12 +65,10 @@ pub struct RuntimeStats {
     /// Plan lookups that had to run the optimiser.
     pub cache_misses: u64,
     /// Byte-code verification passes run (`bh_ir::verify_owned` at plan
-    /// build). Verification happens exactly once per *tier compile* —
-    /// once per cache miss, plus once more when a tiered runtime promotes
-    /// a hot digest (≤ 2 per digest) — and never on the eval path, so
-    /// under steady-state traffic this counter stays flat while
-    /// [`RuntimeStats::evals`] climbs — the "checked once, trusted
-    /// forever" property, observable.
+    /// build). Verification happens exactly once per cache miss and
+    /// never on the eval path, so under steady-state traffic this
+    /// counter stays flat while [`RuntimeStats::evals`] climbs — the
+    /// "checked once, trusted forever" property, observable.
     pub verifications: u64,
     /// Total rewrite-rule applications across all cache misses.
     pub rules_fired: u64,
@@ -125,9 +83,6 @@ pub struct RuntimeStats {
     /// Aggregated VM execution counters (kernels launched, fused groups,
     /// memory traffic, flops, syncs) across all evaluations.
     pub exec: ExecStats,
-    /// Tiering-policy decision counters (all zero unless
-    /// [`crate::RuntimeBuilder::tiered`] is on).
-    pub tiers: TierDecisions,
     /// Whole-plan audit counters (all zero unless
     /// [`crate::RuntimeBuilder::audit`] is on).
     pub audits: AuditCounters,
@@ -138,10 +93,9 @@ pub struct RuntimeStats {
     /// exactly what this counter proves on a dashboard.
     pub warm_loads: u64,
     /// Snapshot entries that failed re-validation on load (bad container,
-    /// digest mismatch, failed verification or equivalence audit, or a
-    /// tier the runtime won't serve) and were discarded. Non-zero after a
-    /// restart means the snapshot was stale or tampered with — never that
-    /// anything unsound was served.
+    /// digest mismatch, failed verification or equivalence audit) and
+    /// were discarded. Non-zero after a restart means the snapshot was
+    /// stale or tampered with — never that anything unsound was served.
     pub warm_rejects: u64,
 }
 
@@ -198,7 +152,6 @@ impl Add for RuntimeStats {
             opt_iterations: self.opt_iterations.saturating_add(rhs.opt_iterations),
             eval_nanos: self.eval_nanos.saturating_add(rhs.eval_nanos),
             exec: self.exec + rhs.exec,
-            tiers: self.tiers + rhs.tiers,
             audits: self.audits + rhs.audits,
             warm_loads: self.warm_loads.saturating_add(rhs.warm_loads),
             warm_rejects: self.warm_rejects.saturating_add(rhs.warm_rejects),
@@ -240,26 +193,6 @@ impl bh_observe::Collect for RuntimeStats {
             "Byte-code verification passes (once per tier compile, never per eval).",
         )
         .value(self.verifications);
-        set.counter(
-            "bh_runtime_tier0_builds_total",
-            "Cheap tier-0 plans built on cache misses (tiered runtimes only).",
-        )
-        .value(self.tiers.tier0_builds);
-        set.counter(
-            "bh_runtime_promotions_total",
-            "Hot digests re-optimised at full strength and swapped live.",
-        )
-        .value(self.tiers.promotions);
-        set.counter(
-            "bh_runtime_failed_promotions_total",
-            "Promotions that did not go live (re-verification failed or entry evicted).",
-        )
-        .value(self.tiers.failed_promotions);
-        set.counter(
-            "bh_runtime_rebaselines_total",
-            "Tier-0 rebuilds of digests whose prior hotness was reset after LRU eviction.",
-        )
-        .value(self.tiers.rebaselines);
         set.counter(
             "bh_runtime_audit_passed_total",
             "Optimised plans proved equivalent to their source before caching.",
@@ -313,7 +246,7 @@ impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "evals={} hits={} misses={} hit-rate={:.0}% verifies={} audits={} rules={} t0={} promoted={} warm={}/{} mean-eval={:?} [{}]",
+            "evals={} hits={} misses={} hit-rate={:.0}% verifies={} audits={} rules={} warm={}/{} mean-eval={:?} [{}]",
             self.evals,
             self.cache_hits,
             self.cache_misses,
@@ -321,8 +254,6 @@ impl fmt::Display for RuntimeStats {
             self.verifications,
             self.audits.total(),
             self.rules_fired,
-            self.tiers.tier0_builds,
-            self.tiers.promotions,
             self.warm_loads,
             self.warm_rejects,
             self.mean_eval_time(),
@@ -380,33 +311,6 @@ mod tests {
         let doubled = s + s;
         assert_eq!(doubled.eval_nanos, 8_000);
         assert_eq!(doubled.mean_eval_time(), Duration::from_nanos(1_000));
-    }
-
-    #[test]
-    fn tier_decisions_add_fieldwise_and_saturate() {
-        let a = RuntimeStats {
-            tiers: TierDecisions {
-                tier0_builds: 2,
-                promotions: 1,
-                failed_promotions: 0,
-                rebaselines: 1,
-            },
-            ..Default::default()
-        };
-        let b = RuntimeStats {
-            tiers: TierDecisions {
-                tier0_builds: u64::MAX,
-                promotions: 3,
-                failed_promotions: 2,
-                rebaselines: 0,
-            },
-            ..Default::default()
-        };
-        let c = a + b;
-        assert_eq!(c.tiers.tier0_builds, u64::MAX);
-        assert_eq!(c.tiers.promotions, 4);
-        assert_eq!(c.tiers.failed_promotions, 2);
-        assert_eq!(c.tiers.rebaselines, 1);
     }
 
     #[test]

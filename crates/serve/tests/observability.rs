@@ -152,40 +152,3 @@ fn profiling_disabled_runtime_still_serves_and_exports() {
     assert!(text.contains("bh_serve_completed_total 1"), "{text}");
     assert!(!text.contains("bh_profile_digest_hits_total"), "{text}");
 }
-
-#[test]
-fn tier_decisions_flow_through_server_metrics() {
-    // A tiered runtime behind the server: the digest promotes mid-stream
-    // and the tier counters plus the per-digest tier gauge surface in the
-    // same `Server::metrics` snapshot dashboards already scrape.
-    let runtime = Runtime::builder()
-        .tiered(true)
-        .promote_after(2)
-        .build_shared();
-    let server = Server::builder(Arc::clone(&runtime)).workers(0).build();
-    let h = chain(16, 3);
-    let reg = h.program().reg_by_name("a").unwrap();
-
-    for _ in 0..4 {
-        let t = server
-            .submit(Request::with_handle("t", &h).read(reg))
-            .unwrap();
-        while server.service_once() {}
-        t.wait().unwrap();
-    }
-    assert_eq!(runtime.stats().tiers.promotions, 1);
-
-    let text = server.metrics().to_prometheus();
-    for family in [
-        "bh_runtime_tier0_builds_total 1",
-        "bh_runtime_promotions_total 1",
-        "bh_runtime_failed_promotions_total 0",
-        "bh_runtime_rebaselines_total 0",
-        "tier=\"tier2\"} 2",
-    ] {
-        assert!(text.contains(family), "missing {family} in:\n{text}");
-    }
-    let json = server.metrics().to_json();
-    assert!(json.contains("\"bh_runtime_promotions_total\""), "{json}");
-    assert!(json.contains("\"bh_profile_digest_tier\""), "{json}");
-}

@@ -12,8 +12,8 @@
 //!   every code in [`EquivCode::ALL`].
 //!
 //! Plus the runtime-level contract: with [`RuntimeBuilder::audit`] on,
-//! audits run once per plan compile — `cache_misses + promotions` — and
-//! never on the cached eval path.
+//! audits run once per plan compile — `audits.total() == cache_misses` —
+//! and never on the cached eval path.
 
 use bohrium_repro::ir::{check_equiv, parse_program, EquivCode, EquivOptions, Opcode, Program};
 use bohrium_repro::opt::{AuditMode, OptLevel, OptOptions, Optimizer, RewriteCtx, RewriteRule};
@@ -289,31 +289,32 @@ fn per_rule_audit_rolls_back_the_unsound_rule() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn runtime_audit_invariant_holds_across_tiers() {
-    let rt = Runtime::builder()
-        .audit(true)
-        .tiered(true)
-        .promote_after(2)
-        .build();
+fn runtime_audits_once_per_miss_never_on_a_hit() {
+    let rt = Runtime::builder().audit(true).build();
     let p = parse_program(BASE).unwrap();
     let y = p.reg_by_name("y").unwrap();
     let input = bohrium_repro::tensor::Tensor::from_vec(vec![5.0f64; 8]);
     let x = p.reg_by_name("x").unwrap();
-    for _ in 0..8 {
-        let (v, _) = rt.eval(&p, &[(x, input.clone())], y).unwrap();
-        assert_eq!(v.to_f64_vec(), vec![10.0; 8]);
+    // Three option partitions of one digest: three misses, three compiles.
+    let levels = [OptLevel::O0, OptLevel::O1, OptLevel::O2].map(OptOptions::level);
+    for round in 0..4 {
+        for options in &levels {
+            let audits_before = rt.stats().audits.total();
+            let (v, o) = rt.eval_with(&p, &[(x, input.clone())], y, options).unwrap();
+            assert_eq!(v.to_f64_vec(), vec![10.0; 8]);
+            assert_eq!(o.cache_hit, round > 0);
+            let audited = rt.stats().audits.total() - audits_before;
+            assert_eq!(audited, u64::from(!o.cache_hit), "hits never audit");
+        }
     }
     let stats = rt.stats();
-    // One audit per compile: the tier-0 build plus the promotion.
-    assert_eq!(
-        stats.audits.total(),
-        stats.cache_misses + stats.tiers.promotions
-    );
-    assert_eq!(stats.audits.total(), 2);
+    // One audit and one verification per compile, nothing per eval.
+    assert_eq!(stats.cache_misses, 3);
+    assert_eq!(stats.audits.total(), stats.cache_misses);
+    assert_eq!(stats.verifications, stats.cache_misses);
     assert_eq!(stats.audits.failed, 0);
     assert_eq!(stats.audits.rolled_back, 0);
-    // Eight evals, two audits: the cached path never audits.
-    assert_eq!(stats.evals, 8);
+    assert_eq!(stats.evals, 12);
 }
 
 #[test]

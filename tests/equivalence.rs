@@ -5,10 +5,11 @@
 
 use bohrium_repro::ir::{parse_program, Program};
 use bohrium_repro::opt::{optimize_at, OptLevel, OptOptions, Optimizer};
+use bohrium_repro::runtime::Runtime;
 use bohrium_repro::testing::{
     assert_equivalent, max_divergence, run_synced, run_synced_threads, test_threads,
 };
-use bohrium_repro::vm::Engine;
+use bohrium_repro::vm::{Engine, ExecStats};
 use proptest::prelude::*;
 
 /// Strategy: a random element-wise program over three same-shape f64/i64
@@ -57,6 +58,21 @@ fn check_levels(text: &str, tol: f64) {
             );
         }
     }
+}
+
+/// The thread-count-invariant subset of [`ExecStats`]: everything except
+/// the shard counts, which legitimately scale with workers.
+fn analytic(exec: &ExecStats) -> [u64; 8] {
+    [
+        exec.instructions,
+        exec.kernels,
+        exec.fused_groups,
+        exec.fused_reductions,
+        exec.elements_written,
+        exec.bytes_read,
+        exec.bytes_written,
+        exec.flops,
+    ]
 }
 
 proptest! {
@@ -121,6 +137,46 @@ proptest! {
             // Bit-identical, not approximately equal: sharding never
             // re-associates, so floats match exactly too.
             prop_assert_eq!(t, &fusedn[name], "{} differs across thread counts", name);
+        }
+    }
+
+    // Through the whole runtime (digest → cache → optimise → verify →
+    // VM): an unoptimised `O0` runtime and a default one return the same
+    // bits on every engine and thread count, and for a given engine and
+    // level the analytic `ExecStats` do not depend on the thread count.
+    #[test]
+    fn runtime_levels_agree_on_every_engine_and_thread_count(text in arb_program("i64", 12)) {
+        let p = parse_program(&text).expect("generated text parses");
+        let regs = ["r0", "r1", "r2"].map(|name| p.reg_by_name(name).unwrap());
+        let mut threads = vec![1usize, 2, 4, test_threads()];
+        threads.sort_unstable();
+        threads.dedup();
+        let mut reference = None;
+        for engine in [Engine::Naive, Engine::Fusing { block: 64 }] {
+            for level in [OptLevel::O0, OptLevel::O2] {
+                let mut single_threaded = None;
+                for &t in &threads {
+                    let rt = Runtime::builder().opt_level(level).engine(engine).threads(t).build();
+                    let mut values = Vec::new();
+                    let mut analytics = Vec::new();
+                    for reg in regs {
+                        let (v, o) = rt.eval(&p, &[], reg).expect("verified program runs");
+                        values.push(v);
+                        analytics.push(analytic(&o.exec));
+                    }
+                    let reference = reference.get_or_insert_with(|| values.clone());
+                    prop_assert_eq!(
+                        &values, reference,
+                        "{:?} on {:?}×{} diverged", level, engine, t
+                    );
+                    let base = single_threaded.get_or_insert_with(|| analytics.clone());
+                    prop_assert_eq!(
+                        &analytics, base,
+                        "analytic ExecStats drifted between {}-thread and 1-thread {:?} at {:?}",
+                        t, engine, level
+                    );
+                }
+            }
         }
     }
 

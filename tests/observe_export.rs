@@ -18,8 +18,8 @@
 //!    compared key.
 
 use bohrium_repro::ir::{parse_program, Opcode};
-use bohrium_repro::observe::{EvalSample, MetricSet, ProfileTable, Tier};
-use bohrium_repro::runtime::{AuditCounters, Runtime, RuntimeStats, TierDecisions};
+use bohrium_repro::observe::{EvalSample, MetricSet, ProfileTable};
+use bohrium_repro::runtime::{AuditCounters, Runtime, RuntimeStats};
 use bohrium_repro::serve::ServeStats;
 use bohrium_repro::testing::test_threads;
 use bohrium_repro::vm::ExecStats;
@@ -76,12 +76,6 @@ fn synthetic_metrics() -> MetricSet {
         opt_iterations: 6,
         eval_nanos: 123_456,
         exec,
-        tiers: TierDecisions {
-            tier0_builds: 2,
-            promotions: 1,
-            failed_promotions: 0,
-            rebaselines: 1,
-        },
         audits: AuditCounters {
             passed: 2,
             failed: 1,
@@ -116,7 +110,6 @@ fn synthetic_metrics() -> MetricSet {
         Duration::from_micros(5),
         &opcodes,
     );
-    table.set_tier(0xfeed_f00d, Tier::Tier2);
     let per_eval = ExecStats {
         instructions: 4,
         kernels: 1,

@@ -191,64 +191,6 @@ fn rejected_programs_fail_vm_run_with_the_same_codes() {
     }
 }
 
-/// Tiered-promotion soundness (DESIGN.md §14): a plan re-optimised at
-/// full strength behind a hot digest must pass a fresh `bh_ir::verify`
-/// pass *before* it is swapped live — the unchecked
-/// `Vm::run_verified` hot path may only ever see re-verified plans.
-/// Pinned two ways: the verification counter moves once per tier
-/// compile (tier-0 build + promotion = 2), and the trace shows a
-/// complete verify span strictly inside the promote span (i.e. before
-/// the swap could land).
-#[test]
-fn promoted_plans_reverify_before_going_live() {
-    use bohrium_repro::observe::{RingTraceSink, TracePhase, TraceSink};
-    use bohrium_repro::runtime::{Runtime, Tier};
-    use std::sync::Arc;
-
-    let sink = RingTraceSink::shared(256);
-    let rt = Runtime::builder()
-        .tiered(true)
-        .promote_after(1)
-        .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
-        .build();
-    let program =
-        parse_program("BH_IDENTITY a0 [0:8:1] 0\nBH_ADD a0 a0 1\nBH_ADD a0 a0 1\nBH_SYNC a0\n")
-            .unwrap();
-    let reg = program.reg_by_name("a0").unwrap();
-    let (v0, o0) = rt.eval(&program, &[], reg).unwrap();
-    assert_eq!(o0.plan.tier, Tier::Tier0);
-    let (v2, o2) = rt.eval(&program, &[], reg).unwrap();
-    assert_eq!(
-        o2.plan.tier,
-        Tier::Tier2,
-        "second eval crosses the threshold"
-    );
-    assert_eq!(v0, v2, "promotion is observationally equivalent");
-    let stats = rt.stats();
-    assert_eq!(stats.verifications, 2, "once per tier compile: {stats}");
-    assert_eq!(stats.tiers.promotions, 1);
-    assert_eq!(stats.tiers.failed_promotions, 0);
-
-    let events = sink.events();
-    let pos = |stage: &str, phase: TracePhase| {
-        events
-            .iter()
-            .position(|e| e.stage == stage && e.phase == phase)
-            .unwrap_or_else(|| panic!("no {phase:?} event for {stage}"))
-    };
-    let promote_begin = pos("promote", TracePhase::Begin);
-    let promote_end = pos("promote", TracePhase::End);
-    assert!(promote_begin < promote_end);
-    let verifies_inside_promote = events[promote_begin..promote_end]
-        .iter()
-        .filter(|e| e.stage == "verify")
-        .count();
-    assert_eq!(
-        verifies_inside_promote, 2,
-        "a full verify span (Begin + End) runs inside the promote span, before the swap"
-    );
-}
-
 // ---------------------------------------------------------------------
 // Property half: verified ⇒ executes everywhere, identically.
 // ---------------------------------------------------------------------
