@@ -16,13 +16,6 @@
 //!   hand-tuned fixed `max_batch` values and once under the adaptive
 //!   policy (`adaptive_batch`), which must discover a batch limit that
 //!   matches the best hand-tuned value without being told it.
-//! * **warm_start** — restart cost with and without a persisted plan
-//!   snapshot (`RuntimeBuilder::persist_path`): a warm restart must
-//!   serve compile-dominated hot traffic with zero re-optimisation, and
-//!   re-validating a plan must stay under a fixed per-plan budget. Its
-//!   time against the cold restart is reported (and says, since the
-//!   optimiser became linear-time, that re-validation costs more than
-//!   re-optimising this population).
 //!
 //! Two workloads are measured. `churn` is the serving regime the
 //! scheduler exists for: the tenant-program population (one program per
@@ -460,122 +453,6 @@ fn chain_program(n: usize, adds: usize) -> ProgramHandle {
     ProgramHandle::new(bh_ir::parse_program(&text).expect("generated program parses"))
 }
 
-/// The plan-persistence regime (DESIGN.md §16): restart cost with and
-/// without a warmed transformation cache. A "process" populates its
-/// cache over a compile-dominated program population and snapshots it on
-/// shutdown ([`bh_runtime::RuntimeBuilder::persist_path`]); the measured
-/// sides then replay the same hot traffic through a cold restart (every
-/// digest pays the O2 fixpoint again) and a warm restart (plans
-/// re-validated from the snapshot at build time, zero re-optimisation).
-/// Warm start is only worth shipping if it is *real* — asserted by
-/// counters, not vibes: every plan loads ([`warm_loads`] == population,
-/// no rejects) and the serving pass never misses the cache.
-///
-/// [`warm_loads`]: bh_runtime::RuntimeStats::warm_loads
-struct WarmStart {
-    population: usize,
-    cold: Duration,
-    warm: Duration,
-    warm_loads: u64,
-    warm_rejects: u64,
-}
-
-impl WarmStart {
-    /// Cold-restart time over warm-restart time: how much faster the
-    /// snapshot makes a restart under hot traffic.
-    fn speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.warm.as_secs_f64()
-    }
-
-    /// Microseconds of warm restart per snapshotted plan: load,
-    /// re-validation and the first (cache-hit) eval.
-    fn warm_us_per_plan(&self) -> f64 {
-        self.warm.as_secs_f64() * 1e6 / self.population as f64
-    }
-}
-
-/// What a warm restart may cost per snapshotted plan (a 256-add chain):
-/// 240-310us measured on a 2.1 GHz Xeon vCPU (530us on the slower host
-/// that first recorded it).
-const WARM_BUDGET_US_PER_PLAN: f64 = 1000.0;
-
-fn run_warm_start() -> WarmStart {
-    const POPULATION: usize = 24;
-    const CHAIN: usize = 256;
-    const REPS: usize = 3;
-    // Compile-dominated population (long chains, small vectors;
-    // disjoint length range 2048–2079).
-    let programs: Vec<ProgramHandle> = (0..POPULATION)
-        .map(|i| chain_program(2048 + i, CHAIN))
-        .collect();
-    let serve_all = |rt: &Runtime| {
-        for h in &programs {
-            let a = h.program().reg_by_name("a").expect("result register");
-            let (value, _) = rt.eval(h.program(), &[], a).expect("program evaluates");
-            assert_eq!(value.to_f64_vec()[0], CHAIN as f64);
-        }
-    };
-    let builder = || Runtime::builder().threads(1).cache_capacity(POPULATION);
-    let path = std::env::temp_dir().join(format!("bh-serve-load-warm-{}.bhss", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    // The "previous process": earn the plans once, snapshot on shutdown.
-    {
-        let rt = builder().persist_path(&path).build();
-        serve_all(&rt);
-        // Drop writes the snapshot.
-    }
-
-    // Cold restart: no snapshot, every digest re-optimised (best of REPS).
-    let mut cold: Option<Duration> = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let rt = builder().build();
-        serve_all(&rt);
-        let t = start.elapsed();
-        assert_eq!(rt.stats().cache_misses, POPULATION as u64);
-        if cold.is_none_or(|b| t < b) {
-            cold = Some(t);
-        }
-    }
-
-    // Warm restart: build loads + re-validates the snapshot, then the
-    // same traffic is pure cache hits.
-    let mut warm: Option<Duration> = None;
-    let mut warm_loads = 0;
-    let mut warm_rejects = 0;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let rt = builder().persist_path(&path).build();
-        serve_all(&rt);
-        let t = start.elapsed();
-        let stats = rt.stats();
-        assert_eq!(
-            stats.warm_loads, POPULATION as u64,
-            "every snapshotted plan must survive re-validation: {stats}"
-        );
-        assert_eq!(stats.warm_rejects, 0, "{stats}");
-        assert_eq!(
-            stats.cache_misses, 0,
-            "a warm restart must serve hot traffic with zero re-optimisation: {stats}"
-        );
-        warm_loads = stats.warm_loads;
-        warm_rejects = stats.warm_rejects;
-        if warm.is_none_or(|b| t < b) {
-            warm = Some(t);
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-
-    WarmStart {
-        population: POPULATION,
-        cold: cold.expect("cold reps measured"),
-        warm: warm.expect("warm reps measured"),
-        warm_loads,
-        warm_rejects,
-    }
-}
-
 /// A small served workload whose exporter snapshot is embedded verbatim
 /// in `BENCH_serve.json`, so the perf artifact carries the same
 /// machine-readable counters a live scrape endpoint would serve.
@@ -708,24 +585,6 @@ fn main() {
         vs_best_fixed,
     );
 
-    let warm = run_warm_start();
-    eprintln!(
-        "warm_start: cold restart {:.1}ms vs warm restart {:.1}ms over {} \
-         compile-dominated digests — {:.2}x{}, {:.0}us per plan ({} loaded, {} rejected)",
-        warm.cold.as_secs_f64() * 1e3,
-        warm.warm.as_secs_f64() * 1e3,
-        warm.population,
-        warm.speedup(),
-        if warm.speedup() < 1.0 {
-            " (the warm restart is SLOWER than the cold one)"
-        } else {
-            ""
-        },
-        warm.warm_us_per_plan(),
-        warm.warm_loads,
-        warm.warm_rejects,
-    );
-
     let overhead = run_observe_overhead();
     eprintln!(
         "observe: {:.2}us per cached eval profiled vs {:.2}us unprofiled — {:+.1}% overhead",
@@ -829,21 +688,6 @@ fn main() {
         overhead.on_each.as_secs_f64() * 1e6,
         overhead.overhead() * 100.0,
     );
-    let _ = write!(
-        out,
-        "  \"warm_start\": {{\n    \"population\": {},\n    \
-         \"cold_restart_ms\": {:.2},\n    \"warm_restart_ms\": {:.2},\n    \
-         \"speedup\": {:.2},\n    \"warm_us_per_plan\": {:.1},\n    \
-         \"warm_loads\": {},\n    \
-         \"warm_rejects\": {}\n  }},\n",
-        warm.population,
-        warm.cold.as_secs_f64() * 1e3,
-        warm.warm.as_secs_f64() * 1e3,
-        warm.speedup(),
-        warm.warm_us_per_plan(),
-        warm.warm_loads,
-        warm.warm_rejects,
-    );
     // The exporter's own JSON rendering, embedded verbatim: the perf
     // artifact carries the same counters a live scrape would.
     let _ = write!(
@@ -877,19 +721,6 @@ fn main() {
         "per-digest profiling must cost <= 5% on the hot cached-eval path, \
          measured {:+.1}%",
         overhead.overhead() * 100.0
-    );
-    // What re-validating a snapshotted plan may cost is bounded in
-    // microseconds, not against the cold restart: decoding, verifying
-    // source and plan, re-digesting and re-proving costs about twice what
-    // the linear-time optimiser it bypasses does on this population, and
-    // the warm_start line says so on every run (ROADMAP, first open
-    // item). The correctness half of the contract is asserted where it is
-    // measured (`warm_loads == population`, zero rejects, zero misses).
-    assert!(
-        warm.warm_us_per_plan() <= WARM_BUDGET_US_PER_PLAN,
-        "a warm restart must cost <= {WARM_BUDGET_US_PER_PLAN}us per snapshotted plan \
-         (load + re-validation + first eval), measured {:.0}us",
-        warm.warm_us_per_plan()
     );
     // The throughput/latency comparisons are only stable with real
     // parallel headroom: on tiny CI boxes a scheduler hiccup can swamp

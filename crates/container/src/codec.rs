@@ -1,5 +1,5 @@
-//! Little-endian encoder/decoder primitives and the program/plan payload
-//! codecs.
+//! Little-endian encoder/decoder primitives and the program payload
+//! codec.
 //!
 //! The encoder mirrors the canonical-digest encoder in `bh_ir::digest`
 //! (everything length-prefixed, every multi-byte integer little-endian)
@@ -57,11 +57,6 @@ impl Enc {
     pub(crate) fn str_(&mut self, s: &str) {
         self.usize_(s.len());
         self.out.extend_from_slice(s.as_bytes());
-    }
-
-    pub(crate) fn bytes_(&mut self, b: &[u8]) {
-        self.usize_(b.len());
-        self.out.extend_from_slice(b);
     }
 
     fn opt_i64(&mut self, v: Option<i64>) {
@@ -237,11 +232,6 @@ impl<'a> Dec<'a> {
         let n = self.count(context, 1)?;
         let raw = self.bytes(n, context)?;
         std::str::from_utf8(raw).map_err(|_| ContainerError::BadUtf8 { context })
-    }
-
-    pub(crate) fn vec_(&mut self, context: &'static str) -> Result<Vec<u8>, ContainerError> {
-        let n = self.count(context, 1)?;
-        Ok(self.bytes(n, context)?.to_vec())
     }
 
     fn opt_i64(&mut self, context: &'static str) -> Result<Option<i64>, ContainerError> {

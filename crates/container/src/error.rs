@@ -85,21 +85,16 @@ pub enum ContainerError {
         /// The colliding name.
         name: String,
     },
-    /// C111 — a string field holds invalid UTF-8.
+    /// C111 — a string field holds invalid UTF-8. (`C112`, a bad plan tier
+    /// byte, is retired with the plan section and never reused.)
     BadUtf8 {
         /// Which string field.
         context: &'static str,
     },
-    /// C112 — a plan payload whose tier byte is not `2` (the only tier
-    /// this format version still admits).
-    BadTier {
-        /// The byte as read.
-        value: u8,
-    },
 }
 
 impl ContainerError {
-    /// The stable machine code (`"C100"`–`"C112"`).
+    /// The stable machine code (`"C100"`–`"C111"`).
     pub fn code(&self) -> &'static str {
         match self {
             ContainerError::BadMagic { .. } => "C100",
@@ -114,7 +109,6 @@ impl ContainerError {
             ContainerError::BadScalar { .. } => "C109",
             ContainerError::DuplicateBase { .. } => "C110",
             ContainerError::BadUtf8 { .. } => "C111",
-            ContainerError::BadTier { .. } => "C112",
         }
     }
 }
@@ -164,9 +158,6 @@ impl fmt::Display for ContainerError {
             ContainerError::BadUtf8 { context } => {
                 write!(f, "invalid UTF-8 in {context}")
             }
-            ContainerError::BadTier { value } => {
-                write!(f, "plan tier byte is {value}, only 2 is admitted")
-            }
         }
     }
 }
@@ -202,7 +193,6 @@ mod tests {
             },
             ContainerError::DuplicateBase { name: "a".into() },
             ContainerError::BadUtf8 { context: "name" },
-            ContainerError::BadTier { value: 1 },
         ];
         let mut seen = std::collections::HashSet::new();
         for e in &samples {
@@ -210,6 +200,6 @@ mod tests {
             assert!(e.code().starts_with('C'));
             assert!(e.to_string().starts_with(e.code()), "{e}");
         }
-        assert_eq!(seen.len(), 13);
+        assert_eq!(seen.len(), 12);
     }
 }

@@ -1,10 +1,9 @@
-//! Versioned binary containers for byte-code programs and their
-//! optimised plans — the persistence and wire format of the stack.
+//! Versioned binary containers for byte-code programs — the wire format
+//! of the stack.
 //!
-//! A container is what crosses a trust boundary: a process writes its
-//! hot transformation-cache entries to disk, a client ships a program
-//! over TCP, a restarted server reads yesterday's plans back. The format
-//! is deliberately boring and fully explicit — no serde, no reflection:
+//! A container is what crosses a trust boundary: a client ships a
+//! program over TCP and the server decodes it. The format is
+//! deliberately boring and fully explicit — no serde, no reflection:
 //!
 //! ```text
 //! ┌─────────────────────────────────────────────────────────────┐
@@ -16,24 +15,23 @@
 //! └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Section `1` (required) carries the source [`Program`]; section `2`
-//! (optional) carries its optimised plan: the transformed instruction
-//! sequence, a fingerprint of the optimiser options, and the source
-//! program's canonical digest. Unknown section ids are skipped, so older
-//! readers tolerate newer writers that append sections; a bumped *format
-//! version* is the breaking-change channel.
+//! Section `1` (required) carries the [`Program`]. Unknown section ids
+//! are skipped, so older readers tolerate newer writers that append
+//! sections; a bumped *format version* is the breaking-change channel.
+//! Section id `2` is retired and never reused: format version 1 once
+//! carried an optimised plan there, so such a container still decodes to
+//! its program, the plan bytes bounded by the section table and
+//! otherwise unread (DESIGN.md §16 records why plans are not persisted).
 //!
 //! # Trust boundary
 //!
 //! Decoding performs **syntactic** validation only (every structural
 //! error is a stable [`ContainerError`] code, never a panic) and
-//! deliberately cannot mint a `bh_ir::Verified` witness: the plan
-//! program comes back as a plain [`Program`]. Disk and wire bytes are
-//! untrusted regardless of who claims to have written them — the
-//! consumer must re-run `bh_ir::verify` and `bh_ir::check_equiv` before
-//! the plan touches the unchecked hot path. `bh-runtime`'s warm-start
-//! loader does exactly that and counts rejects rather than trusting
-//! blindly.
+//! deliberately cannot mint a `bh_ir::Verified` witness: the program
+//! comes back as a plain [`Program`]. Wire bytes are untrusted
+//! regardless of who claims to have written them — the consumer must
+//! run `bh_ir::verify` before the program touches the unchecked hot
+//! path, which is what `bh-runtime` does on every cache miss.
 //!
 //! # Examples
 //!
@@ -52,12 +50,10 @@
 
 mod codec;
 mod error;
-mod fingerprint;
 
 pub use error::ContainerError;
-pub use fingerprint::{stable_fingerprint, StableHasher};
 
-use bh_ir::{Program, ProgramDigest};
+use bh_ir::Program;
 use codec::{Dec, Enc};
 
 /// The four magic bytes every container starts with ("BHPC": Bohrium
@@ -70,75 +66,20 @@ pub const MAGIC: [u8; 4] = *b"BHPC";
 /// reject newer versions rather than misparse them.
 pub const FORMAT_VERSION: u16 = 1;
 
-/// Section id of the (required) source program payload.
+/// Section id of the (required) program payload.
 pub const SECTION_PROGRAM: u16 = 1;
 
-/// Section id of the (optional) optimised-plan payload.
-pub const SECTION_PLAN: u16 = 2;
-
-/// First byte of every plan payload. Format version 1 once stored an
-/// optimisation tier here (`0` = cheap first compile, `2` = full
-/// strength); only full-strength plans exist now, so the writer emits
-/// the constant and the reader rejects anything else as `C112` — a
-/// snapshot left by an older process can never smuggle in a weak plan.
-const PLAN_TIER_BYTE: u8 = 2;
-
-/// An optimised plan travelling alongside its source program.
-///
-/// Everything in here is a *claim* until re-checked: the fingerprint
-/// says how the plan was built, the digest says which source it belongs
-/// to, and the program is the transformed instruction sequence — none of
-/// it is trusted by consumers until verification and audit re-establish
-/// it (see the crate docs' trust-boundary argument).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSection {
-    /// The optimised instruction sequence (unchecked).
-    pub program: Program,
-    /// [`stable_fingerprint`] of the optimiser options the plan was
-    /// built under. A loader whose live options hash differently must
-    /// discard the plan.
-    pub options_fingerprint: u64,
-    /// The source program's canonical digest bytes
-    /// ([`ProgramDigest::as_bytes`]) at write time. Integrity check
-    /// only: the loader recomputes the digest from the decoded source
-    /// and compares.
-    pub source_digest: Vec<u8>,
-}
-
-impl PlanSection {
-    /// Does the stored digest match `digest` byte-for-byte?
-    pub fn digest_matches(&self, digest: &ProgramDigest) -> bool {
-        self.source_digest == digest.as_bytes()
-    }
-}
-
-/// A decoded (or to-be-encoded) container: a program, optionally with
-/// its optimised plan.
+/// A decoded (or to-be-encoded) container: a program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Container {
-    /// The source program.
+    /// The program.
     pub program: Program,
-    /// The optimised plan, if the writer included one.
-    pub plan: Option<PlanSection>,
 }
 
 impl Container {
-    /// A container carrying just a program (the wire shape clients
-    /// submit).
+    /// A container carrying a program (the wire shape clients submit).
     pub fn program(program: Program) -> Container {
-        Container {
-            program,
-            plan: None,
-        }
-    }
-
-    /// A container carrying a program and its optimised plan (the
-    /// persistence shape the runtime snapshots).
-    pub fn with_plan(program: Program, plan: PlanSection) -> Container {
-        Container {
-            program,
-            plan: Some(plan),
-        }
+        Container { program }
     }
 
     /// Encode to the versioned binary format.
@@ -150,30 +91,13 @@ impl Container {
         let mut prog = Enc::new();
         prog.program(&self.program);
 
-        let plan_payload = self.plan.as_ref().map(|plan| {
-            let mut e = Enc::new();
-            e.u8_(PLAN_TIER_BYTE);
-            e.u64_(plan.options_fingerprint);
-            e.bytes_(&plan.source_digest);
-            e.program(&plan.program);
-            e.out
-        });
-
         let mut out = Enc::new();
         out.out.extend_from_slice(&MAGIC);
         out.u16_(FORMAT_VERSION);
-        let nsections = 1 + plan_payload.is_some() as u16;
-        out.u16_(nsections);
+        out.u16_(1); // section count
         out.u16_(SECTION_PROGRAM);
         out.u64_(prog.out.len() as u64);
-        if let Some(p) = &plan_payload {
-            out.u16_(SECTION_PLAN);
-            out.u64_(p.len() as u64);
-        }
         out.out.extend_from_slice(&prog.out);
-        if let Some(p) = plan_payload {
-            out.out.extend_from_slice(&p);
-        }
         out.out
     }
 
@@ -230,50 +154,26 @@ impl Container {
         }
 
         let mut program = None;
-        let mut plan = None;
         for (id, len) in sections {
             let payload = dec.bytes(len as usize, "section payload")?;
-            match id {
-                SECTION_PROGRAM => {
-                    let mut d = Dec::new(payload);
-                    program = Some(d.program()?);
-                    check_drained(&d, "program section")?;
-                }
-                SECTION_PLAN => {
-                    let mut d = Dec::new(payload);
-                    let tier = d.u8_("tier byte")?;
-                    if tier != PLAN_TIER_BYTE {
-                        return Err(ContainerError::BadTier { value: tier });
-                    }
-                    let options_fingerprint = d.u64_("options fingerprint")?;
-                    let source_digest = d.vec_("source digest")?;
-                    let plan_program = d.program()?;
-                    check_drained(&d, "plan section")?;
-                    plan = Some(PlanSection {
-                        program: plan_program,
-                        options_fingerprint,
-                        source_digest,
+            // Unknown sections are skipped: a newer writer may append
+            // payloads this reader has no use for, and an older one a plan
+            // (retired section id 2).
+            if id == SECTION_PROGRAM {
+                let mut d = Dec::new(payload);
+                program = Some(d.program()?);
+                if d.remaining() != 0 {
+                    return Err(ContainerError::SectionTable {
+                        detail: format!("program section has {} trailing bytes", d.remaining()),
                     });
                 }
-                // Unknown sections are skipped: a newer writer may append
-                // payloads this reader has no use for.
-                _ => {}
             }
         }
         let program = program.ok_or(ContainerError::MissingSection {
             id: SECTION_PROGRAM,
         })?;
-        Ok(Container { program, plan })
+        Ok(Container { program })
     }
-}
-
-fn check_drained(dec: &Dec<'_>, what: &str) -> Result<(), ContainerError> {
-    if dec.remaining() != 0 {
-        return Err(ContainerError::SectionTable {
-            detail: format!("{what} has {} trailing bytes", dec.remaining()),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -295,26 +195,6 @@ mod tests {
         let bytes = Container::program(p.clone()).encode();
         let back = Container::decode(&bytes).unwrap();
         assert_eq!(back.program, p);
-        assert!(back.plan.is_none());
-    }
-
-    #[test]
-    fn plan_round_trips_with_metadata() {
-        let p = sample();
-        let digest = p.structural_digest();
-        let c = Container::with_plan(
-            p.clone(),
-            PlanSection {
-                program: p.clone(),
-                options_fingerprint: 0xdead_beef,
-                source_digest: digest.as_bytes().to_vec(),
-            },
-        );
-        let back = Container::decode(&c.encode()).unwrap();
-        assert_eq!(back, c);
-        let plan = back.plan.unwrap();
-        assert!(plan.digest_matches(&digest));
-        assert!(!plan.digest_matches(&Program::default().structural_digest()));
     }
 
     #[test]
@@ -323,23 +203,5 @@ mod tests {
         let bytes = c.encode();
         let again = Container::decode(&bytes).unwrap().encode();
         assert_eq!(bytes, again);
-    }
-
-    #[test]
-    fn decode_never_trusts_plan_contents() {
-        // A plan section claiming a digest that is not the source's must
-        // still decode (syntax is fine) — rejecting the *claim* is the
-        // loader's job, via digest_matches.
-        let p = sample();
-        let c = Container::with_plan(
-            p.clone(),
-            PlanSection {
-                program: p.clone(),
-                options_fingerprint: 0,
-                source_digest: vec![1, 2, 3],
-            },
-        );
-        let back = Container::decode(&c.encode()).unwrap();
-        assert!(!back.plan.unwrap().digest_matches(&p.structural_digest()));
     }
 }

@@ -337,9 +337,7 @@ fn submit(
     };
     // Semantic trust boundary: the program must pass byte-code
     // verification *before* anything derives from it — digesting (inside
-    // `Request::new`) is only total on verified programs. Any plan
-    // section riding in the container is deliberately ignored: the
-    // scheduler compiles (and proves) its own plans.
+    // `Request::new`) is only total on verified programs.
     let program = decoded.program;
     if let Err(errors) = bh_ir::verify(&program) {
         let detail = errors

@@ -152,6 +152,48 @@ fn hostile_submissions_become_typed_error_frames() {
     server.shutdown();
 }
 
+/// Section id 2 is retired: a format-v1 container that still carries an
+/// optimised plan (the container crate's checked-in fixture, written by
+/// an older commit) is served from its program section alone.
+#[test]
+fn a_v1_plan_container_is_served_from_its_program_section() {
+    let (door, server) = front_door(
+        Server::builder(Runtime::builder().build_shared())
+            .workers(1)
+            .build(),
+    );
+    let hex = include_str!("../../container/tests/fixtures/plan_v1.hex");
+    let bytes: Vec<u8> = hex
+        .split_whitespace()
+        .flat_map(|line| {
+            (0..line.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex fixture"))
+        })
+        .collect();
+    let program = bh_container::Container::decode(&bytes).unwrap().program;
+    let y = program.reg_by_name("y").unwrap();
+
+    let mut client = NetClient::connect(door.local_addr(), "legacy").expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let id = client
+        .submit_container(bytes, Some(y.index() as u32), None)
+        .unwrap();
+    let NetEvent::Result(r) = client.read_event().unwrap() else {
+        panic!("a v1 plan container must still evaluate");
+    };
+    assert_eq!(r.request_id, id);
+    // y = x * 2 + 1 over the unbound (zero) input x.
+    assert_eq!(r.value.as_deref(), Some(&[1.0f64; 16][..]));
+
+    door.close();
+    server.shutdown();
+    assert_eq!(door.stats().results_sent, 1);
+    assert_eq!(door.stats().errors_sent, 0);
+}
+
 #[test]
 fn handshake_violations_are_refused_with_codes() {
     let (door, server) = front_door(

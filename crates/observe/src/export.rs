@@ -345,7 +345,7 @@ impl Collect for ProfileTable {
             .labelled(&[("digest", &digest)], p.hits);
             set.counter(
                 "bh_profile_digest_plan_builds_total",
-                "Plan builds (cache misses and promotions) recorded per digest.",
+                "Plan builds (cache misses) recorded per digest.",
             )
             .labelled(&[("digest", &digest)], p.plan_builds);
             for (stage, hist) in p.stages.iter() {

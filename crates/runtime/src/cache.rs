@@ -36,31 +36,18 @@ pub struct EvalPlan {
     /// build so per-digest opcode accounting costs the profiler nothing
     /// on the eval path: totals are `census × hits`.
     pub opcode_census: Vec<(Opcode, u64)>,
-    /// The source program the plan was transformed from, exactly as it
-    /// entered the optimiser. Kept so the plan can be persisted as a
-    /// self-contained container (source + plan) and re-audited with
-    /// `bh_ir::check_equiv` on load — a plan without its source could
-    /// never be re-proven against anything.
-    pub source: Arc<Program>,
 }
 
 impl EvalPlan {
     /// Assemble a plan from its verified program, computing the opcode
-    /// census. The one constructor both ways into the cache share: a
-    /// miss (just optimised) and a warm load (just re-validated).
-    pub fn new(
-        program: Verified,
-        report: OptReport,
-        source_fingerprint: u64,
-        source: Arc<Program>,
-    ) -> EvalPlan {
+    /// census.
+    pub fn new(program: Verified, report: OptReport, source_fingerprint: u64) -> EvalPlan {
         let opcode_census = opcode_census(&program);
         EvalPlan {
             program,
             report,
             source_fingerprint,
             opcode_census,
-            source,
         }
     }
 }
@@ -157,16 +144,6 @@ impl TransformCache {
         );
         plan
     }
-
-    /// Every live entry, for persistence snapshots. Order is
-    /// unspecified; callers re-key on load anyway (the digest is
-    /// recomputed from the decoded source, never trusted from disk).
-    pub fn entries(&self) -> Vec<(CacheKey, Arc<EvalPlan>)> {
-        self.map
-            .iter()
-            .map(|(k, e)| (k.clone(), Arc::clone(&e.plan)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -176,9 +153,8 @@ mod tests {
     use bh_opt::Optimizer;
 
     fn plan_for(text: &str) -> (CacheKey, Arc<EvalPlan>) {
-        let source = parse_program(text).unwrap();
-        let digest = source.structural_digest();
-        let mut program = source.clone();
+        let mut program = parse_program(text).unwrap();
+        let digest = program.structural_digest();
         let report = Optimizer::default().run(&mut program);
         let fp = digest.fingerprint();
         (
@@ -190,7 +166,6 @@ mod tests {
                 bh_ir::verify_owned(program).expect("test program verifies"),
                 report,
                 fp,
-                Arc::new(source),
             )),
         )
     }

@@ -17,10 +17,9 @@
 //! * aggregated [`RuntimeStats`] across every evaluation from every
 //!   context and thread sharing the runtime.
 //!
-//! There is one compile path — a cache miss optimises, optionally
-//! audits, verifies and inserts — and one load path, the warm start from
-//! a persisted snapshot (DESIGN.md §14 records why there is no second,
-//! cheaper tier).
+//! A plan enters the cache by exactly one path — a cache miss optimises,
+//! optionally audits, verifies and inserts (DESIGN.md §14 records why
+//! there is no second, cheaper tier; §16 why plans are not persisted).
 //!
 //! Front-ends hold an `Arc<Runtime>` and call [`Runtime::eval`]; each
 //! call returns the tensor alongside an [`EvalOutcome`] (plan, per-run
@@ -62,7 +61,6 @@
 #![warn(missing_debug_implementations)]
 
 mod cache;
-mod persist;
 mod runtime;
 mod stats;
 

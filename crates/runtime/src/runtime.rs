@@ -1,7 +1,6 @@
 //! The unified runtime: optimise → plan → execute behind one handle.
 
 use crate::cache::{CacheKey, EvalPlan, TransformCache};
-use crate::persist;
 use crate::stats::RuntimeStats;
 use bh_ir::Program;
 use bh_observe::{DigestProfile, EvalSample, ProfileTable, TracePhase, TraceSink};
@@ -86,7 +85,6 @@ pub struct Runtime {
     sink: Option<StatsSink>,
     profile: Option<Arc<ProfileTable>>,
     tracer: Option<Arc<dyn TraceSink>>,
-    persist_path: Option<std::path::PathBuf>,
 }
 
 impl Default for Runtime {
@@ -221,64 +219,6 @@ impl Runtime {
         out
     }
 
-    /// The snapshot path plans persist to, when configured (see
-    /// [`RuntimeBuilder::persist_path`]).
-    pub fn persist_path(&self) -> Option<&std::path::Path> {
-        self.persist_path.as_deref()
-    }
-
-    /// Snapshot the transformation cache to the configured
-    /// [`RuntimeBuilder::persist_path`] now, atomically (temp file +
-    /// rename). Returns the number of plans written; `Ok(0)` without
-    /// touching disk when no path is configured. Also runs automatically
-    /// when the runtime is dropped, so an orderly shutdown needs no
-    /// explicit call — use this for periodic checkpoints.
-    ///
-    /// Only entries built under the runtime's own options are written:
-    /// ad-hoc [`Runtime::eval_with`] plans would re-load as rejects
-    /// (their options fingerprint can never match), so they are not
-    /// worth the bytes.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure creating, writing, syncing or renaming the
-    /// snapshot file.
-    pub fn persist(&self) -> std::io::Result<usize> {
-        let Some(path) = &self.persist_path else {
-            return Ok(0);
-        };
-        let entries: Vec<_> = self
-            .cache
-            .lock()
-            .entries()
-            .into_iter()
-            .filter(|(key, _)| key.options == self.options)
-            .collect();
-        persist::write_snapshot(path, &entries)
-    }
-
-    /// Warm-start from the configured snapshot, if any. Every entry is
-    /// re-validated from scratch — decoded fail-closed, source and plan
-    /// re-verified, digest recomputed, equivalence re-proven — before
-    /// insertion; failures count as [`RuntimeStats::warm_rejects`] and
-    /// are dropped. Audit counters are deliberately untouched: the
-    /// `audits.total() == cache_misses` invariant is about plans this
-    /// process compiled, and warm loads are not.
-    fn load_persisted(&self) {
-        let Some(path) = &self.persist_path else {
-            return;
-        };
-        for blob in persist::read_containers(path) {
-            match persist::revalidate(&blob, &self.options) {
-                Some((key, plan)) => {
-                    self.cache.lock().insert(key, plan);
-                    self.stats.lock().warm_loads += 1;
-                }
-                None => self.stats.lock().warm_rejects += 1,
-            }
-        }
-    }
-
     /// Snapshot of the aggregated counters.
     pub fn stats(&self) -> RuntimeStats {
         *self.stats.lock()
@@ -394,12 +334,7 @@ impl Runtime {
             let verified = bh_ir::verify_owned(optimised).map_err(|(_, e)| VmError::Invalid(e))?;
             Ok::<_, VmError>((verified, begun.elapsed()))
         })?;
-        let plan = Arc::new(EvalPlan::new(
-            verified,
-            report,
-            fingerprint,
-            Arc::new(program.clone()),
-        ));
+        let plan = Arc::new(EvalPlan::new(verified, report, fingerprint));
         if let Some(table) = &self.profile {
             table.record_plan_build(
                 fingerprint,
@@ -576,18 +511,6 @@ impl Runtime {
     }
 }
 
-impl Drop for Runtime {
-    /// Snapshot-on-drain: an orderly shutdown writes the hot plans to
-    /// the configured [`RuntimeBuilder::persist_path`] so the next
-    /// process warm-starts instead of re-optimising the morning rush.
-    /// Best-effort — a failing disk must not turn shutdown into a panic.
-    fn drop(&mut self) {
-        if self.persist_path.is_some() {
-            let _ = self.persist();
-        }
-    }
-}
-
 /// Configures and builds a [`Runtime`].
 ///
 /// # Examples
@@ -615,7 +538,6 @@ pub struct RuntimeBuilder {
     profile_capacity: usize,
     tracer: Option<Arc<dyn TraceSink>>,
     audit: bool,
-    persist_path: Option<std::path::PathBuf>,
 }
 
 impl Default for RuntimeBuilder {
@@ -630,7 +552,6 @@ impl Default for RuntimeBuilder {
             profile_capacity: 1024,
             tracer: None,
             audit: false,
-            persist_path: None,
         }
     }
 }
@@ -655,7 +576,6 @@ impl fmt::Debug for RuntimeBuilder {
             .field("profile_capacity", &self.profile_capacity)
             .field("has_tracer", &self.tracer.is_some())
             .field("audit", &self.audit)
-            .field("persist_path", &self.persist_path)
             .finish()
     }
 }
@@ -768,23 +688,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Persist the transformation cache across process lifetimes: load a
-    /// snapshot from `path` at build time (warm start) and write one
-    /// back on drop and on explicit [`Runtime::persist`] calls.
-    ///
-    /// A missing or unreadable snapshot is a silent cold start. Every
-    /// loaded plan is re-verified and re-proven equivalent to its source
-    /// before it can serve ([`RuntimeStats::warm_loads`] /
-    /// [`RuntimeStats::warm_rejects`] count the outcomes) — the file is
-    /// a cache, never a trust anchor.
-    pub fn persist_path(mut self, path: impl Into<std::path::PathBuf>) -> RuntimeBuilder {
-        self.persist_path = Some(path.into());
-        self
-    }
-
     /// Build the runtime.
     pub fn build(self) -> Runtime {
-        let runtime = Runtime {
+        Runtime {
             options: self.options,
             audit: self.audit,
             cache_capacity: self.cache_capacity,
@@ -796,10 +702,7 @@ impl RuntimeBuilder {
                 .profiling
                 .then(|| Arc::new(ProfileTable::new(self.profile_capacity))),
             tracer: self.tracer,
-            persist_path: self.persist_path,
-        };
-        runtime.load_persisted();
-        runtime
+        }
     }
 
     /// Build the runtime already wrapped for sharing across contexts and
@@ -1277,140 +1180,5 @@ mod tests {
         let (_, o) = rt.eval(&p, &[], reg).unwrap();
         assert!(!o.cache_hit);
         assert_eq!(rt.stats().cache_misses, 2);
-    }
-
-    fn snapshot_path(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("bh_runtime_{tag}_{}_{n}.bhss", std::process::id()))
-    }
-
-    #[test]
-    fn warm_start_serves_persisted_plans_with_zero_reoptimisation() {
-        let path = snapshot_path("warm");
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        let cold_value = {
-            let rt = Runtime::builder().persist_path(&path).build();
-            assert_eq!(rt.stats().warm_loads, 0); // nothing to load yet
-            let (v, _) = rt.eval(&p, &[], reg).unwrap();
-            assert!(rt.stats().rules_fired > 0);
-            v
-            // Drop writes the snapshot.
-        };
-        let rt = Runtime::builder().persist_path(&path).build();
-        let stats = rt.stats();
-        assert_eq!(stats.warm_loads, 1, "{stats}");
-        assert_eq!(stats.warm_rejects, 0);
-        assert_eq!(rt.cached_plans(), 1);
-        let (v, o) = rt.eval(&p, &[], reg).unwrap();
-        assert!(o.cache_hit, "warm-started digest must hit immediately");
-        assert_eq!(v, cold_value);
-        // Zero re-optimisation: no miss, no rule fired, no compile-side
-        // verification (the load-time re-verify is bh-ir's, not a plan
-        // compile). The loaded plan's report says the same.
-        let stats = rt.stats();
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.rules_fired, 0);
-        assert_eq!(stats.verifications, 0);
-        assert_eq!(o.plan.report.iterations, 0);
-        assert_eq!(o.plan.report.audits, 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn explicit_persist_checkpoints_without_dropping() {
-        let path = snapshot_path("checkpoint");
-        let rt = Runtime::builder().persist_path(&path).build();
-        assert_eq!(rt.persist_path(), Some(path.as_path()));
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        rt.eval(&p, &[], reg).unwrap();
-        assert_eq!(rt.persist().unwrap(), 1);
-        // Plans built under ad-hoc options are not snapshotted: a loader
-        // keyed on the runtime's own options could never accept them.
-        rt.eval_with(&p, &[], reg, &OptOptions::level(OptLevel::O0))
-            .unwrap();
-        assert_eq!(rt.cached_plans(), 2);
-        assert_eq!(rt.persist().unwrap(), 1);
-        let warm = Runtime::builder().persist_path(&path).build();
-        assert_eq!(warm.stats().warm_loads, 1);
-        assert_eq!(warm.stats().warm_rejects, 0);
-        let _ = std::fs::remove_file(&path);
-        // No configured path: a silent no-op, not an error.
-        assert_eq!(Runtime::new().persist().unwrap(), 0);
-    }
-
-    #[test]
-    fn warm_start_under_different_options_rejects_instead_of_serving() {
-        let path = snapshot_path("optskew");
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        {
-            let rt = Runtime::builder().persist_path(&path).build();
-            rt.eval(&p, &[], reg).unwrap();
-        }
-        // Strict-math runtime: the fast-math plan must not be served.
-        let rt = Runtime::builder().strict_math().persist_path(&path).build();
-        let stats = rt.stats();
-        assert_eq!(stats.warm_loads, 0);
-        assert_eq!(stats.warm_rejects, 1);
-        assert_eq!(rt.cached_plans(), 0);
-        // And the runtime still serves correctly, cold.
-        let (v, o) = rt.eval(&p, &[], reg).unwrap();
-        assert!(!o.cache_hit);
-        assert_eq!(v.to_f64_vec(), vec![3.0; 10]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_a_cold_start_never_a_panic() {
-        let path = snapshot_path("corrupt");
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        {
-            let rt = Runtime::builder().persist_path(&path).build();
-            rt.eval(&p, &[], reg).unwrap();
-        }
-        // Flip every byte of the snapshot in turn; each mutant either
-        // cold-starts or counts a reject — and always still serves.
-        let pristine = std::fs::read(&path).unwrap();
-        for idx in [4, 14, 22, pristine.len() / 2, pristine.len() - 1] {
-            let mut bytes = pristine.clone();
-            bytes[idx] ^= 0xff;
-            std::fs::write(&path, &bytes).unwrap();
-            let rt = Runtime::builder()
-                .persist_path(&path)
-                .cache_capacity(8)
-                .build();
-            let stats = rt.stats();
-            assert!(stats.warm_loads + stats.warm_rejects <= 1, "{stats}");
-            let (v, _) = rt.eval(&p, &[], reg).unwrap();
-            assert_eq!(v.to_f64_vec(), vec![3.0; 10]);
-            // Never persist the mutant back over itself mid-loop.
-            std::fs::write(&path, &pristine).unwrap();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn warm_loads_leave_the_audit_invariant_intact() {
-        let path = snapshot_path("auditinv");
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        {
-            let rt = Runtime::builder().audit(true).persist_path(&path).build();
-            rt.eval(&p, &[], reg).unwrap();
-        }
-        let rt = Runtime::builder().audit(true).persist_path(&path).build();
-        rt.eval(&p, &[], reg).unwrap();
-        let stats = rt.stats();
-        assert_eq!(stats.warm_loads, 1);
-        // Warm loads are not misses, and they touch no audit counters —
-        // the compile-side invariant still holds.
-        assert_eq!(stats.audits.total(), stats.cache_misses);
-        assert_eq!(stats.audits.total(), 0);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -86,17 +86,6 @@ pub struct RuntimeStats {
     /// Whole-plan audit counters (all zero unless
     /// [`crate::RuntimeBuilder::audit`] is on).
     pub audits: AuditCounters,
-    /// Plans restored from a persisted snapshot at build time
-    /// ([`crate::RuntimeBuilder::persist_path`]). Each one was decoded,
-    /// re-verified and re-audited before insertion — a warm-started
-    /// runtime serves these digests with zero re-optimisation, which is
-    /// exactly what this counter proves on a dashboard.
-    pub warm_loads: u64,
-    /// Snapshot entries that failed re-validation on load (bad container,
-    /// digest mismatch, failed verification or equivalence audit) and
-    /// were discarded. Non-zero after a restart means the snapshot was
-    /// stale or tampered with — never that anything unsound was served.
-    pub warm_rejects: u64,
 }
 
 impl RuntimeStats {
@@ -153,8 +142,6 @@ impl Add for RuntimeStats {
             eval_nanos: self.eval_nanos.saturating_add(rhs.eval_nanos),
             exec: self.exec + rhs.exec,
             audits: self.audits + rhs.audits,
-            warm_loads: self.warm_loads.saturating_add(rhs.warm_loads),
-            warm_rejects: self.warm_rejects.saturating_add(rhs.warm_rejects),
         }
     }
 }
@@ -190,7 +177,7 @@ impl bh_observe::Collect for RuntimeStats {
         .value(self.hit_rate());
         set.counter(
             "bh_runtime_verifications_total",
-            "Byte-code verification passes (once per tier compile, never per eval).",
+            "Byte-code verification passes (once per cache miss, never per eval).",
         )
         .value(self.verifications);
         set.counter(
@@ -208,16 +195,6 @@ impl bh_observe::Collect for RuntimeStats {
             "Unproven plans replaced by their unoptimised source program.",
         )
         .value(self.audits.rolled_back);
-        set.counter(
-            "bh_runtime_warm_loads_total",
-            "Plans restored (re-verified and re-audited) from a persisted snapshot.",
-        )
-        .value(self.warm_loads);
-        set.counter(
-            "bh_runtime_warm_rejects_total",
-            "Snapshot entries discarded on load after failing re-validation.",
-        )
-        .value(self.warm_rejects);
         set.counter(
             "bh_runtime_rules_fired_total",
             "Rewrite-rule applications across all cache misses.",
@@ -246,7 +223,7 @@ impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "evals={} hits={} misses={} hit-rate={:.0}% verifies={} audits={} rules={} warm={}/{} mean-eval={:?} [{}]",
+            "evals={} hits={} misses={} hit-rate={:.0}% verifies={} audits={} rules={} mean-eval={:?} [{}]",
             self.evals,
             self.cache_hits,
             self.cache_misses,
@@ -254,8 +231,6 @@ impl fmt::Display for RuntimeStats {
             self.verifications,
             self.audits.total(),
             self.rules_fired,
-            self.warm_loads,
-            self.warm_rejects,
             self.mean_eval_time(),
             self.exec
         )

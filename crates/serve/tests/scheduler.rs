@@ -184,8 +184,13 @@ fn unweighted_tenants_fall_back_to_the_default_weight() {
 #[test]
 fn adaptive_batcher_grows_under_light_load_and_converges_down_under_a_slow_engine() {
     // The injected slow engine: a stats sink that stalls every
-    // evaluation once `delay_us` is raised. Latency SLO is 2ms — trivial
-    // 8-element programs hold it easily, 10ms-stalled ones cannot.
+    // evaluation once `delay_us` is raised. Latency SLO is 50ms — trivial
+    // 8-element programs hold it even on a contended vCPU, 60ms-stalled
+    // ones cannot: the stall exceeds the SLO itself, so a batch of one
+    // still slips and the limit cannot oscillate 1↔2 at the floor. This
+    // is still a wall-clock test; the margins are wide, not gone, until
+    // the scheduler takes its time from an injected clock (ROADMAP open
+    // item 1's clock seam).
     let delay_us = Arc::new(AtomicU64::new(0));
     let sink_delay = Arc::clone(&delay_us);
     let rt = Runtime::builder()
@@ -200,7 +205,7 @@ fn adaptive_batcher_grows_under_light_load_and_converges_down_under_a_slow_engin
         .workers(0)
         .min_batch(1)
         .max_batch(16)
-        .adaptive_batch(Duration::from_millis(2))
+        .adaptive_batch(Duration::from_millis(50))
         .build();
     let h = chain(8, 3);
 
@@ -223,8 +228,8 @@ fn adaptive_batcher_grows_under_light_load_and_converges_down_under_a_slow_engin
 
     // Phase 2 — slow engine: every window's p95 slips the SLO, so the
     // limit halves per window down to the floor.
-    delay_us.store(10_000, Ordering::Relaxed);
-    for _ in 0..8 {
+    delay_us.store(60_000, Ordering::Relaxed);
+    for _ in 0..4 {
         for outcome in server.submit_many((0..16).map(|_| Request::with_handle("t", &h))) {
             outcome.unwrap();
         }
@@ -237,7 +242,7 @@ fn adaptive_batcher_grows_under_light_load_and_converges_down_under_a_slow_engin
         "limit should converge to the floor under a slipped SLO: {stats}"
     );
     assert!(stats.batch_limits.shrinks() >= 4, "{stats}");
-    assert_eq!(stats.completed, 256);
+    assert_eq!(stats.completed, 192);
 }
 
 #[test]

@@ -1,18 +1,12 @@
-//! Persistence & wire protocol quickstart: a runtime that snapshots its
-//! plan cache across restarts, served over TCP.
+//! Wire protocol quickstart: a runtime served over TCP.
 //!
 //! ```text
 //! cargo run --release --example net_quickstart
 //! ```
 //!
-//! Two acts. First a "process" earns its optimised plans, snapshots
-//! them on shutdown (`RuntimeBuilder::persist_path`), and a restarted
-//! runtime warm-starts from the snapshot — every plan re-verified and
-//! re-proven before it may serve, with `RuntimeStats::warm_loads`
-//! proving the restart was warm and `cache_misses == 0` proving it
-//! never re-optimised. Second, the warm runtime goes on the wire: a
-//! `NetServer` front door, a `NetClient` speaking length-prefixed
-//! container frames, and a hostile submission answered by a typed error
+//! A `NetServer` front door over a batching `Server`, a `NetClient`
+//! speaking length-prefixed container frames, a second pass that is all
+//! plan-cache hits, and a hostile submission answered by a typed error
 //! frame instead of a panic.
 
 use bh_net::{NetClient, NetEvent, NetServer};
@@ -32,48 +26,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bh_ir::parse_program(&text).expect("quickstart program parses")
         })
         .collect();
-    let snapshot =
-        std::env::temp_dir().join(format!("bh-net-quickstart-{}.bhss", std::process::id()));
 
-    // Act 1 — earn the plans, snapshot on drop.
-    {
-        let rt = Runtime::builder().persist_path(&snapshot).build();
-        for p in &programs {
-            let a = p.reg_by_name("a").unwrap();
-            rt.eval(p, &[], a)?;
-        }
-        println!(
-            "cold process: {} optimiser runs earned the cache",
-            rt.stats().cache_misses
-        );
-        // Dropping the runtime writes the snapshot atomically.
-    }
-
-    // Act 2 — a restarted runtime warm-starts, then serves over TCP.
-    let rt = Runtime::builder().persist_path(&snapshot).build_shared();
-    let stats = rt.stats();
-    println!(
-        "warm restart: {} plans re-validated from the snapshot ({} rejected)",
-        stats.warm_loads, stats.warm_rejects
-    );
-
+    let rt = Runtime::builder().build_shared();
     let server = Arc::new(Server::builder(Arc::clone(&rt)).workers(1).build());
     let door = NetServer::bind("127.0.0.1:0", Arc::clone(&server))?;
     println!("front door on {}", door.local_addr());
 
     let mut client = NetClient::connect(door.local_addr(), "tenant-a")?;
-    for p in &programs {
-        let a = p.reg_by_name("a").unwrap();
-        match client.call(p, Some(a), None)? {
-            NetEvent::Result(r) => assert_eq!(r.value.unwrap()[0], 48.0),
-            NetEvent::Rejected(r) => panic!("rejected: {} ({})", r.code, r.detail),
+    for pass in ["first", "second"] {
+        for p in &programs {
+            let a = p.reg_by_name("a").unwrap();
+            match client.call(p, Some(a), None)? {
+                NetEvent::Result(r) => assert_eq!(r.value.unwrap()[0], 48.0),
+                NetEvent::Rejected(r) => panic!("rejected: {} ({})", r.code, r.detail),
+            }
         }
+        let stats = rt.stats();
+        println!(
+            "{pass} pass: {} requests over TCP so far, {} optimiser runs, {} cache hits",
+            stats.evals, stats.cache_misses, stats.cache_hits
+        );
     }
-    println!(
-        "served {} requests over TCP with zero re-optimisation (cache misses: {})",
-        programs.len(),
-        rt.stats().cache_misses
-    );
+    assert_eq!(rt.stats().cache_misses, programs.len() as u64);
+    assert_eq!(rt.stats().cache_hits, programs.len() as u64);
 
     // Hostile bytes become a typed error frame, never a panic.
     let id = client.submit_container(b"BHPC but not really".to_vec(), None, None)?;
@@ -90,6 +65,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     door.close();
     server.shutdown();
-    let _ = std::fs::remove_file(&snapshot);
     Ok(())
 }

@@ -81,8 +81,6 @@ fn synthetic_metrics() -> MetricSet {
             failed: 1,
             rolled_back: 1,
         },
-        warm_loads: 3,
-        warm_rejects: 1,
     };
 
     let mut serve = ServeStats {
