@@ -1,6 +1,6 @@
 //! Closed-loop multi-tenant load generator for `bh-serve`.
 //!
-//! Drives the same request trace through several configurations and
+//! Drives the same request trace through two configurations and
 //! writes `BENCH_serve.json` (throughput + latency percentiles) so the
 //! repo has a perf trajectory for the serving layer:
 //!
@@ -8,14 +8,10 @@
 //!   own digest computation, plan-cache lookup and VM checkout via
 //!   `Runtime::eval`, in the round-robin tenant order an unbatched
 //!   server would process them.
-//! * **serve** — the batching [`Server`] with the default fixed batch
-//!   limit: per-tenant closed-loop clients submit bursts; same-digest
-//!   requests group into micro-batches that share one plan lookup and
-//!   one pinned VM.
-//! * **fixed sweep vs adaptive** — the churn workload re-run at several
-//!   hand-tuned fixed `max_batch` values and once under the adaptive
-//!   policy (`adaptive_batch`), which must discover a batch limit that
-//!   matches the best hand-tuned value without being told it.
+//! * **serve** — the batching [`Server`] with the default batch limit:
+//!   per-tenant closed-loop clients submit bursts; same-digest requests
+//!   group into micro-batches that share one plan lookup and one pinned
+//!   VM.
 //!
 //! Two workloads are measured. `churn` is the serving regime the
 //! scheduler exists for: the tenant-program population (one program per
@@ -38,24 +34,6 @@ const CACHE_CAPACITY: usize = 8; // < TENANTS: the churn regime
 const MAX_BATCH: usize = 16;
 const WORKERS: usize = 2;
 
-/// Fixed batch limits hand-swept on the churn workload; the adaptive
-/// policy competes against the best of these.
-const FIXED_SWEEP: [usize; 4] = [4, 16, 64, 256];
-
-/// Requests per tenant in the sweep/adaptive comparison: long enough
-/// that the adaptive controller's ramp-up (slow start from `min_batch`,
-/// ~8 decision windows per worker to reach the ceiling) amortises into
-/// steady state, the regime batch policies are judged in — every
-/// contender runs the same trace length.
-const SWEEP_ROUNDS: usize = 8 * ROUNDS;
-
-/// Adaptive configuration: the ceiling matches the top of the sweep, and
-/// the SLO is set to the loose tail budget a latency-tolerant batch
-/// service would run with — the controller is free to grow as long as
-/// p95 turnaround stays under it.
-const ADAPTIVE_CEILING: usize = 256;
-const ADAPTIVE_SLO: Duration = Duration::from_millis(25);
-
 /// One tenant's program: `k` adds over its own vector length, so every
 /// tenant has a distinct structural digest but comparable work.
 fn tenant_program(tenant: usize) -> ProgramHandle {
@@ -74,20 +52,6 @@ fn runtime() -> Arc<Runtime> {
         .build_shared()
 }
 
-/// Which batch policy a serve run uses.
-#[derive(Clone, Copy)]
-enum BatchMode {
-    Fixed(usize),
-    Adaptive,
-}
-
-#[derive(Default)]
-struct AdaptSummary {
-    grows: u64,
-    shrinks: u64,
-    last_limit: Option<usize>,
-}
-
 struct Measured {
     requests: usize,
     elapsed: Duration,
@@ -95,7 +59,6 @@ struct Measured {
     p50: Duration,
     p95: Duration,
     p99: Duration,
-    adapt: Option<AdaptSummary>,
 }
 
 impl Measured {
@@ -148,23 +111,19 @@ fn run_naive(handles: &[ProgramHandle], rounds: usize) -> Measured {
         p50: pick(0.50),
         p95: pick(0.95),
         p99: pick(0.99),
-        adapt: None,
     }
 }
 
 /// The same trace through the batching server: one closed-loop client
 /// thread per tenant, submitting `BURST` tickets then waiting for them.
-fn run_serve(handles: &[ProgramHandle], rounds: usize, mode: BatchMode) -> Measured {
-    let builder = Server::builder(runtime())
-        .workers(WORKERS)
-        .queue_capacity(TENANTS * BURST * 2);
-    let builder = match mode {
-        BatchMode::Fixed(max_batch) => builder.max_batch(max_batch),
-        BatchMode::Adaptive => builder
-            .max_batch(ADAPTIVE_CEILING)
-            .adaptive_batch(ADAPTIVE_SLO),
-    };
-    let server = Arc::new(builder.build());
+fn run_serve(handles: &[ProgramHandle], rounds: usize) -> Measured {
+    let server = Arc::new(
+        Server::builder(runtime())
+            .workers(WORKERS)
+            .queue_capacity(TENANTS * BURST * 2)
+            .max_batch(MAX_BATCH)
+            .build(),
+    );
     let start = Instant::now();
     let clients: Vec<_> = handles
         .iter()
@@ -203,17 +162,9 @@ fn run_serve(handles: &[ProgramHandle], rounds: usize, mode: BatchMode) -> Measu
     }
     let elapsed = start.elapsed();
     // Snapshot after shutdown: the drain has joined the workers, so the
-    // final batch's stats (and the last limit decisions) are all in.
+    // final batch's stats are all in.
     server.shutdown();
     let stats = server.stats();
-    let adapt = match mode {
-        BatchMode::Fixed(_) => None,
-        BatchMode::Adaptive => Some(AdaptSummary {
-            grows: stats.batch_limits.grows(),
-            shrinks: stats.batch_limits.shrinks(),
-            last_limit: stats.batch_limits.last_limit(),
-        }),
-    };
     Measured {
         requests: (rounds * handles.len()),
         elapsed,
@@ -221,7 +172,6 @@ fn run_serve(handles: &[ProgramHandle], rounds: usize, mode: BatchMode) -> Measu
         p50: stats.latency.p50(),
         p95: stats.latency.p95(),
         p99: stats.latency.p99(),
-        adapt,
     }
 }
 
@@ -514,15 +464,15 @@ fn main() {
     // Warm-up pass so one-time costs (thread spawn paths, allocator)
     // don't skew whichever side runs first.
     run_naive(&churn_handles[..2], 4);
-    run_serve(&churn_handles[..2], 4, BatchMode::Fixed(MAX_BATCH));
+    run_serve(&churn_handles[..2], 4);
 
     // One pass is 768 requests — 5-20ms — so a single scheduler hiccup on
     // either side moves the ratio by tens of percent: keep the best of a
     // few passes per side, as the compile-cost sections below do.
     let churn_naive = best_of(|| run_naive(&churn_handles, ROUNDS));
-    let churn_serve = best_of(|| run_serve(&churn_handles, ROUNDS, BatchMode::Fixed(MAX_BATCH)));
+    let churn_serve = best_of(|| run_serve(&churn_handles, ROUNDS));
     let hot_naive = best_of(|| run_naive(&hot_handles, ROUNDS));
-    let hot_serve = best_of(|| run_serve(&hot_handles, ROUNDS, BatchMode::Fixed(MAX_BATCH)));
+    let hot_serve = best_of(|| run_serve(&hot_handles, ROUNDS));
 
     let churn_speedup = churn_serve.rps() / churn_naive.rps();
     let hot_speedup = hot_serve.rps() / hot_naive.rps();
@@ -539,50 +489,6 @@ fn main() {
         hot_serve.rps(),
         hot_speedup,
         hot_serve.mean_batch,
-    );
-
-    // The adaptive-vs-fixed regime: hand-sweep fixed limits on churn,
-    // then let the controller find its own. Best-of-3 per configuration
-    // so one scheduler hiccup doesn't crown the wrong winner.
-    let best_of = |mode: BatchMode| -> Measured {
-        let mut best: Option<Measured> = None;
-        for _ in 0..3 {
-            let m = run_serve(&churn_handles, SWEEP_ROUNDS, mode);
-            if best.as_ref().is_none_or(|b| m.rps() > b.rps()) {
-                best = Some(m);
-            }
-        }
-        best.expect("three runs measured")
-    };
-    let sweep: Vec<(usize, Measured)> = FIXED_SWEEP
-        .iter()
-        .map(|&max_batch| {
-            let m = best_of(BatchMode::Fixed(max_batch));
-            eprintln!(
-                "churn fixed max_batch {max_batch:>3}: {:.0} req/s (mean batch {:.1})",
-                m.rps(),
-                m.mean_batch
-            );
-            (max_batch, m)
-        })
-        .collect();
-    let adaptive = best_of(BatchMode::Adaptive);
-    let (best_fixed_batch, best_fixed) = sweep
-        .iter()
-        .max_by(|a, b| a.1.rps().total_cmp(&b.1.rps()))
-        .expect("sweep is non-empty");
-    let vs_best_fixed = adaptive.rps() / best_fixed.rps();
-    let adapt = adaptive.adapt.as_ref().expect("adaptive run records");
-    eprintln!(
-        "churn adaptive (ceiling {ADAPTIVE_CEILING}, slo {ADAPTIVE_SLO:?}): {:.0} req/s \
-         (mean batch {:.1}, limit {:?} after +{}/-{} decisions) — {:.2}x the best fixed \
-         (max_batch {best_fixed_batch})",
-        adaptive.rps(),
-        adaptive.mean_batch,
-        adapt.last_limit,
-        adapt.grows,
-        adapt.shrinks,
-        vs_best_fixed,
     );
 
     let overhead = run_observe_overhead();
@@ -621,40 +527,12 @@ fn main() {
         out,
         "  \"config\": {{\n    \"tenants\": {TENANTS},\n    \"rounds\": {ROUNDS},\n    \
          \"burst\": {BURST},\n    \"max_batch\": {MAX_BATCH},\n    \
-         \"workers\": {WORKERS},\n    \"plan_cache_capacity\": {CACHE_CAPACITY},\n    \
-         \"adaptive_ceiling\": {ADAPTIVE_CEILING},\n    \"adaptive_slo_ms\": {}\n  }},\n",
-        ADAPTIVE_SLO.as_millis()
+         \"workers\": {WORKERS},\n    \"plan_cache_capacity\": {CACHE_CAPACITY}\n  }},\n",
     );
     json_section(&mut out, "churn", &churn_naive, &churn_serve);
     out.push_str(",\n");
     json_section(&mut out, "hot", &hot_naive, &hot_serve);
-    out.push_str(",\n  \"churn_fixed_sweep\": {\n");
-    for (i, (max_batch, m)) in sweep.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    \"{max_batch}\": {{ \"rps\": {:.1}, \"mean_batch\": {:.2} }}{}",
-            m.rps(),
-            m.mean_batch,
-            if i + 1 < sweep.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  },\n");
-    let _ = write!(
-        out,
-        "  \"churn_adaptive\": {{\n    \"rps\": {:.1},\n    \"mean_batch\": {:.2},\n    \
-         \"speedup_vs_naive\": {:.2},\n    \"vs_best_fixed\": {:.2},\n    \
-         \"best_fixed_max_batch\": {best_fixed_batch},\n    \"grows\": {},\n    \
-         \"shrinks\": {},\n    \"final_limit\": {},\n    \
-         \"p95_us\": {:.1}\n  }},\n",
-        adaptive.rps(),
-        adaptive.mean_batch,
-        adaptive.rps() / churn_naive.rps(),
-        vs_best_fixed,
-        adapt.grows,
-        adapt.shrinks,
-        adapt.last_limit.unwrap_or(0),
-        adaptive.p95.as_secs_f64() * 1e6,
-    );
+    out.push_str(",\n");
     let _ = write!(
         out,
         "  \"verify_amortisation\": {{\n    \"verify_pass_us\": {:.2},\n    \
@@ -722,17 +600,4 @@ fn main() {
          measured {:+.1}%",
         overhead.overhead() * 100.0
     );
-    // The throughput/latency comparisons are only stable with real
-    // parallel headroom: on tiny CI boxes a scheduler hiccup can swamp
-    // the margins, so gate the ratio asserts on >= 4 cpus (the numbers
-    // still land in BENCH_serve.json either way).
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    if cpus >= 4 {
-        assert!(
-            vs_best_fixed >= 0.9,
-            "the adaptive policy must match the best hand-tuned fixed max_batch \
-             on the churn workload (>= 0.9x), measured {vs_best_fixed:.2}x \
-             vs fixed max_batch {best_fixed_batch}"
-        );
-    }
 }

@@ -156,7 +156,7 @@ mod tests {
             elementwise_chain(100, 8),
             elementwise_chain_reduce(100, 8),
         ] {
-            bh_ir::validate(&p).unwrap();
+            bh_ir::verify(&p).unwrap();
             let mut vm = Vm::new();
             vm.run(&p).unwrap();
         }
@@ -167,7 +167,7 @@ mod tests {
         use bh_tensor::{random_tensor, DType, Distribution, Shape};
         let x = random_tensor(DType::Float64, Shape::vector(64), 7, Distribution::Uniform);
         for p in [sum_reduce(64), cumsum(64)] {
-            bh_ir::validate(&p).unwrap();
+            bh_ir::verify(&p).unwrap();
             let mut vm = Vm::new();
             vm.bind_by_name(&p, "x", &x).unwrap();
             vm.run(&p).unwrap();
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn inverse_matmul_program_validates() {
         let p = inverse_matmul(8);
-        bh_ir::validate(&p).unwrap();
+        bh_ir::verify(&p).unwrap();
         let mut vm = Vm::new();
         vm.bind_by_name(&p, "a", &well_conditioned(8, 1)).unwrap();
         vm.bind_by_name(

@@ -368,7 +368,7 @@ mod tests {
              BH_SYNC y\n",
         )
         .unwrap();
-        assert!(crate::validate(&p).is_ok());
+        assert!(crate::verify(&p).is_ok());
         assert!(!rerun_safe(&p));
     }
 

@@ -41,7 +41,6 @@ mod opcode;
 mod operand;
 mod parse;
 mod program;
-pub mod validate;
 pub mod verify;
 
 pub use analysis::{rerun_safe, DefUse, Liveness};
@@ -54,7 +53,6 @@ pub use opcode::{OpKind, Opcode, OpcodeTypeError, ParseOpcodeError, TypeRule, AL
 pub use operand::{Operand, Reg, ViewRef};
 pub use parse::{parse_program, parse_program_with, ParseError, ParseOptions};
 pub use program::{BaseDecl, PrintStyle, Program, ProgramBuilder};
-pub use validate::{validate, validate_instr, ValidationError};
 pub use verify::{
     verify, verify_instr, verify_owned, Verified, VerifiedProgram, VerifyCode, VerifyError,
 };

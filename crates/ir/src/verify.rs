@@ -306,8 +306,7 @@ pub fn verify_owned(program: Program) -> Result<Verified, (Program, Vec<VerifyEr
 }
 
 /// Check one instruction's local rules (everything except data-flow),
-/// collecting all problems — the all-errors replacement for the old
-/// first-error-only `validate_instr`.
+/// collecting all problems.
 pub fn verify_instr(program: &Program, instr: &Instruction) -> Vec<VerifyError> {
     let mut errors = Vec::new();
     if regs_in_range(program, 0, instr, &mut errors) {
@@ -1166,6 +1165,7 @@ mod tests {
         .unwrap();
         let errors = verify_instr(&p, &p.instrs()[0]);
         assert!(errors.len() >= 2, "{errors:?}");
+        assert!(verify_instr(&p, &Instruction::noop()).is_empty());
     }
 
     #[test]
@@ -1199,5 +1199,183 @@ mod tests {
         assert!(verify_instr(&p, &p.instrs()[0])
             .iter()
             .all(|e| e.code == VerifyCode::BadView));
+    }
+
+    #[test]
+    fn broadcastable_inputs_accepted() {
+        assert_eq!(
+            codes(
+                ".base x f64[1] input\n\
+                 .base y f64[5]\n\
+                 BH_IDENTITY y 0\n\
+                 BH_ADD y y x\n\
+                 BH_SYNC y\n"
+            ),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn dtype_rule_violations() {
+        assert_eq!(
+            codes(
+                ".base x i32[4] input\n\
+                 .base y i32[4]\n\
+                 BH_SQRT y x\n"
+            ),
+            vec![VerifyCode::UnsupportedDType]
+        );
+        assert_eq!(
+            codes(
+                ".base x f64[4] input\n\
+                 .base y i32[4] input\n\
+                 .base z f64[4]\n\
+                 BH_ADD z x y\n"
+            ),
+            vec![VerifyCode::InputDTypeMismatch]
+        );
+    }
+
+    #[test]
+    fn comparison_output_must_be_bool() {
+        assert_eq!(
+            codes(
+                ".base x f64[4] input\n\
+                 .base y f64[4]\n\
+                 BH_GREATER y x x\n"
+            ),
+            vec![VerifyCode::OutputDTypeMismatch]
+        );
+        assert_eq!(
+            codes(
+                ".base x f64[4] input\n\
+                 .base m bool[4]\n\
+                 BH_GREATER m x x\n\
+                 BH_SYNC m\n"
+            ),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn identity_casts_freely() {
+        assert_eq!(
+            codes(
+                ".base x i32[4] input\n\
+                 .base y f64[4]\n\
+                 BH_IDENTITY y x\n\
+                 BH_SYNC y\n"
+            ),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn reduction_shapes_and_axis() {
+        assert_eq!(
+            codes(
+                ".base m f64[3,4] input\n\
+                 .base s f64[3]\n\
+                 BH_ADD_REDUCE s m 1\n\
+                 BH_SYNC s\n"
+            ),
+            vec![]
+        );
+        assert_eq!(
+            codes(
+                ".base m f64[3,4] input\n\
+                 .base s f64[3]\n\
+                 BH_ADD_REDUCE s m 7\n"
+            ),
+            vec![VerifyCode::BadAxis]
+        );
+        assert_eq!(
+            codes(
+                ".base m f64[3,4] input\n\
+                 .base s f64[4]\n\
+                 BH_ADD_REDUCE s m 1\n"
+            ),
+            vec![VerifyCode::ReduceShapeMismatch]
+        );
+    }
+
+    #[test]
+    fn scan_preserves_shape() {
+        assert_eq!(
+            codes(
+                ".base m f64[6] input\n\
+                 .base c f64[6]\n\
+                 BH_ADD_ACCUMULATE c m 0\n\
+                 BH_SYNC c\n"
+            ),
+            vec![]
+        );
+        assert_eq!(
+            codes(
+                ".base m f64[6] input\n\
+                 .base c f64[5]\n\
+                 BH_ADD_ACCUMULATE c m 0\n"
+            ),
+            vec![VerifyCode::ScanShapeMismatch]
+        );
+    }
+
+    #[test]
+    fn matmul_dims() {
+        assert_eq!(
+            codes(
+                ".base a f64[2,3] input\n\
+                 .base b f64[3,4] input\n\
+                 .base c f64[2,4]\n\
+                 BH_MATMUL c a b\n\
+                 BH_SYNC c\n"
+            ),
+            vec![]
+        );
+        assert_eq!(
+            codes(
+                ".base a f64[2,3] input\n\
+                 .base b f64[2,4] input\n\
+                 .base c f64[2,4]\n\
+                 BH_MATMUL c a b\n"
+            ),
+            vec![VerifyCode::LinalgShapeMismatch]
+        );
+    }
+
+    #[test]
+    fn solve_and_inverse_shapes() {
+        assert_eq!(
+            codes(
+                ".base a f64[3,3] input\n\
+                 .base b f64[3] input\n\
+                 .base x f64[3]\n\
+                 BH_SOLVE x a b\n\
+                 BH_SYNC x\n"
+            ),
+            vec![]
+        );
+        assert_eq!(
+            codes(
+                ".base a f64[3,4] input\n\
+                 .base i f64[3,4]\n\
+                 BH_INVERSE i a\n"
+            ),
+            vec![VerifyCode::LinalgShapeMismatch]
+        );
+    }
+
+    #[test]
+    fn random_seed_validated() {
+        assert_eq!(codes(".base r f64[8]\nBH_RANDOM r 42\nBH_SYNC r\n"), vec![]);
+        assert_eq!(
+            codes(".base r f64[8]\nBH_RANDOM r 1.5\n"),
+            vec![VerifyCode::BadSeed]
+        );
+    }
+
+    #[test]
+    fn free_of_unwritten_base_is_legal() {
+        assert_eq!(codes(".base x f64[4]\nBH_FREE x\n"), vec![]);
     }
 }

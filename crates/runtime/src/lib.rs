@@ -27,9 +27,8 @@
 //! per-context `set_engine` / `last_report` / `last_stats` trio.
 //! Serving layers drive the prepared-plan hot path
 //! ([`Runtime::prepare`] / [`Runtime::eval_prepared`]) instead; the VM
-//! reuse rules it must respect are specified in DESIGN.md §7, and the
-//! per-eval timing it feeds latency-SLO control loops (DESIGN.md §9) is
-//! aggregated in [`RuntimeStats::eval_nanos`].
+//! reuse rules it must respect are specified in DESIGN.md §7, and
+//! per-eval service time is aggregated in [`RuntimeStats::eval_nanos`].
 //!
 //! # Example
 //!

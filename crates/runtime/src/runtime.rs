@@ -4,7 +4,7 @@ use crate::cache::{CacheKey, EvalPlan, TransformCache};
 use crate::stats::RuntimeStats;
 use bh_ir::Program;
 use bh_observe::{DigestProfile, EvalSample, ProfileTable, TracePhase, TraceSink};
-use bh_opt::{OptLevel, OptOptions, OptReport, Optimizer, RewriteCtx};
+use bh_opt::{OptLevel, OptOptions, OptReport, Optimizer};
 use bh_tensor::Tensor;
 use bh_vm::{Engine, PooledVm, Vm, VmError, VmPool};
 use parking_lot::Mutex;
@@ -17,6 +17,10 @@ pub type StatsSink = Arc<dyn Fn(&EvalOutcome) + Send + Sync>;
 
 /// Upper bound on pooled VMs kept for reuse across evaluations.
 const VM_POOL_LIMIT: usize = 8;
+
+/// Digests the per-digest profile table retains before evicting the
+/// coldest.
+const PROFILE_CAPACITY: usize = 1024;
 
 /// What one evaluation did: the plan it ran (shared with the cache), the
 /// VM counters it accumulated, and whether the rewrite fixpoint was
@@ -535,7 +539,6 @@ pub struct RuntimeBuilder {
     cache_capacity: usize,
     sink: Option<StatsSink>,
     profiling: bool,
-    profile_capacity: usize,
     tracer: Option<Arc<dyn TraceSink>>,
     audit: bool,
 }
@@ -549,7 +552,6 @@ impl Default for RuntimeBuilder {
             cache_capacity: 256,
             sink: None,
             profiling: true,
-            profile_capacity: 1024,
             tracer: None,
             audit: false,
         }
@@ -573,7 +575,6 @@ impl fmt::Debug for RuntimeBuilder {
             .field("cache_capacity", &self.cache_capacity)
             .field("has_sink", &self.sink.is_some())
             .field("profiling", &self.profiling)
-            .field("profile_capacity", &self.profile_capacity)
             .field("has_tracer", &self.tracer.is_some())
             .field("audit", &self.audit)
             .finish()
@@ -590,13 +591,6 @@ impl RuntimeBuilder {
     /// Set just the optimisation level.
     pub fn opt_level(mut self, level: OptLevel) -> RuntimeBuilder {
         self.options.level = level;
-        self
-    }
-
-    /// Replace the rewrite-context knobs (fast-math policy, expansion
-    /// budget, observability).
-    pub fn rewrite_ctx(mut self, ctx: RewriteCtx) -> RuntimeBuilder {
-        self.options.ctx = ctx;
         self
     }
 
@@ -638,25 +632,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Install an already-shared observer (e.g. one taken from another
-    /// runtime via [`Runtime::stats_sink`]).
-    pub fn stats_sink_shared(mut self, sink: StatsSink) -> RuntimeBuilder {
-        self.sink = Some(sink);
-        self
-    }
-
     /// Enable or disable the per-digest profile table (enabled by
     /// default). Disabling removes even the profiler's two extra clock
     /// reads from the eval path.
     pub fn profiling(mut self, enabled: bool) -> RuntimeBuilder {
         self.profiling = enabled;
-        self
-    }
-
-    /// Digests the profile table retains before evicting the coldest
-    /// (default 1024; clamped to at least one per lock stripe).
-    pub fn profile_capacity(mut self, capacity: usize) -> RuntimeBuilder {
-        self.profile_capacity = capacity;
         self
     }
 
@@ -700,7 +680,7 @@ impl RuntimeBuilder {
             sink: self.sink,
             profile: self
                 .profiling
-                .then(|| Arc::new(ProfileTable::new(self.profile_capacity))),
+                .then(|| Arc::new(ProfileTable::new(PROFILE_CAPACITY))),
             tracer: self.tracer,
         }
     }

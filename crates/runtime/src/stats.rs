@@ -76,9 +76,7 @@ pub struct RuntimeStats {
     pub opt_iterations: u64,
     /// Total wall-clock nanoseconds spent inside evaluations (bind →
     /// execute → read-back; optimisation and queueing excluded). Divided
-    /// by [`RuntimeStats::evals`] this is the mean service time — the
-    /// signal a latency-SLO feedback loop (e.g. `bh-serve`'s adaptive
-    /// batcher, or a [`crate::StatsSink`] exporter) consumes.
+    /// by [`RuntimeStats::evals`] this is the mean service time.
     pub eval_nanos: u64,
     /// Aggregated VM execution counters (kernels launched, fused groups,
     /// memory traffic, flops, syncs) across all evaluations.

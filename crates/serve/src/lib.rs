@@ -1,13 +1,13 @@
-//! # bh-serve — adaptive multi-tenant batching scheduler for concurrent eval traffic
+//! # bh-serve — multi-tenant batching scheduler for concurrent eval traffic
 //!
 //! The paper's premise is that algebraically transformed byte-code is
 //! cheap to *re-execute* once rewritten; the runtime's transformation
 //! cache realises that per process. This crate realises it per *request
 //! stream*: a [`Server`] sits on top of a shared
 //! [`bh_runtime::Runtime`] and turns the stack into a traffic-serving
-//! system. The scheduling and control-loop invariants are specified in
-//! DESIGN.md §8 (queueing, batching, exactly-once resolution) and §9
-//! (adaptive batch sizing, weighted fairness).
+//! system. The scheduling invariants are specified in DESIGN.md §8
+//! (queueing, batching, exactly-once resolution) and §9 (weighted
+//! fairness).
 //!
 //! * **Bounded submission queue with backpressure** — overload is
 //!   rejected at submit time ([`ServeError::QueueFull`]), never buffered
@@ -19,13 +19,6 @@
 //!   amortise across the batch. The transformed program is a shared,
 //!   reusable artifact; the batcher is what makes N concurrent callers
 //!   actually share it.
-//! * **Load-aware batch sizing** — [`ServerBuilder::adaptive_batch`]
-//!   replaces the hand-tuned batch limit with an AIMD control loop:
-//!   per worker, the limit grows while the observed in-batch service
-//!   latency (the latency the batcher itself adds — the component the
-//!   limit controls) holds a high-percentile SLO, and halves when it
-//!   slips, with every decision recorded in
-//!   [`ServeStats::batch_limits`] (DESIGN.md §9).
 //! * **Weighted tenant scheduling** — batch leaders are picked by
 //!   smooth weighted round-robin over tenant lanes
 //!   ([`ServerBuilder::tenant_weight`]); a flooding tenant cannot starve
@@ -40,9 +33,8 @@
 //! * **Deadlines** — requests whose deadline passes while queued fail
 //!   fast instead of occupying a worker.
 //! * **[`ServeStats`]** — throughput counters, queue depth, batch-size
-//!   distribution, latency percentiles, batch-limit timeline and tenant
-//!   quotas, composing with [`bh_runtime::RuntimeStats`] into one
-//!   [`ServeReport`].
+//!   distribution, latency percentiles and tenant quotas, composing
+//!   with [`bh_runtime::RuntimeStats`] into one [`ServeReport`].
 //!
 //! # Example
 //!
@@ -50,13 +42,11 @@
 //! use bh_ir::parse_program;
 //! use bh_runtime::Runtime;
 //! use bh_serve::{ProgramHandle, Request, Server};
-//! use std::time::Duration;
 //!
 //! let server = Server::builder(Runtime::builder().build_shared())
 //!     .workers(2)
-//!     .max_batch(64)                             // ceiling, not a hand-tuned guess …
-//!     .adaptive_batch(Duration::from_millis(10)) // … the SLO drives the actual limit
-//!     .tenant_weight("tenant-0", 2)              // twice tenant-1's share under backlog
+//!     .max_batch(64)                // most same-digest requests per batch
+//!     .tenant_weight("tenant-0", 2) // twice tenant-1's share under backlog
 //!     .build();
 //!
 //! // One handle per logical program: the batching digest is computed once.
@@ -92,7 +82,4 @@ mod stats;
 pub use error::ServeError;
 pub use request::{ProgramHandle, Request, Response, Ticket};
 pub use server::{Rejected, Server, ServerBuilder};
-pub use stats::{
-    BatchLimitEvent, BatchLimitTimeline, BatchSizeDist, LatencyHistogram, ServeReport, ServeStats,
-    TenantQuotas,
-};
+pub use stats::{BatchSizeDist, LatencyHistogram, ServeReport, ServeStats, TenantQuotas};

@@ -9,16 +9,14 @@
 //!                                       │
 //!                                 ┌─────▼─────┐ prepare plan once,
 //!                                 │ worker(s) │ pin one pooled VM,
-//!                                 │  + AIMD   │ run batch back-to-back,
-//!                                 │ controller│ adapt batch limit to SLO
-//!                                 └─────┬─────┘
+//!                                 └─────┬─────┘ run batch back-to-back
 //!                                       │
 //!                          Ticket::wait / try_wait / on_done
 //! ```
 
 use crate::error::ServeError;
 use crate::request::{Request, Response, Slot, Ticket};
-use crate::stats::{BatchLimitEvent, ServeReport, ServeStats, TenantQuotas};
+use crate::stats::{LatencyHistogram, ServeReport, ServeStats, TenantQuotas};
 use bh_ir::{Program, ProgramDigest, Reg};
 use bh_observe::{Collect, MetricSet, TracePhase, TraceSink};
 use bh_runtime::Runtime;
@@ -63,164 +61,11 @@ impl From<Rejected> for ServeError {
     }
 }
 
-/// Most completed-request latencies a batch-limit decision aggregates
-/// before acting: large enough that one straggler cannot flap the
-/// limit at steady state. The actual window scales with the current
-/// limit (see [`AdaptiveState::window_target`]) so small limits decide
-/// — and ramp — in proportionally fewer requests.
-const DECISION_WINDOW: usize = 16;
-
 /// Upper bound on a tenant's scheduling weight. Keeps the smooth-WRR
 /// credit arithmetic far from `i64` overflow (the total active weight
 /// would need `capacity > 2^43` backlogged tenants to overflow) while
 /// leaving six orders of magnitude of prioritisation headroom.
 const MAX_TENANT_WEIGHT: u64 = 1 << 20;
-
-/// How the per-worker batch limit is chosen (see DESIGN.md §9).
-#[derive(Debug, Clone, Copy)]
-struct BatchPolicy {
-    /// Lower bound the limit can shrink to (≥ 1).
-    floor: usize,
-    /// Upper bound the limit can grow to.
-    ceiling: usize,
-    /// Target near-p95 in-batch service latency; `None` pins the limit at
-    /// `ceiling` (fixed policy).
-    slo: Option<Duration>,
-}
-
-impl BatchPolicy {
-    fn controller(&self) -> BatchController {
-        match self.slo {
-            None => BatchController::Fixed {
-                limit: self.ceiling,
-            },
-            Some(slo) => BatchController::Adaptive(AdaptiveState {
-                floor: self.floor,
-                ceiling: self.ceiling,
-                slo,
-                limit: self.floor,
-                slow_start: true,
-                window: Vec::with_capacity(DECISION_WINDOW),
-            }),
-        }
-    }
-}
-
-/// One completed request's latencies. Turnaround feeds the
-/// [`ServeStats`] histogram (what the caller experiences); the in-batch
-/// service component drives the adaptive controller (what the batch
-/// limit controls).
-#[derive(Debug, Clone, Copy)]
-struct LatencySample {
-    /// Submission → completion: what the caller experiences. Includes
-    /// queue wait, which measures *load*, not batch size.
-    turnaround_nanos: u64,
-    /// Batch-execution-start → completion: the component the batch
-    /// limit actually controls (waiting behind earlier members of the
-    /// same batch, plus plan preparation).
-    service_nanos: u64,
-}
-
-/// AIMD batch-limit state, owned by one worker (or by the external
-/// driver behind `service_once`). No cross-worker coordination: each
-/// worker's input is the in-batch service latency of the batches *it*
-/// executed — exactly the quantity its own limit controls — so
-/// controllers neither need nor benefit from each other's state.
-struct AdaptiveState {
-    floor: usize,
-    ceiling: usize,
-    slo: Duration,
-    limit: usize,
-    /// Doubling phase (TCP-style slow start): left permanently after the
-    /// first SLO slip, switching growth from ×2 to +1.
-    slow_start: bool,
-    /// Completed-request samples since the last decision.
-    window: Vec<LatencySample>,
-}
-
-impl AdaptiveState {
-    /// Samples a decision at the current limit waits for: about two
-    /// batches' worth, clamped to `[DECISION_WINDOW/4, DECISION_WINDOW]`.
-    /// Tying the window to the limit makes ramp-up take O(limit)
-    /// requests instead of a fixed count per doubling, while decisions
-    /// at large limits still average over a full window.
-    fn window_target(&self) -> usize {
-        (2 * self.limit).clamp(DECISION_WINDOW / 4, DECISION_WINDOW)
-    }
-
-    /// Fold one decision window, keyed on the window's high-percentile
-    /// *in-batch service latency* — the latency component the limit
-    /// actually controls. Turnaround (which adds queue wait) is
-    /// deliberately not consulted: queue wait measures load, and no
-    /// batch-limit move improves it — shrinking under a standing
-    /// backlog cuts throughput and deepens the queue (congestion
-    /// collapse), while growing is precisely what drains it. Queue wait
-    /// is governed by `queue_capacity`, deadlines and backpressure
-    /// instead.
-    ///
-    /// The statistic is the nearest-rank `floor(0.95·n)` sample, so at
-    /// every reachable window size one straggler (page fault, allocator
-    /// hiccup) is tolerated before a window counts as a slip.
-    fn decide(&mut self) -> Option<(usize, Duration, bool)> {
-        let mut nanos: Vec<u64> = std::mem::take(&mut self.window)
-            .iter()
-            .map(|s| s.service_nanos)
-            .collect();
-        nanos.sort_unstable();
-        let rank = ((0.95 * nanos.len() as f64).floor() as usize).max(1);
-        let service = Duration::from_nanos(nanos[rank - 1]);
-        if service <= self.slo {
-            if self.limit >= self.ceiling {
-                return None;
-            }
-            self.limit = if self.slow_start {
-                (self.limit * 2).min(self.ceiling)
-            } else {
-                self.limit + 1
-            };
-            return Some((self.limit, service, true));
-        }
-        self.slow_start = false;
-        let shrunk = (self.limit / 2).max(self.floor);
-        if shrunk == self.limit {
-            return None;
-        }
-        self.limit = shrunk;
-        Some((self.limit, service, false))
-    }
-}
-
-/// Per-scheduling-context batch-limit controller.
-enum BatchController {
-    Fixed { limit: usize },
-    Adaptive(AdaptiveState),
-}
-
-impl BatchController {
-    fn limit(&self) -> usize {
-        match self {
-            BatchController::Fixed { limit } => *limit,
-            BatchController::Adaptive(state) => state.limit,
-        }
-    }
-
-    /// Feed completed-request samples; returns the decisions made (new
-    /// limit, window p95 that drove it, grew) — at most a couple per
-    /// batch.
-    fn observe(&mut self, samples: &[LatencySample]) -> Vec<(usize, Duration, bool)> {
-        let BatchController::Adaptive(state) = self else {
-            return Vec::new();
-        };
-        let mut decisions = Vec::new();
-        for s in samples {
-            state.window.push(*s);
-            if state.window.len() >= state.window_target() {
-                decisions.extend(state.decide());
-            }
-        }
-        decisions
-    }
-}
 
 /// A request as it sits in a tenant lane.
 struct Queued {
@@ -356,16 +201,12 @@ impl Sched {
 struct Shared {
     runtime: Arc<Runtime>,
     capacity: usize,
-    policy: BatchPolicy,
+    max_batch: usize,
     default_deadline: Option<Duration>,
     sched: Mutex<Sched>,
     work: Condvar,
     stats: Mutex<ServeStats>,
     shutdown: AtomicBool,
-    /// Batch-limit controller for the external-driver path
-    /// ([`Server::service_once`] and the shutdown drain); worker threads
-    /// own their controllers locally.
-    external_ctl: Mutex<BatchController>,
     /// Digests whose programs already passed admission verification, so
     /// repeat traffic pays one `HashSet` probe instead of a re-verify —
     /// the admission-side mirror of the runtime's transformation cache.
@@ -443,10 +284,8 @@ impl Shared {
         }
     }
 
-    /// Execute one micro-batch, resolving every request in it. Returns
-    /// the completed requests' latency samples for the caller's batch
-    /// controller (empty when nothing completed).
-    fn process_batch(&self, batch: Vec<Queued>) -> Vec<LatencySample> {
+    /// Execute one micro-batch, resolving every request in it.
+    fn process_batch(&self, batch: Vec<Queued>) {
         let started = Instant::now();
         let mut expired = 0u64;
         let mut live = Vec::with_capacity(batch.len());
@@ -476,13 +315,15 @@ impl Shared {
             if expired > 0 {
                 self.stats.lock().expired += expired;
             }
-            return Vec::new();
+            return;
         }
 
         let batch_size = live.len();
         let mut completed = 0u64;
         let mut failed = 0u64;
-        let mut samples: Vec<LatencySample> = Vec::with_capacity(batch_size);
+        // Turnarounds land in a stack-local histogram and merge into the
+        // shared one under the single end-of-batch stats lock.
+        let mut latency = LatencyHistogram::new();
         let traced = self.tracing();
         let leader_fp = if traced {
             live[0].digest.fingerprint()
@@ -558,12 +399,7 @@ impl Shared {
                         Ok((value, outcome)) => {
                             let done = Instant::now();
                             completed += 1;
-                            let as_nanos =
-                                |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                            samples.push(LatencySample {
-                                turnaround_nanos: as_nanos(done - r.submitted),
-                                service_nanos: as_nanos(done - started),
-                            });
+                            latency.record(done - r.submitted);
                             r.slot.complete(Ok(Response {
                                 value,
                                 outcome,
@@ -594,41 +430,15 @@ impl Shared {
         stats.completed += completed;
         stats.failed += failed;
         stats.expired += expired;
-        for s in &samples {
-            stats
-                .latency
-                .record(Duration::from_nanos(s.turnaround_nanos));
-        }
-        drop(stats);
-        samples
-    }
-
-    /// Feed a batch's samples to a controller and record any limit
-    /// decisions in the stats timeline.
-    fn note_decisions(&self, ctl: &mut BatchController, samples: &[LatencySample]) {
-        let decisions = ctl.observe(samples);
-        if decisions.is_empty() {
-            return;
-        }
-        let mut stats = self.stats.lock();
-        let batch_seq = stats.batches;
-        for (limit, window_p95, grew) in decisions {
-            stats.batch_limits.record(BatchLimitEvent {
-                batch_seq,
-                limit,
-                window_p95,
-                grew,
-            });
-        }
+        stats.latency.merge(&latency);
     }
 
     fn worker_loop(&self) {
-        let mut ctl = self.policy.controller();
         loop {
             let batch = {
                 let mut sched = self.sched.lock();
                 loop {
-                    if let Some(batch) = sched.next_batch(ctl.limit()) {
+                    if let Some(batch) = sched.next_batch(self.max_batch) {
                         break batch;
                     }
                     // Drain before exit: shutdown only stops the loop once
@@ -639,8 +449,7 @@ impl Shared {
                     sched = self.work.wait(sched).unwrap_or_else(|e| e.into_inner());
                 }
             };
-            let samples = self.process_batch(batch);
-            self.note_decisions(&mut ctl, &samples);
+            self.process_batch(batch);
         }
     }
 }
@@ -649,7 +458,7 @@ impl Shared {
 ///
 /// # Examples
 ///
-/// The adaptive configuration (see DESIGN.md §9 for the control loop):
+/// A two-worker server with a paying tenant and a default deadline:
 ///
 /// ```
 /// use bh_runtime::Runtime;
@@ -659,8 +468,7 @@ impl Shared {
 /// let server = Server::builder(Runtime::builder().build_shared())
 ///     .workers(2)
 ///     .queue_capacity(1024)
-///     .max_batch(64)                                // adaptive ceiling
-///     .adaptive_batch(Duration::from_millis(5))     // p95 batching-latency SLO
+///     .max_batch(64)                                // the batch limit
 ///     .tenant_weight("paying-tenant", 3)            // 3× the default share
 ///     .default_deadline(Duration::from_millis(50))
 ///     .build();
@@ -670,9 +478,7 @@ pub struct ServerBuilder {
     runtime: Arc<Runtime>,
     workers: usize,
     queue_capacity: usize,
-    min_batch: usize,
     max_batch: usize,
-    batch_slo: Option<Duration>,
     default_deadline: Option<Duration>,
     default_tenant_weight: u64,
     tenant_weights: HashMap<String, u64>,
@@ -684,9 +490,7 @@ impl fmt::Debug for ServerBuilder {
         f.debug_struct("ServerBuilder")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("min_batch", &self.min_batch)
             .field("max_batch", &self.max_batch)
-            .field("batch_slo", &self.batch_slo)
             .field("default_deadline", &self.default_deadline)
             .field("default_tenant_weight", &self.default_tenant_weight)
             .field("tenant_weights", &self.tenant_weights)
@@ -711,43 +515,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Most requests grouped into one digest-keyed micro-batch. Under
-    /// the default fixed policy this *is* the batch limit; under
-    /// [`ServerBuilder::adaptive_batch`] it is the ceiling the limit can
-    /// grow to. Minimum 1 (disables batching); default 16.
+    /// Most requests grouped into one digest-keyed micro-batch.
+    /// Minimum 1 (disables batching); default 16.
     pub fn max_batch(mut self, max_batch: usize) -> ServerBuilder {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Floor the adaptive batch limit can shrink to. Only meaningful
-    /// with [`ServerBuilder::adaptive_batch`] (the fixed policy pins the
-    /// limit at [`ServerBuilder::max_batch`]). Minimum 1; default 1;
-    /// clamped to at most `max_batch` at build time.
-    pub fn min_batch(mut self, min_batch: usize) -> ServerBuilder {
-        self.min_batch = min_batch.max(1);
-        self
-    }
-
-    /// Enable load-aware batch sizing: `slo` is a high-percentile
-    /// budget for the *in-batch service latency* — the time a request
-    /// spends from its batch starting execution to its completion,
-    /// i.e. the latency the batcher itself adds (queue wait is governed
-    /// by [`ServerBuilder::queue_capacity`], deadlines and
-    /// backpressure, not by the batch limit). Each scheduling context
-    /// (worker thread, or the external driver behind
-    /// [`Server::service_once`]) starts at [`ServerBuilder::min_batch`]
-    /// and decides per latency window — `2 × limit` completed requests,
-    /// clamped to 4..=16, so small limits ramp in proportionally fewer
-    /// requests. While the window's near-p95 service latency holds the
-    /// SLO the limit doubles (slow start), then grows by 1; when it
-    /// slips, the limit halves — never past
-    /// [`ServerBuilder::max_batch`] or below `min_batch`. Every
-    /// decision is recorded in [`ServeStats::batch_limits`]. The loop
-    /// is specified in DESIGN.md §9. Default: off (fixed limit of
-    /// `max_batch`).
-    pub fn adaptive_batch(mut self, slo: Duration) -> ServerBuilder {
-        self.batch_slo = Some(slo);
         self
     }
 
@@ -794,15 +565,10 @@ impl ServerBuilder {
 
     /// Build the server and spawn its workers.
     pub fn build(self) -> Server {
-        let policy = BatchPolicy {
-            floor: self.min_batch.min(self.max_batch),
-            ceiling: self.max_batch,
-            slo: self.batch_slo,
-        };
         let shared = Arc::new(Shared {
             runtime: self.runtime,
             capacity: self.queue_capacity,
-            policy,
+            max_batch: self.max_batch,
             default_deadline: self.default_deadline,
             sched: Mutex::new(Sched {
                 lanes: BTreeMap::new(),
@@ -814,7 +580,6 @@ impl ServerBuilder {
             work: Condvar::new(),
             stats: Mutex::new(ServeStats::default()),
             shutdown: AtomicBool::new(false),
-            external_ctl: Mutex::new(policy.controller()),
             admitted: Mutex::new(HashSet::new()),
             tracer: self.tracer,
         });
@@ -840,9 +605,8 @@ impl ServerBuilder {
 /// grouped and executed back-to-back on one pinned, recycled VM, so plan
 /// lookup and VM setup amortise across the batch; tenants are served by
 /// smooth weighted round-robin; a bounded queue rejects (rather than
-/// buffers) overload; per-request deadlines fail fast; and an optional
-/// adaptive policy resizes batches against a latency SLO (DESIGN.md §§
-/// 8–9 specify the scheduling and control-loop invariants).
+/// buffers) overload; and per-request deadlines fail fast (DESIGN.md §§
+/// 8–9 specify the scheduling invariants).
 ///
 /// # Examples
 ///
@@ -877,16 +641,14 @@ pub struct Server {
 
 impl Server {
     /// Start configuring a server over `runtime`. Defaults: 1 worker,
-    /// queue capacity 1024, fixed batch limit 16, no default deadline,
+    /// queue capacity 1024, batch limit 16, no default deadline,
     /// every tenant at weight 1.
     pub fn builder(runtime: Arc<Runtime>) -> ServerBuilder {
         ServerBuilder {
             runtime,
             workers: 1,
             queue_capacity: 1024,
-            min_batch: 1,
             max_batch: 16,
-            batch_slo: None,
             default_deadline: None,
             default_tenant_weight: 1,
             tenant_weights: HashMap::new(),
@@ -927,10 +689,12 @@ impl Server {
                 },
             });
         }
+        // A deadline too far out to represent (`Duration::MAX`, the
+        // natural spelling of "none") never expires.
         let deadline = request
             .deadline
             .or(self.shared.default_deadline)
-            .map(|d| now + d);
+            .and_then(|d| now.checked_add(d));
         let slot = Slot::new();
         // Tenant tag + queue-span begin only when a sink is installed:
         // the untraced path pays one branch, no allocation, no hash.
@@ -1107,19 +871,15 @@ impl Server {
     /// Returns false when nothing was queued. This is the entire
     /// scheduling path minus the worker threads — the deterministic mode
     /// for tests and for embedding the server in an external event loop
-    /// (build with `.workers(0)`). The external driver has its own
-    /// batch-limit controller, adapted by the batches it executes.
+    /// (build with `.workers(0)`).
     pub fn service_once(&self) -> bool {
-        // The controller lock is never held across the batch itself, so
-        // completion callbacks are free to call back into the server
-        // (submit, service_once, stats) without self-deadlocking.
-        let limit = self.shared.external_ctl.lock().limit();
-        let batch = self.shared.sched.lock().next_batch(limit);
+        // The sched lock is released before the batch runs, so completion
+        // callbacks are free to call back into the server (submit,
+        // service_once, stats) without self-deadlocking.
+        let batch = self.shared.sched.lock().next_batch(self.shared.max_batch);
         match batch {
             Some(batch) => {
-                let samples = self.shared.process_batch(batch);
-                self.shared
-                    .note_decisions(&mut self.shared.external_ctl.lock(), &samples);
+                self.shared.process_batch(batch);
                 true
             }
             None => false,
@@ -1214,163 +974,8 @@ impl fmt::Debug for Server {
         f.debug_struct("Server")
             .field("workers", &self.workers.lock().len())
             .field("capacity", &self.shared.capacity)
-            .field("batch_floor", &self.shared.policy.floor)
-            .field("batch_ceiling", &self.shared.policy.ceiling)
-            .field("batch_slo", &self.shared.policy.slo)
+            .field("max_batch", &self.shared.max_batch)
             .field("queued", &self.queue_depth())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn adaptive(floor: usize, ceiling: usize, slo_ms: u64) -> BatchController {
-        BatchPolicy {
-            floor,
-            ceiling,
-            slo: Some(Duration::from_millis(slo_ms)),
-        }
-        .controller()
-    }
-
-    fn sample(turnaround_ms: u64, service_ms: u64) -> LatencySample {
-        LatencySample {
-            turnaround_nanos: turnaround_ms * 1_000_000,
-            service_nanos: service_ms * 1_000_000,
-        }
-    }
-
-    /// Feed `n` identical samples whose turnaround and in-batch service
-    /// latency are both `latency_ms` (no queue wait).
-    fn feed(ctl: &mut BatchController, latency_ms: u64, n: usize) -> Vec<(usize, Duration, bool)> {
-        ctl.observe(&vec![sample(latency_ms, latency_ms); n])
-    }
-
-    #[test]
-    fn fixed_controller_never_moves() {
-        let mut ctl = BatchPolicy {
-            floor: 1,
-            ceiling: 16,
-            slo: None,
-        }
-        .controller();
-        assert_eq!(ctl.limit(), 16);
-        assert!(feed(&mut ctl, 1_000, 64).is_empty());
-        assert_eq!(ctl.limit(), 16);
-    }
-
-    /// Samples one decision waits for at `limit` (mirrors
-    /// `AdaptiveState::window_target`).
-    fn window_at(limit: usize) -> usize {
-        (2 * limit).clamp(DECISION_WINDOW / 4, DECISION_WINDOW)
-    }
-
-    #[test]
-    fn adaptive_slow_start_doubles_then_grows_additively() {
-        let mut ctl = adaptive(1, 64, 10);
-        // Under the SLO: 1 → 2 → 4 … (slow start), each decision waiting
-        // for the current limit's window.
-        assert_eq!(
-            feed(&mut ctl, 1, window_at(1)),
-            vec![(2, Duration::from_millis(1), true)]
-        );
-        feed(&mut ctl, 1, window_at(2));
-        assert_eq!(ctl.limit(), 4);
-        // One slip halves and ends slow start: 4 → 2.
-        let d = feed(&mut ctl, 100, window_at(4));
-        assert_eq!(d, vec![(2, Duration::from_millis(100), false)]);
-        // Back under the SLO: additive growth now, 2 → 3.
-        feed(&mut ctl, 1, window_at(2));
-        assert_eq!(ctl.limit(), 3);
-    }
-
-    #[test]
-    fn adaptive_window_scales_with_the_limit_within_bounds() {
-        let mut ctl = adaptive(1, 64, 10);
-        // Ramp is O(limit): 4 samples at limit 1, never more than a full
-        // window however large the limit.
-        assert_eq!(window_at(1), DECISION_WINDOW / 4);
-        assert_eq!(window_at(64), DECISION_WINDOW);
-        // One sample short of the target: no decision yet.
-        assert!(feed(&mut ctl, 1, window_at(1) - 1).is_empty());
-        assert_eq!(feed(&mut ctl, 1, 1).len(), 1);
-        assert_eq!(ctl.limit(), 2);
-    }
-
-    #[test]
-    fn adaptive_limit_respects_floor_and_ceiling() {
-        let mut ctl = adaptive(2, 8, 10);
-        ctl = match ctl {
-            BatchController::Adaptive(mut s) => {
-                s.limit = 8;
-                BatchController::Adaptive(s)
-            }
-            fixed => fixed,
-        };
-        // At the ceiling, staying under the SLO records nothing.
-        assert!(feed(&mut ctl, 1, window_at(8)).is_empty());
-        assert_eq!(ctl.limit(), 8);
-        // Slips: 8 → 4 → 2, then pinned at the floor.
-        feed(&mut ctl, 100, window_at(8));
-        feed(&mut ctl, 100, window_at(4));
-        assert_eq!(ctl.limit(), 2);
-        assert!(feed(&mut ctl, 100, window_at(2)).is_empty());
-        assert_eq!(ctl.limit(), 2);
-    }
-
-    #[test]
-    fn decision_tolerates_one_straggler_but_not_two() {
-        let mut ctl = adaptive(1, 8, 10);
-        ctl = match ctl {
-            BatchController::Adaptive(mut s) => {
-                s.limit = 8;
-                BatchController::Adaptive(s)
-            }
-            fixed => fixed,
-        };
-        // The decision rank is floor(0.95·16) = 15 of 16: a single
-        // outlier (page fault, allocator hiccup) cannot flap the limit …
-        assert_eq!(window_at(8), DECISION_WINDOW);
-        let mut one_straggler = vec![sample(1, 1); DECISION_WINDOW - 1];
-        one_straggler.push(sample(100, 100));
-        assert!(
-            ctl.observe(&one_straggler).is_empty(),
-            "one straggler at the ceiling must not shrink"
-        );
-        assert_eq!(ctl.limit(), 8);
-        // … but two stragglers put the rank-15 sample over the SLO, a
-        // genuine slip (even though the window mean is far under it).
-        let mut two_stragglers = vec![sample(1, 1); DECISION_WINDOW - 2];
-        two_stragglers.extend([sample(100, 100); 2]);
-        let d = ctl.observe(&two_stragglers);
-        assert_eq!(d, vec![(4, Duration::from_millis(100), false)]);
-    }
-
-    #[test]
-    fn overload_grows_on_service_headroom_instead_of_collapsing() {
-        // Turnaround blows any SLO under a standing backlog, but the
-        // controller keys on in-batch service latency: with headroom
-        // there it keeps growing — bigger batches are what drain the
-        // queue — instead of shrinking into congestion collapse.
-        let mut ctl = adaptive(1, 64, 10);
-        ctl = match ctl {
-            BatchController::Adaptive(mut s) => {
-                s.limit = 8;
-                BatchController::Adaptive(s)
-            }
-            fixed => fixed,
-        };
-        let overloaded = vec![sample(500, 1); window_at(8)];
-        assert_eq!(
-            ctl.observe(&overloaded),
-            vec![(16, Duration::from_millis(1), true)],
-            "queue-wait slip with cheap batches must still grow"
-        );
-        // A genuine in-batch blowout shrinks.
-        let over_batched = vec![sample(500, 500); window_at(16)];
-        let d = ctl.observe(&over_batched);
-        assert_eq!(d, vec![(8, Duration::from_millis(500), false)]);
     }
 }

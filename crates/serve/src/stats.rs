@@ -7,18 +7,12 @@
 //! single object covering queue → batcher → runtime.
 
 use bh_runtime::RuntimeStats;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 // Lifted into `bh-observe` so every layer shares one histogram type with
 // one set of percentile semantics; re-exported here for compatibility.
 pub use bh_observe::LatencyHistogram;
-
-/// Most recent adaptive batch-limit decisions kept in the timeline;
-/// older ones are dropped (and counted) so the snapshot has a fixed
-/// footprint however long the server runs.
-const TIMELINE_CAP: usize = 256;
 
 /// Distinct tenants tracked exactly in the quota metrics; dequeues for
 /// tenants beyond the cap are aggregated as "untracked" so ephemeral
@@ -107,86 +101,6 @@ impl fmt::Debug for BatchSizeDist {
     }
 }
 
-/// One adaptive batch-limit decision (see DESIGN.md §9 for the control
-/// loop that produces these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchLimitEvent {
-    /// Value of [`ServeStats::batches`] when the decision was made.
-    pub batch_seq: u64,
-    /// The batch limit after the decision.
-    pub limit: usize,
-    /// The decision window's observed near-p95 in-batch service
-    /// latency that drove it (nearest-rank `floor(0.95·n)`, so one
-    /// straggler per window is tolerated).
-    pub window_p95: Duration,
-    /// True when the limit grew (p95 held the SLO), false when it
-    /// shrank (p95 slipped).
-    pub grew: bool,
-}
-
-/// Bounded timeline of adaptive batch-limit decisions across every
-/// scheduling context (worker threads interleave; each worker adapts
-/// its own limit, so consecutive events need not be monotonic steps of
-/// one value). Empty under the fixed batch policy.
-#[derive(Debug, Clone, Default)]
-pub struct BatchLimitTimeline {
-    events: VecDeque<BatchLimitEvent>,
-    grows: u64,
-    shrinks: u64,
-    dropped: u64,
-}
-
-impl BatchLimitTimeline {
-    pub(crate) fn record(&mut self, event: BatchLimitEvent) {
-        if event.grew {
-            self.grows += 1;
-        } else {
-            self.shrinks += 1;
-        }
-        if self.events.len() == TIMELINE_CAP {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// The retained decisions, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &BatchLimitEvent> {
-        self.events.iter()
-    }
-
-    /// Decisions retained right now (at most the timeline capacity).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no decision has been recorded (always, under the fixed
-    /// batch policy).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0
-    }
-
-    /// Lifetime count of grow decisions.
-    pub fn grows(&self) -> u64 {
-        self.grows
-    }
-
-    /// Lifetime count of shrink decisions.
-    pub fn shrinks(&self) -> u64 {
-        self.shrinks
-    }
-
-    /// Decisions evicted from the bounded timeline.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The most recently decided limit, if any decision was recorded.
-    pub fn last_limit(&self) -> Option<usize> {
-        self.events.back().map(|e| e.limit)
-    }
-}
-
 /// Requests dequeued per tenant (batch-leader picks and digest-gathered
 /// followers alike) — the service side of weighted scheduling, for
 /// verifying that observed shares track configured weights.
@@ -271,9 +185,6 @@ pub struct ServeStats {
     pub batch_sizes: BatchSizeDist,
     /// Submission-to-completion latency of successful requests.
     pub latency: LatencyHistogram,
-    /// Adaptive batch-limit decision timeline (empty under the fixed
-    /// batch policy).
-    pub batch_limits: BatchLimitTimeline,
     /// Requests dequeued per tenant, for auditing weighted fairness.
     pub tenants: TenantQuotas,
 }
@@ -293,9 +204,9 @@ impl ServeStats {
 impl bh_observe::Collect for ServeStats {
     /// Exports the scheduler counter families (`bh_serve_*`): queue and
     /// throughput counters, batch-size distribution summary, turnaround
-    /// latency quantiles, adaptive batch-limit decisions, and per-tenant
-    /// dequeue counts (tenant-labelled). Metric names are part of the
-    /// golden-tested exporter contract.
+    /// latency quantiles, and per-tenant dequeue counts
+    /// (tenant-labelled). Metric names are part of the golden-tested
+    /// exporter contract.
     fn collect_into(&self, set: &mut bh_observe::MetricSet) {
         set.counter(
             "bh_serve_submitted_total",
@@ -368,23 +279,6 @@ impl bh_observe::Collect for ServeStats {
                 u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        set.counter(
-            "bh_serve_batch_limit_grows_total",
-            "Adaptive batch-limit grow decisions.",
-        )
-        .value(self.batch_limits.grows());
-        set.counter(
-            "bh_serve_batch_limit_shrinks_total",
-            "Adaptive batch-limit shrink decisions.",
-        )
-        .value(self.batch_limits.shrinks());
-        if let Some(limit) = self.batch_limits.last_limit() {
-            set.gauge(
-                "bh_serve_batch_limit",
-                "Most recently decided adaptive batch limit.",
-            )
-            .value(limit);
-        }
         let tenants = set.counter(
             "bh_serve_tenant_served_total",
             "Requests dequeued per tenant (bounded tracking).",
@@ -418,19 +312,7 @@ impl fmt::Display for ServeStats {
             self.latency.p50(),
             self.latency.p95(),
             self.latency.p99(),
-        )?;
-        if !self.batch_limits.is_empty() {
-            write!(
-                f,
-                " adapt=+{}/-{} limit={}",
-                self.batch_limits.grows(),
-                self.batch_limits.shrinks(),
-                self.batch_limits
-                    .last_limit()
-                    .expect("non-empty timeline has a last event"),
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -453,6 +335,7 @@ impl fmt::Display for ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     // LatencyHistogram's own tests (percentile edge cases, merge
     // consistency) live with the type in `bh-observe`.
@@ -484,27 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_bounded_and_counts_decisions() {
-        let mut t = BatchLimitTimeline::default();
-        assert!(t.is_empty());
-        assert_eq!(t.last_limit(), None);
-        for i in 0..(TIMELINE_CAP as u64 + 10) {
-            t.record(BatchLimitEvent {
-                batch_seq: i,
-                limit: 4,
-                window_p95: Duration::from_micros(i),
-                grew: i % 2 == 0,
-            });
-        }
-        assert_eq!(t.len(), TIMELINE_CAP);
-        assert_eq!(t.dropped(), 10);
-        assert_eq!(t.grows() + t.shrinks(), TIMELINE_CAP as u64 + 10);
-        assert_eq!(t.last_limit(), Some(4));
-        // Oldest events were evicted, newest kept.
-        assert_eq!(t.events().next().unwrap().batch_seq, 10);
-    }
-
-    #[test]
     fn tenant_quotas_track_shares_and_cap_distinct_tenants() {
         let mut q = TenantQuotas::default();
         q.note("a", 6);
@@ -522,20 +384,6 @@ mod tests {
         // 2 slots were taken by a/b, so 7 of the ephemerals overflow.
         assert_eq!(q.untracked(), 7);
         assert_eq!(q.total(), 12 + TENANT_METRICS_CAP as u64 + 5);
-    }
-
-    #[test]
-    fn stats_display_mentions_adaptive_decisions_when_present() {
-        let mut s = ServeStats::default();
-        assert!(!s.to_string().contains("adapt="));
-        s.batch_limits.record(BatchLimitEvent {
-            batch_seq: 1,
-            limit: 8,
-            window_p95: Duration::from_millis(1),
-            grew: true,
-        });
-        let text = s.to_string();
-        assert!(text.contains("adapt=+1/-0 limit=8"), "{text}");
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Scheduler-semantics tests: backpressure, weighted fairness, batching,
-//! adaptive batch sizing, deadlines, the non-blocking ticket surface,
-//! drain-on-shutdown, and exactly-once resolution under concurrent load.
+//! deadlines, the non-blocking ticket surface, drain-on-shutdown, and
+//! exactly-once resolution under concurrent load.
 //!
 //! Deterministic tests build the server with `.workers(0)` and step it
-//! with `service_once`, so batch formation, round-robin order and
-//! batch-limit decisions are observable without sleeps or races.
+//! with `service_once`, so batch formation and round-robin order are
+//! observable without sleeps or races.
 
 use bh_ir::parse_program;
 use bh_runtime::Runtime;
 use bh_serve::{ProgramHandle, Request, ServeError, Server, Ticket};
 use bh_tensor::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,67 +181,33 @@ fn unweighted_tenants_fall_back_to_the_default_weight() {
 }
 
 #[test]
-fn adaptive_batcher_grows_under_light_load_and_converges_down_under_a_slow_engine() {
-    // The injected slow engine: a stats sink that stalls every
-    // evaluation once `delay_us` is raised. Latency SLO is 50ms — trivial
-    // 8-element programs hold it even on a contended vCPU, 60ms-stalled
-    // ones cannot: the stall exceeds the SLO itself, so a batch of one
-    // still slips and the limit cannot oscillate 1↔2 at the floor. This
-    // is still a wall-clock test; the margins are wide, not gone, until
-    // the scheduler takes its time from an injected clock (ROADMAP open
-    // item 1's clock seam).
-    let delay_us = Arc::new(AtomicU64::new(0));
-    let sink_delay = Arc::clone(&delay_us);
-    let rt = Runtime::builder()
-        .stats_sink(move |_| {
-            let us = sink_delay.load(Ordering::Relaxed);
-            if us > 0 {
-                std::thread::sleep(Duration::from_micros(us));
-            }
-        })
-        .build_shared();
-    let server = Server::builder(rt)
+fn max_batch_caps_a_same_digest_backlog() {
+    let server = Server::builder(Runtime::builder().build_shared())
         .workers(0)
-        .min_batch(1)
         .max_batch(16)
-        .adaptive_batch(Duration::from_millis(50))
         .build();
     let h = chain(8, 3);
+    let tickets: Vec<_> = server
+        .submit_many((0..40).map(|i| Request::with_handle(format!("tenant-{}", i % 3), &h)))
+        .into_iter()
+        .map(|outcome| outcome.unwrap())
+        .collect();
 
-    // Phase 1 — fast engine, backlogged tenant: the limit slow-starts
-    // from min_batch toward the ceiling. Submit-then-drain in small
-    // chunks keeps turnaround ≈ service time.
-    for _ in 0..8 {
-        for outcome in server.submit_many((0..16).map(|_| Request::with_handle("t", &h))) {
-            outcome.unwrap();
-        }
-        while server.service_once() {}
+    // 40 matching requests under a limit of 16 run as 16 + 16 + 8.
+    for left in [24, 8, 0] {
+        assert!(server.service_once());
+        assert_eq!(server.queue_depth(), left);
+    }
+    assert!(!server.service_once());
+    for t in tickets {
+        assert!(t.wait().unwrap().batch_size <= 16);
     }
     let stats = server.stats();
-    assert!(
-        stats.batch_limits.last_limit() == Some(16),
-        "limit should reach the ceiling under a held SLO: {stats}"
-    );
-    assert!(stats.batch_limits.grows() >= 4, "{stats}");
+    assert_eq!(stats.batches, 3);
     assert_eq!(stats.batch_sizes.max_seen(), 16);
-
-    // Phase 2 — slow engine: every window's p95 slips the SLO, so the
-    // limit halves per window down to the floor.
-    delay_us.store(60_000, Ordering::Relaxed);
-    for _ in 0..4 {
-        for outcome in server.submit_many((0..16).map(|_| Request::with_handle("t", &h))) {
-            outcome.unwrap();
-        }
-        while server.service_once() {}
-    }
-    let stats = server.stats();
-    assert_eq!(
-        stats.batch_limits.last_limit(),
-        Some(1),
-        "limit should converge to the floor under a slipped SLO: {stats}"
-    );
-    assert!(stats.batch_limits.shrinks() >= 4, "{stats}");
-    assert_eq!(stats.completed, 192);
+    assert_eq!(stats.batch_sizes.batches_of(16), 2);
+    assert_eq!(stats.batch_sizes.batches_of(8), 1);
+    assert_eq!(stats.completed, 40);
 }
 
 #[test]
@@ -473,6 +438,33 @@ fn default_deadline_applies_when_requests_carry_none() {
     std::thread::sleep(Duration::from_millis(1));
     server.service_once();
     assert!(matches!(t.wait(), Err(ServeError::DeadlineExceeded { .. })));
+}
+
+#[test]
+fn a_deadline_too_far_out_to_represent_never_expires() {
+    // `Duration::MAX` is the natural spelling of "no deadline"; adding it
+    // to `Instant::now()` overflows, which must not panic in `submit`.
+    let server = Server::builder(Runtime::builder().build_shared())
+        .workers(0)
+        .default_deadline(Duration::MAX)
+        .build();
+    let h = chain(8, 2);
+    let reg = h.program().reg_by_name("a").unwrap();
+    let explicit = server
+        .submit(
+            Request::with_handle("t", &h)
+                .deadline(Duration::MAX)
+                .read(reg),
+        )
+        .unwrap();
+    let defaulted = server
+        .submit(Request::with_handle("t", &h).read(reg))
+        .unwrap();
+    while server.service_once() {}
+    for t in [explicit, defaulted] {
+        assert_eq!(t.wait().unwrap().value.unwrap().to_f64_vec(), vec![2.0; 8]);
+    }
+    assert_eq!(server.stats().expired, 0);
 }
 
 #[test]

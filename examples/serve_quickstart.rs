@@ -1,12 +1,11 @@
-//! Serving quickstart: an adaptive multi-tenant batching server over
-//! one runtime.
+//! Serving quickstart: a multi-tenant batching server over one
+//! runtime.
 //!
 //! Three tenants fire concurrent requests; two of them submit the *same*
 //! program structure, so their requests batch under one plan on one
 //! pinned VM while the third tenant is still served fairly in between —
-//! at twice the scheduling weight, with the batch limit adapting to a
-//! latency SLO instead of being hand-tuned, and completions delivered
-//! through the non-blocking ticket surface (`submit_many` + `on_done`).
+//! at twice the scheduling weight, with completions delivered through
+//! the non-blocking ticket surface (`submit_many` + `on_done`).
 //!
 //! Run with: `cargo run --release --example serve_quickstart`
 
@@ -16,7 +15,6 @@ use bohrium_repro::serve::{ProgramHandle, Request, Server};
 use bohrium_repro::tensor::Tensor;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = Runtime::builder().build_shared();
@@ -24,10 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Server::builder(Arc::clone(&runtime))
             .workers(2)
             .queue_capacity(256)
-            // Adaptive policy: grow batches toward 32 while the p95
-            // turnaround holds 5ms, halve them when it slips.
             .max_batch(32)
-            .adaptive_batch(Duration::from_millis(5))
             // tenant-2's niche endpoint gets twice the default share.
             .tenant_weight("tenant-2", 2)
             .build(),

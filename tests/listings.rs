@@ -45,7 +45,7 @@ fn listing3_options() -> ParseOptions {
 #[test]
 fn listing2_parses_validates_and_executes() {
     let p = parse_program(LISTING_2).unwrap();
-    bohrium_repro::ir::validate(&p).unwrap();
+    bohrium_repro::ir::verify(&p).unwrap();
     let mut vm = Vm::new();
     vm.run(&p).unwrap();
     assert_eq!(
