@@ -13,7 +13,7 @@
 //! The reachable schedules are therefore the doubling/increment addition
 //! chains, and the optimum is computed exactly here by dynamic programming.
 //! For x¹⁰ the optimum is **4** multiplies (2→4→5→10) — one better than the
-//! 5 of the paper's Listing 5 (2→4→8→9→10); EXPERIMENTS.md records this
+//! 5 of the paper's Listing 5 (2→4→8→9→10); `tests/listings.rs` pins this
 //! delta.
 
 /// One multiply in a power schedule.

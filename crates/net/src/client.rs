@@ -1,5 +1,5 @@
-//! A blocking protocol client: the counterpart `bh-netload` and the
-//! integration tests drive the front door with.
+//! A blocking protocol client: the counterpart the integration tests and
+//! the `ledger` benchmark drive the front door with.
 
 use crate::error::NetError;
 use crate::frame::{Frame, PROTOCOL_VERSION};

@@ -398,3 +398,66 @@ fn eight_connections_survive_backpressure_and_deadline_expiry_exactly_once() {
         (CONNS * PHASE1_PER_CONN) as u64 // queue_full + deadline_exceeded
     );
 }
+
+#[test]
+fn pipelined_connections_on_live_workers_resolve_every_request_once() {
+    const CONNS: usize = 4;
+    const PER_CONN: usize = 32;
+    const DEPTH: usize = 8;
+    let (door, server) = front_door(
+        Server::builder(Runtime::builder().build_shared())
+            .workers(2)
+            .build(),
+    );
+
+    let clients: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let addr = door.local_addr();
+            std::thread::spawn(move || {
+                // A distinct program per connection: `a = c + 1` over a
+                // vector of its own length.
+                let n = 8 + c;
+                let program = parse_program(&format!(
+                    "BH_IDENTITY a [0:{n}:1] 0\nBH_ADD a a {}\nBH_SYNC a\n",
+                    c + 1
+                ))
+                .unwrap();
+                let reg = program.reg_by_name("a").unwrap();
+                let expected = vec![(c + 1) as f64; n];
+                let mut client =
+                    NetClient::connect(addr, format!("tenant-{c}").as_str()).expect("connect");
+                // Only a guard against a hang; nothing is timed.
+                client
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .unwrap();
+                let (mut in_flight, mut submitted) = (Vec::with_capacity(DEPTH), 0);
+                for _ in 0..PER_CONN {
+                    while submitted < PER_CONN && in_flight.len() < DEPTH {
+                        in_flight.push(client.submit(&program, Some(reg), None).expect("submit"));
+                        submitted += 1;
+                    }
+                    match client.read_event().expect("response frame") {
+                        NetEvent::Result(r) => {
+                            let slot = in_flight.iter().position(|id| *id == r.request_id);
+                            in_flight.swap_remove(slot.expect("answers one in-flight id"));
+                            assert_eq!(r.value.as_deref(), Some(&expected[..]));
+                        }
+                        NetEvent::Rejected(r) => panic!("rejected: {} ({})", r.code, r.detail),
+                    }
+                }
+                assert!(in_flight.is_empty());
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client");
+    }
+
+    door.close();
+    server.shutdown();
+    let net = door.stats();
+    assert_eq!(net.connections, CONNS as u64);
+    assert_eq!(net.results_sent, (CONNS * PER_CONN) as u64);
+    assert_eq!(net.errors_sent, 0);
+    assert_eq!(server.stats().completed, (CONNS * PER_CONN) as u64);
+}

@@ -761,3 +761,48 @@ fn admission_lints_once_per_digest_and_never_rejects() {
     t.wait().unwrap();
     assert_eq!(server.stats().lint_warnings, warned);
 }
+
+#[test]
+fn churn_backlog_compiles_once_per_batch_not_per_request() {
+    // The churn regime: more distinct programs (16 tenants, one digest
+    // each) than the plan cache holds (8). Batching compiles each digest
+    // once for its whole backlog; the one-eval-per-request loop over the
+    // same round-robin trace evicts every plan before its next use.
+    const TENANTS: usize = 16;
+    const PER_TENANT: usize = 16;
+    let handles: Vec<ProgramHandle> = (0..TENANTS).map(|t| chain(48 + t, 24)).collect();
+
+    let rt = Runtime::builder().cache_capacity(8).build_shared();
+    let server = Server::builder(Arc::clone(&rt))
+        .workers(0)
+        .max_batch(16)
+        .build();
+    let mut tickets = Vec::new();
+    for _ in 0..PER_TENANT {
+        for (t, h) in handles.iter().enumerate() {
+            let reg = h.program().reg_by_name("a").unwrap();
+            let request = Request::with_handle(format!("tenant-{t}"), h).read(reg);
+            tickets.push((t, server.submit(request).unwrap()));
+        }
+    }
+    while server.service_once() {}
+    for (t, ticket) in tickets {
+        let r = ticket.wait().unwrap();
+        assert_eq!(r.batch_size, PER_TENANT);
+        assert_eq!(r.value.unwrap().to_f64_vec(), vec![24.0; 48 + t]);
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batches, TENANTS as u64);
+    assert_eq!(stats.batch_sizes.batches_of(PER_TENANT), TENANTS as u64);
+    assert_eq!(stats.completed, (TENANTS * PER_TENANT) as u64);
+    assert_eq!(rt.stats().cache_misses, TENANTS as u64);
+
+    let naive = Runtime::builder().cache_capacity(8).build();
+    for _ in 0..PER_TENANT {
+        for h in &handles {
+            let reg = h.program().reg_by_name("a").unwrap();
+            naive.eval(h.program(), &[], reg).unwrap();
+        }
+    }
+    assert_eq!(naive.stats().cache_misses, (TENANTS * PER_TENANT) as u64);
+}

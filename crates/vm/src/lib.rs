@@ -234,6 +234,26 @@ mod tests {
     }
 
     #[test]
+    fn matmul_flops_follow_the_operand_orientation() {
+        // A rank-1 left operand is a 1 × k row, a rank-1 right operand a
+        // k × 1 column, so a vector operand never multiplies the count by
+        // its own length.
+        // (lhs, rhs, out, flops) for m = 6, k = 5, n = 3.
+        for (a, b, out, flops) in [
+            ("6,5", "5", "6", 2 * 6 * 5),
+            ("5", "5", "1", 2 * 5),
+            ("5", "5,3", "3", 2 * 5 * 3),
+            ("6,5", "5,3", "6,3", 2 * 6 * 5 * 3),
+        ] {
+            let (_, vm) = run_text(&format!(
+                ".base a f64[{a}] input\n.base b f64[{b}] input\n.base x f64[{out}]\n\
+                 BH_MATMUL x a b\nBH_SYNC x\n"
+            ));
+            assert_eq!(vm.stats().flops, flops, "f64[{a}] @ f64[{b}]");
+        }
+    }
+
+    #[test]
     fn free_releases_memory() {
         let (p, vm) = run_text(
             "BH_IDENTITY a0 [0:4:1] 1\n\

@@ -278,20 +278,12 @@ impl Vm {
     /// Runtime failures only (unbound registers, allocation failures);
     /// never [`VmError::Invalid`].
     pub fn run_verified(&mut self, program: bh_ir::VerifiedProgram<'_>) -> Result<(), VmError> {
+        let program = program.program();
         debug_assert!(
-            bh_ir::verify(program.program()).is_ok(),
+            bh_ir::verify(program).is_ok(),
             "VerifiedProgram witness no longer verifies — the program was \
              mutated after verification"
         );
-        self.run_unchecked(program.program())
-    }
-
-    /// Execute without re-validating (hot path for benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures only; malformed programs may panic instead.
-    pub fn run_unchecked(&mut self, program: &Program) -> Result<(), VmError> {
         match self.engine {
             Engine::Naive => {
                 for instr in program.instrs() {
@@ -855,8 +847,7 @@ impl Vm {
             Opcode::MatMul => {
                 let a = self.materialize_view(program, view_of(&instr.operands[1]))?;
                 let b = self.materialize_view(program, view_of(&instr.operands[2]))?;
-                let (m, k) = mat_dims(a.shape());
-                let (_, n) = mat_dims(b.shape());
+                let (m, k, n) = matmul_dims(a.shape(), b.shape());
                 self.stats.flops += linalg::matmul_flops(m, k, n);
                 self.account_in_tensor(&a);
                 self.account_in_tensor(&b);
@@ -1532,11 +1523,19 @@ fn view_of(o: &Operand) -> &ViewRef {
     trusted(o.as_view(), "operand is a view")
 }
 
-fn mat_dims(s: &Shape) -> (usize, usize) {
-    match s.rank() {
-        1 => (1, s.dim(0)),
-        _ => (s.dim(0), s.dim(1)),
-    }
+/// `(m, k, n)` of `a @ b`. Orientation is positional, as in
+/// `bh_linalg::matmul`: a rank-1 left operand is a `1 × k` row vector, a
+/// rank-1 right operand a `k × 1` column vector.
+fn matmul_dims(a: &Shape, b: &Shape) -> (usize, usize, usize) {
+    let (m, k) = match a.rank() {
+        1 => (1, a.dim(0)),
+        _ => (a.dim(0), a.dim(1)),
+    };
+    let n = match b.rank() {
+        1 => 1,
+        _ => b.dim(1),
+    };
+    (m, k, n)
 }
 
 fn cast_element<I: Element, O: Element>(x: I) -> O {

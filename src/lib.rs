@@ -18,8 +18,8 @@
 //! * [`frontend`] — the lazy NumPy-flavoured front-end (`bh-frontend`)
 //!
 //! plus [`testing`], the cross-crate semantic-equivalence harness used by
-//! the integration test-suite, and the `experiments` binary that
-//! regenerates every table in EXPERIMENTS.md.
+//! the integration test-suite. `tests/listings.rs` pins each of the
+//! paper's shape claims as an exact count (DESIGN.md §5).
 //!
 //! See README.md for a guided tour and DESIGN.md for the system inventory.
 
