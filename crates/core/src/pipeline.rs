@@ -1,6 +1,5 @@
 //! The pass manager: rule scheduling, fixpoint iteration and reporting.
 
-use crate::cost::{estimate, CostEstimate, CostParams};
 use crate::rule::{LiveAtExit, RewriteCtx, RewriteRule};
 use crate::rules::{
     AlgebraicSimplify, CommonSubexpression, ConstantMerge, CopyPropagation, DeadCodeElimination,
@@ -61,10 +60,6 @@ pub struct OptOptions {
     /// Shared rewrite context (fast-math policy, expansion budget,
     /// observability).
     pub ctx: RewriteCtx,
-    /// Fixpoint bound: maximum sweeps over the rule list.
-    pub max_iterations: usize,
-    /// Weights for the before/after cost report.
-    pub cost_params: CostParams,
     /// Translation-validation policy (participates in cache keys like
     /// every other field).
     pub audit: AuditMode,
@@ -75,8 +70,6 @@ impl Default for OptOptions {
         OptOptions {
             level: OptLevel::O2,
             ctx: RewriteCtx::default(),
-            max_iterations: 8,
-            cost_params: CostParams::default(),
             audit: AuditMode::Off,
         }
     }
@@ -125,6 +118,9 @@ impl OptOptions {
         }
     }
 }
+
+/// Fixpoint bound: the most sweeps over the rule list one run makes.
+const MAX_SWEEPS: usize = 8;
 
 /// The transformation engine: applies a rule schedule to fixpoint.
 ///
@@ -182,7 +178,6 @@ impl Optimizer {
 
     /// Transform `program` in place and report what happened.
     pub fn run(&self, program: &mut Program) -> OptReport {
-        let before = estimate(program, &self.options.cost_params);
         let mut by_rule: Vec<(&'static str, usize)> =
             self.rules.iter().map(|r| (r.name(), 0)).collect();
         let audit = self.options.audit == AuditMode::PerRule;
@@ -190,7 +185,7 @@ impl Optimizer {
         let mut audits = 0;
         let mut audit_rollbacks = 0;
         let mut iterations = 0;
-        for _ in 0..self.options.max_iterations {
+        for _ in 0..MAX_SWEEPS {
             let mut changed = false;
             for (k, rule) in self.rules.iter().enumerate() {
                 let snapshot = if audit { Some(program.clone()) } else { None };
@@ -218,12 +213,9 @@ impl Optimizer {
             }
         }
         program.compact();
-        let after = estimate(program, &self.options.cost_params);
         OptReport {
             iterations,
             by_rule,
-            before,
-            after,
             audits,
             audit_rollbacks,
         }
@@ -262,10 +254,6 @@ pub struct OptReport {
     pub iterations: usize,
     /// Applications per rule, in schedule order.
     pub by_rule: Vec<(&'static str, usize)>,
-    /// Static cost before transformation.
-    pub before: CostEstimate,
-    /// Static cost after transformation.
-    pub after: CostEstimate,
     /// Per-rule audits performed (0 unless [`AuditMode::PerRule`]).
     pub audits: usize,
     /// Rule applications undone because the auditor could not prove them
@@ -274,17 +262,13 @@ pub struct OptReport {
 }
 
 impl OptReport {
-    /// The report of one sweep of an empty rule schedule over `program` —
-    /// what [`OptLevel::O0`] with `max_iterations: 1` returns: nothing
-    /// fired and the cost is unchanged. For callers that serve a program
-    /// untransformed and owe its plan an honest report.
-    pub fn untransformed(program: &Program, cost_params: &CostParams) -> OptReport {
-        let cost = estimate(program, cost_params);
+    /// The report of one sweep of an empty rule schedule — what
+    /// [`OptLevel::O0`] returns: nothing fired. For callers that serve a
+    /// program untransformed and owe its plan an honest report.
+    pub fn untransformed() -> OptReport {
         OptReport {
             iterations: 1,
             by_rule: Vec::new(),
-            before: cost,
-            after: cost,
             audits: 0,
             audit_rollbacks: 0,
         }
@@ -294,30 +278,11 @@ impl OptReport {
     pub fn total_applications(&self) -> usize {
         self.by_rule.iter().map(|(_, n)| n).sum()
     }
-
-    /// Model-time speed-up factor (≥ 1 when the transformation helped).
-    ///
-    /// Both sides are guarded: an empty (or otherwise zero-cost) program
-    /// before *or* after transformation reports a neutral 1.0 rather than
-    /// 0/0 = NaN or a misleading 0×/∞×.
-    pub fn model_speedup(&self) -> f64 {
-        if self.before.time == 0 || self.after.time == 0 {
-            return 1.0;
-        }
-        self.before.time as f64 / self.after.time as f64
-    }
 }
 
 impl fmt::Display for OptReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "optimised in {} iteration(s): {} → {} byte-codes, model speed-up {:.2}×",
-            self.iterations,
-            self.before.bytecodes,
-            self.after.bytecodes,
-            self.model_speedup()
-        )?;
+        writeln!(f, "optimised in {} iteration(s)", self.iterations)?;
         for (name, n) in &self.by_rule {
             if *n > 0 {
                 writeln!(f, "  {name}: {n}")?;
@@ -368,13 +333,10 @@ BH_SYNC a0 [0:10:1]
     #[test]
     fn untransformed_report_is_the_single_sweep_o0_report() {
         let mut p = parse_program(LISTING2).unwrap();
-        let mut options = OptOptions::level(OptLevel::O0);
-        options.max_iterations = 1;
-        let ran = Optimizer::new(options.clone()).run(&mut p);
-        let direct = OptReport::untransformed(&p, &options.cost_params);
+        let ran = optimize_at(&mut p, OptLevel::O0);
+        let direct = OptReport::untransformed();
         assert_eq!(direct.iterations, ran.iterations);
         assert_eq!(direct.by_rule, ran.by_rule);
-        assert_eq!((direct.before, direct.after), (ran.before, ran.after));
         assert_eq!(
             (direct.audits, direct.audit_rollbacks),
             (ran.audits, ran.audit_rollbacks)
@@ -387,7 +349,7 @@ BH_SYNC a0 [0:10:1]
         let report = optimize_at(&mut p, OptLevel::O1);
         assert_eq!(p.count_op(Opcode::Add), 1);
         assert_eq!(p.instrs().len(), 3);
-        assert!(report.model_speedup() > 1.0);
+        assert!(report.total_applications() >= 2);
         let text = p.to_text(PrintStyle::COMPACT);
         assert!(text.contains("BH_ADD a0 a0 3"), "{text}");
     }
@@ -431,18 +393,7 @@ BH_SYNC x
         assert_eq!(p.count_op(Opcode::Power), 0, "{text}");
         assert_eq!(p.count_op(Opcode::Multiply), 4, "{text}");
         assert!(text.contains("BH_SOLVE x m rhs"), "{text}");
-        assert!(report.model_speedup() > 1.0);
         assert!(report.total_applications() >= 4);
-    }
-
-    #[test]
-    fn empty_program_reports_neutral_speedup() {
-        let mut p = Program::new();
-        let report = optimize(&mut p);
-        assert_eq!(report.before.time, 0);
-        assert_eq!(report.after.time, 0);
-        assert_eq!(report.model_speedup(), 1.0);
-        assert!(report.model_speedup().is_finite());
     }
 
     #[test]
@@ -450,8 +401,8 @@ BH_SYNC x
         let mut p = parse_program(LISTING2).unwrap();
         let report = optimize(&mut p);
         let text = report.to_string();
-        assert!(text.contains("constant-merge"), "{text}");
-        assert!(text.contains("model speed-up"), "{text}");
+        assert!(text.starts_with("optimised in 2 iteration(s)\n"), "{text}");
+        assert!(text.contains("  constant-merge: "), "{text}");
     }
 
     #[test]

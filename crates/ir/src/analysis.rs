@@ -2,9 +2,9 @@
 //!
 //! The transformation engine needs to answer questions like *"is the
 //! inverse used for anything else?"* (the Eq. 2 context-aware rewrite)
-//! and *"is this store ever observed?"* (dead-code elimination, the W100
-//! lint). This module provides the def-use and liveness machinery behind
-//! those answers.
+//! and *"is this store ever observed?"* (dead-code elimination). This
+//! module provides the def-use and liveness machinery behind those
+//! answers.
 
 use crate::instr::Instruction;
 use crate::operand::Reg;

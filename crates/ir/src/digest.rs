@@ -100,8 +100,17 @@ impl Program {
                         // different spellings of the same elements (`a0`,
                         // `a0[:]`, `a0[0:10:1]`) digest identically. An
                         // unresolvable view (invalid slice) falls back to
-                        // the raw slice list under a distinct tag.
-                        match self.resolve_view(v) {
+                        // the raw slice list under tag 1, and a register no
+                        // base declares (the verifier's V103) under tag 2
+                        // without looking up a base: digesting is total, so
+                        // admission can reject such a program instead of
+                        // panicking while building the request.
+                        let resolved = if v.reg.index() < self.bases().len() {
+                            self.resolve_view(v).map_err(|_| 1)
+                        } else {
+                            Err(2)
+                        };
+                        match resolved {
                             Ok(geom) => {
                                 e.out.push(0);
                                 e.u64_(geom.offset() as u64);
@@ -111,8 +120,8 @@ impl Program {
                                     e.u64_(d.stride as u64);
                                 }
                             }
-                            Err(_) => {
-                                e.out.push(1);
+                            Err(tag) => {
+                                e.out.push(tag);
                                 let slices = v.slices.as_deref().unwrap_or(&[]);
                                 e.usize_(slices.len());
                                 for s in slices {
@@ -239,6 +248,28 @@ mod tests {
         // Round-trip through the printer yields the same structure.
         let q = parse_program(&p.to_text(crate::PrintStyle::FULL)).unwrap();
         assert_eq!(p.structural_digest(), q.structural_digest());
+    }
+
+    #[test]
+    fn a_dangling_register_digests_without_panicking() {
+        // The parser cannot name an undeclared register, but a decoded
+        // container can: `BH_IDENTITY a0 <register 7>` over one base.
+        use crate::{Instruction, Opcode, Operand, Program, Reg, ViewRef};
+        use bh_tensor::{DType, Shape};
+        let with_source = |src: Reg| {
+            let mut p = Program::new();
+            let a0 = p.declare("a0", DType::Float64, Shape::vector(4));
+            p.push(Instruction::unary(
+                Opcode::Identity,
+                ViewRef::full(a0),
+                Operand::full(src),
+            ));
+            p.structural_digest()
+        };
+        let dangling = with_source(Reg(7));
+        assert_eq!(dangling, with_source(Reg(7)));
+        assert_ne!(dangling, with_source(Reg(0)));
+        assert_ne!(dangling, with_source(Reg(8)));
     }
 
     #[test]

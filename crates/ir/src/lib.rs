@@ -36,7 +36,6 @@ mod digest;
 pub mod equiv;
 pub mod fold;
 mod instr;
-pub mod lint;
 mod opcode;
 mod operand;
 mod parse;
@@ -48,7 +47,6 @@ pub use digest::ProgramDigest;
 pub use equiv::{check_equiv, EquivCode, EquivError, EquivOptions, EquivWitness};
 pub use fold::const_eval;
 pub use instr::Instruction;
-pub use lint::{LintCode, LintWarning};
 pub use opcode::{OpKind, Opcode, OpcodeTypeError, ParseOpcodeError, TypeRule, ALL_OPCODES};
 pub use operand::{Operand, Reg, ViewRef};
 pub use parse::{parse_program, parse_program_with, ParseError, ParseOptions};

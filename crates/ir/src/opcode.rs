@@ -345,8 +345,8 @@ impl Opcode {
         }
     }
 
-    /// Abstract per-element cost in "flop units", used by the optimizer's
-    /// cost model; calibrated to the conventional wisdom the paper leans on
+    /// Abstract per-element cost in "flop units", counted by the VM's
+    /// `flops` statistic; set by the conventional wisdom the paper leans on
     /// (`BH_POWER` ≫ `BH_MULTIPLY`).
     pub const fn unit_cost(self) -> u64 {
         match self {
@@ -412,8 +412,8 @@ impl Opcode {
             | Opcode::AddAccumulate
             | Opcode::MultiplyAccumulate => 1,
             Opcode::Range | Opcode::Random => 2,
-            // LinAlg ops are super-linear; cost handled separately by the
-            // cost model, this is the per-output-element floor.
+            // LinAlg ops are super-linear; the VM counts their flops from
+            // `bh-linalg`'s flop model, this is the per-output-element floor.
             Opcode::MatMul | Opcode::Transpose | Opcode::Inverse | Opcode::Solve => 1,
         }
     }

@@ -312,7 +312,7 @@ impl Program {
 
     /// Total abstract element-work of the program under the per-op unit
     /// costs (see [`Opcode::unit_cost`]); a quick static proxy used in
-    /// tests — the real cost model lives in `bh-opt`.
+    /// tests.
     pub fn static_cost(&self) -> u64 {
         self.instrs
             .iter()

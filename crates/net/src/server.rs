@@ -336,8 +336,7 @@ fn submit(
         }
     };
     // Semantic trust boundary: the program must pass byte-code
-    // verification *before* anything derives from it — digesting (inside
-    // `Request::new`) is only total on verified programs.
+    // verification *before* anything derives from it.
     let program = decoded.program;
     if let Err(errors) = bh_ir::verify(&program) {
         let detail = errors

@@ -35,10 +35,9 @@ pub struct EvalOutcome {
     /// True when the plan came from the transformation cache.
     pub cache_hit: bool,
     /// Wall-clock time of this evaluation (bind → execute → read-back,
-    /// excluding optimisation and queueing). This is the service-time
-    /// signal a latency-SLO control loop should consume — a serving
-    /// layer's turnaround additionally includes queue wait, which says
-    /// something about load, not about per-request cost.
+    /// excluding optimisation and queueing): the service time of this
+    /// request. A serving layer's turnaround additionally includes queue
+    /// wait, which says something about load, not about per-request cost.
     pub elapsed: Duration,
 }
 
@@ -317,7 +316,7 @@ impl Runtime {
                 // An honest report for the plan that will actually run
                 // (zero rewrites), instead of one describing discarded
                 // work.
-                report = OptReport::untransformed(&optimised, &options.cost_params);
+                report = OptReport::untransformed();
             }
         }
         {
@@ -591,12 +590,6 @@ impl RuntimeBuilder {
     /// Set just the optimisation level.
     pub fn opt_level(mut self, level: OptLevel) -> RuntimeBuilder {
         self.options.level = level;
-        self
-    }
-
-    /// Strict IEEE float semantics (no re-associating rewrites on floats).
-    pub fn strict_math(mut self) -> RuntimeBuilder {
-        self.options.ctx.fast_math = false;
         self
     }
 
@@ -966,8 +959,7 @@ mod tests {
     #[test]
     fn builder_knobs_are_applied() {
         let rt = Runtime::builder()
-            .opt_level(OptLevel::O1)
-            .strict_math()
+            .options(OptOptions::level(OptLevel::O1).strict_math())
             .threads(3)
             .cache_capacity(7)
             .build();

@@ -107,9 +107,9 @@ impl RuntimeStats {
     }
 
     /// Mean service time per evaluation, rounded to the nearest
-    /// nanosecond (zero when none yet). Truncating here used to bias a
-    /// latency-SLO control loop low by up to 1 ns per read — harmless at
-    /// millisecond scale but wrong for the sub-microsecond cached path.
+    /// nanosecond (zero when none yet). Truncating would bias the mean low
+    /// by up to 1 ns — harmless at millisecond scale but wrong for the
+    /// sub-microsecond cached path.
     pub fn mean_eval_time(&self) -> Duration {
         if self.evals == 0 {
             return Duration::ZERO;

@@ -263,13 +263,6 @@ impl Shared {
         }
         match bh_ir::verify(&request.program) {
             Ok(_) => {
-                // Advisory W-code lints ride along with first-admission
-                // verification: counted for dashboards, never a rejection,
-                // and never re-run for a digest the set remembers.
-                let warnings = request.program.lint().len() as u64;
-                if warnings > 0 {
-                    self.stats.lock().lint_warnings += warnings;
-                }
                 let mut admitted = self.admitted.lock();
                 if admitted.len() >= ADMITTED_DIGEST_LIMIT {
                     admitted.clear();

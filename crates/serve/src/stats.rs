@@ -172,11 +172,6 @@ pub struct ServeStats {
     pub expired: u64,
     /// Micro-batches executed.
     pub batches: u64,
-    /// Advisory W-code lint warnings ([`bh_ir::Program::lint`]) observed
-    /// on first-admission of a digest. Purely diagnostic — a lint never
-    /// rejects a request, and repeat traffic on a known digest is never
-    /// re-linted.
-    pub lint_warnings: u64,
     /// Requests queued right now.
     pub queue_depth: usize,
     /// Deepest the queue has ever been.
@@ -235,11 +230,6 @@ impl bh_observe::Collect for ServeStats {
         .value(self.expired);
         set.counter("bh_serve_batches_total", "Micro-batches executed.")
             .value(self.batches);
-        set.counter(
-            "bh_serve_lint_warnings_total",
-            "Advisory W-code lint warnings observed at first admission of a digest.",
-        )
-        .value(self.lint_warnings);
         set.gauge("bh_serve_queue_depth", "Requests queued right now.")
             .value(self.queue_depth);
         set.gauge(

@@ -6,10 +6,10 @@
 //! with `service_once`, so batch formation and round-robin order are
 //! observable without sleeps or races.
 
-use bh_ir::parse_program;
+use bh_ir::{parse_program, Instruction, Opcode, Operand, Program, Reg, ViewRef};
 use bh_runtime::Runtime;
 use bh_serve::{ProgramHandle, Request, ServeError, Server, Ticket};
-use bh_tensor::Tensor;
+use bh_tensor::{DType, Shape, Tensor};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -717,49 +717,31 @@ fn submit_many_bounces_only_the_malformed_requests() {
 }
 
 #[test]
-fn admission_lints_once_per_digest_and_never_rejects() {
+fn a_dangling_register_is_malformed_not_a_panic() {
     let server = Server::builder(Runtime::builder().build_shared())
         .workers(0)
         .build();
-    // The first write is dead (overwritten before the sync): W100. The
-    // program is still perfectly valid byte-code and must be served.
-    let dusty = ProgramHandle::new(
-        parse_program(
-            "BH_IDENTITY a [0:4:1] 1\n\
-             BH_IDENTITY a [0:4:1] 2\n\
-             BH_SYNC a\n",
-        )
-        .unwrap(),
-    );
-    let reg = dusty.program().reg_by_name("a").unwrap();
+    // One declared base and an operand naming register 7: the parser
+    // cannot write this, a decoded container can. Building the request
+    // digests the program, which must not index the missing base.
+    let mut program = Program::new();
+    let a0 = program.declare("a0", DType::Float64, Shape::vector(4));
+    program.push(Instruction::unary(
+        Opcode::Identity,
+        ViewRef::full(a0),
+        Operand::full(Reg(7)),
+    ));
 
-    let first = server
-        .submit(Request::with_handle("t", &dusty).read(reg))
-        .unwrap();
-    let warned = server.stats().lint_warnings;
-    assert!(warned > 0, "expected at least the W100 dead store");
-
-    // Repeat traffic on the admitted digest is not re-linted.
-    let second = server
-        .submit(Request::with_handle("t", &dusty).read(reg))
-        .unwrap();
-    assert_eq!(server.stats().lint_warnings, warned);
-
-    // Advisory only: both requests complete with the right value.
-    while server.service_once() {}
-    for t in [first, second] {
-        assert_eq!(t.wait().unwrap().value.unwrap().to_f64_vec(), vec![2.0; 4]);
+    let rejected = server.submit(Request::new("t", program)).unwrap_err();
+    match &rejected.reason {
+        ServeError::Malformed(errors) => {
+            assert_eq!(errors[0].code, bh_ir::VerifyCode::BadView, "{errors:?}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
     }
-    assert_eq!(server.stats().rejected, 0);
-
-    // A clean program moves nothing.
-    let clean = chain(8, 1);
-    let t = server
-        .submit(Request::with_handle("t", &clean).read(clean.program().reg_by_name("a").unwrap()))
-        .unwrap();
-    while server.service_once() {}
-    t.wait().unwrap();
-    assert_eq!(server.stats().lint_warnings, warned);
+    assert_eq!(server.stats().rejected, 1);
+    assert_eq!(server.queue_depth(), 0);
+    assert!(!server.service_once());
 }
 
 #[test]

@@ -62,8 +62,8 @@ impl ExecStats {
 
     /// Modelled execution time in abstract units: each kernel launch pays a
     /// fixed overhead `launch_overhead`, each byte moved costs 1, each flop
-    /// costs `flop_cost`. The defaults (overhead 4096, flop cost 4) mirror
-    /// a GPU-offload regime where the paper's transformations matter most.
+    /// costs `flop_cost`. The weights are the caller's; nothing in the
+    /// stack calibrates or consumes them.
     pub fn model_time(&self, launch_overhead: u64, flop_cost: u64) -> u64 {
         self.kernels * launch_overhead + self.bytes_total() + self.flops * flop_cost
     }

@@ -88,7 +88,6 @@ fn synthetic_metrics() -> MetricSet {
         rejected: 2,
         completed: 10,
         batches: 4,
-        lint_warnings: 3,
         peak_queue_depth: 6,
         ..ServeStats::default()
     };

@@ -9,15 +9,24 @@
 //! are absolute and generous — a debug build on a slow shared runner
 //! passes with an order of magnitude to spare — so only a return to
 //! quadratic behaviour trips them.
+//!
+//! Admission is held to the same rule: a verified SUBMIT of this size
+//! must not pin its connection thread behind a per-instruction rescan.
+//! That case has a budget of its own, at least 100× its typical time.
 
 use bohrium_repro::ir::{check_equiv, parse_program, verify, Program};
 use bohrium_repro::opt::{OptOptions, Optimizer};
 use bohrium_repro::runtime::Runtime;
+use bohrium_repro::serve::{Request, Server};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 
 const INSTRUCTIONS: usize = 50_000;
 const BUDGET: Duration = Duration::from_secs(10);
+/// Admission plus one `service_once` of the 50 000-instruction cast chain
+/// takes ≈ 0.85 s in a debug build on a 2-vCPU x86-64 host; an admission
+/// lint that rescanned the instruction list per cast took 134 s there.
+const ADMISSION_BUDGET: Duration = Duration::from_secs(100);
 
 /// Blocks of: a run of mergeable adds, two temporaries, a run of
 /// mergeable multiplies, a CSE-able pair, and the pair folded back into
@@ -106,5 +115,53 @@ fn a_long_program_evaluates_through_the_runtime() {
         begun.elapsed() < BUDGET,
         "a miss on {INSTRUCTIONS} instructions took {:?}",
         begun.elapsed()
+    );
+}
+
+/// `x0 → x1 → x2 → …` alternating `f64` and `f32`: every cast feeds
+/// exactly one other cast, the shape on which a per-cast rescan of the
+/// instruction list is quadratic.
+fn cast_chain(instructions: usize) -> Program {
+    let mut text = String::new();
+    for k in 0..instructions - 1 {
+        let dtype = if k % 2 == 0 { "f64" } else { "f32" };
+        let _ = writeln!(text, ".base x{k} {dtype}[4]");
+    }
+    text.push_str("BH_RANGE x0\n");
+    for k in 1..instructions - 1 {
+        let _ = writeln!(text, "BH_IDENTITY x{k} x{}", k - 1);
+    }
+    let _ = writeln!(text, "BH_SYNC x{}", instructions - 2);
+    let program = parse_program(&text).expect("generated byte-code parses");
+    assert_eq!(program.instrs().len(), instructions);
+    program
+}
+
+#[test]
+fn a_long_cast_chain_is_admitted_and_served_in_bounded_time() {
+    let source = cast_chain(INSTRUCTIONS);
+    let last = source
+        .reg_by_name(&format!("x{}", INSTRUCTIONS - 2))
+        .expect("declared above");
+    let server = Server::builder(Runtime::builder().build_shared())
+        .workers(0)
+        .build();
+    let begun = Instant::now();
+    let ticket = server
+        .submit(Request::new("t", source).read(last))
+        .expect("a verified program is admitted");
+    let admit = begun.elapsed();
+    assert!(server.service_once());
+    let value = ticket
+        .wait()
+        .expect("the chain evaluates")
+        .value
+        .expect("the synced register is read back");
+    let serve = begun.elapsed() - admit;
+    assert_eq!(value.to_f64_vec(), vec![0.0, 1.0, 2.0, 3.0]);
+    assert!(
+        begun.elapsed() < ADMISSION_BUDGET,
+        "admission {admit:?} + one service_once {serve:?} for {INSTRUCTIONS} instructions \
+         exceeds {ADMISSION_BUDGET:?}: admission is no longer linear"
     );
 }

@@ -656,8 +656,8 @@ fn render(name: &str, text: &str) -> String {
             report.iterations,
             report.audits,
             report.audit_rollbacks,
-            report.before.bytecodes,
-            report.after.bytecodes
+            source.live_len(),
+            program.live_len()
         );
         for (rule, n) in &report.by_rule {
             let _ = writeln!(out, "{rule} {n}");
