@@ -4,7 +4,8 @@
 //! inverse used for anything else?"* (the Eq. 2 context-aware rewrite)
 //! and *"is this store ever observed?"* (dead-code elimination). This
 //! module provides the def-use and liveness machinery behind those
-//! answers.
+//! answers, plus the first-touch analysis the VM uses to decide which
+//! bases may start a run on recycled storage.
 
 use crate::instr::Instruction;
 use crate::operand::Reg;
@@ -157,50 +158,53 @@ impl Liveness {
     }
 }
 
-/// True when re-executing `program` on a VM that still holds base
-/// buffers from a previous run of the *same* program is observationally
-/// identical to executing it on a fresh VM — **provided every base
-/// declared `input` is re-bound wholesale before the run**.
+/// How a program first touches one base: what a run can observe of the
+/// contents the base held before the run started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FirstTouch {
+    /// No instruction names the base.
+    Untouched,
+    /// The first instruction naming the base writes a full view of it
+    /// ([`Program::is_full_view`]) and reads nothing of it: the old
+    /// contents are overwritten unseen.
+    Overwrites,
+    /// The first instruction naming the base reads it — `BH_SYNC` and
+    /// `BH_FREE` included, as [`Instruction::inputs`] says — or writes
+    /// only part of it, leaving the rest to be read as it was.
+    Observes,
+}
+
+/// The [`FirstTouch`] of every base, indexed by register, in one forward
+/// walk.
 ///
-/// A re-run only observes leftover state through a read of a non-input
-/// register position the current run has not yet defined. So the program
-/// is re-run safe when every read of a non-input register is preceded by
-/// a *full* write ([`Program::is_full_view`]) or a `BH_FREE` (a freed base
-/// re-allocates zero-filled, exactly the state a first run sees).
-/// Partial-view writes define nothing for this purpose: validation
-/// accepts `write a[0:2] ; read a[0:4]`, whose untouched tail would leak
-/// the previous run's values.
-///
-/// Batched serving uses this to decide whether a pinned VM may run a
-/// plan back-to-back without recycling between requests; a `false`
-/// answer costs a recycle, never correctness.
-pub fn rerun_safe(program: &Program) -> bool {
-    use crate::opcode::Opcode;
-    use crate::operand::Operand;
-    // `fresh[r]`: the current content of `r` is independent of pre-run
-    // VM state (input rebound, fully rewritten, or discarded).
-    let mut fresh: Vec<bool> = program.bases().iter().map(|b| b.is_input).collect();
+/// For a non-input base, [`FirstTouch::Observes`] means the run can see
+/// the base's *initial zeros*: a VM may start such a base on recycled
+/// storage only after zero-filling it, while a [`FirstTouch::Overwrites`]
+/// base may start holding anything. (An input's initial contents are the
+/// caller's binding, never recycled storage.) The walk assumes nothing the
+/// verifier checks: a read of a never-written register and a partial
+/// write both answer `Observes`. A base freed mid-run is only ever
+/// re-created zero-filled by the VM, so a free cannot expose a reused
+/// buffer's contents either.
+pub fn first_touch(program: &Program) -> Vec<FirstTouch> {
+    let mut touch = vec![FirstTouch::Untouched; program.bases().len()];
     for instr in program.instrs() {
-        if instr.op == Opcode::Free {
-            if let Some(v) = instr.operands.first().and_then(|o| o.as_view()) {
-                fresh[v.reg.index()] = true;
-            }
-            continue;
-        }
-        for o in instr.inputs() {
-            if let Operand::View(v) = o {
-                if !fresh[v.reg.index()] {
-                    return false;
-                }
+        for r in instr.input_regs() {
+            if touch[r.index()] == FirstTouch::Untouched {
+                touch[r.index()] = FirstTouch::Observes;
             }
         }
-        if let Some(v) = instr.out_view() {
-            if program.is_full_view(v) {
-                fresh[v.reg.index()] = true;
+        if let Some(out) = instr.out_view() {
+            if touch[out.reg.index()] == FirstTouch::Untouched {
+                touch[out.reg.index()] = if program.is_full_view(out) {
+                    FirstTouch::Overwrites
+                } else {
+                    FirstTouch::Observes
+                };
             }
         }
     }
-    true
+    touch
 }
 
 #[cfg(test)]
@@ -353,14 +357,14 @@ mod tests {
     #[test]
     fn rerun_safe_full_write_chains() {
         // Listing 2 fully initialises before every read.
-        assert!(rerun_safe(&listing2()));
+        assert_eq!(first_touch(&listing2()), [FirstTouch::Overwrites]);
     }
 
     #[test]
     fn rerun_safe_rejects_partial_write_then_full_read() {
         // `y[0:2] = 5; y[0:4] += 1; sync y` validates (the partial write
-        // marks y written) but the untouched tail of y would carry a
-        // previous run's residue.
+        // marks y written) but the untouched tail of y is read as it was
+        // before the run: recycled storage would leak its old contents.
         let p = crate::parse_program(
             ".base y f64[4]\n\
              BH_IDENTITY y [0:2:1] 5\n\
@@ -369,28 +373,33 @@ mod tests {
         )
         .unwrap();
         assert!(crate::verify(&p).is_ok());
-        assert!(!rerun_safe(&p));
+        assert_eq!(first_touch(&p), [FirstTouch::Observes]);
     }
 
     #[test]
     fn rerun_safe_trusts_rebound_inputs() {
+        // x observes its initial contents, but those are the caller's
+        // binding; y is overwritten before anything reads it.
         let p =
             crate::parse_program(".base x f64[4] input\n.base y f64[4]\nBH_ADD y x 1\nBH_SYNC y\n")
                 .unwrap();
-        assert!(rerun_safe(&p));
+        assert_eq!(
+            first_touch(&p),
+            [FirstTouch::Observes, FirstTouch::Overwrites]
+        );
     }
 
     #[test]
     fn rerun_safe_rejects_sync_of_partially_written_register() {
         let p =
             crate::parse_program(".base y f64[4]\nBH_IDENTITY y [0:2:1] 5\nBH_SYNC y\n").unwrap();
-        assert!(!rerun_safe(&p));
+        assert_eq!(first_touch(&p), [FirstTouch::Observes]);
     }
 
     #[test]
     fn rerun_safe_treats_free_as_reset() {
-        // Freed then re-read: both a fresh and a reused VM re-allocate
-        // zero-filled, so the re-run observes nothing stale.
+        // `a` is overwritten before the free; the VM re-creates a freed
+        // base zero-filled, so `b`'s read of it sees no recycled contents.
         let p = crate::parse_program(
             "BH_IDENTITY a [0:4:1] 1\n\
              BH_FREE a\n\
@@ -398,6 +407,18 @@ mod tests {
              BH_SYNC b\n",
         )
         .unwrap();
-        assert!(rerun_safe(&p));
+        assert_eq!(
+            first_touch(&p),
+            [FirstTouch::Overwrites, FirstTouch::Overwrites]
+        );
+    }
+
+    #[test]
+    fn first_touch_counts_free_and_untouched_bases() {
+        let p = crate::parse_program(".base a f64[4]\n.base unused f64[4]\nBH_FREE a\n").unwrap();
+        assert_eq!(
+            first_touch(&p),
+            [FirstTouch::Observes, FirstTouch::Untouched]
+        );
     }
 }

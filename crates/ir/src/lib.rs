@@ -42,7 +42,7 @@ mod parse;
 mod program;
 pub mod verify;
 
-pub use analysis::{rerun_safe, DefUse, Liveness};
+pub use analysis::{first_touch, DefUse, FirstTouch, Liveness};
 pub use digest::ProgramDigest;
 pub use equiv::{check_equiv, EquivCode, EquivError, EquivOptions, EquivWitness};
 pub use fold::const_eval;

@@ -26,8 +26,8 @@
 //! counters, service time, cache-hit flag), replacing the old
 //! per-context `set_engine` / `last_report` / `last_stats` trio.
 //! Serving layers drive the prepared-plan hot path
-//! ([`Runtime::prepare`] / [`Runtime::eval_prepared`]) instead; the VM
-//! reuse rules it must respect are specified in DESIGN.md §7, and
+//! ([`Runtime::prepare`] / [`Runtime::eval_prepared`]) instead,
+//! recycling the VM between requests (DESIGN.md §7), and
 //! per-eval service time is aggregated in [`RuntimeStats::eval_nanos`].
 //!
 //! # Example

@@ -412,8 +412,9 @@ impl Runtime {
 
     /// Check a clean, correctly configured VM out of the runtime's pool.
     /// Dropping the guard recycles it back in. A serving layer pins one
-    /// lease per micro-batch so the VM's base-slot table — and, across
-    /// same-plan runs, its base buffers — amortise over the batch.
+    /// lease per micro-batch so the checkout amortises over the batch;
+    /// the VM's recycled storage is reused across leases and plans alike
+    /// (DESIGN.md §7).
     pub fn lease_vm(&self) -> PooledVm<'_> {
         self.vm_pool.checkout()
     }
@@ -425,14 +426,11 @@ impl Runtime {
     /// was built, so execution takes [`bh_vm::Vm::run_verified`]'s
     /// trusted path.
     ///
-    /// The VM is **not** recycled, so back-to-back calls with the *same*
-    /// plan reuse its base buffers. That reuse is only observation-free
-    /// when `bh_ir::analysis::rerun_safe(&plan.program)` holds **and**
-    /// every base declared `input` appears in `bindings` (rebinding
-    /// replaces the buffer wholesale); otherwise — and always when
-    /// switching plans — call [`Vm::recycle`] between runs. The serve
-    /// batcher checks exactly these two conditions per request (see
-    /// DESIGN.md §7).
+    /// The VM is **not** recycled by this call: a second call on the same
+    /// VM starts from the registers the first left behind. Call
+    /// [`Vm::recycle`] between requests, as the serve batcher does; the
+    /// next run then reuses the VM's storage without observing any of it
+    /// (DESIGN.md §7).
     ///
     /// `cache_hit` is recorded on the returned [`EvalOutcome`] (pass the
     /// flag [`Runtime::prepare`] returned, or `true` when re-running a

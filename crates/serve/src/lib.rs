@@ -14,11 +14,13 @@
 //!   without limit.
 //! * **Digest-keyed micro-batching** — concurrent requests whose
 //!   programs share a [`bh_ir::ProgramDigest`] are grouped and executed
-//!   back-to-back on one pinned, recycled VM, so the plan lookup (or the
-//!   whole optimiser run, on a cache miss) and the VM's buffer setup
-//!   amortise across the batch. The transformed program is a shared,
-//!   reusable artifact; the batcher is what makes N concurrent callers
-//!   actually share it.
+//!   back-to-back on one pinned VM, so the plan lookup (or the whole
+//!   optimiser run, on a cache miss) amortises across the batch. The VM
+//!   is recycled after every request, and the next run reuses its
+//!   storage, zero-filled wherever that run could observe what it held
+//!   (DESIGN.md §7). The transformed
+//!   program is a shared, reusable artifact; the batcher is what makes N
+//!   concurrent callers actually share it.
 //! * **Weighted tenant scheduling** — batch leaders are picked by
 //!   smooth weighted round-robin over tenant lanes
 //!   ([`ServerBuilder::tenant_weight`]); a flooding tenant cannot starve

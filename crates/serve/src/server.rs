@@ -346,24 +346,10 @@ impl Shared {
                         table.record_queue_wait(fp, started.saturating_duration_since(r.submitted));
                     }
                 }
-                // … and one pinned VM. Same-plan runs back-to-back reuse
-                // its base buffers only when that is provably invisible:
-                // the plan must never read residue (`rerun_safe`, see
-                // DESIGN.md §7) *and* the request must re-bind every
-                // declared input — otherwise a request omitting a binding
-                // would read the previous request's data. Any other case
-                // pays a recycle, never a wrong answer.
-                let plan_reusable = bh_ir::analysis::rerun_safe(&plan.program);
-                let input_regs: Vec<Reg> = plan
-                    .program
-                    .bases()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.is_input)
-                    .map(|(i, _)| Reg(i as u32))
-                    .collect();
+                // … and one pinned VM, recycled after every request: the
+                // next run reuses its storage only where no run can
+                // observe what it held (DESIGN.md §7).
                 let mut vm = self.runtime.lease_vm();
-                let mut vm_dirty = false;
                 let mut cache_hit = first_hit;
                 for r in live {
                     let now = Instant::now();
@@ -375,14 +361,7 @@ impl Shared {
                             continue;
                         }
                     }
-                    let reuse_ok = plan_reusable
-                        && input_regs
-                            .iter()
-                            .all(|reg| r.bindings.iter().any(|(bound, _)| bound == reg));
-                    if vm_dirty && !reuse_ok {
-                        vm.recycle();
-                    }
-                    vm_dirty = match self.runtime.eval_prepared(
+                    match self.runtime.eval_prepared(
                         &plan,
                         &mut vm,
                         &r.bindings,
@@ -400,17 +379,13 @@ impl Shared {
                                 queue_wait: started.saturating_duration_since(r.submitted),
                                 turnaround: done - r.submitted,
                             }));
-                            true
                         }
                         Err(e) => {
                             failed += 1;
                             r.slot.complete(Err(ServeError::Eval(e)));
-                            // A failed run may leave partial register
-                            // state; start the rest of the batch clean.
-                            vm.recycle();
-                            false
                         }
-                    };
+                    }
+                    vm.recycle();
                     cache_hit = true;
                 }
             }

@@ -543,10 +543,10 @@ fn batched_request_omitting_a_binding_sees_zeros_not_another_tenants_data() {
 
 #[test]
 fn batched_partial_write_programs_match_fresh_vm_semantics() {
-    // `y[0:2] = 5; y += 1; sync y` validates but is not rerun-safe: the
-    // tail of y is read without being written, so naive buffer reuse
-    // would leak the first run's values into the second. Both identical
-    // requests in one batch must produce the fresh-VM answer.
+    // `y[0:2] = 5; y += 1; sync y` validates, but the tail of y is read
+    // without being written, so reusing y's storage without zero-filling
+    // it would leak the first run's values into the second. Both
+    // identical requests in one batch must produce the fresh-VM answer.
     let server = Server::builder(Runtime::builder().build_shared())
         .workers(0)
         .max_batch(4)
@@ -555,7 +555,10 @@ fn batched_partial_write_programs_match_fresh_vm_semantics() {
         parse_program(".base y f64[4]\nBH_IDENTITY y [0:2:1] 5\nBH_ADD y y 1\nBH_SYNC y\n")
             .unwrap(),
     );
-    assert!(!bh_ir::rerun_safe(h.program()));
+    assert_eq!(
+        bh_ir::first_touch(h.program()),
+        [bh_ir::FirstTouch::Observes]
+    );
     let y = h.program().reg_by_name("y").unwrap();
     let t1 = server
         .submit(Request::with_handle("t", &h).read(y))
@@ -569,6 +572,41 @@ fn batched_partial_write_programs_match_fresh_vm_semantics() {
     assert_eq!(r1.batch_size, 2);
     assert_eq!(r1.value.unwrap().to_f64_vec(), vec![6.0, 6.0, 1.0, 1.0]);
     assert_eq!(r2.value.unwrap().to_f64_vec(), vec![6.0, 6.0, 1.0, 1.0]);
+}
+
+#[test]
+fn a_binding_or_read_of_an_undeclared_register_fails_the_request_not_the_worker() {
+    let server = Server::builder(Runtime::builder().build_shared())
+        .workers(0)
+        .max_batch(4)
+        .build();
+    let h = square();
+    let x = h.program().reg_by_name("x").unwrap();
+    let y = h.program().reg_by_name("y").unwrap();
+    let input = || Tensor::from_vec(vec![3.0f64; 8]);
+    // Admission verifies the program, not the registers a request names:
+    // Reg(9) on a 2-base program reaches the batch.
+    let bad_bind = server
+        .submit(
+            Request::with_handle("t", &h)
+                .bind(x, input())
+                .bind(Reg(9), input())
+                .read(y),
+        )
+        .unwrap();
+    let bad_read = server
+        .submit(Request::with_handle("t", &h).bind(x, input()).read(Reg(9)))
+        .unwrap();
+    let good = server
+        .submit(Request::with_handle("t", &h).bind(x, input()).read(y))
+        .unwrap();
+    assert!(server.service_once());
+    assert!(matches!(bad_bind.wait(), Err(ServeError::Eval(_))));
+    assert!(matches!(bad_read.wait(), Err(ServeError::Eval(_))));
+    let response = good.wait().unwrap();
+    assert_eq!(response.batch_size, 3);
+    assert_eq!(response.value.unwrap().to_f64_vec(), vec![9.0; 8]);
+    assert_eq!(server.stats().failed, 2);
 }
 
 #[test]

@@ -198,6 +198,13 @@ impl Buffer {
         }
     }
 
+    /// True when no other clone shares this storage, so nobody else can
+    /// observe what it holds or what is written to it next. Takes `&mut`
+    /// because only an exclusive handle can keep the answer true.
+    pub fn is_unique(&mut self) -> bool {
+        for_each_variant!(self, v, Arc::get_mut(v).is_some())
+    }
+
     /// The dtype of the stored elements.
     pub fn dtype(&self) -> DType {
         match self {
@@ -485,6 +492,16 @@ mod tests {
         let before = a.as_slice::<u32>().unwrap().as_ptr();
         a.as_mut_slice::<u32>().unwrap()[0] = 5;
         assert_eq!(a.as_slice::<u32>().unwrap().as_ptr(), before);
+    }
+
+    #[test]
+    fn uniqueness_follows_the_clones() {
+        let mut a = Buffer::zeros(DType::Float64, 4);
+        assert!(a.is_unique());
+        let b = a.clone();
+        assert!(!a.is_unique());
+        drop(b);
+        assert!(a.is_unique());
     }
 
     #[test]

@@ -46,6 +46,7 @@ mod exec;
 mod fusion;
 mod machine;
 mod pool;
+mod stash;
 mod stats;
 
 pub use eltops::VmElement;
@@ -626,6 +627,26 @@ BH_SYNC z\nBH_SYNC m\n";
                 &Tensor::zeros(DType::Float64, Shape::vector(4))
             )
             .is_err());
+    }
+
+    #[test]
+    fn bind_of_an_undeclared_register_is_an_error() {
+        let p = parse_program(".base x f64[4] input\nBH_SYNC x\n").unwrap();
+        let mut vm = Vm::new();
+        let t = Tensor::zeros(DType::Float64, Shape::vector(4));
+        assert!(matches!(
+            vm.bind(&p, bh_ir::Reg(9), &t),
+            Err(VmError::Register { .. })
+        ));
+    }
+
+    #[test]
+    fn read_of_an_undeclared_register_is_an_error() {
+        let (p, vm) = run_text("BH_IDENTITY a0 [0:4:1] 1\nBH_SYNC a0\n");
+        assert!(matches!(
+            vm.read(&p, bh_ir::Reg(9)),
+            Err(VmError::Register { .. })
+        ));
     }
 
     #[test]

@@ -15,8 +15,11 @@ use crate::error::VmError;
 use crate::exec::{self, BinIn, ParCtx};
 use crate::fusion::{self, FusedInput, FusedInstr};
 use crate::pool::WorkerPool;
+use crate::stash::Stash;
 use crate::stats::ExecStats;
-use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, TypeRule, ViewRef};
+use bh_ir::{
+    BaseDecl, FirstTouch, Instruction, OpKind, Opcode, Operand, Program, Reg, TypeRule, ViewRef,
+};
 use bh_linalg as linalg;
 use bh_tensor::kernels::{self, RangeExecutor};
 use bh_tensor::{with_dtype, Buffer, DType, Element, Scalar, Shape, Tensor, ViewGeom};
@@ -67,6 +70,18 @@ pub struct Vm {
     workers: Option<Arc<WorkerPool>>,
     par_threshold: usize,
     bases: Vec<Option<Buffer>>,
+    /// `allocated[r]`: slot `r` holds storage this VM allocated rather
+    /// than a caller's binding. Only such storage is ever recycled.
+    allocated: Vec<bool>,
+    /// Storage of earlier runs awaiting reuse.
+    stash: Stash,
+    /// This run's share of the stash, per register: a buffer of the
+    /// register's exact dtype and length, and whether the run can
+    /// observe its zeros (so it must be zero-filled before use).
+    reserved: Vec<Option<(Buffer, bool)>>,
+    /// The largest footprint of any run so far — the bytes the register
+    /// slots held, bound or allocated, when it ended: the stash's bound.
+    peak_bytes: usize,
     stats: ExecStats,
     count_kernel_per_instr: bool,
 }
@@ -90,6 +105,10 @@ impl Vm {
             workers: None,
             par_threshold: exec::PAR_THRESHOLD,
             bases: Vec::new(),
+            allocated: Vec::new(),
+            stash: Stash::default(),
+            reserved: Vec::new(),
+            peak_bytes: 0,
             stats: ExecStats::new(),
             count_kernel_per_instr: true,
         }
@@ -151,12 +170,20 @@ impl Vm {
         self
     }
 
-    /// Clear memory and counters but keep the base-slot allocation, so a
-    /// pooled VM re-running same-shaped programs avoids re-growing its
-    /// register table. Equivalent to [`Vm::reset`] observationally.
+    /// Clear memory and counters but keep the base-slot table and, within
+    /// the largest footprint of any single run so far, the storage this
+    /// VM allocated, so later runs of *any* program reuse it instead of
+    /// allocating. Caller-bound buffers are released, never kept.
+    /// Equivalent to [`Vm::reset`] observationally: a run zero-fills
+    /// reused storage wherever it could observe the zeros, and never
+    /// reuses a buffer someone else still holds (DESIGN.md §7).
     pub fn recycle(&mut self) {
-        for slot in &mut self.bases {
-            *slot = None;
+        self.release_reservation();
+        for (slot, allocated) in self.bases.iter_mut().zip(&mut self.allocated) {
+            let allocated = std::mem::take(allocated);
+            if let Some(buffer) = slot.take().filter(|_| allocated) {
+                self.stash.put(buffer, self.peak_bytes);
+            }
         }
         self.stats = ExecStats::new();
         self.count_kernel_per_instr = true;
@@ -167,9 +194,13 @@ impl Vm {
         &self.stats
     }
 
-    /// Clear memory and counters.
+    /// Clear memory, recycled storage included, and counters.
     pub fn reset(&mut self) {
         self.bases.clear();
+        self.allocated.clear();
+        self.reserved.clear();
+        self.stash.clear();
+        self.peak_bytes = 0;
         self.stats = ExecStats::new();
         self.count_kernel_per_instr = true;
     }
@@ -178,10 +209,10 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// [`VmError::Register`] when dtype or shape disagree with the
-    /// declaration.
+    /// [`VmError::Register`] when `program` does not declare `reg`, or
+    /// when dtype or shape disagree with the declaration.
     pub fn bind(&mut self, program: &Program, reg: Reg, tensor: &Tensor) -> Result<(), VmError> {
-        let decl = program.base(reg);
+        let decl = declared(program, reg)?;
         if decl.dtype != tensor.dtype() {
             return Err(VmError::Register {
                 reason: format!(
@@ -204,6 +235,7 @@ impl Vm {
         }
         self.ensure_slot(reg);
         self.bases[reg.index()] = Some(tensor.buffer().clone());
+        self.allocated[reg.index()] = false;
         Ok(())
     }
 
@@ -228,10 +260,10 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// [`VmError::Register`] when the register was never materialised (or
-    /// was freed).
+    /// [`VmError::Register`] when `program` does not declare `reg`, or
+    /// when the register was never materialised (or was freed).
     pub fn read(&self, program: &Program, reg: Reg) -> Result<Tensor, VmError> {
-        let decl = program.base(reg);
+        let decl = declared(program, reg)?;
         let buffer = self
             .bases
             .get(reg.index())
@@ -284,15 +316,65 @@ impl Vm {
             "VerifiedProgram witness no longer verifies — the program was \
              mutated after verification"
         );
-        match self.engine {
-            Engine::Naive => {
-                for instr in program.instrs() {
-                    self.exec_instr(program, instr, None)?;
-                }
-                Ok(())
-            }
+        self.reserve(program);
+        let ran = match self.engine {
+            Engine::Naive => program
+                .instrs()
+                .iter()
+                .try_for_each(|instr| self.exec_instr(program, instr, None)),
             Engine::Fusing { block } => self.run_fused(program, block.max(1)),
+        };
+        self.peak_bytes = self.peak_bytes.max(self.held_bytes());
+        ran
+    }
+
+    /// Hand this run its share of the stash, in one pass over the
+    /// program and its bases. Every non-input base the program touches
+    /// and that holds no data yet gets a stashed buffer of exactly its
+    /// dtype and length that nobody else holds, if there is one. Stashed
+    /// storage left unmatched is dropped now, smallest first and before
+    /// the run allocates, as far as it does not fit beside the run's own
+    /// footprint within the largest footprint of any earlier run.
+    fn reserve(&mut self, program: &Program) {
+        self.release_reservation();
+        self.stash.drop_shared();
+        let touches = bh_ir::first_touch(program);
+        if self.reserved.len() < touches.len() {
+            self.reserved.resize_with(touches.len(), || None);
         }
+        let mut need = self.held_bytes();
+        for (i, (decl, touch)) in program.bases().iter().zip(touches).enumerate() {
+            let materialised = self.bases.get(i).is_some_and(Option::is_some);
+            if touch == FirstTouch::Untouched || materialised {
+                continue;
+            }
+            let len = decl.shape.nelem();
+            need += len * decl.dtype.size_of();
+            if !decl.is_input {
+                if let Some(buffer) = self.stash.take(decl.dtype, len) {
+                    self.reserved[i] = Some((buffer, touch == FirstTouch::Observes));
+                }
+            }
+        }
+        self.stash.trim(self.peak_bytes.saturating_sub(need));
+    }
+
+    /// Bytes the register slots hold, bound or allocated.
+    fn held_bytes(&self) -> usize {
+        self.bases.iter().flatten().map(Buffer::size_bytes).sum()
+    }
+
+    /// Return reserved storage a run did not use to the stash.
+    fn release_reservation(&mut self) {
+        for (buffer, _) in self.reserved.iter_mut().filter_map(Option::take) {
+            self.stash.put(buffer, self.peak_bytes);
+        }
+    }
+
+    /// Bytes held in the stash.
+    #[cfg(test)]
+    fn stash_bytes(&self) -> usize {
+        self.stash.bytes()
     }
 
     fn run_fused(&mut self, program: &Program, block: usize) -> Result<(), VmError> {
@@ -669,15 +751,37 @@ impl Vm {
     fn ensure_slot(&mut self, reg: Reg) {
         if self.bases.len() <= reg.index() {
             self.bases.resize_with(reg.index() + 1, || None);
+            self.allocated.resize(reg.index() + 1, false);
         }
     }
 
+    /// Materialise `reg` if it holds no data: on its reserved buffer,
+    /// zero-filled if the run can observe the zeros, else on a fresh
+    /// zeroed allocation.
     fn ensure_alloc(&mut self, program: &Program, reg: Reg) {
         self.ensure_slot(reg);
-        if self.bases[reg.index()].is_none() {
-            let decl = program.base(reg);
-            self.bases[reg.index()] = Some(Buffer::zeros(decl.dtype, decl.shape.nelem()));
+        if self.bases[reg.index()].is_some() {
+            return;
         }
+        let buffer = match self.reserved.get_mut(reg.index()).and_then(Option::take) {
+            Some((mut buffer, zeros_observable)) => {
+                if zeros_observable {
+                    with_dtype!(buffer.dtype(), T, {
+                        buffer
+                            .as_mut_slice::<T>()
+                            .expect("dtype matches the buffer")
+                            .fill(<T as Element>::zero());
+                    });
+                }
+                buffer
+            }
+            None => {
+                let decl = program.base(reg);
+                Buffer::zeros(decl.dtype, decl.shape.nelem())
+            }
+        };
+        self.bases[reg.index()] = Some(buffer);
+        self.allocated[reg.index()] = true;
     }
 
     fn exec_instr(
@@ -1519,6 +1623,18 @@ fn invariant_broken(invariant: &'static str) -> ! {
     panic!("verifier invariant violated: {invariant}")
 }
 
+/// The declaration of a caller-supplied register: `bind` and `read` take
+/// a `Reg` no verifier has seen, so an undeclared one is an error, not a
+/// panic.
+fn declared(program: &Program, reg: Reg) -> Result<&BaseDecl, VmError> {
+    program
+        .bases()
+        .get(reg.index())
+        .ok_or_else(|| VmError::Register {
+            reason: format!("register r{} is not declared by the program", reg.0),
+        })
+}
+
 fn view_of(o: &Operand) -> &ViewRef {
     trusted(o.as_view(), "operand is a view")
 }
@@ -1564,4 +1680,131 @@ fn write_tensor_into_view(buffer: &mut Buffer, geom: &ViewGeom, data: &Tensor) {
             i += 1;
         });
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VmPool;
+    use bh_ir::parse_program;
+
+    /// `y = x·x + 1` over 64 elements: `y` is VM-allocated, `x` bound.
+    fn square_plus_one() -> Program {
+        parse_program(
+            ".base x f64[64] input\n.base y f64[64]\n\
+             BH_MULTIPLY y x x\nBH_ADD y y 1\nBH_SYNC y\n",
+        )
+        .unwrap()
+    }
+
+    fn eval_y(vm: &mut Vm, p: &Program) -> Tensor {
+        let x = Tensor::from_vec((0..64).map(f64::from).collect::<Vec<_>>());
+        vm.bind_by_name(p, "x", &x).unwrap();
+        vm.run(p).unwrap();
+        vm.read_by_name(p, "y").unwrap()
+    }
+
+    fn storage(t: &Tensor) -> *const f64 {
+        t.as_slice::<f64>().unwrap().as_ptr()
+    }
+
+    fn expected_y() -> Vec<f64> {
+        (0..64).map(|i| f64::from(i * i + 1)).collect()
+    }
+
+    #[test]
+    fn a_pooled_rerun_reuses_the_result_storage_the_caller_dropped() {
+        let pool = VmPool::new(Engine::Fusing { block: 16 }, 1, 1);
+        let p = square_plus_one();
+        let first = eval_y(&mut pool.checkout(), &p);
+        let storage_of_first = storage(&first);
+        drop(first);
+        let second = eval_y(&mut pool.checkout(), &p);
+        assert_eq!(storage(&second), storage_of_first);
+        assert_eq!(second.to_f64_vec(), expected_y());
+    }
+
+    #[test]
+    fn a_result_the_caller_holds_is_never_reused() {
+        let pool = VmPool::new(Engine::Fusing { block: 16 }, 1, 1);
+        let p = square_plus_one();
+        let held = eval_y(&mut pool.checkout(), &p);
+        let second = eval_y(&mut pool.checkout(), &p);
+        assert_ne!(storage(&second), storage(&held));
+        assert_eq!(held.to_f64_vec(), expected_y());
+        assert_eq!(second.to_f64_vec(), expected_y());
+    }
+
+    #[test]
+    fn the_stash_never_exceeds_the_largest_single_run_footprint() {
+        let program = |n: usize| {
+            parse_program(&format!(
+                ".base t f64[{n}]\n.base y f64[{n}]\n\
+                 BH_IDENTITY t 1\nBH_ADD y t 2\nBH_SYNC y\n"
+            ))
+            .unwrap()
+        };
+        let small = program(1 << 20);
+        let large = program(1 << 21);
+        let footprint = |p: &Program| 2 * 8 * p.base(Reg(0)).shape.nelem();
+        let mut vm = Vm::new();
+        let mut peak_before = 0;
+        for p in [&small, &small, &small, &large, &large, &large] {
+            vm.run(p).unwrap();
+            // While a run holds its bases the stash keeps only what fits
+            // beside them: never more than max(earlier peak, this run).
+            assert_eq!(vm.peak_bytes, peak_before.max(footprint(p)));
+            assert!(vm.stash_bytes() + vm.held_bytes() <= vm.peak_bytes);
+            if peak_before < footprint(p) && peak_before > 0 {
+                // The small runs' storage matched nothing and did not fit
+                // beside the first large run: dropped before it allocated.
+                assert_eq!(vm.stash_bytes(), 0);
+            }
+            assert_eq!(vm.read(p, Reg(1)).unwrap().to_f64_vec()[..2], [3.0, 3.0]);
+            vm.recycle();
+            assert!(vm.stash_bytes() <= vm.peak_bytes);
+            peak_before = vm.peak_bytes;
+        }
+        assert_eq!(vm.stash_bytes(), footprint(&large));
+        vm.reset();
+        assert_eq!(vm.stash_bytes(), 0);
+    }
+
+    #[test]
+    fn exec_stats_are_identical_with_and_without_reuse() {
+        let p = parse_program(
+            ".base x f64[64] input\n.base y f64[64]\n.base s f64[]\n\
+             BH_IDENTITY y [0:32:1] 5\nBH_ADD y y x\nBH_MULTIPLY y y 2\n\
+             BH_ADD_REDUCE s y 0\nBH_SYNC y\nBH_SYNC s\n",
+        )
+        .unwrap();
+        // A different program over same-shaped bases, leaving NaN behind.
+        let mut poison = Program::new();
+        for (name, len) in [("a", 64), ("b", 1)] {
+            let reg = poison.declare(name, DType::Float64, Shape::vector(len));
+            poison.push(Instruction::unary(
+                Opcode::Identity,
+                ViewRef::full(reg),
+                Scalar::F64(f64::NAN),
+            ));
+        }
+        for engine in [Engine::Naive, Engine::Fusing { block: 16 }] {
+            let mut fresh = Vm::with_engine(engine);
+            let fresh_y = eval_y(&mut fresh, &p);
+            let mut reused = Vm::with_engine(engine);
+            reused.run(&poison).unwrap();
+            let poisoned = reused.read_by_name(&poison, "a").unwrap();
+            let poisoned_storage = storage(&poisoned);
+            drop(poisoned);
+            reused.recycle();
+            let reused_y = eval_y(&mut reused, &p);
+            assert_eq!(storage(&reused_y), poisoned_storage, "{engine:?}");
+            assert_eq!(reused_y, fresh_y, "{engine:?}");
+            assert_eq!(
+                reused.read_by_name(&p, "s").unwrap(),
+                fresh.read_by_name(&p, "s").unwrap()
+            );
+            assert_eq!(reused.stats(), fresh.stats(), "{engine:?}");
+        }
+    }
 }

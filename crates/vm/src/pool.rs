@@ -1,11 +1,12 @@
 //! A thread-safe pool of recycled virtual machines.
 //!
 //! Building a [`Vm`] is cheap, but a recycled one is cheaper still: its
-//! base-slot table is already grown and, when the caller runs the same
-//! plan repeatedly *without* recycling in between, its base buffers stay
-//! allocated too. The pool is the checkout/return surface behind both the
-//! runtime's per-eval path and a serving layer that pins one VM per
-//! micro-batch.
+//! base-slot table is already grown, and it keeps the storage it
+//! allocated for later runs of any program ([`Vm::recycle`]). An idle
+//! pooled VM holds at most the largest footprint of any single run it
+//! executed, so a pool of `limit` VMs holds at most `limit` times that.
+//! The pool is the checkout/return surface behind both the runtime's
+//! per-eval path and a serving layer that pins one VM per micro-batch.
 
 use crate::machine::{Engine, Vm};
 use crate::stats::ExecStats;
@@ -344,8 +345,9 @@ impl VmPool {
     }
 
     fn checkin(&self, mut vm: Vm) {
-        // Recycle on the way *in*, not just out: an idle pooled VM must
-        // not pin the base buffers of the last program it executed.
+        // Recycle on the way *in*, not just out: an idle pooled VM pins
+        // no caller's bindings, and keeps of its own storage only the
+        // stash, within its largest single-run footprint.
         vm.recycle();
         let mut idle = self.idle.lock();
         if idle.len() < self.limit {
