@@ -176,49 +176,62 @@ impl Optimizer {
         self.rules.iter().map(|r| r.name()).collect()
     }
 
-    /// Transform `program` in place and report what happened.
+    /// Transform `program` in place and report what happened: sweeps of
+    /// every rule's [`RewriteRule::apply`] to a fixpoint, then one sweep of
+    /// every rule's [`RewriteRule::lower`].
     pub fn run(&self, program: &mut Program) -> OptReport {
-        let mut by_rule: Vec<(&'static str, usize)> =
-            self.rules.iter().map(|r| (r.name(), 0)).collect();
-        let audit = self.options.audit == AuditMode::PerRule;
-        let equiv_opts = self.options.equiv_options();
-        let mut audits = 0;
-        let mut audit_rollbacks = 0;
-        let mut iterations = 0;
+        let mut report = OptReport {
+            iterations: 0,
+            by_rule: self.rules.iter().map(|r| (r.name(), 0)).collect(),
+            audits: 0,
+            audit_rollbacks: 0,
+        };
+        let ctx = &self.options.ctx;
         for _ in 0..MAX_SWEEPS {
             let mut changed = false;
-            for (k, rule) in self.rules.iter().enumerate() {
-                let snapshot = if audit { Some(program.clone()) } else { None };
-                let n = rule.apply(program, &self.options.ctx);
-                if n == 0 {
-                    continue;
-                }
-                program.compact();
-                if let Some(snapshot) = snapshot {
-                    audits += 1;
-                    if check_equiv(&snapshot, program, &equiv_opts).is_err() {
-                        // The rewrite could not be proved sound: undo it
-                        // and keep going with the remaining rules.
-                        *program = snapshot;
-                        audit_rollbacks += 1;
-                        continue;
-                    }
-                }
-                by_rule[k].1 += n;
-                changed = true;
+            for k in 0..self.rules.len() {
+                changed |= self.step(program, &mut report, k, |rule, p| rule.apply(p, ctx));
             }
-            iterations += 1;
+            report.iterations += 1;
             if !changed {
                 break;
             }
         }
-        program.compact();
-        OptReport {
-            iterations,
-            by_rule,
-            audits,
-            audit_rollbacks,
+        for k in 0..self.rules.len() {
+            self.step(program, &mut report, k, |rule, p| rule.lower(p, ctx));
         }
+        program.compact();
+        report
+    }
+
+    /// One application of rule `k`, audited when the options say so.
+    /// Returns whether it changed the program.
+    fn step(
+        &self,
+        program: &mut Program,
+        report: &mut OptReport,
+        k: usize,
+        apply: impl Fn(&dyn RewriteRule, &mut Program) -> usize,
+    ) -> bool {
+        let audit = self.options.audit == AuditMode::PerRule;
+        let snapshot = if audit { Some(program.clone()) } else { None };
+        let n = apply(self.rules[k].as_ref(), program);
+        if n == 0 {
+            return false;
+        }
+        program.compact();
+        if let Some(snapshot) = snapshot {
+            report.audits += 1;
+            if check_equiv(&snapshot, program, &self.options.equiv_options()).is_err() {
+                // The rewrite could not be proved sound: undo it and keep
+                // going with the remaining rules.
+                *program = snapshot;
+                report.audit_rollbacks += 1;
+                return false;
+            }
+        }
+        report.by_rule[k].1 += n;
+        true
     }
 }
 
@@ -250,7 +263,8 @@ pub fn standard_rules(level: OptLevel) -> Vec<Box<dyn RewriteRule>> {
 /// What an [`Optimizer::run`] did.
 #[derive(Debug, Clone)]
 pub struct OptReport {
-    /// Fixpoint sweeps performed.
+    /// Fixpoint sweeps performed (the lowering sweep after them is not
+    /// counted).
     pub iterations: usize,
     /// Applications per rule, in schedule order.
     pub by_rule: Vec<(&'static str, usize)>,

@@ -62,6 +62,14 @@ pub trait RewriteRule {
     /// leave `BH_NONE` placeholders; the pass manager compacts after each
     /// rule.
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize;
+
+    /// Lowering: rewrites that make byte-code cheaper to run but would hide
+    /// a pattern another rule matches. The pass manager calls this once
+    /// per run, after the fixpoint of [`RewriteRule::apply`], and counts
+    /// what it returns against the rule. Defaults to no lowering.
+    fn lower(&self, _program: &mut Program, _ctx: &RewriteCtx) -> usize {
+        0
+    }
 }
 
 impl std::fmt::Debug for dyn RewriteRule {

@@ -10,12 +10,21 @@
 //! adding them together" (§3.1). Generalised here to every associative
 //! op-code with a constant operand (`x·c₁·c₂ → x·(c₁c₂)`, min/max chains,
 //! bitwise chains), plus the `Subtract`/`Divide` right-constant chains
-//! (`(x−c₁)−c₂ → x−(c₁+c₂)`).
+//! (`(x−c₁)−c₂ → x−(c₁+c₂)`), and to *affine runs*: adds, subtracts of a
+//! constant, multiplies and float divides by ±2ᵏ on one register, in any
+//! order, compute `α·x + β` and fold to at most `r = x·α; r = r + β`.
+//!
+//! ```text
+//! BH_MULTIPLY a x 2
+//! BH_ADD a a 3          BH_MULTIPLY a x 0.5
+//! BH_DIVIDE a a 4   ⇒   BH_ADD a a 1.75
+//! BH_ADD a a 1
+//! ```
 
 use crate::fold::const_eval;
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
-use bh_ir::{Instruction, Opcode, Operand, Program, Reg};
-use bh_tensor::Scalar;
+use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, ViewRef};
+use bh_tensor::{DType, Scalar};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -29,8 +38,9 @@ pub struct ConstantMerge;
 /// instruction and kept current by [`Chains::merged`], so a position
 /// behind the scan can be judged again with the same facts the scan had.
 ///
-/// For `j: r = r ⊕ c₂` the one candidate is `i = prev_def[j]`, the
-/// nearest live write of `r` before it. That definition is *open* to `j`
+/// For `j: r = r ⊕ c₂` the candidate is `i = prev_def[j]`, the nearest
+/// live write of `r` before it (for a fold of three, also
+/// `p = prev_def[i]`, see [`fold3`]). That definition is *open* to `j`
 /// exactly while
 ///
 /// * nothing reads `r` strictly between them (`read_since_def[j]`) — a
@@ -132,11 +142,32 @@ impl Chains {
     }
 }
 
+/// One step of an affine run, read as what it does to the value.
+#[derive(Clone, Copy)]
+enum Affine {
+    /// `r = src·α`: a multiply, or a float divide by ±2ᵏ (whose reciprocal
+    /// is exact).
+    Scale(Scalar),
+    /// `r = src + β`: an add, or a subtract of a constant (whose negation
+    /// is exact).
+    Shift(Scalar),
+}
+
 /// What judging a position found, when the instruction and the
-/// definition before it match at all.
+/// definitions before it match at all.
 enum Attempt {
-    /// Fold into the definition at this index, with this constant.
-    Merge(usize, Scalar),
+    /// Fold the definition at this index, `r = src ⊕ …`, into the
+    /// position, which becomes `r = src ⊕ c` with this op-code.
+    Merge(usize, Opcode, Scalar, ViewRef),
+    /// The definitions `p` and `q` before the position are, with it, a
+    /// scale between two shifts or a shift between two scales: `p` becomes
+    /// `r = src·alpha`, `q` is dropped and the position `r = r + beta`.
+    Fold3 {
+        p: usize,
+        q: usize,
+        alpha: Scalar,
+        beta: Scalar,
+    },
     /// This live write of the definition's source register lies in
     /// between.
     Blocked(usize),
@@ -168,101 +199,125 @@ impl RewriteRule for ConstantMerge {
                 }
                 None => break,
             };
-            let (i, merged) = match try_merge_at(program, &chains, ctx, j) {
-                Some(Attempt::Merge(i, merged)) => (i, merged),
-                Some(Attempt::Blocked(write)) => {
+            let Some(attempt) = try_merge_at(program, &chains, ctx, j) else {
+                continue;
+            };
+            let r = program.instrs()[j]
+                .out_reg()
+                .expect("binary ops have outputs");
+            let dropped = match attempt {
+                Attempt::Blocked(write) => {
                     blocked_by.entry(write).or_default().push(j);
                     continue;
                 }
-                None => continue,
+                // i: r = src ⊕ c1   (dropped)
+                // j: r = r ⊕ c2     (becomes r = src ⊕ merged)
+                Attempt::Merge(i, op, merged, src) => {
+                    chains.merged(r, src.reg, i, j);
+                    rewrite(&mut program.instrs_mut()[j], op, Some(src), merged);
+                    i
+                }
+                // p: r = src ⊕ c1   (becomes r = src·alpha)
+                // q: r = r ⊕ c2     (dropped)
+                // j: r = r ⊕ c3     (becomes r = r + beta)
+                Attempt::Fold3 { p, q, alpha, beta } => {
+                    chains.merged(r, r, q, j);
+                    rewrite(&mut program.instrs_mut()[p], Opcode::Multiply, None, alpha);
+                    rewrite(&mut program.instrs_mut()[j], Opcode::Add, None, beta);
+                    retry.push(Reverse(p));
+                    q
+                }
             };
-            // i: r = src ⊕ c1   (dropped)
-            // j: r = r ⊕ c2     (becomes r = src ⊕ merged)
-            let src = program.instrs()[i].inputs()[src_index(&program.instrs()[i])].clone();
-            let instr_j = &mut program.instrs_mut()[j];
-            let r = instr_j.out_reg().expect("binary ops have outputs");
-            chains.merged(r, src.reg().expect("the other input is a view"), i, j);
-            let const_pos = 1 + instr_j
-                .sole_const_input()
-                .expect("matched pattern has a constant")
-                .0;
-            let view_pos = if const_pos == 1 { 2 } else { 1 };
-            instr_j.operands[view_pos] = src;
-            instr_j.operands[const_pos] = Operand::Const(merged);
-            program.instrs_mut()[i] = Instruction::noop();
+            program.instrs_mut()[dropped] = Instruction::noop();
             applied += 1;
-            // The write at `i` is gone: whatever it blocked is open again
-            // or blocked by a later write, and `j` now faces the
-            // definition before `i`.
+            // The write at `dropped` is gone: whatever it blocked is open
+            // again or blocked by a later write, `j` now faces the
+            // definition before it, and a scanned successor of `j` faces a
+            // changed instruction.
             if !blocked_by.is_empty() {
-                retry.extend(blocked_by.remove(&i).into_iter().flatten().map(Reverse));
+                retry.extend(
+                    blocked_by
+                        .remove(&dropped)
+                        .into_iter()
+                        .flatten()
+                        .map(Reverse),
+                );
             }
             retry.push(Reverse(j));
+            if let Some(next) = chains.instrs[j].next_def.filter(|&k| k < scanned) {
+                retry.push(Reverse(next));
+            }
         }
         applied
     }
 }
 
-/// Index (within `inputs()`) of the non-constant operand of a matched
-/// first instruction.
-fn src_index(instr: &Instruction) -> usize {
-    let (const_pos, _) = instr.sole_const_input().expect("matched pattern");
-    1 - const_pos
+/// Make a matched `r = v ⊕ c` compute `op` with the constant `c`, reading
+/// `src` instead of `v` when one is given.
+fn rewrite(instr: &mut Instruction, op: Opcode, src: Option<ViewRef>, c: Scalar) {
+    let const_pos = 1 + instr
+        .sole_const_input()
+        .expect("matched pattern has a constant")
+        .0;
+    if let Some(src) = src {
+        let view_pos = if const_pos == 1 { 2 } else { 1 };
+        instr.operands[view_pos] = Operand::View(src);
+    }
+    instr.op = op;
+    instr.operands[const_pos] = Operand::Const(c);
 }
 
 /// Judge whether the instruction at `j` can absorb the constant of the
-/// live definition of its register before it. `None` is final: no other
-/// merge can change it.
+/// live definition of its register before it, or of the two before it.
+/// `None` is final unless one of those definitions changes.
 fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) -> Option<Attempt> {
     let instrs = program.instrs();
     let b = &instrs[j];
-    if !mergeable_shape(b) {
-        return None;
-    }
-    let out_b = b.out_view().expect("binary ops have outputs");
-    let (cb_pos, cb) = b.sole_const_input().expect("mergeable_shape checked");
-    // The non-const input must read the same view the instruction writes
-    // (r = r ⊕ c), anchoring the chain on register r.
-    let vb = b.inputs()[1 - cb_pos].as_view()?;
-    if !program.same_elements(out_b, vb) || !const_position_ok(b.op, cb_pos) {
-        return None;
-    }
+    let out_b = b.out_view()?;
     let dtype = program.base(out_b.reg).dtype;
+    // The instruction reads the view it writes (r = r ⊕ c), anchoring the
+    // chain on register r.
+    let cb = in_place_const(program, b)?;
     if !reassoc_allowed(ctx, dtype) {
         return None;
     }
-    // Nearest earlier definition of r.
+    // Nearest earlier definition of r; nothing may observe r strictly
+    // between it and j.
     let i = chains.instrs[j].prev_def?;
-    let a = &instrs[i];
-    if a.op != b.op || !mergeable_shape(a) {
-        return None;
-    }
-    let out_a = a.out_view().expect("binary ops have outputs");
-    if !program.same_elements(out_a, out_b) {
-        return None;
-    }
-    let (ca_pos, ca) = a.sole_const_input().expect("mergeable_shape checked");
-    if !const_position_ok(a.op, ca_pos) {
-        return None;
-    }
-    // Nothing may observe r strictly between i and j.
     if chains.instrs[j].read_since_def {
         return None;
     }
-    // Fold: for Add/Mul chains the constants combine with the same op; for
-    // Subtract/Divide right-chains they combine with Add/Mul. Bool
-    // subtract is XOR — its own inverse — so the chain folds with XOR
-    // itself, never with Add (which is OR on bool).
-    let fold_op = match a.op {
-        Opcode::Subtract if dtype == bh_tensor::DType::Bool => Opcode::Subtract,
-        Opcode::Subtract => Opcode::Add,
-        Opcode::Divide => Opcode::Multiply,
-        op => op,
+    let a = &instrs[i];
+    let (ca, src) = chain_link(program, a, out_b)?;
+    let (op, merged) = if a.op == b.op {
+        // Same op-code: for Add/Mul chains the constants combine with the
+        // same op; for Subtract/Divide right-chains they combine with
+        // Add/Mul. Bool subtract is XOR — its own inverse — so the chain
+        // folds with XOR itself, never with Add (which is OR on bool).
+        let fold_op = match a.op {
+            Opcode::Subtract if dtype == DType::Bool => Opcode::Subtract,
+            Opcode::Subtract => Opcode::Add,
+            Opcode::Divide => Opcode::Multiply,
+            op => op,
+        };
+        (b.op, const_eval(fold_op, ca, cb, dtype)?)
+    } else {
+        match (affine(a.op, ca, dtype)?, affine(b.op, cb, dtype)?) {
+            (Affine::Shift(x), Affine::Shift(y)) => {
+                (Opcode::Add, const_eval(Opcode::Add, x, y, dtype)?)
+            }
+            (Affine::Scale(x), Affine::Scale(y)) => {
+                (Opcode::Multiply, const_eval(Opcode::Multiply, x, y, dtype)?)
+            }
+            // A shift and a scale: `i` must read r in place too.
+            (mid, last) if program.same_elements(src, out_b) => {
+                return fold3(program, chains, i, out_b, mid, last, dtype)
+            }
+            _ => return None,
+        }
     };
-    let merged = const_eval(fold_op, ca, cb, dtype)?;
     // The source operand of i must not be redefined in between. (When it
     // is r itself, i and j are neighbours in r's chain.)
-    let src = a.inputs()[1 - ca_pos].as_view()?;
     if src.reg != out_b.reg {
         if let Some(write) = chains.next_write_of_source(src.reg, i) {
             if write < j {
@@ -270,25 +325,144 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
             }
         }
     }
-    Some(Attempt::Merge(i, merged))
+    Some(Attempt::Merge(i, op, merged, src.clone()))
 }
 
-/// Binary element-wise with exactly one constant input and an associative
-/// (or right-chainable) op.
-fn mergeable_shape(instr: &Instruction) -> bool {
-    let op_ok = instr.op.is_associative() || matches!(instr.op, Opcode::Subtract | Opcode::Divide);
-    op_ok
-        && instr.op.is_elementwise()
-        && instr.op.arity() == 2
-        && instr.sole_const_input().is_some()
+/// `q`, the definition before the judged position, and that position are
+/// a shift and a scale, in either order, both `out = out ⊕ c`. With the
+/// definition `p` before `q` they fold to a scale and a shift when the
+/// three alternate:
+///
+/// * `p: ·α, q: +β, ·γ` → `p: ·αγ, +βγ`,
+/// * `p: +β, q: ·γ, +δ` → `p: ·γ, +(βγ + δ)`.
+///
+/// `p` keeps its source and its place, so no write of that source can
+/// lie in between; `q` and the judged position only read r.
+fn fold3(
+    program: &Program,
+    chains: &Chains,
+    q: usize,
+    out: &ViewRef,
+    mid: Affine,
+    last: Affine,
+    dtype: DType,
+) -> Option<Attempt> {
+    if chains.instrs[q].read_since_def {
+        return None;
+    }
+    let p = chains.instrs[q].prev_def?;
+    let (p_const, _) = chain_link(program, &program.instrs()[p], out)?;
+    let first = affine(program.instrs()[p].op, p_const, dtype)?;
+    let mul = |x, y| const_eval(Opcode::Multiply, x, y, dtype);
+    let (alpha, beta) = match (first, mid, last) {
+        (Affine::Scale(a), Affine::Shift(b), Affine::Scale(c)) => (mul(a, c)?, mul(b, c)?),
+        (Affine::Shift(b), Affine::Scale(c), Affine::Shift(d)) => {
+            (c, const_eval(Opcode::Add, mul(b, c)?, d, dtype)?)
+        }
+        _ => return None,
+    };
+    yields_one_term(program, chains, p, first, dtype).then_some(Attempt::Fold3 {
+        p,
+        q,
+        alpha,
+        beta,
+    })
 }
 
-/// For non-commutative chain ops the constant must be the right operand.
-fn const_position_ok(op: Opcode, const_input_index: usize) -> bool {
-    if matches!(op, Opcode::Subtract | Opcode::Divide) {
-        const_input_index == 1
-    } else {
-        true
+/// The constant input of `instr` when it is `r = r ⊕ c` on one view, with
+/// a chainable op-code.
+fn in_place_const(program: &Program, instr: &Instruction) -> Option<Scalar> {
+    let out = instr.out_view()?;
+    let (c, src) = chain_link(program, instr, out)?;
+    program.same_elements(src, out).then_some(c)
+}
+
+/// When `instr` writes exactly `out`'s elements as `src ⊕ c` — a binary
+/// element-wise op-code that is associative, or a subtract or divide,
+/// whose constant must then be on the right: the constant and `src`.
+fn chain_link<'a>(
+    program: &Program,
+    instr: &'a Instruction,
+    out: &ViewRef,
+) -> Option<(Scalar, &'a ViewRef)> {
+    let op = instr.op;
+    let right_only = matches!(op, Opcode::Subtract | Opcode::Divide);
+    if op.kind() != OpKind::ElementwiseBinary
+        || !(op.is_associative() || right_only)
+        || !program.same_elements(instr.out_view()?, out)
+    {
+        return None;
+    }
+    let (pos, c) = instr.sole_const_input()?;
+    if right_only && pos != 1 {
+        return None;
+    }
+    Some((c, instr.inputs().get(1 - pos)?.as_view()?))
+}
+
+/// The affine reading of a chainable `src ⊕ c` in `dtype` (never bool,
+/// whose arithmetic is a lattice). [`chain_link`] has put the constant of
+/// a subtract or divide on the right.
+fn affine(op: Opcode, c: Scalar, dtype: DType) -> Option<Affine> {
+    if dtype == DType::Bool {
+        return None;
+    }
+    match op {
+        Opcode::Add => Some(Affine::Shift(c)),
+        Opcode::Subtract => {
+            const_eval(Opcode::Subtract, Scalar::zero(dtype), c, dtype).map(Affine::Shift)
+        }
+        Opcode::Multiply => Some(Affine::Scale(c)),
+        Opcode::Divide if dtype.is_float() => {
+            let v = c.cast(dtype).as_f64();
+            (v != 0.0 && v.abs().log2().fract() == 0.0)
+                .then(|| Affine::Scale(Scalar::from_f64(1.0 / v, dtype)))
+        }
+        _ => None,
+    }
+}
+
+/// Whether the value `p` writes is one term — never a sum of several —
+/// in the auditor's normal form. `Lin1` (`bh_ir::equiv`) distributes a
+/// scale over a sum only when the sum has one non-constant term, so a
+/// fold that moves a scale in front of a shift is provable only then.
+/// A scale by anything but 1 yields a product; otherwise it depends on
+/// the write that reaches `p`'s source, judged by its op-code alone: a
+/// fresh value, a fill, or an op-code that is not add or subtract and has
+/// a constant it cannot be an identity for.
+fn yields_one_term(
+    program: &Program,
+    chains: &Chains,
+    p: usize,
+    step: Affine,
+    dtype: DType,
+) -> bool {
+    if let Affine::Scale(a) = step {
+        if !a.cast(dtype).is_one() {
+            return true;
+        }
+    }
+    // No live write: an input's contents or a fresh zero fill.
+    let Some(d) = chains.instrs[p].src_reach else {
+        return true;
+    };
+    let def = &program.instrs()[d];
+    match def.op.kind() {
+        OpKind::Generator | OpKind::Reduction | OpKind::Scan | OpKind::LinAlg => true,
+        OpKind::ElementwiseUnary => {
+            def.op != Opcode::Identity || def.inputs().first().and_then(Operand::as_const).is_some()
+        }
+        OpKind::ElementwiseBinary => {
+            let Some(out) = def.out_reg() else {
+                return false;
+            };
+            let dtype = program.base(out).dtype;
+            !matches!(def.op, Opcode::Add | Opcode::Subtract)
+                && def
+                    .sole_const_input()
+                    .is_some_and(|(_, c)| def.op.identity_scalar(dtype) != Some(c.cast(dtype)))
+        }
+        OpKind::System => false,
     }
 }
 
@@ -527,6 +701,66 @@ BH_SYNC a0 [0:10:1]
             "{}",
             p.to_text(PrintStyle::COMPACT)
         );
+    }
+
+    #[test]
+    fn an_affine_run_folds_to_a_scale_and_a_shift() {
+        // ((((x·2 + 3)/4 + 1) − 0.5)·2 = x + 2.5
+        let (p, n) = optimize_text(
+            ".base x f64[4] input\n.base a f64[4]\n\
+             BH_MULTIPLY a x 2\nBH_ADD a a 3\nBH_DIVIDE a a 4\nBH_ADD a a 1\n\
+             BH_SUBTRACT a a 0.5\nBH_MULTIPLY a a 2\nBH_SYNC a\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 4);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(
+            text.contains("BH_MULTIPLY a x 1.0\nBH_ADD a a 2.5\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn shifts_and_scales_merge_across_op_codes() {
+        let (p, n) = optimize_text(
+            "BH_IDENTITY a0 [0:4:1] 1\n\
+             BH_ADD a0 a0 1\nBH_SUBTRACT a0 a0 3\nBH_SYNC a0\n\
+             BH_MULTIPLY a0 a0 3\nBH_DIVIDE a0 a0 4\nBH_SYNC a0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 2);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_ADD a0 a0 -2.0\n"), "{text}");
+        assert!(text.contains("BH_MULTIPLY a0 a0 0.75\n"), "{text}");
+    }
+
+    #[test]
+    fn integer_division_is_not_affine() {
+        let (_, n) = optimize_text(
+            ".base a0 i64[4]\nBH_IDENTITY a0 9\nBH_MULTIPLY a0 a0 2\nBH_DIVIDE a0 a0 4\n\
+             BH_SYNC a0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn a_sum_entering_a_run_keeps_its_shift_first() {
+        // (x + y + 1)·2 + 3: the auditor does not distribute over a sum of
+        // two terms, so the shift may not move behind the scale.
+        let text = ".base x f64[4] input\n.base y f64[4] input\n.base a f64[4]\n\
+             BH_ADD a x y\nBH_ADD a a 1\nBH_MULTIPLY a a 2\nBH_ADD a a 3\nBH_SYNC a\n";
+        let (_, n) = optimize_text(text, &RewriteCtx::default());
+        assert_eq!(n, 0);
+        // Entered from a maximum instead, the same run folds.
+        let (p, n) = optimize_text(
+            &text.replace("BH_ADD a x y", "BH_MAXIMUM a x 1"),
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 1);
+        assert!(p
+            .to_text(PrintStyle::COMPACT)
+            .contains("BH_MULTIPLY a a 2\nBH_ADD a a 5"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program};
+use bh_tensor::Scalar;
 
 /// See the module documentation.
 #[derive(Debug, Default, Clone, Copy)]
@@ -24,52 +25,57 @@ impl RewriteRule for AlgebraicSimplify {
             if !instr.op.is_elementwise() || instr.op.arity() != 2 {
                 continue;
             }
-            let Some(out) = instr.out_view().cloned() else {
-                continue;
-            };
             let Some((const_pos, c)) = instr.sole_const_input() else {
                 continue;
             };
-            let other = instr.inputs()[1 - const_pos].clone();
-            let dtype = program.base(out.reg).dtype;
-            let c_typed = c.cast(dtype);
-            let op = instr.op;
-
-            // Identity element: x ⊕ e == x. Right-position only for
-            // non-commutative ops.
-            let identity_applies = op
-                .identity_scalar(dtype)
-                .is_some_and(|e| e == c_typed && (op.is_commutative() || const_pos == 1));
-            // `x + 0.0` flips the sign of -0.0; gate float add/sub-zero
-            // behind fast_math. `x · 1`, `x / 1`, `x ^ 1` are IEEE-exact.
-            let identity_exact =
-                !matches!(op, Opcode::Add | Opcode::Subtract) || reassoc_allowed(ctx, dtype);
-            if identity_applies && identity_exact {
-                program.instrs_mut()[idx] = if other
-                    .as_view()
-                    .is_some_and(|v| program.same_elements(v, &out))
-                {
-                    Instruction::noop()
-                } else {
-                    Instruction::unary(Opcode::Identity, out, other)
-                };
-                applied += 1;
-                continue;
-            }
-
-            // Annihilator: x ⊕ z == z. Exact for integers/bools; floats
-            // violate it on NaN/Inf (0 · NaN = NaN), so gate on fast_math.
-            let annihilates = op
-                .annihilator_scalar(dtype)
-                .is_some_and(|z| z == c_typed && (op.is_commutative() || const_pos == 1));
-            if annihilates && reassoc_allowed(ctx, dtype) {
-                program.instrs_mut()[idx] =
-                    Instruction::unary(Opcode::Identity, out, Operand::Const(c_typed));
+            let x = &instr.inputs()[1 - const_pos];
+            if let Some(replacement) = contract(program, instr, x, const_pos, c, ctx) {
+                program.instrs_mut()[idx] = replacement;
                 applied += 1;
             }
         }
         applied
     }
+}
+
+/// What the binary element-wise `instr`, read as `x ⊕ c` with `c` its
+/// input `const_pos`, contracts to under the context's exactness policy:
+/// a copy of `x` (nothing, when `x` is the output's own view) where `c`
+/// is the op-code's identity, a fill with `c` where it is its annihilator.
+pub(crate) fn contract(
+    program: &Program,
+    instr: &Instruction,
+    x: &Operand,
+    const_pos: usize,
+    c: Scalar,
+    ctx: &RewriteCtx,
+) -> Option<Instruction> {
+    let op = instr.op;
+    let out = instr.out_view()?.clone();
+    let dtype = program.base(out.reg).dtype;
+    let c = c.cast(dtype);
+    if !op.is_commutative() && const_pos != 1 {
+        return None;
+    }
+    // Identity element: x ⊕ e == x. Right-position only for
+    // non-commutative ops. `x + 0.0` flips the sign of -0.0; gate float
+    // add/sub-zero behind fast_math. `x · 1`, `x / 1`, `x ^ 1` are
+    // IEEE-exact.
+    let identity_exact =
+        !matches!(op, Opcode::Add | Opcode::Subtract) || reassoc_allowed(ctx, dtype);
+    if op.identity_scalar(dtype) == Some(c) && identity_exact {
+        return Some(
+            if x.as_view().is_some_and(|v| program.same_elements(v, &out)) {
+                Instruction::noop()
+            } else {
+                Instruction::unary(Opcode::Identity, out, x.clone())
+            },
+        );
+    }
+    // Annihilator: x ⊕ z == z. Exact for integers/bools; floats violate
+    // it on NaN/Inf (0 · NaN = NaN), so gate on fast_math.
+    (op.annihilator_scalar(dtype) == Some(c) && reassoc_allowed(ctx, dtype))
+        .then(|| Instruction::unary(Opcode::Identity, out, Operand::Const(c)))
 }
 
 /// Fold `BH_IDENTITY x x` (same view) into nothing, and fold

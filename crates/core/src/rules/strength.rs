@@ -1,11 +1,18 @@
 //! Strength reduction: replace expensive op-codes with cheaper equivalents.
 //!
-//! * `x · 2 → x + x` (exact for every dtype, IEEE included),
+//! Inside the fixpoint ([`RewriteRule::apply`]):
+//!
 //! * float `x / 2ᵏ → x · 2⁻ᵏ` (exact: the reciprocal of a power of two is
 //!   representable),
-//! * unsigned `x / 2ᵏ → x ≫ k`,
 //! * `x − x → 0` and `x ⊻ x → 0` (integer exact; float `x−x` gated on
 //!   `fast_math` because `∞ − ∞ = NaN`).
+//!
+//! Once, after the fixpoint ([`RewriteRule::lower`]), because each hides a
+//! constant that `constant-merge` would otherwise fold (`x·2·¼` is `x·½`,
+//! `(x + x)·¼` is not a chain):
+//!
+//! * `x · 2 → x + x` (exact for every dtype, IEEE included),
+//! * unsigned `x / 2ᵏ → x ≫ k`.
 
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program};
@@ -21,15 +28,27 @@ impl RewriteRule for StrengthReduction {
     }
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
-        let mut applied = 0;
-        for idx in 0..program.instrs().len() {
-            if let Some(replacement) = reduce(program, idx, ctx) {
-                program.instrs_mut()[idx] = replacement;
-                applied += 1;
-            }
-        }
-        applied
+        rewrite_each(program, |program, idx| reduce(program, idx, ctx))
     }
+
+    fn lower(&self, program: &mut Program, _ctx: &RewriteCtx) -> usize {
+        rewrite_each(program, lower)
+    }
+}
+
+/// Replace every instruction `rewrite` has a replacement for.
+fn rewrite_each(
+    program: &mut Program,
+    rewrite: impl Fn(&Program, usize) -> Option<Instruction>,
+) -> usize {
+    let mut applied = 0;
+    for idx in 0..program.instrs().len() {
+        if let Some(replacement) = rewrite(program, idx) {
+            program.instrs_mut()[idx] = replacement;
+            applied += 1;
+        }
+    }
+    applied
 }
 
 fn reduce(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Instruction> {
@@ -63,6 +82,30 @@ fn reduce(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Instruction
         }
     }
 
+    // Float divisions by powers of two, constant on the right only.
+    let (const_pos, c) = instr.sole_const_input()?;
+    if instr.op != Opcode::Divide || const_pos != 1 || !dtype.is_float() {
+        return None;
+    }
+    let v = c.cast(dtype).as_f64();
+    if v != 0.0 && v.abs().log2().fract() == 0.0 {
+        return Some(Instruction::binary(
+            Opcode::Multiply,
+            out,
+            instr.inputs()[0].clone(),
+            Operand::Const(Scalar::from_f64(1.0 / v, dtype)),
+        ));
+    }
+    None
+}
+
+fn lower(program: &Program, idx: usize) -> Option<Instruction> {
+    let instr = &program.instrs()[idx];
+    if !instr.op.is_elementwise() || instr.op.arity() != 2 {
+        return None;
+    }
+    let out = instr.out_view()?.clone();
+    let dtype = program.base(out.reg).dtype;
     let (const_pos, c) = instr.sole_const_input()?;
     let other = instr.inputs()[1 - const_pos].clone();
     let c_typed = c.cast(dtype);
@@ -72,36 +115,21 @@ fn reduce(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Instruction
         Opcode::Multiply if c_typed.as_integral() == Some(2) => {
             Some(Instruction::binary(Opcode::Add, out, other.clone(), other))
         }
-        // Divisions by powers of two, constant on the right only.
-        Opcode::Divide if const_pos == 1 => {
-            if dtype.is_float() {
-                let v = c_typed.as_f64();
-                if v != 0.0 && v.abs().log2().fract() == 0.0 {
-                    return Some(Instruction::binary(
-                        Opcode::Multiply,
-                        out,
-                        other,
-                        Operand::Const(Scalar::from_f64(1.0 / v, dtype)),
-                    ));
-                }
-                None
-            } else if dtype.is_unsigned_integer() {
-                let v = c_typed.as_integral()?;
-                if v > 0 && (v as u64).is_power_of_two() {
-                    let k = (v as u64).trailing_zeros() as i64;
-                    return Some(Instruction::binary(
-                        Opcode::RightShift,
-                        out,
-                        other,
-                        Operand::Const(Scalar::from_i64(k, dtype)),
-                    ));
-                }
-                None
-            } else {
-                // Signed division rounds toward zero; shifting rounds
-                // toward −∞. Not equivalent for negatives — leave it.
-                None
+        // Unsigned x / 2ᵏ → x ≫ k, constant on the right only. Signed
+        // division rounds toward zero and shifting toward −∞: not
+        // equivalent for negatives.
+        Opcode::Divide if const_pos == 1 && dtype.is_unsigned_integer() => {
+            let v = c_typed.as_integral()?;
+            if v > 0 && (v as u64).is_power_of_two() {
+                let k = (v as u64).trailing_zeros() as i64;
+                return Some(Instruction::binary(
+                    Opcode::RightShift,
+                    out,
+                    other,
+                    Operand::Const(Scalar::from_i64(k, dtype)),
+                ));
             }
+            None
         }
         _ => None,
     }
@@ -112,10 +140,25 @@ mod tests {
     use super::*;
     use bh_ir::{parse_program, PrintStyle};
 
+    /// Both phases, as the pass manager runs them.
     fn run(text: &str) -> (Program, usize) {
         let mut p = parse_program(text).unwrap();
-        let n = StrengthReduction.apply(&mut p, &RewriteCtx::default());
+        let ctx = RewriteCtx::default();
+        let n = StrengthReduction.apply(&mut p, &ctx) + StrengthReduction.lower(&mut p, &ctx);
         (p, n)
+    }
+
+    #[test]
+    fn lowering_waits_for_the_fixpoint() {
+        let mut p = parse_program(
+            ".base a f64[4]\n.base u u32[4]\nBH_IDENTITY a 3\nBH_MULTIPLY a a 2\n\
+             BH_IDENTITY u 64\nBH_DIVIDE u u 16\nBH_SYNC a\nBH_SYNC u\n",
+        )
+        .unwrap();
+        let ctx = RewriteCtx::default();
+        assert_eq!(StrengthReduction.apply(&mut p, &ctx), 0);
+        assert_eq!(StrengthReduction.lower(&mut p, &ctx), 2);
+        assert_eq!(p.count_op(Opcode::Multiply) + p.count_op(Opcode::Divide), 0);
     }
 
     #[test]

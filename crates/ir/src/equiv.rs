@@ -6,15 +6,17 @@
 //! value number* drawn from a hash-consed expression table shared by both
 //! programs; algebraic normal forms mirror exactly the rewrite catalogue
 //! of `bh-opt` (commutative-operand canonicalisation, identity /
-//! annihilator / strength / power / constant-fold closure), so any plan a
+//! annihilator / strength / power / constant-fold closure, and the affine
+//! `Lin1` form `k·(e + b) → k·e + k·b` of a one-term sum), so any plan a
 //! sound rule application produced value-numbers identically to its
 //! source.
 //!
 //! The pass is **dtype- and `strict_math`-aware**: float reassociation is
 //! only accepted when [`EquivOptions::fast_math`] says the rules were
 //! allowed to assume it, mirroring `reassoc_allowed` in the rewrite
-//! engine. Exact IEEE identities (`x·1`, `x/1`, `x−c ≡ x+(−c)`,
-//! `x·2 ≡ x+x`, float `x/2ᵏ ≡ x·2⁻ᵏ`) are accepted unconditionally.
+//! engine; so is ignoring the sign of a zero. Exact IEEE identities
+//! (`x·1`, `x/1`, `x−c ≡ x+(−c)`, `x·2 ≡ x+x`, float `x/2ᵏ ≡ x·2⁻ᵏ`) are
+//! accepted unconditionally.
 //!
 //! The auditor is deliberately one-sided: it may *reject* a correct plan
 //! (the caller rolls the rewrite back — graceful degradation), but it
@@ -62,7 +64,7 @@ use crate::opcode::{OpKind, Opcode};
 use crate::operand::{Operand, ViewRef};
 use crate::program::Program;
 use bh_tensor::{DType, Scalar, ViewGeom};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -323,11 +325,20 @@ struct FxHasher(u64);
 
 impl std::hash::Hasher for FxHasher {
     fn finish(&self) -> u64 {
-        self.0
+        // The multiply mixes upward only: the low bits, which pick the
+        // bucket, would be the same for every float fill (small values
+        // have all-zero low mantissa bits). Fold the mixed high half in.
+        self.0 ^ (self.0 >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        // Integer slices (a node's argument list) arrive here as bytes:
+        // take them a word at a time.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
             self.write_u8(b);
         }
     }
@@ -364,22 +375,25 @@ struct Sym {
 }
 
 impl Sym {
-    fn new(fast_math: bool) -> Sym {
+    /// A table sized for about `instrs` instructions' worth of values.
+    fn new(fast_math: bool, instrs: usize) -> Sym {
         Sym {
-            exprs: Vec::new(),
-            memo: HashMap::default(),
+            exprs: Vec::with_capacity(2 * instrs),
+            memo: HashMap::with_capacity_and_hasher(2 * instrs, FxBuild::default()),
             fast_math,
         }
     }
 
     fn mk(&mut self, e: Expr) -> Vn {
-        if let Some(&v) = self.memo.get(&e) {
-            return v;
+        match self.memo.entry(e) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let v = self.exprs.len() as Vn;
+                self.exprs.push(new.key().clone());
+                new.insert(v);
+                v
+            }
         }
-        let v = self.exprs.len() as Vn;
-        self.exprs.push(e.clone());
-        self.memo.insert(e, v);
-        v
     }
 
     fn expr(&self, v: Vn) -> &Expr {
@@ -387,6 +401,13 @@ impl Sym {
     }
 
     fn fill(&mut self, s: Scalar) -> Vn {
+        // Fast-math ignores the sign of zero, as its `x + 0 ≡ x` and
+        // `x · 0 ≡ 0` already do: `-1 · 0` folds to the same fill as `0`.
+        let s = if self.fast_math && s.dtype().is_float() && s.is_zero() {
+            Scalar::zero(s.dtype())
+        } else {
+            s
+        };
         let (d, b) = scalar_bits(s);
         self.mk(Expr::Fill(d, b))
     }
@@ -536,6 +557,9 @@ impl Sym {
 
         // Reassociated products: multiply chains, squarings, expansions.
         if op == Opcode::Multiply && reassoc {
+            if let Some(v) = self.lin1(dtype, a, b).or_else(|| self.lin1(dtype, b, a)) {
+                return v;
+            }
             let (mut factors, ka) = self.to_factors(a);
             let (fb, kb) = self.to_factors(b);
             factors.extend(fb);
@@ -558,6 +582,42 @@ impl Sym {
             args.sort_unstable();
         }
         self.mk(Expr::Node { op, args })
+    }
+
+    /// `Lin1`, the single-variable affine normal form (mirror of the
+    /// affine runs `constant-merge` folds): `k·(e + b) → k·e + k·b` for a
+    /// constant `k` and a sum of exactly one non-constant term `e` and a
+    /// constant `b`. A sum of several terms stays a factor, so the form
+    /// costs O(1) per multiply. Only called under reassociation.
+    fn lin1(&mut self, dtype: DType, sum: Vn, k: Vn) -> Option<Vn> {
+        let kc = self.as_fill(k)?;
+        let Expr::Node {
+            op: Opcode::Add,
+            args,
+        } = self.expr(sum)
+        else {
+            return None;
+        };
+        let (e, b) = match args[..] {
+            [x, y] => match (self.as_fill(x), self.as_fill(y)) {
+                (None, Some(b)) => (x, b),
+                (Some(b), None) => (y, b),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let kb = const_eval(Opcode::Multiply, b, kc, dtype)?;
+        // `k·e` as `binary` would build it: `e`, a term of a flattened sum,
+        // is no sum itself, and `k` is neither 0 nor 1 (both contract
+        // before a product is formed).
+        let (factors, ke) = self.to_factors(e);
+        let ke = match ke {
+            Some(x) => const_eval(Opcode::Multiply, x, kc, dtype),
+            None => Some(kc),
+        };
+        let ke = self.product_merge(factors, ke, dtype);
+        let kb = self.fill(kb);
+        Some(self.binary(Opcode::Add, dtype, ke, kb))
     }
 
     /// Decompose a value into product factors plus an optional constant.
@@ -1019,7 +1079,7 @@ pub fn check_equiv(
     after: &Program,
     opts: &EquivOptions,
 ) -> Result<EquivWitness, Vec<EquivError>> {
-    let mut sym = Sym::new(opts.fast_math);
+    let mut sym = Sym::new(opts.fast_math, before.instrs().len() + after.instrs().len());
     let sb = run_program(&mut sym, before).map_err(|e| vec![e])?;
     let sa = run_program(&mut sym, after).map_err(|e| vec![e])?;
     let mut errors = Vec::new();
@@ -1392,6 +1452,51 @@ BH_SYNC v
             ".base x u32[8] input\n.base y u32[8]\nBH_DIVIDE y x 8\nBH_SYNC y\n",
             ".base x u32[8] input\n.base y u32[8]\nBH_RIGHT_SHIFT y x 3\nBH_SYNC y\n",
             EquivOptions::default().strict_math(),
+        );
+    }
+
+    #[test]
+    fn lin1_distributes_a_scale_over_a_one_term_sum() {
+        let before =
+            ".base x f64[8] input\n.base a f64[8]\nBH_ADD a x 3\nBH_MULTIPLY a a 2\nBH_SYNC a\n";
+        let after =
+            ".base x f64[8] input\n.base a f64[8]\nBH_MULTIPLY a x 2\nBH_ADD a a 6\nBH_SYNC a\n";
+        ok(before, after, EquivOptions::default());
+        fails_with(
+            before,
+            after,
+            EquivOptions::default().strict_math(),
+            EquivCode::ValueMismatch,
+        );
+        // Wrapping integers distribute exactly, so strict math accepts it.
+        ok(
+            &before.replace("f64", "i64"),
+            &after.replace("f64", "i64"),
+            EquivOptions::default().strict_math(),
+        );
+        // A sum of two terms stays a factor: (x + y + 1)·2 is not
+        // (x + y)·2 + 2 to the auditor.
+        fails_with(
+            ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\n\
+             BH_ADD a x y\nBH_ADD a a 1\nBH_MULTIPLY a a 2\nBH_SYNC a\n",
+            ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\n\
+             BH_ADD a x y\nBH_MULTIPLY a a 2\nBH_ADD a a 2\nBH_SYNC a\n",
+            EquivOptions::default(),
+            EquivCode::ValueMismatch,
+        );
+    }
+
+    #[test]
+    fn fast_math_folds_ignore_the_sign_of_zero() {
+        // −1 · 0 is −0.0; the annihilator `x · 0 ≡ 0` says +0.0.
+        let before = "BH_IDENTITY m [0:4:1] -1\nBH_MULTIPLY m m 0\nBH_SYNC m\n";
+        let after = "BH_IDENTITY m [0:4:1] 0.0\nBH_SYNC m\n";
+        ok(before, after, EquivOptions::default());
+        fails_with(
+            before,
+            after,
+            EquivOptions::default().strict_math(),
+            EquivCode::ValueMismatch,
         );
     }
 

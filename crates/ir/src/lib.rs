@@ -52,5 +52,6 @@ pub use operand::{Operand, Reg, ViewRef};
 pub use parse::{parse_program, parse_program_with, ParseError, ParseOptions};
 pub use program::{BaseDecl, PrintStyle, Program, ProgramBuilder};
 pub use verify::{
-    verify, verify_instr, verify_owned, Verified, VerifiedProgram, VerifyCode, VerifyError,
+    verify, verify_instr, verify_owned, verify_registers, Verified, VerifiedProgram, VerifyCode,
+    VerifyError,
 };

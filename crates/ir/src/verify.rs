@@ -305,6 +305,26 @@ pub fn verify_owned(program: Program) -> Result<Verified, (Program, Vec<VerifyEr
     }
 }
 
+/// The first rule alone: every operand names a declared register (`V103`
+/// otherwise). One O(n) pass; a program that passes can be handed to code
+/// that indexes bases by register — the optimiser's rules — without a
+/// full [`verify`].
+///
+/// # Errors
+///
+/// Every operand naming an undeclared register, in instruction order.
+pub fn verify_registers(program: &Program) -> Result<(), Vec<VerifyError>> {
+    let mut errors = Vec::new();
+    for (i, instr) in program.instrs().iter().enumerate() {
+        regs_in_range(program, i, instr, &mut errors);
+    }
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
 /// Check one instruction's local rules (everything except data-flow),
 /// collecting all problems.
 pub fn verify_instr(program: &Program, instr: &Instruction) -> Vec<VerifyError> {

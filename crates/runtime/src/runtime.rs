@@ -255,7 +255,8 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`VmError::Invalid`] when the optimised program fails verification.
+    /// [`VmError::Invalid`] when an operand names an undeclared register
+    /// or the optimised program fails verification.
     pub fn prepare(&self, program: &Program) -> Result<(Arc<EvalPlan>, bool), VmError> {
         self.prepare_with(program, &self.options)
     }
@@ -265,7 +266,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`VmError::Invalid`] when the optimised program fails verification.
+    /// As [`Runtime::prepare`].
     pub fn prepare_with(
         &self,
         program: &Program,
@@ -282,6 +283,15 @@ impl Runtime {
         if let Some(plan) = cached {
             self.stats.lock().cache_hits += 1;
             return Ok((plan, true));
+        }
+        // The rules index bases by register: an operand naming an
+        // undeclared one is the verifier's V103 here, not a panic inside a
+        // rule. The full verify runs once, on the optimised plan below.
+        if let Err(errors) = bh_ir::verify_registers(program) {
+            let mut stats = self.stats.lock();
+            stats.cache_misses += 1;
+            stats.verifications += 1;
+            return Err(VmError::Invalid(errors));
         }
         // Optimise outside the cache lock: a concurrent miss on the same
         // key duplicates work once, but never blocks other keys.
@@ -827,6 +837,27 @@ mod tests {
         assert_eq!(rt.stats().verifications, 1);
         // The failed verification closed its span before propagating.
         assert_spans_balanced(&sink, &["optimise", "verify"]);
+    }
+
+    #[test]
+    fn an_undeclared_register_is_rejected_before_the_rules_run() {
+        let rt = Runtime::builder().build();
+        let mut p = listing2();
+        // The second add reads a register no base declares; the rules
+        // index bases by register.
+        p.instrs_mut()[2].operands[1] = bh_ir::ViewRef::full(bh_ir::Reg(7)).into();
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            match rt.prepare_with(&p, &OptOptions::level(level)) {
+                Err(VmError::Invalid(errors)) => assert!(
+                    errors.iter().all(|e| e.code == bh_ir::VerifyCode::BadView),
+                    "{errors:?}"
+                ),
+                other => panic!("{level:?}: expected V103, got {other:?}"),
+            }
+        }
+        assert_eq!(rt.cached_plans(), 0);
+        let stats = rt.stats();
+        assert_eq!((stats.cache_misses, stats.verifications), (3, 3));
     }
 
     #[test]

@@ -240,6 +240,55 @@ fn mutant_corpus_catches_every_code() {
     );
 }
 
+/// An affine run and the plan `constant-merge` folds it to:
+/// `((x·2) + 3)·4 = x·8 + 12`.
+const AFFINE_RUN: &str = "\
+.base x f64[8] input
+.base a f64[8]
+BH_MULTIPLY a x 2
+BH_ADD a a 3
+BH_MULTIPLY a a 4
+BH_SYNC a
+";
+
+fn affine_plan(body: &str) -> Program {
+    parse_program(&format!(
+        ".base x f64[8] input\n.base a f64[8]\n{body}BH_SYNC a\n"
+    ))
+    .unwrap()
+}
+
+#[test]
+fn affine_fold_mutants_are_rejected() {
+    let source = parse_program(AFFINE_RUN).unwrap();
+    let folded = affine_plan("BH_MULTIPLY a x 8.0\nBH_ADD a a 12.0\n");
+    // Control: the rule produces exactly this plan, and it audits clean.
+    let mut plan = source.clone();
+    Optimizer::new(OptOptions::default()).run(&mut plan);
+    assert_eq!(plan.instrs(), folded.instrs(), "{plan}");
+    check_equiv(&source, &folded, &EquivOptions::default()).expect("the fold is provable");
+
+    let codes = |after: &Program, opts: &EquivOptions| match check_equiv(&source, after, opts) {
+        Ok(_) => panic!("mutant falsely accepted:\n{after}"),
+        Err(errors) => errors.into_iter().map(|e| e.code).collect::<Vec<_>>(),
+    };
+    // β not scaled by the later multiply: x·8 + 3.
+    let unscaled = affine_plan("BH_MULTIPLY a x 8\nBH_ADD a a 3\n");
+    assert_eq!(
+        codes(&unscaled, &EquivOptions::default()),
+        [EquivCode::ValueMismatch]
+    );
+    // The multiply and the add swapped: (x + 12)·8.
+    let swapped = affine_plan("BH_ADD a x 12\nBH_MULTIPLY a a 8\n");
+    assert_eq!(
+        codes(&swapped, &EquivOptions::default()),
+        [EquivCode::ValueMismatch]
+    );
+    // The f64 run merged under strict math, where it reassociates.
+    let strict = EquivOptions::default().strict_math();
+    assert_eq!(codes(&folded, &strict), [EquivCode::ValueMismatch]);
+}
+
 #[test]
 fn identity_mutation_is_not_flagged() {
     // Control for the corpus: the no-op mutation audits clean.

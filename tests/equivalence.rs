@@ -3,7 +3,7 @@
 //! (exactly for integer data; within a small tolerance for float data
 //! transformed under fast-math). This is DESIGN.md §6's headline invariant.
 
-use bohrium_repro::ir::{parse_program, Program};
+use bohrium_repro::ir::{check_equiv, parse_program, Program};
 use bohrium_repro::opt::{optimize_at, OptLevel, OptOptions, Optimizer};
 use bohrium_repro::runtime::Runtime;
 use bohrium_repro::testing::{
@@ -11,6 +11,7 @@ use bohrium_repro::testing::{
 };
 use bohrium_repro::vm::{Engine, ExecStats};
 use proptest::prelude::*;
+use proptest::strategy::Union;
 
 /// Strategy: a random element-wise program over three same-shape f64/i64
 /// registers, written in the textual format (so the test corpus also
@@ -43,6 +44,70 @@ fn arb_program(dtype: &'static str, max_len: usize) -> impl Strategy<Value = Str
         text.push_str("BH_SYNC r0\nBH_SYNC r1\nBH_SYNC r2\n");
         text
     })
+}
+
+/// Strategy: one in-place run `r = r ⊕ c` of adds, subtracts and
+/// multiplies by constants (and, on floats, divides by ±2ᵏ) on a register
+/// that starts as `head`. The f64 constants are dyadic and small, and so
+/// are the values `BH_RANGE` starts from, so every intermediate result is
+/// exact whatever order the constants fold in.
+fn arb_affine_run(dtype: &'static str, head: &'static str) -> impl Strategy<Value = String> {
+    let step: Union<String> = if dtype == "f64" {
+        prop_oneof![
+            (-6i64..7).prop_map(|c| format!("BH_ADD r r {}", c as f64 * 0.5)),
+            (-6i64..7).prop_map(|c| format!("BH_SUBTRACT r r {}", c as f64 * 0.5)),
+            prop_oneof![Just("2"), Just("0.5"), Just("-1"), Just("3")]
+                .prop_map(|c| format!("BH_MULTIPLY r r {c}")),
+            prop_oneof![Just("2"), Just("-0.5")].prop_map(|c| format!("BH_DIVIDE r r {c}")),
+        ]
+    } else {
+        let c = prop_oneof![
+            -9i64..10,
+            Just(i64::MAX),
+            Just(i64::MIN + 1),
+            Just(1i64 << 40)
+        ];
+        prop_oneof![
+            c.clone().prop_map(|c| format!("BH_ADD r r {c}")),
+            c.clone().prop_map(|c| format!("BH_SUBTRACT r r {c}")),
+            c.prop_map(|c| format!("BH_MULTIPLY r {c} r")),
+        ]
+    };
+    proptest::collection::vec(step, 2..12).prop_map(move |body| {
+        let mut text = format!(".base r {dtype}[16]{head}\n");
+        for line in body {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text.push_str("BH_SYNC r\n");
+        text
+    })
+}
+
+/// O2 folds an in-place affine run to at most `r = r·α; r = r + β`, equal
+/// to O0 element for element on both engines (bit for bit, but for the
+/// sign of a zero, which fast-math does not keep), and the auditor
+/// proves it.
+fn check_affine_run(text: &str, head_instrs: usize) {
+    let source = parse_program(text).expect("generated text parses");
+    let mut plan = source.clone();
+    let options = OptOptions::default();
+    Optimizer::new(options.clone()).run(&mut plan);
+    assert!(
+        plan.live_len() <= head_instrs + 3,
+        "the run did not fold:\n{source}\n--- plan ---\n{plan}"
+    );
+    if let Err(errors) = check_equiv(&source, &plan, &options.equiv_options()) {
+        panic!("{errors:?}\n--- source ---\n{source}\n--- plan ---\n{plan}");
+    }
+    for engine in [Engine::Naive, Engine::Fusing { block: 5 }] {
+        let want = run_synced(&source, 41, engine).expect("runs");
+        let got = run_synced(&plan, 41, engine).expect("runs");
+        assert_eq!(
+            want, got,
+            "{engine:?}\n--- source ---\n{source}\n--- plan ---\n{plan}"
+        );
+    }
 }
 
 fn check_levels(text: &str, tol: f64) {
@@ -208,6 +273,16 @@ proptest! {
         // Wrapping multiplication is associative mod 2^64: exact match even
         // when x^n overflows.
         prop_assert_eq!(max_divergence(&reference, &transformed, n), 0.0);
+    }
+
+    #[test]
+    fn affine_runs_fold_exactly_on_wrapping_integers(text in arb_affine_run("i64", " input")) {
+        check_affine_run(&text, 0);
+    }
+
+    #[test]
+    fn affine_runs_fold_exactly_on_dyadic_floats(text in arb_affine_run("f64", "\nBH_RANGE r")) {
+        check_affine_run(&text, 1);
     }
 
     #[test]

@@ -326,3 +326,91 @@ fn e7_elementwise_chain_fuses_into_one_kernel() {
         assert_eq!(fused.fused_groups, 1, "k = {k}");
     }
 }
+
+// --- Affine runs (ROADMAP 7): the constant-merge of §3.1 across op-codes --
+
+/// `paper_rewrites`' `strength_chain`: `a = x`, then four times
+/// `a *= 2; a /= 4; t = a − a; a += t; a += c`.
+fn strength_chain(n: usize) -> Program {
+    let mut text =
+        format!(".base x f64[{n}] input\n.base a f64[{n}]\n.base t f64[{n}]\nBH_IDENTITY a x\n");
+    for c in [2, 1, 1, 2] {
+        text.push_str(&format!(
+            "BH_MULTIPLY a a 2\nBH_DIVIDE a a 4\nBH_SUBTRACT t a a\nBH_ADD a a t\nBH_ADD a a {c}\n"
+        ));
+    }
+    text.push_str("BH_SYNC a\n");
+    parse_program(&text).unwrap()
+}
+
+#[test]
+fn o2_folds_the_strength_chain_into_one_multiply_and_one_add() {
+    const N: usize = 1000;
+    let unopt = strength_chain(N);
+    assert_eq!(unopt.live_len(), 22);
+    let mut opt = unopt.clone();
+    optimize_at(&mut opt, OptLevel::O2);
+    let ops: Vec<Opcode> = opt.instrs().iter().map(|i| i.op).collect();
+    assert_eq!(ops, [Opcode::Multiply, Opcode::Add, Opcode::Sync], "{opt}");
+    let text = opt.to_text(PrintStyle::COMPACT);
+    assert!(text.contains("BH_MULTIPLY a x 0.0625"), "{text}");
+    assert!(text.contains("BH_ADD a a 3"), "{text}");
+    // `t` is never written: the two instructions write `a` once each.
+    let bytes = (N * 8) as u64;
+    assert_eq!(exec_stats(&unopt, Engine::Naive).bytes_written, 21 * bytes);
+    let stats = exec_stats(&opt, Engine::Naive);
+    assert_eq!((stats.kernels, stats.bytes_written), (2, 2 * bytes));
+    assert_equivalent(&unopt, &opt, 3, 1e-12);
+}
+
+#[test]
+fn an_alternating_add_multiply_run_leaves_range_and_two_ops() {
+    // The `wire_hot_small` shape: runs of three adds and three multiplies.
+    let mut text = String::from(".base a f64[48]\nBH_RANGE a\n");
+    for run in 0..8 {
+        for k in 0..3 {
+            if run % 2 == 0 {
+                text.push_str(&format!("BH_ADD a a {}\n", 1 + (run + k) % 3));
+            } else {
+                text.push_str(&format!("BH_MULTIPLY a a {}\n", ["2", "0.5", "2"][k]));
+            }
+        }
+    }
+    text.push_str("BH_SYNC a\n");
+    let unopt = parse_program(&text).unwrap();
+    for level in [OptLevel::O1, OptLevel::O2] {
+        let mut opt = unopt.clone();
+        optimize_at(&mut opt, level);
+        let ops: Vec<Opcode> = opt.instrs().iter().map(|i| i.op).collect();
+        assert_eq!(
+            ops,
+            [Opcode::Range, Opcode::Multiply, Opcode::Add, Opcode::Sync],
+            "{level:?}:\n{opt}"
+        );
+        assert_equivalent(&unopt, &opt, 1, 0.0);
+    }
+}
+
+#[test]
+fn a_chain_through_temporaries_is_left_unmerged() {
+    // `r_next = r_prev ⊕ c`: every step writes a register other than the
+    // one it reads, so no run is in place and nothing folds.
+    let mut text = String::from(".base x f64[64] input\nBH_IDENTITY t0 [0:64:1] x\n");
+    for i in 0..8 {
+        let (src, dst) = (format!("t{}", i % 2), format!("t{}", (i + 1) % 2));
+        let op = if i % 2 == 0 { "BH_MULTIPLY" } else { "BH_ADD" };
+        text.push_str(&format!("{op} {dst} [0:64:1] {src} {}\n", 0.5 + i as f64));
+    }
+    text.push_str("BH_SYNC t0\n");
+    let unopt = parse_program(&text).unwrap();
+    let mut opt = unopt.clone();
+    let report = optimize_at(&mut opt, OptLevel::O2);
+    let merged = report
+        .by_rule
+        .iter()
+        .find(|(rule, _)| *rule == "constant-merge")
+        .map(|&(_, n)| n);
+    assert_eq!(merged, Some(0), "{report}");
+    assert_eq!(opt.count_op(Opcode::Multiply), 4, "{opt}");
+    assert_eq!(opt.count_op(Opcode::Add), 4, "{opt}");
+}

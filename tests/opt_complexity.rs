@@ -97,6 +97,53 @@ fn a_long_program_optimises_audits_and_verifies_in_bounded_time() {
     );
 }
 
+/// One in-place affine run the length of the program: adds and
+/// multiplies alternate one by one, so every multiply moves in front of
+/// the add before it and folds into the multiply before that.
+fn affine_run(instructions: usize) -> Program {
+    let mut text = String::from(".base a f64[64]\nBH_RANGE a\n");
+    for k in 0..instructions - 2 {
+        let _ = if k % 2 == 0 {
+            writeln!(text, "BH_ADD a a {}", 1 + k % 3)
+        } else {
+            writeln!(
+                text,
+                "BH_MULTIPLY a a {}",
+                if k % 4 == 1 { "2" } else { "0.5" }
+            )
+        };
+    }
+    text.push_str("BH_SYNC a\n");
+    let program = parse_program(&text).expect("generated byte-code parses");
+    assert_eq!(program.instrs().len(), instructions);
+    program
+}
+
+#[test]
+fn a_long_affine_run_optimises_audits_and_verifies_in_bounded_time() {
+    let source = affine_run(INSTRUCTIONS);
+    verify(&source).expect("the generated program verifies");
+
+    let begun = Instant::now();
+    let options = OptOptions::default();
+    let mut optimised = source.clone();
+    Optimizer::new(options.clone()).run(&mut optimised);
+    let optimise = begun.elapsed();
+    check_equiv(&source, &optimised, &options.equiv_options())
+        .expect("the folded run is provably equivalent");
+    let audit = begun.elapsed() - optimise;
+    verify(&optimised).expect("the optimised plan verifies");
+    let total = begun.elapsed();
+
+    // BH_RANGE, one multiply, one add, BH_SYNC.
+    assert_eq!(optimised.live_len(), 4, "{optimised}");
+    assert!(
+        total < BUDGET,
+        "optimise {optimise:?} + audit {audit:?} + verify = {total:?} for an affine run of \
+         {INSTRUCTIONS} instructions exceeds {BUDGET:?}: a sweep is no longer linear"
+    );
+}
+
 #[test]
 fn a_long_program_evaluates_through_the_runtime() {
     let source = long_program(INSTRUCTIONS);
