@@ -524,6 +524,11 @@ impl Runtime {
 
 /// Configures and builds a [`Runtime`].
 ///
+/// The defaults are the measured configuration: the fusing engine at a
+/// 4 096-element block (`Engine::Fusing { block: 4096 }`), every plan
+/// compile audited, the VM worker pool sized to the host, a 256-entry
+/// plan cache and the profile table on.
+///
 /// # Examples
 ///
 /// ```
@@ -554,13 +559,13 @@ impl Default for RuntimeBuilder {
     fn default() -> RuntimeBuilder {
         RuntimeBuilder {
             options: OptOptions::default(),
-            engine: Engine::Naive,
+            engine: Engine::default(),
             threads: default_threads(),
             cache_capacity: 256,
             sink: None,
             profiling: true,
             tracer: None,
-            audit: false,
+            audit: true,
         }
     }
 }
@@ -601,7 +606,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Select the execution engine for every evaluation.
+    /// Select the execution engine for every evaluation (default
+    /// `Engine::Fusing { block: 4096 }`).
     pub fn engine(mut self, engine: Engine) -> RuntimeBuilder {
         self.engine = engine;
         self
@@ -650,7 +656,7 @@ impl RuntimeBuilder {
     }
 
     /// Audit every plan compile with the translation validator
-    /// ([`bh_ir::check_equiv`]) before the plan can enter the cache (off
+    /// ([`bh_ir::check_equiv`]) before the plan can enter the cache (on
     /// by default).
     ///
     /// The audit proves the optimised plan observationally equivalent to
@@ -1161,7 +1167,7 @@ mod tests {
 
     #[test]
     fn disabled_audit_never_counts() {
-        let rt = Runtime::new();
+        let rt = Runtime::builder().audit(false).build();
         let p = listing2();
         let reg = p.reg_by_name("a0").unwrap();
         rt.eval(&p, &[], reg).unwrap();

@@ -1,10 +1,13 @@
 //! Strided element-wise and reduction kernels.
 //!
-//! These are the loops a Bohrium backend would JIT-compile: every byte-code
-//! executed by the VM bottoms out in one of these functions. They operate on
+//! These are the loops a Bohrium backend would JIT-compile. They operate on
 //! typed slices plus [`ViewGeom`] geometry so the same code path serves
 //! contiguous arrays, strided slices, reversed views and broadcast (stride-0)
-//! operands.
+//! operands. The element-wise kernels ([`fill`], [`map1`], [`map2`] and the
+//! `*_inplace` variants) are serial: `bh-vm` runs them for every element-wise
+//! byte-code on its naive engine, and on its fusing engine only for views
+//! that are not contiguous runs (the fusing engine compiles the rest). The
+//! reduction and scan kernels shard over a [`RangeExecutor`].
 //!
 //! # Aliasing
 //!
@@ -19,8 +22,9 @@
 use crate::dtype::Element;
 use crate::view::ViewGeom;
 
-/// A data-parallel range executor: the substrate the parallel kernel
-/// variants (`par_map1`, `par_map2`, …) shard their element ranges over.
+/// A data-parallel range executor: the substrate the parallel reduction
+/// and scan kernels ([`par_reduce_axis`], [`par_scan_axis`]) shard their
+/// lanes and canonical blocks over.
 ///
 /// `bh-vm`'s persistent worker pool implements this trait; [`InlineExec`]
 /// is the trivial serial implementation. Keeping the trait here (below the
@@ -101,222 +105,6 @@ impl<T> SyncPtr<T> {
     fn get(&self) -> *mut T {
         self.0
     }
-}
-
-/// True when the aliased-input pair `(iv, ov)` over one buffer can be
-/// sharded: either both views address identical elements (reads and
-/// writes of a shard coincide) or their address ranges are disjoint (no
-/// shard ever reads what another writes).
-fn alias_shardable(iv: &ViewGeom, ov: &ViewGeom) -> bool {
-    iv.same_layout(ov) || !iv.may_overlap(ov)
-}
-
-/// Shardable out-of-place pair: both views dense row-major (any offsets).
-fn distinct_shardable(ov: &ViewGeom, iv: &ViewGeom) -> bool {
-    ov.is_contiguous() && iv.is_contiguous()
-}
-
-/// Parallel [`fill`]: shards a contiguous output view over `exec`.
-///
-/// All `par_*` variants return `Some(shards)` when they handled the
-/// operation (sharding it `shards` ways) and `None` when the geometry is
-/// ineligible — the caller must then fall back to the serial kernel.
-pub fn par_fill<T: Element>(
-    exec: &dyn RangeExecutor,
-    out: &mut [T],
-    ov: &ViewGeom,
-    value: T,
-) -> Option<usize> {
-    if !ov.is_contiguous() {
-        return None;
-    }
-    let (start, n) = (ov.offset(), ov.nelem());
-    assert!(start + n <= out.len(), "view escapes buffer");
-    let ptr = SyncPtr(out.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        // SAFETY: bounds asserted; shards are disjoint subranges.
-        let shard = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(start + lo), hi - lo) };
-        shard.fill(value);
-    });
-    Some(shards)
-}
-
-/// Parallel [`map1`]: shards two contiguous views (distinct buffers) over
-/// `exec`. Returns `false` when either view is not contiguous.
-pub fn par_map1<I: Element, O: Element>(
-    exec: &dyn RangeExecutor,
-    out: &mut [O],
-    ov: &ViewGeom,
-    input: &[I],
-    iv: &ViewGeom,
-    f: impl Fn(I) -> O + Sync,
-) -> Option<usize> {
-    if !distinct_shardable(ov, iv) {
-        return None;
-    }
-    debug_assert_eq!(ov.nelem(), iv.nelem(), "par_map1 requires equal extents");
-    let n = ov.nelem();
-    let (ob, ib) = (ov.offset(), iv.offset());
-    assert!(
-        ob + n <= out.len() && ib + n <= input.len(),
-        "view escapes buffer"
-    );
-    let optr = SyncPtr(out.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        for k in lo..hi {
-            // SAFETY: bounds asserted; `out` and `input` are distinct
-            // slices; shards write disjoint output ranges.
-            unsafe { *optr.get().add(ob + k) = f(*input.get_unchecked(ib + k)) };
-        }
-    });
-    Some(shards)
-}
-
-/// Parallel [`map1_inplace`]: shards a single-buffer map over `exec`.
-/// Returns `false` unless both views are contiguous and the input either
-/// shares the output's exact layout or cannot overlap it.
-pub fn par_map1_inplace<T: Element>(
-    exec: &dyn RangeExecutor,
-    buf: &mut [T],
-    ov: &ViewGeom,
-    iv: &ViewGeom,
-    f: impl Fn(T) -> T + Sync,
-) -> Option<usize> {
-    if !distinct_shardable(ov, iv) || !alias_shardable(iv, ov) {
-        return None;
-    }
-    let n = ov.nelem();
-    let (ob, ib) = (ov.offset(), iv.offset());
-    assert!(
-        ob + n <= buf.len() && ib + n <= buf.len(),
-        "view escapes buffer"
-    );
-    let ptr = SyncPtr(buf.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        for k in lo..hi {
-            // SAFETY: bounds asserted; per-element read precedes the
-            // write; `alias_shardable` rules out cross-shard hazards.
-            unsafe {
-                let v = *ptr.get().add(ib + k);
-                *ptr.get().add(ob + k) = f(v);
-            }
-        }
-    });
-    Some(shards)
-}
-
-/// Parallel [`map2`]: shards three contiguous views (distinct buffers)
-/// over `exec`. Returns `false` when any view is not contiguous.
-#[allow(clippy::too_many_arguments)]
-pub fn par_map2<I: Element, O: Element>(
-    exec: &dyn RangeExecutor,
-    out: &mut [O],
-    ov: &ViewGeom,
-    a: &[I],
-    av: &ViewGeom,
-    b: &[I],
-    bv: &ViewGeom,
-    f: impl Fn(I, I) -> O + Sync,
-) -> Option<usize> {
-    if !(ov.is_contiguous() && av.is_contiguous() && bv.is_contiguous()) {
-        return None;
-    }
-    let n = ov.nelem();
-    let (ob, ab, bb) = (ov.offset(), av.offset(), bv.offset());
-    assert!(
-        ob + n <= out.len() && ab + n <= a.len() && bb + n <= b.len(),
-        "view escapes buffer"
-    );
-    let optr = SyncPtr(out.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        for k in lo..hi {
-            // SAFETY: bounds asserted; buffers are distinct slices.
-            unsafe {
-                *optr.get().add(ob + k) = f(*a.get_unchecked(ab + k), *b.get_unchecked(bb + k));
-            }
-        }
-    });
-    Some(shards)
-}
-
-/// Parallel [`map2_inplace`]: shards a single-buffer binary map over
-/// `exec`. Returns `false` unless every view is contiguous and each input
-/// either shares the output's layout or cannot overlap it.
-pub fn par_map2_inplace<T: Element>(
-    exec: &dyn RangeExecutor,
-    buf: &mut [T],
-    ov: &ViewGeom,
-    av: &ViewGeom,
-    bv: &ViewGeom,
-    f: impl Fn(T, T) -> T + Sync,
-) -> Option<usize> {
-    let shardable = ov.is_contiguous()
-        && av.is_contiguous()
-        && bv.is_contiguous()
-        && alias_shardable(av, ov)
-        && alias_shardable(bv, ov);
-    if !shardable {
-        return None;
-    }
-    let n = ov.nelem();
-    let (ob, ab, bb) = (ov.offset(), av.offset(), bv.offset());
-    assert!(
-        ob + n <= buf.len() && ab + n <= buf.len() && bb + n <= buf.len(),
-        "view escapes buffer"
-    );
-    let ptr = SyncPtr(buf.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        for k in lo..hi {
-            // SAFETY: bounds asserted; both reads precede the write;
-            // `alias_shardable` rules out cross-shard hazards.
-            unsafe {
-                let va = *ptr.get().add(ab + k);
-                let vb = *ptr.get().add(bb + k);
-                *ptr.get().add(ob + k) = f(va, vb);
-            }
-        }
-    });
-    Some(shards)
-}
-
-/// Parallel [`map2_left_inplace`]: output aliases the first input's
-/// buffer, second input lives elsewhere. Returns `false` unless every
-/// view is contiguous and the aliased input shares the output's layout or
-/// cannot overlap it.
-#[allow(clippy::too_many_arguments)]
-pub fn par_map2_left_inplace<T: Element>(
-    exec: &dyn RangeExecutor,
-    buf: &mut [T],
-    ov: &ViewGeom,
-    av: &ViewGeom,
-    other: &[T],
-    bv: &ViewGeom,
-    f: impl Fn(T, T) -> T + Sync,
-) -> Option<usize> {
-    let shardable =
-        ov.is_contiguous() && av.is_contiguous() && bv.is_contiguous() && alias_shardable(av, ov);
-    if !shardable {
-        return None;
-    }
-    let n = ov.nelem();
-    let (ob, ab, bb) = (ov.offset(), av.offset(), bv.offset());
-    assert!(
-        ob + n <= buf.len() && ab + n <= buf.len() && bb + n <= other.len(),
-        "view escapes buffer"
-    );
-    let ptr = SyncPtr(buf.as_mut_ptr());
-    let shards = exec.run_ranges(n, 1, &|lo, hi| {
-        for k in lo..hi {
-            // SAFETY: bounds asserted; reads precede the write; `other`
-            // is a distinct slice.
-            unsafe {
-                let va = *ptr.get().add(ab + k);
-                let vb = *other.get_unchecked(bb + k);
-                *ptr.get().add(ob + k) = f(va, vb);
-            }
-        }
-    });
-    Some(shards)
 }
 
 /// Iterate `N` same-shaped views in lock-step, invoking `f` with the base
@@ -1155,70 +943,6 @@ mod tests {
         assert!(shard_ranges(0, 4, 4).is_empty());
         // Degenerate grain is clamped.
         assert_eq!(shard_ranges(5, 2, 0), vec![(0, 3), (3, 5)]);
-    }
-
-    #[test]
-    fn par_kernels_match_serial() {
-        let exec = ScopedExec(3);
-        let n = 1000;
-        let v = vg(&[n]);
-
-        let mut buf = vec![0.0f64; n];
-        assert!(par_fill(&exec, &mut buf, &v, 2.5).is_some());
-        assert!(buf.iter().all(|&x| x == 2.5));
-
-        let input: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut out = vec![0.0f64; n];
-        assert!(par_map1(&exec, &mut out, &v, &input, &v, |x| x * 2.0).is_some());
-        let mut want = vec![0.0f64; n];
-        map1(&mut want, &v, &input, &v, |x| x * 2.0);
-        assert_eq!(out, want);
-
-        let mut a = input.clone();
-        assert!(par_map1_inplace(&exec, &mut a, &v, &v, |x| x + 1.0).is_some());
-        assert_eq!(a[17], 18.0);
-
-        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-        let mut out2 = vec![0.0f64; n];
-        assert!(par_map2(&exec, &mut out2, &v, &input, &v, &b, &v, |x, y| x - y).is_some());
-        let mut want2 = vec![0.0f64; n];
-        map2(&mut want2, &v, &input, &v, &b, &v, |x, y| x - y);
-        assert_eq!(out2, want2);
-
-        let mut c = input.clone();
-        assert!(par_map2_inplace(&exec, &mut c, &v, &v, &v, |x, y| x + y).is_some());
-        assert_eq!(c[9], 18.0);
-
-        let mut d = input.clone();
-        assert!(
-            par_map2_left_inplace(&exec, &mut d, &v, &v, &b, &v, |x, y| x * (y + 1.0)).is_some()
-        );
-        assert_eq!(d[8], 8.0 * 2.0);
-    }
-
-    #[test]
-    fn par_kernels_refuse_unsafe_shapes() {
-        let exec = ScopedExec(2);
-        let strided =
-            ViewGeom::from_slices(&Shape::vector(10), &[Slice::new(None, None, 2)]).unwrap();
-        let mut buf = vec![0.0f64; 10];
-        assert!(par_fill(&exec, &mut buf, &strided, 1.0).is_none());
-        let full = vg(&[5]);
-        let input = vec![1.0f64; 5];
-        let mut out = vec![0.0f64; 5];
-        assert!(par_map1(&exec, &mut out, &full, &input, &strided, |x| x).is_none());
-        // Shifted self-overlap: out = buf[1..4], in = buf[0..3] — the
-        // hazardous case must be refused, not sharded.
-        let base = Shape::vector(4);
-        let ov = ViewGeom::from_slices(&base, &[Slice::range(1, 4)]).unwrap();
-        let iv = ViewGeom::from_slices(&base, &[Slice::range(0, 3)]).unwrap();
-        let mut hazard = vec![1.0f64, 2.0, 3.0, 4.0];
-        assert!(par_map1_inplace(&exec, &mut hazard, &ov, &iv, |x| x).is_none());
-        // Disjoint in-buffer ranges are fine.
-        let lo = ViewGeom::from_slices(&base, &[Slice::range(0, 2)]).unwrap();
-        let hi = ViewGeom::from_slices(&base, &[Slice::range(2, 4)]).unwrap();
-        assert!(par_map1_inplace(&exec, &mut hazard, &lo, &hi, |x| x + 10.0).is_some());
-        assert_eq!(hazard, vec![13.0, 14.0, 3.0, 4.0]);
     }
 
     /// Canonical reference for the blocked lane fold, written naively.

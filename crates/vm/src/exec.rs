@@ -1,4 +1,4 @@
-//! Typed element-wise execution paths.
+//! Typed element-wise execution paths of the serial strided interpreter.
 //!
 //! These functions receive an output buffer slice, pre-resolved view
 //! geometry and classified inputs, then pick the correct kernel variant:
@@ -6,51 +6,15 @@
 //! `BH_ADD a0 a0 1`), or materialise-first when an aliased input view
 //! overlaps the output with a *different* layout (the only hazardous case).
 //!
-//! When every view is contiguous and aliasing layouts agree, large
-//! operations are sharded across the VM's persistent worker pool (the
-//! "multicore" half of Bohrium's pitch): out-of-place maps, in-place maps,
-//! slice×slice binaries, comparisons and predicates all parallelise, not
-//! just the flat in-place special case the seed handled.
+//! Everything here runs on the calling thread. The fusing engine runs
+//! contiguous element-wise work on its compiled steps instead
+//! (`Vm::compile_fused_step`), so the two element-wise paths share no
+//! kernel code; the op-code tables below are the one thing they share.
 
 use crate::eltops::VmElement;
-use crate::pool::WorkerPool;
 use bh_ir::Opcode;
-use bh_tensor::kernels::{self, RangeExecutor};
+use bh_tensor::kernels;
 use bh_tensor::ViewGeom;
-
-/// Default minimum element count before the parallel path engages.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 16;
-
-/// Parallel-execution context threaded through the typed paths: the VM's
-/// worker pool (if any) plus the element-count threshold under which
-/// sharding is not worth the synchronisation.
-#[derive(Clone, Copy)]
-pub(crate) struct ParCtx<'a> {
-    /// Pooled workers; `None` runs everything serially.
-    pub pool: Option<&'a WorkerPool>,
-    /// Minimum output elements before sharding engages.
-    pub threshold: usize,
-}
-
-impl ParCtx<'_> {
-    /// Serial context (used by tests that must not shard).
-    #[cfg(test)]
-    pub(crate) fn serial() -> ParCtx<'static> {
-        ParCtx {
-            pool: None,
-            threshold: usize::MAX,
-        }
-    }
-
-    /// The executor to shard `nelem` output elements over, when the
-    /// operation is big enough and workers exist.
-    pub(crate) fn executor(&self, nelem: usize) -> Option<&WorkerPool> {
-        match self.pool {
-            Some(p) if p.threads() > 1 && nelem >= self.threshold.max(1) => Some(p),
-            _ => None,
-        }
-    }
-}
 
 /// One classified binary input.
 pub(crate) enum BinIn<'a, T> {
@@ -62,26 +26,21 @@ pub(crate) enum BinIn<'a, T> {
     Const(T),
 }
 
-/// Execute `out = f(a, b)` element-wise over `ov`. Returns the number of
-/// shards the operation was split into (0 when it ran on a serial
-/// kernel) for the caller's `par_shards` accounting.
+/// Execute `out = f(a, b)` element-wise over `ov`.
 pub(crate) fn exec_binary<T: VmElement>(
     out: &mut [T],
     ov: &ViewGeom,
     a: BinIn<'_, T>,
     b: BinIn<'_, T>,
-    f: impl Fn(T, T) -> T + Copy + Sync,
-    par: ParCtx<'_>,
-) -> usize {
+    f: impl Fn(T, T) -> T + Copy,
+) {
     use BinIn::*;
     // Materialise hazardous aliased inputs first (different layout AND
     // overlapping the output view ⇒ in-place iteration could read elements
     // the loop already overwrote). The copies live in these locals for the
     // duration of the kernel call.
-    #[allow(unused_assignments)]
-    let mut temp_a: Vec<T> = Vec::new();
-    #[allow(unused_assignments)]
-    let mut temp_b: Vec<T> = Vec::new();
+    let temp_a: Vec<T>;
+    let temp_b: Vec<T>;
     let a = match a {
         Aliased(iv) if is_hazard(&iv, ov) => {
             temp_a = kernels::materialize(out, &iv);
@@ -96,109 +55,28 @@ pub(crate) fn exec_binary<T: VmElement>(
         }
         other => other,
     };
-
-    let exec = par.executor(ov.nelem());
-    match (&a, &b) {
-        (Const(x), Const(y)) => {
-            let v = f(*x, *y);
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_fill(x, out, ov, v) {
-                    return s;
-                }
-            }
-            kernels::fill(out, ov, v);
-            0
-        }
-        (Aliased(av), Const(y)) => {
-            let y = *y;
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1_inplace(x, out, ov, av, |v| f(v, y)) {
-                    return s;
-                }
-            }
-            kernels::map1_inplace(out, ov, av, |v| f(v, y));
-            0
-        }
-        (Const(x), Aliased(bv)) => {
-            let x0 = *x;
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1_inplace(x, out, ov, bv, |v| f(x0, v)) {
-                    return s;
-                }
-            }
-            kernels::map1_inplace(out, ov, bv, |v| f(x0, v));
-            0
-        }
-        (Slice(sa, av), Const(y)) => {
-            let y = *y;
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1(x, out, ov, sa, av, |v| f(v, y)) {
-                    return s;
-                }
-            }
-            kernels::map1(out, ov, sa, av, |v| f(v, y));
-            0
-        }
-        (Const(x), Slice(sb, bv)) => {
-            let x0 = *x;
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1(x, out, ov, sb, bv, |v| f(x0, v)) {
-                    return s;
-                }
-            }
-            kernels::map1(out, ov, sb, bv, |v| f(x0, v));
-            0
-        }
-        (Aliased(av), Aliased(bv)) => {
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map2_inplace(x, out, ov, av, bv, f) {
-                    return s;
-                }
-            }
-            kernels::map2_inplace(out, ov, av, bv, f);
-            0
-        }
-        (Aliased(av), Slice(sb, bv)) => {
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map2_left_inplace(x, out, ov, av, sb, bv, f) {
-                    return s;
-                }
-            }
-            kernels::map2_left_inplace(out, ov, av, sb, bv, f);
-            0
-        }
+    match (a, b) {
+        (Const(x), Const(y)) => kernels::fill(out, ov, f(x, y)),
+        (Aliased(av), Const(y)) => kernels::map1_inplace(out, ov, &av, |v| f(v, y)),
+        (Const(x), Aliased(bv)) => kernels::map1_inplace(out, ov, &bv, |v| f(x, v)),
+        (Slice(sa, av), Const(y)) => kernels::map1(out, ov, sa, &av, |v| f(v, y)),
+        (Const(x), Slice(sb, bv)) => kernels::map1(out, ov, sb, &bv, |v| f(x, v)),
+        (Aliased(av), Aliased(bv)) => kernels::map2_inplace(out, ov, &av, &bv, f),
+        (Aliased(av), Slice(sb, bv)) => kernels::map2_left_inplace(out, ov, &av, sb, &bv, f),
         (Slice(sa, av), Aliased(bv)) => {
-            if let Some(x) = exec {
-                if let Some(s) =
-                    kernels::par_map2_left_inplace(x, out, ov, bv, sa, av, |x, y| f(y, x))
-                {
-                    return s;
-                }
-            }
-            kernels::map2_left_inplace(out, ov, bv, sa, av, |x, y| f(y, x));
-            0
+            kernels::map2_left_inplace(out, ov, &bv, sa, &av, |x, y| f(y, x));
         }
-        (Slice(sa, av), Slice(sb, bv)) => {
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map2(x, out, ov, sa, av, sb, bv, f) {
-                    return s;
-                }
-            }
-            kernels::map2(out, ov, sa, av, sb, bv, f);
-            0
-        }
+        (Slice(sa, av), Slice(sb, bv)) => kernels::map2(out, ov, sa, &av, sb, &bv, f),
     }
 }
 
-/// Execute `out = f(input)` element-wise over `ov`. Returns the shard
-/// count, as [`exec_binary`] does.
+/// Execute `out = f(input)` element-wise over `ov`.
 pub(crate) fn exec_unary<T: VmElement>(
     out: &mut [T],
     ov: &ViewGeom,
     input: BinIn<'_, T>,
-    f: impl Fn(T) -> T + Copy + Sync,
-    par: ParCtx<'_>,
-) -> usize {
+    f: impl Fn(T) -> T + Copy,
+) {
     let temp: Vec<T>;
     let input = match input {
         BinIn::Aliased(iv) if is_hazard(&iv, ov) => {
@@ -207,36 +85,10 @@ pub(crate) fn exec_unary<T: VmElement>(
         }
         other => other,
     };
-    let exec = par.executor(ov.nelem());
     match input {
-        BinIn::Const(c) => {
-            let v = f(c);
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_fill(x, out, ov, v) {
-                    return s;
-                }
-            }
-            kernels::fill(out, ov, v);
-            0
-        }
-        BinIn::Aliased(iv) => {
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1_inplace(x, out, ov, &iv, f) {
-                    return s;
-                }
-            }
-            kernels::map1_inplace(out, ov, &iv, f);
-            0
-        }
-        BinIn::Slice(data, iv) => {
-            if let Some(x) = exec {
-                if let Some(s) = kernels::par_map1(x, out, ov, data, &iv, f) {
-                    return s;
-                }
-            }
-            kernels::map1(out, ov, data, &iv, f);
-            0
-        }
+        BinIn::Const(c) => kernels::fill(out, ov, f(c)),
+        BinIn::Aliased(iv) => kernels::map1_inplace(out, ov, &iv, f),
+        BinIn::Slice(data, iv) => kernels::map1(out, ov, data, &iv, f),
     }
 }
 
@@ -418,10 +270,6 @@ mod tests {
         ViewGeom::contiguous(&Shape::vector(n))
     }
 
-    fn serial() -> ParCtx<'static> {
-        ParCtx::serial()
-    }
-
     #[test]
     fn binary_const_in_place() {
         let mut buf = vec![1.0f64; 8];
@@ -432,7 +280,6 @@ mod tests {
             BinIn::Aliased(v.clone()),
             BinIn::Const(2.0),
             binary_fn::<f64>(Opcode::Add),
-            serial(),
         );
         assert_eq!(buf, vec![3.0; 8]);
     }
@@ -449,7 +296,6 @@ mod tests {
             BinIn::Slice(&a, v.clone()),
             BinIn::Slice(&b, v.clone()),
             binary_fn::<f64>(Opcode::Multiply),
-            serial(),
         );
         assert_eq!(out, vec![10.0, 40.0]);
     }
@@ -466,7 +312,6 @@ mod tests {
             BinIn::Slice(&a, v.clone()),
             BinIn::Aliased(v.clone()),
             binary_fn::<f64>(Opcode::Subtract),
-            serial(),
         );
         assert_eq!(out, vec![9.0, 8.0]);
     }
@@ -484,51 +329,8 @@ mod tests {
             &ov,
             BinIn::Aliased(iv),
             unary_fn::<f64>(Opcode::Identity),
-            serial(),
         );
         assert_eq!(buf, vec![1.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let pool = WorkerPool::new(4);
-        // Low threshold so small inputs still exercise the sharded path.
-        let par = ParCtx {
-            pool: Some(&pool),
-            threshold: 8,
-        };
-        fn mk<'a>(kind: usize, s: &'a [f64], v: &ViewGeom) -> BinIn<'a, f64> {
-            match kind {
-                0 => BinIn::Const(3.0),
-                1 => BinIn::Slice(s, v.clone()),
-                _ => BinIn::Aliased(v.clone()),
-            }
-        }
-        let n = 1000;
-        for (a_kind, b_kind) in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)] {
-            let v = full(n);
-            let data: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-            let f = binary_fn::<f64>(Opcode::Add);
-            let mut seq: Vec<f64> = data.clone();
-            exec_binary::<f64>(
-                &mut seq,
-                &v,
-                mk(a_kind, &data, &v),
-                mk(b_kind, &data, &v),
-                f,
-                serial(),
-            );
-            let mut par_out: Vec<f64> = data.clone();
-            exec_binary::<f64>(
-                &mut par_out,
-                &v,
-                mk(a_kind, &data, &v),
-                mk(b_kind, &data, &v),
-                f,
-                par,
-            );
-            assert_eq!(seq, par_out, "kinds {a_kind}/{b_kind} diverged");
-        }
     }
 
     #[test]

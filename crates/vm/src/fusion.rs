@@ -6,8 +6,12 @@
 //! storing the whole array), the fusing engine walks the arrays once in
 //! cache-sized blocks, applying all `k` operations per block. Kernel-launch
 //! count drops from `k` to 1 and intermediate traffic stays cache-resident.
+//!
+//! The same compiled form also carries a lone element-wise instruction
+//! over contiguous, possibly offset views ([`classify_single`]): it runs
+//! as a group of one, so the fusing engine has one element-wise fast path.
 
-use bh_ir::{Opcode, Operand, Program, Reg};
+use bh_ir::{Instruction, Opcode, Operand, Program, Reg};
 use bh_tensor::{DType, Scalar};
 
 /// One scheduling unit for the fusing engine.
@@ -37,13 +41,19 @@ pub(crate) enum Group {
     },
 }
 
-/// One input of a fused instruction, fully resolved: fusable views are
-/// always the *full, contiguous, offset-0* view of their base, so a
-/// register identifies the operand completely — no geometry needed.
+/// One input of a fused instruction, fully resolved: every view is a
+/// contiguous run of its base, so a register and the run's first element
+/// identify the operand completely — no geometry needed. Inside a fused
+/// group the run is the whole base (offset 0).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FusedInput {
-    /// Full view of a base register.
-    Reg(Reg),
+    /// Element `k` of the step reads element `offset + k` of `reg`.
+    Reg {
+        /// The base register.
+        reg: Reg,
+        /// First element of the contiguous run.
+        offset: usize,
+    },
     /// Immediate constant (not yet cast to the operating dtype).
     Const(Scalar),
 }
@@ -54,8 +64,10 @@ pub(crate) enum FusedInput {
 pub(crate) struct FusedInstr {
     /// The element-wise op-code.
     pub op: Opcode,
-    /// Output register (written via its full contiguous view).
+    /// Output register, written over a contiguous run.
     pub out: Reg,
+    /// First element of the output run (0 inside a fused group).
+    pub out_offset: usize,
     /// Declared dtype of the output base.
     pub out_dtype: DType,
     /// Operating dtype: the dtype of view inputs (validated to agree),
@@ -69,38 +81,86 @@ pub(crate) struct FusedInstr {
 ///
 /// Only call this on ranges produced by [`find_groups`]: the
 /// classification relies on the fusability invariant (all views full,
-/// contiguous, equal length).
+/// contiguous, equal length), so every offset is 0.
 pub(crate) fn classify_group(program: &Program, range: std::ops::Range<usize>) -> Vec<FusedInstr> {
     range
-        .map(|i| {
-            let instr = &program.instrs()[i];
-            debug_assert!(instr.op.is_elementwise(), "fused groups are element-wise");
-            let out = instr.out_view().expect("element-wise ops have outputs").reg;
-            let inputs: Vec<FusedInput> = instr
-                .inputs()
-                .iter()
-                .map(|o| match o {
-                    Operand::View(v) => FusedInput::Reg(v.reg),
-                    Operand::Const(c) => FusedInput::Const(*c),
-                })
-                .collect();
-            let out_dtype = program.base(out).dtype;
-            let in_dtype = inputs
-                .iter()
-                .find_map(|i| match i {
-                    FusedInput::Reg(r) => Some(program.base(*r).dtype),
-                    FusedInput::Const(_) => None,
-                })
-                .unwrap_or(out_dtype);
-            FusedInstr {
-                op: instr.op,
-                out,
-                out_dtype,
-                in_dtype,
-                inputs,
-            }
-        })
+        .map(|i| fused_instr(program, &program.instrs()[i]))
         .collect()
+}
+
+/// The compiled-step form of the unfused instruction `idx` and its
+/// element count, or `None` when it must run on the strided interpreter.
+///
+/// Accepted: an element-wise instruction whose output view is a
+/// non-empty contiguous run (any offset, any rank) and whose every view
+/// input, broadcast to the output's shape, is a contiguous run too. That
+/// excludes stride-0 broadcasts and gives every view the output's
+/// element count, so element `k` of the step is element `k` of each run.
+/// An input on the output's base must start at the output's offset or
+/// lie wholly outside the output run: then no element is read after
+/// another index wrote it, whatever the sharding. (The verifier's V500
+/// already rejects every other alias; the check keeps the compiled
+/// step's soundness local.)
+pub(crate) fn classify_single(program: &Program, idx: usize) -> Option<(FusedInstr, usize)> {
+    let instr = &program.instrs()[idx];
+    if !instr.op.is_elementwise() {
+        return None;
+    }
+    let out = program.resolve_view(instr.out_view()?).ok()?;
+    let nelem = out.nelem();
+    if nelem == 0 || !out.is_contiguous() {
+        return None;
+    }
+    let shape = out.shape();
+    let mut fi = fused_instr(program, instr);
+    fi.out_offset = out.offset();
+    for (input, operand) in fi.inputs.iter_mut().zip(instr.inputs()) {
+        if let (FusedInput::Reg { offset, .. }, Operand::View(v)) = (input, operand) {
+            let geom = program.resolve_view(v).ok()?.broadcast_to(&shape).ok()?;
+            if !geom.is_contiguous() {
+                return None;
+            }
+            let shift = geom.offset().abs_diff(out.offset());
+            if v.reg == fi.out && shift != 0 && shift < nelem {
+                return None;
+            }
+            *offset = geom.offset();
+        }
+    }
+    Some((fi, nelem))
+}
+
+/// One element-wise instruction with every offset 0.
+fn fused_instr(program: &Program, instr: &Instruction) -> FusedInstr {
+    debug_assert!(instr.op.is_elementwise(), "fused steps are element-wise");
+    let out = instr.out_view().expect("element-wise ops have outputs").reg;
+    let inputs: Vec<FusedInput> = instr
+        .inputs()
+        .iter()
+        .map(|o| match o {
+            Operand::View(v) => FusedInput::Reg {
+                reg: v.reg,
+                offset: 0,
+            },
+            Operand::Const(c) => FusedInput::Const(*c),
+        })
+        .collect();
+    let out_dtype = program.base(out).dtype;
+    let in_dtype = inputs
+        .iter()
+        .find_map(|i| match i {
+            FusedInput::Reg { reg, .. } => Some(program.base(*reg).dtype),
+            FusedInput::Const(_) => None,
+        })
+        .unwrap_or(out_dtype);
+    FusedInstr {
+        op: instr.op,
+        out,
+        out_offset: 0,
+        out_dtype,
+        in_dtype,
+        inputs,
+    }
 }
 
 /// Element count shared by all of an instruction's full contiguous views,
@@ -314,6 +374,48 @@ mod tests {
     fn singleton_runs_stay_single() {
         let p = parse_program("BH_IDENTITY a0 [0:8:1] 1\nBH_SYNC a0\n").unwrap();
         assert_eq!(find_groups(&p), vec![Group::Single(0), Group::Single(1)]);
+    }
+
+    #[test]
+    fn single_classifier_accepts_contiguous_runs_only() {
+        let p = parse_program(
+            ".base g f64[8]\n.base r f64[8]\n.base m f64[2,8]\n.base k i32[8]\n\
+             BH_ADD r[2:8:1] g[0:6:1] r[2:8:1]\n\
+             BH_ADD r[0:4:1] r[4:8:1] 1\n\
+             BH_IDENTITY r[0:4:1] k[4:8:1]\n\
+             BH_MULTIPLY m[1:2:1,:] m[0:1:1,:] 2\n\
+             BH_ADD r[1:8:1] r[0:7:1] 1\n\
+             BH_ADD r[0:8:2] g[0:8:2] 1\n\
+             BH_IDENTITY r g[::-1]\n\
+             BH_ADD m m g\n\
+             BH_ADD r[0:0:1] r[0:0:1] 1\n\
+             BH_ADD_REDUCE g m 0\n",
+        )
+        .unwrap();
+        let offsets = |idx: usize| {
+            classify_single(&p, idx).map(|(fi, n)| {
+                let ins: Vec<Option<usize>> = fi
+                    .inputs
+                    .iter()
+                    .map(|i| match i {
+                        FusedInput::Reg { offset, .. } => Some(*offset),
+                        FusedInput::Const(_) => None,
+                    })
+                    .collect();
+                (fi.out_offset, ins, n)
+            })
+        };
+        // Offset runs of other bases, the output's own run, a disjoint
+        // run of the output's base, a cast, a rank-2 row block.
+        assert_eq!(offsets(0), Some((2, vec![Some(0), Some(2)], 6)));
+        assert_eq!(offsets(1), Some((0, vec![Some(4), None], 4)));
+        assert_eq!(offsets(2), Some((0, vec![Some(4)], 4)));
+        assert_eq!(offsets(3), Some((8, vec![Some(0), None], 8)));
+        // Shifted overlap of the output's base, strided, reversed,
+        // broadcast, empty and non-element-wise stay on the interpreter.
+        for idx in 4..10 {
+            assert_eq!(offsets(idx), None, "instruction {idx}");
+        }
     }
 
     #[test]

@@ -368,8 +368,9 @@ BH_SYNC z\nBH_SYNC m\n";
     #[test]
     fn unfused_slice_ops_shard_across_the_pool() {
         // Shifted 1-D slices are contiguous but never fuse (partial
-        // views): the naive engine must still shard them — and the
-        // results must match the serial run exactly.
+        // views): the fusing engine runs each on the compiled step as a
+        // group of one and must still shard them — and the results must
+        // match the serial run exactly.
         let n = 4096;
         let text = format!(
             ".base g f64[{n}]\n.base s f64[{n}]\n\
@@ -383,17 +384,94 @@ BH_SYNC z\nBH_SYNC m\n";
             lim = n - 2,
         );
         let p = parse_program(&text).unwrap();
-        let mut serial = Vm::new();
+        let engine = Engine::Fusing { block: 256 };
+        let mut serial = Vm::with_engine(engine);
         serial.run(&p).unwrap();
-        let mut par = Vm::new();
+        let mut par = Vm::with_engine(engine);
         par.set_threads(4).set_par_threshold(1);
         par.run(&p).unwrap();
         assert!(par.stats().par_shards > 0, "slice ops must have sharded");
         assert_eq!(serial.stats().par_shards, 0);
+        assert_eq!(par.stats().fused_groups, 0, "no op here fuses");
         assert_eq!(
             serial.read_by_name(&p, "s").unwrap(),
             par.read_by_name(&p, "s").unwrap()
         );
+    }
+
+    #[test]
+    fn compiled_single_step_matches_interpreter_on_every_input_shape() {
+        // Every step-input shape of an unfused contiguous instruction, at
+        // a small n: another base at an offset (also two of them, shifted
+        // apart), a constant, the output's own run (same layout), a
+        // disjoint run of the output's base below and above it, both at
+        // once, a compare and a predicate, a compare whose bool input is
+        // the output's own base, an offset cast, an offset rank-2 row
+        // block, and a broadcast row that stays on the interpreter. The
+        // naive engine runs all of it on the serial strided interpreter;
+        // the fusing engine at 1 and 3 threads must agree bit for bit,
+        // with every counter but the shard count identical.
+        let n = 37;
+        let h = n / 2;
+        let text = format!(
+            ".base g f64[{n}]\n.base r f64[{n}]\n.base b bool[{n}]\n\
+             .base k i32[{n}]\n.base m f64[4,{n}]\n\
+             BH_RANGE g\n\
+             BH_RANGE r\n\
+             BH_RANGE k\n\
+             BH_ADD r[2:{n}:1] g[0:{a}:1] 0.25\n\
+             BH_MULTIPLY r[1:{b}:1] r[1:{b}:1] 1.5\n\
+             BH_SUBTRACT r[0:{h}:1] r[{h}:{hh}:1] r[0:{h}:1]\n\
+             BH_ADD r[{h}:{hh}:1] r[0:{h}:1] 1\n\
+             BH_SQRT r[0:{h}:1] r[{h}:{hh}:1]\n\
+             BH_MAXIMUM r[1:{b}:1] g[0:{a}:1] g[2:{n}:1]\n\
+             BH_GREATER b[1:{n}:1] r[0:{b}:1] g[1:{n}:1]\n\
+             BH_EQUAL b[0:{h}:1] b[{h}:{hh}:1] b[0:{h}:1]\n\
+             BH_LOGICAL_XOR b[{h}:{hh}:1] b[0:{h}:1] b[{h}:{hh}:1]\n\
+             BH_ISNAN b[3:{n}:1] r[0:{c}:1]\n\
+             BH_IDENTITY g[1:{n}:1] k[0:{b}:1]\n\
+             BH_IDENTITY m[1:3:1,:] 2\n\
+             BH_MULTIPLY m[3:4:1,:] m[1:2:1,:] g\n\
+             BH_ADD m[1:3:1,:] m[1:3:1,:] g\n\
+             BH_SYNC r\nBH_SYNC b\nBH_SYNC g\nBH_SYNC m\n",
+            a = n - 2,
+            b = n - 1,
+            c = n - 3,
+            hh = 2 * h,
+        );
+        let p = parse_program(&text).unwrap();
+        let run = |engine: Engine, threads: usize| {
+            let mut vm = Vm::with_engine(engine);
+            vm.set_threads(threads).set_par_threshold(1);
+            vm.run(&p).unwrap();
+            let values: Vec<Tensor> = ["r", "b", "g", "m"]
+                .iter()
+                .map(|name| vm.read_by_name(&p, name).unwrap())
+                .collect();
+            (values, *vm.stats())
+        };
+        let (want, naive) = run(Engine::Naive, 3);
+        assert_eq!(naive.par_shards, 0, "naive element-wise work is serial");
+        let fusing = Engine::Fusing { block: 4 };
+        let (serial_values, serial) = run(fusing, 1);
+        let (par_values, par) = run(fusing, 3);
+        assert_eq!(
+            serial_values, want,
+            "compiled steps diverged from the interpreter"
+        );
+        assert_eq!(par_values, want, "sharded compiled steps diverged");
+        assert!(par.par_shards > 0, "the single steps must have sharded");
+        assert_eq!(par.fused_groups, 0, "every op here is a single");
+        for mut stats in [naive, serial, par] {
+            stats.par_shards = 0;
+            assert_eq!(
+                stats,
+                ExecStats {
+                    par_shards: 0,
+                    ..naive
+                }
+            );
+        }
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! (kernel launches, traffic, flops) the transformation layer is supposed
 //! to reduce. Two engines are provided:
 //!
-//! * **Naive** — one kernel launch and one full-array pass per byte-code.
-//!   This is the execution regime in which the paper's rewrites pay off.
+//! * **Naive** — one kernel launch and one full-array pass per byte-code,
+//!   every element-wise byte-code on the serial strided interpreter
+//!   (`kernels::{fill, map1, map2, …}`). This is the execution regime in
+//!   which the paper's rewrites pay off, and the reference leg the
+//!   equivalence suites hold the fusing engine to.
 //! * **Fusing** — contracts runs of element-wise byte-codes over identical
 //!   full views and executes them block-by-block, modelling Bohrium's JIT
 //!   kernel fusion ("loop-fusion-like contractions of byte-codes", §2).
+//!   A lone element-wise byte-code over contiguous views runs on the same
+//!   compiled step as a group of one, and compiled steps shard across the
+//!   worker pool; only strided, reversed and broadcast views take the
+//!   serial interpreter.
 
 use crate::error::VmError;
-use crate::exec::{self, BinIn, ParCtx};
+use crate::exec::{self, BinIn};
 use crate::fusion::{self, FusedInput, FusedInstr};
 use crate::pool::WorkerPool;
 use crate::stash::Stash;
@@ -27,11 +34,18 @@ use std::sync::Arc;
 
 use crate::eltops::VmElement;
 
+/// Default minimum element count before an operation shards across the
+/// worker pool.
+const PAR_THRESHOLD: usize = 1 << 16;
+
 /// Execution engine selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// The default is `Fusing { block: 4096 }`, the configuration a default
+/// `bh_runtime::Runtime` evaluates with. [`Vm::new`] is a `Naive` VM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// One kernel per byte-code (Bohrium without fusion).
-    #[default]
+    /// One kernel per byte-code (Bohrium without fusion), every
+    /// element-wise byte-code on the serial strided interpreter.
     Naive,
     /// Contract element-wise runs and execute them in cache-sized blocks.
     Fusing {
@@ -39,6 +53,12 @@ pub enum Engine {
         /// i.e. L1-resident.
         block: usize,
     },
+}
+
+impl Default for Engine {
+    fn default() -> Engine {
+        Engine::Fusing { block: 4096 }
+    }
 }
 
 /// The virtual machine.
@@ -83,7 +103,6 @@ pub struct Vm {
     /// slots held, bound or allocated, when it ended: the stash's bound.
     peak_bytes: usize,
     stats: ExecStats,
-    count_kernel_per_instr: bool,
 }
 
 impl Default for Vm {
@@ -103,19 +122,18 @@ impl Vm {
         Vm {
             engine,
             workers: None,
-            par_threshold: exec::PAR_THRESHOLD,
+            par_threshold: PAR_THRESHOLD,
             bases: Vec::new(),
             allocated: Vec::new(),
             stash: Stash::default(),
             reserved: Vec::new(),
             peak_bytes: 0,
             stats: ExecStats::new(),
-            count_kernel_per_instr: true,
         }
     }
 
-    /// Set the worker-thread count for large contiguous element-wise ops
-    /// and fused groups.
+    /// Set the worker-thread count for the fusing engine's compiled
+    /// element-wise steps and for reductions and scans.
     ///
     /// `threads > 1` spawns a persistent [`WorkerPool`] owned by this VM
     /// (reused across runs — no per-operation thread start-up). A pool of
@@ -138,7 +156,7 @@ impl Vm {
         self
     }
 
-    /// Worker threads used for large element-wise operations (1 = serial).
+    /// Worker threads used for large operations (1 = serial).
     pub fn threads(&self) -> usize {
         self.workers.as_ref().map_or(1, |w| w.threads())
     }
@@ -186,7 +204,6 @@ impl Vm {
             }
         }
         self.stats = ExecStats::new();
-        self.count_kernel_per_instr = true;
     }
 
     /// Counters accumulated so far.
@@ -202,7 +219,6 @@ impl Vm {
         self.stash.clear();
         self.peak_bytes = 0;
         self.stats = ExecStats::new();
-        self.count_kernel_per_instr = true;
     }
 
     /// Provide input data for a register declared `input`.
@@ -321,7 +337,7 @@ impl Vm {
             Engine::Naive => program
                 .instrs()
                 .iter()
-                .try_for_each(|instr| self.exec_instr(program, instr, None)),
+                .try_for_each(|instr| self.exec_instr(program, instr)),
             Engine::Fusing { block } => self.run_fused(program, block.max(1)),
         };
         self.peak_bytes = self.peak_bytes.max(self.held_bytes());
@@ -380,11 +396,16 @@ impl Vm {
     fn run_fused(&mut self, program: &Program, block: usize) -> Result<(), VmError> {
         for group in fusion::find_groups(program) {
             match group {
-                fusion::Group::Single(i) => {
-                    self.exec_instr(program, &program.instrs()[i], None)?;
-                }
+                fusion::Group::Single(i) => match fusion::classify_single(program, i) {
+                    Some((fi, nelem)) => {
+                        self.run_compiled(program, std::slice::from_ref(&fi), nelem, block);
+                    }
+                    None => self.exec_instr(program, &program.instrs()[i])?,
+                },
                 fusion::Group::Fused { range, nelem } => {
-                    self.run_fused_group(program, range, nelem, block)?;
+                    let instrs = fusion::classify_group(program, range);
+                    self.stats.fused_groups += 1;
+                    self.run_compiled(program, &instrs, nelem, block);
                 }
                 fusion::Group::FusedReduce {
                     range,
@@ -398,31 +419,28 @@ impl Vm {
         Ok(())
     }
 
-    /// Execute one fused group as a single kernel: compile every
-    /// instruction into a range closure over raw base pointers, then walk
-    /// `[0, nelem)` in cache-sized blocks applying the whole chain per
-    /// block — sharded across the worker pool when the group is large
-    /// enough. Shard boundaries are multiples of `block`, so the
-    /// block-walk inside each shard is identical to the serial walk
-    /// (DESIGN.md §10); results are bit-identical for every thread count.
-    fn run_fused_group(
+    /// Execute compiled element-wise instructions — a fused group, or an
+    /// unfused contiguous instruction as a group of one — as a single
+    /// kernel: compile every instruction into a range closure over raw
+    /// base pointers, then walk `[0, nelem)` in cache-sized blocks
+    /// applying the whole chain per block — sharded across the worker
+    /// pool when the run is large enough. Shard boundaries are multiples
+    /// of `block`, so the block-walk inside each shard is identical to
+    /// the serial walk (DESIGN.md §10); results are bit-identical for
+    /// every thread count.
+    fn run_compiled(
         &mut self,
         program: &Program,
-        range: std::ops::Range<usize>,
+        instrs: &[FusedInstr],
         nelem: usize,
         block: usize,
-    ) -> Result<(), VmError> {
-        let instrs = fusion::classify_group(program, range.clone());
-        let Some(steps) = self.prepare_fused_steps(program, &instrs) else {
-            // Defensive fallback: interpret the group block-by-block.
-            return self.run_fused_group_interpreted(program, range, nelem, block);
-        };
+    ) {
         // Accounting is analytic and shard-independent: each instruction
         // counts once, traffic/flops scale with the full `nelem`, and the
-        // group is one kernel — identical counters for 1 or N threads.
+        // run is one kernel — identical counters for 1 or N threads.
         self.stats.kernels += 1;
-        self.stats.fused_groups += 1;
-        self.account_fused_chain(&instrs, nelem);
+        self.account_fused_chain(instrs, nelem);
+        let steps = self.prepare_fused_steps(program, instrs, nelem);
         let run_chain = |lo: usize, hi: usize| {
             let mut b = lo;
             while b < hi {
@@ -442,25 +460,24 @@ impl Vm {
             }
             _ => run_chain(0, nelem),
         }
-        Ok(())
     }
 
-    /// Shared prologue of the compiled fused paths: materialise every
-    /// touched base, CoW-unshare every *written* buffer **before** any
-    /// pointer is captured (a copy taken after a read pointer would leave
-    /// that reader staring at the stale allocation), then compile each
-    /// instruction. Returns `None` when a step cannot be compiled —
-    /// callers fall back to the interpreted group.
+    /// Shared prologue of the compiled paths: materialise every touched
+    /// base, CoW-unshare every *written* buffer **before** any pointer is
+    /// captured (a copy taken after a read pointer would leave that
+    /// reader staring at the stale allocation), then compile each
+    /// instruction over `nelem` elements.
     fn prepare_fused_steps(
         &mut self,
         program: &Program,
         instrs: &[FusedInstr],
-    ) -> Option<Vec<FusedStep>> {
+        nelem: usize,
+    ) -> Vec<FusedStep> {
         for fi in instrs {
             self.ensure_alloc(program, fi.out);
             for input in &fi.inputs {
-                if let FusedInput::Reg(r) = input {
-                    self.ensure_alloc(program, *r);
+                if let FusedInput::Reg { reg, .. } = input {
+                    self.ensure_alloc(program, *reg);
                 }
             }
         }
@@ -470,11 +487,10 @@ impl Vm {
                 let _ = buf.as_mut_slice::<T>().expect("dtype matches decl");
             });
         }
-        let mut steps: Vec<FusedStep> = Vec::with_capacity(instrs.len());
-        for fi in instrs {
-            steps.push(self.compile_fused_step(fi)?);
-        }
-        Some(steps)
+        instrs
+            .iter()
+            .map(|fi| self.compile_fused_step(fi, nelem))
+            .collect()
     }
 
     /// Analytic per-instruction accounting for a fused chain: one
@@ -488,7 +504,7 @@ impl Vm {
             self.stats.elements_written += n;
             self.stats.bytes_written += n * fi.out_dtype.size_of() as u64;
             for input in &fi.inputs {
-                if matches!(input, FusedInput::Reg(_)) {
+                if matches!(input, FusedInput::Reg { .. }) {
                     self.stats.bytes_read += n * fi.in_dtype.size_of() as u64;
                 }
             }
@@ -519,17 +535,12 @@ impl Vm {
         let out_geom = program.resolve_view(out_ref)?;
         let dtype = program.base(in_ref.reg).dtype;
 
-        let instrs = fusion::classify_group(program, range.clone());
+        let instrs = fusion::classify_group(program, range);
         self.ensure_alloc(program, in_ref.reg);
         self.ensure_alloc(program, out_ref.reg);
-        let Some(steps) = self.prepare_fused_steps(program, &instrs) else {
-            // Defensive fallback: run the chain interpreted, then the
-            // reduction through its stand-alone (still parallel) path.
-            self.run_fused_group_interpreted(program, range, nelem, block)?;
-            return self.exec_instr(program, rinstr, None);
-        };
+        let steps = self.prepare_fused_steps(program, &instrs, nelem);
         // Analytic accounting, shard-independent: chain instructions as in
-        // `run_fused_group`, plus the reduction's own traffic/flops — the
+        // `run_compiled`, plus the reduction's own traffic/flops — the
         // per-instruction totals a naive run would report, under a single
         // kernel launch.
         self.stats.kernels += 1;
@@ -544,9 +555,7 @@ impl Vm {
 
         let fold = rinstr.op.fold_op().expect("reductions fold");
         let total_shards = with_dtype!(dtype, T, {
-            let src = self
-                .raw_const::<T>(in_ref.reg)
-                .expect("allocated and dtype matches decl");
+            let src = self.raw_const::<T>(in_ref.reg, 0, nelem);
             let f = exec::binary_fn::<T>(fold);
             let init: T = exec::fold_init::<T>(fold);
             let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
@@ -615,96 +624,72 @@ impl Vm {
         Ok(())
     }
 
-    /// The seed's block-by-block interpreter for fused groups, kept as the
-    /// fallback when a step cannot be compiled.
-    fn run_fused_group_interpreted(
-        &mut self,
-        program: &Program,
-        range: std::ops::Range<usize>,
-        nelem: usize,
-        block: usize,
-    ) -> Result<(), VmError> {
-        self.stats.kernels += 1;
-        self.stats.fused_groups += 1;
-        // Count each instruction once (not once per block); restore the
-        // flag even if a block errors mid-group, so a pooled VM is not
-        // left undercounting.
-        self.count_kernel_per_instr = false;
-        let result = (|| -> Result<(), VmError> {
-            let mut lo = 0usize;
-            while lo < nelem {
-                let hi = (lo + block).min(nelem);
-                for i in range.clone() {
-                    self.exec_instr(program, &program.instrs()[i], Some((lo, hi)))?;
-                }
-                lo = hi;
-            }
-            Ok(())
-        })();
-        self.count_kernel_per_instr = true;
-        result
-    }
-
-    /// Compile one fused instruction into a closure executing it over an
-    /// element range `[lo, hi)` through raw base pointers.
+    /// Compile one element-wise instruction into a closure executing it
+    /// over an element range `[lo, hi)` of `[0, nelem)` through raw
+    /// pointers at each operand's first run element.
     ///
     /// # Safety argument
     ///
     /// The closures dereference raw pointers captured from `self.bases`.
     /// This is sound because (a) every written buffer was un-shared
     /// before any pointer was taken and no buffer is reallocated until
-    /// the group finishes, (b) fusability guarantees every view is the
-    /// full contiguous `[0, nelem)` of its base, so concurrent shards
-    /// touch pairwise-disjoint index ranges, and (c) within one shard the
-    /// chain runs in program order, so a step's reads of an element
-    /// happen before any later step's write of it — exactly the serial
-    /// interpreter's order per element.
-    fn compile_fused_step(&mut self, fi: &FusedInstr) -> Option<FusedStep> {
+    /// the run finishes, and every run was checked to lie inside its
+    /// buffer when its pointer was taken; (b) every view is a contiguous
+    /// run of `nelem` elements, so step index `k` is element `offset + k`
+    /// of each operand and concurrent shards write pairwise-disjoint
+    /// output ranges; (c) an input sharing the output's base either reads
+    /// the output's own element at each `k` (same offset) or no element
+    /// the output run covers ([`fusion::classify_single`] checks it, and
+    /// the verifier's V500 rejects any other alias), so no shard reads
+    /// what another writes; and (d) within one shard the chain runs in
+    /// program order, so a step's reads of an element happen before any
+    /// later step's write of it — exactly the serial interpreter's order
+    /// per element.
+    fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
         let is_compare = fi.op.type_rule() == TypeRule::CompareLike;
         let is_cast = fi.op == Opcode::Identity && fi.in_dtype != fi.out_dtype;
         if is_compare {
             with_dtype!(fi.in_dtype, T, {
-                let out = self.raw_mut::<bool>(fi.out)?;
+                let out = self.raw_mut::<bool>(fi.out, fi.out_offset, nelem);
+                let a = self.step_in::<T>(&fi.inputs[0], nelem);
                 if fi.op.arity() == 1 {
-                    let a = self.step_in::<T>(&fi.inputs[0])?;
-                    Some(fused_pred_step(out, a, exec::predicate_fn::<T>(fi.op)))
+                    fused_pred_step(out, a, exec::predicate_fn::<T>(fi.op))
                 } else {
-                    let a = self.step_in::<T>(&fi.inputs[0])?;
-                    let b = self.step_in::<T>(&fi.inputs[1])?;
-                    Some(fused_cmp_step(out, a, b, exec::compare_fn::<T>(fi.op)))
+                    let b = self.step_in::<T>(&fi.inputs[1], nelem);
+                    fused_cmp_step(out, a, b, exec::compare_fn::<T>(fi.op))
                 }
             })
         } else if is_cast {
             with_dtype!(fi.in_dtype, I, {
                 with_dtype!(fi.out_dtype, O, {
-                    let out = self.raw_mut::<O>(fi.out)?;
-                    match &fi.inputs[0] {
+                    let out = self.raw_mut::<O>(fi.out, fi.out_offset, nelem);
+                    match fi.inputs[0] {
                         FusedInput::Const(c) => {
-                            Some(fused_fill_step(out, c.cast(fi.out_dtype).get::<O>()))
+                            fused_fill_step(out, c.cast(fi.out_dtype).get::<O>())
                         }
-                        FusedInput::Reg(r) => {
-                            let a = self.raw_const::<I>(*r)?;
-                            Some(fused_cast_step::<I, O>(out, a))
+                        // Different dtypes mean different registers: a
+                        // cast never reads its own output's base.
+                        FusedInput::Reg { reg, offset } => {
+                            fused_cast_step::<I, O>(out, self.raw_const::<I>(reg, offset, nelem))
                         }
                     }
                 })
             })
         } else {
             with_dtype!(fi.in_dtype, T, {
-                let out = self.raw_mut::<T>(fi.out)?;
+                let out = self.raw_mut::<T>(fi.out, fi.out_offset, nelem);
+                let a = self.step_in::<T>(&fi.inputs[0], nelem);
                 if fi.op.arity() == 1 {
-                    let a = self.step_in::<T>(&fi.inputs[0])?;
-                    Some(fused_un_step(out, a, exec::unary_fn::<T>(fi.op)))
+                    fused_un_step(out, a, exec::unary_fn::<T>(fi.op))
                 } else {
-                    let a = self.step_in::<T>(&fi.inputs[0])?;
-                    let b = self.step_in::<T>(&fi.inputs[1])?;
+                    let b = self.step_in::<T>(&fi.inputs[1], nelem);
                     // Direct dispatch (function *items*, not pointers) for
                     // the hot arithmetic ops, so each compiled loop
                     // inlines its operation — same trick as the
                     // interpreter's `call_bin!`.
                     macro_rules! bin {
                         ($f:expr) => {
-                            Some(fused_bin_step(out, a, b, $f))
+                            fused_bin_step(out, a, b, $f)
                         };
                     }
                     match fi.op {
@@ -728,24 +713,39 @@ impl Vm {
         }
     }
 
-    /// Raw mutable pointer to a register's (already unique) base storage.
-    fn raw_mut<T: Element>(&mut self, reg: Reg) -> Option<RawMut<T>> {
-        let buf = self.bases.get_mut(reg.index())?.as_mut()?;
-        Some(RawMut(buf.as_mut_slice::<T>()?.as_mut_ptr()))
+    /// Raw mutable pointer to element `offset` of a register's (already
+    /// unique) base storage, whose next `nelem` elements the caller writes.
+    fn raw_mut<T: Element>(&mut self, reg: Reg, offset: usize, nelem: usize) -> RawMut<T> {
+        let slice = trusted(
+            self.bases[reg.index()]
+                .as_mut()
+                .and_then(|b| b.as_mut_slice::<T>()),
+            "allocated and dtype matches decl",
+        );
+        assert!(offset + nelem <= slice.len(), "view escapes buffer");
+        RawMut(slice[offset..].as_mut_ptr())
     }
 
-    /// Raw const pointer to a register's base storage.
-    fn raw_const<T: Element>(&self, reg: Reg) -> Option<RawConst<T>> {
-        let buf = self.bases.get(reg.index())?.as_ref()?;
-        Some(RawConst(buf.as_slice::<T>()?.as_ptr()))
+    /// Raw const pointer to element `offset` of a register's base
+    /// storage, whose next `nelem` elements the caller reads.
+    fn raw_const<T: Element>(&self, reg: Reg, offset: usize, nelem: usize) -> RawConst<T> {
+        let slice = trusted(
+            self.bases[reg.index()]
+                .as_ref()
+                .and_then(|b| b.as_slice::<T>()),
+            "allocated and dtype matches decl",
+        );
+        assert!(offset + nelem <= slice.len(), "view escapes buffer");
+        RawConst(slice[offset..].as_ptr())
     }
 
-    /// Resolve a fused input to a pointer or an in-dtype constant.
-    fn step_in<T: VmElement>(&self, input: &FusedInput) -> Option<StepIn<T>> {
-        Some(match input {
+    /// Resolve a step input to a pointer at its run's first element or
+    /// an in-dtype constant.
+    fn step_in<T: VmElement>(&self, input: &FusedInput, nelem: usize) -> StepIn<T> {
+        match *input {
             FusedInput::Const(c) => StepIn::Const(c.cast(T::DTYPE).get::<T>()),
-            FusedInput::Reg(r) => StepIn::Ptr(self.raw_const::<T>(*r)?),
-        })
+            FusedInput::Reg { reg, offset } => StepIn::Ptr(self.raw_const::<T>(reg, offset, nelem)),
+        }
     }
 
     fn ensure_slot(&mut self, reg: Reg) {
@@ -784,19 +784,14 @@ impl Vm {
         self.allocated[reg.index()] = true;
     }
 
-    fn exec_instr(
-        &mut self,
-        program: &Program,
-        instr: &Instruction,
-        restrict: Option<(usize, usize)>,
-    ) -> Result<(), VmError> {
+    fn exec_instr(&mut self, program: &Program, instr: &Instruction) -> Result<(), VmError> {
         match instr.op.kind() {
             OpKind::System => self.exec_system(program, instr),
             OpKind::Generator => self.exec_generator(program, instr),
             OpKind::Reduction | OpKind::Scan => self.exec_reduce_scan(program, instr),
             OpKind::LinAlg => self.exec_linalg(program, instr),
             OpKind::ElementwiseUnary | OpKind::ElementwiseBinary => {
-                self.exec_elementwise(program, instr, restrict)
+                self.exec_elementwise(program, instr)
             }
         }
     }
@@ -838,8 +833,7 @@ impl Vm {
                 with_dtype!(dtype, T, {
                     let slice = buffer.as_mut_slice::<T>().expect("dtype matches decl");
                     // Write index values in logical order.
-                    let offsets: Vec<usize> = geom.offsets().collect();
-                    for (counter, off) in offsets.into_iter().enumerate() {
+                    for (counter, off) in geom.offsets().enumerate() {
                         slice[off] = <T as Element>::from_f64(counter as f64);
                     }
                 });
@@ -1000,17 +994,15 @@ impl Vm {
         Ok(())
     }
 
-    fn exec_elementwise(
-        &mut self,
-        program: &Program,
-        instr: &Instruction,
-        restrict: Option<(usize, usize)>,
-    ) -> Result<(), VmError> {
+    /// The serial strided interpreter for one element-wise byte-code:
+    /// every view shape (strided, reversed, broadcast, aliased), one
+    /// pass on the calling thread.
+    fn exec_elementwise(&mut self, program: &Program, instr: &Instruction) -> Result<(), VmError> {
         let out_ref = instr.out_view().expect("elementwise ops have outputs");
         let out_reg = out_ref.reg;
         self.ensure_alloc(program, out_reg);
-        let mut out_geom = program.resolve_view(out_ref)?;
-        let mut out_shape = out_geom.shape();
+        let out_geom = program.resolve_view(out_ref)?;
+        let out_shape = out_geom.shape();
         let out_dtype = program.base(out_reg).dtype;
 
         // Resolve + broadcast inputs; ensure any read base is materialised.
@@ -1030,23 +1022,6 @@ impl Vm {
             }
         }
 
-        // Fused-block restriction: replace every (guaranteed contiguous,
-        // full, equal-length) geometry with the [lo, hi) sub-range.
-        if let Some((lo, hi)) = restrict {
-            let len = hi - lo;
-            let sub = |g: &ViewGeom| {
-                ViewGeom::from_parts(g.offset() + lo, vec![bh_tensor::ViewDim { len, stride: 1 }])
-            };
-            out_geom = sub(&out_geom);
-            for rin in &mut rins {
-                if let RIn::View(_, g) = rin {
-                    *g = sub(g);
-                }
-            }
-            out_shape = Shape::vector(len);
-        }
-        let _ = &out_shape;
-
         // Operating dtype: the dtype of view inputs (validated to agree),
         // else the output dtype.
         let in_dtype = rins
@@ -1058,10 +1033,7 @@ impl Vm {
             .unwrap_or(out_dtype);
 
         // Accounting.
-        self.stats.instructions += 1;
-        if self.count_kernel_per_instr {
-            self.stats.kernels += 1;
-        }
+        self.note_kernel(1);
         let n = out_geom.nelem() as u64;
         self.stats.elements_written += n;
         self.stats.bytes_written += n * out_dtype.size_of() as u64;
@@ -1073,17 +1045,13 @@ impl Vm {
         self.stats.flops += instr.op.unit_cost() * n;
 
         let mut out_buf = self.take_buffer(out_reg)?;
-        let par = ParCtx {
-            pool: self.workers.as_deref(),
-            threshold: self.par_threshold,
-        };
 
         // Classify into the typed execution paths.
         let rule = instr.op.type_rule();
         let is_compare = rule == TypeRule::CompareLike;
         let is_cast = instr.op == Opcode::Identity && in_dtype != out_dtype;
 
-        let shards: usize = if is_compare {
+        if is_compare {
             // T × T → bool (or T → bool predicates).
             with_dtype!(in_dtype, T, {
                 // Aliasing possible only when T == bool; materialise then.
@@ -1100,7 +1068,6 @@ impl Vm {
                         }
                     }
                 };
-                let exec = par.executor(out_geom.nelem());
                 if instr.op.arity() == 1 {
                     let a = gather(&rins[0]);
                     let f = exec::predicate_fn::<T>(instr.op);
@@ -1109,24 +1076,8 @@ impl Vm {
                         .as_mut_slice::<bool>()
                         .expect("compare output is bool");
                     match sa {
-                        SliceOr::Const(c) => {
-                            let v = f(c);
-                            let s =
-                                exec.and_then(|x| kernels::par_fill(x, out_slice, &out_geom, v));
-                            if s.is_none() {
-                                kernels::fill(out_slice, &out_geom, v);
-                            }
-                            s.unwrap_or(0)
-                        }
-                        SliceOr::Data(da) => {
-                            let s = exec.and_then(|x| {
-                                kernels::par_map1(x, out_slice, &out_geom, da, &ga, f)
-                            });
-                            if s.is_none() {
-                                kernels::map1(out_slice, &out_geom, da, &ga, f);
-                            }
-                            s.unwrap_or(0)
-                        }
+                        SliceOr::Const(c) => kernels::fill(out_slice, &out_geom, f(c)),
+                        SliceOr::Data(da) => kernels::map1(out_slice, &out_geom, da, &ga, f),
                     }
                 } else {
                     let a = gather(&rins[0]);
@@ -1140,60 +1091,30 @@ impl Vm {
                         .expect("compare output is bool");
                     match (sa, sb) {
                         (SliceOr::Const(x), SliceOr::Const(y)) => {
-                            let v = f(x, y);
-                            let s =
-                                exec.and_then(|x| kernels::par_fill(x, out_slice, &out_geom, v));
-                            if s.is_none() {
-                                kernels::fill(out_slice, &out_geom, v);
-                            }
-                            s.unwrap_or(0)
+                            kernels::fill(out_slice, &out_geom, f(x, y));
                         }
                         (SliceOr::Data(da), SliceOr::Const(y)) => {
-                            let s = exec.and_then(|x| {
-                                kernels::par_map1(x, out_slice, &out_geom, da, &ga, |v| f(v, y))
-                            });
-                            if s.is_none() {
-                                kernels::map1(out_slice, &out_geom, da, &ga, |v| f(v, y));
-                            }
-                            s.unwrap_or(0)
+                            kernels::map1(out_slice, &out_geom, da, &ga, |v| f(v, y));
                         }
                         (SliceOr::Const(x), SliceOr::Data(db)) => {
-                            let s = exec.and_then(|e| {
-                                kernels::par_map1(e, out_slice, &out_geom, db, &gb, |v| f(x, v))
-                            });
-                            if s.is_none() {
-                                kernels::map1(out_slice, &out_geom, db, &gb, |v| f(x, v));
-                            }
-                            s.unwrap_or(0)
+                            kernels::map1(out_slice, &out_geom, db, &gb, |v| f(x, v));
                         }
                         (SliceOr::Data(da), SliceOr::Data(db)) => {
-                            let s = exec.and_then(|e| {
-                                kernels::par_map2(e, out_slice, &out_geom, da, &ga, db, &gb, f)
-                            });
-                            if s.is_none() {
-                                kernels::map2(out_slice, &out_geom, da, &ga, db, &gb, f);
-                            }
-                            s.unwrap_or(0)
+                            kernels::map2(out_slice, &out_geom, da, &ga, db, &gb, f);
                         }
                     }
                 }
-            })
+            });
         } else if is_cast {
             // BH_IDENTITY with dtype conversion: I → O. Different dtypes
             // mean different registers, so no aliasing.
-            let exec = par.executor(out_geom.nelem());
             match &rins[0] {
                 RIn::Const(c) => {
                     let v = c.cast(out_dtype);
                     with_dtype!(out_dtype, O, {
                         let out_slice = out_buf.as_mut_slice::<O>().expect("out dtype");
-                        let v = v.get::<O>();
-                        let s = exec.and_then(|x| kernels::par_fill(x, out_slice, &out_geom, v));
-                        if s.is_none() {
-                            kernels::fill(out_slice, &out_geom, v);
-                        }
-                        s.unwrap_or(0)
-                    })
+                        kernels::fill(out_slice, &out_geom, v.get::<O>());
+                    });
                 }
                 RIn::View(reg, g) => {
                     let in_buf = self.borrow_buffer(*reg)?;
@@ -1201,19 +1122,9 @@ impl Vm {
                         with_dtype!(out_dtype, O, {
                             let in_slice = in_buf.as_slice::<I>().expect("in dtype");
                             let out_slice = out_buf.as_mut_slice::<O>().expect("out dtype");
-                            let s = exec.and_then(|x| {
-                                kernels::par_map1(x, out_slice, &out_geom, in_slice, g, |v| {
-                                    cast_element::<I, O>(v)
-                                })
-                            });
-                            if s.is_none() {
-                                kernels::map1(out_slice, &out_geom, in_slice, g, |x| {
-                                    cast_element::<I, O>(x)
-                                });
-                            }
-                            s.unwrap_or(0)
+                            kernels::map1(out_slice, &out_geom, in_slice, g, cast_element::<I, O>);
                         })
-                    })
+                    });
                 }
             }
         } else {
@@ -1234,21 +1145,9 @@ impl Vm {
                 };
                 if instr.op.arity() == 1 {
                     let f = exec::unary_fn::<T>(instr.op);
-                    let a = classify(&rins[0]);
+                    let a = self.resolve_class::<T>(&classify(&rins[0]))?;
                     let out_slice = out_slice_owner.as_mut_slice::<T>().expect("dtype");
-                    match a {
-                        ClassIn::Const(c) => {
-                            exec::exec_unary(out_slice, &out_geom, BinIn::Const(c), f, par)
-                        }
-                        ClassIn::Aliased(g) => {
-                            exec::exec_unary(out_slice, &out_geom, BinIn::Aliased(g), f, par)
-                        }
-                        ClassIn::Other(reg, g) => {
-                            let buf = self.borrow_buffer(reg)?;
-                            let s = trusted(buf.as_slice::<T>(), "buffer dtype matches decl");
-                            exec::exec_unary(out_slice, &out_geom, BinIn::Slice(s, g), f, par)
-                        }
-                    }
+                    exec::exec_unary(out_slice, &out_geom, a, f);
                 } else {
                     let a = classify(&rins[0]);
                     let b = classify(&rins[1]);
@@ -1262,7 +1161,7 @@ impl Vm {
                     // call-bound execution on large arrays.
                     macro_rules! call_bin {
                         ($f:expr) => {
-                            exec::exec_binary(out_slice, &out_geom, sa, sb, $f, par)
+                            exec::exec_binary(out_slice, &out_geom, sa, sb, $f)
                         };
                     }
                     match instr.op {
@@ -1282,10 +1181,7 @@ impl Vm {
                         other => call_bin!(exec::binary_fn::<T>(other)),
                     }
                 }
-            })
-        };
-        if shards > 1 {
-            self.stats.par_shards += shards as u64;
+            });
         }
 
         self.bases[out_reg.index()] = Some(out_buf);
@@ -1352,9 +1248,7 @@ impl Vm {
 
     fn note_kernel(&mut self, instrs: u64) {
         self.stats.instructions += instrs;
-        if self.count_kernel_per_instr {
-            self.stats.kernels += instrs;
-        }
+        self.stats.kernels += instrs;
     }
 
     fn account_in(&mut self, g: &ViewGeom, dtype: DType) {
@@ -1372,8 +1266,8 @@ impl Vm {
     }
 }
 
-/// One compiled instruction of a fused group: executes the op over the
-/// element range `[lo, hi)` of every operand's full contiguous view.
+/// One compiled element-wise instruction: executes the op over the
+/// element range `[lo, hi)` of every operand's contiguous run.
 type FusedStep = Box<dyn Fn(usize, usize) + Send + Sync>;
 
 /// Raw mutable base pointer that may cross shard threads. Soundness is
@@ -1414,7 +1308,8 @@ impl<T> RawConst<T> {
 /// Input of a compiled fused step.
 #[derive(Clone, Copy)]
 enum StepIn<T> {
-    /// Full base view, read at the same index as the output element.
+    /// First element of a contiguous run, read at the same index as the
+    /// output element.
     Ptr(RawConst<T>),
     /// Immediate constant, already cast to the operating dtype.
     Const(T),

@@ -19,9 +19,10 @@ pub struct ExecStats {
     pub kernels: u64,
     /// Fused groups executed (fusing engine only).
     pub fused_groups: u64,
-    /// Contiguous element shards dispatched to the worker pool — by
-    /// parallel fused-group runs and by sharded unfused element-wise
-    /// kernels (0 when everything ran serially). Purely observational:
+    /// Contiguous element shards dispatched to the worker pool by the
+    /// fusing engine's compiled element-wise runs — fused groups and
+    /// unfused contiguous instructions alike (0 when everything ran
+    /// serially). Purely observational:
     /// sharding never changes results or the other counters
     /// (DESIGN.md §10).
     pub par_shards: u64,
@@ -58,14 +59,6 @@ impl ExecStats {
     /// Total modelled memory traffic in bytes.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_read + self.bytes_written
-    }
-
-    /// Modelled execution time in abstract units: each kernel launch pays a
-    /// fixed overhead `launch_overhead`, each byte moved costs 1, each flop
-    /// costs `flop_cost`. The weights are the caller's; nothing in the
-    /// stack calibrates or consumes them.
-    pub fn model_time(&self, launch_overhead: u64, flop_cost: u64) -> u64 {
-        self.kernels * launch_overhead + self.bytes_total() + self.flops * flop_cost
     }
 
     /// Field-wise difference against an earlier snapshot of the *same*
@@ -146,7 +139,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_model_time() {
+    fn bytes_total_sums_read_and_written() {
         let s = ExecStats {
             kernels: 2,
             bytes_read: 100,
@@ -155,7 +148,6 @@ mod tests {
             ..ExecStats::default()
         };
         assert_eq!(s.bytes_total(), 150);
-        assert_eq!(s.model_time(1000, 4), 2 * 1000 + 150 + 40);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod testing {
     /// [`run_synced`] on a VM with `threads` workers and a parallel
     /// threshold of 1, so even tiny test fixtures exercise the sharded
     /// execution paths. `threads` comes from the `BH_VM_TEST_THREADS` env
-    /// knob in the equivalence suite (CI runs the matrix {1, 4}).
+    /// knob in the equivalence suite (CI runs the matrix {1, 2, 4}).
     ///
     /// # Errors
     ///
@@ -160,7 +160,7 @@ pub mod testing {
     }
 
     /// VM worker-thread count under test: the `BH_VM_TEST_THREADS` env
-    /// knob (CI runs the {1, 4} matrix), defaulting to 1.
+    /// knob (CI runs the {1, 2, 4} matrix), defaulting to 1.
     pub fn test_threads() -> usize {
         std::env::var("BH_VM_TEST_THREADS")
             .ok()

@@ -9,7 +9,7 @@ use bohrium_repro::runtime::Runtime;
 use bohrium_repro::testing::{
     assert_equivalent, max_divergence, run_synced, run_synced_threads, test_threads,
 };
-use bohrium_repro::vm::{Engine, ExecStats};
+use bohrium_repro::vm::{Engine, ExecStats, VmError};
 use proptest::prelude::*;
 use proptest::strategy::Union;
 
@@ -44,6 +44,140 @@ fn arb_program(dtype: &'static str, max_len: usize) -> impl Strategy<Value = Str
         text.push_str("BH_SYNC r0\nBH_SYNC r1\nBH_SYNC r2\n");
         text
     })
+}
+
+/// Base length and window length of the sliced-view programs: every
+/// partial view is a run of `WINDOW` elements at an offset in
+/// `0..=BASE - WINDOW`.
+const BASE: usize = 24;
+const WINDOW: usize = 8;
+
+/// One instruction of a sliced-view program: (kind, output register,
+/// output offset, first-operand kind, second-operand kind, free choice).
+type SlicedSpec = (u8, usize, usize, u8, u8, usize);
+
+/// Strategy: a random program over offset windows of one common length
+/// on three `dtype` bases, plus a bool base for comparisons and a base of
+/// another dtype for casts. Unfused contiguous views at every offset are
+/// what the fusing engine runs on its compiled step as groups of one, so
+/// this is the strategy that holds that path to the interpreter.
+fn arb_sliced_program(dtype: &'static str, max_len: usize) -> impl Strategy<Value = String> {
+    let offset = 0usize..BASE - WINDOW + 1;
+    let spec = (0u8..11, 0usize..3, offset.clone(), 0u8..5, 0u8..5, offset);
+    proptest::collection::vec(spec, 1..max_len).prop_map(move |specs| sliced_program(dtype, &specs))
+}
+
+fn window(reg: &str, offset: usize) -> String {
+    format!("{reg}[{offset}:{}:1]", offset + WINDOW)
+}
+
+/// The text of one operand of an instruction writing `r{out}` at
+/// offset `o`, and any copy it needs first. Kinds: 0 another register
+/// at offset `free`; 1 the output's own window (same layout); 2 a
+/// disjoint window of the output's base; 3 a window of the output's
+/// base shifted by less than `WINDOW` — the verifier (V500) rejects that
+/// alias in place, so it is spelt as a copy into the temporary `temp`
+/// first; 4 a constant.
+fn sliced_operand(
+    dtype: &str,
+    kind: u8,
+    out: usize,
+    o: usize,
+    free: usize,
+    temp: &str,
+) -> (Option<String>, String) {
+    let own = format!("r{out}");
+    match kind {
+        0 => (None, window(&format!("r{}", (out + 1) % 3), free)),
+        1 => (None, window(&own, o)),
+        2 => {
+            let p = if o >= WINDOW { o - WINDOW } else { o + WINDOW };
+            (None, window(&own, p))
+        }
+        3 => {
+            let shift = 1 + free % (WINDOW - 1);
+            let p = if o + shift <= BASE - WINDOW {
+                o + shift
+            } else {
+                o - shift
+            };
+            let copy = format!("BH_IDENTITY {temp} {}", window(&own, p));
+            (Some(copy), temp.to_owned())
+        }
+        _ if dtype == "f64" => (None, format!("{}", free as f64 * 0.5 - 2.0)),
+        _ => (None, format!("{}", free as i64 - 8)),
+    }
+}
+
+fn sliced_program(dtype: &str, specs: &[SlicedSpec]) -> String {
+    let other = if dtype == "f64" { "i32" } else { "f64" };
+    let mut text = format!(
+        ".base r0 {dtype}[{BASE}]\n.base r1 {dtype}[{BASE}]\n.base r2 {dtype}[{BASE}]\n\
+         .base t0 {dtype}[{WINDOW}]\n.base t1 {dtype}[{WINDOW}]\n\
+         .base m bool[{BASE}]\n.base c {other}[{BASE}]\n\
+         BH_RANGE r0\nBH_RANGE r1\nBH_MULTIPLY r1 r1 2\nBH_RANGE r2\n\
+         BH_IDENTITY m 0\nBH_IDENTITY c 0\n"
+    );
+    for &(kind, x, o, ka, kb, free) in specs {
+        let reg = format!("r{x}");
+        let (copy_a, a) = sliced_operand(dtype, ka, x, o, free, "t0");
+        let (copy_b, b) = sliced_operand(dtype, kb, x, o, free / 2, "t1");
+        // Comparisons read at least one view.
+        let (copy_v, v) = sliced_operand(dtype, ka % 4, x, o, free, "t0");
+        let line = match kind {
+            0..=4 => {
+                let op = [
+                    "BH_ADD",
+                    "BH_SUBTRACT",
+                    "BH_MAXIMUM",
+                    "BH_MINIMUM",
+                    "BH_ADD",
+                ][kind as usize];
+                text.extend(copy_a.into_iter().chain(copy_b).map(|l| l + "\n"));
+                format!("{op} {} {a} {b}", window(&reg, o))
+            }
+            5 => {
+                let c = ["2", "-1", if dtype == "f64" { "0.5" } else { "3" }][free % 3];
+                text.extend(copy_a.map(|l| l + "\n"));
+                format!("BH_MULTIPLY {} {a} {c}", window(&reg, o))
+            }
+            6 => {
+                let op = ["BH_GREATER", "BH_LESS_EQUAL", "BH_EQUAL"][free % 3];
+                text.extend(copy_v.into_iter().chain(copy_b).map(|l| l + "\n"));
+                format!("{op} {} {v} {b}", window("m", o))
+            }
+            7 => {
+                text.extend(copy_a.map(|l| l + "\n"));
+                format!("BH_IDENTITY {} {a}", window("c", o))
+            }
+            8 => format!("BH_IDENTITY {} {}", window(&reg, o), window("c", free)),
+            9 => format!("BH_IDENTITY {} {}", window(&reg, o), window("m", free)),
+            // Full views: adjacent ones fuse into groups between singles.
+            _ => format!("BH_ADD {reg} {reg} r{}", (x + 1) % 3),
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text.push_str("BH_SYNC r0\nBH_SYNC r1\nBH_SYNC r2\nBH_SYNC m\nBH_SYNC c\n");
+    text
+}
+
+/// Naive ≡ Fusing×1 ≡ Fusing×N bit for bit on one program, with N from
+/// `BH_VM_TEST_THREADS` floored at 4 so the sharded paths engage.
+fn check_engines_agree(text: &str) {
+    let p = parse_program(text).expect("generated text parses");
+    let threads = test_threads().max(4);
+    let naive = run_synced(&p, 37, Engine::Naive).expect("runs");
+    let fused1 = run_synced_threads(&p, 37, Engine::Fusing { block: 3 }, 1).expect("runs");
+    let fusedn = run_synced_threads(&p, 37, Engine::Fusing { block: 3 }, threads).expect("runs");
+    assert_eq!(naive.len(), fused1.len());
+    for (name, t) in &naive {
+        assert_eq!(
+            t, &fused1[name],
+            "{name}: fused×1 diverged from naive\n{text}"
+        );
+        assert_eq!(t, &fusedn[name], "{name}: fused×{threads} diverged\n{text}");
+    }
 }
 
 /// Strategy: one in-place run `r = r ⊕ c` of adds, subtracts and
@@ -171,7 +305,7 @@ proptest! {
     // Fusing×N-thread produce bit-identical buffers on random programs
     // (integer dtype so "bit-identical" is meaningful without tolerance;
     // the f64 case rides on `fused_engine_matches_naive_on_random_programs`
-    // plus the run below). N honours BH_VM_TEST_THREADS (CI matrix {1,4})
+    // plus the run below). N honours BH_VM_TEST_THREADS (CI matrix {1, 2, 4})
     // and is floored at 4 so the sharded paths engage even by default.
     #[test]
     fn thread_count_never_changes_results(text in arb_program("i64", 12)) {
@@ -188,6 +322,20 @@ proptest! {
             prop_assert_eq!(t, &fused1[name], "{}: fused×1 diverged from naive", name);
             prop_assert_eq!(t, &fusedn[name], "{}: fused×{} diverged", name, threads);
         }
+    }
+
+    #[test]
+    fn sliced_views_agree_across_engines_and_threads_on_integers(
+        text in arb_sliced_program("i64", 14)
+    ) {
+        check_engines_agree(&text);
+    }
+
+    #[test]
+    fn sliced_views_agree_across_engines_and_threads_on_floats(
+        text in arb_sliced_program("f64", 14)
+    ) {
+        check_engines_agree(&text);
     }
 
     #[test]
@@ -291,6 +439,26 @@ proptest! {
         let mut transformed = reference.clone();
         Optimizer::new(OptOptions::default().strict_math()).run(&mut transformed);
         prop_assert_eq!(max_divergence(&reference, &transformed, 5), 0.0);
+    }
+}
+
+#[test]
+fn a_shifted_overlapping_self_alias_never_reaches_an_engine() {
+    // `r[1:n] = r[0:n-1] + 1` in place reads elements it is writing: the
+    // verifier rejects it (V500), so neither engine ever executes it and
+    // the sliced-view strategy spells the shift through a copy.
+    let p = parse_program(".base r f64[16]\nBH_RANGE r\nBH_ADD r[1:16:1] r[0:15:1] 1\nBH_SYNC r\n")
+        .expect("parses");
+    for engine in [Engine::Naive, Engine::Fusing { block: 4 }] {
+        match run_synced(&p, 1, engine) {
+            Err(VmError::Invalid(errors)) => {
+                assert!(
+                    errors.iter().any(|e| e.code.as_str() == "V500"),
+                    "{errors:?}"
+                );
+            }
+            other => panic!("{engine:?} ran an aliasing program: {other:?}"),
+        }
     }
 }
 
