@@ -59,6 +59,6 @@ pub use bh_ir::fold;
 
 pub use bh_ir::fold::const_eval;
 pub use pipeline::{
-    optimize, optimize_at, standard_rules, AuditMode, OptLevel, OptOptions, OptReport, Optimizer,
+    optimize, optimize_at, standard_rules, OptLevel, OptOptions, OptReport, Optimizer,
 };
 pub use rule::{reassoc_allowed, LiveAtExit, RewriteCtx, RewriteRule};

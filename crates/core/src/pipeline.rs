@@ -2,32 +2,12 @@
 
 use crate::rule::{LiveAtExit, RewriteCtx, RewriteRule};
 use crate::rules::{
-    AlgebraicSimplify, CommonSubexpression, ConstantMerge, CopyPropagation, DeadCodeElimination,
-    InverseSolveRewrite, MultiplyChainReroll, PowerExpansion, StrengthReduction,
-    TrivialCopyElision,
+    AlgebraicSimplify, ConstantMerge, DeadCodeElimination, InverseSolveRewrite,
+    MultiplyChainReroll, PowerExpansion, StrengthReduction, ValueNumbering,
 };
-use bh_ir::equiv::{check_equiv, EquivOptions};
+use bh_ir::equiv::EquivOptions;
 use bh_ir::Program;
 use std::fmt;
-
-/// When the pass manager runs the static plan auditor
-/// ([`bh_ir::equiv::check_equiv`]).
-///
-/// Marked `#[non_exhaustive]`: a per-sweep or sampling mode may be added;
-/// match with a wildcard arm outside this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum AuditMode {
-    /// No auditing (the default): rules are trusted.
-    #[default]
-    Off,
-    /// Every rule application is audited against the program it rewrote.
-    /// A rewrite the auditor cannot prove equivalent is rolled back and
-    /// counted in [`OptReport::audit_rollbacks`]; the pipeline continues
-    /// with the remaining rules — graceful degradation instead of a
-    /// wrong plan.
-    PerRule,
-}
 
 /// Optimization level, LLVM-style.
 ///
@@ -39,11 +19,12 @@ pub enum OptLevel {
     /// No transformations.
     O0,
     /// The paper's headline rewrites plus clean-up: constant merging,
-    /// identity simplification, dead-code elimination.
+    /// identity simplification (self-copies included), dead-code
+    /// elimination.
     O1,
-    /// Everything: O1 + power expansion/re-roll, strength reduction, copy
-    /// propagation, CSE and the context-aware linalg rewrite. Bohrium's
-    /// default behaviour per §4.
+    /// Everything: O1 + power expansion/re-roll, strength reduction, value
+    /// numbering (copy propagation and CSE) and the context-aware linalg
+    /// rewrite. Bohrium's default behaviour per §4.
     #[default]
     O2,
 }
@@ -53,26 +34,13 @@ pub enum OptLevel {
 /// Derives `Eq`/`Hash` (all fields are integral) so options can key
 /// caches directly — a field added here is automatically part of any
 /// such key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct OptOptions {
     /// Which rule set to run.
     pub level: OptLevel,
     /// Shared rewrite context (fast-math policy, expansion budget,
     /// observability).
     pub ctx: RewriteCtx,
-    /// Translation-validation policy (participates in cache keys like
-    /// every other field).
-    pub audit: AuditMode,
-}
-
-impl Default for OptOptions {
-    fn default() -> OptOptions {
-        OptOptions {
-            level: OptLevel::O2,
-            ctx: RewriteCtx::default(),
-            audit: AuditMode::Off,
-        }
-    }
 }
 
 impl OptOptions {
@@ -94,12 +62,6 @@ impl OptOptions {
     /// Treat every register as observable at exit.
     pub fn observe_all(mut self) -> OptOptions {
         self.ctx.live_at_exit = LiveAtExit::AllRegisters;
-        self
-    }
-
-    /// Set the translation-validation policy.
-    pub fn audit(mut self, mode: AuditMode) -> OptOptions {
-        self.audit = mode;
         self
     }
 
@@ -180,58 +142,36 @@ impl Optimizer {
     /// every rule's [`RewriteRule::apply`] to a fixpoint, then one sweep of
     /// every rule's [`RewriteRule::lower`].
     pub fn run(&self, program: &mut Program) -> OptReport {
-        let mut report = OptReport {
-            iterations: 0,
-            by_rule: self.rules.iter().map(|r| (r.name(), 0)).collect(),
-            audits: 0,
-            audit_rollbacks: 0,
-        };
+        let mut by_rule: Vec<_> = self.rules.iter().map(|r| (r.name(), 0)).collect();
         let ctx = &self.options.ctx;
-        for _ in 0..MAX_SWEEPS {
-            let mut changed = false;
-            for k in 0..self.rules.len() {
-                changed |= self.step(program, &mut report, k, |rule, p| rule.apply(p, ctx));
+        // Compact after, and count, every application that changed the
+        // program; true when one did.
+        let mut record = |k: usize, n: usize, program: &mut Program| {
+            if n > 0 {
+                program.compact();
+                by_rule[k].1 += n;
             }
-            report.iterations += 1;
+            n > 0
+        };
+        let mut sweeps = 0;
+        while sweeps < MAX_SWEEPS {
+            let mut changed = false;
+            for (k, rule) in self.rules.iter().enumerate() {
+                changed |= record(k, rule.apply(program, ctx), program);
+            }
+            sweeps += 1;
             if !changed {
                 break;
             }
         }
-        for k in 0..self.rules.len() {
-            self.step(program, &mut report, k, |rule, p| rule.lower(p, ctx));
+        for (k, rule) in self.rules.iter().enumerate() {
+            record(k, rule.lower(program, ctx), program);
         }
         program.compact();
-        report
-    }
-
-    /// One application of rule `k`, audited when the options say so.
-    /// Returns whether it changed the program.
-    fn step(
-        &self,
-        program: &mut Program,
-        report: &mut OptReport,
-        k: usize,
-        apply: impl Fn(&dyn RewriteRule, &mut Program) -> usize,
-    ) -> bool {
-        let audit = self.options.audit == AuditMode::PerRule;
-        let snapshot = if audit { Some(program.clone()) } else { None };
-        let n = apply(self.rules[k].as_ref(), program);
-        if n == 0 {
-            return false;
+        OptReport {
+            iterations: sweeps,
+            by_rule,
         }
-        program.compact();
-        if let Some(snapshot) = snapshot {
-            report.audits += 1;
-            if check_equiv(&snapshot, program, &self.options.equiv_options()).is_err() {
-                // The rewrite could not be proved sound: undo it and keep
-                // going with the remaining rules.
-                *program = snapshot;
-                report.audit_rollbacks += 1;
-                return false;
-            }
-        }
-        report.by_rule[k].1 += n;
-        true
     }
 }
 
@@ -242,7 +182,6 @@ pub fn standard_rules(level: OptLevel) -> Vec<Box<dyn RewriteRule>> {
         OptLevel::O1 => vec![
             Box::new(ConstantMerge) as Box<dyn RewriteRule>,
             Box::new(AlgebraicSimplify),
-            Box::new(TrivialCopyElision),
             Box::new(DeadCodeElimination),
         ],
         OptLevel::O2 => vec![
@@ -251,10 +190,8 @@ pub fn standard_rules(level: OptLevel) -> Vec<Box<dyn RewriteRule>> {
             Box::new(AlgebraicSimplify),
             Box::new(StrengthReduction),
             Box::new(PowerExpansion),
-            Box::new(CopyPropagation),
-            Box::new(CommonSubexpression),
+            Box::new(ValueNumbering),
             Box::new(InverseSolveRewrite),
-            Box::new(TrivialCopyElision),
             Box::new(DeadCodeElimination),
         ],
     }
@@ -268,11 +205,6 @@ pub struct OptReport {
     pub iterations: usize,
     /// Applications per rule, in schedule order.
     pub by_rule: Vec<(&'static str, usize)>,
-    /// Per-rule audits performed (0 unless [`AuditMode::PerRule`]).
-    pub audits: usize,
-    /// Rule applications undone because the auditor could not prove them
-    /// equivalent.
-    pub audit_rollbacks: usize,
 }
 
 impl OptReport {
@@ -283,8 +215,6 @@ impl OptReport {
         OptReport {
             iterations: 1,
             by_rule: Vec::new(),
-            audits: 0,
-            audit_rollbacks: 0,
         }
     }
 
@@ -301,13 +231,6 @@ impl fmt::Display for OptReport {
             if *n > 0 {
                 writeln!(f, "  {name}: {n}")?;
             }
-        }
-        if self.audits > 0 {
-            writeln!(
-                f,
-                "  audited {} rewrite(s), rolled back {}",
-                self.audits, self.audit_rollbacks
-            )?;
         }
         Ok(())
     }
@@ -351,10 +274,6 @@ BH_SYNC a0 [0:10:1]
         let direct = OptReport::untransformed();
         assert_eq!(direct.iterations, ran.iterations);
         assert_eq!(direct.by_rule, ran.by_rule);
-        assert_eq!(
-            (direct.audits, direct.audit_rollbacks),
-            (ran.audits, ran.audit_rollbacks)
-        );
     }
 
     #[test]
@@ -435,66 +354,6 @@ BH_SYNC x
         // f64 adds cannot merge under strict IEEE; DCE keeps synced value.
         assert_eq!(p.count_op(Opcode::Add), 3);
         let _ = report;
-    }
-
-    #[test]
-    fn per_rule_audit_accepts_the_standard_pipeline() {
-        let mut audited = parse_program(LISTING2).unwrap();
-        let report =
-            Optimizer::new(OptOptions::default().audit(AuditMode::PerRule)).run(&mut audited);
-        assert!(report.audits > 0);
-        assert_eq!(report.audit_rollbacks, 0);
-        // The audited run lands on the same plan as the unaudited one.
-        let mut plain = parse_program(LISTING2).unwrap();
-        optimize(&mut plain);
-        assert_eq!(audited, plain);
-    }
-
-    /// A rewrite that silently corrupts the program: it "merges" the
-    /// constant-add chain by deleting one add without adjusting another.
-    #[derive(Debug)]
-    struct DropsAnAdd;
-
-    impl RewriteRule for DropsAnAdd {
-        fn name(&self) -> &'static str {
-            "drops-an-add"
-        }
-
-        fn apply(&self, program: &mut Program, _ctx: &RewriteCtx) -> usize {
-            let Some(idx) = program.instrs().iter().position(|i| i.op == Opcode::Add) else {
-                return 0;
-            };
-            program.instrs_mut()[idx] = bh_ir::Instruction::noop();
-            1
-        }
-    }
-
-    #[test]
-    fn per_rule_audit_rolls_back_an_unsound_rule() {
-        let mut p = parse_program(LISTING2).unwrap();
-        let unsound: Vec<Box<dyn RewriteRule>> = vec![Box::new(DropsAnAdd)];
-        let report =
-            Optimizer::with_rules(OptOptions::default().audit(AuditMode::PerRule), unsound)
-                .run(&mut p);
-        assert!(report.audit_rollbacks > 0);
-        assert_eq!(report.total_applications(), 0);
-        // Rollback restored the program: all three adds survive.
-        assert_eq!(p.count_op(Opcode::Add), 3);
-        // Without the audit the same rule destroys the plan.
-        let mut p2 = parse_program(LISTING2).unwrap();
-        let unsound: Vec<Box<dyn RewriteRule>> = vec![Box::new(DropsAnAdd)];
-        Optimizer::with_rules(OptOptions::default(), unsound).run(&mut p2);
-        assert!(p2.count_op(Opcode::Add) < 3);
-    }
-
-    #[test]
-    fn audit_mode_partitions_option_equality() {
-        // OptOptions keys caches; an audited configuration must never
-        // collide with an unaudited one.
-        assert_ne!(
-            OptOptions::default(),
-            OptOptions::default().audit(AuditMode::PerRule)
-        );
     }
 
     #[test]

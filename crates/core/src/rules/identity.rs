@@ -22,6 +22,11 @@ impl RewriteRule for AlgebraicSimplify {
         let mut applied = 0;
         for idx in 0..program.instrs().len() {
             let instr = &program.instrs()[idx];
+            if instr.op == Opcode::Identity && is_self_copy(program, instr) {
+                program.instrs_mut()[idx] = Instruction::noop();
+                applied += 1;
+                continue;
+            }
             if !instr.op.is_elementwise() || instr.op.arity() != 2 {
                 continue;
             }
@@ -36,6 +41,12 @@ impl RewriteRule for AlgebraicSimplify {
         }
         applied
     }
+}
+
+/// True when the copy `instr` writes back the very elements it reads.
+fn is_self_copy(program: &Program, instr: &Instruction) -> bool {
+    let input = instr.inputs().first().and_then(Operand::as_view);
+    matches!((instr.out_view(), input), (Some(out), Some(input)) if program.same_elements(input, out))
 }
 
 /// What the binary element-wise `instr`, read as `x ⊕ c` with `c` its
@@ -76,39 +87,6 @@ pub(crate) fn contract(
     // it on NaN/Inf (0 · NaN = NaN), so gate on fast_math.
     (op.annihilator_scalar(dtype) == Some(c) && reassoc_allowed(ctx, dtype))
         .then(|| Instruction::unary(Opcode::Identity, out, Operand::Const(c)))
-}
-
-/// Fold `BH_IDENTITY x x` (same view) into nothing, and fold
-/// constant-input unary float ops (`BH_SQRT y 4.0` → `BH_IDENTITY y 2.0`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TrivialCopyElision;
-
-impl RewriteRule for TrivialCopyElision {
-    fn name(&self) -> &'static str {
-        "trivial-copy-elision"
-    }
-
-    fn apply(&self, program: &mut Program, _ctx: &RewriteCtx) -> usize {
-        let mut applied = 0;
-        for idx in 0..program.instrs().len() {
-            let instr = &program.instrs()[idx];
-            if instr.op != Opcode::Identity {
-                continue;
-            }
-            let Some(out) = instr.out_view() else {
-                continue;
-            };
-            if let Some(input) = instr.inputs()[0].as_view() {
-                if program.same_elements(input, out)
-                    && program.base(input.reg).dtype == program.base(out.reg).dtype
-                {
-                    program.instrs_mut()[idx] = Instruction::noop();
-                    applied += 1;
-                }
-            }
-        }
-        applied
-    }
 }
 
 #[cfg(test)]
@@ -243,11 +221,19 @@ mod tests {
 
     #[test]
     fn trivial_copy_elision() {
-        let mut p =
-            parse_program("BH_IDENTITY a0 [0:4:1] 1\nBH_IDENTITY a0 a0\nBH_SYNC a0\n").unwrap();
-        let n = TrivialCopyElision.apply(&mut p, &RewriteCtx::default());
-        p.compact();
+        let (p, n) = apply(
+            "BH_IDENTITY a0 [0:4:1] 1\nBH_IDENTITY a0 a0\nBH_SYNC a0\n",
+            &RewriteCtx::default(),
+        );
         assert_eq!(n, 1);
         assert_eq!(p.count_op(Opcode::Identity), 1);
+        // Over a partial view too; a copy of other elements stays.
+        let (p, n) = apply(
+            "BH_IDENTITY a0 [0:8:1] 1\nBH_IDENTITY a0 [0:4:1] a0 [0:4:1]\n\
+             BH_IDENTITY a0 [4:8:1] a0 [0:4:1]\nBH_SYNC a0\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 1);
+        assert_eq!(p.count_op(Opcode::Identity), 2);
     }
 }

@@ -320,8 +320,9 @@ fn bits_scalar(dtype: DType, bits: u64) -> Scalar {
 /// `Expr` keys hash on every `mk`, and the default SipHash is the
 /// dominant cost of the whole audit on real plans. Collision quality is
 /// ample for interned-expression keys; nothing here is attacker-facing.
-#[derive(Default)]
-struct FxHasher(u64);
+/// The optimiser's value-numbering table keys on it too.
+#[derive(Debug, Default)]
+pub struct FxHasher(u64);
 
 impl std::hash::Hasher for FxHasher {
     fn finish(&self) -> u64 {
@@ -364,7 +365,8 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
+/// Builds [`FxHasher`]s, for `HashMap::with_hasher`.
+pub type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
 /// The hash-consed expression table. Shared by both programs so value
 /// numbers compare directly.
@@ -839,7 +841,7 @@ fn run_program(sym: &mut Sym, program: &Program) -> Result<Summary, EquivError> 
         }
         let mut cur = *slot;
         // Writing back what the region already holds changes nothing
-        // (the trivial-copy-elision case on partial views).
+        // (a self-copy over a partial view).
         if let Expr::View { src, geom: vg } = sym.expr(val) {
             if *src == cur && *vg == geom {
                 return Ok(());

@@ -27,9 +27,8 @@ pub mod codes {
     /// A submission's read-back register does not exist in the decoded
     /// program (per-request).
     pub const BAD_REGISTER: &str = "bad_register";
-    /// The decoded program failed byte-code verification — the same
-    /// code [`bh_serve::ServeError::Malformed`] maps to, so clients see
-    /// one code for "your program is invalid" wherever it is caught.
+    /// The decoded program failed byte-code verification at admission:
+    /// the code [`bh_serve::ServeError::Malformed`] maps to.
     pub const MALFORMED: &str = "malformed";
 }
 

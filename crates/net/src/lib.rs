@@ -13,11 +13,11 @@
 //! socket:
 //!
 //! * **The trust boundary holds.** Wire bytes are untrusted: containers
-//!   decode fail-closed, decoded programs pass `bh_ir::verify` before
-//!   anything derives from them (digesting included), and any plan
-//!   section a client ships is ignored — the server compiles and proves
-//!   its own plans. Hostile input becomes a typed error frame, never a
-//!   panic.
+//!   decode fail-closed, a decoded program passes `bh_ir::verify` at
+//!   `bh-serve` admission before it is queued (only its total structural
+//!   digest is taken first), and any plan section a client ships is
+//!   ignored — the server compiles and proves its own plans. Hostile
+//!   input becomes a typed error frame, never a panic.
 //! * **Backpressure and deadlines stay typed.** Scheduler outcomes map
 //!   to stable machine codes ([`bh_serve::ServeError::code`] passes
 //!   through verbatim; the front door's own codes live in [`codes`]),

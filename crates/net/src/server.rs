@@ -315,8 +315,8 @@ fn connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Decode, verify, enqueue one submission; arrange for exactly one
-/// response frame.
+/// Decode and enqueue one submission; arrange for exactly one response
+/// frame.
 fn submit(
     shared: &Arc<Shared>,
     writer: &Arc<ConnWriter>,
@@ -335,17 +335,11 @@ fn submit(
             return;
         }
     };
-    // Semantic trust boundary: the program must pass byte-code
-    // verification *before* anything derives from it.
+    // Semantic trust boundary: digesting is total on any decoded program,
+    // and `Server::submit` verifies it (or finds its digest already
+    // admitted) before it is queued, so an unverifiable program is
+    // answered `malformed` from there, exactly once.
     let program = decoded.program;
-    if let Err(errors) = bh_ir::verify(&program) {
-        let detail = errors
-            .first()
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "verification failed".into());
-        writer.send_error(request_id, codes::MALFORMED, detail);
-        return;
-    }
     if let Some(reg) = read {
         if reg as usize >= program.bases().len() {
             writer.send_error(

@@ -114,8 +114,9 @@ fn hostile_submissions_become_typed_error_frames() {
     );
 
     // A syntactically valid container whose program fails byte-code
-    // verification (dangling register): rejected before anything —
-    // digesting included — derives from it.
+    // verification (dangling register): digested (digesting is total),
+    // then rejected by the scheduler's admission verification before it
+    // is queued, and counted there.
     let mut dangling = Program::default();
     dangling.push(Instruction::new(
         Opcode::Add,
@@ -131,6 +132,8 @@ fn hostile_submissions_become_typed_error_frames() {
         panic!("unverifiable program must be rejected");
     };
     assert_eq!((r.request_id, r.code.as_str()), (id, codes::MALFORMED));
+    assert_eq!(server.stats().rejected, 1);
+    assert_eq!(server.stats().submitted, 0);
 
     // A valid program with an out-of-range read-back register.
     let id = client

@@ -64,5 +64,5 @@ mod runtime;
 mod stats;
 
 pub use cache::EvalPlan;
-pub use runtime::{EvalOutcome, Runtime, RuntimeBuilder, StatsSink};
+pub use runtime::{EvalOutcome, Runtime, RuntimeBuilder};
 pub use stats::{AuditCounters, RuntimeStats};

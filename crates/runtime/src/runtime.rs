@@ -12,9 +12,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Observer invoked after every evaluation, for metrics export.
-pub type StatsSink = Arc<dyn Fn(&EvalOutcome) + Send + Sync>;
-
 /// Upper bound on pooled VMs kept for reuse across evaluations.
 const VM_POOL_LIMIT: usize = 8;
 
@@ -85,7 +82,6 @@ pub struct Runtime {
     cache: Mutex<TransformCache>,
     stats: Mutex<RuntimeStats>,
     vm_pool: VmPool,
-    sink: Option<StatsSink>,
     profile: Option<Arc<ProfileTable>>,
     tracer: Option<Arc<dyn TraceSink>>,
 }
@@ -144,12 +140,6 @@ impl Runtime {
     /// validator before entering the cache (see [`RuntimeBuilder::audit`]).
     pub fn audit(&self) -> bool {
         self.audit
-    }
-
-    /// The configured per-eval observer, if any (shareable; lets a
-    /// rebuilt runtime keep reporting to the same sink).
-    pub fn stats_sink(&self) -> Option<StatsSink> {
-        self.sink.clone()
     }
 
     /// The per-digest profile table, when profiling is enabled (the
@@ -515,9 +505,6 @@ impl Runtime {
             cache_hit,
             elapsed,
         };
-        if let Some(sink) = &self.sink {
-            sink(&outcome);
-        }
         Ok((value, outcome))
     }
 }
@@ -549,7 +536,6 @@ pub struct RuntimeBuilder {
     engine: Engine,
     threads: usize,
     cache_capacity: usize,
-    sink: Option<StatsSink>,
     profiling: bool,
     tracer: Option<Arc<dyn TraceSink>>,
     audit: bool,
@@ -562,7 +548,6 @@ impl Default for RuntimeBuilder {
             engine: Engine::default(),
             threads: default_threads(),
             cache_capacity: 256,
-            sink: None,
             profiling: true,
             tracer: None,
             audit: true,
@@ -585,7 +570,6 @@ impl fmt::Debug for RuntimeBuilder {
             .field("engine", &self.engine)
             .field("threads", &self.threads)
             .field("cache_capacity", &self.cache_capacity)
-            .field("has_sink", &self.sink.is_some())
             .field("profiling", &self.profiling)
             .field("has_tracer", &self.tracer.is_some())
             .field("audit", &self.audit)
@@ -626,16 +610,6 @@ impl RuntimeBuilder {
     /// Plans kept in the transformation cache (0 disables caching).
     pub fn cache_capacity(mut self, capacity: usize) -> RuntimeBuilder {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Observer called after every evaluation with its [`EvalOutcome`]
-    /// (metrics export, logging).
-    pub fn stats_sink(
-        mut self,
-        sink: impl Fn(&EvalOutcome) + Send + Sync + 'static,
-    ) -> RuntimeBuilder {
-        self.sink = Some(Arc::new(sink));
         self
     }
 
@@ -684,7 +658,6 @@ impl RuntimeBuilder {
             cache: Mutex::new(TransformCache::new(self.cache_capacity)),
             stats: Mutex::new(RuntimeStats::new()),
             vm_pool: VmPool::new(self.engine, self.threads, VM_POOL_LIMIT),
-            sink: self.sink,
             profile: self
                 .profiling
                 .then(|| Arc::new(ProfileTable::new(PROFILE_CAPACITY))),
@@ -914,23 +887,6 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.verifications, 1);
         assert_eq!(stats.evals, 10);
-    }
-
-    #[test]
-    fn stats_sink_sees_every_outcome() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let rt = Runtime::builder()
-            .stats_sink(move |_| {
-                seen2.fetch_add(1, Ordering::SeqCst);
-            })
-            .build();
-        let p = listing2();
-        let reg = p.reg_by_name("a0").unwrap();
-        rt.eval(&p, &[], reg).unwrap();
-        rt.eval(&p, &[], reg).unwrap();
-        assert_eq!(seen.load(Ordering::SeqCst), 2);
     }
 
     #[test]

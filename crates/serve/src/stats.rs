@@ -162,7 +162,9 @@ impl TenantQuotas {
 pub struct ServeStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Requests rejected at submit time (backpressure or shutdown).
+    /// Requests rejected at submit time: backpressure, shutdown, or a
+    /// program that fails admission verification (`bh-net` submissions
+    /// included).
     pub rejected: u64,
     /// Requests that completed successfully.
     pub completed: u64,

@@ -42,11 +42,17 @@ pub mod testing {
     //! program before and after transformation must produce element-wise
     //! equal synced results. These helpers bind deterministic random data
     //! to `input` bases, execute on the naive VM, and compare.
+    //! [`Audited`] proves the same property statically, one rule
+    //! application at a time.
 
-    use bh_ir::{Opcode, Program};
+    use bh_ir::{check_equiv, EquivOptions, Opcode, Program};
+    use bh_opt::{standard_rules, OptOptions, Optimizer, RewriteCtx, RewriteRule};
     use bh_tensor::{random_tensor, Distribution, Tensor};
     use bh_vm::{Engine, Vm, VmError};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+    use std::fmt;
+    use std::rc::Rc;
 
     /// Deterministic random tensor for the `i`-th input base of a program.
     pub fn input_tensor(program: &Program, index: usize, seed: u64) -> Tensor {
@@ -159,6 +165,109 @@ pub mod testing {
         );
     }
 
+    /// Per-rule audit counts shared by the [`Audited`] rules of one
+    /// optimiser.
+    #[derive(Debug, Default)]
+    pub struct AuditTally {
+        audits: Cell<usize>,
+        rollbacks: Cell<usize>,
+    }
+
+    impl AuditTally {
+        /// Rule applications that changed the program and were audited.
+        pub fn audits(&self) -> usize {
+            self.audits.get()
+        }
+
+        /// Audited applications undone because the auditor could not
+        /// prove them equivalent.
+        pub fn rollbacks(&self) -> usize {
+            self.rollbacks.get()
+        }
+    }
+
+    /// A rule whose every application is audited: snapshot the program,
+    /// apply the wrapped rule, compact, and prove the result equivalent
+    /// to the snapshot with [`check_equiv`]. A rewrite the auditor cannot
+    /// prove is rolled back (the application reports 0 rewrites) and
+    /// counted, and the pipeline continues with the remaining rules. It
+    /// names the guilty rule, where the runtime's whole-plan audit only
+    /// sees the finished plan.
+    pub struct Audited {
+        rule: Box<dyn RewriteRule>,
+        equiv: EquivOptions,
+        tally: Rc<AuditTally>,
+    }
+
+    impl fmt::Debug for Audited {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "Audited({})", self.rule.name())
+        }
+    }
+
+    impl Audited {
+        /// The standard schedule for `options`, every rule audited under
+        /// `options.equiv_options()`, and the tally they share.
+        pub fn optimizer(options: OptOptions) -> (Optimizer, Rc<AuditTally>) {
+            let rules = standard_rules(options.level);
+            Audited::schedule(options, rules)
+        }
+
+        /// [`Audited::optimizer`] over a custom rule schedule.
+        pub fn schedule(
+            options: OptOptions,
+            rules: Vec<Box<dyn RewriteRule>>,
+        ) -> (Optimizer, Rc<AuditTally>) {
+            let tally = Rc::new(AuditTally::default());
+            let equiv = options.equiv_options();
+            let rules = rules
+                .into_iter()
+                .map(|rule| {
+                    Box::new(Audited {
+                        rule,
+                        equiv,
+                        tally: Rc::clone(&tally),
+                    }) as Box<dyn RewriteRule>
+                })
+                .collect();
+            (Optimizer::with_rules(options, rules), tally)
+        }
+
+        fn audited(
+            &self,
+            program: &mut Program,
+            apply: impl FnOnce(&dyn RewriteRule, &mut Program) -> usize,
+        ) -> usize {
+            let snapshot = program.clone();
+            let n = apply(self.rule.as_ref(), program);
+            if n == 0 {
+                return 0;
+            }
+            program.compact();
+            self.tally.audits.set(self.tally.audits() + 1);
+            if check_equiv(&snapshot, program, &self.equiv).is_err() {
+                *program = snapshot;
+                self.tally.rollbacks.set(self.tally.rollbacks() + 1);
+                return 0;
+            }
+            n
+        }
+    }
+
+    impl RewriteRule for Audited {
+        fn name(&self) -> &'static str {
+            self.rule.name()
+        }
+
+        fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
+            self.audited(program, |rule, p| rule.apply(p, ctx))
+        }
+
+        fn lower(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
+            self.audited(program, |rule, p| rule.lower(p, ctx))
+        }
+    }
+
     /// VM worker-thread count under test: the `BH_VM_TEST_THREADS` env
     /// knob (CI runs the {1, 2, 4} matrix), defaulting to 1.
     pub fn test_threads() -> usize {
@@ -173,8 +282,65 @@ pub mod testing {
 #[cfg(test)]
 mod tests {
     use super::testing::*;
-    use bh_ir::parse_program;
+    use bh_ir::{parse_program, Instruction, Opcode, Program};
+    use bh_opt::{optimize, OptOptions, Optimizer, RewriteCtx, RewriteRule};
     use bh_vm::Engine;
+
+    const LISTING2: &str = "\
+BH_IDENTITY a0 [0:10:1] 0
+BH_ADD a0 [0:10:1] a0 [0:10:1] 1
+BH_ADD a0 [0:10:1] a0 [0:10:1] 1
+BH_ADD a0 [0:10:1] a0 [0:10:1] 1
+BH_SYNC a0 [0:10:1]
+";
+
+    #[test]
+    fn per_rule_audit_accepts_the_standard_pipeline() {
+        let mut audited = parse_program(LISTING2).unwrap();
+        let (optimizer, tally) = Audited::optimizer(OptOptions::default());
+        optimizer.run(&mut audited);
+        assert!(tally.audits() > 0);
+        assert_eq!(tally.rollbacks(), 0);
+        // The audited run lands on the same plan as the unaudited one.
+        let mut plain = parse_program(LISTING2).unwrap();
+        optimize(&mut plain);
+        assert_eq!(audited, plain);
+    }
+
+    /// A rewrite that silently corrupts the program: it "merges" the
+    /// constant-add chain by deleting one add without adjusting another.
+    #[derive(Debug)]
+    struct DropsAnAdd;
+
+    impl RewriteRule for DropsAnAdd {
+        fn name(&self) -> &'static str {
+            "drops-an-add"
+        }
+
+        fn apply(&self, program: &mut Program, _ctx: &RewriteCtx) -> usize {
+            let Some(idx) = program.instrs().iter().position(|i| i.op == Opcode::Add) else {
+                return 0;
+            };
+            program.instrs_mut()[idx] = Instruction::noop();
+            1
+        }
+    }
+
+    #[test]
+    fn per_rule_audit_rolls_back_an_unsound_rule() {
+        let mut p = parse_program(LISTING2).unwrap();
+        let (optimizer, tally) =
+            Audited::schedule(OptOptions::default(), vec![Box::new(DropsAnAdd)]);
+        let report = optimizer.run(&mut p);
+        assert!(tally.rollbacks() > 0);
+        assert_eq!(report.total_applications(), 0);
+        // Rollback restored the program: all three adds survive.
+        assert_eq!(p.count_op(Opcode::Add), 3);
+        // Without the audit the same rule destroys the plan.
+        let mut p2 = parse_program(LISTING2).unwrap();
+        Optimizer::with_rules(OptOptions::default(), vec![Box::new(DropsAnAdd)]).run(&mut p2);
+        assert!(p2.count_op(Opcode::Add) < 3);
+    }
 
     #[test]
     fn run_synced_collects_only_synced_regs() {

@@ -16,8 +16,9 @@
 //! and never on the cached eval path.
 
 use bohrium_repro::ir::{check_equiv, parse_program, EquivCode, EquivOptions, Opcode, Program};
-use bohrium_repro::opt::{AuditMode, OptLevel, OptOptions, Optimizer, RewriteCtx, RewriteRule};
+use bohrium_repro::opt::{OptLevel, OptOptions, Optimizer, RewriteCtx, RewriteRule};
 use bohrium_repro::runtime::Runtime;
+use bohrium_repro::testing::Audited;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -289,6 +290,62 @@ fn affine_fold_mutants_are_rejected() {
     assert_eq!(codes(&folded, &strict), [EquivCode::ValueMismatch]);
 }
 
+/// `value-numbering` mutants: each applies one of the rule's rewrites
+/// where its availability invariant says no, and the auditor must reject
+/// it. The control: the optimiser's own plan of each source audits clean
+/// and is not the mutant.
+#[test]
+fn value_numbering_mutants_are_rejected() {
+    let decls = ".base x f64[8] input\n.base c f64[8] input\n\
+                 .base a f64[8]\n.base b f64[8]\n.base y f64[8]\n";
+    let program = |body: &str| parse_program(&format!("{decls}{body}")).unwrap();
+    let cases = [
+        // A read routed to a holder overwritten in between: y reads the
+        // copy b, not a, which no longer holds b's value.
+        (
+            "read-routed-to-overwritten-holder",
+            "BH_MULTIPLY a x 2\nBH_IDENTITY b a\nBH_ADD a a 1\nBH_MULTIPLY y b 3\n\
+             BH_SYNC a\nBH_SYNC y\n",
+            "BH_MULTIPLY a x 2\nBH_IDENTITY b a\nBH_ADD a a 1\nBH_MULTIPLY y a 3\n\
+             BH_SYNC a\nBH_SYNC y\n",
+        ),
+        // A recomputation replaced by a copy of a holder whose input was
+        // since written: x·c after x changed is a new value.
+        (
+            "copy-of-holder-with-written-input",
+            "BH_MULTIPLY a x c\nBH_ADD x x 1\nBH_MULTIPLY y x c\nBH_SYNC a\nBH_SYNC y\n",
+            "BH_MULTIPLY a x c\nBH_ADD x x 1\nBH_IDENTITY y a\nBH_SYNC a\nBH_SYNC y\n",
+        ),
+        // A fill contracted after a BH_FREE of the filled register: the
+        // freed register reads back zero, so x·b is no copy of x.
+        (
+            "fill-contracted-after-free",
+            "BH_IDENTITY b 1\nBH_SYNC b\nBH_FREE b\nBH_MULTIPLY y x b\nBH_SYNC y\n",
+            "BH_IDENTITY b 1\nBH_SYNC b\nBH_FREE b\nBH_IDENTITY y x\nBH_SYNC y\n",
+        ),
+    ];
+    for (label, source, mutant) in cases {
+        let (source, mutant) = (program(source), program(mutant));
+        let options = OptOptions::default();
+        let mut plan = source.clone();
+        Optimizer::new(options.clone()).run(&mut plan);
+        check_equiv(&source, &plan, &options.equiv_options())
+            .unwrap_or_else(|e| panic!("{label}: the rule's own plan must audit clean: {e:?}"));
+        assert_ne!(
+            plan.instrs(),
+            mutant.instrs(),
+            "{label}: the rule made the mutant"
+        );
+        match check_equiv(&source, &mutant, &options.equiv_options()) {
+            Ok(_) => panic!("{label}: mutant falsely accepted:\n{mutant}"),
+            Err(errors) => assert!(
+                errors.iter().any(|e| e.code == EquivCode::ValueMismatch),
+                "{label}: {errors:?}"
+            ),
+        }
+    }
+}
+
 #[test]
 fn identity_mutation_is_not_flagged() {
     // Control for the corpus: the no-op mutation audits clean.
@@ -324,10 +381,10 @@ impl RewriteRule for SwapsSubtractOperands {
 fn per_rule_audit_rolls_back_the_unsound_rule() {
     let before = parse_program(BASE).unwrap();
     let mut program = before.clone();
-    let options = OptOptions::default().audit(AuditMode::PerRule);
-    let report =
-        Optimizer::with_rules(options, vec![Box::new(SwapsSubtractOperands)]).run(&mut program);
-    assert!(report.audit_rollbacks >= 1, "{report}");
+    let (optimizer, tally) =
+        Audited::schedule(OptOptions::default(), vec![Box::new(SwapsSubtractOperands)]);
+    let report = optimizer.run(&mut program);
+    assert!(tally.rollbacks() >= 1, "{report}");
     // The rolled-back program still proves equivalent to its source.
     check_equiv(&before, &program, &EquivOptions::default())
         .expect("rollback must restore an equivalent program");

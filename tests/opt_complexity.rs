@@ -87,7 +87,7 @@ fn a_long_program_optimises_audits_and_verifies_in_bounded_time() {
     };
     let blocks = (INSTRUCTIONS - 2) / 14;
     assert!(fired("constant-merge") >= 6 * blocks, "{report}");
-    assert!(fired("common-subexpression") >= blocks, "{report}");
+    assert!(fired("value-numbering") >= blocks, "{report}");
     assert!(fired("dead-code-elimination") >= blocks, "{report}");
     assert!(optimised.instrs().len() <= INSTRUCTIONS / 2, "{report}");
     assert!(

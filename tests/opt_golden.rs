@@ -19,7 +19,8 @@
 //! `BLESS_GOLDEN=1 cargo test --test opt_golden`.
 
 use bohrium_repro::ir::{parse_program, PrintStyle};
-use bohrium_repro::opt::{AuditMode, OptLevel, OptOptions, Optimizer};
+use bohrium_repro::opt::{OptLevel, OptOptions, Optimizer};
+use bohrium_repro::testing::Audited;
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -626,17 +627,15 @@ fn corpus() -> Vec<(String, String)> {
     out
 }
 
-/// The option sets every case runs under.
-fn variants() -> Vec<(&'static str, OptOptions)> {
+/// The option sets every case runs under, and whether every rule
+/// application is audited ([`Audited`]).
+fn variants() -> Vec<(&'static str, OptOptions, bool)> {
     vec![
-        ("O2", OptOptions::default()),
-        ("O2 strict-math", OptOptions::default().strict_math()),
-        ("O2 observe-all", OptOptions::default().observe_all()),
-        ("O1", OptOptions::level(OptLevel::O1)),
-        (
-            "O2 audit-per-rule",
-            OptOptions::default().audit(AuditMode::PerRule),
-        ),
+        ("O2", OptOptions::default(), false),
+        ("O2 strict-math", OptOptions::default().strict_math(), false),
+        ("O2 observe-all", OptOptions::default().observe_all(), false),
+        ("O1", OptOptions::level(OptLevel::O1), false),
+        ("O2 audit-per-rule", OptOptions::default(), true),
     ]
 }
 
@@ -646,16 +645,21 @@ fn variants() -> Vec<(&'static str, OptOptions)> {
 fn render(name: &str, text: &str) -> String {
     let source = parse_program(text).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut out = String::new();
-    for (label, options) in variants() {
+    for (label, options, audited) in variants() {
         let mut program = source.clone();
-        let report = Optimizer::new(options).run(&mut program);
+        let (optimizer, tally) = if audited {
+            Audited::optimizer(options)
+        } else {
+            (Optimizer::new(options), Default::default())
+        };
+        let report = optimizer.run(&mut program);
         let _ = writeln!(out, "== {label}");
         let _ = writeln!(
             out,
             "iterations {} audits {} rollbacks {} bytecodes {} -> {}",
             report.iterations,
-            report.audits,
-            report.audit_rollbacks,
+            tally.audits(),
+            tally.rollbacks(),
             source.live_len(),
             program.live_len()
         );
@@ -736,4 +740,43 @@ fn corpus_names_are_unique_and_every_golden_has_a_case() {
             "stale golden file {file}: no corpus case of that name"
         );
     }
+}
+
+/// README.md's optimiser rule table lists exactly the O2 schedule, in
+/// order, with the O1 subset marked `O1`.
+#[test]
+fn readme_rule_table_lists_the_schedule() {
+    let readme =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md"))
+            .expect("README.md is readable");
+    let section = readme
+        .split("## The optimiser's rules")
+        .nth(1)
+        .expect("README.md has the optimiser rule section");
+    let rows: Vec<(&str, &str)> = section
+        .lines()
+        .skip_while(|line| !line.starts_with("| rule |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            (cells[1].trim_matches('`'), cells[2])
+        })
+        .collect();
+    let listed: Vec<&str> = rows.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        listed,
+        Optimizer::default().rule_names(),
+        "README rule table vs O2"
+    );
+    let o1: Vec<&str> = rows
+        .iter()
+        .filter(|&&(_, level)| level == "O1")
+        .map(|&(name, _)| name)
+        .collect();
+    assert_eq!(
+        o1,
+        Optimizer::new(OptOptions::level(OptLevel::O1)).rule_names(),
+        "README rule table's O1 marks vs O1"
+    );
 }
