@@ -7,7 +7,10 @@
 //! `*_inplace` variants) are serial: `bh-vm` runs them for every element-wise
 //! byte-code on its naive engine, and on its fusing engine only for views
 //! that are not contiguous runs (the fusing engine compiles the rest). The
-//! reduction and scan kernels shard over a [`RangeExecutor`].
+//! reduction and scan kernels shard over a [`RangeExecutor`]: a scan by
+//! whole lanes only, each lane one sequential running fold; a reduction by
+//! lanes, or by [`REDUCE_BLOCK`]-sized canonical blocks when it has a
+//! single lane.
 //!
 //! # Aliasing
 //!
@@ -24,7 +27,7 @@ use crate::view::ViewGeom;
 
 /// A data-parallel range executor: the substrate the parallel reduction
 /// and scan kernels ([`par_reduce_axis`], [`par_scan_axis`]) shard their
-/// lanes and canonical blocks over.
+/// lanes (and a single reduction lane's canonical blocks) over.
 ///
 /// `bh-vm`'s persistent worker pool implements this trait; [`InlineExec`]
 /// is the trivial serial implementation. Keeping the trait here (below the
@@ -290,22 +293,6 @@ pub fn map2_left_inplace<T: Element>(
     });
 }
 
-/// Fold every element of the view with `f`, starting from `init`.
-pub fn reduce_full<T: Element, A: Copy>(
-    input: &[T],
-    iv: &ViewGeom,
-    init: A,
-    f: impl Fn(A, T) -> A,
-) -> A {
-    let mut acc = init;
-    let len = input.len();
-    zip_offsets([iv], |[i]| {
-        assert!(i < len, "view escapes buffer");
-        acc = f(acc, input[i]);
-    });
-    acc
-}
-
 /// Reduce `input` along `axis` into `out`.
 ///
 /// `out`'s view must have the input's shape with `axis` removed.
@@ -395,8 +382,7 @@ pub fn accumulate_axis<T: Element>(
     });
 }
 
-/// Canonical partial-block length (elements) for parallel reductions and
-/// scans.
+/// Canonical partial-block length (elements) for parallel reductions.
 ///
 /// Lanes longer than one block are folded as a sequence of independent
 /// block partials — each block left-folded from the identity in index
@@ -464,144 +450,6 @@ pub fn par_reduce_lane<T: Element>(
     (acc, shards)
 }
 
-/// Deterministic blocked prefix scan of one lane.
-///
-/// Canonical semantics, identical on every executor: split the lane into
-/// [`REDUCE_BLOCK`]-sized blocks; within block `b` compute the running
-/// left fold `w_k` of the block's elements; block totals (the last `w` of
-/// each block) are folded left-to-right in block order into an exclusive
-/// block prefix `p_b`; the output is `w_k` for block 0 and `f(p_b, w_k)`
-/// after. A single-block lane is the plain serial running fold. Returns
-/// the number of ranges dispatched.
-///
-/// # Panics
-///
-/// Panics when any addressed element escapes its buffer.
-#[allow(clippy::too_many_arguments)]
-pub fn par_scan_lane<T: Element>(
-    exec: &dyn RangeExecutor,
-    out: &mut [T],
-    obase: usize,
-    ostride: isize,
-    input: &[T],
-    ibase: usize,
-    istride: isize,
-    len: usize,
-    f: impl Fn(T, T) -> T + Sync,
-) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let nblocks = len.div_ceil(REDUCE_BLOCK);
-    let (olen, ilen) = (out.len(), input.len());
-    if nblocks == 1 || exec.threads() <= 1 {
-        // Serial single pass produces the canonical result directly: the
-        // in-block running fold restarts at each block boundary and is
-        // combined with the running block prefix.
-        let mut prefix: Option<T> = None;
-        let mut ioff = ibase as isize;
-        let mut ooff = obase as isize;
-        let mut k = 0usize;
-        while k < len {
-            let bhi = (k + REDUCE_BLOCK).min(len);
-            let mut w: Option<T> = None;
-            for _ in k..bhi {
-                let i = ioff as usize;
-                let o = ooff as usize;
-                assert!(i < ilen && o < olen, "view escapes buffer");
-                let v = input[i];
-                let next = match w {
-                    None => v,
-                    Some(a) => f(a, v),
-                };
-                out[o] = match prefix {
-                    None => next,
-                    Some(p) => f(p, next),
-                };
-                w = Some(next);
-                ioff += istride;
-                ooff += ostride;
-            }
-            let total = w.expect("non-empty block");
-            prefix = Some(match prefix {
-                None => total,
-                Some(p) => f(p, total),
-            });
-            k = bhi;
-        }
-        return 1;
-    }
-    // Phase A: per-block totals, in parallel.
-    let mut totals = vec![None::<T>; nblocks];
-    let tptr = SyncPtr(totals.as_mut_ptr());
-    let a_shards = exec.run_ranges(len, REDUCE_BLOCK, &|lo, hi| {
-        let mut blo = lo;
-        while blo < hi {
-            let bhi = (blo + REDUCE_BLOCK).min(hi);
-            let mut w: Option<T> = None;
-            let mut off = ibase as isize + blo as isize * istride;
-            for _ in blo..bhi {
-                let i = off as usize;
-                assert!(i < ilen, "view escapes buffer");
-                let v = input[i];
-                w = Some(match w {
-                    None => v,
-                    Some(a) => f(a, v),
-                });
-                off += istride;
-            }
-            // SAFETY: block indices are unique across disjoint ranges.
-            unsafe { *tptr.get().add(blo / REDUCE_BLOCK) = w };
-            blo = bhi;
-        }
-    });
-    // Phase B: exclusive block prefixes, serial and in block order — the
-    // fixed combine tree that makes the scan executor-independent.
-    let mut prefixes = vec![None::<T>; nblocks];
-    let mut acc: Option<T> = None;
-    for b in 0..nblocks {
-        prefixes[b] = acc;
-        let t = totals[b].expect("non-empty block");
-        acc = Some(match acc {
-            None => t,
-            Some(p) => f(p, t),
-        });
-    }
-    // Phase C: re-fold each block and write `f(prefix, w_k)`.
-    let optr = SyncPtr(out.as_mut_ptr());
-    let c_shards = exec.run_ranges(len, REDUCE_BLOCK, &|lo, hi| {
-        let mut blo = lo;
-        while blo < hi {
-            let bhi = (blo + REDUCE_BLOCK).min(hi);
-            let prefix = prefixes[blo / REDUCE_BLOCK];
-            let mut w: Option<T> = None;
-            let mut ioff = ibase as isize + blo as isize * istride;
-            let mut ooff = obase as isize + blo as isize * ostride;
-            for _ in blo..bhi {
-                let i = ioff as usize;
-                let o = ooff as usize;
-                assert!(i < ilen && o < olen, "view escapes buffer");
-                let v = input[i];
-                let next = match w {
-                    None => v,
-                    Some(a) => f(a, v),
-                };
-                let val = match prefix {
-                    None => next,
-                    Some(p) => f(p, next),
-                };
-                // SAFETY: lanes/blocks write pairwise-disjoint offsets.
-                unsafe { *optr.get().add(o) = val };
-                w = Some(next);
-                ioff += istride;
-                ooff += ostride;
-            }
-            blo = bhi;
-        }
-    });
-    a_shards + c_shards
-}
-
 /// Parallel [`reduce_axis`]: reduce `input` along `axis` into `out`,
 /// sharded over `exec`, with executor-independent results.
 ///
@@ -664,11 +512,12 @@ pub fn par_reduce_axis<T: Element>(
 }
 
 /// Parallel [`accumulate_axis`]: prefix-scan `input` along `axis` into
-/// `out`, sharded over `exec`, with executor-independent results.
+/// `out`, sharded over `exec`.
 ///
-/// Multi-lane scans shard whole lanes (each lane the plain serial running
-/// fold, matching the serial kernel exactly); a single-lane scan uses
-/// [`par_scan_lane`]'s canonical blocked order. Returns the number of
+/// Every lane is the sequential running fold of its elements, seeded with
+/// the first one, so results match the serial kernel exactly at every
+/// length and thread count. Whole lanes shard across `exec`; a lane is
+/// never split, so a single-lane scan runs inline. Returns the number of
 /// ranges dispatched.
 ///
 /// # Panics
@@ -687,39 +536,33 @@ pub fn par_scan_axis<T: Element>(
     assert!(axis < iv.rank(), "accumulate axis out of range");
     assert_eq!(ov.shape(), iv.shape(), "accumulate preserves shape");
     let axis_len = iv.dims()[axis].len;
+    if axis_len == 0 {
+        return 0;
+    }
     let in_stride = iv.dims()[axis].stride;
     let out_stride = ov.dims()[axis].stride;
     let in_lanes = remove_axis(iv, axis);
     let out_lanes = remove_axis(ov, axis);
     let mut lanes: Vec<(usize, usize)> = Vec::with_capacity(in_lanes.nelem());
     zip_offsets([&out_lanes, &in_lanes], |[o, i]| lanes.push((o, i)));
-    if let [(obase, ibase)] = lanes[..] {
-        return par_scan_lane(
-            exec, out, obase, out_stride, input, ibase, in_stride, axis_len, f,
-        );
-    }
     let (olen, ilen) = (out.len(), input.len());
     let optr = SyncPtr(out.as_mut_ptr());
     exec.run_ranges(lanes.len(), 1, &|lo, hi| {
         for &(obase, ibase) in &lanes[lo..hi] {
-            let mut acc: Option<T> = None;
-            let mut ioff = ibase as isize;
-            let mut ooff = obase as isize;
-            for _ in 0..axis_len {
-                let i = ioff as usize;
-                let o = ooff as usize;
-                assert!(i < ilen && o < olen, "view escapes buffer");
-                let v = input[i];
-                let next = match acc {
-                    None => v,
-                    Some(a) => f(a, v),
-                };
-                // SAFETY: lanes write pairwise-disjoint elements and are
-                // partitioned disjointly across ranges.
-                unsafe { *optr.get().add(o) = next };
-                acc = Some(next);
+            assert!(ibase < ilen && obase < olen, "view escapes buffer");
+            let mut acc = input[ibase];
+            // SAFETY: lanes write pairwise-disjoint elements and are
+            // partitioned disjointly across ranges.
+            unsafe { *optr.get().add(obase) = acc };
+            let (mut ioff, mut ooff) = (ibase as isize, obase as isize);
+            for _ in 1..axis_len {
                 ioff += in_stride;
                 ooff += out_stride;
+                let (i, o) = (ioff as usize, ooff as usize);
+                assert!(i < ilen && o < olen, "view escapes buffer");
+                acc = f(acc, input[i]);
+                // SAFETY: as above.
+                unsafe { *optr.get().add(o) = acc };
             }
         }
     })
@@ -813,16 +656,6 @@ mod tests {
         let v = vg(&[2]);
         map2_left_inplace(&mut a1, &v, &v, &a0, &v, |x, y| x * y);
         assert_eq!(a1, vec![8.0, 27.0]);
-    }
-
-    #[test]
-    fn reduce_full_sum() {
-        let input = vec![1.0f64, 2.0, 3.0, 4.0];
-        let s = reduce_full(&input, &vg(&[4]), 0.0, |a, x| a + x);
-        assert_eq!(s, 10.0);
-        // Strided: every other element.
-        let v = ViewGeom::from_slices(&Shape::vector(4), &[Slice::new(None, None, 2)]).unwrap();
-        assert_eq!(reduce_full(&input, &v, 0.0, |a, x| a + x), 4.0);
     }
 
     #[test]
@@ -1019,43 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_lane_is_executor_independent() {
-        for n in [1usize, 4095, 4096, 4097, 9999, 12_288] {
-            let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-            let mut serial = vec![0.0f64; n];
-            assert_eq!(
-                par_scan_lane(&InlineExec, &mut serial, 0, 1, &vals, 0, 1, n, |a, b| a + b),
-                1
-            );
-            for threads in [2usize, 4] {
-                let mut par = vec![0.0f64; n];
-                par_scan_lane(
-                    &ScopedExec(threads),
-                    &mut par,
-                    0,
-                    1,
-                    &vals,
-                    0,
-                    1,
-                    n,
-                    |a, b| a + b,
-                );
-                let same = serial
-                    .iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "n={n} threads={threads}: scan must be canonical");
-            }
-            // Short lanes degrade to the plain running fold.
-            if n <= REDUCE_BLOCK {
-                let mut want = vec![0.0f64; n];
-                accumulate_axis(&mut want, &vg(&[n]), &vals, &vg(&[n]), 0, |a, b| a + b);
-                assert_eq!(serial, want);
-            }
-        }
-    }
-
-    #[test]
     fn par_scan_axis_matches_serial_kernel_on_lanes() {
         let input: Vec<i64> = (0..24).collect();
         let iv = vg(&[4, 6]);
@@ -1074,6 +870,34 @@ mod tests {
                     |a, b| a + b,
                 );
                 assert_eq!(got, want, "axis={axis} threads={threads}");
+            }
+        }
+        // A single lane is never split: at every length, including those
+        // straddling REDUCE_BLOCK, it is the serial running fold.
+        for n in [1usize, 4095, 4096, 4097, 9999, 12_288] {
+            let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+            let mut want = vec![0.0f64; n];
+            accumulate_axis(&mut want, &vg(&[n]), &vals, &vg(&[n]), 0, |a, b| a + b);
+            for threads in [2usize, 4] {
+                let mut got = vec![0.0f64; n];
+                let shards = par_scan_axis(
+                    &ScopedExec(threads),
+                    &mut got,
+                    &vg(&[n]),
+                    &vals,
+                    &vg(&[n]),
+                    0,
+                    |a, b| a + b,
+                );
+                assert_eq!(shards, 1, "n={n} threads={threads}: one lane, one shard");
+                let same = want
+                    .iter()
+                    .zip(&got)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    same,
+                    "n={n} threads={threads}: scan must be the running fold"
+                );
             }
         }
     }

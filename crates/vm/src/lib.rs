@@ -621,6 +621,26 @@ BH_SYNC z\nBH_SYNC m\n";
             par.read_by_name(&p, "c").unwrap(),
             serial.read_by_name(&p, "c").unwrap()
         );
+
+        // Scans shard by lane only: a single lane runs inline, a
+        // multi-lane scan spreads its lanes over the pool.
+        let lone = format!(
+            ".base x f64[{n}] input\n.base c f64[{n}]\n\
+             BH_ADD_ACCUMULATE c x 0\nBH_SYNC c\n"
+        );
+        let lanes = ".base x f64[8,8192] input\n.base c f64[8,8192]\n\
+                     BH_ADD_ACCUMULATE c x 1\nBH_SYNC c\n";
+        for (text, sharded) in [(lone.as_str(), false), (lanes, true)] {
+            let p = parse_program(text).unwrap();
+            let shape = p.bases()[0].shape.clone();
+            let vals = (0..shape.nelem()).map(|i| i as f64 * 0.5).collect();
+            let x = Tensor::from_shape_vec(shape, vals).unwrap();
+            let mut vm = Vm::new();
+            vm.set_threads(4).set_par_threshold(1);
+            vm.bind_by_name(&p, "x", &x).unwrap();
+            vm.run(&p).unwrap();
+            assert_eq!(vm.stats().reduce_shards > 0, sharded, "{text}");
+        }
     }
 
     #[test]

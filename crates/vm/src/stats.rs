@@ -26,9 +26,9 @@ pub struct ExecStats {
     /// sharding never changes results or the other counters
     /// (DESIGN.md §10).
     pub par_shards: u64,
-    /// Ranges dispatched to the worker pool by parallel reductions and
-    /// scans (lane shards of multi-lane reductions, canonical-block
-    /// shards of single-lane ones; 0 when every fold ran serially).
+    /// Ranges dispatched to the worker pool by parallel folds: lane
+    /// shards of reductions and scans, canonical-block shards of
+    /// single-lane reductions (0 when every fold ran serially).
     /// Observational like [`ExecStats::par_shards`]: the deterministic
     /// combine tree keeps results and the analytic counters identical
     /// at every thread count (DESIGN.md §11).

@@ -231,3 +231,35 @@ fn parallel_sum_value_is_canonical() {
         assert_eq!(got["s"].to_f64_vec(), vec![want], "threads={threads}");
     }
 }
+
+/// A scan lane is never split: at every length, engine and thread count a
+/// scan is the sequential left-to-right running fold (NumPy `cumsum`),
+/// checked against a plain loop. Both lengths exceed one canonical
+/// reduction block, so a blocked scan formula would differ in the last
+/// bits.
+#[test]
+fn long_scan_is_the_sequential_running_fold() {
+    for n in [10_000usize, 12_289] {
+        let text = format!(
+            ".base x f64[{n}] input\n.base c f64[{n}]\nBH_ADD_ACCUMULATE c x 0\nBH_SYNC c\n"
+        );
+        let p = parse_program(&text).unwrap();
+        let input = bohrium_repro::testing::input_tensor(&p, 0, 41);
+        let vals = input.to_f64_vec();
+        let mut want = vals.clone();
+        for k in 1..n {
+            want[k] = want[k - 1] + vals[k];
+        }
+        let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+        for engine in [Engine::Naive, Engine::Fusing { block: 512 }] {
+            for threads in [1usize, 2, 4] {
+                let got = run_synced_threads(&p, 41, engine, threads).unwrap();
+                let got: Vec<u64> = got["c"].to_f64_vec().iter().map(|v| v.to_bits()).collect();
+                assert!(
+                    got == want,
+                    "n={n} {engine:?}×{threads}: scan must be the running fold"
+                );
+            }
+        }
+    }
+}
