@@ -872,12 +872,29 @@ mod tests {
                 assert_eq!(got, want, "axis={axis} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn par_scan_lane_is_executor_independent() {
         // A single lane is never split: at every length, including those
-        // straddling REDUCE_BLOCK, it is the serial running fold.
+        // straddling REDUCE_BLOCK, it is the serial running fold on every
+        // executor.
         for n in [1usize, 4095, 4096, 4097, 9999, 12_288] {
             let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
             let mut want = vec![0.0f64; n];
             accumulate_axis(&mut want, &vg(&[n]), &vals, &vg(&[n]), 0, |a, b| a + b);
+            let mut serial = vec![0.0f64; n];
+            let shards = par_scan_axis(
+                &InlineExec,
+                &mut serial,
+                &vg(&[n]),
+                &vals,
+                &vg(&[n]),
+                0,
+                |a, b| a + b,
+            );
+            assert_eq!(shards, 1, "n={n} inline: one lane, one shard");
+            assert_eq!(serial, want, "n={n} inline: scan must be the running fold");
             for threads in [2usize, 4] {
                 let mut got = vec![0.0f64; n];
                 let shards = par_scan_axis(
@@ -890,13 +907,13 @@ mod tests {
                     |a, b| a + b,
                 );
                 assert_eq!(shards, 1, "n={n} threads={threads}: one lane, one shard");
-                let same = want
+                let same = serial
                     .iter()
                     .zip(&got)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(
                     same,
-                    "n={n} threads={threads}: scan must be the running fold"
+                    "n={n} threads={threads}: scan must be executor independent"
                 );
             }
         }
