@@ -3,24 +3,13 @@
 //! These are the loops a Bohrium backend would JIT-compile. They operate on
 //! typed slices plus [`ViewGeom`] geometry so the same code path serves
 //! contiguous arrays, strided slices, reversed views and broadcast (stride-0)
-//! operands. The element-wise kernels ([`fill`], [`map1`], [`map2`] and the
-//! `*_inplace` variants) are serial: `bh-vm` runs them for every element-wise
-//! byte-code on its naive engine, and on its fusing engine only for views
-//! that are not contiguous runs (the fusing engine compiles the rest). The
-//! reduction and scan kernels shard over a [`RangeExecutor`]: a scan by
-//! whole lanes only, each lane one sequential running fold; a reduction by
-//! lanes, or by [`REDUCE_BLOCK`]-sized canonical blocks when it has a
-//! single lane.
-//!
-//! # Aliasing
-//!
-//! The `*_inplace` variants operate on a single buffer that is both read and
-//! written (`a0 = a0 + 1` in the listings). They are correct when, for every
-//! input view `v` that overlaps the output view, iterating logically never
-//! reads an element after the iteration wrote it. The VM guarantees this by
-//! only using the in-place path when each overlapping input view
-//! [`ViewGeom::same_layout`]s the output (or provably writes behind all
-//! reads); otherwise it materialises inputs into temporaries first.
+//! operands. The element-wise kernels ([`fill`], [`map1`], [`map2`]) are
+//! serial and write an output distinct from their inputs; `bh-vm`'s
+//! interpreter walks views with [`zip_offsets`] itself, since it also reads
+//! the output's own buffer in place. The reduction and scan kernels shard
+//! over a [`RangeExecutor`]: a scan by whole lanes only, each lane one
+//! sequential running fold; a reduction by lanes, or by [`REDUCE_BLOCK`]-sized
+//! canonical blocks when it has a single lane.
 
 use crate::dtype::Element;
 use crate::view::ViewGeom;
@@ -211,22 +200,6 @@ pub fn map1<I: Element, O: Element>(
     });
 }
 
-/// `buf[o] = f(buf[i])` within a single buffer.
-///
-/// See the module-level aliasing contract.
-pub fn map1_inplace<T: Element>(buf: &mut [T], ov: &ViewGeom, iv: &ViewGeom, f: impl Fn(T) -> T) {
-    let ptr = buf.as_mut_ptr();
-    let len = buf.len();
-    zip_offsets([ov, iv], |[o, i]| {
-        assert!(o < len && i < len, "view escapes buffer");
-        // SAFETY: bounds asserted; per-element read happens before the write.
-        unsafe {
-            let v = *ptr.add(i);
-            *ptr.add(o) = f(v);
-        }
-    });
-}
-
 /// `out[i] = f(a[i], b[i])` with three distinct buffers.
 pub fn map2<I: Element, O: Element>(
     out: &mut [O],
@@ -243,53 +216,6 @@ pub fn map2<I: Element, O: Element>(
         assert!(o < olen && i < alen && j < blen, "view escapes buffer");
         // SAFETY: bounds asserted; buffers are distinct slices.
         unsafe { *optr.add(o) = f(*a.get_unchecked(i), *b.get_unchecked(j)) };
-    });
-}
-
-/// `buf[o] = f(buf[a], buf[b])` within a single buffer.
-///
-/// See the module-level aliasing contract.
-pub fn map2_inplace<T: Element>(
-    buf: &mut [T],
-    ov: &ViewGeom,
-    av: &ViewGeom,
-    bv: &ViewGeom,
-    f: impl Fn(T, T) -> T,
-) {
-    let ptr = buf.as_mut_ptr();
-    let len = buf.len();
-    zip_offsets([ov, av, bv], |[o, i, j]| {
-        assert!(o < len && i < len && j < len, "view escapes buffer");
-        // SAFETY: bounds asserted; both reads happen before the write.
-        unsafe {
-            let va = *ptr.add(i);
-            let vb = *ptr.add(j);
-            *ptr.add(o) = f(va, vb);
-        }
-    });
-}
-
-/// `buf[o] = f(buf[a], other[b])`: output aliases the first input's buffer,
-/// second input lives elsewhere.
-pub fn map2_left_inplace<T: Element>(
-    buf: &mut [T],
-    ov: &ViewGeom,
-    av: &ViewGeom,
-    other: &[T],
-    bv: &ViewGeom,
-    f: impl Fn(T, T) -> T,
-) {
-    let ptr = buf.as_mut_ptr();
-    let (len, olen) = (buf.len(), other.len());
-    zip_offsets([ov, av, bv], |[o, i, j]| {
-        assert!(o < len && i < len && j < olen, "view escapes buffer");
-        // SAFETY: bounds asserted; reads precede the write; `other` is a
-        // distinct slice.
-        unsafe {
-            let va = *ptr.add(i);
-            let vb = *other.get_unchecked(j);
-            *ptr.add(o) = f(va, vb);
-        }
     });
 }
 
@@ -617,14 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn map1_inplace_same_view() {
-        let mut buf = vec![1.0f64, 2.0, 3.0];
-        let v = vg(&[3]);
-        map1_inplace(&mut buf, &v, &v, |x| x * 2.0);
-        assert_eq!(buf, vec![2.0, 4.0, 6.0]);
-    }
-
-    #[test]
     fn map2_adds_broadcast_scalar_via_zero_stride() {
         let a = vec![1.0f64, 2.0, 3.0];
         let b = vec![10.0f64];
@@ -634,28 +552,6 @@ mod tests {
         let mut out = vec![0.0f64; 3];
         map2(&mut out, &vg(&[3]), &a, &vg(&[3]), &b, &bview, |x, y| x + y);
         assert_eq!(out, vec![11.0, 12.0, 13.0]);
-    }
-
-    #[test]
-    fn map2_inplace_listing2_semantics() {
-        // BH_ADD a0 a0 1 three times == +3 (constants handled as broadcast
-        // views in this test).
-        let mut buf = vec![0.0f64; 10];
-        let v = vg(&[10]);
-        for _ in 0..3 {
-            map2_inplace(&mut buf, &v, &v, &v, |x, _| x + 1.0);
-        }
-        assert!(buf.iter().all(|&x| x == 3.0));
-    }
-
-    #[test]
-    fn map2_left_inplace_power_chain_step() {
-        // a1 = a1 * a0 with a1 aliased output.
-        let mut a1 = vec![4.0f64, 9.0];
-        let a0 = vec![2.0f64, 3.0];
-        let v = vg(&[2]);
-        map2_left_inplace(&mut a1, &v, &v, &a0, &v, |x, y| x * y);
-        assert_eq!(a1, vec![8.0, 27.0]);
     }
 
     #[test]

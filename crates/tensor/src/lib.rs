@@ -22,12 +22,13 @@
 //! // The paper's `a0 [0:10:1]` view:
 //! let base = Shape::vector(10);
 //! let full = ViewGeom::from_slices(&base, &[Slice::new(Some(0), Some(10), 1)]).unwrap();
-//! let mut a0 = Tensor::zeros(DType::Float64, base.clone());
+//! let a0 = Tensor::zeros(DType::Float64, base.clone());
+//! let mut a1 = Tensor::zeros(DType::Float64, base.clone());
 //!
-//! // BH_ADD a0 a0 3 (constant broadcast handled by the VM; shown raw here):
-//! let data = a0.as_mut_slice::<f64>().unwrap();
-//! kernels::map1_inplace(data, &full, &full, |x| x + 3.0);
-//! assert_eq!(a0.to_f64_vec(), vec![3.0; 10]);
+//! // BH_ADD a1 a0 3 (constant broadcast handled by the VM; shown raw here):
+//! let input = a0.as_slice::<f64>().unwrap();
+//! kernels::map1(a1.as_mut_slice::<f64>().unwrap(), &full, input, &full, |x| x + 3.0);
+//! assert_eq!(a1.to_f64_vec(), vec![3.0; 10]);
 //! ```
 
 #![warn(missing_docs)]

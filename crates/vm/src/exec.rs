@@ -1,143 +1,132 @@
-//! Typed element-wise execution paths of the serial strided interpreter.
+//! The op dispatch both element-wise paths share, and the serial strided
+//! interpreter.
 //!
-//! These functions receive an output buffer slice, pre-resolved view
-//! geometry and classified inputs, then pick the correct kernel variant:
-//! out-of-place, in-place (output aliases an input base, as in
-//! `BH_ADD a0 a0 1`), or materialise-first when an aliased input view
-//! overlaps the output with a *different* layout (the only hazardous case).
+//! [`elementwise`] and [`fold`] match an op-code once and hand its element
+//! function to a loop — a [`Kernel`] or a [`Fold`] — as a function *item*
+//! (or capture-free closure), never a pointer, so every loop
+//! monomorphises over its op and inlines it. The fusing engine's compiled
+//! steps (`Vm::compile_fused_step`), the interpreter below, the reductions
+//! and scans and the fused reductions all dispatch here. Binary arithmetic
+//! (with `BH_ARCTAN2`), comparisons with predicates, and folds each have
+//! one match; same-dtype unary op-codes go through the [`unary_fn`] table.
 //!
-//! Everything here runs on the calling thread. The fusing engine runs
-//! contiguous element-wise work on its compiled steps instead
-//! (`Vm::compile_fused_step`), so the two element-wise paths share no
-//! kernel code; the op-code tables below are the one thing they share.
+//! The interpreter ([`map1`], [`map2`]) runs one element-wise byte-code
+//! over any views — strided, reversed, broadcast, aliased — on the calling
+//! thread, walking offsets with `bh_tensor::kernels::zip_offsets`, where
+//! the compiled steps walk `k in lo..hi`. The two paths share the dispatch
+//! but no index walk, which keeps the naive engine an independent
+//! reference for the fusing one. An interpreter [`Input`] is a constant, a
+//! view of another base, or a view of the output's own base; the last is
+//! read in place unless [`Input::own`]'s hazard rule copies it first.
 
 use crate::eltops::VmElement;
-use bh_ir::Opcode;
-use bh_tensor::kernels;
-use bh_tensor::ViewGeom;
+use bh_ir::{Opcode, TypeRule};
+use bh_tensor::{kernels, with_dtype, DType, Element, ViewGeom};
+use std::borrow::Cow;
 
-/// One classified binary input.
-pub(crate) enum BinIn<'a, T> {
-    /// View into the *output's own* base buffer.
-    Aliased(ViewGeom),
-    /// View into another base.
-    Slice(&'a [T], ViewGeom),
-    /// Immediate constant (already cast to the operating dtype).
-    Const(T),
+/// An element-wise loop, handed its op's element function: one method
+/// per arity, `I` the operating and `O` the output element type.
+pub(crate) trait Kernel {
+    /// What the loop returns.
+    type Out;
+    /// Loop `out = f(a)`.
+    fn map1<I: Element, O: Element>(
+        self,
+        f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
+    ) -> Self::Out;
+    /// Loop `out = f(a, b)`.
+    fn map2<I: Element, O: Element>(
+        self,
+        f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
+    ) -> Self::Out;
 }
 
-/// Execute `out = f(a, b)` element-wise over `ov`.
-pub(crate) fn exec_binary<T: VmElement>(
-    out: &mut [T],
-    ov: &ViewGeom,
-    a: BinIn<'_, T>,
-    b: BinIn<'_, T>,
-    f: impl Fn(T, T) -> T + Copy,
-) {
-    use BinIn::*;
-    // Materialise hazardous aliased inputs first (different layout AND
-    // overlapping the output view ⇒ in-place iteration could read elements
-    // the loop already overwrote). The copies live in these locals for the
-    // duration of the kernel call.
-    let temp_a: Vec<T>;
-    let temp_b: Vec<T>;
-    let a = match a {
-        Aliased(iv) if is_hazard(&iv, ov) => {
-            temp_a = kernels::materialize(out, &iv);
-            Slice(temp_a.as_slice(), ViewGeom::contiguous(&iv.shape()))
+/// Hand element-wise `op`'s function over operating dtype `in_dtype`,
+/// writing `out_dtype`, to `k`.
+pub(crate) fn elementwise<K: Kernel>(
+    op: Opcode,
+    in_dtype: DType,
+    out_dtype: DType,
+    k: K,
+) -> K::Out {
+    with_dtype!(in_dtype, T, {
+        if op.type_rule() == TypeRule::CompareLike {
+            compare::<T, K>(op, k)
+        } else if op.arity() == 2 {
+            binary::<T, K>(op, k)
+        } else if op == Opcode::Identity && in_dtype != out_dtype {
+            with_dtype!(out_dtype, O, k.map1(cast::<T, O>))
+        } else {
+            k.map1(unary_fn::<T>(op))
         }
-        other => other,
-    };
-    let b = match b {
-        Aliased(iv) if is_hazard(&iv, ov) => {
-            temp_b = kernels::materialize(out, &iv);
-            Slice(temp_b.as_slice(), ViewGeom::contiguous(&iv.shape()))
-        }
-        other => other,
-    };
-    match (a, b) {
-        (Const(x), Const(y)) => kernels::fill(out, ov, f(x, y)),
-        (Aliased(av), Const(y)) => kernels::map1_inplace(out, ov, &av, |v| f(v, y)),
-        (Const(x), Aliased(bv)) => kernels::map1_inplace(out, ov, &bv, |v| f(x, v)),
-        (Slice(sa, av), Const(y)) => kernels::map1(out, ov, sa, &av, |v| f(v, y)),
-        (Const(x), Slice(sb, bv)) => kernels::map1(out, ov, sb, &bv, |v| f(x, v)),
-        (Aliased(av), Aliased(bv)) => kernels::map2_inplace(out, ov, &av, &bv, f),
-        (Aliased(av), Slice(sb, bv)) => kernels::map2_left_inplace(out, ov, &av, sb, &bv, f),
-        (Slice(sa, av), Aliased(bv)) => {
-            kernels::map2_left_inplace(out, ov, &bv, sa, &av, |x, y| f(y, x));
-        }
-        (Slice(sa, av), Slice(sb, bv)) => kernels::map2(out, ov, sa, &av, sb, &bv, f),
-    }
+    })
 }
 
-/// Execute `out = f(input)` element-wise over `ov`.
-pub(crate) fn exec_unary<T: VmElement>(
-    out: &mut [T],
-    ov: &ViewGeom,
-    input: BinIn<'_, T>,
-    f: impl Fn(T) -> T + Copy,
-) {
-    let temp: Vec<T>;
-    let input = match input {
-        BinIn::Aliased(iv) if is_hazard(&iv, ov) => {
-            temp = kernels::materialize(out, &iv);
-            BinIn::Slice(temp.as_slice(), ViewGeom::contiguous(&iv.shape()))
-        }
-        other => other,
-    };
-    match input {
-        BinIn::Const(c) => kernels::fill(out, ov, f(c)),
-        BinIn::Aliased(iv) => kernels::map1_inplace(out, ov, &iv, f),
-        BinIn::Slice(data, iv) => kernels::map1(out, ov, data, &iv, f),
-    }
-}
-
-/// An aliased input is hazardous when it overlaps the output view with a
-/// different layout: the logical iteration could then read elements the
-/// same iteration already overwrote.
-fn is_hazard(iv: &ViewGeom, ov: &ViewGeom) -> bool {
-    !iv.same_layout(ov) && iv.may_overlap(ov)
-}
-
-/// Identity element of a reduction's fold op-code: the value folding
-/// starts from in every engine, serial or sharded (`f(init, x) == x` for
-/// all `x` the fold can produce, which is what makes the blocked combine
-/// in `bh_tensor::kernels::par_reduce_lane` exact on short lanes).
-pub(crate) fn fold_init<T: VmElement>(fold: Opcode) -> T {
-    match fold {
-        Opcode::Add => T::zero(),
-        Opcode::Multiply => T::one(),
-        Opcode::Maximum => T::vm_lowest(),
-        Opcode::Minimum => T::vm_highest(),
-        other => unreachable!("{other} is not a fold op"),
-    }
-}
-
-/// fn-pointer table for binary op-codes over one element type.
-pub(crate) fn binary_fn<T: VmElement>(op: Opcode) -> fn(T, T) -> T {
+/// Binary arithmetic: `T × T → T`.
+fn binary<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
     match op {
-        Opcode::Add => T::vm_add,
-        Opcode::Subtract => T::vm_sub,
-        Opcode::Multiply => T::vm_mul,
-        Opcode::Divide => T::vm_div,
-        Opcode::Power => T::vm_pow,
-        Opcode::Mod => T::vm_mod,
-        Opcode::Maximum => T::vm_max,
-        Opcode::Minimum => T::vm_min,
-        Opcode::BitwiseAnd | Opcode::LogicalAnd => T::vm_and,
-        Opcode::BitwiseOr | Opcode::LogicalOr => T::vm_or,
-        Opcode::BitwiseXor | Opcode::LogicalXor => T::vm_xor,
-        Opcode::LeftShift => T::vm_shl,
-        Opcode::RightShift => T::vm_shr,
-        Opcode::Arctan2 => atan2_of::<T>,
+        Opcode::Add => k.map2(T::vm_add),
+        Opcode::Subtract => k.map2(T::vm_sub),
+        Opcode::Multiply => k.map2(T::vm_mul),
+        Opcode::Divide => k.map2(T::vm_div),
+        Opcode::Power => k.map2(T::vm_pow),
+        Opcode::Mod => k.map2(T::vm_mod),
+        Opcode::Maximum => k.map2(T::vm_max),
+        Opcode::Minimum => k.map2(T::vm_min),
+        Opcode::BitwiseAnd | Opcode::LogicalAnd => k.map2(T::vm_and),
+        Opcode::BitwiseOr | Opcode::LogicalOr => k.map2(T::vm_or),
+        Opcode::BitwiseXor | Opcode::LogicalXor => k.map2(T::vm_xor),
+        Opcode::LeftShift => k.map2(T::vm_shl),
+        Opcode::RightShift => k.map2(T::vm_shr),
+        Opcode::Arctan2 => k.map2(|a: T, b: T| T::from_f64(a.to_f64().atan2(b.to_f64()))),
         other => unreachable!("{other} is not a binary arithmetic op"),
     }
+}
+
+/// Comparisons (`T × T → bool`) and predicates (`T → bool`).
+fn compare<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
+    match op {
+        Opcode::Greater => k.map2(|a: T, b: T| a > b),
+        Opcode::GreaterEqual => k.map2(|a: T, b: T| a >= b),
+        Opcode::Less => k.map2(|a: T, b: T| a < b),
+        Opcode::LessEqual => k.map2(|a: T, b: T| a <= b),
+        Opcode::Equal => k.map2(|a: T, b: T| a == b),
+        Opcode::NotEqual => k.map2(|a: T, b: T| a != b),
+        Opcode::IsNan => k.map1(|a: T| a.to_f64().is_nan()),
+        Opcode::IsInf => k.map1(|a: T| a.to_f64().is_infinite()),
+        other => unreachable!("{other} is not a comparison or predicate"),
+    }
+}
+
+/// A reduction or scan loop, handed its fold's identity and function.
+pub(crate) trait Fold {
+    /// What the loop returns.
+    type Out;
+    /// Fold with `f`, starting from `init`.
+    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> Self::Out;
+}
+
+/// Hand fold op-code `op`'s identity and function over `dtype` to `k`.
+/// The identity is the value folding starts from in every engine, serial
+/// or sharded (`f(init, x) == x` for all `x` the fold can produce, which
+/// is what makes the blocked combine in
+/// `bh_tensor::kernels::par_reduce_lane` exact on short lanes).
+pub(crate) fn fold<K: Fold>(op: Opcode, dtype: DType, k: K) -> K::Out {
+    with_dtype!(dtype, T, {
+        match op {
+            Opcode::Add => k.fold(T::zero(), T::vm_add),
+            Opcode::Multiply => k.fold(T::one(), T::vm_mul),
+            Opcode::Maximum => k.fold(T::vm_lowest(), T::vm_max),
+            Opcode::Minimum => k.fold(T::vm_highest(), T::vm_min),
+            other => unreachable!("{other} is not a fold op"),
+        }
+    })
 }
 
 /// fn-pointer table for same-dtype unary op-codes.
 pub(crate) fn unary_fn<T: VmElement>(op: Opcode) -> fn(T) -> T {
     match op {
-        Opcode::Identity => ident_of::<T>,
+        Opcode::Identity => |x| x,
         Opcode::Absolute => T::vm_abs,
         Opcode::Sign => T::vm_sign,
         Opcode::Invert | Opcode::LogicalNot => T::vm_not,
@@ -169,57 +158,9 @@ pub(crate) fn unary_fn<T: VmElement>(op: Opcode) -> fn(T) -> T {
     }
 }
 
-/// fn-pointer table for comparison op-codes (`T × T → bool`).
-pub(crate) fn compare_fn<T: VmElement>(op: Opcode) -> fn(T, T) -> bool {
-    match op {
-        Opcode::Greater => cmp_gt::<T>,
-        Opcode::GreaterEqual => cmp_ge::<T>,
-        Opcode::Less => cmp_lt::<T>,
-        Opcode::LessEqual => cmp_le::<T>,
-        Opcode::Equal => cmp_eq::<T>,
-        Opcode::NotEqual => cmp_ne::<T>,
-        other => unreachable!("{other} is not a comparison"),
-    }
-}
-
-/// fn-pointer table for unary predicates (`T → bool`).
-pub(crate) fn predicate_fn<T: VmElement>(op: Opcode) -> fn(T) -> bool {
-    match op {
-        Opcode::IsNan => pred_isnan::<T>,
-        Opcode::IsInf => pred_isinf::<T>,
-        other => unreachable!("{other} is not a predicate"),
-    }
-}
-
-fn ident_of<T: VmElement>(x: T) -> T {
-    x
-}
-fn atan2_of<T: VmElement>(a: T, b: T) -> T {
-    T::from_f64(a.to_f64().atan2(b.to_f64()))
-}
-fn cmp_gt<T: VmElement>(a: T, b: T) -> bool {
-    a > b
-}
-fn cmp_ge<T: VmElement>(a: T, b: T) -> bool {
-    a >= b
-}
-fn cmp_lt<T: VmElement>(a: T, b: T) -> bool {
-    a < b
-}
-fn cmp_le<T: VmElement>(a: T, b: T) -> bool {
-    a <= b
-}
-fn cmp_eq<T: VmElement>(a: T, b: T) -> bool {
-    a == b
-}
-fn cmp_ne<T: VmElement>(a: T, b: T) -> bool {
-    a != b
-}
-fn pred_isnan<T: VmElement>(a: T) -> bool {
-    a.to_f64().is_nan()
-}
-fn pred_isinf<T: VmElement>(a: T) -> bool {
-    a.to_f64().is_infinite()
+/// The dtype-converting `BH_IDENTITY`.
+fn cast<I: Element, O: Element>(x: I) -> O {
+    O::from_f64(x.to_f64())
 }
 
 macro_rules! funary {
@@ -261,6 +202,98 @@ funary! {
     };
 }
 
+/// One input of an interpreted byte-code, in the operating dtype.
+pub(crate) enum Input<'a, T: Element> {
+    /// An immediate constant.
+    Const(T),
+    /// A view of another base, or of a copy of the output's own base.
+    Other(Cow<'a, [T]>, ViewGeom),
+    /// A view of the output's own base, read in place.
+    Own(ViewGeom),
+}
+
+impl<T: Element> Input<'_, T> {
+    /// The view `iv` of the output's own base `out`, whose output view is
+    /// `ov`. It is read from a copy when `copy` is set or when it is a
+    /// hazard — it overlaps `ov` with a different layout, so the walk
+    /// could read an element it already overwrote — and in place
+    /// otherwise.
+    pub(crate) fn own(out: &[T], iv: ViewGeom, ov: &ViewGeom, copy: bool) -> Self {
+        if copy || (!iv.same_layout(ov) && iv.may_overlap(ov)) {
+            let data = kernels::materialize(out, &iv);
+            Input::Other(Cow::Owned(data), ViewGeom::contiguous(&iv.shape()))
+        } else {
+            Input::Own(iv)
+        }
+    }
+
+    /// Pointer, length and view a non-constant input is read through; an
+    /// [`Input::Own`] reads the `len`-element output buffer at `out`.
+    fn source<O: Element>(&self, out: *mut O, len: usize) -> (*const T, usize, &ViewGeom) {
+        match self {
+            Input::Other(data, iv) => (data.as_ptr(), data.len(), iv),
+            Input::Own(iv) => {
+                assert_eq!(
+                    T::DTYPE,
+                    O::DTYPE,
+                    "an in-place input has the output's dtype"
+                );
+                (out.cast::<T>().cast_const(), len, iv)
+            }
+            Input::Const(_) => unreachable!("constants are bound into the element function"),
+        }
+    }
+}
+
+/// `out = f(a)` over the output view `ov`.
+pub(crate) fn map1<I: Element, O: Element>(
+    out: &mut [O],
+    ov: &ViewGeom,
+    a: Input<'_, I>,
+    f: impl Fn(I) -> O,
+) {
+    if let Input::Const(c) = a {
+        return kernels::fill(out, ov, f(c));
+    }
+    let (optr, olen) = (out.as_mut_ptr(), out.len());
+    let (pa, alen, av) = a.source(optr, olen);
+    kernels::zip_offsets([ov, av], |[o, i]| {
+        assert!(o < olen && i < alen, "view escapes buffer");
+        // SAFETY: both offsets are in bounds (asserted). An in-place input
+        // reads `out` through `optr` as its own element type (`source`
+        // checks the dtype); any other input is a distinct allocation, as
+        // `out` is uniquely borrowed. Each iteration reads before it
+        // writes, and an in-place input is no hazard (`Input::own`), so
+        // no element is read after another iteration overwrote it.
+        unsafe { *optr.add(o) = f(*pa.add(i)) };
+    });
+}
+
+/// `out = f(a, b)` over the output view `ov`; a constant operand is bound
+/// into the function of a [`map1`].
+pub(crate) fn map2<I: Element, O: Element>(
+    out: &mut [O],
+    ov: &ViewGeom,
+    a: Input<'_, I>,
+    b: Input<'_, I>,
+    f: impl Fn(I, I) -> O,
+) {
+    match (a, b) {
+        (Input::Const(x), b) => map1(out, ov, b, |y| f(x, y)),
+        (a, Input::Const(y)) => map1(out, ov, a, |x| f(x, y)),
+        (a, b) => {
+            let (optr, olen) = (out.as_mut_ptr(), out.len());
+            let (pa, alen, av) = a.source(optr, olen);
+            let (pb, blen, bv) = b.source(optr, olen);
+            kernels::zip_offsets([ov, av, bv], |[o, i, j]| {
+                assert!(o < olen && i < alen && j < blen, "view escapes buffer");
+                // SAFETY: as in `map1`, for both inputs.
+                unsafe { *optr.add(o) = f(*pa.add(i), *pb.add(j)) };
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,49 +303,63 @@ mod tests {
         ViewGeom::contiguous(&Shape::vector(n))
     }
 
+    /// Applies the dispatched element function to one pair of operands.
+    struct At(f64, f64);
+
+    impl Kernel for At {
+        type Out = f64;
+        fn map1<I: Element, O: Element>(self, f: impl Fn(I) -> O) -> f64 {
+            f(I::from_f64(self.0)).to_f64()
+        }
+        fn map2<I: Element, O: Element>(self, f: impl Fn(I, I) -> O) -> f64 {
+            f(I::from_f64(self.0), I::from_f64(self.1)).to_f64()
+        }
+    }
+
+    fn eval(op: Opcode, dtype: DType, a: f64, b: f64) -> f64 {
+        let out = op.result_dtype(dtype).unwrap();
+        elementwise(op, dtype, out, At(a, b))
+    }
+
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+
     #[test]
     fn binary_const_in_place() {
         let mut buf = vec![1.0f64; 8];
         let v = full(8);
-        exec_binary::<f64>(
-            &mut buf,
-            &v,
-            BinIn::Aliased(v.clone()),
-            BinIn::Const(2.0),
-            binary_fn::<f64>(Opcode::Add),
-        );
+        map2(&mut buf, &v, Input::Own(v.clone()), Input::Const(2.0), add);
         assert_eq!(buf, vec![3.0; 8]);
+        assert_eq!(eval(Opcode::Add, DType::Float64, 1.0, 2.0), 3.0);
     }
 
     #[test]
     fn binary_two_slices() {
-        let a = vec![1.0f64, 2.0];
-        let b = vec![10.0f64, 20.0];
+        let a = [1.0f64, 2.0];
+        let b = [10.0f64, 20.0];
         let mut out = vec![0.0f64; 2];
         let v = full(2);
-        exec_binary::<f64>(
+        let (a, b) = (Cow::from(&a[..]), Cow::from(&b[..]));
+        map2(
             &mut out,
             &v,
-            BinIn::Slice(&a, v.clone()),
-            BinIn::Slice(&b, v.clone()),
-            binary_fn::<f64>(Opcode::Multiply),
+            Input::Other(a, v.clone()),
+            Input::Other(b, v.clone()),
+            |x, y| x * y,
         );
         assert_eq!(out, vec![10.0, 40.0]);
+        assert_eq!(eval(Opcode::Multiply, DType::Float64, 2.0, 20.0), 40.0);
     }
 
     #[test]
     fn non_commutative_right_alias() {
-        // out = b_slice - out  (out aliases the RIGHT operand)
+        // out = a_slice - out  (out aliases the RIGHT operand)
         let mut out = vec![1.0f64, 2.0];
-        let a = vec![10.0f64, 10.0];
+        let a = [10.0f64, 10.0];
         let v = full(2);
-        exec_binary::<f64>(
-            &mut out,
-            &v,
-            BinIn::Slice(&a, v.clone()),
-            BinIn::Aliased(v.clone()),
-            binary_fn::<f64>(Opcode::Subtract),
-        );
+        let a = Input::Other(Cow::from(&a[..]), v.clone());
+        map2(&mut out, &v, a, Input::Own(v.clone()), |x, y| x - y);
         assert_eq!(out, vec![9.0, 8.0]);
     }
 
@@ -324,13 +371,15 @@ mod tests {
         let base = Shape::vector(4);
         let ov = ViewGeom::from_slices(&base, &[Slice::range(1, 4)]).unwrap();
         let iv = ViewGeom::from_slices(&base, &[Slice::range(0, 3)]).unwrap();
-        exec_unary::<f64>(
-            &mut buf,
-            &ov,
-            BinIn::Aliased(iv),
-            unary_fn::<f64>(Opcode::Identity),
-        );
+        let input = Input::own(&buf, iv, &ov, false);
+        assert!(matches!(input, Input::Other(..)), "a hazard is copied");
+        map1(&mut buf, &ov, input, unary_fn::<f64>(Opcode::Identity));
         assert_eq!(buf, vec![1.0, 1.0, 2.0, 3.0]);
+        // The same view as the output is no hazard: read in place.
+        assert!(matches!(
+            Input::own(&buf, ov.clone(), &ov, false),
+            Input::Own(_)
+        ));
     }
 
     #[test]
@@ -344,16 +393,53 @@ mod tests {
 
     #[test]
     fn compare_and_predicate_tables() {
-        assert!(compare_fn::<i64>(Opcode::Less)(1, 2));
-        assert!(!compare_fn::<f64>(Opcode::Equal)(f64::NAN, f64::NAN));
-        assert!(predicate_fn::<f64>(Opcode::IsNan)(f64::NAN));
-        assert!(!predicate_fn::<i32>(Opcode::IsNan)(3));
-        assert!(predicate_fn::<f32>(Opcode::IsInf)(f32::INFINITY));
+        assert_eq!(eval(Opcode::Less, DType::Int64, 1.0, 2.0), 1.0);
+        assert_eq!(eval(Opcode::Equal, DType::Float64, f64::NAN, f64::NAN), 0.0);
+        assert_eq!(eval(Opcode::IsNan, DType::Float64, f64::NAN, 0.0), 1.0);
+        assert_eq!(eval(Opcode::IsNan, DType::Int32, 3.0, 0.0), 0.0);
+        assert_eq!(eval(Opcode::IsInf, DType::Float32, f64::INFINITY, 0.0), 1.0);
     }
 
     #[test]
     fn atan2() {
-        let f = binary_fn::<f64>(Opcode::Arctan2);
-        assert!((f(1.0, 1.0) - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
+        let r = eval(Opcode::Arctan2, DType::Float64, 1.0, 1.0);
+        assert!((r - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn map1_inplace_same_view() {
+        let mut buf = vec![1.0f64, 2.0, 3.0];
+        let v = full(3);
+        map1(&mut buf, &v, Input::Own(v.clone()), |x: f64| x * 2.0);
+        assert_eq!(buf, vec![2.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn map2_inplace_listing2_semantics() {
+        // BH_ADD a0 a0 1 three times == +3 (the constant is bound into the
+        // element function here).
+        let mut buf = vec![0.0f64; 10];
+        let v = full(10);
+        for _ in 0..3 {
+            map2(
+                &mut buf,
+                &v,
+                Input::Own(v.clone()),
+                Input::Own(v.clone()),
+                |x: f64, _| x + 1.0,
+            );
+        }
+        assert!(buf.iter().all(|&x| x == 3.0));
+    }
+
+    #[test]
+    fn map2_left_inplace_power_chain_step() {
+        // a1 = a1 * a0 with a1 aliased output.
+        let mut a1 = vec![4.0f64, 9.0];
+        let a0 = [2.0f64, 3.0];
+        let v = full(2);
+        let a0 = Input::Other(Cow::from(&a0[..]), v.clone());
+        map2(&mut a1, &v, Input::Own(v.clone()), a0, |x, y| x * y);
+        assert_eq!(a1, vec![8.0, 27.0]);
     }
 }

@@ -71,7 +71,7 @@ pub(crate) struct FusedInstr {
     /// Declared dtype of the output base.
     pub out_dtype: DType,
     /// Operating dtype: the dtype of view inputs (validated to agree),
-    /// else the output dtype (mirrors the interpreter's rule).
+    /// else the output dtype.
     pub in_dtype: DType,
     /// The instruction's inputs, in operand order (`arity()` entries).
     pub inputs: Vec<FusedInput>,
@@ -130,8 +130,9 @@ pub(crate) fn classify_single(program: &Program, idx: usize) -> Option<(FusedIns
     Some((fi, nelem))
 }
 
-/// One element-wise instruction with every offset 0.
-fn fused_instr(program: &Program, instr: &Instruction) -> FusedInstr {
+/// One element-wise instruction with every offset 0. The interpreter
+/// takes its dtypes and its accounting from this form too.
+pub(crate) fn fused_instr(program: &Program, instr: &Instruction) -> FusedInstr {
     debug_assert!(instr.op.is_elementwise(), "fused steps are element-wise");
     let out = instr.out_view().expect("element-wise ops have outputs").reg;
     let inputs: Vec<FusedInput> = instr

@@ -407,7 +407,11 @@ BH_SYNC z\nBH_SYNC m\n";
         // disjoint run of the output's base below and above it, both at
         // once, a compare and a predicate, a compare whose bool input is
         // the output's own base, an offset cast, an offset rank-2 row
-        // block, and a broadcast row that stays on the interpreter. The
+        // block, and a broadcast row that stays on the interpreter. Then
+        // the remaining comparisons, `BH_ISINF`, `BH_ARCTAN2`, division,
+        // modulo, power, minimum and the i32 bitwise ops, each a compiled
+        // single, and a compare of a reversed view, which stays on the
+        // interpreter. The
         // naive engine runs all of it on the serial strided interpreter;
         // the fusing engine at 1 and 3 threads must agree bit for bit,
         // with every counter but the shard count identical.
@@ -415,7 +419,8 @@ BH_SYNC z\nBH_SYNC m\n";
         let h = n / 2;
         let text = format!(
             ".base g f64[{n}]\n.base r f64[{n}]\n.base b bool[{n}]\n\
-             .base k i32[{n}]\n.base m f64[4,{n}]\n\
+             .base k i32[{n}]\n.base m f64[4,{n}]\n.base q f64[{n}]\n\
+             .base j i32[{n}]\n.base t bool[{n}]\n.base u bool[{n}]\n\
              BH_RANGE g\n\
              BH_RANGE r\n\
              BH_RANGE k\n\
@@ -433,7 +438,25 @@ BH_SYNC z\nBH_SYNC m\n";
              BH_IDENTITY m[1:3:1,:] 2\n\
              BH_MULTIPLY m[3:4:1,:] m[1:2:1,:] g\n\
              BH_ADD m[1:3:1,:] m[1:3:1,:] g\n\
-             BH_SYNC r\nBH_SYNC b\nBH_SYNC g\nBH_SYNC m\n",
+             BH_DIVIDE q[0:{a}:1] r[1:{b}:1] g[2:{n}:1]\n\
+             BH_DIVIDE q[{a}:{n}:1] g[{a}:{n}:1] 0\n\
+             BH_MOD q[1:{h}:1] q[1:{h}:1] 3\n\
+             BH_POWER q[18:27:1] g[0:9:1] 2\n\
+             BH_MINIMUM q[27:35:1] q[0:8:1] r[0:8:1]\n\
+             BH_ARCTAN2 m[0:1:1,:] g r\n\
+             BH_BITWISE_AND j[0:{b}:1] k[1:{n}:1] k[0:{b}:1]\n\
+             BH_BITWISE_OR j[1:{n}:1] j[1:{n}:1] 12\n\
+             BH_BITWISE_XOR j[0:{h}:1] j[{h}:{hh}:1] k[0:{h}:1]\n\
+             BH_LEFT_SHIFT j[{h}:{hh}:1] k[0:{h}:1] 3\n\
+             BH_RIGHT_SHIFT j[9:{h}:1] 1000 k[0:9:1]\n\
+             BH_GREATER_EQUAL t[0:8:1] g[1:9:1] q[0:8:1]\n\
+             BH_LESS t[8:16:1] r[0:8:1] 7\n\
+             BH_LESS_EQUAL t[16:24:1] 3 g[20:28:1]\n\
+             BH_NOT_EQUAL t[24:32:1] k[0:8:1] j[0:8:1]\n\
+             BH_ISINF t[32:{n}:1] q[32:{n}:1]\n\
+             BH_GREATER u g[::-1] r\n\
+             BH_SYNC r\nBH_SYNC b\nBH_SYNC g\nBH_SYNC m\n\
+             BH_SYNC q\nBH_SYNC j\nBH_SYNC t\nBH_SYNC u\n",
             a = n - 2,
             b = n - 1,
             c = n - 3,
@@ -444,7 +467,7 @@ BH_SYNC z\nBH_SYNC m\n";
             let mut vm = Vm::with_engine(engine);
             vm.set_threads(threads).set_par_threshold(1);
             vm.run(&p).unwrap();
-            let values: Vec<Tensor> = ["r", "b", "g", "m"]
+            let values: Vec<Tensor> = ["r", "b", "g", "m", "q", "j", "t", "u"]
                 .iter()
                 .map(|name| vm.read_by_name(&p, name).unwrap())
                 .collect();

@@ -7,9 +7,9 @@
 //!
 //! * **Naive** — one kernel launch and one full-array pass per byte-code,
 //!   every element-wise byte-code on the serial strided interpreter
-//!   (`kernels::{fill, map1, map2, …}`). This is the execution regime in
-//!   which the paper's rewrites pay off, and the reference leg the
-//!   equivalence suites hold the fusing engine to.
+//!   (`exec::{map1, map2}`). This is the execution regime in which the
+//!   paper's rewrites pay off, and the reference leg the equivalence
+//!   suites hold the fusing engine to.
 //! * **Fusing** — contracts runs of element-wise byte-codes over identical
 //!   full views and executes them block-by-block, modelling Bohrium's JIT
 //!   kernel fusion ("loop-fusion-like contractions of byte-codes", §2).
@@ -17,9 +17,14 @@
 //!   compiled step as a group of one, and compiled steps shard across the
 //!   worker pool; only strided, reversed and broadcast views take the
 //!   serial interpreter.
+//!
+//! Both element-wise paths, the reductions and the scans take their op's
+//! element function from `exec`'s one dispatch. The interpreter receives
+//! it as an `exec::Kernel` in `Interpret`, the compiled path in `Compile`,
+//! which builds one generic step per arity: `step1` or `step2`.
 
 use crate::error::VmError;
-use crate::exec::{self, BinIn};
+use crate::exec::{self, Input};
 use crate::fusion::{self, FusedInput, FusedInstr};
 use crate::pool::WorkerPool;
 use crate::stash::Stash;
@@ -30,6 +35,7 @@ use bh_ir::{
 use bh_linalg as linalg;
 use bh_tensor::kernels::{self, RangeExecutor};
 use bh_tensor::{with_dtype, Buffer, DType, Element, Scalar, Shape, Tensor, ViewGeom};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::eltops::VmElement;
@@ -387,12 +393,6 @@ impl Vm {
         }
     }
 
-    /// Bytes held in the stash.
-    #[cfg(test)]
-    fn stash_bytes(&self) -> usize {
-        self.stash.bytes()
-    }
-
     fn run_fused(&mut self, program: &Program, block: usize) -> Result<(), VmError> {
         for group in fusion::find_groups(program) {
             match group {
@@ -493,10 +493,10 @@ impl Vm {
             .collect()
     }
 
-    /// Analytic per-instruction accounting for a fused chain: one
-    /// `instructions` tick per byte-code, traffic/flops scaled by the
-    /// full `nelem` — the totals a naive run would report, independent of
-    /// sharding (DESIGN.md §10).
+    /// Analytic per-instruction accounting for a compiled chain or one
+    /// interpreted byte-code: one `instructions` tick per byte-code,
+    /// traffic/flops scaled by the full `nelem` — the totals a naive run
+    /// reports, independent of sharding (DESIGN.md §10).
     fn account_fused_chain(&mut self, instrs: &[FusedInstr], nelem: usize) {
         let n = nelem as u64;
         for fi in instrs {
@@ -554,69 +554,19 @@ impl Vm {
         self.stats.flops += rinstr.op.unit_cost() * n;
 
         let fold = rinstr.op.fold_op().expect("reductions fold");
-        let total_shards = with_dtype!(dtype, T, {
-            let src = self.raw_const::<T>(in_ref.reg, 0, nelem);
-            let f = exec::binary_fn::<T>(fold);
-            let init: T = exec::fold_init::<T>(fold);
-            let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
-            let mut partials = vec![init; nblocks];
-            let pptr = RawMut(partials.as_mut_ptr());
-            let run = |lo: usize, hi: usize| {
-                // `lo` is a multiple of REDUCE_BLOCK (grain contract), so
-                // partial boundaries are the canonical blocks regardless
-                // of sharding; the chain is applied in engine-block-sized
-                // chunks clipped to the canonical block (element-wise, so
-                // chunking cannot change values).
-                let mut cb = lo;
-                while cb < hi {
-                    let ce = (cb + kernels::REDUCE_BLOCK).min(hi);
-                    let mut b = cb;
-                    while b < ce {
-                        let e = (b + block).min(ce);
-                        for step in &steps {
-                            step(b, e);
-                        }
-                        b = e;
-                    }
-                    let mut acc = init;
-                    // SAFETY: same invariants as `compile_fused_step`
-                    // (buffers un-shared before capture, disjoint shard
-                    // ranges, program order within a shard); the fold
-                    // reads elements the chain finished writing in this
-                    // same range. Partial slots are unique per canonical
-                    // block.
-                    unsafe {
-                        for k in cb..ce {
-                            acc = f(acc, *src.get().add(k));
-                        }
-                        *pptr.get().add(cb / kernels::REDUCE_BLOCK) = acc;
-                    }
-                    cb = ce;
-                }
-            };
-            let shards = match self.workers.clone() {
-                Some(pool) if pool.threads() > 1 && nelem >= self.par_threshold => {
-                    pool.run_ranges(nelem, kernels::REDUCE_BLOCK, &run)
-                }
-                _ => {
-                    run(0, nelem);
-                    1
-                }
-            };
-            // Fixed-order combine: block order, never arrival order.
-            let mut total = init;
-            for p in partials {
-                total = f(total, p);
-            }
-            let out_buf = self.bases[out_ref.reg.index()]
-                .as_mut()
-                .expect("just allocated");
-            let out_slice = out_buf.as_mut_slice::<T>().expect("dtype matches decl");
-            let o = out_geom.offset();
-            assert!(o < out_slice.len(), "view escapes buffer");
-            out_slice[o] = total;
-            shards
-        });
+        let total_shards = exec::fold(
+            fold,
+            dtype,
+            FusedReduce {
+                vm: self,
+                steps: &steps,
+                input: in_ref.reg,
+                out: out_ref.reg,
+                out_offset: out_geom.offset(),
+                nelem,
+                block,
+            },
+        );
         if total_shards > 1 {
             self.stats.par_shards += total_shards as u64;
             self.stats.reduce_shards += total_shards as u64;
@@ -646,71 +596,16 @@ impl Vm {
     /// later step's write of it — exactly the serial interpreter's order
     /// per element.
     fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
-        let is_compare = fi.op.type_rule() == TypeRule::CompareLike;
-        let is_cast = fi.op == Opcode::Identity && fi.in_dtype != fi.out_dtype;
-        if is_compare {
-            with_dtype!(fi.in_dtype, T, {
-                let out = self.raw_mut::<bool>(fi.out, fi.out_offset, nelem);
-                let a = self.step_in::<T>(&fi.inputs[0], nelem);
-                if fi.op.arity() == 1 {
-                    fused_pred_step(out, a, exec::predicate_fn::<T>(fi.op))
-                } else {
-                    let b = self.step_in::<T>(&fi.inputs[1], nelem);
-                    fused_cmp_step(out, a, b, exec::compare_fn::<T>(fi.op))
-                }
-            })
-        } else if is_cast {
-            with_dtype!(fi.in_dtype, I, {
-                with_dtype!(fi.out_dtype, O, {
-                    let out = self.raw_mut::<O>(fi.out, fi.out_offset, nelem);
-                    match fi.inputs[0] {
-                        FusedInput::Const(c) => {
-                            fused_fill_step(out, c.cast(fi.out_dtype).get::<O>())
-                        }
-                        // Different dtypes mean different registers: a
-                        // cast never reads its own output's base.
-                        FusedInput::Reg { reg, offset } => {
-                            fused_cast_step::<I, O>(out, self.raw_const::<I>(reg, offset, nelem))
-                        }
-                    }
-                })
-            })
-        } else {
-            with_dtype!(fi.in_dtype, T, {
-                let out = self.raw_mut::<T>(fi.out, fi.out_offset, nelem);
-                let a = self.step_in::<T>(&fi.inputs[0], nelem);
-                if fi.op.arity() == 1 {
-                    fused_un_step(out, a, exec::unary_fn::<T>(fi.op))
-                } else {
-                    let b = self.step_in::<T>(&fi.inputs[1], nelem);
-                    // Direct dispatch (function *items*, not pointers) for
-                    // the hot arithmetic ops, so each compiled loop
-                    // inlines its operation — same trick as the
-                    // interpreter's `call_bin!`.
-                    macro_rules! bin {
-                        ($f:expr) => {
-                            fused_bin_step(out, a, b, $f)
-                        };
-                    }
-                    match fi.op {
-                        Opcode::Add => bin!(T::vm_add),
-                        Opcode::Subtract => bin!(T::vm_sub),
-                        Opcode::Multiply => bin!(T::vm_mul),
-                        Opcode::Divide => bin!(T::vm_div),
-                        Opcode::Power => bin!(T::vm_pow),
-                        Opcode::Mod => bin!(T::vm_mod),
-                        Opcode::Maximum => bin!(T::vm_max),
-                        Opcode::Minimum => bin!(T::vm_min),
-                        Opcode::BitwiseAnd | Opcode::LogicalAnd => bin!(T::vm_and),
-                        Opcode::BitwiseOr | Opcode::LogicalOr => bin!(T::vm_or),
-                        Opcode::BitwiseXor | Opcode::LogicalXor => bin!(T::vm_xor),
-                        Opcode::LeftShift => bin!(T::vm_shl),
-                        Opcode::RightShift => bin!(T::vm_shr),
-                        other => bin!(exec::binary_fn::<T>(other)),
-                    }
-                }
-            })
-        }
+        exec::elementwise(
+            fi.op,
+            fi.in_dtype,
+            fi.out_dtype,
+            Compile {
+                vm: self,
+                fi,
+                nelem,
+            },
+        )
     }
 
     /// Raw mutable pointer to element `offset` of a register's (already
@@ -741,7 +636,7 @@ impl Vm {
 
     /// Resolve a step input to a pointer at its run's first element or
     /// an in-dtype constant.
-    fn step_in<T: VmElement>(&self, input: &FusedInput, nelem: usize) -> StepIn<T> {
+    fn step_in<T: Element>(&self, input: &FusedInput, nelem: usize) -> StepIn<T> {
         match *input {
             FusedInput::Const(c) => StepIn::Const(c.cast(T::DTYPE).get::<T>()),
             FusedInput::Reg { reg, offset } => StepIn::Ptr(self.raw_const::<T>(reg, offset, nelem)),
@@ -895,39 +790,30 @@ impl Vm {
             (Some(input_cast), view)
         };
         let mut out_buf = self.take_buffer(out_reg)?;
-        let lane_work = in_view.nelem();
-        let workers = self.workers.clone();
-        let threshold = self.par_threshold;
-        let shards = with_dtype!(work_dtype, T, {
-            let in_slice: &[T] = match &owned {
-                Some(t) => t.as_slice::<T>().expect("cast to work dtype"),
-                None => trusted(
-                    self.borrow_buffer(in_ref.reg)?.as_slice::<T>(),
-                    "buffer dtype matches decl",
-                ),
-            };
-            let out_slice = out_buf.as_mut_slice::<T>().expect("dtype matches decl");
-            let f = exec::binary_fn::<T>(fold);
-            // Serial and sharded runs share one kernel family whose
-            // combine order is executor-independent (DESIGN.md §11), so
-            // the executor choice below can never change results.
-            let executor: &dyn RangeExecutor = match &workers {
-                Some(p) if p.threads() > 1 && lane_work >= threshold => p.as_ref(),
-                _ => &kernels::InlineExec,
-            };
-            match instr.op.kind() {
-                OpKind::Reduction => {
-                    let init: T = exec::fold_init::<T>(fold);
-                    kernels::par_reduce_axis(
-                        executor, out_slice, &out_geom, in_slice, &in_view, axis, init, f,
-                    )
-                }
-                OpKind::Scan => kernels::par_scan_axis(
-                    executor, out_slice, &out_geom, in_slice, &in_view, axis, f,
-                ),
-                _ => unreachable!("dispatched as reduction/scan"),
-            }
-        });
+        let input = match &owned {
+            Some(t) => t.buffer(),
+            None => self.borrow_buffer(in_ref.reg)?,
+        };
+        // Serial and sharded runs share one kernel family whose combine
+        // order is executor-independent (DESIGN.md §11), so the executor
+        // choice below can never change results.
+        let executor: &dyn RangeExecutor = match &self.workers {
+            Some(p) if p.threads() > 1 && in_view.nelem() >= self.par_threshold => p.as_ref(),
+            _ => &kernels::InlineExec,
+        };
+        let shards = exec::fold(
+            fold,
+            work_dtype,
+            ReduceScan {
+                executor,
+                scan: instr.op.kind() == OpKind::Scan,
+                out: &mut out_buf,
+                ov: &out_geom,
+                input,
+                iv: &in_view,
+                axis,
+            },
+        );
         if shards > 1 {
             self.stats.par_shards += shards as u64;
             self.stats.reduce_shards += shards as u64;
@@ -998,221 +884,44 @@ impl Vm {
     /// every view shape (strided, reversed, broadcast, aliased), one
     /// pass on the calling thread.
     fn exec_elementwise(&mut self, program: &Program, instr: &Instruction) -> Result<(), VmError> {
-        let out_ref = instr.out_view().expect("elementwise ops have outputs");
-        let out_reg = out_ref.reg;
+        let fi = fusion::fused_instr(program, instr);
+        let out_reg = fi.out;
         self.ensure_alloc(program, out_reg);
-        let out_geom = program.resolve_view(out_ref)?;
+        let out_geom =
+            program.resolve_view(instr.out_view().expect("element-wise ops have outputs"))?;
         let out_shape = out_geom.shape();
-        let out_dtype = program.base(out_reg).dtype;
 
         // Resolve + broadcast inputs; ensure any read base is materialised.
-        enum RIn {
-            View(Reg, ViewGeom),
-            Const(Scalar),
-        }
-        let mut rins: Vec<RIn> = Vec::with_capacity(2);
+        let mut inputs: Vec<Resolved> = Vec::with_capacity(2);
         for o in instr.inputs() {
             match o {
                 Operand::View(v) => {
                     self.ensure_alloc(program, v.reg);
                     let g = program.resolve_view(v)?.broadcast_to(&out_shape)?;
-                    rins.push(RIn::View(v.reg, g));
+                    inputs.push(Resolved::View(v.reg, g));
                 }
-                Operand::Const(c) => rins.push(RIn::Const(*c)),
+                Operand::Const(c) => inputs.push(Resolved::Const(*c)),
             }
         }
+        // Every view input is broadcast to the output's element count, so
+        // the interpreter counts what a compiled step of one counts.
+        self.stats.kernels += 1;
+        self.account_fused_chain(std::slice::from_ref(&fi), out_geom.nelem());
 
-        // Operating dtype: the dtype of view inputs (validated to agree),
-        // else the output dtype.
-        let in_dtype = rins
-            .iter()
-            .find_map(|r| match r {
-                RIn::View(reg, _) => Some(program.base(*reg).dtype),
-                RIn::Const(_) => None,
-            })
-            .unwrap_or(out_dtype);
-
-        // Accounting.
-        self.note_kernel(1);
-        let n = out_geom.nelem() as u64;
-        self.stats.elements_written += n;
-        self.stats.bytes_written += n * out_dtype.size_of() as u64;
-        for rin in &rins {
-            if let RIn::View(_, g) = rin {
-                self.stats.bytes_read += g.nelem() as u64 * in_dtype.size_of() as u64;
-            }
-        }
-        self.stats.flops += instr.op.unit_cost() * n;
-
-        let mut out_buf = self.take_buffer(out_reg)?;
-
-        // Classify into the typed execution paths.
-        let rule = instr.op.type_rule();
-        let is_compare = rule == TypeRule::CompareLike;
-        let is_cast = instr.op == Opcode::Identity && in_dtype != out_dtype;
-
-        if is_compare {
-            // T × T → bool (or T → bool predicates).
-            with_dtype!(in_dtype, T, {
-                // Aliasing possible only when T == bool; materialise then.
-                let gather = |rin: &RIn| -> BinInOwned<T> {
-                    match rin {
-                        RIn::Const(c) => BinInOwned::Const(c.cast(in_dtype).get::<T>()),
-                        RIn::View(reg, g) => {
-                            if *reg == out_reg {
-                                let t = vm_read_view::<T>(&out_buf, g);
-                                BinInOwned::Owned(t, ViewGeom::contiguous(&g.shape()))
-                            } else {
-                                BinInOwned::Borrowed(*reg, g.clone())
-                            }
-                        }
-                    }
-                };
-                if instr.op.arity() == 1 {
-                    let a = gather(&rins[0]);
-                    let f = exec::predicate_fn::<T>(instr.op);
-                    let (sa, ga) = self.slice_of(&a)?;
-                    let out_slice = out_buf
-                        .as_mut_slice::<bool>()
-                        .expect("compare output is bool");
-                    match sa {
-                        SliceOr::Const(c) => kernels::fill(out_slice, &out_geom, f(c)),
-                        SliceOr::Data(da) => kernels::map1(out_slice, &out_geom, da, &ga, f),
-                    }
-                } else {
-                    let a = gather(&rins[0]);
-                    let b = gather(&rins[1]);
-                    let f = exec::compare_fn::<T>(instr.op);
-                    // Resolve both to slices (possibly owned).
-                    let (sa, ga) = self.slice_of(&a)?;
-                    let (sb, gb) = self.slice_of(&b)?;
-                    let out_slice = out_buf
-                        .as_mut_slice::<bool>()
-                        .expect("compare output is bool");
-                    match (sa, sb) {
-                        (SliceOr::Const(x), SliceOr::Const(y)) => {
-                            kernels::fill(out_slice, &out_geom, f(x, y));
-                        }
-                        (SliceOr::Data(da), SliceOr::Const(y)) => {
-                            kernels::map1(out_slice, &out_geom, da, &ga, |v| f(v, y));
-                        }
-                        (SliceOr::Const(x), SliceOr::Data(db)) => {
-                            kernels::map1(out_slice, &out_geom, db, &gb, |v| f(x, v));
-                        }
-                        (SliceOr::Data(da), SliceOr::Data(db)) => {
-                            kernels::map2(out_slice, &out_geom, da, &ga, db, &gb, f);
-                        }
-                    }
-                }
-            });
-        } else if is_cast {
-            // BH_IDENTITY with dtype conversion: I → O. Different dtypes
-            // mean different registers, so no aliasing.
-            match &rins[0] {
-                RIn::Const(c) => {
-                    let v = c.cast(out_dtype);
-                    with_dtype!(out_dtype, O, {
-                        let out_slice = out_buf.as_mut_slice::<O>().expect("out dtype");
-                        kernels::fill(out_slice, &out_geom, v.get::<O>());
-                    });
-                }
-                RIn::View(reg, g) => {
-                    let in_buf = self.borrow_buffer(*reg)?;
-                    with_dtype!(in_dtype, I, {
-                        with_dtype!(out_dtype, O, {
-                            let in_slice = in_buf.as_slice::<I>().expect("in dtype");
-                            let out_slice = out_buf.as_mut_slice::<O>().expect("out dtype");
-                            kernels::map1(out_slice, &out_geom, in_slice, g, cast_element::<I, O>);
-                        })
-                    });
-                }
-            }
-        } else {
-            // Same-dtype arithmetic (output dtype == operating dtype).
-            with_dtype!(in_dtype, T, {
-                let out_slice_owner: &mut Buffer = &mut out_buf;
-                let classify = |rin: &RIn| -> ClassIn<T> {
-                    match rin {
-                        RIn::Const(c) => ClassIn::Const(c.cast(in_dtype).get::<T>()),
-                        RIn::View(reg, g) => {
-                            if *reg == out_reg {
-                                ClassIn::Aliased(g.clone())
-                            } else {
-                                ClassIn::Other(*reg, g.clone())
-                            }
-                        }
-                    }
-                };
-                if instr.op.arity() == 1 {
-                    let f = exec::unary_fn::<T>(instr.op);
-                    let a = self.resolve_class::<T>(&classify(&rins[0]))?;
-                    let out_slice = out_slice_owner.as_mut_slice::<T>().expect("dtype");
-                    exec::exec_unary(out_slice, &out_geom, a, f);
-                } else {
-                    let a = classify(&rins[0]);
-                    let b = classify(&rins[1]);
-                    // Borrow other-register slices before splitting out_buf.
-                    let sa = self.resolve_class::<T>(&a)?;
-                    let sb = self.resolve_class::<T>(&b)?;
-                    let out_slice = out_slice_owner.as_mut_slice::<T>().expect("dtype");
-                    // Direct dispatch: passing the method as a function
-                    // *item* (not pointer) lets each per-op inner loop
-                    // inline — the difference between memory-bound and
-                    // call-bound execution on large arrays.
-                    macro_rules! call_bin {
-                        ($f:expr) => {
-                            exec::exec_binary(out_slice, &out_geom, sa, sb, $f)
-                        };
-                    }
-                    match instr.op {
-                        Opcode::Add => call_bin!(T::vm_add),
-                        Opcode::Subtract => call_bin!(T::vm_sub),
-                        Opcode::Multiply => call_bin!(T::vm_mul),
-                        Opcode::Divide => call_bin!(T::vm_div),
-                        Opcode::Power => call_bin!(T::vm_pow),
-                        Opcode::Mod => call_bin!(T::vm_mod),
-                        Opcode::Maximum => call_bin!(T::vm_max),
-                        Opcode::Minimum => call_bin!(T::vm_min),
-                        Opcode::BitwiseAnd | Opcode::LogicalAnd => call_bin!(T::vm_and),
-                        Opcode::BitwiseOr | Opcode::LogicalOr => call_bin!(T::vm_or),
-                        Opcode::BitwiseXor | Opcode::LogicalXor => call_bin!(T::vm_xor),
-                        Opcode::LeftShift => call_bin!(T::vm_shl),
-                        Opcode::RightShift => call_bin!(T::vm_shr),
-                        other => call_bin!(exec::binary_fn::<T>(other)),
-                    }
-                }
-            });
-        }
-
-        self.bases[out_reg.index()] = Some(out_buf);
+        let mut out = self.take_buffer(out_reg)?;
+        let interpret = Interpret {
+            bases: &self.bases,
+            out: &mut out,
+            ov: &out_geom,
+            out_reg,
+            inputs: &inputs,
+            // A comparison's bool output may alias a bool input: read it
+            // from a copy.
+            copy_own: instr.op.type_rule() == TypeRule::CompareLike,
+        };
+        exec::elementwise(fi.op, fi.in_dtype, fi.out_dtype, interpret);
+        self.bases[out_reg.index()] = Some(out);
         Ok(())
-    }
-
-    fn resolve_class<'a, T: VmElement>(&'a self, c: &ClassIn<T>) -> Result<BinIn<'a, T>, VmError> {
-        Ok(match c {
-            ClassIn::Const(v) => BinIn::Const(*v),
-            ClassIn::Aliased(g) => BinIn::Aliased(g.clone()),
-            ClassIn::Other(reg, g) => {
-                let buf = self.borrow_buffer(*reg)?;
-                let s = trusted(buf.as_slice::<T>(), "buffer dtype matches decl");
-                BinIn::Slice(s, g.clone())
-            }
-        })
-    }
-
-    fn slice_of<'a, T: VmElement>(
-        &'a self,
-        b: &'a BinInOwned<T>,
-    ) -> Result<(SliceOr<'a, T>, ViewGeom), VmError> {
-        Ok(match b {
-            BinInOwned::Const(c) => (SliceOr::Const(*c), ViewGeom::scalar_at(0)),
-            BinInOwned::Owned(v, g) => (SliceOr::Data(v.as_slice()), g.clone()),
-            BinInOwned::Borrowed(reg, g) => {
-                let buf = self.borrow_buffer(*reg)?;
-                let s = trusted(buf.as_slice::<T>(), "buffer dtype matches decl");
-                (SliceOr::Data(s), g.clone())
-            }
-        })
     }
 
     fn take_buffer(&mut self, reg: Reg) -> Result<Buffer, VmError> {
@@ -1315,12 +1024,11 @@ enum StepIn<T> {
     Const(T),
 }
 
-/// Compiled `out[i] = f(a[i], b[i])` over pointer/constant operands.
-fn fused_bin_step<T: VmElement>(
-    out: RawMut<T>,
-    a: StepIn<T>,
-    b: StepIn<T>,
-    f: impl Fn(T, T) -> T + Copy + Send + Sync + 'static,
+/// Compiled `out[k] = f(a[k])`.
+fn step1<I: Element, O: Element>(
+    out: RawMut<O>,
+    a: StepIn<I>,
+    f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
 ) -> FusedStep {
     Box::new(move |lo, hi| {
         let o = out.get();
@@ -1328,43 +1036,6 @@ fn fused_bin_step<T: VmElement>(
         // the group, ranges are in-bounds and disjoint across shards,
         // reads of an element precede its write within a shard.
         unsafe {
-            match (a, b) {
-                (StepIn::Ptr(pa), StepIn::Ptr(pb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
-                    }
-                }
-                (StepIn::Ptr(pa), StepIn::Const(cb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k), cb);
-                    }
-                }
-                (StepIn::Const(ca), StepIn::Ptr(pb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(ca, *pb.get().add(k));
-                    }
-                }
-                (StepIn::Const(ca), StepIn::Const(cb)) => {
-                    let v = f(ca, cb);
-                    for k in lo..hi {
-                        *o.add(k) = v;
-                    }
-                }
-            }
-        }
-    })
-}
-
-/// Compiled `out[i] = f(a[i])`.
-fn fused_un_step<T: VmElement>(
-    out: RawMut<T>,
-    a: StepIn<T>,
-    f: impl Fn(T) -> T + Copy + Send + Sync + 'static,
-) -> FusedStep {
-    Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step`.
-        unsafe {
             match a {
                 StepIn::Ptr(pa) => {
                     for k in lo..hi {
@@ -1382,116 +1053,217 @@ fn fused_un_step<T: VmElement>(
     })
 }
 
-/// Compiled `out[i] = value` (cast identity from a constant).
-fn fused_fill_step<O: Element>(out: RawMut<O>, value: O) -> FusedStep {
-    Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step`.
-        unsafe {
-            for k in lo..hi {
-                *o.add(k) = value;
-            }
-        }
-    })
-}
-
-/// Compiled dtype-converting identity `out[i] = cast(a[i])`.
-fn fused_cast_step<I: Element, O: Element>(out: RawMut<O>, a: RawConst<I>) -> FusedStep {
-    Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step`; different dtypes mean
-        // different registers, so `a` never aliases `out`.
-        unsafe {
-            for k in lo..hi {
-                *o.add(k) = cast_element::<I, O>(*a.get().add(k));
-            }
-        }
-    })
-}
-
-/// Compiled comparison `out[i] = f(a[i], b[i])` with bool output.
-fn fused_cmp_step<T: VmElement>(
-    out: RawMut<bool>,
-    a: StepIn<T>,
-    b: StepIn<T>,
-    f: fn(T, T) -> bool,
+/// Compiled `out[k] = f(a[k], b[k])`; a constant operand is bound into
+/// the function of a [`step1`].
+fn step2<I: Element, O: Element>(
+    out: RawMut<O>,
+    a: StepIn<I>,
+    b: StepIn<I>,
+    f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
 ) -> FusedStep {
-    Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step`; when `T == bool` the
-        // output may alias an input, and each element is read before it
-        // is written.
-        unsafe {
-            match (a, b) {
-                (StepIn::Ptr(pa), StepIn::Ptr(pb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
-                    }
-                }
-                (StepIn::Ptr(pa), StepIn::Const(cb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k), cb);
-                    }
-                }
-                (StepIn::Const(ca), StepIn::Ptr(pb)) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(ca, *pb.get().add(k));
-                    }
-                }
-                (StepIn::Const(ca), StepIn::Const(cb)) => {
-                    let v = f(ca, cb);
-                    for k in lo..hi {
-                        *o.add(k) = v;
-                    }
+    match (a, b) {
+        (StepIn::Const(x), b) => step1(out, b, move |y| f(x, y)),
+        (a, StepIn::Const(y)) => step1(out, a, move |x| f(x, y)),
+        (StepIn::Ptr(pa), StepIn::Ptr(pb)) => Box::new(move |lo, hi| {
+            let o = out.get();
+            // SAFETY: as in `step1`.
+            unsafe {
+                for k in lo..hi {
+                    *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
                 }
             }
-        }
-    })
+        }),
+    }
 }
 
-/// Compiled predicate `out[i] = f(a[i])` with bool output.
-fn fused_pred_step<T: VmElement>(out: RawMut<bool>, a: StepIn<T>, f: fn(T) -> bool) -> FusedStep {
-    Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step`.
-        unsafe {
-            match a {
-                StepIn::Ptr(pa) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k));
-                    }
-                }
-                StepIn::Const(c) => {
-                    let v = f(c);
-                    for k in lo..hi {
-                        *o.add(k) = v;
-                    }
-                }
+/// Compiles one element-wise instruction over `nelem` elements into a
+/// [`FusedStep`] ([`Vm::compile_fused_step`]).
+struct Compile<'a> {
+    vm: &'a mut Vm,
+    fi: &'a FusedInstr,
+    nelem: usize,
+}
+
+impl exec::Kernel for Compile<'_> {
+    type Out = FusedStep;
+
+    fn map1<I: Element, O: Element>(
+        self,
+        f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
+    ) -> FusedStep {
+        let Compile { vm, fi, nelem } = self;
+        let out = vm.raw_mut::<O>(fi.out, fi.out_offset, nelem);
+        step1(out, vm.step_in(&fi.inputs[0], nelem), f)
+    }
+
+    fn map2<I: Element, O: Element>(
+        self,
+        f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
+    ) -> FusedStep {
+        let Compile { vm, fi, nelem } = self;
+        let out = vm.raw_mut::<O>(fi.out, fi.out_offset, nelem);
+        let a = vm.step_in(&fi.inputs[0], nelem);
+        let b = vm.step_in(&fi.inputs[1], nelem);
+        step2(out, a, b, f)
+    }
+}
+
+/// An interpreter operand, resolved and broadcast to the output's shape.
+enum Resolved {
+    View(Reg, ViewGeom),
+    Const(Scalar),
+}
+
+/// Runs one element-wise byte-code on the strided interpreter
+/// ([`Vm::exec_elementwise`]): classifies each operand as an
+/// [`exec::Input`] of the operating dtype and calls the arity's kernel.
+struct Interpret<'a> {
+    /// The register slots; the output's own is empty while it runs.
+    bases: &'a [Option<Buffer>],
+    out: &'a mut Buffer,
+    ov: &'a ViewGeom,
+    out_reg: Reg,
+    inputs: &'a [Resolved],
+    /// Read every view of the output's own base from a copy.
+    copy_own: bool,
+}
+
+impl<'a> Interpret<'a> {
+    fn input<T: Element>(&self, operand: &Resolved) -> Input<'a, T> {
+        match operand {
+            Resolved::Const(c) => Input::Const(c.cast(T::DTYPE).get::<T>()),
+            Resolved::View(reg, g) if *reg == self.out_reg => {
+                let own = trusted(self.out.as_slice::<T>(), "buffer dtype matches decl");
+                Input::own(own, g.clone(), self.ov, self.copy_own)
+            }
+            Resolved::View(reg, g) => {
+                let base = self.bases[reg.index()]
+                    .as_ref()
+                    .and_then(Buffer::as_slice::<T>);
+                let base = trusted(base, "input allocated and dtype matches decl");
+                Input::Other(Cow::Borrowed(base), g.clone())
             }
         }
-    })
+    }
 }
 
-enum ClassIn<T> {
-    Const(T),
-    Aliased(ViewGeom),
-    Other(Reg, ViewGeom),
+impl exec::Kernel for Interpret<'_> {
+    type Out = ();
+
+    fn map1<I: Element, O: Element>(self, f: impl Fn(I) -> O + Copy + Send + Sync + 'static) {
+        let a = self.input::<I>(&self.inputs[0]);
+        let out = self.out.as_mut_slice::<O>().expect("dtype matches decl");
+        exec::map1(out, self.ov, a, f);
+    }
+
+    fn map2<I: Element, O: Element>(self, f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static) {
+        let a = self.input::<I>(&self.inputs[0]);
+        let b = self.input::<I>(&self.inputs[1]);
+        let out = self.out.as_mut_slice::<O>().expect("dtype matches decl");
+        exec::map2(out, self.ov, a, b, f);
+    }
 }
 
-enum BinInOwned<T> {
-    Const(T),
-    Owned(Vec<T>, ViewGeom),
-    Borrowed(Reg, ViewGeom),
+/// A reduction or scan over strided views: the `bh_tensor` lane kernels,
+/// sharded on `executor`. Returns the shard count.
+struct ReduceScan<'a> {
+    executor: &'a dyn RangeExecutor,
+    scan: bool,
+    out: &'a mut Buffer,
+    ov: &'a ViewGeom,
+    input: &'a Buffer,
+    iv: &'a ViewGeom,
+    axis: usize,
 }
 
-enum SliceOr<'a, T> {
-    Const(T),
-    Data(&'a [T]),
+impl exec::Fold for ReduceScan<'_> {
+    type Out = usize;
+
+    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
+        let out = self.out.as_mut_slice::<T>().expect("dtype matches decl");
+        let input = trusted(self.input.as_slice::<T>(), "input is in the work dtype");
+        let (executor, ov, iv, axis) = (self.executor, self.ov, self.iv, self.axis);
+        if self.scan {
+            kernels::par_scan_axis(executor, out, ov, input, iv, axis, f)
+        } else {
+            kernels::par_reduce_axis(executor, out, ov, input, iv, axis, init, f)
+        }
+    }
 }
 
-fn vm_read_view<T: Element>(buf: &Buffer, g: &ViewGeom) -> Vec<T> {
-    let s = trusted(buf.as_slice::<T>(), "buffer dtype matches decl");
-    bh_tensor::kernels::materialize(s, g)
+/// The chain and fold of a fused reduction group
+/// ([`Vm::run_fused_reduce_group`]). Returns the shard count.
+struct FusedReduce<'a> {
+    vm: &'a mut Vm,
+    steps: &'a [FusedStep],
+    input: Reg,
+    out: Reg,
+    out_offset: usize,
+    nelem: usize,
+    block: usize,
+}
+
+impl exec::Fold for FusedReduce<'_> {
+    type Out = usize;
+
+    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
+        let (vm, steps, nelem, block) = (self.vm, self.steps, self.nelem, self.block);
+        let src = vm.raw_const::<T>(self.input, 0, nelem);
+        let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
+        let mut partials = vec![init; nblocks];
+        let pptr = RawMut(partials.as_mut_ptr());
+        let run = |lo: usize, hi: usize| {
+            // `lo` is a multiple of REDUCE_BLOCK (grain contract), so
+            // partial boundaries are the canonical blocks regardless of
+            // sharding; the chain is applied in engine-block-sized chunks
+            // clipped to the canonical block (element-wise, so chunking
+            // cannot change values).
+            let mut cb = lo;
+            while cb < hi {
+                let ce = (cb + kernels::REDUCE_BLOCK).min(hi);
+                let mut b = cb;
+                while b < ce {
+                    let e = (b + block).min(ce);
+                    for step in steps {
+                        step(b, e);
+                    }
+                    b = e;
+                }
+                let mut acc = init;
+                // SAFETY: same invariants as `compile_fused_step` (buffers
+                // un-shared before capture, disjoint shard ranges, program
+                // order within a shard); the fold reads elements the chain
+                // finished writing in this same range. Partial slots are
+                // unique per canonical block.
+                unsafe {
+                    for k in cb..ce {
+                        acc = f(acc, *src.get().add(k));
+                    }
+                    *pptr.get().add(cb / kernels::REDUCE_BLOCK) = acc;
+                }
+                cb = ce;
+            }
+        };
+        let shards = match vm.workers.clone() {
+            Some(pool) if pool.threads() > 1 && nelem >= vm.par_threshold => {
+                pool.run_ranges(nelem, kernels::REDUCE_BLOCK, &run)
+            }
+            _ => {
+                run(0, nelem);
+                1
+            }
+        };
+        // Fixed-order combine: block order, never arrival order.
+        let total = partials.into_iter().fold(init, f);
+        let slot = vm.bases[self.out.index()].as_mut();
+        let out = trusted(
+            slot.and_then(Buffer::as_mut_slice::<T>),
+            "allocated, dtype matches decl",
+        );
+        assert!(self.out_offset < out.len(), "view escapes buffer");
+        out[self.out_offset] = total;
+        shards
+    }
 }
 
 /// Unwrap an `Option` the verifier proved is `Some`.
@@ -1549,10 +1321,6 @@ fn matmul_dims(a: &Shape, b: &Shape) -> (usize, usize, usize) {
     (m, k, n)
 }
 
-fn cast_element<I: Element, O: Element>(x: I) -> O {
-    O::from_f64(x.to_f64())
-}
-
 /// Write an owned tensor's elements into a view of a buffer.
 fn write_tensor_into_view(buffer: &mut Buffer, geom: &ViewGeom, data: &Tensor) {
     debug_assert_eq!(geom.nelem(), data.nelem(), "view/tensor size mismatch");
@@ -1582,6 +1350,13 @@ mod tests {
     use super::*;
     use crate::VmPool;
     use bh_ir::parse_program;
+
+    impl Vm {
+        /// Bytes held in the stash.
+        fn stash_bytes(&self) -> usize {
+            self.stash.bytes()
+        }
+    }
 
     /// `y = x·x + 1` over 64 elements: `y` is VM-allocated, `x` bound.
     fn square_plus_one() -> Program {

@@ -72,17 +72,18 @@ impl Stash {
         self.free.clear();
         self.bytes = 0;
     }
-
-    /// Bytes held.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Stash {
+        /// Bytes held.
+        pub(crate) fn bytes(&self) -> usize {
+            self.bytes
+        }
+    }
 
     #[test]
     fn takes_only_exact_shapes_within_the_limit() {

@@ -75,9 +75,14 @@ fn arb_operand() -> impl Strategy<Value = i64> {
     ]
 }
 
-/// Execute `a ⊕ b` on the actual byte-code VM in `dtype` arithmetic and
-/// return the resulting element.
-fn vm_eval(op: Opcode, a: i64, b: i64, dtype: DType, threads: usize) -> Scalar {
+/// Both element-wise paths: the naive engine runs every byte-code on the
+/// strided interpreter, while on the fusing engine `BH_IDENTITY x a` and
+/// the op fuse into one compiled group.
+const ENGINES: [Engine; 2] = [Engine::Naive, Engine::Fusing { block: 2 }];
+
+/// Execute `a ⊕ b` on the actual byte-code VM's `engine` in `dtype`
+/// arithmetic and return the resulting element.
+fn vm_eval(engine: Engine, op: Opcode, a: i64, b: i64, dtype: DType, threads: usize) -> Scalar {
     // `BH_IDENTITY x a` materialises the left operand in-dtype; the op
     // then runs with the right operand as an immediate constant — the
     // exact shape constant merging rewrites.
@@ -86,7 +91,7 @@ fn vm_eval(op: Opcode, a: i64, b: i64, dtype: DType, threads: usize) -> Scalar {
         op.name()
     );
     let program = parse_program(&text).expect("generated program parses");
-    let mut vm = Vm::with_engine(Engine::Fusing { block: 2 });
+    let mut vm = Vm::with_engine(engine);
     if threads > 1 {
         vm.set_threads(threads).set_par_threshold(1);
     }
@@ -101,8 +106,9 @@ fn vm_eval(op: Opcode, a: i64, b: i64, dtype: DType, threads: usize) -> Scalar {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // `const_eval(op, a, b, dtype)` must equal the VM-executed op for
-    // every foldable opcode × integer dtype (exact, bit-for-bit).
+    // `const_eval(op, a, b, dtype)` must equal the VM-executed op on both
+    // element-wise paths for every foldable opcode × integer dtype (exact,
+    // bit-for-bit).
     #[test]
     fn const_eval_matches_vm(
         op in arb_op(),
@@ -112,13 +118,15 @@ proptest! {
     ) {
         let folded = const_eval(op, Scalar::I64(a), Scalar::I64(b), dtype)
             .expect("integer branch handles every op in INT_FOLDABLE");
-        let executed = vm_eval(op, a, b, dtype, test_threads());
-        prop_assert_eq!(
-            folded,
-            executed,
-            "{} {} {} in {}: folder {:?} != VM {:?}",
-            a, op.name(), b, dtype, folded, executed
-        );
+        for engine in ENGINES {
+            let executed = vm_eval(engine, op, a, b, dtype, test_threads());
+            prop_assert_eq!(
+                folded,
+                executed,
+                "{} {} {} in {} on {:?}: folder {:?} != VM {:?}",
+                a, op.name(), b, dtype, engine, folded, executed
+            );
+        }
     }
 }
 
@@ -140,12 +148,14 @@ fn const_eval_matches_vm_on_known_regressions() {
     ];
     for (op, a, b, dtype) in cases {
         let folded = const_eval(op, Scalar::I64(a), Scalar::I64(b), dtype).unwrap();
-        let executed = vm_eval(op, a, b, dtype, threads);
-        assert_eq!(
-            folded,
-            executed,
-            "{a} {} {b} in {dtype}: folder {folded:?} != VM {executed:?}",
-            op.name()
-        );
+        for engine in ENGINES {
+            let executed = vm_eval(engine, op, a, b, dtype, threads);
+            assert_eq!(
+                folded,
+                executed,
+                "{a} {} {b} in {dtype} on {engine:?}: folder {folded:?} != VM {executed:?}",
+                op.name()
+            );
+        }
     }
 }
