@@ -9,17 +9,21 @@
 //! byte-for-byte against `tests/golden/opt/<case>.txt`.
 //!
 //! The corpus: the five `compile_churn` templates at two lengths, the
-//! `paper_rewrites` listings, the `wire_hot_small` program shape, and the
-//! inputs of the rule unit tests (sliced views, strict math, observe-all,
-//! bool-XOR and u8-wrap folds included).
+//! `paper_rewrites` listings, the `wire_hot_small` program shape,
+//! `kernel_stream`'s two chains through temporaries, what `bh-frontend`
+//! records for Listing 1 and three nested expressions, and the inputs of
+//! the rule unit tests (sliced views, strict math, observe-all, bool-XOR
+//! and u8-wrap folds included).
 //!
 //! The goldens were blessed from the commit *before* the rule sweeps were
 //! made linear-time; a change that re-blesses them changes plans and must
 //! say so. Regenerate deliberately with
 //! `BLESS_GOLDEN=1 cargo test --test opt_golden`.
 
-use bohrium_repro::ir::{parse_program, PrintStyle};
+use bohrium_repro::frontend::{BhArray, Context};
+use bohrium_repro::ir::{parse_program, Instruction, Opcode, PrintStyle, ViewRef};
 use bohrium_repro::opt::{OptLevel, OptOptions, Optimizer};
+use bohrium_repro::tensor::{DType, Scalar, Shape, Tensor};
 use bohrium_repro::testing::Audited;
 use std::fmt::Write;
 use std::path::PathBuf;
@@ -238,6 +242,83 @@ fn wire_small(rng: &mut Rng) -> String {
     }
     t.op("BH_SYNC a");
     t.out
+}
+
+/// `kernel_stream`'s `chain16`: 16 ops through alternating temporaries,
+/// ×1.5/×0.5 and +¼k. With `reduce` it is `chain_reduce16`, whose result
+/// is summed.
+fn kernel_chain16(rng: &mut Rng, reduce: bool) -> String {
+    let mut t = Text::new(".base x f64[64] input\n.base t0 f64[64]\n.base t1 f64[64]\n");
+    let mut src = "x";
+    for i in 0..16 {
+        let dst = ["t0", "t1"][i % 2];
+        if i % 2 == 0 {
+            let c = if i % 4 == 0 { "1.5" } else { "0.5" };
+            t.op(&format!("BH_MULTIPLY {dst} {src} {c}"));
+        } else {
+            let c = 0.25 * (1 + rng.below(8)) as f64;
+            t.op(&format!("BH_ADD {dst} {src} {c}"));
+        }
+        src = dst;
+    }
+    if reduce {
+        t.out
+            .insert_str(t.out.find("BH_").unwrap(), ".base s f64[]\n");
+        t.op(&format!("BH_ADD_REDUCE s {src} 0"));
+        t.op("BH_SYNC s");
+    } else {
+        t.op(&format!("BH_SYNC {src}"));
+    }
+    t.out
+}
+
+/// What `bh-frontend` records for the array `build` returns, with the
+/// `BH_SYNC` that evaluating it appends.
+fn frontend_recording(build: impl FnOnce(&Context) -> BhArray) -> String {
+    let ctx = Context::new();
+    let result = build(&ctx);
+    let mut program = parse_program(&ctx.recorded_text(PrintStyle::FULL)).unwrap();
+    program.push(Instruction::sync(ViewRef::full(result.reg())));
+    program.to_text(PrintStyle::FULL)
+}
+
+/// Listing 1 and three nested expressions, as `bh-frontend` records them:
+/// every `x ⊕ c` into a fresh register, freed when its handle drops.
+fn frontend_cases(out: &mut Vec<(String, String)>) {
+    let f64_input = |ctx: &Context| ctx.array(Tensor::from_vec(vec![0.25f64; 64]));
+    out.push((
+        "frontend_listing1".into(),
+        frontend_recording(|ctx| {
+            let mut a = ctx.zeros(DType::Float64, Shape::vector(10));
+            a += 1.0;
+            a += 1.0;
+            a += 1.0;
+            a
+        }),
+    ));
+    out.push((
+        "frontend_nested_f64".into(),
+        frontend_recording(|ctx| {
+            let x = f64_input(ctx);
+            (&x * 1.5 + 0.25) * 0.5 + 0.75
+        }),
+    ));
+    out.push((
+        "frontend_nested_i64".into(),
+        frontend_recording(|ctx| {
+            let x = ctx.array(Tensor::from_vec(vec![7i64; 64]));
+            (&x * 3i64 + 1i64) * 2i64 - 5i64
+        }),
+    ));
+    out.push((
+        "frontend_nested_through_maximum".into(),
+        frontend_recording(|ctx| {
+            let x = f64_input(ctx);
+            let m =
+                ((&x * 1.5 + 0.25) * 2.0 + 1.0).binary_scalar(Opcode::Maximum, Scalar::F64(0.0));
+            (m * 0.5 + 0.25) * 4.0 - 3.0
+        }),
+    ));
 }
 
 /// The inputs of the rule unit tests in `crates/core/src/rules/` and
@@ -612,6 +693,12 @@ fn corpus() -> Vec<(String, String)> {
     }
     paper_cases(&mut rng, &mut out);
     out.push(("wire_hot_small".into(), wire_small(&mut rng)));
+    out.push(("kernel_chain16".into(), kernel_chain16(&mut rng, false)));
+    out.push((
+        "kernel_chain_reduce16".into(),
+        kernel_chain16(&mut rng, true),
+    ));
+    frontend_cases(&mut out);
     // Listing 4: x^10 as nine multiplies.
     let mut listing4 = String::from("BH_IDENTITY a0 [0:100:1] 2\nBH_MULTIPLY a1 [0:100:1] a0 a0\n");
     for _ in 0..8 {
