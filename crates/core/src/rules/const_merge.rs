@@ -11,8 +11,8 @@
 //! op-code with a constant operand (`x·c₁·c₂ → x·(c₁c₂)`, min/max chains,
 //! bitwise chains), plus the `Subtract`/`Divide` right-constant chains
 //! (`(x−c₁)−c₂ → x−(c₁+c₂)`), and to *affine runs*: adds, subtracts of a
-//! constant, multiplies and float divides by ±2ᵏ on one register, in any
-//! order, compute `α·x + β` and fold to at most `r = x·α; r = r + β`.
+//! constant, multiplies and float divides by ±2ᵏ, in any order, compute
+//! `α·x + β` and fold to at most `r = x·α; r = r + β`.
 //!
 //! ```text
 //! BH_MULTIPLY a x 2
@@ -20,10 +20,27 @@
 //! BH_DIVIDE a a 4   ⇒   BH_ADD a a 1.75
 //! BH_ADD a a 1
 //! ```
+//!
+//! A chain need not stay in one register. A link may read a *temporary*:
+//! a full view of another register of the same dtype, not an input, whose
+//! value the link alone reads and which is dead after it — freed, wholly
+//! overwritten before any other read, or never synced. That is how a front
+//! end records a nested expression, and the chain folds into its last
+//! register; the temporaries are never written.
+//!
+//! ```text
+//! BH_MULTIPLY a1 x 1.5
+//! BH_ADD a2 a1 0.25          BH_MULTIPLY a4 x 0.75
+//! BH_FREE a1                 BH_FREE a1
+//! BH_MULTIPLY a3 a2 0.5  ⇒   BH_FREE a2
+//! BH_FREE a2                 BH_ADD a4 a4 0.875
+//! BH_ADD a4 a3 0.75          BH_FREE a3
+//! BH_FREE a3
+//! ```
 
 use crate::fold::const_eval;
-use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
-use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, ViewRef};
+use crate::rule::{reassoc_allowed, LiveAtExit, RewriteCtx, RewriteRule};
+use bh_ir::{Instruction, Liveness, OpKind, Opcode, Operand, Program, Reg, ViewRef};
 use bh_tensor::{DType, Scalar};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -35,25 +52,25 @@ pub struct ConstantMerge;
 /// What the pass knows about the program as it stands after the merges
 /// made so far. The per-register entries describe the scanned prefix;
 /// the per-instruction entries are filled when the scan reaches an
-/// instruction and kept current by [`Chains::merged`], so a position
-/// behind the scan can be judged again with the same facts the scan had.
+/// instruction and kept current as links merge, so a position behind the
+/// scan can be judged again with the same facts the scan had.
 ///
-/// For `j: r = r ⊕ c₂` the candidate is `i = prev_def[j]`, the nearest
-/// live write of `r` before it (for a fold of three, also
-/// `p = prev_def[i]`, see [`fold3`]). That definition is *open* to `j`
-/// exactly while
+/// A chain link `j: y = s ⊕ c` continues `i = src_reach[j]`, the live
+/// write of `s` its read sees ([`Chains::pred`]). That value is *open* to
+/// `j` exactly while
 ///
-/// * nothing reads `r` strictly between them (`read_since_def[j]`) — a
-///   read in between observes the intermediate value. No merge moves a
-///   read into or out of such an interval, so this is decided once;
-/// * nothing writes `r` between them, which holds by construction: the
-///   live writes of a register form a chain and `i` is `j`'s predecessor;
+/// * nothing else observes it: in place (`s` is `y`) nothing reads `y`
+///   strictly between `i` and `j` (`read_since_def[j]`); through a
+///   temporary, `j` is its only reader and it is dead after `j`
+///   (`sole_use[j]`). No merge moves a read into such an interval, so
+///   this is decided once, and kept as links merge;
 /// * no live write of `i`'s source register lies between them — the
 ///   merged instruction reads the source at `j`, later than `i` did. The
 ///   first live write of the source after `i` is the successor of the
 ///   write that reached `i` (`src_reach[i]`), so this is one lookup. It
 ///   is the only condition a later merge can lift, by absorbing that
-///   write forward past `j`.
+///   write forward past `j`. A `BH_FREE` counts as a write: freed storage
+///   reads back as zeros.
 struct Chains {
     regs: Vec<RegTrail>,
     instrs: Vec<Link>,
@@ -81,19 +98,44 @@ struct Link {
     /// The live write of its first view input's register that reaches it
     /// (`None`: the register's initial value does).
     src_reach: Option<usize>,
+    /// Is it the only reader of the value `src_reach` wrote, which is dead
+    /// after it? (Only an instruction that overwrites the whole register
+    /// in place, or one whose source is no input and not live after it,
+    /// can be.)
+    sole_use: bool,
+    /// Does nothing read what it writes? Dead-code elimination deletes
+    /// such a write, so merging into it would be wasted.
+    dead_store: bool,
 }
 
 impl Chains {
-    fn new(n_regs: usize, n_instrs: usize) -> Chains {
+    /// Facts about `program` before the scan: which writes are dead, and
+    /// `sole_use` as "the source register is dead after the instruction".
+    fn new(program: &Program, ctx: &RewriteCtx) -> Chains {
+        let n_regs = program.bases().len();
+        let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
+            LiveAtExit::SyncedOnly => Vec::new(),
+            LiveAtExit::AllRegisters => (0..n_regs as u32).map(Reg).collect(),
+        };
+        let mut live = Liveness::at_exit(program, &live_at_exit);
+        let mut instrs = vec![Link::default(); program.instrs().len()];
+        for (link, instr) in instrs.iter_mut().zip(program.instrs()).rev() {
+            link.dead_store = !live.write_is_live(instr);
+            if let Some(s) = instr.input_regs().next() {
+                link.sole_use = !live.is_live(s);
+            }
+            live.step_back(program, instr);
+        }
         Chains {
             regs: vec![RegTrail::default(); n_regs],
-            instrs: vec![Link::default(); n_instrs],
+            instrs,
         }
     }
 
     /// Advance the scan over the instruction at `idx`.
-    fn scan(&mut self, idx: usize, instr: &Instruction) {
-        let out = instr.out_reg();
+    fn scan(&mut self, program: &Program, idx: usize) {
+        let instr = &program.instrs()[idx];
+        let out = def_reg(instr);
         if let Some(r) = out {
             let trail = &self.regs[r.index()];
             let prev = trail.last_def;
@@ -102,7 +144,15 @@ impl Chains {
             self.link(r, prev, idx);
         }
         if let Some(s) = instr.input_regs().next() {
-            self.instrs[idx].src_reach = self.regs[s.index()].last_def;
+            let trail = &self.regs[s.index()];
+            let overwrites =
+                out == Some(s) && instr.out_view().is_some_and(|v| program.is_full_view(v));
+            let link = &mut self.instrs[idx];
+            link.src_reach = trail.last_def;
+            link.sole_use = trail.last_def.is_some()
+                && trail.last_read <= trail.last_def
+                && !program.base(s).is_input
+                && (overwrites || link.sole_use);
         }
         for r in instr.input_regs() {
             self.regs[r.index()].last_read = Some(idx);
@@ -120,6 +170,29 @@ impl Chains {
         }
     }
 
+    /// `k` no longer writes `s`: the live writes around it become
+    /// neighbours, and whatever read `s` between them still counts.
+    fn unlink(&mut self, s: Reg, k: usize, still_reads: bool) {
+        let Link {
+            prev_def,
+            next_def,
+            read_since_def,
+            ..
+        } = self.instrs[k];
+        match next_def {
+            Some(n) => {
+                let next = &mut self.instrs[n];
+                next.prev_def = prev_def;
+                next.read_since_def |= read_since_def || still_reads;
+            }
+            None => self.regs[s.index()].last_def = prev_def,
+        }
+        match prev_def {
+            Some(p) => self.instrs[p].next_def = next_def,
+            None => self.regs[s.index()].first_def = next_def,
+        }
+    }
+
     /// First live write of `reg` after `i`, which reads it.
     fn next_write_of_source(&self, reg: Reg, i: usize) -> Option<usize> {
         match self.instrs[i].src_reach {
@@ -128,17 +201,109 @@ impl Chains {
         }
     }
 
-    /// `j` absorbed `i`, the write of `r` before it: `i` leaves the chain
-    /// and `j` takes over what was known of it — what lies before it, and
-    /// its read of `src`, which no write separates from `j`.
-    fn merged(&mut self, r: Reg, src: Reg, i: usize, j: usize) {
-        self.instrs[j] = Link {
-            next_def: self.instrs[j].next_def,
-            ..self.instrs[i]
+    /// The write whose value the chain link `k: out = src ⊕ c` continues,
+    /// when that value is open to it (see [`Chains`]): read in place, or
+    /// through a temporary — a full view of a register of `out`'s dtype.
+    fn pred(&self, program: &Program, k: usize, out: &ViewRef, src: &ViewRef) -> Option<usize> {
+        let link = &self.instrs[k];
+        let open = if program.same_elements(src, out) {
+            !link.read_since_def
+        } else {
+            src.reg != out.reg
+                && link.sole_use
+                && program.is_full_view(src)
+                && program.base(src.reg).dtype == program.base(out.reg).dtype
         };
-        self.link(r, self.instrs[j].prev_def, j);
-        let read = &mut self.regs[src.index()].last_read;
+        if open {
+            link.src_reach
+        } else {
+            None
+        }
+    }
+
+    /// `j`, writing `r`, absorbed `i`, the link before it that wrote `s`,
+    /// and now reads `src`, what `i` read. In place (`s` is `r`) `j` takes
+    /// over what was known of `i` — what lies before it, and its read of
+    /// `src`, which no write separates from `j`. Through a temporary, `i`
+    /// leaves `s`'s chain and `j` takes over its read of `src`: `i`'s
+    /// source value now has `j` as its only reader if it had `i`, unless
+    /// `i` itself was what made it dead.
+    fn merged(&mut self, r: Reg, s: Reg, src: Reg, i: usize, j: usize) {
+        let from = self.instrs[i];
+        if s == r {
+            self.instrs[j] = Link {
+                next_def: self.instrs[j].next_def,
+                ..from
+            };
+            self.link(r, from.prev_def, j);
+        } else {
+            self.unlink(s, i, false);
+            let link = &mut self.instrs[j];
+            link.sole_use = from.sole_use && (src != s || link.sole_use);
+            link.src_reach = from.src_reach;
+            if src == r {
+                // `j` now updates `r` in place; `i` was the only reader
+                // of the value it updates, if it was that value's only one.
+                link.read_since_def &= !from.sole_use;
+            }
+        }
+        self.read_at(src, j);
+    }
+
+    /// The link `p`, which wrote `s`, now writes `j`'s register `y`, and
+    /// `j` updates `y` in place; nothing touched `y` between them.
+    fn retargeted(&mut self, y: Reg, s: Reg, p: usize, j: usize, p_reads_s: bool) {
+        self.unlink(s, p, p_reads_s);
+        let before = self.instrs[j].prev_def;
+        self.link(y, before, p);
+        let link = &mut self.instrs[p];
+        link.prev_def = before;
+        link.next_def = Some(j);
+        link.read_since_def = false;
+        self.continues_in_place(y, p, j);
+    }
+
+    /// `j` now updates `y` in place, right after `p` wrote it.
+    fn continues_in_place(&mut self, y: Reg, p: usize, j: usize) {
+        let link = &mut self.instrs[j];
+        link.prev_def = Some(p);
+        link.read_since_def = false;
+        link.src_reach = Some(p);
+        link.sole_use = true;
+        self.read_at(y, j);
+    }
+
+    fn read_at(&mut self, reg: Reg, j: usize) {
+        let read = &mut self.regs[reg.index()].last_read;
         *read = (*read).max(Some(j));
+    }
+
+    /// Whether `p` may write `y` for the fold at `j`: no live write of `y`
+    /// lies between them but `q`'s, and — unless `p` already writes `y` —
+    /// nothing reads `y` there. (When `p` writes `y`, only `q`, which the
+    /// fold drops, reads it: the links are open.)
+    fn clear_for(&self, p_writes_y: bool, p: usize, q: usize, j: usize) -> bool {
+        let (before, read) = match self.instrs[j].prev_def {
+            Some(d) if d == q => (
+                self.instrs[q].prev_def,
+                self.instrs[q].read_since_def || self.instrs[j].read_since_def,
+            ),
+            d => (d, self.instrs[j].read_since_def),
+        };
+        if p_writes_y {
+            before == Some(p)
+        } else {
+            before < Some(p) && !read
+        }
+    }
+}
+
+/// The register whose value the instruction replaces: its output, or the
+/// target of a `BH_FREE`.
+fn def_reg(instr: &Instruction) -> Option<Reg> {
+    match instr.op {
+        Opcode::Free => instr.input_regs().next(),
+        _ => instr.out_reg(),
     }
 }
 
@@ -156,11 +321,11 @@ enum Affine {
 /// What judging a position found, when the instruction and the
 /// definitions before it match at all.
 enum Attempt {
-    /// Fold the definition at this index, `r = src ⊕ …`, into the
-    /// position, which becomes `r = src ⊕ c` with this op-code.
+    /// Fold the link at this index, `s = src ⊕ …`, into the position,
+    /// which becomes `r = src ⊕ c` with this op-code.
     Merge(usize, Opcode, Scalar, ViewRef),
-    /// The definitions `p` and `q` before the position are, with it, a
-    /// scale between two shifts or a shift between two scales: `p` becomes
+    /// The links `p` and `q` before the position are, with it, a scale
+    /// between two shifts or a shift between two scales: `p` becomes
     /// `r = src·alpha`, `q` is dropped and the position `r = r + beta`.
     Fold3 {
         p: usize,
@@ -180,7 +345,7 @@ impl RewriteRule for ConstantMerge {
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
         let n = program.instrs().len();
-        let mut chains = Chains::new(program.bases().len(), n);
+        let mut chains = Chains::new(program, ctx);
         // Positions behind the scan to judge again, and the blocked ones
         // keyed by the write that blocks them. The merge performed is
         // always the one at the smallest position that has one — the order
@@ -193,7 +358,7 @@ impl RewriteRule for ConstantMerge {
             let j = match retry.pop() {
                 Some(Reverse(j)) => j,
                 None if scanned < n => {
-                    chains.scan(scanned, &program.instrs()[scanned]);
+                    chains.scan(program, scanned);
                     scanned += 1;
                     scanned - 1
                 }
@@ -202,47 +367,71 @@ impl RewriteRule for ConstantMerge {
             let Some(attempt) = try_merge_at(program, &chains, ctx, j) else {
                 continue;
             };
-            let r = program.instrs()[j]
-                .out_reg()
+            let out = program.instrs()[j]
+                .out_view()
+                .cloned()
                 .expect("binary ops have outputs");
+            let r = out.reg;
+            let written = |program: &Program, k: usize| {
+                program.instrs()[k].out_reg().expect("links have outputs")
+            };
+            // A write of a register that no longer happens: whatever it
+            // blocked is open again or blocked by a later write.
+            let mut reopen = |k: usize, retry: &mut BinaryHeap<_>| {
+                if !blocked_by.is_empty() {
+                    retry.extend(blocked_by.remove(&k).into_iter().flatten().map(Reverse));
+                }
+            };
             let dropped = match attempt {
                 Attempt::Blocked(write) => {
                     blocked_by.entry(write).or_default().push(j);
                     continue;
                 }
-                // i: r = src ⊕ c1   (dropped)
-                // j: r = r ⊕ c2     (becomes r = src ⊕ merged)
+                // i: s = src ⊕ c1   (dropped)
+                // j: r = s ⊕ c2     (becomes r = src ⊕ merged)
                 Attempt::Merge(i, op, merged, src) => {
-                    chains.merged(r, src.reg, i, j);
+                    chains.merged(r, written(program, i), src.reg, i, j);
                     rewrite(&mut program.instrs_mut()[j], op, Some(src), merged);
+                    // p: t = x ⊕ c0     (becomes r = x ⊕ c0)
+                    // j: r = t ⊕ c      (becomes r = r ⊕ c)
+                    if let Some(p) = retarget_at(program, &chains, j) {
+                        let s = written(program, p);
+                        let p_reads_s = program.instrs()[p].reads(s);
+                        chains.retargeted(r, s, p, j, p_reads_s);
+                        program.instrs_mut()[p].operands[0] = Operand::View(out.clone());
+                        set_source(&mut program.instrs_mut()[j], out.clone());
+                        reopen(p, &mut retry);
+                    }
                     i
                 }
-                // p: r = src ⊕ c1   (becomes r = src·alpha)
-                // q: r = r ⊕ c2     (dropped)
-                // j: r = r ⊕ c3     (becomes r = r + beta)
+                // p: s = src ⊕ c1   (becomes r = src·alpha)
+                // q: t = s ⊕ c2     (dropped)
+                // j: r = t ⊕ c3     (becomes r = r + beta)
                 Attempt::Fold3 { p, q, alpha, beta } => {
-                    chains.merged(r, r, q, j);
+                    let (s, t) = (written(program, p), written(program, q));
+                    let p_reads_s = program.instrs()[p].reads(s);
+                    let in_place = program.instrs()[j].reads(r);
+                    chains.unlink(t, q, false);
+                    if s == r {
+                        chains.continues_in_place(r, p, j);
+                    } else {
+                        chains.retargeted(r, s, p, j, p_reads_s);
+                        program.instrs_mut()[p].operands[0] = Operand::View(out.clone());
+                        reopen(p, &mut retry);
+                    }
                     rewrite(&mut program.instrs_mut()[p], Opcode::Multiply, None, alpha);
-                    rewrite(&mut program.instrs_mut()[j], Opcode::Add, None, beta);
+                    let src = (!in_place).then(|| out.clone());
+                    rewrite(&mut program.instrs_mut()[j], Opcode::Add, src, beta);
                     retry.push(Reverse(p));
                     q
                 }
             };
             program.instrs_mut()[dropped] = Instruction::noop();
             applied += 1;
-            // The write at `dropped` is gone: whatever it blocked is open
-            // again or blocked by a later write, `j` now faces the
-            // definition before it, and a scanned successor of `j` faces a
-            // changed instruction.
-            if !blocked_by.is_empty() {
-                retry.extend(
-                    blocked_by
-                        .remove(&dropped)
-                        .into_iter()
-                        .flatten()
-                        .map(Reverse),
-                );
-            }
+            // The write at `dropped` is gone, `j` now faces the link
+            // before it, and a scanned successor of `j` faces a changed
+            // instruction.
+            reopen(dropped, &mut retry);
             retry.push(Reverse(j));
             if let Some(next) = chains.instrs[j].next_def.filter(|&k| k < scanned) {
                 retry.push(Reverse(next));
@@ -255,40 +444,42 @@ impl RewriteRule for ConstantMerge {
 /// Make a matched `r = v ⊕ c` compute `op` with the constant `c`, reading
 /// `src` instead of `v` when one is given.
 fn rewrite(instr: &mut Instruction, op: Opcode, src: Option<ViewRef>, c: Scalar) {
+    if let Some(src) = src {
+        set_source(instr, src);
+    }
     let const_pos = 1 + instr
         .sole_const_input()
         .expect("matched pattern has a constant")
         .0;
-    if let Some(src) = src {
-        let view_pos = if const_pos == 1 { 2 } else { 1 };
-        instr.operands[view_pos] = Operand::View(src);
-    }
     instr.op = op;
     instr.operands[const_pos] = Operand::Const(c);
 }
 
+/// Make a matched `r = v ⊕ c` read `src` instead of `v`.
+fn set_source(instr: &mut Instruction, src: ViewRef) {
+    let const_pos = instr
+        .sole_const_input()
+        .expect("matched pattern has a constant")
+        .0;
+    instr.operands[if const_pos == 0 { 2 } else { 1 }] = Operand::View(src);
+}
+
 /// Judge whether the instruction at `j` can absorb the constant of the
-/// live definition of its register before it, or of the two before it.
-/// `None` is final unless one of those definitions changes.
+/// link before it, or of the two before it. `None` is final unless one of
+/// those links changes.
 fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) -> Option<Attempt> {
     let instrs = program.instrs();
     let b = &instrs[j];
     let out_b = b.out_view()?;
+    let (cb, src_b) = chain_link(program, b, out_b)?;
     let dtype = program.base(out_b.reg).dtype;
-    // The instruction reads the view it writes (r = r ⊕ c), anchoring the
-    // chain on register r.
-    let cb = in_place_const(program, b)?;
-    if !reassoc_allowed(ctx, dtype) {
+    if !reassoc_allowed(ctx, dtype) || chains.instrs[j].dead_store {
         return None;
     }
-    // Nearest earlier definition of r; nothing may observe r strictly
-    // between it and j.
-    let i = chains.instrs[j].prev_def?;
-    if chains.instrs[j].read_since_def {
-        return None;
-    }
+    // The link whose value j continues; nothing else may observe it.
+    let i = chains.pred(program, j, out_b, src_b)?;
     let a = &instrs[i];
-    let (ca, src) = chain_link(program, a, out_b)?;
+    let (ca, src) = chain_link(program, a, src_b)?;
     let (op, merged) = if a.op == b.op {
         // Same op-code: for Add/Mul chains the constants combine with the
         // same op; for Subtract/Divide right-chains they combine with
@@ -309,50 +500,52 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
             (Affine::Scale(x), Affine::Scale(y)) => {
                 (Opcode::Multiply, const_eval(Opcode::Multiply, x, y, dtype)?)
             }
-            // A shift and a scale: `i` must read r in place too.
-            (mid, last) if program.same_elements(src, out_b) => {
-                return fold3(program, chains, i, out_b, mid, last, dtype)
-            }
-            _ => return None,
+            // A shift and a scale: fold with the link before i.
+            (mid, last) => return fold3(program, chains, i, src, j, mid, last, dtype),
         }
     };
-    // The source operand of i must not be redefined in between. (When it
-    // is r itself, i and j are neighbours in r's chain.)
-    if src.reg != out_b.reg {
+    // The source operand of i must not be redefined in between. (When i
+    // reads the register it writes, nothing but i wrote it since.)
+    if src.reg != src_b.reg {
         if let Some(write) = chains.next_write_of_source(src.reg, i) {
             if write < j {
                 return Some(Attempt::Blocked(write));
             }
         }
+        // Through a temporary, j would read a view of the register it
+        // writes that is not the one it writes.
+        if src.reg == out_b.reg && !program.same_elements(src, out_b) {
+            return None;
+        }
     }
     Some(Attempt::Merge(i, op, merged, src.clone()))
 }
 
-/// `q`, the definition before the judged position, and that position are
-/// a shift and a scale, in either order, both `out = out ⊕ c`. With the
-/// definition `p` before `q` they fold to a scale and a shift when the
-/// three alternate:
+/// `q: t = src ⊕ c`, the link before the judged position `j`, and `j` are a
+/// shift and a scale, in either order. With the link `p` before `q` they
+/// fold to a scale and a shift when the three alternate:
 ///
 /// * `p: ·α, q: +β, ·γ` → `p: ·αγ, +βγ`,
 /// * `p: +β, q: ·γ, +δ` → `p: ·γ, +(βγ + δ)`.
 ///
 /// `p` keeps its source and its place, so no write of that source can
-/// lie in between; `q` and the judged position only read r.
+/// lie in between; it now writes `j`'s register, so nothing else may touch
+/// that register between `p` and `j`.
+#[allow(clippy::too_many_arguments)]
 fn fold3(
     program: &Program,
     chains: &Chains,
     q: usize,
-    out: &ViewRef,
+    src: &ViewRef,
+    j: usize,
     mid: Affine,
     last: Affine,
     dtype: DType,
 ) -> Option<Attempt> {
-    if chains.instrs[q].read_since_def {
-        return None;
-    }
-    let p = chains.instrs[q].prev_def?;
-    let (p_const, _) = chain_link(program, &program.instrs()[p], out)?;
-    let first = affine(program.instrs()[p].op, p_const, dtype)?;
+    let instrs = program.instrs();
+    let p = chains.pred(program, q, instrs[q].out_view()?, src)?;
+    let (p_const, _) = chain_link(program, &instrs[p], src)?;
+    let first = affine(instrs[p].op, p_const, dtype)?;
     let mul = |x, y| const_eval(Opcode::Multiply, x, y, dtype);
     let (alpha, beta) = match (first, mid, last) {
         (Affine::Scale(a), Affine::Shift(b), Affine::Scale(c)) => (mul(a, c)?, mul(b, c)?),
@@ -361,20 +554,25 @@ fn fold3(
         }
         _ => return None,
     };
-    yields_one_term(program, chains, p, first, dtype).then_some(Attempt::Fold3 {
-        p,
-        q,
-        alpha,
-        beta,
-    })
+    let p_writes_y = instrs[p].out_reg() == instrs[j].out_reg();
+    (chains.clear_for(p_writes_y, p, q, j) && yields_one_term(program, chains, p, first, dtype))
+        .then_some(Attempt::Fold3 { p, q, alpha, beta })
 }
 
-/// The constant input of `instr` when it is `r = r ⊕ c` on one view, with
-/// a chainable op-code.
-fn in_place_const(program: &Program, instr: &Instruction) -> Option<Scalar> {
-    let out = instr.out_view()?;
-    let (c, src) = chain_link(program, instr, out)?;
-    program.same_elements(src, out).then_some(c)
+/// After a merge, `j: r = t ⊕ c` may read a temporary `t` that the link
+/// `p` wrote, with nothing touching `r` between them: `p` can write `r`
+/// itself and `j` update it in place, and `t` is never written.
+fn retarget_at(program: &Program, chains: &Chains, j: usize) -> Option<usize> {
+    let b = &program.instrs()[j];
+    let out = b.out_view()?;
+    let (_, src) = chain_link(program, b, out)?;
+    if program.same_elements(src, out) {
+        return None;
+    }
+    let p = chains.pred(program, j, out, src)?;
+    chain_link(program, &program.instrs()[p], src)?;
+    let link = &chains.instrs[j];
+    (link.prev_def < Some(p) && !link.read_since_def).then_some(p)
 }
 
 /// When `instr` writes exactly `out`'s elements as `src ⊕ c` — a binary
@@ -771,5 +969,143 @@ BH_SYNC a0 [0:10:1]
             &RewriteCtx::default(),
         );
         assert!(p.to_text(PrintStyle::COMPACT).contains("BH_ADD a0 a0 44"));
+    }
+
+    /// `y = ((x·3) + 1)·0.5` through the temporaries `t` and `u`.
+    const TEMPORARIES: &str = ".base x f64[4] input\n.base t f64[4]\n.base u f64[4]\n\
+        .base y f64[4]\nBH_MULTIPLY t x 3\nBH_ADD u t 1\nBH_MULTIPLY y u 0.5\nBH_SYNC y\n";
+
+    #[test]
+    fn a_chain_through_temporaries_folds_into_its_last_register() {
+        let (p, n) = optimize_text(TEMPORARIES, &RewriteCtx::default());
+        assert_eq!(n, 1);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(
+            text.contains("BH_MULTIPLY y x 1.5\nBH_ADD y y 0.5\nBH_SYNC y\n"),
+            "{text}"
+        );
+        // As a front end records it: every step into a fresh register,
+        // each freed once read; `t` and `u` are never written.
+        let (p, n) = optimize_text(
+            &TEMPORARIES
+                .replace("BH_ADD u t 1\n", "BH_ADD u t 1\nBH_FREE t\n")
+                .replace(
+                    "BH_SYNC y\n",
+                    "BH_FREE u\nBH_ADD z y 2\nBH_FREE y\nBH_SYNC z\n",
+                )
+                .replace(".base y f64[4]\n", ".base y f64[4]\n.base z f64[4]\n"),
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 2);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(
+            text.contains(
+                "BH_MULTIPLY z x 1.5\nBH_FREE t\nBH_FREE u\nBH_ADD z z 2.5\nBH_FREE y\nBH_SYNC z\n"
+            ),
+            "{text}"
+        );
+    }
+
+    /// `y = (x + 1) + 2` through `t`, with `extra` spliced in after the
+    /// first add: a single merge when `t` is a temporary.
+    fn two_adds(decls: &str, extra: &str) -> (Program, usize) {
+        optimize_text(
+            &format!("{decls}BH_ADD t x 1\n{extra}BH_ADD y t 2\nBH_SYNC y\n"),
+            &RewriteCtx::default(),
+        )
+    }
+
+    const TWO_ADDS: &str = ".base x f64[4] input\n.base t f64[4]\n.base y f64[4]\n";
+
+    #[test]
+    fn temporaries_that_are_observed_stay_unmerged() {
+        let (p, n) = two_adds(TWO_ADDS, "");
+        assert_eq!(n, 1);
+        assert!(p.to_text(PrintStyle::COMPACT).contains("BH_ADD y x 3"));
+        // Read twice: by the second add and by a multiply.
+        let decls = format!("{TWO_ADDS}.base z f64[4]\n");
+        let (_, n) = two_adds(&decls, "BH_MULTIPLY z t 2\nBH_SYNC z\n");
+        assert_eq!(n, 0);
+        // Synced, before or after its reader.
+        let (_, n) = two_adds(TWO_ADDS, "BH_SYNC t\n");
+        assert_eq!(n, 0);
+        let (_, n) = optimize_text(
+            &format!("{TWO_ADDS}BH_ADD t x 1\nBH_ADD y t 2\nBH_SYNC y\nBH_SYNC t\n"),
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+        // An input base, whose contents belong to the caller.
+        let (_, n) = two_adds(&TWO_ADDS.replace("t f64[4]", "t f64[4] input"), "");
+        assert_eq!(n, 0);
+        // Observable at exit.
+        let observe_all = RewriteCtx {
+            live_at_exit: crate::rule::LiveAtExit::AllRegisters,
+            ..RewriteCtx::default()
+        };
+        let (_, n) = optimize_text(
+            &format!("{TWO_ADDS}BH_ADD t x 1\nBH_ADD y t 2\nBH_SYNC y\n"),
+            &observe_all,
+        );
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn partial_view_temporaries_stay_unmerged() {
+        // Written through a slice: the rest of `t` is another value.
+        let (_, n) = optimize_text(
+            ".base x f64[4] input\n.base t f64[8]\n.base y f64[4]\n\
+             BH_ADD t [0:4:1] x 1\nBH_ADD y t [0:4:1] 2\nBH_SYNC y\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+        // Read through a slice of a full write.
+        let (_, n) = optimize_text(
+            ".base x f64[8] input\n.base t f64[8]\n.base y f64[4]\n\
+             BH_ADD t x 1\nBH_ADD y t [0:4:1] 2\nBH_SYNC y\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn a_link_that_changes_dtype_stays_unmerged() {
+        // t truncates x·0.5 to an integer; y = x·1.0 would not.
+        let (_, n) = optimize_text(
+            ".base x i64[4] input\n.base t i64[4]\n.base y f64[4]\n\
+             BH_MULTIPLY t x 0.5\nBH_MULTIPLY y t 2\nBH_SYNC y\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn strict_math_leaves_float_temporaries_but_folds_integer_ones() {
+        let strict = RewriteCtx {
+            fast_math: false,
+            ..RewriteCtx::default()
+        };
+        let (p, n) = optimize_text(TEMPORARIES, &strict);
+        assert_eq!(n, 0);
+        let source = parse_program(TEMPORARIES).unwrap();
+        assert_eq!(p.instrs(), source.instrs());
+        let (p, n) = optimize_text(
+            &TEMPORARIES.replace("f64", "i64").replace("0.5", "2"),
+            &strict,
+        );
+        assert_eq!(n, 1);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_MULTIPLY y x 6\nBH_ADD y y 2\n"), "{text}");
+    }
+
+    #[test]
+    fn a_freed_source_blocks_the_merge() {
+        // The merged add would read `x` after its storage was released.
+        let (p, n) = optimize_text(
+            ".base x f64[4]\n.base a f64[4]\n\
+             BH_IDENTITY x 5\nBH_ADD a x 1\nBH_FREE x\nBH_ADD a a 2\nBH_SYNC a\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 0);
+        assert_eq!(p.count_op(Opcode::Add), 2);
     }
 }

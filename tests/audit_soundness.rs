@@ -290,6 +290,66 @@ fn affine_fold_mutants_are_rejected() {
     assert_eq!(codes(&folded, &strict), [EquivCode::ValueMismatch]);
 }
 
+/// A chain through temporaries, as a front end records it, and the plan
+/// `constant-merge` folds it to: `((x·2 + 3)·4) + 1 = x·8 + 13` in `y`.
+const TEMPORARY_CHAIN: &str = "\
+.base x f64[8] input
+.base t0 f64[8]
+.base t1 f64[8]
+.base t2 f64[8]
+.base y f64[8]
+BH_MULTIPLY t0 x 2
+BH_ADD t1 t0 3
+BH_FREE t0
+BH_MULTIPLY t2 t1 4
+BH_FREE t1
+BH_ADD y t2 1
+BH_FREE t2
+BH_SYNC y
+";
+
+fn temporary_plan(body: &str) -> Program {
+    parse_program(&format!(
+        ".base x f64[8] input\n.base t0 f64[8]\n.base t1 f64[8]\n.base t2 f64[8]\n\
+         .base y f64[8]\n{body}BH_FREE t2\nBH_SYNC y\n"
+    ))
+    .unwrap()
+}
+
+#[test]
+fn temporary_chain_fold_mutants_are_rejected() {
+    let source = parse_program(TEMPORARY_CHAIN).unwrap();
+    let folded = temporary_plan("BH_MULTIPLY y x 8.0\nBH_FREE t0\nBH_FREE t1\nBH_ADD y y 13.0\n");
+    // Control: the rule produces exactly this plan, and it audits clean.
+    let mut plan = source.clone();
+    Optimizer::new(OptOptions::default()).run(&mut plan);
+    assert_eq!(plan.instrs(), folded.instrs(), "{plan}");
+    check_equiv(&source, &folded, &EquivOptions::default()).expect("the fold is provable");
+
+    let codes = |after: &Program, opts: &EquivOptions| match check_equiv(&source, after, opts) {
+        Ok(_) => panic!("mutant falsely accepted:\n{after}"),
+        Err(errors) => errors.into_iter().map(|e| e.code).collect::<Vec<_>>(),
+    };
+    // β skips the last link: x·8 + 12.
+    let skipped = temporary_plan("BH_MULTIPLY y x 8\nBH_FREE t0\nBH_FREE t1\nBH_ADD y y 12\n");
+    assert_eq!(
+        codes(&skipped, &EquivOptions::default()),
+        [EquivCode::ValueMismatch]
+    );
+    // The fold reads the first intermediate, x·2, instead of the chain's
+    // head source x.
+    let from_intermediate = temporary_plan(
+        "BH_MULTIPLY t0 x 2\nBH_MULTIPLY y t0 8\nBH_FREE t0\nBH_FREE t1\nBH_ADD y y 13\n",
+    );
+    assert_eq!(
+        codes(&from_intermediate, &EquivOptions::default()),
+        [EquivCode::ValueMismatch]
+    );
+    // The f64 chain folded under strict math, where it reassociates.
+    let strict = EquivOptions::default().strict_math();
+    assert_eq!(codes(&folded, &strict), [EquivCode::ValueMismatch]);
+}
+
 /// `value-numbering` mutants: each applies one of the rule's rewrites
 /// where its availability invariant says no, and the auditor must reject
 /// it. The control: the optimiser's own plan of each source audits clean

@@ -391,18 +391,29 @@ fn an_alternating_add_multiply_run_leaves_range_and_two_ops() {
     }
 }
 
-#[test]
-fn a_chain_through_temporaries_is_left_unmerged() {
-    // `r_next = r_prev ⊕ c`: every step writes a register other than the
-    // one it reads, so no run is in place and nothing folds.
+/// `t0 = x`, then eight steps `r_next = r_prev ⊕ c` alternating the
+/// temporaries `t0` and `t1`; with `sync_t1`, every value written to `t1`
+/// is synced.
+fn temporaries_chain(sync_t1: bool) -> Program {
     let mut text = String::from(".base x f64[64] input\nBH_IDENTITY t0 [0:64:1] x\n");
     for i in 0..8 {
         let (src, dst) = (format!("t{}", i % 2), format!("t{}", (i + 1) % 2));
         let op = if i % 2 == 0 { "BH_MULTIPLY" } else { "BH_ADD" };
         text.push_str(&format!("{op} {dst} [0:64:1] {src} {}\n", 0.5 + i as f64));
+        if sync_t1 && dst == "t1" {
+            text.push_str("BH_SYNC t1\n");
+        }
     }
     text.push_str("BH_SYNC t0\n");
-    let unopt = parse_program(&text).unwrap();
+    parse_program(&text).unwrap()
+}
+
+#[test]
+fn a_chain_through_temporaries_is_left_unmerged() {
+    // `r_next = r_prev ⊕ c`: every step writes a register other than the
+    // one it reads. Each value of `t1` is synced, so no multiply's result
+    // is a temporary and no two steps fold.
+    let unopt = temporaries_chain(true);
     let mut opt = unopt.clone();
     let report = optimize_at(&mut opt, OptLevel::O2);
     let merged = report
@@ -413,4 +424,17 @@ fn a_chain_through_temporaries_is_left_unmerged() {
     assert_eq!(merged, Some(0), "{report}");
     assert_eq!(opt.count_op(Opcode::Multiply), 4, "{opt}");
     assert_eq!(opt.count_op(Opcode::Add), 4, "{opt}");
+}
+
+#[test]
+fn a_chain_through_temporaries_folds_to_one_multiply_and_one_add() {
+    // The same chain with only its result synced: each intermediate is
+    // read once, by the next step, and overwritten after, so the chain is
+    // one map `t0 = α·x + β`.
+    let unopt = temporaries_chain(false);
+    let mut opt = unopt.clone();
+    optimize_at(&mut opt, OptLevel::O2);
+    let ops: Vec<Opcode> = opt.instrs().iter().map(|i| i.op).collect();
+    assert_eq!(ops, [Opcode::Multiply, Opcode::Add, Opcode::Sync], "{opt}");
+    assert_equivalent(&unopt, &opt, 3, 1e-12);
 }

@@ -14,7 +14,7 @@
 //! must not pin its connection thread behind a per-instruction rescan.
 //! That case has a budget of its own, at least 100× its typical time.
 
-use bohrium_repro::ir::{check_equiv, parse_program, verify, Program};
+use bohrium_repro::ir::{check_equiv, parse_program, verify, Opcode, Program};
 use bohrium_repro::opt::{OptOptions, Optimizer};
 use bohrium_repro::runtime::Runtime;
 use bohrium_repro::serve::{Request, Server};
@@ -141,6 +141,62 @@ fn a_long_affine_run_optimises_audits_and_verifies_in_bounded_time() {
         total < BUDGET,
         "optimise {optimise:?} + audit {audit:?} + verify = {total:?} for an affine run of \
          {INSTRUCTIONS} instructions exceeds {BUDGET:?}: a sweep is no longer linear"
+    );
+}
+
+/// A run like [`affine_run`] through temporaries, as a front end emits a
+/// nested expression: step `k` reads the register step `k − 1` wrote and
+/// writes the other of `t0` and `t1`. Its multiplies start at ½, so the
+/// folded scale is ½ (a scale of 2 would be strength-reduced to an add).
+fn temporary_chain(instructions: usize) -> Program {
+    let mut text =
+        String::from(".base x f64[64]\n.base t0 f64[64]\n.base t1 f64[64]\nBH_RANGE x\n");
+    let mut src = "x";
+    for k in 0..instructions - 2 {
+        let dst = ["t0", "t1"][k % 2];
+        let _ = if k % 2 == 0 {
+            writeln!(text, "BH_ADD {dst} {src} {}", 1 + k % 3)
+        } else {
+            writeln!(
+                text,
+                "BH_MULTIPLY {dst} {src} {}",
+                if k % 4 == 1 { "0.5" } else { "2" }
+            )
+        };
+        src = dst;
+    }
+    let _ = writeln!(text, "BH_SYNC {src}");
+    let program = parse_program(&text).expect("generated byte-code parses");
+    assert_eq!(program.instrs().len(), instructions);
+    program
+}
+
+#[test]
+fn a_long_temporary_chain_optimises_audits_and_verifies_in_bounded_time() {
+    let source = temporary_chain(INSTRUCTIONS);
+    verify(&source).expect("the generated program verifies");
+
+    let begun = Instant::now();
+    let options = OptOptions::default();
+    let mut optimised = source.clone();
+    Optimizer::new(options.clone()).run(&mut optimised);
+    let optimise = begun.elapsed();
+    check_equiv(&source, &optimised, &options.equiv_options())
+        .expect("the folded chain is provably equivalent");
+    let audit = begun.elapsed() - optimise;
+    verify(&optimised).expect("the optimised plan verifies");
+    let total = begun.elapsed();
+
+    let ops: Vec<Opcode> = optimised.instrs().iter().map(|i| i.op).collect();
+    assert_eq!(
+        ops,
+        [Opcode::Range, Opcode::Multiply, Opcode::Add, Opcode::Sync],
+        "{optimised}"
+    );
+    assert!(
+        total < BUDGET,
+        "optimise {optimise:?} + audit {audit:?} + verify = {total:?} for a chain through \
+         temporaries of {INSTRUCTIONS} instructions exceeds {BUDGET:?}: a sweep is no longer linear"
     );
 }
 
