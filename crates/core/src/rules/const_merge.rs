@@ -111,20 +111,33 @@ struct Link {
 impl Chains {
     /// Facts about `program` before the scan: which writes are dead, and
     /// `sole_use` as "the source register is dead after the instruction".
+    /// Only a link that reads a register other than its own, and no input,
+    /// can read a temporary, and a merge only hands such a source on; a
+    /// program without one skips the liveness pass.
     fn new(program: &Program, ctx: &RewriteCtx) -> Chains {
         let n_regs = program.bases().len();
-        let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
-            LiveAtExit::SyncedOnly => Vec::new(),
-            LiveAtExit::AllRegisters => (0..n_regs as u32).map(Reg).collect(),
-        };
-        let mut live = Liveness::at_exit(program, &live_at_exit);
         let mut instrs = vec![Link::default(); program.instrs().len()];
-        for (link, instr) in instrs.iter_mut().zip(program.instrs()).rev() {
-            link.dead_store = !live.write_is_live(instr);
-            if let Some(s) = instr.input_regs().next() {
-                link.sole_use = !live.is_live(s);
+        let may_read_temporaries = program.instrs().iter().any(|instr| {
+            instr.op.kind() == OpKind::ElementwiseBinary
+                && instr.sole_const_input().is_some()
+                && instr
+                    .input_regs()
+                    .next()
+                    .is_some_and(|s| instr.out_reg() != Some(s) && !program.base(s).is_input)
+        });
+        if may_read_temporaries {
+            let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
+                LiveAtExit::SyncedOnly => Vec::new(),
+                LiveAtExit::AllRegisters => (0..n_regs as u32).map(Reg).collect(),
+            };
+            let mut live = Liveness::at_exit(program, &live_at_exit);
+            for (link, instr) in instrs.iter_mut().zip(program.instrs()).rev() {
+                link.dead_store = !live.write_is_live(instr);
+                if let Some(s) = instr.input_regs().next() {
+                    link.sole_use = !live.is_live(s);
+                }
+                live.step_back(program, instr);
             }
-            live.step_back(program, instr);
         }
         Chains {
             regs: vec![RegTrail::default(); n_regs],
@@ -145,14 +158,13 @@ impl Chains {
         }
         if let Some(s) = instr.input_regs().next() {
             let trail = &self.regs[s.index()];
-            let overwrites =
-                out == Some(s) && instr.out_view().is_some_and(|v| program.is_full_view(v));
             let link = &mut self.instrs[idx];
             link.src_reach = trail.last_def;
             link.sole_use = trail.last_def.is_some()
                 && trail.last_read <= trail.last_def
                 && !program.base(s).is_input
-                && (overwrites || link.sole_use);
+                && (link.sole_use
+                    || out == Some(s) && instr.out_view().is_some_and(|v| program.is_full_view(v)));
         }
         for r in instr.input_regs() {
             self.regs[r.index()].last_read = Some(idx);
@@ -211,6 +223,7 @@ impl Chains {
         } else {
             src.reg != out.reg
                 && link.sole_use
+                && !link.dead_store
                 && program.is_full_view(src)
                 && program.base(src.reg).dtype == program.base(out.reg).dtype
         };
@@ -233,6 +246,7 @@ impl Chains {
         if s == r {
             self.instrs[j] = Link {
                 next_def: self.instrs[j].next_def,
+                dead_store: self.instrs[j].dead_store,
                 ..from
             };
             self.link(r, from.prev_def, j);
@@ -390,11 +404,12 @@ impl RewriteRule for ConstantMerge {
                 // i: s = src ⊕ c1   (dropped)
                 // j: r = s ⊕ c2     (becomes r = src ⊕ merged)
                 Attempt::Merge(i, op, merged, src) => {
+                    let through = src.reg != r;
                     chains.merged(r, written(program, i), src.reg, i, j);
                     rewrite(&mut program.instrs_mut()[j], op, Some(src), merged);
                     // p: t = x ⊕ c0     (becomes r = x ⊕ c0)
                     // j: r = t ⊕ c      (becomes r = r ⊕ c)
-                    if let Some(p) = retarget_at(program, &chains, j) {
+                    if let Some(p) = through.then(|| retarget_at(program, &chains, j)).flatten() {
                         let s = written(program, p);
                         let p_reads_s = program.instrs()[p].reads(s);
                         chains.retargeted(r, s, p, j, p_reads_s);
@@ -473,7 +488,7 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
     let out_b = b.out_view()?;
     let (cb, src_b) = chain_link(program, b, out_b)?;
     let dtype = program.base(out_b.reg).dtype;
-    if !reassoc_allowed(ctx, dtype) || chains.instrs[j].dead_store {
+    if !reassoc_allowed(ctx, dtype) {
         return None;
     }
     // The link whose value j continues; nothing else may observe it.
@@ -561,14 +576,12 @@ fn fold3(
 
 /// After a merge, `j: r = t ⊕ c` may read a temporary `t` that the link
 /// `p` wrote, with nothing touching `r` between them: `p` can write `r`
-/// itself and `j` update it in place, and `t` is never written.
+/// itself and `j` update it in place, and `t` is never written. (In
+/// place, `p` would be `r`'s previous write, which the last test fails.)
 fn retarget_at(program: &Program, chains: &Chains, j: usize) -> Option<usize> {
     let b = &program.instrs()[j];
     let out = b.out_view()?;
     let (_, src) = chain_link(program, b, out)?;
-    if program.same_elements(src, out) {
-        return None;
-    }
     let p = chains.pred(program, j, out, src)?;
     chain_link(program, &program.instrs()[p], src)?;
     let link = &chains.instrs[j];
