@@ -516,7 +516,7 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
                 (Opcode::Multiply, const_eval(Opcode::Multiply, x, y, dtype)?)
             }
             // A shift and a scale: fold with the link before i.
-            (mid, last) => return fold3(program, chains, i, src, j, mid, last, dtype),
+            (mid, last) => return fold3(program, chains, i, j, mid, last, dtype),
         }
     };
     // The source operand of i must not be redefined in between. (When i
@@ -546,19 +546,19 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
 /// `p` keeps its source and its place, so no write of that source can
 /// lie in between; it now writes `j`'s register, so nothing else may touch
 /// that register between `p` and `j`.
-#[allow(clippy::too_many_arguments)]
 fn fold3(
     program: &Program,
     chains: &Chains,
     q: usize,
-    src: &ViewRef,
     j: usize,
     mid: Affine,
     last: Affine,
     dtype: DType,
 ) -> Option<Attempt> {
     let instrs = program.instrs();
-    let p = chains.pred(program, q, instrs[q].out_view()?, src)?;
+    let out_q = instrs[q].out_view()?;
+    let (_, src) = chain_link(program, &instrs[q], out_q)?;
+    let p = chains.pred(program, q, out_q, src)?;
     let (p_const, _) = chain_link(program, &instrs[p], src)?;
     let first = affine(instrs[p].op, p_const, dtype)?;
     let mul = |x, y| const_eval(Opcode::Multiply, x, y, dtype);
