@@ -6,11 +6,13 @@
 //! byte-code (Listing 2), the runtime's algebraic transformation engine
 //! merges the constants (Listing 3), and the VM executes the optimised
 //! sequence. A second evaluation of the same trace is served from the
-//! runtime's transformation cache — the fixpoint runs once.
+//! runtime's transformation cache — the fixpoint runs once. Last, a nested
+//! expression, recorded as a chain through temporaries, folds to one
+//! multiply and one add.
 
 use bh_frontend::Context;
-use bh_ir::PrintStyle;
-use bh_tensor::{DType, Shape};
+use bh_ir::{Opcode, PrintStyle};
+use bh_tensor::{DType, Shape, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Listing 1 — "Adding three ones in Python":
@@ -49,5 +51,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     assert_eq!(result.to_f64_vec(), vec![3.0; 10]);
+
+    // A nested expression: every step is recorded into a fresh register
+    // that is freed once read. The chain through those temporaries is one
+    // map, y = 0.75·x + 0.875, and runs as one multiply and one add.
+    let ctx = Context::with_runtime(ctx.runtime());
+    let x = ctx.array(Tensor::from_vec(vec![0.0f64, 1.0, 2.0, 4.0]));
+    let y = (&x * 1.5 + 0.25) * 0.5 + 0.75;
+    println!("\n== nested expression, recorded ==");
+    print!("{}", ctx.recorded_text(PrintStyle::LISTING));
+    let (value, outcome) = y.eval_outcome()?;
+    let plan = &outcome.plan.program;
+    println!("\n== nested expression, optimised ==");
+    print!("{}", plan.to_text(PrintStyle::LISTING));
+    assert_eq!(plan.count_op(Opcode::Multiply), 1);
+    assert_eq!(plan.count_op(Opcode::Add), 1);
+    assert_eq!(value.to_f64_vec(), vec![0.875, 1.625, 2.375, 3.875]);
     Ok(())
 }
