@@ -1052,7 +1052,7 @@ BH_SYNC a0 [0:10:1]
         assert_eq!(n, 0);
         // Observable at exit.
         let observe_all = RewriteCtx {
-            live_at_exit: crate::rule::LiveAtExit::AllRegisters,
+            live_at_exit: LiveAtExit::AllRegisters,
             ..RewriteCtx::default()
         };
         let (_, n) = optimize_text(
