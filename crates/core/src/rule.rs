@@ -5,7 +5,7 @@
 //! byte-code sequences with cheaper equivalent ones, leaving `BH_NONE`
 //! placeholders that the pass manager compacts away.
 
-use bh_ir::Program;
+use bh_ir::{Liveness, Program, Reg};
 use bh_tensor::DType;
 
 /// What counts as observable at program exit, for liveness-based rules.
@@ -49,6 +49,18 @@ impl Default for RewriteCtx {
             max_power_multiplies: 16,
             live_at_exit: LiveAtExit::SyncedOnly,
         }
+    }
+}
+
+impl RewriteCtx {
+    /// A backward [`Liveness`] cursor at the end of `program`, with what
+    /// the [`LiveAtExit`] policy makes observable there.
+    pub(crate) fn exit_liveness(&self, program: &Program) -> Liveness {
+        let live_at_exit: Vec<Reg> = match self.live_at_exit {
+            LiveAtExit::SyncedOnly => Vec::new(),
+            LiveAtExit::AllRegisters => (0..program.bases().len() as u32).map(Reg).collect(),
+        };
+        Liveness::at_exit(program, &live_at_exit)
     }
 }
 

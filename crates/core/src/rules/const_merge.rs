@@ -39,8 +39,8 @@
 //! ```
 
 use crate::fold::const_eval;
-use crate::rule::{reassoc_allowed, LiveAtExit, RewriteCtx, RewriteRule};
-use bh_ir::{Instruction, Liveness, OpKind, Opcode, Operand, Program, Reg, ViewRef};
+use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
+use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, ViewRef};
 use bh_tensor::{DType, Scalar};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -111,36 +111,18 @@ struct Link {
 impl Chains {
     /// Facts about `program` before the scan: which writes are dead, and
     /// `sole_use` as "the source register is dead after the instruction".
-    /// Only a link that reads a register other than its own, and no input,
-    /// can read a temporary, and a merge only hands such a source on; a
-    /// program without one skips the liveness pass.
     fn new(program: &Program, ctx: &RewriteCtx) -> Chains {
-        let n_regs = program.bases().len();
         let mut instrs = vec![Link::default(); program.instrs().len()];
-        let may_read_temporaries = program.instrs().iter().any(|instr| {
-            instr.op.kind() == OpKind::ElementwiseBinary
-                && instr.sole_const_input().is_some()
-                && instr
-                    .input_regs()
-                    .next()
-                    .is_some_and(|s| instr.out_reg() != Some(s) && !program.base(s).is_input)
-        });
-        if may_read_temporaries {
-            let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
-                LiveAtExit::SyncedOnly => Vec::new(),
-                LiveAtExit::AllRegisters => (0..n_regs as u32).map(Reg).collect(),
-            };
-            let mut live = Liveness::at_exit(program, &live_at_exit);
-            for (link, instr) in instrs.iter_mut().zip(program.instrs()).rev() {
-                link.dead_store = !live.write_is_live(instr);
-                if let Some(s) = instr.input_regs().next() {
-                    link.sole_use = !live.is_live(s);
-                }
-                live.step_back(program, instr);
+        let mut live = ctx.exit_liveness(program);
+        for (link, instr) in instrs.iter_mut().zip(program.instrs()).rev() {
+            link.dead_store = !live.write_is_live(instr);
+            if let Some(s) = instr.input_regs().next() {
+                link.sole_use = !live.is_live(s);
             }
+            live.step_back(program, instr);
         }
         Chains {
-            regs: vec![RegTrail::default(); n_regs],
+            regs: vec![RegTrail::default(); program.bases().len()],
             instrs,
         }
     }
@@ -680,6 +662,7 @@ fn yields_one_term(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::LiveAtExit;
     use bh_ir::{parse_program, PrintStyle};
 
     fn optimize_text(text: &str, ctx: &RewriteCtx) -> (Program, usize) {

@@ -11,9 +11,10 @@
 //! and the stores that fed only it are found dead in the same walk.
 //!
 //! [`LiveAtExit`]: crate::rule::LiveAtExit
+//! [`Liveness`]: bh_ir::Liveness
 
-use crate::rule::{LiveAtExit, RewriteCtx, RewriteRule};
-use bh_ir::{Instruction, Liveness, OpKind, Program, Reg};
+use crate::rule::{RewriteCtx, RewriteRule};
+use bh_ir::{Instruction, OpKind, Program};
 
 /// See the module documentation.
 #[derive(Debug, Default, Clone, Copy)]
@@ -25,11 +26,7 @@ impl RewriteRule for DeadCodeElimination {
     }
 
     fn apply(&self, program: &mut Program, ctx: &RewriteCtx) -> usize {
-        let live_at_exit: Vec<Reg> = match ctx.live_at_exit {
-            LiveAtExit::SyncedOnly => Vec::new(),
-            LiveAtExit::AllRegisters => (0..program.bases().len() as u32).map(Reg).collect(),
-        };
-        let mut live = Liveness::at_exit(program, &live_at_exit);
+        let mut live = ctx.exit_liveness(program);
         let mut applied = 0;
         for idx in (0..program.instrs().len()).rev() {
             let instr = &program.instrs()[idx];
@@ -52,6 +49,7 @@ fn is_pure(instr: &Instruction) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::LiveAtExit;
     use bh_ir::{parse_program, Opcode};
 
     fn run(text: &str, ctx: &RewriteCtx) -> (Program, usize) {
