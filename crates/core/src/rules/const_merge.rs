@@ -8,11 +8,13 @@
 //!
 //! "the constants of the three byte-codes can be merged into one by simply
 //! adding them together" (§3.1). Generalised here to every associative
-//! op-code with a constant operand (`x·c₁·c₂ → x·(c₁c₂)`, min/max chains,
-//! bitwise chains), plus the `Subtract`/`Divide` right-constant chains
-//! (`(x−c₁)−c₂ → x−(c₁+c₂)`), and to *affine runs*: adds, subtracts of a
+//! op-code with a constant operand (min/max, bitwise and logical chains),
+//! and to *affine runs*, read and composed by [`bh_ir::affine`] — the
+//! algebra the auditor proves them in: adds, subtracts of or from a
 //! constant, multiplies and float divides by ±2ᵏ, in any order, compute
-//! `α·x + β` and fold to at most `r = x·α; r = r + β`.
+//! `α·x + β` and fold to at most `r = x·α; r = r + β`. A float divide by
+//! any other constant folds with divides and power-of-two scales only
+//! (`x/4/3 → x/12`).
 //!
 //! ```text
 //! BH_MULTIPLY a x 2
@@ -40,6 +42,7 @@
 
 use crate::fold::const_eval;
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
+use bh_ir::affine::Affine;
 use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, ViewRef};
 use bh_tensor::{DType, Scalar};
 use std::cmp::Reverse;
@@ -303,26 +306,16 @@ fn def_reg(instr: &Instruction) -> Option<Reg> {
     }
 }
 
-/// One step of an affine run, read as what it does to the value.
-#[derive(Clone, Copy)]
-enum Affine {
-    /// `r = src·α`: a multiply, or a float divide by ±2ᵏ (whose reciprocal
-    /// is exact).
-    Scale(Scalar),
-    /// `r = src + β`: an add, or a subtract of a constant (whose negation
-    /// is exact).
-    Shift(Scalar),
-}
-
 /// What judging a position found, when the instruction and the
 /// definitions before it match at all.
 enum Attempt {
     /// Fold the link at this index, `s = src ⊕ …`, into the position,
-    /// which becomes `r = src ⊕ c` with this op-code.
-    Merge(usize, Opcode, Scalar, ViewRef),
-    /// The links `p` and `q` before the position are, with it, a scale
-    /// between two shifts or a shift between two scales: `p` becomes
-    /// `r = src·alpha`, `q` is dropped and the position `r = r + beta`.
+    /// which becomes the link `(op-code, constant position, constant)`
+    /// reading `src`.
+    Merge(usize, (Opcode, usize, Scalar), ViewRef),
+    /// The links `p` and `q` before the position compose with it to
+    /// `v·alpha + beta`: `p` becomes `r = src·alpha`, `q` is dropped and
+    /// the position `r = r + beta`.
     Fold3 {
         p: usize,
         q: usize,
@@ -385,10 +378,10 @@ impl RewriteRule for ConstantMerge {
                 }
                 // i: s = src ⊕ c1   (dropped)
                 // j: r = s ⊕ c2     (becomes r = src ⊕ merged)
-                Attempt::Merge(i, op, merged, src) => {
+                Attempt::Merge(i, link, src) => {
                     let through = src.reg != r;
                     chains.merged(r, written(program, i), src.reg, i, j);
-                    rewrite(&mut program.instrs_mut()[j], op, Some(src), merged);
+                    rewrite(&mut program.instrs_mut()[j], link, Some(src));
                     // p: t = x ⊕ c0     (becomes r = x ⊕ c0)
                     // j: r = t ⊕ c      (becomes r = r ⊕ c)
                     if let Some(p) = through.then(|| retarget_at(program, &chains, j)).flatten() {
@@ -416,9 +409,13 @@ impl RewriteRule for ConstantMerge {
                         program.instrs_mut()[p].operands[0] = Operand::View(out.clone());
                         reopen(p, &mut retry);
                     }
-                    rewrite(&mut program.instrs_mut()[p], Opcode::Multiply, None, alpha);
+                    rewrite(
+                        &mut program.instrs_mut()[p],
+                        (Opcode::Multiply, 1, alpha),
+                        None,
+                    );
                     let src = (!in_place).then(|| out.clone());
-                    rewrite(&mut program.instrs_mut()[j], Opcode::Add, src, beta);
+                    rewrite(&mut program.instrs_mut()[j], (Opcode::Add, 1, beta), src);
                     retry.push(Reverse(p));
                     q
                 }
@@ -438,18 +435,14 @@ impl RewriteRule for ConstantMerge {
     }
 }
 
-/// Make a matched `r = v ⊕ c` compute `op` with the constant `c`, reading
-/// `src` instead of `v` when one is given.
-fn rewrite(instr: &mut Instruction, op: Opcode, src: Option<ViewRef>, c: Scalar) {
-    if let Some(src) = src {
-        set_source(instr, src);
-    }
-    let const_pos = 1 + instr
-        .sole_const_input()
-        .expect("matched pattern has a constant")
-        .0;
+/// Make a matched `r = v ⊕ c` the link `(op, pos, c)`, reading `src`
+/// instead of `v` when one is given.
+fn rewrite(instr: &mut Instruction, (op, pos, c): (Opcode, usize, Scalar), src: Option<ViewRef>) {
+    let was = instr.sole_const_input().expect("a link has a constant").0;
+    let v = src.map_or_else(|| instr.operands[2 - was].clone(), Operand::View);
     instr.op = op;
-    instr.operands[const_pos] = Operand::Const(c);
+    instr.operands[1 + pos] = Operand::Const(c);
+    instr.operands[2 - pos] = v;
 }
 
 /// Make a matched `r = v ⊕ c` read `src` instead of `v`.
@@ -464,11 +457,16 @@ fn set_source(instr: &mut Instruction, src: ViewRef) {
 /// Judge whether the instruction at `j` can absorb the constant of the
 /// link before it, or of the two before it. `None` is final unless one of
 /// those links changes.
+///
+/// Affine links fold exactly as [`Affine::then`] composes them, into the
+/// one link or the scale and shift it renders. Other links fold when they
+/// share an associative op-code (min/max, bitwise and logical chains, and
+/// bool arithmetic, where subtract is XOR).
 fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) -> Option<Attempt> {
     let instrs = program.instrs();
     let b = &instrs[j];
     let out_b = b.out_view()?;
-    let (cb, src_b) = chain_link(program, b, out_b)?;
+    let (pos_b, cb, src_b) = chain_link(program, b, out_b)?;
     let dtype = program.base(out_b.reg).dtype;
     if !reassoc_allowed(ctx, dtype) {
         return None;
@@ -476,30 +474,22 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
     // The link whose value j continues; nothing else may observe it.
     let i = chains.pred(program, j, out_b, src_b)?;
     let a = &instrs[i];
-    let (ca, src) = chain_link(program, a, src_b)?;
-    let (op, merged) = if a.op == b.op {
-        // Same op-code: for Add/Mul chains the constants combine with the
-        // same op; for Subtract/Divide right-chains they combine with
-        // Add/Mul. Bool subtract is XOR — its own inverse — so the chain
-        // folds with XOR itself, never with Add (which is OR on bool).
-        let fold_op = match a.op {
-            Opcode::Subtract if dtype == DType::Bool => Opcode::Subtract,
-            Opcode::Subtract => Opcode::Add,
-            Opcode::Divide => Opcode::Multiply,
-            op => op,
-        };
-        (b.op, const_eval(fold_op, ca, cb, dtype)?)
-    } else {
-        match (affine(a.op, ca, dtype)?, affine(b.op, cb, dtype)?) {
-            (Affine::Shift(x), Affine::Shift(y)) => {
-                (Opcode::Add, const_eval(Opcode::Add, x, y, dtype)?)
+    let (pos_a, ca, src) = chain_link(program, a, src_b)?;
+    let link = match (
+        Affine::read(a.op, pos_a, ca, dtype),
+        Affine::read(b.op, pos_b, cb, dtype),
+    ) {
+        (Some(first), Some(second)) => {
+            let both = first.then(second, dtype)?;
+            let spelled = (a.op == b.op && pos_a == 1 && pos_b == 1).then_some(a.op);
+            match both.link(dtype, spelled) {
+                Some(link) => link,
+                // A scale and a shift: fold with the link before i.
+                None => return fold3(program, chains, i, j, first, second, dtype),
             }
-            (Affine::Scale(x), Affine::Scale(y)) => {
-                (Opcode::Multiply, const_eval(Opcode::Multiply, x, y, dtype)?)
-            }
-            // A shift and a scale: fold with the link before i.
-            (mid, last) => return fold3(program, chains, i, j, mid, last, dtype),
         }
+        (None, None) if a.op == b.op => (b.op, pos_b, const_eval(a.op, ca, cb, dtype)?),
+        _ => return None,
     };
     // The source operand of i must not be redefined in between. (When i
     // reads the register it writes, nothing but i wrote it since.)
@@ -515,12 +505,12 @@ fn try_merge_at(program: &Program, chains: &Chains, ctx: &RewriteCtx, j: usize) 
             return None;
         }
     }
-    Some(Attempt::Merge(i, op, merged, src.clone()))
+    Some(Attempt::Merge(i, link, src.clone()))
 }
 
-/// `q: t = src ⊕ c`, the link before the judged position `j`, and `j` are a
-/// shift and a scale, in either order. With the link `p` before `q` they
-/// fold to a scale and a shift when the three alternate:
+/// `q: t = src ⊕ c`, the link before the judged position `j`, and `j`
+/// compose to a scale and a shift. With the link `p` before `q` they fold
+/// to `p: ·α` and `j: +β` when `p`, `q` and `j` compose to `v·α + β`, e.g.
 ///
 /// * `p: ·α, q: +β, ·γ` → `p: ·αγ, +βγ`,
 /// * `p: +β, q: ·γ, +δ` → `p: ·γ, +(βγ + δ)`.
@@ -539,20 +529,16 @@ fn fold3(
 ) -> Option<Attempt> {
     let instrs = program.instrs();
     let out_q = instrs[q].out_view()?;
-    let (_, src) = chain_link(program, &instrs[q], out_q)?;
+    let (_, _, src) = chain_link(program, &instrs[q], out_q)?;
     let p = chains.pred(program, q, out_q, src)?;
-    let (p_const, _) = chain_link(program, &instrs[p], src)?;
-    let first = affine(instrs[p].op, p_const, dtype)?;
-    let mul = |x, y| const_eval(Opcode::Multiply, x, y, dtype);
-    let (alpha, beta) = match (first, mid, last) {
-        (Affine::Scale(a), Affine::Shift(b), Affine::Scale(c)) => (mul(a, c)?, mul(b, c)?),
-        (Affine::Shift(b), Affine::Scale(c), Affine::Shift(d)) => {
-            (c, const_eval(Opcode::Add, mul(b, c)?, d, dtype)?)
-        }
-        _ => return None,
+    let (pos, p_const, _) = chain_link(program, &instrs[p], src)?;
+    let first = Affine::read(instrs[p].op, pos, p_const, dtype)?;
+    let Affine::Lin(Some(alpha), Some(beta)) = first.then(mid, dtype)?.then(last, dtype)? else {
+        return None;
     };
     let p_writes_y = instrs[p].out_reg() == instrs[j].out_reg();
-    (chains.clear_for(p_writes_y, p, q, j) && yields_one_term(program, chains, p, first, dtype))
+    chains
+        .clear_for(p_writes_y, p, q, j)
         .then_some(Attempt::Fold3 { p, q, alpha, beta })
 }
 
@@ -563,100 +549,33 @@ fn fold3(
 fn retarget_at(program: &Program, chains: &Chains, j: usize) -> Option<usize> {
     let b = &program.instrs()[j];
     let out = b.out_view()?;
-    let (_, src) = chain_link(program, b, out)?;
+    let (_, _, src) = chain_link(program, b, out)?;
     let p = chains.pred(program, j, out, src)?;
     chain_link(program, &program.instrs()[p], src)?;
     let link = &chains.instrs[j];
     (link.prev_def < Some(p) && !link.read_since_def).then_some(p)
 }
 
-/// When `instr` writes exactly `out`'s elements as `src ⊕ c` — a binary
-/// element-wise op-code that is associative, or a subtract or divide,
-/// whose constant must then be on the right: the constant and `src`.
+/// When `instr` writes exactly `out`'s elements as a link `src ⊕ c` or
+/// `c ⊕ src` — an element-wise op-code that is associative or affine in
+/// `out`'s dtype, or bool subtract (XOR): the constant's input position,
+/// the constant and `src`.
 fn chain_link<'a>(
     program: &Program,
     instr: &'a Instruction,
     out: &ViewRef,
-) -> Option<(Scalar, &'a ViewRef)> {
+) -> Option<(usize, Scalar, &'a ViewRef)> {
     let op = instr.op;
-    let right_only = matches!(op, Opcode::Subtract | Opcode::Divide);
-    if op.kind() != OpKind::ElementwiseBinary
-        || !(op.is_associative() || right_only)
-        || !program.same_elements(instr.out_view()?, out)
-    {
+    if op.kind() != OpKind::ElementwiseBinary || !program.same_elements(instr.out_view()?, out) {
         return None;
     }
     let (pos, c) = instr.sole_const_input()?;
-    if right_only && pos != 1 {
+    let dtype = program.base(out.reg).dtype;
+    let xor = op == Opcode::Subtract && dtype == DType::Bool;
+    if !(op.is_associative() || xor) && Affine::read(op, pos, c, dtype).is_none() {
         return None;
     }
-    Some((c, instr.inputs().get(1 - pos)?.as_view()?))
-}
-
-/// The affine reading of a chainable `src ⊕ c` in `dtype` (never bool,
-/// whose arithmetic is a lattice). [`chain_link`] has put the constant of
-/// a subtract or divide on the right.
-fn affine(op: Opcode, c: Scalar, dtype: DType) -> Option<Affine> {
-    if dtype == DType::Bool {
-        return None;
-    }
-    match op {
-        Opcode::Add => Some(Affine::Shift(c)),
-        Opcode::Subtract => {
-            const_eval(Opcode::Subtract, Scalar::zero(dtype), c, dtype).map(Affine::Shift)
-        }
-        Opcode::Multiply => Some(Affine::Scale(c)),
-        Opcode::Divide if dtype.is_float() => {
-            let v = c.cast(dtype).as_f64();
-            (v != 0.0 && v.abs().log2().fract() == 0.0)
-                .then(|| Affine::Scale(Scalar::from_f64(1.0 / v, dtype)))
-        }
-        _ => None,
-    }
-}
-
-/// Whether the value `p` writes is one term — never a sum of several —
-/// in the auditor's normal form. `Lin1` (`bh_ir::equiv`) distributes a
-/// scale over a sum only when the sum has one non-constant term, so a
-/// fold that moves a scale in front of a shift is provable only then.
-/// A scale by anything but 1 yields a product; otherwise it depends on
-/// the write that reaches `p`'s source, judged by its op-code alone: a
-/// fresh value, a fill, or an op-code that is not add or subtract and has
-/// a constant it cannot be an identity for.
-fn yields_one_term(
-    program: &Program,
-    chains: &Chains,
-    p: usize,
-    step: Affine,
-    dtype: DType,
-) -> bool {
-    if let Affine::Scale(a) = step {
-        if !a.cast(dtype).is_one() {
-            return true;
-        }
-    }
-    // No live write: an input's contents or a fresh zero fill.
-    let Some(d) = chains.instrs[p].src_reach else {
-        return true;
-    };
-    let def = &program.instrs()[d];
-    match def.op.kind() {
-        OpKind::Generator | OpKind::Reduction | OpKind::Scan | OpKind::LinAlg => true,
-        OpKind::ElementwiseUnary => {
-            def.op != Opcode::Identity || def.inputs().first().and_then(Operand::as_const).is_some()
-        }
-        OpKind::ElementwiseBinary => {
-            let Some(out) = def.out_reg() else {
-                return false;
-            };
-            let dtype = program.base(out).dtype;
-            !matches!(def.op, Opcode::Add | Opcode::Subtract)
-                && def
-                    .sole_const_input()
-                    .is_some_and(|(_, c)| def.op.identity_scalar(dtype) != Some(c.cast(dtype)))
-        }
-        OpKind::System => false,
-    }
+    Some((pos, c, instr.inputs().get(1 - pos)?.as_view()?))
 }
 
 #[cfg(test)]
@@ -732,15 +651,26 @@ BH_SYNC a0 [0:10:1]
     }
 
     #[test]
-    fn left_constant_subtract_is_not_merged() {
-        // c - (c - x) is not (c1+c2) - x; the rule must skip it.
+    fn left_constant_subtracts_fold_to_a_shift() {
+        // 20 − (10 − x) is x + 10: the two sign flips cancel. It is not
+        // (10 + 20) − x.
         let (p, n) = optimize_text(
             "BH_IDENTITY a0 [0:4:1] 1\n\
              BH_SUBTRACT a0 10 a0\nBH_SUBTRACT a0 20 a0\nBH_SYNC a0\n",
             &RewriteCtx::default(),
         );
-        assert_eq!(n, 0);
-        assert_eq!(p.count_op(Opcode::Subtract), 2);
+        assert_eq!(n, 1);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_ADD a0 a0 10.0\n"), "{text}");
+        // Entered from a shift, c − x stays one link: 10 − (x + 1) = 9 − x.
+        let (p, n) = optimize_text(
+            ".base x f64[4] input\n.base a f64[4]\n\
+             BH_ADD a x 1\nBH_SUBTRACT a 10 a\nBH_SYNC a\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 1);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_SUBTRACT a 9.0 x\n"), "{text}");
     }
 
     #[test]
@@ -939,22 +869,52 @@ BH_SYNC a0 [0:10:1]
     }
 
     #[test]
-    fn a_sum_entering_a_run_keeps_its_shift_first() {
-        // (x + y + 1)·2 + 3: the auditor does not distribute over a sum of
-        // two terms, so the shift may not move behind the scale.
+    fn a_sum_entering_a_run_folds_like_any_value() {
+        // (x + y + 1)·2 + 3 is (x + y)·2 + 5: the sum is the `e` of
+        // `k·e + b`, whatever its number of terms.
         let text = ".base x f64[4] input\n.base y f64[4] input\n.base a f64[4]\n\
              BH_ADD a x y\nBH_ADD a a 1\nBH_MULTIPLY a a 2\nBH_ADD a a 3\nBH_SYNC a\n";
-        let (_, n) = optimize_text(text, &RewriteCtx::default());
-        assert_eq!(n, 0);
-        // Entered from a maximum instead, the same run folds.
+        for entry in ["BH_ADD a x y", "BH_MAXIMUM a x 1"] {
+            let (p, n) =
+                optimize_text(&text.replace("BH_ADD a x y", entry), &RewriteCtx::default());
+            assert_eq!(n, 1);
+            let text = p.to_text(PrintStyle::COMPACT);
+            assert!(
+                text.contains(&format!("{entry}\nBH_MULTIPLY a a 2\nBH_ADD a a 5.0\n")),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn divides_fold_with_divides_and_power_of_two_scales() {
+        // x/4/3 is x/12, in place and through a temporary.
         let (p, n) = optimize_text(
-            &text.replace("BH_ADD a x y", "BH_MAXIMUM a x 1"),
+            ".base x f64[4] input\n.base a f64[4]\n\
+             BH_DIVIDE a x 4\nBH_DIVIDE a a 3\nBH_SYNC a\n",
             &RewriteCtx::default(),
         );
         assert_eq!(n, 1);
-        assert!(p
-            .to_text(PrintStyle::COMPACT)
-            .contains("BH_MULTIPLY a a 2\nBH_ADD a a 5"));
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_DIVIDE a x 12.0\n"), "{text}");
+        let (p, n) = optimize_text(
+            ".base x f64[4] input\n.base t f64[4]\n.base y f64[4]\n\
+             BH_DIVIDE t x 4\nBH_DIVIDE y t 3\nBH_FREE t\nBH_SYNC y\n",
+            &RewriteCtx::default(),
+        );
+        assert_eq!(n, 1);
+        let text = p.to_text(PrintStyle::COMPACT);
+        assert!(text.contains("BH_DIVIDE y x 12.0\n"), "{text}");
+        // Never with a shift or another scale: (x/3 + 1), x/3·3.
+        for tail in ["BH_ADD a a 1", "BH_MULTIPLY a a 3"] {
+            let (_, n) = optimize_text(
+                &format!(
+                    ".base x f64[4] input\n.base a f64[4]\nBH_DIVIDE a x 3\n{tail}\nBH_SYNC a\n"
+                ),
+                &RewriteCtx::default(),
+            );
+            assert_eq!(n, 0, "{tail}");
+        }
     }
 
     #[test]

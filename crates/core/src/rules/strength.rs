@@ -15,6 +15,7 @@
 //! * unsigned `x / 2ᵏ → x ≫ k`.
 
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
+use bh_ir::affine::dyadic_reciprocal;
 use bh_ir::{Instruction, Opcode, Operand, Program};
 use bh_tensor::Scalar;
 
@@ -84,19 +85,16 @@ fn reduce(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<Instruction
 
     // Float divisions by powers of two, constant on the right only.
     let (const_pos, c) = instr.sole_const_input()?;
-    if instr.op != Opcode::Divide || const_pos != 1 || !dtype.is_float() {
+    if instr.op != Opcode::Divide || const_pos != 1 {
         return None;
     }
-    let v = c.cast(dtype).as_f64();
-    if v != 0.0 && v.abs().log2().fract() == 0.0 {
-        return Some(Instruction::binary(
-            Opcode::Multiply,
-            out,
-            instr.inputs()[0].clone(),
-            Operand::Const(Scalar::from_f64(1.0 / v, dtype)),
-        ));
-    }
-    None
+    let r = dyadic_reciprocal(c, dtype)?;
+    Some(Instruction::binary(
+        Opcode::Multiply,
+        out,
+        instr.inputs()[0].clone(),
+        Operand::Const(r),
+    ))
 }
 
 fn lower(program: &Program, idx: usize) -> Option<Instruction> {

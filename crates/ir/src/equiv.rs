@@ -6,9 +6,10 @@
 //! value number* drawn from a hash-consed expression table shared by both
 //! programs; algebraic normal forms mirror exactly the rewrite catalogue
 //! of `bh-opt` (commutative-operand canonicalisation, identity /
-//! annihilator / strength / power / constant-fold closure, and the affine
-//! `Lin1` form `k·(e + b) → k·e + k·b` of a one-term sum), so any plan a
-//! sound rule application produced value-numbers identically to its
+//! annihilator / strength / power / constant-fold closure), and constant
+//! links compose into the normal form `k·e + b` through
+//! [`crate::affine`], the algebra `constant-merge` folds with. So any plan
+//! a sound rule application produced value-numbers identically to its
 //! source.
 //!
 //! The pass is **dtype- and `strict_math`-aware**: float reassociation is
@@ -59,6 +60,7 @@
 //! # Ok::<(), bh_ir::ParseError>(())
 //! ```
 
+use crate::affine::Affine;
 use crate::fold::const_eval;
 use crate::opcode::{OpKind, Opcode};
 use crate::operand::{Operand, ViewRef};
@@ -268,12 +270,17 @@ enum Expr {
     /// operands are sorted; under reassociation same-op chains are
     /// flattened into one n-ary node.
     Node { op: Opcode, args: Vec<Vn> },
-    /// Reassociated product: sorted factors with exponents and an
-    /// optional folded constant. The shared normal form of
-    /// `BH_POWER`-expansion, squaring chains and multiply re-rolls.
-    Product {
-        factors: Vec<(Vn, u64)>,
+    /// Reassociated product: sorted factors with exponents. The shared
+    /// normal form of `BH_POWER`-expansion, squaring chains and multiply
+    /// re-rolls.
+    Product { factors: Vec<(Vn, u64)> },
+    /// `k·e + b`, either part absent: `e` under a map of the affine
+    /// algebra ([`Affine`]) that `e`'s own map does not compose with. Under
+    /// reassociation the only way a constant scales or shifts a value.
+    Map {
+        e: Vn,
         k: Option<(DType, u64)>,
+        b: Option<(DType, u64)>,
     },
     /// Reduction or scan of one axis.
     Fold { op: Opcode, src: Vn, axis: usize },
@@ -318,9 +325,12 @@ fn bits_scalar(dtype: DType, bits: u64) -> Scalar {
 
 /// Multiply-mix hasher (the rustc/FxHash recipe) for the cons table:
 /// `Expr` keys hash on every `mk`, and the default SipHash is the
-/// dominant cost of the whole audit on real plans. Collision quality is
-/// ample for interned-expression keys; nothing here is attacker-facing.
-/// The optimiser's value-numbering table keys on it too.
+/// dominant cost of the whole audit on real plans. The optimiser's
+/// value-numbering table keys on it too.
+///
+/// It is unkeyed, and its keys are not trusted: both tables hash
+/// constants and slices that a wire client chose. A program crafted to
+/// collide them makes its own miss quadratic.
 #[derive(Debug, Default)]
 pub struct FxHasher(u64);
 
@@ -470,57 +480,30 @@ impl Sym {
             }
         }
 
-        // Canonicalise subtract / divide-by-constant toward add /
-        // multiply / shift so constant-merge chains share a normal form.
-        if let Some(c) = self.as_fill(b) {
-            match op {
-                // x − c ≡ x + (−c): IEEE negation is exact; integers wrap.
-                // Bool "subtract" is XOR, where the identity fails.
-                Opcode::Subtract if dtype != DType::Bool => {
-                    if let Some(neg) = const_eval(Opcode::Subtract, Scalar::zero(dtype), c, dtype) {
-                        let nc = self.fill(neg);
-                        return self.binary(Opcode::Add, dtype, a, nc);
-                    }
-                }
-                Opcode::Divide => {
-                    if dtype.is_float() {
-                        // Float x / ±2ᵏ ≡ x · (1/c), exact (the reciprocal
-                        // of a power of two is representable).
-                        let v = c.as_f64();
-                        if v != 0.0 && v.abs().log2().fract() == 0.0 {
-                            let r = self.fill(Scalar::from_f64(1.0 / v, dtype));
-                            return self.binary(Opcode::Multiply, dtype, a, r);
-                        }
-                    } else if dtype.is_unsigned_integer() {
-                        // Unsigned x / 2ᵏ ≡ x ≫ k.
-                        if let Some(v) = c.as_integral() {
-                            if v > 0 && (v as u64).is_power_of_two() {
-                                let k = (v as u64).trailing_zeros() as i64;
-                                let kc = self.fill(Scalar::from_i64(k, dtype));
-                                return self.binary(Opcode::RightShift, dtype, a, kc);
-                            }
-                        }
-                    }
-                    // (x / c₁) / c₂ ≡ x / (c₁·c₂) — the constant-merge
-                    // divide chain, gated like the rule.
-                    if reassoc {
-                        if let Expr::Node {
-                            op: Opcode::Divide,
-                            args,
-                        } = self.expr(a).clone()
-                        {
-                            if args.len() == 2 {
-                                if let Some(c1) = self.as_fill(args[1]) {
-                                    if let Some(m) = const_eval(Opcode::Multiply, c1, c, dtype) {
-                                        let mc = self.fill(m);
-                                        return self.binary(Opcode::Divide, dtype, args[0], mc);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
+        // A constant link reads through the affine algebra `constant-merge`
+        // folds with. Under reassociation it composes into the normal form
+        // `k·e + b`; without, it stays one node, spelled canonically
+        // (`x − c` as `x + (−c)`, float `x/2ᵏ` as `x·2⁻ᵏ`, both exact).
+        let link = match (self.as_fill(a), self.as_fill(b)) {
+            (None, Some(c)) => Affine::read(op, 1, c, dtype).map(|m| (a, m)),
+            (Some(c), None) => Affine::read(op, 0, c, dtype).map(|m| (b, m)),
+            _ => None,
+        };
+        let (op, a, b) = match link {
+            Some((v, m)) if reassoc => return self.affine(dtype, v, m),
+            Some((v, m)) => match m.link(dtype, None) {
+                Some((op, 0, c)) => (op, self.fill(c), v),
+                Some((op, _, c)) => (op, v, self.fill(c)),
+                None => (op, a, b),
+            },
+            None => (op, a, b),
+        };
+        // Unsigned x / 2ᵏ ≡ x ≫ k (mirror `StrengthReduction`).
+        if let (Opcode::Divide, Some(v)) = (op, self.as_fill(b).and_then(Scalar::as_integral)) {
+            if dtype.is_unsigned_integer() && v > 0 && (v as u64).is_power_of_two() {
+                let k = (v as u64).trailing_zeros() as i64;
+                let kc = self.fill(Scalar::from_i64(k, dtype));
+                return self.binary(Opcode::RightShift, dtype, a, kc);
             }
         }
 
@@ -559,9 +542,6 @@ impl Sym {
 
         // Reassociated products: multiply chains, squarings, expansions.
         if op == Opcode::Multiply && reassoc {
-            if let Some(v) = self.lin1(dtype, a, b).or_else(|| self.lin1(dtype, b, a)) {
-                return v;
-            }
             let (mut factors, ka) = self.to_factors(a);
             let (fb, kb) = self.to_factors(b);
             factors.extend(fb);
@@ -586,53 +566,102 @@ impl Sym {
         self.mk(Expr::Node { op, args })
     }
 
-    /// `Lin1`, the single-variable affine normal form (mirror of the
-    /// affine runs `constant-merge` folds): `k·(e + b) → k·e + k·b` for a
-    /// constant `k` and a sum of exactly one non-constant term `e` and a
-    /// constant `b`. A sum of several terms stays a factor, so the form
-    /// costs O(1) per multiply. Only called under reassociation.
-    fn lin1(&mut self, dtype: DType, sum: Vn, k: Vn) -> Option<Vn> {
-        let kc = self.as_fill(k)?;
-        let Expr::Node {
-            op: Opcode::Add,
-            args,
-        } = self.expr(sum)
-        else {
-            return None;
+    /// `m` applied to `v` in the affine normal form (only called under
+    /// reassociation). `v`'s own map composes with `m` when
+    /// [`Affine::then`] says so — and the result, recursively, with the map
+    /// below it, so a run cancelled back to a power-of-two scale meets the
+    /// divide it stopped at. Otherwise `m` goes on top, rebalanced by
+    /// [`Affine::split`]. A map never touches the terms of its value, and
+    /// only the top two maps of a value change: each step is O(1).
+    fn affine(&mut self, dtype: DType, v: Vn, m: Affine) -> Vn {
+        let Some(m) = m.trimmed() else {
+            return v;
         };
-        let (e, b) = match args[..] {
-            [x, y] => match (self.as_fill(x), self.as_fill(y)) {
-                (None, Some(b)) => (x, b),
-                (Some(b), None) => (y, b),
-                _ => return None,
+        if let Some((under, inner)) = self.unaffine(dtype, v) {
+            if let Some(both) = inner.then(m, dtype) {
+                return self.affine(dtype, under, both);
+            }
+            let (lower, upper) = inner.split(m, dtype);
+            if (lower, upper) != (inner, m) {
+                let v = match lower.trimmed() {
+                    Some(lower) => self.build(dtype, under, lower),
+                    None => under,
+                };
+                return match upper.trimmed() {
+                    Some(upper) => self.build(dtype, v, upper),
+                    None => v,
+                };
+            }
+        }
+        self.build(dtype, v, m)
+    }
+
+    /// The value `m` computes from `v`, with nothing composed.
+    fn build(&mut self, dtype: DType, v: Vn, m: Affine) -> Vn {
+        let (k, b) = match m {
+            Affine::Lin(k, b) => (k, b),
+            Affine::Div(d) => {
+                let d = self.fill(d);
+                return self.mk(Expr::Node {
+                    op: Opcode::Divide,
+                    args: vec![v, d],
+                });
+            }
+        };
+        let zero = Scalar::zero(dtype);
+        // `x·0 ≡ 0` (reassociation holds), and a map of a constant folds.
+        let c = match (k, self.as_fill(v)) {
+            (Some(k), _) if k.is_zero() => Some(zero),
+            (k, Some(c)) => k.map_or(Some(c), |k| const_eval(Opcode::Multiply, c, k, dtype)),
+            _ => None,
+        };
+        if let Some(c) = c.and_then(|c| const_eval(Opcode::Add, c, b.unwrap_or(zero), dtype)) {
+            return self.fill(c);
+        }
+        self.mk(Expr::Map {
+            e: v,
+            k: k.map(scalar_bits),
+            b: b.map(scalar_bits),
+        })
+    }
+
+    /// The map [`Sym::build`] put on top of `v`, and the value under it.
+    fn unaffine(&self, dtype: DType, v: Vn) -> Option<(Vn, Affine)> {
+        match self.expr(v) {
+            Expr::Map { e, k, b } => Some((
+                *e,
+                Affine::Lin(
+                    k.map(|(d, x)| bits_scalar(d, x)),
+                    b.map(|(d, x)| bits_scalar(d, x)),
+                ),
+            )),
+            Expr::Node {
+                op: Opcode::Divide,
+                args,
+            } => match Affine::read(Opcode::Divide, 1, self.as_fill(args[1])?, dtype)? {
+                m @ Affine::Div(_) => Some((args[0], m)),
+                _ => None,
             },
-            _ => return None,
-        };
-        let kb = const_eval(Opcode::Multiply, b, kc, dtype)?;
-        // `k·e` as `binary` would build it: `e`, a term of a flattened sum,
-        // is no sum itself, and `k` is neither 0 nor 1 (both contract
-        // before a product is formed).
-        let (factors, ke) = self.to_factors(e);
-        let ke = match ke {
-            Some(x) => const_eval(Opcode::Multiply, x, kc, dtype),
-            None => Some(kc),
-        };
-        let ke = self.product_merge(factors, ke, dtype);
-        let kb = self.fill(kb);
-        Some(self.binary(Opcode::Add, dtype, ke, kb))
+            _ => None,
+        }
     }
 
     /// Decompose a value into product factors plus an optional constant.
     fn to_factors(&self, v: Vn) -> (Vec<(Vn, u64)>, Option<Scalar>) {
         match self.expr(v) {
-            Expr::Product { factors, k } => (factors.clone(), k.map(|(d, b)| bits_scalar(d, b))),
+            Expr::Product { factors } => (factors.clone(), None),
+            Expr::Map {
+                e,
+                k: Some((d, bits)),
+                b: None,
+            } => (self.to_factors(*e).0, Some(bits_scalar(*d, *bits))),
             Expr::Fill(d, b) => (Vec::new(), Some(bits_scalar(*d, *b))),
             _ => (vec![(v, 1)], None),
         }
     }
 
-    /// Normalise a product: merge duplicate factors, fold the constant,
-    /// apply identity/annihilator, collapse trivial shapes.
+    /// Normalise a product: merge duplicate factors, scale by the constant,
+    /// collapse trivial shapes.
     fn product_merge(
         &mut self,
         mut factors: Vec<(Vn, u64)>,
@@ -647,23 +676,12 @@ impl Sym {
                 _ => merged.push((v, e)),
             }
         }
-        let k = k.filter(|c| !c.is_one());
-        if let Some(c) = k {
-            if c.is_zero() && !dtype.is_float() || c.is_zero() && self.fast_math {
-                // Multiply annihilator, same gating as the rule (reassoc
-                // already holds here).
-                return self.fill(Scalar::zero(dtype).cast(dtype));
-            }
-        }
-        match (merged.len(), k) {
-            (0, None) => self.fill(Scalar::one(dtype)),
-            (0, Some(c)) => self.fill(c),
-            (1, None) if merged[0].1 == 1 => merged[0].0,
-            _ => self.mk(Expr::Product {
-                factors: merged,
-                k: k.map(scalar_bits),
-            }),
-        }
+        let product = match merged[..] {
+            [] => self.fill(Scalar::one(dtype)),
+            [(v, 1)] => v,
+            _ => self.mk(Expr::Product { factors: merged }),
+        };
+        self.affine(dtype, product, Affine::Lin(k, None))
     }
 
     /// Flatten an associative-commutative chain into one sorted n-ary
@@ -688,6 +706,15 @@ impl Sym {
             }
             match self.expr(v) {
                 Expr::Node { op: o, args } if *o == op => work.extend(args.iter().copied()),
+                // A sum's constant joins the chain's; its term stays.
+                &Expr::Map { e, k, b: Some(b) } if op == Opcode::Add => {
+                    let term = match k {
+                        Some(_) => self.mk(Expr::Map { e, k, b: None }),
+                        None => e,
+                    };
+                    let b = self.fill(bits_scalar(b.0, b.1));
+                    work.extend([term, b]);
+                }
                 _ => items.push(v),
             }
         }
@@ -721,6 +748,11 @@ impl Sym {
             | Opcode::LogicalAnd
             | Opcode::LogicalOr => items.dedup(),
             _ => {}
+        }
+        if op == Opcode::Add && items.len() > 1 {
+            // A sum's constant stays outside its terms, as a shift.
+            let terms = self.mk(Expr::Node { op, args: items });
+            return self.affine(dtype, terms, Affine::Lin(None, konst));
         }
         if let Some(c) = konst {
             items.push(self.fill(c));
@@ -1458,7 +1490,7 @@ BH_SYNC v
     }
 
     #[test]
-    fn lin1_distributes_a_scale_over_a_one_term_sum() {
+    fn a_scale_distributes_over_a_sum_of_any_number_of_terms() {
         let before =
             ".base x f64[8] input\n.base a f64[8]\nBH_ADD a x 3\nBH_MULTIPLY a a 2\nBH_SYNC a\n";
         let after =
@@ -1476,13 +1508,16 @@ BH_SYNC v
             &after.replace("f64", "i64"),
             EquivOptions::default().strict_math(),
         );
-        // A sum of two terms stays a factor: (x + y + 1)·2 is not
-        // (x + y)·2 + 2 to the auditor.
+        // A sum of two terms is one `e` of `k·e + b`: (x + y + 1)·2 is
+        // (x + y)·2 + 2, and not (x + y)·2 + 1.
+        let sum = ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\n\
+                   BH_ADD a x y\n";
+        let before = format!("{sum}BH_ADD a a 1\nBH_MULTIPLY a a 2\nBH_SYNC a\n");
+        let after = format!("{sum}BH_MULTIPLY a a 2\nBH_ADD a a 2\nBH_SYNC a\n");
+        ok(&before, &after, EquivOptions::default());
         fails_with(
-            ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\n\
-             BH_ADD a x y\nBH_ADD a a 1\nBH_MULTIPLY a a 2\nBH_SYNC a\n",
-            ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\n\
-             BH_ADD a x y\nBH_MULTIPLY a a 2\nBH_ADD a a 2\nBH_SYNC a\n",
+            &before,
+            &after.replace("BH_ADD a a 2", "BH_ADD a a 1"),
             EquivOptions::default(),
             EquivCode::ValueMismatch,
         );

@@ -31,6 +31,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod affine;
 pub mod analysis;
 mod digest;
 pub mod equiv;

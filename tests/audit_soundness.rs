@@ -18,8 +18,9 @@
 use bohrium_repro::ir::{check_equiv, parse_program, EquivCode, EquivOptions, Opcode, Program};
 use bohrium_repro::opt::{OptLevel, OptOptions, Optimizer, RewriteCtx, RewriteRule};
 use bohrium_repro::runtime::Runtime;
-use bohrium_repro::testing::Audited;
+use bohrium_repro::testing::{assert_equivalent, Audited};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 
 /// Strategy mirroring `tests/equivalence.rs`: random element-wise chains
@@ -92,6 +93,158 @@ proptest! {
     #[test]
     fn bool_pipeline_plans_audit_clean(text in arb_program("bool", 8)) {
         assert_audits_clean(&text);
+    }
+}
+
+/// Affine chains as a front end records them: every link writes a fresh
+/// register, the register it read is freed after it, and one `BH_SYNC`
+/// ends the program. A link adds or subtracts a constant on either side,
+/// multiplies, or divides by 2, 4, 0.5, 3 or 10 (0.5 only for floats: it
+/// casts to a zero divisor in `i64`); one `BH_MAXIMUM` sits somewhere in
+/// the chain.
+fn arb_front_end_chain(dtype: &'static str) -> impl Strategy<Value = String> {
+    let divisors: &'static [&'static str] = if dtype == "f64" {
+        &["2", "4", "0.5", "3", "10"]
+    } else {
+        &["2", "4", "3", "10"]
+    };
+    let link = prop_oneof![
+        (1i64..4, 0usize..2).prop_map(|(c, left)| ("BH_ADD", left == 1, c.to_string())),
+        (1i64..4, 0usize..2).prop_map(|(c, left)| ("BH_SUBTRACT", left == 1, c.to_string())),
+        (1i64..4).prop_map(|c| ("BH_MULTIPLY", false, c.to_string())),
+        (0..divisors.len()).prop_map(move |i| ("BH_DIVIDE", false, divisors[i].to_owned())),
+    ];
+    (proptest::collection::vec(link, 1..8), 0usize..8, 1i64..4).prop_map(move |(links, at, top)| {
+        let n = links.len() + 1;
+        let mut text = format!(".base r0 {dtype}[16] input\n");
+        for k in 1..=n {
+            text.push_str(&format!(".base r{k} {dtype}[16]\n"));
+        }
+        let mut links = links.into_iter();
+        for k in 1..=n {
+            let src = format!("r{}", k - 1);
+            text.push_str(&match (k - 1 == at % n, links.next()) {
+                (true, _) | (_, None) => format!("BH_MAXIMUM r{k} {src} {top}\n"),
+                (false, Some((op, true, c))) => format!("{op} r{k} {c} {src}\n"),
+                (false, Some((op, false, c))) => format!("{op} r{k} {src} {c}\n"),
+            });
+            if k > 1 {
+                text.push_str(&format!("BH_FREE {src}\n"));
+            }
+        }
+        text.push_str(&format!("BH_SYNC r{n}\n"));
+        text
+    })
+}
+
+/// A rawer variant of [`arb_front_end_chain`]: a link may also update its
+/// register in place, and a register a link leaves is freed, synced there
+/// or kept to the end. Constants include negatives and exact fractions,
+/// divisors include −3, 6 and 7.
+fn arb_mixed_chain(dtype: &'static str) -> impl Strategy<Value = String> {
+    const CONSTANTS: [&str; 9] = ["1", "2", "3", "0.5", "-1", "-2", "4", "0.25", "5"];
+    let divisors: &'static [&'static str] = if dtype == "f64" {
+        &["2", "4", "0.5", "3", "10", "7", "0.25", "-3", "6"]
+    } else {
+        &["2", "4", "3", "10", "7", "-3", "6"]
+    };
+    let link = (0usize..10, 0usize..9, 0usize..6);
+    proptest::collection::vec(link, 1..16).prop_map(move |links| {
+        let mut decls = format!(".base r0 {dtype}[16] input\n");
+        let (mut body, mut kept) = (String::new(), String::new());
+        let (mut src, mut fresh) = (0, 1);
+        for (op, c, place) in links {
+            let out = if place == 0 && src != 0 { src } else { fresh };
+            let (c, d) = (CONSTANTS[c], divisors[c % divisors.len()]);
+            body.push_str(&match op {
+                0 => format!("BH_ADD r{out} {c} r{src}\n"),
+                1 | 2 => format!("BH_ADD r{out} r{src} {c}\n"),
+                3 => format!("BH_SUBTRACT r{out} {c} r{src}\n"),
+                4 => format!("BH_SUBTRACT r{out} r{src} {c}\n"),
+                5 | 6 => format!("BH_MULTIPLY r{out} r{src} {c}\n"),
+                7 | 8 => format!("BH_DIVIDE r{out} r{src} {d}\n"),
+                _ => format!("BH_MAXIMUM r{out} r{src} {c}\n"),
+            });
+            if out == fresh {
+                decls.push_str(&format!(".base r{out} {dtype}[16]\n"));
+                fresh += 1;
+                match (src, place) {
+                    (0, _) => {}
+                    (_, 1) => body.push_str(&format!("BH_SYNC r{src}\n")),
+                    (_, 2) => kept.push_str(&format!("BH_SYNC r{src}\n")),
+                    _ => body.push_str(&format!("BH_FREE r{src}\n")),
+                }
+            }
+            src = out;
+        }
+        format!("{decls}{body}{kept}BH_SYNC r{src}\n")
+    })
+}
+
+/// Every level × math policy folds `source` with no rule application
+/// rolled back, the whole plan audits clean, and it computes what the
+/// source does. Whether `constant-merge` fired at O2 under fast math.
+fn folds_without_rollbacks(source: &Program) -> bool {
+    let mut fired = false;
+    for level in [OptLevel::O1, OptLevel::O2] {
+        for strict in [false, true] {
+            let mut options = OptOptions::level(level);
+            options.ctx.fast_math = !strict;
+            let (optimizer, tally) = Audited::optimizer(options.clone());
+            let mut plan = source.clone();
+            let report = optimizer.run(&mut plan);
+            assert_eq!(
+                tally.rollbacks(),
+                0,
+                "{level:?} strict={strict} rolled back a rewrite of\n{source}\n{report}"
+            );
+            if let Err(errors) = check_equiv(source, &plan, &options.equiv_options()) {
+                panic!("{level:?} strict={strict}: {errors:?}\n{source}\n--- plan ---\n{plan}");
+            }
+            assert_equivalent(source, &plan, 7, 1e-9);
+            let merges = report
+                .by_rule
+                .iter()
+                .find(|(rule, _)| *rule == "constant-merge");
+            fired |= level == OptLevel::O2 && !strict && merges.is_some_and(|&(_, n)| n > 0);
+        }
+    }
+    fired
+}
+
+/// Chains recorded like a front end fold with no rollback. At least a
+/// quarter of them fold through a temporary, so the property is not
+/// vacuous.
+#[test]
+fn front_end_affine_chains_fold_without_rollbacks() {
+    let cases = ProptestConfig::with_cases(96).effective_cases();
+    let mut rng = TestRng::from_name("audit_soundness::front_end_affine_chains");
+    let (mut programs, mut folded) = (0, 0);
+    for dtype in ["i64", "f64"] {
+        let chains = arb_front_end_chain(dtype);
+        for _ in 0..cases {
+            let source = parse_program(&chains.generate(&mut rng)).expect("generated text parses");
+            programs += 1;
+            folded += usize::from(folds_without_rollbacks(&source));
+        }
+    }
+    assert!(
+        4 * folded >= programs,
+        "only {folded} of {programs} chains folded through a temporary"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn mixed_integer_affine_chains_fold_without_rollbacks(text in arb_mixed_chain("i64")) {
+        folds_without_rollbacks(&parse_program(&text).expect("generated text parses"));
+    }
+
+    #[test]
+    fn mixed_float_affine_chains_fold_without_rollbacks(text in arb_mixed_chain("f64")) {
+        folds_without_rollbacks(&parse_program(&text).expect("generated text parses"));
     }
 }
 
@@ -288,6 +441,43 @@ fn affine_fold_mutants_are_rejected() {
     // The f64 run merged under strict math, where it reassociates.
     let strict = EquivOptions::default().strict_math();
     assert_eq!(codes(&folded, &strict), [EquivCode::ValueMismatch]);
+
+    // A sum entering the run, (x + y + 1)·3 + 3 = (x + y)·3 + 6: the
+    // shift moved behind the scale but not scaled, (x + y)·3 + 4.
+    let sum = ".base x f64[8] input\n.base y f64[8] input\n.base a f64[8]\nBH_ADD a x y\n";
+    let program = |body: &str| parse_program(&format!("{sum}{body}BH_SYNC a\n")).unwrap();
+    let source = program("BH_ADD a a 1\nBH_MULTIPLY a a 3\nBH_ADD a a 3\n");
+    let mut plan = source.clone();
+    Optimizer::new(OptOptions::default()).run(&mut plan);
+    assert_eq!(
+        plan.instrs(),
+        program("BH_MULTIPLY a a 3\nBH_ADD a a 6.0\n").instrs(),
+        "{plan}"
+    );
+    check_equiv(&source, &plan, &EquivOptions::default()).expect("the fold is provable");
+    let unscaled = program("BH_MULTIPLY a a 3\nBH_ADD a a 4\n");
+    assert!(check_equiv(&source, &unscaled, &EquivOptions::default())
+        .is_err_and(|e| e.iter().all(|e| e.code == EquivCode::ValueMismatch)));
+
+    // 20 − (10 − x) = x + 10, and not (10 + 20) − x.
+    let program = |body: &str| {
+        parse_program(&format!(
+            ".base x f64[8] input\n.base a f64[8]\n{body}BH_SYNC a\n"
+        ))
+        .unwrap()
+    };
+    let source = program("BH_SUBTRACT a 10 x\nBH_SUBTRACT a 20 a\n");
+    let mut plan = source.clone();
+    Optimizer::new(OptOptions::default()).run(&mut plan);
+    assert_eq!(
+        plan.instrs(),
+        program("BH_ADD a x 10.0\n").instrs(),
+        "{plan}"
+    );
+    check_equiv(&source, &plan, &EquivOptions::default()).expect("the fold is provable");
+    let summed = program("BH_SUBTRACT a 30 x\n");
+    assert!(check_equiv(&source, &summed, &EquivOptions::default())
+        .is_err_and(|e| e.iter().all(|e| e.code == EquivCode::ValueMismatch)));
 }
 
 /// A chain through temporaries, as a front end records it, and the plan
@@ -481,6 +671,30 @@ fn runtime_audits_once_per_miss_never_on_a_hit() {
     assert_eq!(stats.audits.failed, 0);
     assert_eq!(stats.audits.rolled_back, 0);
     assert_eq!(stats.evals, 12);
+}
+
+/// Listing 2's add chain next to an unrelated float divide chain: the
+/// rule folds `x/4/3` to `x/12`, the whole-plan audit proves it, and the
+/// runtime serves the folded plan instead of rolling all of it back.
+#[test]
+fn runtime_serves_a_folded_divide_chain_without_rolling_back() {
+    let p = parse_program(
+        ".base x f64[8] input\n.base a0 f64[8]\n.base d f64[8]\n\
+         BH_IDENTITY a0 0\nBH_ADD a0 a0 1\nBH_ADD a0 a0 1\nBH_ADD a0 a0 1\n\
+         BH_DIVIDE d x 4\nBH_DIVIDE d d 3\nBH_SYNC a0\nBH_SYNC d\n",
+    )
+    .unwrap();
+    let (x, d) = (p.reg_by_name("x").unwrap(), p.reg_by_name("d").unwrap());
+    let rt = Runtime::builder().audit(true).build();
+    let input = bohrium_repro::tensor::Tensor::from_vec(vec![24.0f64; 8]);
+    let (v, outcome) = rt.eval(&p, &[(x, input)], d).unwrap();
+    assert_eq!(v.to_f64_vec(), vec![2.0; 8]);
+    let stats = rt.stats();
+    assert_eq!(stats.audits.passed, 1);
+    assert_eq!(stats.audits.rolled_back, 0);
+    let plan = &outcome.plan.program;
+    assert_eq!(plan.count_op(Opcode::Add), 1, "{}", **plan);
+    assert_eq!(plan.count_op(Opcode::Divide), 1, "{}", **plan);
 }
 
 #[test]

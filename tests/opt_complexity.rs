@@ -97,12 +97,15 @@ fn a_long_program_optimises_audits_and_verifies_in_bounded_time() {
     );
 }
 
-/// One in-place affine run the length of the program: adds and
-/// multiplies alternate one by one, so every multiply moves in front of
-/// the add before it and folds into the multiply before that.
-fn affine_run(instructions: usize) -> Program {
-    let mut text = String::from(".base a f64[64]\nBH_RANGE a\n");
-    for k in 0..instructions - 2 {
+/// One in-place affine run the length of the program, after `entry`
+/// (instructions that write `a`, with the declarations they need): adds
+/// and multiplies alternate one by one, so every multiply moves in front
+/// of the add before it and folds into the multiply before that.
+fn affine_run(instructions: usize, entry: &str) -> Program {
+    let mut text = String::from(".base a f64[64]\n");
+    text.push_str(entry);
+    let entered = text.lines().filter(|l| !l.starts_with('.')).count();
+    for k in 0..instructions - entered - 1 {
         let _ = if k % 2 == 0 {
             writeln!(text, "BH_ADD a a {}", 1 + k % 3)
         } else {
@@ -119,9 +122,28 @@ fn affine_run(instructions: usize) -> Program {
     program
 }
 
+/// The run entered by `BH_RANGE`, and by a 64-term sum `x₀ + … + x₆₃ + 1`:
+/// each fold step of the run is O(1) however many terms the value it
+/// scales has, so the sum costs nothing per link.
 #[test]
 fn a_long_affine_run_optimises_audits_and_verifies_in_bounded_time() {
-    let source = affine_run(INSTRUCTIONS);
+    let mut sum = String::new();
+    for k in 0..64 {
+        let _ = writeln!(sum, ".base x{k} f64[64] input");
+    }
+    sum.push_str("BH_ADD a x0 x1\n");
+    for k in 2..64 {
+        let _ = writeln!(sum, "BH_ADD a a x{k}");
+    }
+    sum.push_str("BH_ADD a a 1\n");
+    // BH_RANGE, one multiply, one add, BH_SYNC; or the 63 adds of the
+    // sum, one multiply, one add, BH_SYNC.
+    for (entry, live) in [("BH_RANGE a\n", 4), (sum.as_str(), 63 + 3)] {
+        affine_run_folds(affine_run(INSTRUCTIONS, entry), live);
+    }
+}
+
+fn affine_run_folds(source: Program, live: usize) {
     verify(&source).expect("the generated program verifies");
 
     let begun = Instant::now();
@@ -135,8 +157,7 @@ fn a_long_affine_run_optimises_audits_and_verifies_in_bounded_time() {
     verify(&optimised).expect("the optimised plan verifies");
     let total = begun.elapsed();
 
-    // BH_RANGE, one multiply, one add, BH_SYNC.
-    assert_eq!(optimised.live_len(), 4, "{optimised}");
+    assert_eq!(optimised.live_len(), live, "{optimised}");
     assert!(
         total < BUDGET,
         "optimise {optimise:?} + audit {audit:?} + verify = {total:?} for an affine run of \
