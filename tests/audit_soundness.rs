@@ -695,6 +695,13 @@ fn runtime_serves_a_folded_divide_chain_without_rolling_back() {
     let plan = &outcome.plan.program;
     assert_eq!(plan.count_op(Opcode::Add), 1, "{}", **plan);
     assert_eq!(plan.count_op(Opcode::Divide), 1, "{}", **plan);
+    // The fold rolls back no rule application either, in place or
+    // through a freed temporary.
+    let temporary = ".base x f64[8] input\n.base t f64[8]\n.base d f64[8]\n\
+                     BH_DIVIDE t x 4\nBH_DIVIDE d t 3\nBH_FREE t\nBH_SYNC d\n";
+    for source in [p, parse_program(temporary).unwrap()] {
+        assert!(folds_without_rollbacks(&source), "{source}");
+    }
 }
 
 #[test]
