@@ -10,6 +10,15 @@
 //! over a [`RangeExecutor`]: a scan by whole lanes only, each lane one
 //! sequential running fold; a reduction by lanes, or by [`REDUCE_BLOCK`]-sized
 //! canonical blocks when it has a single lane.
+//!
+//! The reduction kernels keep several independent accumulators in flight
+//! without changing any result: a shard folds a run of canonical blocks
+//! in lockstep, one accumulator per block ([`fold_blocks`]), and a chunk
+//! of adjacent lanes a row slice at a time, one accumulator per lane.
+//! Each block and each lane is still its own left fold in index order,
+//! so the expression tree is the one [`REDUCE_BLOCK`] defines. The lane
+//! loops check a lane's bounds once, by its two ends, and then index
+//! unchecked.
 
 use crate::dtype::Element;
 use crate::view::ViewGeom;
@@ -320,6 +329,87 @@ pub fn accumulate_axis<T: Element>(
 /// so short reductions keep their historical bit patterns.
 pub const REDUCE_BLOCK: usize = 4096;
 
+/// Canonical blocks a shard folds side by side, one accumulator each:
+/// independent dependency chains hide the fold's latency. 8 blocks of
+/// f64 are 256 KiB, which stays in L2.
+const LOCKSTEP_BLOCKS: usize = 8;
+
+/// Adjacent lanes an axis reduction folds side by side: one contiguous
+/// row slice per step into a row of accumulators, a loop the compiler
+/// vectorises.
+const LOCKSTEP_LANES: usize = 32;
+
+/// Assert that every element `base + k * stride`, `k ∈ [0, len)`, of a
+/// lane lies inside a buffer of `buf_len` elements. The offsets are
+/// monotone in `k`, so the lane's two ends bound it; the lane loops
+/// then index unchecked.
+///
+/// # Panics
+///
+/// Panics with "view escapes buffer" when an element lies outside.
+fn assert_lane_in(buf_len: usize, base: usize, len: usize, stride: isize) {
+    if len == 0 {
+        return;
+    }
+    let last = (len as isize - 1)
+        .checked_mul(stride)
+        .and_then(|d| (base as isize).checked_add(d));
+    let inside = |i: isize| (0..buf_len as isize).contains(&i);
+    assert!(
+        inside(base as isize) && last.is_some_and(inside),
+        "view escapes buffer"
+    );
+}
+
+/// Fold the canonical blocks of lane elements `[lo, hi)`: `at(k)` reads
+/// lane element `k`, and `put(b, p)` receives block `b`'s partial. `lo`
+/// is a multiple of [`REDUCE_BLOCK`] and `hi` either one too or the lane
+/// end, so the blocks are canonical whatever the sharding.
+///
+/// Runs of whole blocks advance in lockstep, one accumulator per block;
+/// every block is still its own left fold from `init` in index order, so
+/// the partials are exactly the one-block-at-a-time fold's.
+/// `prepare(a, b)` runs before the blocks in `[a, b)` are folded: a fused
+/// chain writes the lane there, and the fold reads it while it is cached.
+pub fn fold_blocks<T: Copy>(
+    lo: usize,
+    hi: usize,
+    init: T,
+    f: impl Fn(T, T) -> T,
+    mut prepare: impl FnMut(usize, usize),
+    at: impl Fn(usize) -> T,
+    mut put: impl FnMut(usize, T),
+) {
+    const RUN: usize = LOCKSTEP_BLOCKS * REDUCE_BLOCK;
+    let mut a = lo;
+    while a < hi {
+        let b = (a + RUN).min(hi);
+        prepare(a, b);
+        if b - a == RUN {
+            let mut acc = [init; LOCKSTEP_BLOCKS];
+            for k in a..a + REDUCE_BLOCK {
+                for (w, p) in acc.iter_mut().enumerate() {
+                    *p = f(*p, at(k + w * REDUCE_BLOCK));
+                }
+            }
+            for (w, p) in acc.into_iter().enumerate() {
+                put(a / REDUCE_BLOCK + w, p);
+            }
+        } else {
+            let mut blo = a;
+            while blo < b {
+                let bhi = (blo + REDUCE_BLOCK).min(b);
+                put(
+                    blo / REDUCE_BLOCK,
+                    (blo..bhi).fold(init, |p, k| f(p, at(k))),
+                );
+                blo = bhi;
+            }
+        }
+        a = b;
+    }
+}
+
 /// Deterministic blocked fold of one lane: the `len` elements at
 /// `base + k * stride` for `k ∈ [0, len)`.
 ///
@@ -327,8 +417,9 @@ pub const REDUCE_BLOCK: usize = 4096;
 /// block from `init`, and combines the block partials left-to-right in
 /// block order starting from `init` — see [`REDUCE_BLOCK`] for why this
 /// makes the result executor-independent. Block partials may be computed
-/// concurrently on `exec`. Returns `(value, shards)` where `shards` is
-/// the number of ranges dispatched (1 when the lane ran inline).
+/// concurrently on `exec`, each shard folding its blocks in lockstep
+/// ([`fold_blocks`]). Returns `(value, shards)` where `shards` is the
+/// number of ranges dispatched (1 when the lane ran inline).
 ///
 /// # Panics
 ///
@@ -345,29 +436,25 @@ pub fn par_reduce_lane<T: Element>(
     if len == 0 {
         return (init, 0);
     }
+    assert_lane_in(input.len(), base, len, stride);
     let nblocks = len.div_ceil(REDUCE_BLOCK);
     let mut partials = vec![init; nblocks];
     let pptr = SyncPtr(partials.as_mut_ptr());
-    let ilen = input.len();
+    let put = |b: usize, p: T| {
+        // SAFETY: block indices are unique across disjoint ranges.
+        unsafe { *pptr.get().add(b) = p }
+    };
     let shards = exec.run_ranges(len, REDUCE_BLOCK, &|lo, hi| {
         // `lo` is a multiple of REDUCE_BLOCK (grain contract), so the
         // blocks inside [lo, hi) are exactly the canonical blocks
         // lo/REDUCE_BLOCK .. — independent of how ranges were sharded.
-        let mut blo = lo;
-        while blo < hi {
-            let bhi = (blo + REDUCE_BLOCK).min(hi);
-            let mut acc = init;
-            let mut off = base as isize + blo as isize * stride;
-            for _ in blo..bhi {
-                let i = off as usize;
-                assert!(i < ilen, "view escapes buffer");
-                acc = f(acc, input[i]);
-                off += stride;
-            }
-            // SAFETY: block indices are unique across disjoint ranges.
-            unsafe { *pptr.get().add(blo / REDUCE_BLOCK) = acc };
-            blo = bhi;
-        }
+        let at = |k: usize| {
+            let i = (base as isize + k as isize * stride) as usize;
+            // SAFETY: `k < len`, and the lane was checked to lie inside
+            // `input` by its two ends.
+            unsafe { *input.get_unchecked(i) }
+        };
+        fold_blocks(lo, hi, init, &f, |_, _| {}, at, put);
     });
     let mut acc = init;
     for p in partials {
@@ -381,7 +468,9 @@ pub fn par_reduce_lane<T: Element>(
 ///
 /// Multi-lane reductions (output has ≥ 2 elements) shard whole lanes —
 /// each lane is the plain serial left fold, so results match the serial
-/// kernel exactly. A single-lane reduction (e.g. a full 1-D sum) shards
+/// kernel exactly. Runs of adjacent lanes (consecutive bases, as in an
+/// outer-axis reduction of a row-major base) fold in lockstep, a row
+/// slice per step. A single-lane reduction (e.g. a full 1-D sum) shards
 /// *within* the lane via [`par_reduce_lane`]'s canonical blocked combine.
 /// Returns the number of ranges dispatched.
 ///
@@ -402,7 +491,7 @@ pub fn par_reduce_axis<T: Element>(
 ) -> usize {
     assert!(axis < iv.rank(), "reduction axis out of range");
     let axis_len = iv.dims()[axis].len;
-    let axis_stride = iv.dims()[axis].stride;
+    let stride = iv.dims()[axis].stride;
     let reduced = remove_axis(iv, axis);
     assert_eq!(
         ov.shape(),
@@ -413,26 +502,55 @@ pub fn par_reduce_axis<T: Element>(
     zip_offsets([ov, &reduced], |[o, base]| lanes.push((o, base)));
     let (olen, ilen) = (out.len(), input.len());
     if let [(o, base)] = lanes[..] {
-        let (value, shards) = par_reduce_lane(exec, input, base, axis_len, axis_stride, init, f);
+        let (value, shards) = par_reduce_lane(exec, input, base, axis_len, stride, init, f);
         assert!(o < olen, "view escapes buffer");
         out[o] = value;
         return shards;
     }
     let optr = SyncPtr(out.as_mut_ptr());
+    let put = |o: usize, acc: T| {
+        assert!(o < olen, "view escapes buffer");
+        // SAFETY: bounds asserted; output offsets are unique per lane and
+        // lanes are partitioned disjointly across ranges.
+        unsafe { *optr.get().add(o) = acc };
+    };
     exec.run_ranges(lanes.len(), 1, &|lo, hi| {
-        for &(o, base) in &lanes[lo..hi] {
-            let mut acc = init;
-            let mut off = base as isize;
-            for _ in 0..axis_len {
-                let i = off as usize;
-                assert!(i < ilen, "view escapes buffer");
-                acc = f(acc, input[i]);
-                off += axis_stride;
+        for chunk in lanes[lo..hi].chunks(LOCKSTEP_LANES) {
+            let b0 = chunk[0].1;
+            let adjacent = chunk.len() == LOCKSTEP_LANES
+                && chunk.iter().enumerate().all(|(w, &(_, b))| b == b0 + w);
+            if adjacent {
+                // The chunk's corners are its first and last lanes' ends.
+                assert_lane_in(ilen, b0, axis_len, stride);
+                assert_lane_in(ilen, b0 + LOCKSTEP_LANES - 1, axis_len, stride);
+                let mut acc = [init; LOCKSTEP_LANES];
+                let mut row = b0 as isize;
+                for _ in 0..axis_len {
+                    // SAFETY: `row + w` is element `k` of lane `w` of the
+                    // chunk, inside `input` by the corner checks above.
+                    let slice =
+                        unsafe { input.get_unchecked(row as usize..row as usize + LOCKSTEP_LANES) };
+                    for (p, &x) in acc.iter_mut().zip(slice) {
+                        *p = f(*p, x);
+                    }
+                    row += stride;
+                }
+                for (&(o, _), p) in chunk.iter().zip(acc) {
+                    put(o, p);
+                }
+            } else {
+                for &(o, base) in chunk {
+                    assert_lane_in(ilen, base, axis_len, stride);
+                    let mut acc = init;
+                    let mut off = base as isize;
+                    for _ in 0..axis_len {
+                        // SAFETY: the lane was checked by its two ends.
+                        acc = f(acc, unsafe { *input.get_unchecked(off as usize) });
+                        off += stride;
+                    }
+                    put(o, acc);
+                }
             }
-            assert!(o < olen, "view escapes buffer");
-            // SAFETY: output offsets are unique per lane; lanes are
-            // partitioned disjointly across ranges.
-            unsafe { *optr.get().add(o) = acc };
         }
     })
 }
@@ -475,20 +593,21 @@ pub fn par_scan_axis<T: Element>(
     let optr = SyncPtr(out.as_mut_ptr());
     exec.run_ranges(lanes.len(), 1, &|lo, hi| {
         for &(obase, ibase) in &lanes[lo..hi] {
-            assert!(ibase < ilen && obase < olen, "view escapes buffer");
-            let mut acc = input[ibase];
-            // SAFETY: lanes write pairwise-disjoint elements and are
-            // partitioned disjointly across ranges.
-            unsafe { *optr.get().add(obase) = acc };
+            assert_lane_in(ilen, ibase, axis_len, in_stride);
+            assert_lane_in(olen, obase, axis_len, out_stride);
             let (mut ioff, mut ooff) = (ibase as isize, obase as isize);
-            for _ in 1..axis_len {
-                ioff += in_stride;
-                ooff += out_stride;
-                let (i, o) = (ioff as usize, ooff as usize);
-                assert!(i < ilen && o < olen, "view escapes buffer");
-                acc = f(acc, input[i]);
-                // SAFETY: as above.
-                unsafe { *optr.get().add(o) = acc };
+            // SAFETY: both lanes were checked by their two ends; lanes
+            // write pairwise-disjoint elements and are partitioned
+            // disjointly across ranges.
+            unsafe {
+                let mut acc = *input.get_unchecked(ioff as usize);
+                *optr.get().add(ooff as usize) = acc;
+                for _ in 1..axis_len {
+                    ioff += in_stride;
+                    ooff += out_stride;
+                    acc = f(acc, *input.get_unchecked(ioff as usize));
+                    *optr.get().add(ooff as usize) = acc;
+                }
             }
         }
     })
@@ -705,6 +824,93 @@ mod tests {
             }
             assert_eq!(serial.to_bits(), blocked_fold_ref(&vals).to_bits());
         }
+    }
+
+    #[test]
+    fn a_run_of_lockstep_blocks_is_the_blocked_fold() {
+        // One whole run of lockstep blocks and a one-element tail block,
+        // forwards and reversed: small enough for the nightly miri job
+        // to walk every element of a lockstep run.
+        let n = LOCKSTEP_BLOCKS * REDUCE_BLOCK + 1;
+        let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let rev: Vec<f64> = vals.iter().rev().copied().collect();
+        for (base, stride, order) in [(0, 1, &vals), (n - 1, -1, &rev)] {
+            let want = blocked_fold_ref(order).to_bits();
+            for exec in [&InlineExec as &dyn RangeExecutor, &ScopedExec(2)] {
+                let (got, _) = par_reduce_lane(exec, &vals, base, n, stride, 0.0, |a, b| a + b);
+                assert_eq!(got.to_bits(), want, "stride {stride}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_reduce_axis_matches_serial_kernel_at_lockstep_chunk_edges() {
+        // Outer-axis sums of `rows × lanes` bases: the lanes are adjacent,
+        // so whole chunks of LOCKSTEP_LANES fold a row at a time and the
+        // rest lane by lane.
+        let rows = 5;
+        for lanes in [LOCKSTEP_LANES - 1, LOCKSTEP_LANES, LOCKSTEP_LANES + 1] {
+            let input: Vec<f64> = (0..rows * lanes).map(|i| (i as f64 * 0.7).cos()).collect();
+            let iv = vg(&[rows, lanes]);
+            let mut want = vec![0.0f64; lanes];
+            reduce_axis(&mut want, &vg(&[lanes]), &input, &iv, 0, 0.0, |a, b| a + b);
+            for threads in [1usize, 2, 3] {
+                let mut got = vec![0.0f64; lanes];
+                par_reduce_axis(
+                    &ScopedExec(threads),
+                    &mut got,
+                    &vg(&[lanes]),
+                    &input,
+                    &iv,
+                    0,
+                    0.0,
+                    |a, b| a + b,
+                );
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "lanes={lanes} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn few_long_lanes_shard_one_lane_apiece() {
+        // Four lanes of 1000: fewer than a lockstep chunk, yet each lane
+        // is its own shard.
+        let (lanes, len) = (4, 1000);
+        let input: Vec<f64> = (0..lanes * len).map(|i| i as f64).collect();
+        let mut got = vec![0.0f64; lanes];
+        let shards = par_reduce_axis(
+            &ScopedExec(4),
+            &mut got,
+            &vg(&[lanes]),
+            &input,
+            &vg(&[lanes, len]),
+            1,
+            0.0,
+            |a, b| a + b,
+        );
+        assert_eq!(shards, 4);
+        let want: Vec<f64> = input.chunks(len).map(|l| l.iter().sum()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "view escapes buffer")]
+    fn a_lane_past_its_buffer_panics_before_it_folds() {
+        // Elements 3, 5, …, 11 of a 10-element buffer.
+        let vals = vec![1.0f64; 10];
+        par_reduce_lane(&InlineExec, &vals, 3, 5, 2, 0.0, |a, b| a + b);
+    }
+
+    #[test]
+    #[should_panic(expected = "view escapes buffer")]
+    fn a_lane_before_its_buffer_panics_before_it_folds() {
+        // Elements 2, 1, 0, −1.
+        let vals = vec![1.0f64; 10];
+        par_reduce_lane(&InlineExec, &vals, 2, 4, -1, 0.0, |a, b| a + b);
     }
 
     #[test]

@@ -1,15 +1,22 @@
 //! Fusion grouping: the "loop-fusion-like contractions" of §2.
 //!
-//! A run of element-wise byte-codes whose operands are all *full,
-//! contiguous* views of equally sized bases can be executed as one fused
-//! kernel: instead of `k` passes over `n` elements (each loading and
-//! storing the whole array), the fusing engine walks the arrays once in
-//! cache-sized blocks, applying all `k` operations per block. Kernel-launch
-//! count drops from `k` to 1 and intermediate traffic stays cache-resident.
+//! A run of element-wise byte-codes whose operands are all contiguous
+//! runs of one length, at any offsets of their bases, can be executed as
+//! one fused kernel: instead of `k` passes over `n` elements (each
+//! loading and storing the whole array), the fusing engine walks the
+//! arrays once in cache-sized blocks, applying all `k` operations per
+//! block. Kernel-launch count drops from `k` to 1 and intermediate
+//! traffic stays cache-resident. The one condition on offsets is that
+//! every base the run writes is read and written at one offset inside
+//! it, so no block reads an element another block writes; a shifted read
+//! after a write, or a shifted write after a read, ends the group.
 //!
 //! The same compiled form also carries a lone element-wise instruction
 //! over contiguous, possibly offset views ([`classify_single`]): it runs
 //! as a group of one, so the fusing engine has one element-wise fast path.
+//! [`find_groups`] classifies every instruction once per run: full views
+//! by a cheap check, where every offset is 0, the rest by
+//! [`classify_single`].
 
 use bh_ir::{Instruction, Opcode, Operand, Program, Reg};
 use bh_tensor::{DType, Scalar};
@@ -43,8 +50,8 @@ pub(crate) enum Group {
 
 /// One input of a fused instruction, fully resolved: every view is a
 /// contiguous run of its base, so a register and the run's first element
-/// identify the operand completely — no geometry needed. Inside a fused
-/// group the run is the whole base (offset 0).
+/// identify the operand completely — no geometry needed. A full view is
+/// the run at offset 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FusedInput {
     /// Element `k` of the step reads element `offset + k` of `reg`.
@@ -66,7 +73,7 @@ pub(crate) struct FusedInstr {
     pub op: Opcode,
     /// Output register, written over a contiguous run.
     pub out: Reg,
-    /// First element of the output run (0 inside a fused group).
+    /// First element of the output run (0 for a full view).
     pub out_offset: usize,
     /// Declared dtype of the output base.
     pub out_dtype: DType,
@@ -75,17 +82,6 @@ pub(crate) struct FusedInstr {
     pub in_dtype: DType,
     /// The instruction's inputs, in operand order (`arity()` entries).
     pub inputs: Vec<FusedInput>,
-}
-
-/// Resolve every instruction of a fused `range` into [`FusedInstr`]s.
-///
-/// Only call this on ranges produced by [`find_groups`]: the
-/// classification relies on the fusability invariant (all views full,
-/// contiguous, equal length), so every offset is 0.
-pub(crate) fn classify_group(program: &Program, range: std::ops::Range<usize>) -> Vec<FusedInstr> {
-    range
-        .map(|i| fused_instr(program, &program.instrs()[i]))
-        .collect()
 }
 
 /// The compiled-step form of the unfused instruction `idx` and its
@@ -130,8 +126,9 @@ pub(crate) fn classify_single(program: &Program, idx: usize) -> Option<(FusedIns
     Some((fi, nelem))
 }
 
-/// One element-wise instruction with every offset 0. The interpreter
-/// takes its dtypes and its accounting from this form too.
+/// One element-wise instruction with every offset 0: the compiled form
+/// of an instruction over full views. The interpreter takes its dtypes
+/// and its accounting from this form too.
 pub(crate) fn fused_instr(program: &Program, instr: &Instruction) -> FusedInstr {
     debug_assert!(instr.op.is_elementwise(), "fused steps are element-wise");
     let out = instr.out_view().expect("element-wise ops have outputs").reg;
@@ -176,14 +173,13 @@ fn fusable_nelem(program: &Program, idx: usize) -> Option<usize> {
         match o {
             Operand::Const(_) => {}
             Operand::View(v) => {
-                let geom = program.resolve_view(v).ok()?;
-                let base_n = program.base(v.reg).shape.nelem();
-                if geom.offset() != 0 || !geom.is_contiguous() || geom.nelem() != base_n {
+                if !program.is_full_view(v) {
                     return None;
                 }
+                let base_n = program.base(v.reg).shape.nelem();
                 match common {
-                    None => common = Some(geom.nelem()),
-                    Some(n) if n != geom.nelem() => return None,
+                    None => common = Some(base_n),
+                    Some(n) if n != base_n => return None,
                     _ => {}
                 }
             }
@@ -246,41 +242,183 @@ fn fusable_reduce(program: &Program, idx: usize, nelem: usize) -> bool {
         && out_ref.reg != in_ref.reg
 }
 
-/// Partition the program into maximal fused groups and singletons.
-pub(crate) fn find_groups(program: &Program) -> Vec<Group> {
-    let n = program.instrs().len();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        match fusable_nelem(program, i) {
-            None => {
-                out.push(Group::Single(i));
-                i += 1;
-            }
-            Some(nelem) => {
-                let mut j = i + 1;
-                while j < n && fusable_nelem(program, j) == Some(nelem) {
-                    j += 1;
-                }
-                if j - i >= 2 {
-                    if fusable_reduce(program, j, nelem) {
-                        out.push(Group::FusedReduce {
-                            range: i..j,
-                            nelem,
-                            reduce: j,
-                        });
-                        i = j + 1;
-                        continue;
-                    }
-                    out.push(Group::Fused { range: i..j, nelem });
-                } else {
-                    out.push(Group::Single(i));
-                }
-                i = j;
+/// How the fusing engine runs a program: its groups, and the compiled
+/// form of every element-wise instruction that runs on the compiled
+/// step, each classified once.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    /// The program's groups, in program order.
+    pub groups: Vec<Group>,
+    /// `compiled[i]`: instruction `i` as a compiled step and its element
+    /// count, or `None` when it runs stand-alone on the interpreter or is
+    /// not element-wise.
+    compiled: Vec<Option<(FusedInstr, usize)>>,
+}
+
+impl Schedule {
+    /// The compiled form of the single `i`, if it has one.
+    pub fn take_single(&mut self, i: usize) -> Option<(FusedInstr, usize)> {
+        self.compiled[i].take()
+    }
+
+    /// The compiled forms of a fused group's instructions, in order.
+    pub fn take_group(&mut self, range: std::ops::Range<usize>) -> Vec<FusedInstr> {
+        self.compiled[range]
+            .iter_mut()
+            .map(|c| c.take().expect("a fused group's instructions compile").0)
+            .collect()
+    }
+}
+
+/// The compiled form of instruction `idx`: the cheap full-view check
+/// first, where every offset is 0, and [`classify_single`] only for the
+/// rest.
+fn classify(program: &Program, idx: usize) -> Option<(FusedInstr, usize)> {
+    match fusable_nelem(program, idx) {
+        Some(nelem) => Some((fused_instr(program, &program.instrs()[idx]), nelem)),
+        None => classify_single(program, idx),
+    }
+}
+
+/// The runs an instruction touches: its output first, then its view
+/// inputs, as `(register, first element)`; `len` of the three are set.
+fn runs(fi: &FusedInstr) -> ([(Reg, usize); 3], usize) {
+    let mut runs = [(fi.out, fi.out_offset); 3];
+    let mut len = 1;
+    for input in &fi.inputs {
+        if let FusedInput::Reg { reg, offset } = *input {
+            runs[len] = (reg, offset);
+            len += 1;
+        }
+    }
+    (runs, len)
+}
+
+/// How the group being formed touches one base.
+#[derive(Debug, Clone, Copy, Default)]
+struct Touch {
+    /// The group this entry belongs to; an entry of an earlier group is
+    /// stale.
+    group: usize,
+    /// The first element of the first run touched.
+    offset: usize,
+    /// Every run touched starts at `offset`.
+    one_offset: bool,
+    /// The group writes the base.
+    written: bool,
+}
+
+/// The hazard check of [`find_groups`]: every base a group writes is
+/// read and written at one offset inside it, so no block reads an
+/// element another block writes.
+struct Touches {
+    /// `by_reg[r]`: how the open group touches register `r`.
+    by_reg: Vec<Touch>,
+    /// The open group, counted from 1, so a default entry is stale.
+    group: usize,
+}
+
+impl Touches {
+    fn new(bases: usize) -> Self {
+        Touches {
+            by_reg: vec![Touch::default(); bases],
+            group: 0,
+        }
+    }
+
+    /// Start a new group.
+    fn open(&mut self) {
+        self.group += 1;
+    }
+
+    /// Add `fi` to the open group, unless that would touch a written
+    /// base at a second offset: a shifted read after a write, or a
+    /// shifted write after a read.
+    fn admit(&mut self, fi: &FusedInstr) -> bool {
+        let (runs, len) = runs(fi);
+        let own = &runs[..len];
+        let clash = own.iter().any(|&(reg, offset)| {
+            let t = self.by_reg[reg.index()];
+            let current = t.group == self.group;
+            let written = current && t.written || reg == fi.out;
+            let shifted = current && (!t.one_offset || t.offset != offset)
+                || own.iter().any(|&(r, o)| r == reg && o != offset);
+            written && shifted
+        });
+        if !clash {
+            self.record(fi);
+        }
+        !clash
+    }
+
+    fn record(&mut self, fi: &FusedInstr) {
+        let (runs, len) = runs(fi);
+        for &(reg, offset) in &runs[..len] {
+            let t = &mut self.by_reg[reg.index()];
+            let written = reg == fi.out;
+            if t.group == self.group {
+                t.one_offset &= t.offset == offset;
+                t.written |= written;
+            } else {
+                *t = Touch {
+                    group: self.group,
+                    offset,
+                    one_offset: true,
+                    written,
+                };
             }
         }
     }
-    out
+}
+
+/// Partition the program into maximal fused groups and singletons,
+/// classifying every instruction once.
+///
+/// A fused group is a run of at least two compiled element-wise
+/// instructions over contiguous runs of one common length, at any
+/// offsets, in which every base the group writes is read and written at
+/// one offset. A single-lane reduction of the group's result may close
+/// it ([`Group::FusedReduce`]).
+pub(crate) fn find_groups(program: &Program) -> Schedule {
+    let n = program.instrs().len();
+    let compiled: Vec<Option<(FusedInstr, usize)>> = (0..n).map(|i| classify(program, i)).collect();
+    let mut touches = Touches::new(program.bases().len());
+    let mut groups = Vec::new();
+    let mut i = 0usize;
+    while i < n {
+        let Some((first, nelem)) = &compiled[i] else {
+            groups.push(Group::Single(i));
+            i += 1;
+            continue;
+        };
+        let nelem = *nelem;
+        touches.open();
+        let mut j = i + 1;
+        if touches.admit(first) {
+            while let Some((fi, m)) = compiled.get(j).and_then(Option::as_ref) {
+                if *m != nelem || !touches.admit(fi) {
+                    break;
+                }
+                j += 1;
+            }
+        }
+        if j - i >= 2 {
+            if fusable_reduce(program, j, nelem) {
+                groups.push(Group::FusedReduce {
+                    range: i..j,
+                    nelem,
+                    reduce: j,
+                });
+                i = j + 1;
+                continue;
+            }
+            groups.push(Group::Fused { range: i..j, nelem });
+        } else {
+            groups.push(Group::Single(i));
+        }
+        i = j;
+    }
+    Schedule { groups, compiled }
 }
 
 #[cfg(test)]
@@ -298,7 +436,7 @@ mod tests {
              BH_SYNC a0 [0:10:1]\n",
         )
         .unwrap();
-        let groups = find_groups(&p);
+        let groups = find_groups(&p).groups;
         assert_eq!(
             groups,
             vec![
@@ -320,7 +458,7 @@ mod tests {
              BH_ADD a0 a0 1\n",
         )
         .unwrap();
-        let groups = find_groups(&p);
+        let groups = find_groups(&p).groups;
         assert_eq!(
             groups,
             vec![
@@ -338,16 +476,128 @@ mod tests {
     fn sliced_views_do_not_fuse() {
         let p = parse_program(
             "BH_IDENTITY a0 [0:8:1] 1\n\
-             BH_ADD a0 [0:4:1] a0 [0:4:1] 1\n\
+             BH_ADD a0 [1:5:1] a0 [1:5:1] 1\n\
              BH_ADD a0 [0:4:1] a0 [0:4:1] 1\n",
         )
         .unwrap();
-        let groups = find_groups(&p);
-        // The partial-view adds are not full writes; they stay singles.
+        let groups = find_groups(&p).groups;
+        // The adds write `a0` at offsets 1 and 0: element `k + 1` is
+        // written at step `k` by the first and at step `k + 1` by the
+        // second, so two blocks, or two shards, would write one element.
+        // Equal-length runs of a written base at shifted offsets stay
+        // singles.
         assert_eq!(
             groups,
             vec![Group::Single(0), Group::Single(1), Group::Single(2)]
         );
+    }
+
+    #[test]
+    fn offset_runs_of_one_length_fuse() {
+        // The heat stencil: a full copy, then four ops on `v[1:9]` that
+        // read `u` at three offsets. `v`, the only written base, is read
+        // and written at one offset, so the four ops are one group.
+        let p = parse_program(
+            ".base u f64[10] input\n.base v f64[10]\n\
+             BH_IDENTITY v u\n\
+             BH_ADD v[1:9:1] u[0:8:1] u[2:10:1]\n\
+             BH_MULTIPLY v[1:9:1] v[1:9:1] 0.5\n\
+             BH_ADD v[1:9:1] v[1:9:1] u[1:9:1]\n\
+             BH_MULTIPLY v[1:9:1] v[1:9:1] 0.5\n\
+             BH_SYNC v\n",
+        )
+        .unwrap();
+        let mut schedule = find_groups(&p);
+        assert_eq!(
+            schedule.groups,
+            vec![
+                Group::Single(0),
+                Group::Fused {
+                    range: 1..5,
+                    nelem: 8
+                },
+                Group::Single(5),
+            ]
+        );
+        let offsets: Vec<(usize, Vec<Option<usize>>)> = schedule
+            .take_group(1..5)
+            .iter()
+            .map(|fi| {
+                let ins = fi.inputs.iter().map(|i| match i {
+                    FusedInput::Reg { offset, .. } => Some(*offset),
+                    FusedInput::Const(_) => None,
+                });
+                (fi.out_offset, ins.collect())
+            })
+            .collect();
+        assert_eq!(
+            offsets,
+            vec![
+                (1, vec![Some(0), Some(2)]),
+                (1, vec![Some(1), None]),
+                (1, vec![Some(1), Some(1)]),
+                (1, vec![Some(1), None]),
+            ]
+        );
+        assert!(schedule.take_single(0).is_some(), "the copy compiles");
+        assert!(schedule.take_single(5).is_none(), "a sync does not");
+    }
+
+    #[test]
+    fn a_shifted_read_of_a_written_base_splits_the_group() {
+        // `v` is written at offset 1, then read at offset 0: in a block,
+        // the second op would read an element the block before it wrote.
+        let p = parse_program(
+            ".base u f64[10] input\n.base v f64[10] input\n\
+             BH_ADD v[1:9:1] u[0:8:1] 1\n\
+             BH_ADD u[0:8:1] v[0:8:1] 2\n\
+             BH_MULTIPLY u[0:8:1] u[0:8:1] 3\n",
+        )
+        .unwrap();
+        assert_eq!(
+            find_groups(&p).groups,
+            vec![
+                Group::Single(0),
+                Group::Fused {
+                    range: 1..3,
+                    nelem: 8
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_shifted_write_of_a_read_base_splits_the_group() {
+        // `u` is read at offsets 0 and 2, then written at offset 1: a
+        // block would overwrite elements the next block still reads.
+        let p = parse_program(
+            ".base u f64[10] input\n.base v f64[10]\n\
+             BH_ADD v[0:8:1] u[0:8:1] u[2:10:1]\n\
+             BH_MULTIPLY u[1:9:1] v[0:8:1] 2\n\
+             BH_ADD u[1:9:1] u[1:9:1] 1\n",
+        )
+        .unwrap();
+        assert_eq!(
+            find_groups(&p).groups,
+            vec![
+                Group::Single(0),
+                Group::Fused {
+                    range: 1..3,
+                    nelem: 8
+                },
+            ]
+        );
+        // Nor does an op that reads a run of its own output's base beside
+        // the output run open a group, though it runs compiled alone.
+        let p = parse_program(
+            ".base r f64[8] input\n\
+             BH_ADD r[0:4:1] r[4:8:1] 1\n\
+             BH_ADD r[0:4:1] r[0:4:1] 1\n",
+        )
+        .unwrap();
+        let mut schedule = find_groups(&p);
+        assert_eq!(schedule.groups, vec![Group::Single(0), Group::Single(1)]);
+        assert!(schedule.take_single(0).is_some());
     }
 
     #[test]
@@ -358,7 +608,7 @@ mod tests {
              BH_ADD b0 b0 1\n",
         )
         .unwrap();
-        let groups = find_groups(&p);
+        let groups = find_groups(&p).groups;
         assert_eq!(
             groups,
             vec![
@@ -374,7 +624,10 @@ mod tests {
     #[test]
     fn singleton_runs_stay_single() {
         let p = parse_program("BH_IDENTITY a0 [0:8:1] 1\nBH_SYNC a0\n").unwrap();
-        assert_eq!(find_groups(&p), vec![Group::Single(0), Group::Single(1)]);
+        assert_eq!(
+            find_groups(&p).groups,
+            vec![Group::Single(0), Group::Single(1)]
+        );
     }
 
     #[test]
@@ -430,7 +683,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            find_groups(&p),
+            find_groups(&p).groups,
             vec![
                 Group::FusedReduce {
                     range: 0..2,
@@ -449,7 +702,10 @@ mod tests {
              BH_ADD_REDUCE s x 0\nBH_SYNC s\n",
         )
         .unwrap();
-        assert_eq!(find_groups(&p), vec![Group::Single(0), Group::Single(1)]);
+        assert_eq!(
+            find_groups(&p).groups,
+            vec![Group::Single(0), Group::Single(1)]
+        );
     }
 
     #[test]
@@ -462,7 +718,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            find_groups(&p),
+            find_groups(&p).groups,
             vec![
                 Group::Fused {
                     range: 0..2,
@@ -480,7 +736,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            find_groups(&p),
+            find_groups(&p).groups,
             vec![
                 Group::Fused {
                     range: 0..2,
@@ -501,7 +757,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            find_groups(&p),
+            find_groups(&p).groups,
             vec![
                 Group::Fused {
                     range: 0..2,

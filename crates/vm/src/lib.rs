@@ -367,10 +367,10 @@ BH_SYNC z\nBH_SYNC m\n";
 
     #[test]
     fn unfused_slice_ops_shard_across_the_pool() {
-        // Shifted 1-D slices are contiguous but never fuse (partial
-        // views): the fusing engine runs each on the compiled step as a
-        // group of one and must still shard them — and the results must
-        // match the serial run exactly.
+        // Shifted 1-D slices are contiguous runs of one length, and the
+        // only written base, `s`, is read and written at one offset: the
+        // three slice ops fuse into one group, which must shard, and the
+        // results must match the serial run exactly.
         let n = 4096;
         let text = format!(
             ".base g f64[{n}]\n.base s f64[{n}]\n\
@@ -392,11 +392,47 @@ BH_SYNC z\nBH_SYNC m\n";
         par.run(&p).unwrap();
         assert!(par.stats().par_shards > 0, "slice ops must have sharded");
         assert_eq!(serial.stats().par_shards, 0);
-        assert_eq!(par.stats().fused_groups, 0, "no op here fuses");
+        assert_eq!(par.stats().fused_groups, 1, "the slice ops fuse");
         assert_eq!(
             serial.read_by_name(&p, "s").unwrap(),
             par.read_by_name(&p, "s").unwrap()
         );
+    }
+
+    #[test]
+    fn lone_slice_op_shards_across_the_pool() {
+        // One shifted slice op between full-view ops of another length
+        // runs alone on the compiled step, as a group of one, and must
+        // still shard — and match the serial run exactly.
+        let n = 4096;
+        let text = format!(
+            ".base g f64[{n}]\n.base s f64[{n}]\n\
+             BH_RANGE g\n\
+             BH_IDENTITY s g\n\
+             BH_ADD s[1:{i}:1] s[1:{i}:1] g[2:{n}:1]\n\
+             BH_SYNC s\n",
+            i = n - 1,
+        );
+        let p = parse_program(&text).unwrap();
+        let engine = Engine::Fusing { block: 256 };
+        let mut serial = Vm::with_engine(engine);
+        serial.run(&p).unwrap();
+        let mut par = Vm::with_engine(engine);
+        par.set_threads(4).set_par_threshold(1);
+        par.run(&p).unwrap();
+        assert!(par.stats().par_shards > 0, "the slice op must have sharded");
+        assert_eq!(serial.stats().par_shards, 0);
+        assert_eq!(par.stats().fused_groups, 0, "a lone op is no group");
+        let s = serial.read_by_name(&p, "s").unwrap();
+        assert_eq!(s, par.read_by_name(&p, "s").unwrap());
+        let want: Vec<f64> = (0..n)
+            .map(|k| match k {
+                0 => 0.0,
+                k if k == n - 1 => k as f64,
+                k => (2 * k + 1) as f64,
+            })
+            .collect();
+        assert_eq!(s.to_f64_vec(), want);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   (`exec::{map1, map2}`). This is the execution regime in which the
 //!   paper's rewrites pay off, and the reference leg the equivalence
 //!   suites hold the fusing engine to.
-//! * **Fusing** — contracts runs of element-wise byte-codes over identical
-//!   full views and executes them block-by-block, modelling Bohrium's JIT
-//!   kernel fusion ("loop-fusion-like contractions of byte-codes", §2).
+//! * **Fusing** — contracts runs of element-wise byte-codes over
+//!   contiguous runs of one length (any offsets, one per written base)
+//!   and executes them block-by-block, modelling Bohrium's JIT kernel
+//!   fusion ("loop-fusion-like contractions of byte-codes", §2).
 //!   A lone element-wise byte-code over contiguous views runs on the same
 //!   compiled step as a group of one, and compiled steps shard across the
 //!   worker pool; only strided, reversed and broadcast views take the
@@ -394,16 +395,17 @@ impl Vm {
     }
 
     fn run_fused(&mut self, program: &Program, block: usize) -> Result<(), VmError> {
-        for group in fusion::find_groups(program) {
+        let mut schedule = fusion::find_groups(program);
+        for group in std::mem::take(&mut schedule.groups) {
             match group {
-                fusion::Group::Single(i) => match fusion::classify_single(program, i) {
+                fusion::Group::Single(i) => match schedule.take_single(i) {
                     Some((fi, nelem)) => {
                         self.run_compiled(program, std::slice::from_ref(&fi), nelem, block);
                     }
                     None => self.exec_instr(program, &program.instrs()[i])?,
                 },
                 fusion::Group::Fused { range, nelem } => {
-                    let instrs = fusion::classify_group(program, range);
+                    let instrs = schedule.take_group(range);
                     self.stats.fused_groups += 1;
                     self.run_compiled(program, &instrs, nelem, block);
                 }
@@ -412,7 +414,8 @@ impl Vm {
                     nelem,
                     reduce,
                 } => {
-                    self.run_fused_reduce_group(program, range, nelem, reduce, block)?;
+                    let instrs = schedule.take_group(range);
+                    self.run_fused_reduce_group(program, &instrs, nelem, reduce, block)?;
                 }
             }
         }
@@ -514,17 +517,19 @@ impl Vm {
 
     /// Execute a fused element-wise chain *and* the single-lane reduction
     /// it feeds as one sharded kernel: each shard walks its canonical
-    /// [`kernels::REDUCE_BLOCK`]-aligned range, applying the whole chain
-    /// in engine-block-sized chunks and folding the freshly written
-    /// reduction input into a per-block accumulator while it is still
-    /// cache-resident. Block partials are combined left-to-right in block
-    /// order (never arrival order), so the result is bit-identical to the
-    /// unfused engines at every thread count — the same canonical combine
-    /// tree as [`kernels::par_reduce_lane`] (DESIGN.md §11).
+    /// [`kernels::REDUCE_BLOCK`]-aligned range a run of blocks at a time,
+    /// applying the whole chain to the run in engine-block-sized chunks
+    /// and then folding the freshly written reduction input, still
+    /// cache-resident, into one accumulator per block, the blocks in
+    /// lockstep ([`kernels::fold_blocks`]). Block partials are combined
+    /// left-to-right in block order (never arrival order), so the result
+    /// is bit-identical to the unfused engines at every thread count — the
+    /// same canonical combine tree as [`kernels::par_reduce_lane`]
+    /// (DESIGN.md §11).
     fn run_fused_reduce_group(
         &mut self,
         program: &Program,
-        range: std::ops::Range<usize>,
+        instrs: &[FusedInstr],
         nelem: usize,
         reduce: usize,
         block: usize,
@@ -535,10 +540,9 @@ impl Vm {
         let out_geom = program.resolve_view(out_ref)?;
         let dtype = program.base(in_ref.reg).dtype;
 
-        let instrs = fusion::classify_group(program, range);
         self.ensure_alloc(program, in_ref.reg);
         self.ensure_alloc(program, out_ref.reg);
-        let steps = self.prepare_fused_steps(program, &instrs, nelem);
+        let steps = self.prepare_fused_steps(program, instrs, nelem);
         // Analytic accounting, shard-independent: chain instructions as in
         // `run_compiled`, plus the reduction's own traffic/flops — the
         // per-instruction totals a naive run would report, under a single
@@ -546,7 +550,7 @@ impl Vm {
         self.stats.kernels += 1;
         self.stats.fused_groups += 1;
         self.stats.fused_reductions += 1;
-        self.account_fused_chain(&instrs, nelem);
+        self.account_fused_chain(instrs, nelem);
         let n = nelem as u64;
         self.stats.instructions += 1;
         self.stats.bytes_read += n * dtype.size_of() as u64;
@@ -590,11 +594,13 @@ impl Vm {
     /// output ranges; (c) an input sharing the output's base either reads
     /// the output's own element at each `k` (same offset) or no element
     /// the output run covers ([`fusion::classify_single`] checks it, and
-    /// the verifier's V500 rejects any other alias), so no shard reads
-    /// what another writes; and (d) within one shard the chain runs in
-    /// program order, so a step's reads of an element happen before any
-    /// later step's write of it — exactly the serial interpreter's order
-    /// per element.
+    /// the verifier's V500 rejects any other alias), and inside a fused
+    /// group every base the group writes is read and written at one
+    /// offset ([`fusion::find_groups`] checks it), so no shard or block
+    /// reads what another writes; and (d) within one shard the chain runs
+    /// in program order, so a step's reads of an element happen before
+    /// any later step's write of it — exactly the serial interpreter's
+    /// order per element.
     fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
         exec::elementwise(
             fi.op,
@@ -1212,38 +1218,30 @@ impl exec::Fold for FusedReduce<'_> {
         let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
         let mut partials = vec![init; nblocks];
         let pptr = RawMut(partials.as_mut_ptr());
-        let run = |lo: usize, hi: usize| {
-            // `lo` is a multiple of REDUCE_BLOCK (grain contract), so
-            // partial boundaries are the canonical blocks regardless of
-            // sharding; the chain is applied in engine-block-sized chunks
-            // clipped to the canonical block (element-wise, so chunking
-            // cannot change values).
-            let mut cb = lo;
-            while cb < hi {
-                let ce = (cb + kernels::REDUCE_BLOCK).min(hi);
-                let mut b = cb;
-                while b < ce {
-                    let e = (b + block).min(ce);
-                    for step in steps {
-                        step(b, e);
-                    }
-                    b = e;
+        // The chain runs over each run of canonical blocks the fold is
+        // about to read, in engine-block-sized chunks (element-wise, so
+        // chunking cannot change values), and the fold reads it from cache.
+        let chain = |lo: usize, hi: usize| {
+            let mut b = lo;
+            while b < hi {
+                let e = (b + block).min(hi);
+                for step in steps {
+                    step(b, e);
                 }
-                let mut acc = init;
-                // SAFETY: same invariants as `compile_fused_step` (buffers
-                // un-shared before capture, disjoint shard ranges, program
-                // order within a shard); the fold reads elements the chain
-                // finished writing in this same range. Partial slots are
-                // unique per canonical block.
-                unsafe {
-                    for k in cb..ce {
-                        acc = f(acc, *src.get().add(k));
-                    }
-                    *pptr.get().add(cb / kernels::REDUCE_BLOCK) = acc;
-                }
-                cb = ce;
+                b = e;
             }
         };
+        // SAFETY: same invariants as `compile_fused_step` (buffers
+        // un-shared before capture, disjoint shard ranges, program order
+        // within a shard); the fold reads elements `k` of `[0, nelem)` the
+        // chain finished writing in this same range.
+        let at = |k: usize| unsafe { *src.get().add(k) };
+        // SAFETY: partial slots are unique per canonical block, and blocks
+        // are unique across disjoint shard ranges.
+        let put = |b: usize, p: T| unsafe { *pptr.get().add(b) = p };
+        // `lo` is a multiple of REDUCE_BLOCK (grain contract), so partial
+        // boundaries are the canonical blocks regardless of sharding.
+        let run = |lo: usize, hi: usize| kernels::fold_blocks(lo, hi, init, &f, chain, at, put);
         let shards = match vm.workers.clone() {
             Some(pool) if pool.threads() > 1 && nelem >= vm.par_threshold => {
                 pool.run_ranges(nelem, kernels::REDUCE_BLOCK, &run)

@@ -327,6 +327,39 @@ fn e7_elementwise_chain_fuses_into_one_kernel() {
     }
 }
 
+/// The ledger's `heat` stencil on `n` points: `v = u`, then on the
+/// interior `v[1:n-1] = ((u[0:n-2] + u[2:n])·½ + u[1:n-1])·½`.
+fn heat(n: usize) -> Program {
+    let (i, j) = (n - 1, n - 2);
+    parse_program(&format!(
+        ".base u f64[{n}] input\n.base v f64[{n}]\n\
+         BH_IDENTITY v u\n\
+         BH_ADD v[1:{i}:1] u[0:{j}:1] u[2:{n}:1]\n\
+         BH_MULTIPLY v[1:{i}:1] v[1:{i}:1] 0.5\n\
+         BH_ADD v[1:{i}:1] v[1:{i}:1] u[1:{i}:1]\n\
+         BH_MULTIPLY v[1:{i}:1] v[1:{i}:1] 0.5\n\
+         BH_SYNC v\n"
+    ))
+    .unwrap()
+}
+
+#[test]
+fn the_heat_stencil_runs_as_a_copy_and_one_fused_group() {
+    // The four interior ops are contiguous runs of one length at offsets
+    // 0, 1 and 2, and `v`, the only base they write, is read and written
+    // at offset 1 alone: one fused group. The copy has another length.
+    let unopt = heat(4096);
+    let mut opt = unopt.clone();
+    optimize_at(&mut opt, OptLevel::O2);
+    for p in [&unopt, &opt] {
+        assert_eq!(exec_stats(p, Engine::Naive).kernels, 5, "{p}");
+        let fused = exec_stats(p, Engine::Fusing { block: 4096 });
+        assert_eq!(fused.kernels, 2, "{p}");
+        assert_eq!(fused.fused_groups, 1, "{p}");
+    }
+    assert_equivalent(&unopt, &opt, 3, 0.0);
+}
+
 // --- Affine runs (ROADMAP 7): the constant-merge of §3.1 across op-codes --
 
 /// `paper_rewrites`' `strength_chain`: `a = x`, then four times
