@@ -60,9 +60,9 @@ pub trait VmElement: Element {
     fn vm_shr(self, b: Self) -> Self;
 
     /// Float-only unary op-codes take this hook; integer types return
-    /// `self` unchanged (validation excludes them, so the value is never
-    /// observed).
-    fn vm_float_unary(self, f: fn(f64) -> f64) -> Self;
+    /// `self` unchanged (the op dispatch never instantiates a float-only
+    /// op-code for them, and the verifier rejects such a program).
+    fn vm_float_unary(self, f: impl Fn(f64) -> f64) -> Self;
 
     /// Identity of `BH_MAXIMUM_REDUCE`: the lowest representable value.
     fn vm_lowest() -> Self;
@@ -124,7 +124,7 @@ macro_rules! impl_int {
             #[inline] fn vm_shr(self, b: Self) -> Self {
                 self.wrapping_shr(b as u32)
             }
-            #[inline] fn vm_float_unary(self, _f: fn(f64) -> f64) -> Self { self }
+            #[inline] fn vm_float_unary(self, _f: impl Fn(f64) -> f64) -> Self { self }
             #[inline] fn vm_lowest() -> Self { Self::MIN }
             #[inline] fn vm_highest() -> Self { Self::MAX }
         }
@@ -158,7 +158,7 @@ macro_rules! impl_float {
             #[inline] fn vm_not(self) -> Self { self }
             #[inline] fn vm_shl(self, _b: Self) -> Self { self }
             #[inline] fn vm_shr(self, _b: Self) -> Self { self }
-            #[inline] fn vm_float_unary(self, f: fn(f64) -> f64) -> Self { f(self as f64) as $t }
+            #[inline] fn vm_float_unary(self, f: impl Fn(f64) -> f64) -> Self { f(self as f64) as $t }
             #[inline] fn vm_lowest() -> Self { Self::NEG_INFINITY }
             #[inline] fn vm_highest() -> Self { Self::INFINITY }
         }
@@ -234,7 +234,7 @@ impl VmElement for bool {
         self
     }
     #[inline]
-    fn vm_float_unary(self, _f: fn(f64) -> f64) -> Self {
+    fn vm_float_unary(self, _f: impl Fn(f64) -> f64) -> Self {
         self
     }
     #[inline]

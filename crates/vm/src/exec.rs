@@ -6,9 +6,11 @@
 //! (or capture-free closure), never a pointer, so every loop
 //! monomorphises over its op and inlines it. The fusing engine's compiled
 //! steps (`Vm::compile_fused_step`), the interpreter below, the reductions
-//! and scans and the fused reductions all dispatch here. Binary arithmetic
-//! (with `BH_ARCTAN2`), comparisons with predicates, and folds each have
-//! one match; same-dtype unary op-codes go through the [`unary_fn`] table.
+//! and scans and the fused reductions all dispatch here. Binary
+//! arithmetic, same-dtype unary op-codes, comparisons with predicates,
+//! bitwise and logical op-codes, float-only op-codes and folds each have
+//! one match, and each family is instantiated only for the dtypes its
+//! type rule admits.
 //!
 //! The interpreter ([`map1`], [`map2`]) runs one element-wise byte-code
 //! over any views — strided, reversed, broadcast, aliased — on the calling
@@ -41,25 +43,53 @@ pub(crate) trait Kernel {
     ) -> Self::Out;
 }
 
+/// [`with_dtype!`] over the dtypes a bitwise or logical op-code admits:
+/// bool and the integers.
+macro_rules! with_bits_dtype {
+    ($dtype:expr, $T:ident, $body:expr) => {
+        with_bits_dtype!($dtype, $T, $body; Bool bool, UInt8 u8, UInt16 u16,
+            UInt32 u32, UInt64 u64, Int8 i8, Int16 i16, Int32 i32, Int64 i64)
+    };
+    ($dtype:expr, $T:ident, $body:expr; $($d:ident $t:ty),*) => {
+        match $dtype {
+            $(DType::$d => {
+                type $T = $t;
+                $body
+            })*
+            other => unreachable!("bitwise op on {other}: the verifier admits integers and bool"),
+        }
+    };
+}
+
 /// Hand element-wise `op`'s function over operating dtype `in_dtype`,
 /// writing `out_dtype`, to `k`.
+///
+/// Each op family is instantiated only for the dtypes its type rule
+/// admits: a float-only op-code for f32 and f64, a bitwise or logical one
+/// for bool and the integers. The verifier rejects every other pairing
+/// (V300), so those arms are unreachable for a verified program.
 pub(crate) fn elementwise<K: Kernel>(
     op: Opcode,
     in_dtype: DType,
     out_dtype: DType,
     k: K,
 ) -> K::Out {
-    with_dtype!(in_dtype, T, {
-        if op.type_rule() == TypeRule::CompareLike {
-            compare::<T, K>(op, k)
-        } else if op.arity() == 2 {
-            binary::<T, K>(op, k)
-        } else if op == Opcode::Identity && in_dtype != out_dtype {
-            with_dtype!(out_dtype, O, k.map1(cast::<T, O>))
-        } else {
-            k.map1(unary_fn::<T>(op))
+    match op.type_rule() {
+        TypeRule::CompareLike => with_dtype!(in_dtype, T, compare::<T, K>(op, k)),
+        TypeRule::FloatOnly => match in_dtype {
+            DType::Float32 => float::<f32, K>(op, k),
+            DType::Float64 => float::<f64, K>(op, k),
+            other => unreachable!("{op} on {other}: the verifier admits floats only"),
+        },
+        TypeRule::IntLike | TypeRule::BoolOnly => {
+            with_bits_dtype!(in_dtype, T, bitwise::<T, K>(op, k))
         }
-    })
+        TypeRule::Cast if in_dtype != out_dtype => {
+            with_dtype!(in_dtype, I, with_dtype!(out_dtype, O, k.map1(cast::<I, O>)))
+        }
+        _ if op.arity() == 2 => with_dtype!(in_dtype, T, binary::<T, K>(op, k)),
+        _ => with_dtype!(in_dtype, T, unary::<T, K>(op, k)),
+    }
 }
 
 /// Binary arithmetic: `T × T → T`.
@@ -73,13 +103,77 @@ fn binary<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
         Opcode::Mod => k.map2(T::vm_mod),
         Opcode::Maximum => k.map2(T::vm_max),
         Opcode::Minimum => k.map2(T::vm_min),
+        other => unreachable!("{other} is not a binary arithmetic op"),
+    }
+}
+
+/// Same-dtype unary op-codes that every dtype admits: `T → T`.
+fn unary<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
+    match op {
+        Opcode::Identity => k.map1(|x: T| x),
+        Opcode::Absolute => k.map1(T::vm_abs),
+        Opcode::Sign => k.map1(T::vm_sign),
+        other => unreachable!("{other} is not a same-dtype unary op"),
+    }
+}
+
+/// Bitwise and logical op-codes, over bool and the integers.
+fn bitwise<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
+    match op {
         Opcode::BitwiseAnd | Opcode::LogicalAnd => k.map2(T::vm_and),
         Opcode::BitwiseOr | Opcode::LogicalOr => k.map2(T::vm_or),
         Opcode::BitwiseXor | Opcode::LogicalXor => k.map2(T::vm_xor),
         Opcode::LeftShift => k.map2(T::vm_shl),
         Opcode::RightShift => k.map2(T::vm_shr),
+        Opcode::Invert | Opcode::LogicalNot => k.map1(T::vm_not),
+        other => unreachable!("{other} is not a bitwise or logical op"),
+    }
+}
+
+/// Float-only op-codes, over f32 and f64: each computes in f64.
+fn float<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
+    macro_rules! f64_map1 {
+        ($f:expr) => {
+            k.map1(|x: T| x.vm_float_unary($f))
+        };
+    }
+    match op {
         Opcode::Arctan2 => k.map2(|a: T, b: T| T::from_f64(a.to_f64().atan2(b.to_f64()))),
-        other => unreachable!("{other} is not a binary arithmetic op"),
+        Opcode::Sqrt => f64_map1!(f64::sqrt),
+        Opcode::Exp => f64_map1!(f64::exp),
+        Opcode::Exp2 => f64_map1!(f64::exp2),
+        Opcode::Expm1 => f64_map1!(f64::exp_m1),
+        Opcode::Log => f64_map1!(f64::ln),
+        Opcode::Log2 => f64_map1!(f64::log2),
+        Opcode::Log10 => f64_map1!(f64::log10),
+        Opcode::Log1p => f64_map1!(f64::ln_1p),
+        Opcode::Sin => f64_map1!(f64::sin),
+        Opcode::Cos => f64_map1!(f64::cos),
+        Opcode::Tan => f64_map1!(f64::tan),
+        Opcode::Sinh => f64_map1!(f64::sinh),
+        Opcode::Cosh => f64_map1!(f64::cosh),
+        Opcode::Tanh => f64_map1!(f64::tanh),
+        Opcode::Arcsin => f64_map1!(f64::asin),
+        Opcode::Arccos => f64_map1!(f64::acos),
+        Opcode::Arctan => f64_map1!(f64::atan),
+        Opcode::Arcsinh => f64_map1!(f64::asinh),
+        Opcode::Arccosh => f64_map1!(f64::acosh),
+        Opcode::Arctanh => f64_map1!(f64::atanh),
+        Opcode::Ceil => f64_map1!(f64::ceil),
+        Opcode::Floor => f64_map1!(f64::floor),
+        Opcode::Trunc => f64_map1!(f64::trunc),
+        Opcode::Rint => f64_map1!(rint),
+        other => unreachable!("{other} is not a float-only op"),
+    }
+}
+
+/// `BH_RINT`: round half to even, matching IEEE.
+fn rint(v: f64) -> f64 {
+    let r = v.round();
+    if (v - v.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
+        r - v.signum()
+    } else {
+        r
     }
 }
 
@@ -123,83 +217,9 @@ pub(crate) fn fold<K: Fold>(op: Opcode, dtype: DType, k: K) -> K::Out {
     })
 }
 
-/// fn-pointer table for same-dtype unary op-codes.
-pub(crate) fn unary_fn<T: VmElement>(op: Opcode) -> fn(T) -> T {
-    match op {
-        Opcode::Identity => |x| x,
-        Opcode::Absolute => T::vm_abs,
-        Opcode::Sign => T::vm_sign,
-        Opcode::Invert | Opcode::LogicalNot => T::vm_not,
-        Opcode::Sqrt => f_sqrt::<T>,
-        Opcode::Exp => f_exp::<T>,
-        Opcode::Exp2 => f_exp2::<T>,
-        Opcode::Expm1 => f_expm1::<T>,
-        Opcode::Log => f_log::<T>,
-        Opcode::Log2 => f_log2::<T>,
-        Opcode::Log10 => f_log10::<T>,
-        Opcode::Log1p => f_log1p::<T>,
-        Opcode::Sin => f_sin::<T>,
-        Opcode::Cos => f_cos::<T>,
-        Opcode::Tan => f_tan::<T>,
-        Opcode::Sinh => f_sinh::<T>,
-        Opcode::Cosh => f_cosh::<T>,
-        Opcode::Tanh => f_tanh::<T>,
-        Opcode::Arcsin => f_asin::<T>,
-        Opcode::Arccos => f_acos::<T>,
-        Opcode::Arctan => f_atan::<T>,
-        Opcode::Arcsinh => f_asinh::<T>,
-        Opcode::Arccosh => f_acosh::<T>,
-        Opcode::Arctanh => f_atanh::<T>,
-        Opcode::Ceil => f_ceil::<T>,
-        Opcode::Floor => f_floor::<T>,
-        Opcode::Trunc => f_trunc::<T>,
-        Opcode::Rint => f_rint::<T>,
-        other => unreachable!("{other} is not a same-dtype unary op"),
-    }
-}
-
 /// The dtype-converting `BH_IDENTITY`.
 fn cast<I: Element, O: Element>(x: I) -> O {
     O::from_f64(x.to_f64())
-}
-
-macro_rules! funary {
-    ($($name:ident => $f:expr;)*) => {$(
-        fn $name<T: VmElement>(x: T) -> T {
-            x.vm_float_unary($f)
-        }
-    )*};
-}
-
-funary! {
-    f_sqrt => |v: f64| v.sqrt();
-    f_exp => |v: f64| v.exp();
-    f_exp2 => |v: f64| v.exp2();
-    f_expm1 => |v: f64| v.exp_m1();
-    f_log => |v: f64| v.ln();
-    f_log2 => |v: f64| v.log2();
-    f_log10 => |v: f64| v.log10();
-    f_log1p => |v: f64| v.ln_1p();
-    f_sin => |v: f64| v.sin();
-    f_cos => |v: f64| v.cos();
-    f_tan => |v: f64| v.tan();
-    f_sinh => |v: f64| v.sinh();
-    f_cosh => |v: f64| v.cosh();
-    f_tanh => |v: f64| v.tanh();
-    f_asin => |v: f64| v.asin();
-    f_acos => |v: f64| v.acos();
-    f_atan => |v: f64| v.atan();
-    f_asinh => |v: f64| v.asinh();
-    f_acosh => |v: f64| v.acosh();
-    f_atanh => |v: f64| v.atanh();
-    f_ceil => |v: f64| v.ceil();
-    f_floor => |v: f64| v.floor();
-    f_trunc => |v: f64| v.trunc();
-    f_rint => |v: f64| {
-        // Round half to even, matching BH_RINT / IEEE.
-        let r = v.round();
-        if (v - v.trunc()).abs() == 0.5 && r % 2.0 != 0.0 { r - v.signum() } else { r }
-    };
 }
 
 /// One input of an interpreted byte-code, in the operating dtype.
@@ -373,7 +393,7 @@ mod tests {
         let iv = ViewGeom::from_slices(&base, &[Slice::range(0, 3)]).unwrap();
         let input = Input::own(&buf, iv, &ov, false);
         assert!(matches!(input, Input::Other(..)), "a hazard is copied");
-        map1(&mut buf, &ov, input, unary_fn::<f64>(Opcode::Identity));
+        map1(&mut buf, &ov, input, |x: f64| x);
         assert_eq!(buf, vec![1.0, 1.0, 2.0, 3.0]);
         // The same view as the output is no hazard: read in place.
         assert!(matches!(
@@ -384,11 +404,21 @@ mod tests {
 
     #[test]
     fn unary_tables() {
-        assert_eq!(unary_fn::<f64>(Opcode::Sqrt)(9.0), 3.0);
-        assert_eq!(unary_fn::<f64>(Opcode::Floor)(1.7), 1.0);
-        assert_eq!(unary_fn::<f64>(Opcode::Rint)(2.5), 2.0); // half-to-even
-        assert_eq!(unary_fn::<f64>(Opcode::Rint)(3.5), 4.0);
-        assert_eq!(unary_fn::<i32>(Opcode::Absolute)(-4), 4);
+        assert_eq!(eval(Opcode::Sqrt, DType::Float64, 9.0, 0.0), 3.0);
+        assert_eq!(
+            eval(Opcode::Sqrt, DType::Float32, 2.0, 0.0),
+            2f32.sqrt() as f64
+        );
+        assert_eq!(eval(Opcode::Floor, DType::Float64, 1.7, 0.0), 1.0);
+        assert_eq!(eval(Opcode::Rint, DType::Float64, 2.5, 0.0), 2.0); // half-to-even
+        assert_eq!(eval(Opcode::Rint, DType::Float64, 3.5, 0.0), 4.0);
+        assert_eq!(eval(Opcode::Rint, DType::Float32, -2.5, 0.0), -2.0);
+        assert_eq!(eval(Opcode::Absolute, DType::Int32, -4.0, 0.0), 4.0);
+        assert_eq!(eval(Opcode::Sign, DType::Int8, -4.0, 0.0), -1.0);
+        assert_eq!(eval(Opcode::Identity, DType::Int64, -7.0, 0.0), -7.0);
+        assert_eq!(eval(Opcode::Invert, DType::UInt8, 1.0, 0.0), 254.0);
+        assert_eq!(eval(Opcode::LogicalNot, DType::Bool, 1.0, 0.0), 0.0);
+        assert_eq!(eval(Opcode::LeftShift, DType::Int16, 3.0, 2.0), 12.0);
     }
 
     #[test]

@@ -534,6 +534,43 @@ BH_SYNC z\nBH_SYNC m\n";
     }
 
     #[test]
+    fn in_place_steps_match_the_interpreter() {
+        // Every input form of an in-place compiled step, which reads its
+        // output's run through the output's own pointer: the left input
+        // in place, the right one, both, a unary op, and a constant bound
+        // on either side; as singles and in a fused group, sharded.
+        let text = ".base x f64[37]\n.base y f64[37]\n\
+             BH_RANGE x\nBH_RANGE y\n\
+             BH_ADD x x y\nBH_SYNC x\n\
+             BH_SUBTRACT y x y\nBH_SYNC y\n\
+             BH_MULTIPLY x x x\nBH_SYNC x\n\
+             BH_SQRT y y\nBH_SYNC y\n\
+             BH_ADD x x 1\nBH_DIVIDE x 3 x\nBH_MULTIPLY x x x\nBH_SQRT x x\n\
+             BH_SYNC x\nBH_SYNC y\n";
+        let p = parse_program(text).unwrap();
+        let run = |engine: Engine, threads: usize| {
+            let mut vm = Vm::with_engine(engine);
+            vm.set_threads(threads).set_par_threshold(1);
+            vm.run(&p).unwrap();
+            let x = vm.read_by_name(&p, "x").unwrap().to_f64_vec();
+            (
+                x,
+                vm.read_by_name(&p, "y").unwrap().to_f64_vec(),
+                *vm.stats(),
+            )
+        };
+        let (x, y, _) = run(Engine::Naive, 1);
+        let want_y: Vec<f64> = (0..37).map(|i| (i as f64).sqrt()).collect();
+        assert_eq!(y, want_y);
+        assert_eq!(x[1], (0.6f64 * 0.6).sqrt()); // 2·1, squared, +1, 3/5, squared
+        for threads in [1, 3] {
+            let (fx, fy, stats) = run(Engine::Fusing { block: 4 }, threads);
+            assert_eq!((&fx, &fy), (&x, &y), "×{threads}");
+            assert_eq!(stats.fused_groups, 1);
+        }
+    }
+
+    #[test]
     fn fused_group_with_input_binding_is_cow_safe() {
         // The bound input is written inside the fused group; the caller's
         // tensor must keep its original values (copy-on-write) while the
@@ -762,6 +799,35 @@ BH_SYNC z\nBH_SYNC m\n";
         let p = parse_program("BH_ADD a0 [0:4:1] a0 [0:4:1] 1\n").unwrap();
         let mut vm = Vm::new();
         assert!(matches!(vm.run(&p), Err(VmError::Invalid(_))));
+    }
+
+    /// The op dispatch instantiates a float-only op-code for f32 and f64
+    /// only, and a bitwise or logical one for bool and the integers only;
+    /// any other pairing would reach an `unreachable!` in a kernel. The
+    /// verifier keeps every such program from running, on both engines.
+    #[test]
+    fn op_codes_outside_their_dtypes_never_reach_the_dispatch() {
+        for text in [
+            ".base x i32[4] input\n.base y i32[4]\nBH_SQRT y x\nBH_SYNC y\n",
+            ".base x f64[4] input\n.base y f64[4]\nBH_LEFT_SHIFT y x 1\nBH_SYNC y\n",
+            ".base x f32[4] input\n.base y f32[4]\nBH_INVERT y x\nBH_SYNC y\n",
+            ".base x bool[4] input\n.base y bool[4]\nBH_ARCTAN2 y x x\nBH_SYNC y\n",
+            ".base y i64[4]\nBH_COS y 1\nBH_SYNC y\n",
+            ".base x u8[4] input\n.base y u8[4]\nBH_FLOOR y x\nBH_SYNC y\n",
+            ".base x f32[4] input\n.base y f32[4]\nBH_BITWISE_XOR y x x\nBH_SYNC y\n",
+        ] {
+            let p = parse_program(text).unwrap();
+            for engine in [Engine::Naive, Engine::Fusing { block: 4 }] {
+                let mut vm = Vm::with_engine(engine);
+                match vm.run(&p) {
+                    Err(VmError::Invalid(errors)) => assert!(
+                        errors.iter().any(|e| e.code() == "V300"),
+                        "{text}: {errors:?}"
+                    ),
+                    other => panic!("{text} was not rejected: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

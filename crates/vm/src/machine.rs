@@ -449,7 +449,7 @@ impl Vm {
             while b < hi {
                 let e = (b + block).min(hi);
                 for step in &steps {
-                    step(b, e);
+                    step.run(b, e);
                 }
                 b = e;
             }
@@ -601,6 +601,14 @@ impl Vm {
     /// in program order, so a step's reads of an element happen before
     /// any later step's write of it — exactly the serial interpreter's
     /// order per element.
+    ///
+    /// An input that is the output's own run (same base, same offset) is
+    /// compiled to [`StepIn::Own`]: the loop reads element `k` through the
+    /// output's one [`RawMut`] just before writing it, with no second
+    /// pointer into the same storage. That is exactly the alias (c)
+    /// admits, so the argument above carries over unchanged; the single
+    /// pointer is what lets LLVM vectorise the loop (two pointers that
+    /// are equal fail its runtime overlap check).
     fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
         exec::elementwise(
             fi.op,
@@ -638,15 +646,6 @@ impl Vm {
         );
         assert!(offset + nelem <= slice.len(), "view escapes buffer");
         RawConst(slice[offset..].as_ptr())
-    }
-
-    /// Resolve a step input to a pointer at its run's first element or
-    /// an in-dtype constant.
-    fn step_in<T: Element>(&self, input: &FusedInput, nelem: usize) -> StepIn<T> {
-        match *input {
-            FusedInput::Const(c) => StepIn::Const(c.cast(T::DTYPE).get::<T>()),
-            FusedInput::Reg { reg, offset } => StepIn::Ptr(self.raw_const::<T>(reg, offset, nelem)),
-        }
     }
 
     fn ensure_slot(&mut self, reg: Reg) {
@@ -731,11 +730,20 @@ impl Vm {
         let buffer = self.bases[reg.index()].as_mut().expect("just allocated");
         match instr.op {
             Opcode::Range => {
+                let executor: &dyn RangeExecutor = match &self.workers {
+                    Some(p) if p.threads() > 1 && geom.nelem() >= self.par_threshold => p.as_ref(),
+                    _ => &kernels::InlineExec,
+                };
                 with_dtype!(dtype, T, {
                     let slice = buffer.as_mut_slice::<T>().expect("dtype matches decl");
-                    // Write index values in logical order.
-                    for (counter, off) in geom.offsets().enumerate() {
-                        slice[off] = <T as Element>::from_f64(counter as f64);
+                    if geom.is_contiguous() {
+                        let (lo, n) = (geom.offset(), geom.nelem());
+                        range_into(&mut slice[lo..lo + n], executor);
+                    } else {
+                        // Write index values in logical order.
+                        for (counter, off) in geom.offsets().enumerate() {
+                            slice[off] = <T as Element>::from_f64(counter as f64);
+                        }
                     }
                 });
                 Ok(())
@@ -981,9 +989,35 @@ impl Vm {
     }
 }
 
+/// `BH_RANGE` over a contiguous run: element `k` of `run` is `k`, the
+/// run sharded over `executor`.
+fn range_into<T: Element>(run: &mut [T], executor: &dyn RangeExecutor) {
+    let out = RawMut(run.as_mut_ptr());
+    executor.run_ranges(run.len(), 1, &|lo, hi| {
+        let o = out.get();
+        for k in lo..hi {
+            // SAFETY: `k < run.len()`, and shards write disjoint ranges.
+            unsafe { *o.add(k) = T::from_f64(k as f64) };
+        }
+    });
+}
+
 /// One compiled element-wise instruction: executes the op over the
 /// element range `[lo, hi)` of every operand's contiguous run.
-type FusedStep = Box<dyn Fn(usize, usize) + Send + Sync>;
+type FusedStep = Box<dyn Step>;
+
+/// A range loop behind a one-method vtable. A `dyn Fn` vtable also
+/// carries `call_mut` and a `call_once` shim, and LLVM copies each
+/// step's loops into the shim as well as into `call`.
+trait Step: Send + Sync {
+    fn run(&self, lo: usize, hi: usize);
+}
+
+impl<F: Fn(usize, usize) + Send + Sync> Step for F {
+    fn run(&self, lo: usize, hi: usize) {
+        self(lo, hi)
+    }
+}
 
 /// Raw mutable base pointer that may cross shard threads. Soundness is
 /// argued at [`Vm::compile_fused_step`].
@@ -1026,6 +1060,9 @@ enum StepIn<T> {
     /// First element of a contiguous run, read at the same index as the
     /// output element.
     Ptr(RawConst<T>),
+    /// The output's own run (same base, same offset): read through the
+    /// output pointer, so the loop reads and writes through one pointer.
+    Own,
     /// Immediate constant, already cast to the operating dtype.
     Const(T),
 }
@@ -1036,11 +1073,15 @@ fn step1<I: Element, O: Element>(
     a: StepIn<I>,
     f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
 ) -> FusedStep {
+    if let StepIn::Const(c) = a {
+        return fill(out, f(c));
+    }
     Box::new(move |lo, hi| {
         let o = out.get();
         // SAFETY: see `Vm::compile_fused_step` — pointers are live for
         // the group, ranges are in-bounds and disjoint across shards,
-        // reads of an element precede its write within a shard.
+        // reads of an element precede its write within a shard. An
+        // in-place input reads through the output pointer itself.
         unsafe {
             match a {
                 StepIn::Ptr(pa) => {
@@ -1048,15 +1089,35 @@ fn step1<I: Element, O: Element>(
                         *o.add(k) = f(*pa.get().add(k));
                     }
                 }
-                StepIn::Const(c) => {
-                    let v = f(c);
+                _ if const { same_dtype::<I, O>() } => {
+                    let io = o.cast::<I>();
                     for k in lo..hi {
-                        *o.add(k) = v;
+                        *o.add(k) = f(*io.add(k));
                     }
                 }
+                _ => unreachable!("an in-place input has the output's dtype"),
             }
         }
     })
+}
+
+/// Compiled `out[k] = v`.
+fn fill<O: Element>(out: RawMut<O>, v: O) -> FusedStep {
+    Box::new(move |lo, hi| {
+        let o = out.get();
+        // SAFETY: as in `step1`.
+        unsafe {
+            for k in lo..hi {
+                *o.add(k) = v;
+            }
+        }
+    })
+}
+
+/// Whether `I` and `O` are one element type: an in-place step input has
+/// its output's dtype, so only then is an in-place loop instantiated.
+const fn same_dtype<I: Element, O: Element>() -> bool {
+    I::DTYPE as u8 == O::DTYPE as u8
 }
 
 /// Compiled `out[k] = f(a[k], b[k])`; a constant operand is bound into
@@ -1070,12 +1131,38 @@ fn step2<I: Element, O: Element>(
     match (a, b) {
         (StepIn::Const(x), b) => step1(out, b, move |y| f(x, y)),
         (a, StepIn::Const(y)) => step1(out, a, move |x| f(x, y)),
-        (StepIn::Ptr(pa), StepIn::Ptr(pb)) => Box::new(move |lo, hi| {
+        (a, b) => Box::new(move |lo, hi| {
             let o = out.get();
             // SAFETY: as in `step1`.
             unsafe {
-                for k in lo..hi {
-                    *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
+                match (a, b) {
+                    (StepIn::Ptr(pa), StepIn::Ptr(pb)) => {
+                        for k in lo..hi {
+                            *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
+                        }
+                    }
+                    _ if !const { same_dtype::<I, O>() } => {
+                        unreachable!("an in-place input has the output's dtype")
+                    }
+                    (StepIn::Own, StepIn::Ptr(pb)) => {
+                        let io = o.cast::<I>();
+                        for k in lo..hi {
+                            *o.add(k) = f(*io.add(k), *pb.get().add(k));
+                        }
+                    }
+                    (StepIn::Ptr(pa), StepIn::Own) => {
+                        let io = o.cast::<I>();
+                        for k in lo..hi {
+                            *o.add(k) = f(*pa.get().add(k), *io.add(k));
+                        }
+                    }
+                    _ => {
+                        let io = o.cast::<I>();
+                        for k in lo..hi {
+                            let x = *io.add(k);
+                            *o.add(k) = f(x, x);
+                        }
+                    }
                 }
             }
         }),
@@ -1090,27 +1177,49 @@ struct Compile<'a> {
     nelem: usize,
 }
 
+impl Compile<'_> {
+    /// Step input `i`: a constant, the output's own run, or a pointer at
+    /// another run's first element.
+    fn input<T: Element>(&self, i: usize) -> StepIn<T> {
+        let fi = self.fi;
+        match fi.inputs[i] {
+            FusedInput::Const(c) => StepIn::Const(c.cast(T::DTYPE).get::<T>()),
+            FusedInput::Reg { reg, offset } if reg == fi.out && offset == fi.out_offset => {
+                assert_eq!(
+                    T::DTYPE,
+                    fi.out_dtype,
+                    "an in-place input has the output's dtype"
+                );
+                StepIn::Own
+            }
+            FusedInput::Reg { reg, offset } => {
+                StepIn::Ptr(self.vm.raw_const::<T>(reg, offset, self.nelem))
+            }
+        }
+    }
+
+    /// The output run, taken before any input pointer.
+    fn out<O: Element>(&mut self) -> RawMut<O> {
+        let (fi, nelem) = (self.fi, self.nelem);
+        self.vm.raw_mut::<O>(fi.out, fi.out_offset, nelem)
+    }
+}
+
 impl exec::Kernel for Compile<'_> {
     type Out = FusedStep;
 
     fn map1<I: Element, O: Element>(
-        self,
+        mut self,
         f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
     ) -> FusedStep {
-        let Compile { vm, fi, nelem } = self;
-        let out = vm.raw_mut::<O>(fi.out, fi.out_offset, nelem);
-        step1(out, vm.step_in(&fi.inputs[0], nelem), f)
+        step1(self.out(), self.input(0), f)
     }
 
     fn map2<I: Element, O: Element>(
-        self,
+        mut self,
         f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
     ) -> FusedStep {
-        let Compile { vm, fi, nelem } = self;
-        let out = vm.raw_mut::<O>(fi.out, fi.out_offset, nelem);
-        let a = vm.step_in(&fi.inputs[0], nelem);
-        let b = vm.step_in(&fi.inputs[1], nelem);
-        step2(out, a, b, f)
+        step2(self.out(), self.input(0), self.input(1), f)
     }
 }
 
@@ -1226,7 +1335,7 @@ impl exec::Fold for FusedReduce<'_> {
             while b < hi {
                 let e = (b + block).min(hi);
                 for step in steps {
-                    step(b, e);
+                    step.run(b, e);
                 }
                 b = e;
             }
