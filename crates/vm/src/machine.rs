@@ -1133,7 +1133,9 @@ fn step2<I: Element, O: Element>(
         (a, StepIn::Const(y)) => step1(out, a, move |x| f(x, y)),
         (a, b) => Box::new(move |lo, hi| {
             let o = out.get();
-            // SAFETY: as in `step1`.
+            let io = o.cast::<I>();
+            // SAFETY: as in `step1`; `io` is read only where an input is
+            // in place, and then `I` is `O`.
             unsafe {
                 match (a, b) {
                     (StepIn::Ptr(pa), StepIn::Ptr(pb)) => {
@@ -1145,19 +1147,16 @@ fn step2<I: Element, O: Element>(
                         unreachable!("an in-place input has the output's dtype")
                     }
                     (StepIn::Own, StepIn::Ptr(pb)) => {
-                        let io = o.cast::<I>();
                         for k in lo..hi {
                             *o.add(k) = f(*io.add(k), *pb.get().add(k));
                         }
                     }
                     (StepIn::Ptr(pa), StepIn::Own) => {
-                        let io = o.cast::<I>();
                         for k in lo..hi {
                             *o.add(k) = f(*pa.get().add(k), *io.add(k));
                         }
                     }
                     _ => {
-                        let io = o.cast::<I>();
                         for k in lo..hi {
                             let x = *io.add(k);
                             *o.add(k) = f(x, x);
