@@ -730,15 +730,13 @@ impl Vm {
         let buffer = self.bases[reg.index()].as_mut().expect("just allocated");
         match instr.op {
             Opcode::Range => {
-                let executor: &dyn RangeExecutor = match &self.workers {
-                    Some(p) if p.threads() > 1 && geom.nelem() >= self.par_threshold => p.as_ref(),
-                    _ => &kernels::InlineExec,
-                };
                 with_dtype!(dtype, T, {
                     let slice = buffer.as_mut_slice::<T>().expect("dtype matches decl");
                     if geom.is_contiguous() {
                         let (lo, n) = (geom.offset(), geom.nelem());
-                        range_into(&mut slice[lo..lo + n], executor);
+                        for (k, x) in slice[lo..lo + n].iter_mut().enumerate() {
+                            *x = <T as Element>::from_f64(k as f64);
+                        }
                     } else {
                         // Write index values in logical order.
                         for (counter, off) in geom.offsets().enumerate() {
@@ -987,19 +985,6 @@ impl Vm {
         self.stats.elements_written += n;
         self.stats.bytes_written += n * dtype.size_of() as u64;
     }
-}
-
-/// `BH_RANGE` over a contiguous run: element `k` of `run` is `k`, the
-/// run sharded over `executor`.
-fn range_into<T: Element>(run: &mut [T], executor: &dyn RangeExecutor) {
-    let out = RawMut(run.as_mut_ptr());
-    executor.run_ranges(run.len(), 1, &|lo, hi| {
-        let o = out.get();
-        for k in lo..hi {
-            // SAFETY: `k < run.len()`, and shards write disjoint ranges.
-            unsafe { *o.add(k) = T::from_f64(k as f64) };
-        }
-    });
 }
 
 /// One compiled element-wise instruction: executes the op over the

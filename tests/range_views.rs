@@ -1,8 +1,8 @@
 //! `BH_RANGE` writes the logical index of each element of its output
-//! view. A contiguous view is written directly, sharded over the worker
-//! pool; any other view walks its offsets in logical order. Offset,
-//! strided, reversed and 2-D views are checked against values computed
-//! here, on both engines at the `BH_VM_TEST_THREADS` thread count.
+//! view. A contiguous view is written by one direct loop; any other
+//! view walks its offsets in logical order. Offset, strided, reversed
+//! and 2-D views are checked against values computed here, on both
+//! engines at the `BH_VM_TEST_THREADS` thread count.
 
 use bohrium_repro::ir::parse_program;
 use bohrium_repro::testing::{run_synced_threads, test_threads};
