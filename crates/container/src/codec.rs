@@ -71,7 +71,7 @@ impl Enc {
 
     fn scalar(&mut self, c: &Scalar) {
         self.str_(c.dtype().short_name());
-        self.u64_(scalar_bits(c));
+        self.u64_(c.to_bits());
     }
 
     /// Encode a full program: bases (with names), then instructions with
@@ -119,44 +119,11 @@ impl Enc {
     }
 }
 
-fn scalar_bits(c: &Scalar) -> u64 {
-    match *c {
-        Scalar::Bool(b) => b as u64,
-        Scalar::U8(v) => v as u64,
-        Scalar::U16(v) => v as u64,
-        Scalar::U32(v) => v as u64,
-        Scalar::U64(v) => v,
-        Scalar::I8(v) => v as i64 as u64,
-        Scalar::I16(v) => v as i64 as u64,
-        Scalar::I32(v) => v as i64 as u64,
-        Scalar::I64(v) => v as u64,
-        Scalar::F32(v) => v.to_bits() as u64,
-        Scalar::F64(v) => v.to_bits(),
-    }
-}
-
 /// Rebuild a scalar from its dtype and 64-bit pattern, rejecting
 /// non-canonical encodings (so decode∘encode is the identity and two
 /// distinct byte strings never decode to equal scalars).
 fn scalar_from_bits(dtype: DType, bits: u64) -> Result<Scalar, ContainerError> {
-    let bad = || ContainerError::BadScalar { dtype, bits };
-    Ok(match dtype {
-        DType::Bool => match bits {
-            0 => Scalar::Bool(false),
-            1 => Scalar::Bool(true),
-            _ => return Err(bad()),
-        },
-        DType::UInt8 => Scalar::U8(u8::try_from(bits).map_err(|_| bad())?),
-        DType::UInt16 => Scalar::U16(u16::try_from(bits).map_err(|_| bad())?),
-        DType::UInt32 => Scalar::U32(u32::try_from(bits).map_err(|_| bad())?),
-        DType::UInt64 => Scalar::U64(bits),
-        DType::Int8 => Scalar::I8(i8::try_from(bits as i64).map_err(|_| bad())?),
-        DType::Int16 => Scalar::I16(i16::try_from(bits as i64).map_err(|_| bad())?),
-        DType::Int32 => Scalar::I32(i32::try_from(bits as i64).map_err(|_| bad())?),
-        DType::Int64 => Scalar::I64(bits as i64),
-        DType::Float32 => Scalar::F32(f32::from_bits(u32::try_from(bits).map_err(|_| bad())?)),
-        DType::Float64 => Scalar::F64(f64::from_bits(bits)),
-    })
+    Scalar::from_bits(dtype, bits).ok_or(ContainerError::BadScalar { dtype, bits })
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +327,7 @@ mod tests {
     fn scalar_bits_round_trip_every_dtype() {
         for &dtype in &ALL_DTYPES {
             let c = Scalar::from_f64(1.0, dtype);
-            let back = scalar_from_bits(dtype, scalar_bits(&c)).unwrap();
+            let back = scalar_from_bits(dtype, c.to_bits()).unwrap();
             assert_eq!(c, back, "{dtype}");
         }
     }
@@ -385,7 +352,7 @@ mod tests {
     #[test]
     fn negative_integers_survive_sign_extension() {
         for c in [Scalar::I8(-5), Scalar::I16(-300), Scalar::I32(-70_000)] {
-            let back = scalar_from_bits(c.dtype(), scalar_bits(&c)).unwrap();
+            let back = scalar_from_bits(c.dtype(), c.to_bits()).unwrap();
             assert_eq!(c, back);
         }
     }

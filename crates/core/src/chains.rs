@@ -143,8 +143,10 @@ pub fn listing5_chain() -> PowerChain {
 }
 
 /// Minimal multiply count for `x^n` under the two-register constraint
-/// (`None` for n < 2). Exact dynamic program; used to cross-check
-/// [`optimal_chain`] and by the cost model.
+/// (`None` for n < 2). Exact dynamic program over every exponent up to
+/// `n`, so it takes O(n) time and memory: the reference that
+/// [`optimal_chain`] is checked against, never called by a rule (an
+/// exponent read from byte-code can be near 2⁶³).
 pub fn optimal_multiplies(n: u64) -> Option<u64> {
     if n < 2 {
         return None;

@@ -31,9 +31,8 @@ pub enum OptLevel {
 
 /// Options for [`Optimizer`].
 ///
-/// Derives `Eq`/`Hash` (all fields are integral) so options can key
-/// caches directly — a field added here is automatically part of any
-/// such key.
+/// A `bh_runtime::Runtime` optimises every plan under the one value it
+/// was built with.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct OptOptions {
     /// Which rule set to run.

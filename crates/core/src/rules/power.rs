@@ -14,7 +14,7 @@
 //! *shorter* chain. Together they canonicalise Listing 4 (nine multiplies)
 //! into the optimal four-multiply schedule.
 
-use crate::chains::{optimal_chain, optimal_multiplies, ChainStep};
+use crate::chains::{optimal_chain, ChainStep};
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::{Instruction, Opcode, Operand, Program, ViewRef};
 use bh_tensor::Scalar;
@@ -211,7 +211,10 @@ fn match_chain(program: &Program, idx: usize, ctx: &RewriteCtx) -> Option<(usize
         return None;
     }
     // Strict improvement only (termination of the expand/re-roll pair).
-    let optimal = optimal_multiplies(exponent)?;
+    // The greedy schedule is optimal (`chains` tests pin it to the exact
+    // dynamic program) and costs O(log n); the exponent doubles with
+    // every squaring in the run, so nothing here may be sized by it.
+    let optimal = optimal_chain(exponent)?.multiplies() as u64;
     if len as u64 > optimal && optimal <= ctx.max_power_multiplies as u64 {
         Some((len, exponent))
     } else {

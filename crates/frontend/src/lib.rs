@@ -319,9 +319,9 @@ BH_ADD a0 [0:10:1] a0 [0:10:1] 1.0
 
     #[test]
     fn outcome_api_covers_report_and_exec_counters() {
-        // The modern shape of what `set_engine`/`last_report`/`last_stats`
-        // used to do: configure the runtime up front, read everything off
-        // the returned (or latest) outcome.
+        // The modern shape of what the old per-context engine setter and
+        // `last_report`/`last_stats` used to do: configure the runtime up
+        // front, read everything off the returned (or latest) outcome.
         let rt = Runtime::builder()
             .engine(bh_vm::Engine::Fusing { block: 64 })
             .threads(2)
@@ -342,7 +342,7 @@ BH_ADD a0 [0:10:1] a0 [0:10:1] 1.0
     #[test]
     fn runtime_first_configuration_round_trips() {
         // The graduated configuration surface: everything the old
-        // `set_engine`/`set_threads`/`set_options` shims mutated is now
+        // per-context engine, thread and options shims mutated is now
         // fixed at `Runtime::builder()` time and visible via accessors.
         let rt = Runtime::builder()
             .engine(bh_vm::Engine::Fusing { block: 64 })

@@ -177,23 +177,10 @@ impl Encoder {
 
     fn scalar(&mut self, c: &Scalar) {
         // Tag by dtype, then the value's bit pattern widened to 64 bits —
-        // floats via to_bits so every NaN payload and signed zero is
-        // distinguished (a rewrite may behave differently on them).
+        // floats via their IEEE bits, so every NaN payload and signed zero
+        // is distinguished (a rewrite may behave differently on them).
         self.str_(c.dtype().short_name());
-        let bits = match *c {
-            Scalar::Bool(b) => b as u64,
-            Scalar::U8(v) => v as u64,
-            Scalar::U16(v) => v as u64,
-            Scalar::U32(v) => v as u64,
-            Scalar::U64(v) => v,
-            Scalar::I8(v) => v as i64 as u64,
-            Scalar::I16(v) => v as i64 as u64,
-            Scalar::I32(v) => v as i64 as u64,
-            Scalar::I64(v) => v as u64,
-            Scalar::F32(v) => v.to_bits() as u64,
-            Scalar::F64(v) => v.to_bits(),
-        };
-        self.u64_(bits);
+        self.u64_(c.to_bits());
     }
 }
 

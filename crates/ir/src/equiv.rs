@@ -290,37 +290,15 @@ enum Expr {
     Lin { op: Opcode, args: Vec<Vn> },
 }
 
+/// A constant as the auditor's tables key it: dtype plus
+/// [`Scalar::to_bits`].
 fn scalar_bits(s: Scalar) -> (DType, u64) {
-    let bits = match s {
-        Scalar::Bool(v) => v as u64,
-        Scalar::U8(v) => v as u64,
-        Scalar::U16(v) => v as u64,
-        Scalar::U32(v) => v as u64,
-        Scalar::U64(v) => v,
-        Scalar::I8(v) => v as i64 as u64,
-        Scalar::I16(v) => v as i64 as u64,
-        Scalar::I32(v) => v as i64 as u64,
-        Scalar::I64(v) => v as u64,
-        Scalar::F32(v) => v.to_bits() as u64,
-        Scalar::F64(v) => v.to_bits(),
-    };
-    (s.dtype(), bits)
+    (s.dtype(), s.to_bits())
 }
 
+/// The constant [`scalar_bits`] keyed; the tables hold no other pattern.
 fn bits_scalar(dtype: DType, bits: u64) -> Scalar {
-    match dtype {
-        DType::Bool => Scalar::Bool(bits != 0),
-        DType::UInt8 => Scalar::U8(bits as u8),
-        DType::UInt16 => Scalar::U16(bits as u16),
-        DType::UInt32 => Scalar::U32(bits as u32),
-        DType::UInt64 => Scalar::U64(bits),
-        DType::Int8 => Scalar::I8(bits as i8),
-        DType::Int16 => Scalar::I16(bits as i16),
-        DType::Int32 => Scalar::I32(bits as i32),
-        DType::Int64 => Scalar::I64(bits as i64),
-        DType::Float32 => Scalar::F32(f32::from_bits(bits as u32)),
-        DType::Float64 => Scalar::F64(f64::from_bits(bits)),
-    }
+    Scalar::from_bits(dtype, bits).expect("the auditor keys constants by scalar_bits")
 }
 
 /// Multiply-mix hasher (the rustc/FxHash recipe) for the cons table:

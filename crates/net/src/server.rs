@@ -336,9 +336,10 @@ fn submit(
         }
     };
     // Semantic trust boundary: digesting is total on any decoded program,
-    // and `Server::submit` verifies it (or finds its digest already
-    // admitted) before it is queued, so an unverifiable program is
-    // answered `malformed` from there, exactly once.
+    // and `Server::submit` verifies it (or finds a plan for its digest
+    // resident in the runtime's cache) before it is queued, so an
+    // unverifiable program is answered `malformed` from there, exactly
+    // once.
     let program = decoded.program;
     if let Some(reg) = read {
         if reg as usize >= program.bases().len() {

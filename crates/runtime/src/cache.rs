@@ -6,12 +6,14 @@
 //! *result* of transformation the way a JVM verifies byte-code once at
 //! load time rather than per execution. Keys are
 //! [`bh_ir::ProgramDigest`]s (canonical structure, register names
-//! ignored) paired with the full optimisation options, so the same
-//! sequence optimised under different levels/knobs occupies distinct
-//! entries. Eviction is least-recently-used.
+//! ignored); a runtime optimises under one options value, so the digest
+//! alone names a plan. The cache is also the one "seen and verified"
+//! record per digest: `bh-serve` admission asks it whether a plan is
+//! resident before verifying a submission. Eviction is
+//! least-recently-used.
 
 use bh_ir::{Opcode, Program, ProgramDigest, Verified};
-use bh_opt::{OptOptions, OptReport};
+use bh_opt::OptReport;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -65,24 +67,16 @@ fn opcode_census(program: &Program) -> Vec<(Opcode, u64)> {
     counts.into_iter().collect()
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
-    pub digest: ProgramDigest,
-    // The full options value, not a hand-rolled fingerprint: a field
-    // added to `OptOptions` participates in the key automatically.
-    pub options: OptOptions,
-}
-
 struct Entry {
     plan: Arc<EvalPlan>,
     last_used: u64,
 }
 
-/// LRU map from `(structural digest, options)` to optimised plans.
+/// LRU map from structural digest to optimised plan.
 pub(crate) struct TransformCache {
     capacity: usize,
     tick: u64,
-    map: HashMap<CacheKey, Entry>,
+    map: HashMap<ProgramDigest, Entry>,
 }
 
 impl TransformCache {
@@ -102,7 +96,13 @@ impl TransformCache {
         self.map.clear();
     }
 
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<EvalPlan>> {
+    /// Whether a plan for `key` is resident. Unlike [`TransformCache::get`]
+    /// it leaves the LRU order alone.
+    pub fn contains(&self, key: &ProgramDigest) -> bool {
+        self.map.contains_key(key)
+    }
+
+    pub fn get(&mut self, key: &ProgramDigest) -> Option<Arc<EvalPlan>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|e| {
@@ -114,7 +114,7 @@ impl TransformCache {
     /// Insert `plan` under `key`, evicting the least-recently-used entry
     /// when full. If a racing thread inserted the same key first, its plan
     /// wins (and is returned) so all callers share one allocation.
-    pub fn insert(&mut self, key: CacheKey, plan: Arc<EvalPlan>) -> Arc<EvalPlan> {
+    pub fn insert(&mut self, key: ProgramDigest, plan: Arc<EvalPlan>) -> Arc<EvalPlan> {
         if self.capacity == 0 {
             return plan;
         }
@@ -152,16 +152,13 @@ mod tests {
     use bh_ir::parse_program;
     use bh_opt::Optimizer;
 
-    fn plan_for(text: &str) -> (CacheKey, Arc<EvalPlan>) {
+    fn plan_for(text: &str) -> (ProgramDigest, Arc<EvalPlan>) {
         let mut program = parse_program(text).unwrap();
         let digest = program.structural_digest();
         let report = Optimizer::default().run(&mut program);
         let fp = digest.fingerprint();
         (
-            CacheKey {
-                digest,
-                options: OptOptions::default(),
-            },
+            digest,
             Arc::new(EvalPlan::new(
                 bh_ir::verify_owned(program).expect("test program verifies"),
                 report,
@@ -175,13 +172,7 @@ mod tests {
         let mut cache = TransformCache::new(4);
         let (key, plan) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
         assert!(cache.get(&key).is_none());
-        cache.insert(
-            CacheKey {
-                digest: key.digest.clone(),
-                options: OptOptions::default(),
-            },
-            Arc::clone(&plan),
-        );
+        cache.insert(key.clone(), Arc::clone(&plan));
         let got = cache.get(&key).unwrap();
         assert!(Arc::ptr_eq(&got, &plan));
         assert_eq!(cache.len(), 1);
@@ -193,29 +184,11 @@ mod tests {
         let (k1, p1) = plan_for("BH_IDENTITY a [0:1:1] 1\nBH_SYNC a\n");
         let (k2, p2) = plan_for("BH_IDENTITY a [0:2:1] 1\nBH_SYNC a\n");
         let (k3, p3) = plan_for("BH_IDENTITY a [0:3:1] 1\nBH_SYNC a\n");
-        cache.insert(
-            CacheKey {
-                digest: k1.digest.clone(),
-                options: OptOptions::default(),
-            },
-            p1,
-        );
-        cache.insert(
-            CacheKey {
-                digest: k2.digest.clone(),
-                options: OptOptions::default(),
-            },
-            p2,
-        );
+        cache.insert(k1.clone(), p1);
+        cache.insert(k2.clone(), p2);
         // Touch k1 so k2 becomes the LRU victim.
         assert!(cache.get(&k1).is_some());
-        cache.insert(
-            CacheKey {
-                digest: k3.digest.clone(),
-                options: OptOptions::default(),
-            },
-            p3,
-        );
+        cache.insert(k3.clone(), p3);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&k1).is_some());
         assert!(cache.get(&k2).is_none());
@@ -226,13 +199,7 @@ mod tests {
     fn zero_capacity_disables_storage() {
         let mut cache = TransformCache::new(0);
         let (key, plan) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
-        cache.insert(
-            CacheKey {
-                digest: key.digest.clone(),
-                options: OptOptions::default(),
-            },
-            plan,
-        );
+        cache.insert(key.clone(), plan);
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&key).is_none());
     }
@@ -242,20 +209,8 @@ mod tests {
         let mut cache = TransformCache::new(4);
         let (key, plan_a) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
         let (_, plan_b) = plan_for("BH_IDENTITY a [0:4:1] 1\nBH_SYNC a\n");
-        cache.insert(
-            CacheKey {
-                digest: key.digest.clone(),
-                options: OptOptions::default(),
-            },
-            Arc::clone(&plan_a),
-        );
-        let winner = cache.insert(
-            CacheKey {
-                digest: key.digest.clone(),
-                options: OptOptions::default(),
-            },
-            plan_b,
-        );
+        cache.insert(key.clone(), Arc::clone(&plan_a));
+        let winner = cache.insert(key, plan_b);
         assert!(Arc::ptr_eq(&winner, &plan_a));
         assert_eq!(cache.len(), 1);
     }

@@ -24,7 +24,7 @@
 //! Front-ends hold an `Arc<Runtime>` and call [`Runtime::eval`]; each
 //! call returns the tensor alongside an [`EvalOutcome`] (plan, per-run
 //! counters, service time, cache-hit flag), replacing the old
-//! per-context `set_engine` / `last_report` / `last_stats` trio.
+//! per-context engine setter and its `last_report` / `last_stats` pair.
 //! Serving layers drive the prepared-plan hot path
 //! ([`Runtime::prepare`] / [`Runtime::eval_prepared`]) instead,
 //! recycling the VM between requests (DESIGN.md §7), and

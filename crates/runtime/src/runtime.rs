@@ -1,8 +1,8 @@
 //! The unified runtime: optimise → plan → execute behind one handle.
 
-use crate::cache::{CacheKey, EvalPlan, TransformCache};
+use crate::cache::{EvalPlan, TransformCache};
 use crate::stats::RuntimeStats;
-use bh_ir::Program;
+use bh_ir::{Program, ProgramDigest};
 use bh_observe::{DigestProfile, EvalSample, ProfileTable, TracePhase, TraceSink};
 use bh_opt::{OptLevel, OptOptions, OptReport, Optimizer};
 use bh_tensor::Tensor;
@@ -117,8 +117,7 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// The optimisation options applied to every plan (unless overridden
-    /// per call with [`Runtime::eval_with`]).
+    /// The optimisation options applied to every plan.
     pub fn options(&self) -> &OptOptions {
         &self.options
     }
@@ -229,6 +228,15 @@ impl Runtime {
         self.cache.lock().len()
     }
 
+    /// Whether a plan for `digest` is resident in the cache. A probe, not
+    /// a lookup: it counts neither a hit nor a miss and leaves the LRU
+    /// order alone. A resident plan was verified when it was built, so a
+    /// resident digest cannot fail [`Runtime::prepare`]; `bh-serve`
+    /// admission skips its own verification on that basis.
+    pub fn has_plan(&self, digest: &ProgramDigest) -> bool {
+        self.cache.lock().contains(digest)
+    }
+
     /// Drop every cached plan (counters are untouched).
     pub fn clear_cache(&self) {
         self.cache.lock().clear();
@@ -250,28 +258,10 @@ impl Runtime {
     /// [`VmError::Invalid`] when an operand names an undeclared register
     /// or the optimised program fails verification.
     pub fn prepare(&self, program: &Program) -> Result<(Arc<EvalPlan>, bool), VmError> {
-        self.prepare_with(program, &self.options)
-    }
-
-    /// [`Runtime::prepare`] under explicit options (cached separately per
-    /// options value, so callers can mix levels on one runtime).
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::prepare`].
-    pub fn prepare_with(
-        &self,
-        program: &Program,
-        options: &OptOptions,
-    ) -> Result<(Arc<EvalPlan>, bool), VmError> {
         let digest = program.structural_digest();
-        let key = CacheKey {
-            digest,
-            options: options.clone(),
-        };
         // Bind the lookup to a local so the cache guard drops *here*, not
         // at the end of the `if let` body.
-        let cached = self.cache.lock().get(&key);
+        let cached = self.cache.lock().get(&digest);
         if let Some(plan) = cached {
             self.stats.lock().cache_hits += 1;
             return Ok((plan, true));
@@ -286,12 +276,12 @@ impl Runtime {
             return Err(VmError::Invalid(errors));
         }
         // Optimise outside the cache lock: a concurrent miss on the same
-        // key duplicates work once, but never blocks other keys.
-        let fingerprint = key.digest.fingerprint();
+        // digest duplicates work once, but never blocks other digests.
+        let fingerprint = digest.fingerprint();
         let mut optimised = program.clone();
         let (mut report, opt_elapsed) = self.span("optimise", fingerprint, || {
             let begun = Instant::now();
-            let report = Optimizer::new(options.clone()).run(&mut optimised);
+            let report = Optimizer::new(self.options.clone()).run(&mut optimised);
             (report, begun.elapsed())
         });
         // Whole-plan translation validation: prove the optimised plan
@@ -300,7 +290,7 @@ impl Runtime {
         // wrong, so the runtime degrades gracefully by serving the
         // unoptimised source instead of failing the request.
         if self.audit {
-            let equiv = options.equiv_options();
+            let equiv = self.options.equiv_options();
             let proved = self.span("audit", fingerprint, || {
                 bh_ir::check_equiv(program, &optimised, &equiv).is_ok()
             });
@@ -348,7 +338,7 @@ impl Runtime {
                 &plan.opcode_census,
             );
         }
-        let plan = self.cache.lock().insert(key, plan);
+        let plan = self.cache.lock().insert(digest, plan);
         Ok((plan, false))
     }
 
@@ -365,22 +355,7 @@ impl Runtime {
         bindings: &[(bh_ir::Reg, Tensor)],
         result: bh_ir::Reg,
     ) -> Result<(Tensor, EvalOutcome), VmError> {
-        self.eval_with(program, bindings, result, &self.options)
-    }
-
-    /// [`Runtime::eval`] under explicit options.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::eval`].
-    pub fn eval_with(
-        &self,
-        program: &Program,
-        bindings: &[(bh_ir::Reg, Tensor)],
-        result: bh_ir::Reg,
-        options: &OptOptions,
-    ) -> Result<(Tensor, EvalOutcome), VmError> {
-        let (outcome, value) = self.run_plan(program, bindings, Some(result), options)?;
+        let (outcome, value) = self.run_plan(program, bindings, Some(result))?;
         Ok((value.expect("result register requested"), outcome))
     }
 
@@ -395,7 +370,7 @@ impl Runtime {
         program: &Program,
         bindings: &[(bh_ir::Reg, Tensor)],
     ) -> Result<EvalOutcome, VmError> {
-        let (outcome, _) = self.run_plan(program, bindings, None, &self.options)?;
+        let (outcome, _) = self.run_plan(program, bindings, None)?;
         Ok(outcome)
     }
 
@@ -404,9 +379,8 @@ impl Runtime {
         program: &Program,
         bindings: &[(bh_ir::Reg, Tensor)],
         result: Option<bh_ir::Reg>,
-        options: &OptOptions,
     ) -> Result<(EvalOutcome, Option<Tensor>), VmError> {
-        let (plan, cache_hit) = self.prepare_with(program, options)?;
+        let (plan, cache_hit) = self.prepare(program)?;
         let mut vm = self.lease_vm();
         let (value, outcome) = self.eval_prepared(&plan, &mut vm, bindings, result, cache_hit)?;
         Ok((outcome, value))
@@ -725,19 +699,38 @@ mod tests {
     }
 
     #[test]
-    fn options_fingerprints_partition_the_cache() {
-        let rt = Runtime::new();
+    fn each_runtime_optimises_under_its_own_level() {
         let p = listing2();
         let reg = p.reg_by_name("a0").unwrap();
-        let (_, o2) = rt.eval(&p, &[], reg).unwrap();
-        let (_, o0) = rt
-            .eval_with(&p, &[], reg, &OptOptions::level(OptLevel::O0))
-            .unwrap();
+        let o2_rt = Runtime::new();
+        let o0_rt = Runtime::builder().opt_level(OptLevel::O0).build();
+        let (_, o2) = o2_rt.eval(&p, &[], reg).unwrap();
+        let (_, o0) = o0_rt.eval(&p, &[], reg).unwrap();
         assert!(!o2.cache_hit);
         assert!(!o0.cache_hit);
-        assert_eq!(rt.cached_plans(), 2);
+        assert_eq!((o2_rt.cached_plans(), o0_rt.cached_plans()), (1, 1));
         // O0 kept all three adds; O2 merged them.
         assert!(o0.plan.program.instrs().len() > o2.plan.program.instrs().len());
+    }
+
+    #[test]
+    fn the_residency_probe_counts_nothing_and_keeps_the_lru_order() {
+        let rt = Runtime::builder().cache_capacity(2).build();
+        let program =
+            |n: usize| parse_program(&format!("BH_IDENTITY a [0:{n}:1] 1\nBH_SYNC a\n")).unwrap();
+        let (a, b, c) = (program(1), program(2), program(3));
+        rt.prepare(&a).unwrap();
+        rt.prepare(&b).unwrap();
+        let before = rt.stats();
+        assert!(rt.has_plan(&a.structural_digest()));
+        assert!(!rt.has_plan(&c.structural_digest()));
+        assert_eq!(rt.stats(), before, "a probe is neither a hit nor a miss");
+        // The probe did not refresh `a`: it is still the stalest entry,
+        // so `c` evicts it rather than `b`.
+        rt.prepare(&c).unwrap();
+        assert!(!rt.has_plan(&a.structural_digest()));
+        assert!(rt.has_plan(&b.structural_digest()));
+        assert!(rt.has_plan(&c.structural_digest()));
     }
 
     #[test]
@@ -804,14 +797,14 @@ mod tests {
     fn invalid_program_is_rejected_at_prepare() {
         let sink = bh_observe::RingTraceSink::shared(64);
         let rt = Runtime::builder()
+            .opt_level(OptLevel::O0)
             .trace_sink(sink.clone() as Arc<dyn TraceSink>)
             .build();
         // Reads a never-written register; at O0 nothing rewrites the read
         // away, so plan validation must reject it (at O2 dead-code
         // elimination would legitimately leave an empty, valid plan).
         let p = parse_program("BH_ADD a0 [0:4:1] a0 [0:4:1] 1\n").unwrap();
-        let o0 = OptOptions::level(OptLevel::O0);
-        assert!(matches!(rt.prepare_with(&p, &o0), Err(VmError::Invalid(_))));
+        assert!(matches!(rt.prepare(&p), Err(VmError::Invalid(_))));
         assert_eq!(rt.cached_plans(), 0);
         // The optimiser ran even though verification failed: that's a miss.
         assert_eq!(rt.stats().cache_misses, 1);
@@ -822,23 +815,23 @@ mod tests {
 
     #[test]
     fn an_undeclared_register_is_rejected_before_the_rules_run() {
-        let rt = Runtime::builder().build();
         let mut p = listing2();
         // The second add reads a register no base declares; the rules
         // index bases by register.
         p.instrs_mut()[2].operands[1] = bh_ir::ViewRef::full(bh_ir::Reg(7)).into();
         for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-            match rt.prepare_with(&p, &OptOptions::level(level)) {
+            let rt = Runtime::builder().opt_level(level).build();
+            match rt.prepare(&p) {
                 Err(VmError::Invalid(errors)) => assert!(
                     errors.iter().all(|e| e.code == bh_ir::VerifyCode::BadView),
                     "{errors:?}"
                 ),
                 other => panic!("{level:?}: expected V103, got {other:?}"),
             }
+            assert_eq!(rt.cached_plans(), 0);
+            let stats = rt.stats();
+            assert_eq!((stats.cache_misses, stats.verifications), (1, 1));
         }
-        assert_eq!(rt.cached_plans(), 0);
-        let stats = rt.stats();
-        assert_eq!((stats.cache_misses, stats.verifications), (3, 3));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bh_observe::{Collect, MetricSet, TracePhase, TraceSink};
 use bh_runtime::Runtime;
 use bh_tensor::Tensor;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
@@ -207,23 +207,11 @@ struct Shared {
     work: Condvar,
     stats: Mutex<ServeStats>,
     shutdown: AtomicBool,
-    /// Digests whose programs already passed admission verification, so
-    /// repeat traffic pays one `HashSet` probe instead of a re-verify —
-    /// the admission-side mirror of the runtime's transformation cache.
-    /// Bounded (see [`ADMITTED_DIGEST_LIMIT`]); eviction merely costs a
-    /// re-verify, never admits anything unverified.
-    admitted: Mutex<HashSet<ProgramDigest>>,
     /// Optional request-lifecycle trace sink (`"queue"` and `"batch"`
     /// span events). `None` — the default — keeps the serving path free
     /// of tracing cost beyond one branch per would-be event.
     tracer: Option<Arc<dyn TraceSink>>,
 }
-
-/// Known-good digests remembered at admission before the set is reset.
-/// 4096 digests ≈ a few hundred KiB — far above any realistic working
-/// set of distinct programs, small enough that hostile digest churn
-/// cannot balloon memory.
-const ADMITTED_DIGEST_LIMIT: usize = 4096;
 
 impl Shared {
     /// Emit one trace event when a sink is installed. Callers that would
@@ -251,25 +239,20 @@ impl Shared {
     /// Admission gate: verify the submitted byte-code before it can be
     /// enqueued, so malformed programs are bounced at the front door with
     /// a structured [`ServeError::Malformed`] instead of occupying queue
-    /// space and failing later inside a batch. Verification runs once per
-    /// distinct digest; known-good digests are admitted on a set probe.
+    /// space and failing later inside a batch. A digest whose plan is
+    /// resident in the runtime's cache is admitted on that probe alone:
+    /// the plan was verified when it was built, and a resident digest
+    /// cannot fail `prepare`, which is all admission rules out.
     ///
     /// Called *outside* the sched lock — verification cost must never
     /// stall other submitters or the workers.
     #[allow(clippy::result_large_err)]
     fn admit(&self, request: Request) -> Result<Request, Rejected> {
-        if self.admitted.lock().contains(&request.digest) {
+        if self.runtime.has_plan(&request.digest) {
             return Ok(request);
         }
         match bh_ir::verify(&request.program) {
-            Ok(_) => {
-                let mut admitted = self.admitted.lock();
-                if admitted.len() >= ADMITTED_DIGEST_LIMIT {
-                    admitted.clear();
-                }
-                admitted.insert(request.digest.clone());
-                Ok(request)
-            }
+            Ok(_) => Ok(request),
             Err(errors) => Err(Rejected {
                 reason: ServeError::Malformed(errors),
                 request,
@@ -548,7 +531,6 @@ impl ServerBuilder {
             work: Condvar::new(),
             stats: Mutex::new(ServeStats::default()),
             shutdown: AtomicBool::new(false),
-            admitted: Mutex::new(HashSet::new()),
             tracer: self.tracer,
         });
         let workers = (0..self.workers)
@@ -696,9 +678,10 @@ impl Server {
 
     /// Enqueue a request, returning a [`Ticket`] to wait on.
     ///
-    /// The submitted byte-code is verified at admission (once per
-    /// distinct program digest): malformed programs are bounced here
-    /// with the structured verification findings, never enqueued.
+    /// The submitted byte-code is verified at admission unless the
+    /// runtime already holds a plan for its digest: malformed programs
+    /// are bounced here with the structured verification findings, never
+    /// enqueued.
     ///
     /// # Errors
     ///
@@ -711,37 +694,9 @@ impl Server {
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
         let now = Instant::now();
-        let request = match self.shared.admit(request) {
-            Ok(request) => request,
-            Err(rejected) => {
-                self.shared.stats.lock().rejected += 1;
-                return Err(rejected);
-            }
-        };
-        {
-            let mut sched = self.shared.sched.lock();
-            match self.try_enqueue(&mut sched, request, now) {
-                Ok(slot) => {
-                    let depth = sched.queued;
-                    // Counted before the enqueue becomes visible to workers
-                    // (the sched lock is still held), so a snapshot can never
-                    // observe a resolution that outruns its own submission
-                    // count.
-                    let mut stats = self.shared.stats.lock();
-                    stats.submitted += 1;
-                    stats.peak_queue_depth = stats.peak_queue_depth.max(depth);
-                    drop(stats);
-                    drop(sched);
-                    self.shared.work.notify_one();
-                    Ok(Ticket { slot })
-                }
-                Err(rejected) => {
-                    drop(sched);
-                    self.shared.stats.lock().rejected += 1;
-                    Err(rejected)
-                }
-            }
-        }
+        let mut outcome = None;
+        self.enqueue_all([self.shared.admit(request)], now, |o| outcome = Some(o));
+        outcome.expect("one request, one outcome")
     }
 
     /// Enqueue a pre-batched group of requests under one lock
@@ -774,8 +729,8 @@ impl Server {
     /// }
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    // The closures below return the deliberately fat Rejected (see
-    // `submit`); boxing it would cost every accepted request too.
+    // Each outcome is the deliberately fat Rejected (see `submit`);
+    // boxing it would cost every accepted request too.
     #[allow(clippy::result_large_err)]
     pub fn submit_many(
         &self,
@@ -788,27 +743,46 @@ impl Server {
         // must not self-deadlock on the non-reentrant sched mutex.
         // Admission verification also happens out here, for the same
         // reason: verifying a cold digest must not stall the scheduler.
-        let requests: Vec<Result<Request, Rejected>> = requests
+        let admissions: Vec<Result<Request, Rejected>> = requests
             .into_iter()
             .map(|request| self.shared.admit(request))
             .collect();
-        let mut out = Vec::with_capacity(requests.len());
+        let mut out = Vec::with_capacity(admissions.len());
+        self.enqueue_all(admissions, now, |o| out.push(o));
+        out
+    }
+
+    /// The one submission path after admission: enqueue every request
+    /// that passed it under a single sched-lock acquisition, hand each
+    /// outcome to `out` in order, update the stats once and wake the
+    /// workers once.
+    // Outcomes carry the deliberately fat Rejected (see `submit`).
+    #[allow(clippy::result_large_err)]
+    fn enqueue_all(
+        &self,
+        admissions: impl IntoIterator<Item = Result<Request, Rejected>>,
+        now: Instant,
+        mut out: impl FnMut(Result<Ticket, Rejected>),
+    ) {
         let mut accepted = 0u64;
         let mut bounced = 0u64;
         {
             let mut sched = self.shared.sched.lock();
-            for request in requests {
+            for request in admissions {
                 match request.and_then(|r| self.try_enqueue(&mut sched, r, now)) {
                     Ok(slot) => {
                         accepted += 1;
-                        out.push(Ok(Ticket { slot }));
+                        out(Ok(Ticket { slot }));
                     }
                     Err(rejected) => {
                         bounced += 1;
-                        out.push(Err(rejected));
+                        out(Err(rejected));
                     }
                 }
             }
+            // Counted before the enqueues become visible to workers (the
+            // sched lock is still held), so a snapshot can never observe a
+            // resolution that outruns its own submission count.
             let depth = sched.queued;
             let mut stats = self.shared.stats.lock();
             stats.submitted += accepted;
@@ -820,7 +794,6 @@ impl Server {
             1 => self.shared.work.notify_one(),
             _ => self.shared.work.notify_all(),
         }
-        out
     }
 
     /// Submit and block for the outcome (per-call convenience).

@@ -3,10 +3,10 @@
 //! These are the loops a Bohrium backend would JIT-compile. They operate on
 //! typed slices plus [`ViewGeom`] geometry so the same code path serves
 //! contiguous arrays, strided slices, reversed views and broadcast (stride-0)
-//! operands. The element-wise kernels ([`fill`], [`map1`], [`map2`]) are
-//! serial and write an output distinct from their inputs; `bh-vm`'s
-//! interpreter walks views with [`zip_offsets`] itself, since it also reads
-//! the output's own buffer in place. The reduction and scan kernels shard
+//! operands. The one element-wise kernel here, [`fill`], is serial;
+//! `bh-vm`'s interpreter walks views with [`zip_offsets`] itself, since it
+//! also reads the output's own buffer in place. The reduction and scan
+//! kernels shard
 //! over a [`RangeExecutor`]: a scan by whole lanes only, each lane one
 //! sequential running fold; a reduction by lanes, or by [`REDUCE_BLOCK`]-sized
 //! canonical blocks when it has a single lane.
@@ -189,42 +189,6 @@ pub fn fill<T: Element>(out: &mut [T], ov: &ViewGeom, value: T) {
         // SAFETY: bounds asserted above; offsets are distinct per logical
         // element or harmlessly rewritten with the same value.
         unsafe { *ptr.add(o) = value };
-    });
-}
-
-/// `out[i] = f(input[i])` with distinct buffers.
-pub fn map1<I: Element, O: Element>(
-    out: &mut [O],
-    ov: &ViewGeom,
-    input: &[I],
-    iv: &ViewGeom,
-    f: impl Fn(I) -> O,
-) {
-    let optr = out.as_mut_ptr();
-    let (olen, ilen) = (out.len(), input.len());
-    zip_offsets([ov, iv], |[o, i]| {
-        assert!(o < olen && i < ilen, "view escapes buffer");
-        // SAFETY: bounds asserted; `out` and `input` are distinct slices.
-        unsafe { *optr.add(o) = f(*input.get_unchecked(i)) };
-    });
-}
-
-/// `out[i] = f(a[i], b[i])` with three distinct buffers.
-pub fn map2<I: Element, O: Element>(
-    out: &mut [O],
-    ov: &ViewGeom,
-    a: &[I],
-    av: &ViewGeom,
-    b: &[I],
-    bv: &ViewGeom,
-    f: impl Fn(I, I) -> O,
-) {
-    let optr = out.as_mut_ptr();
-    let (olen, alen, blen) = (out.len(), a.len(), b.len());
-    zip_offsets([ov, av, bv], |[o, i, j]| {
-        assert!(o < olen && i < alen && j < blen, "view escapes buffer");
-        // SAFETY: bounds asserted; buffers are distinct slices.
-        unsafe { *optr.add(o) = f(*a.get_unchecked(i), *b.get_unchecked(j)) };
     });
 }
 
@@ -651,26 +615,6 @@ mod tests {
             ViewGeom::from_slices(&Shape::vector(10), &[Slice::new(None, None, 2)]).unwrap();
         fill(&mut buf, &stride2, 5.0);
         assert_eq!(buf, vec![5.0, 1.0, 5.0, 1.0, 5.0, 1.0, 5.0, 1.0, 5.0, 1.0]);
-    }
-
-    #[test]
-    fn map1_cast_like() {
-        let input = vec![1.9f64, -0.5, 3.0];
-        let mut out = vec![0i32; 3];
-        map1(&mut out, &vg(&[3]), &input, &vg(&[3]), |x| x as i32);
-        assert_eq!(out, vec![1, 0, 3]);
-    }
-
-    #[test]
-    fn map2_adds_broadcast_scalar_via_zero_stride() {
-        let a = vec![1.0f64, 2.0, 3.0];
-        let b = vec![10.0f64];
-        let bview = ViewGeom::contiguous(&Shape::vector(1))
-            .broadcast_to(&Shape::vector(3))
-            .unwrap();
-        let mut out = vec![0.0f64; 3];
-        map2(&mut out, &vg(&[3]), &a, &vg(&[3]), &b, &bview, |x, y| x + y);
-        assert_eq!(out, vec![11.0, 12.0, 13.0]);
     }
 
     #[test]

@@ -17,18 +17,18 @@
 //! # Example
 //!
 //! ```
-//! use bh_tensor::{kernels, Shape, Slice, Tensor, ViewGeom, DType};
+//! use bh_tensor::{kernels, DType, Shape, Slice, Tensor, ViewGeom};
 //!
-//! // The paper's `a0 [0:10:1]` view:
+//! // The paper's `a0 [0:10:1]` view, and every other element of it:
 //! let base = Shape::vector(10);
 //! let full = ViewGeom::from_slices(&base, &[Slice::new(Some(0), Some(10), 1)]).unwrap();
-//! let a0 = Tensor::zeros(DType::Float64, base.clone());
-//! let mut a1 = Tensor::zeros(DType::Float64, base.clone());
+//! let evens = ViewGeom::from_slices(&base, &[Slice::new(Some(0), Some(10), 2)]).unwrap();
+//! let mut a0 = Tensor::zeros(DType::Float64, base);
 //!
-//! // BH_ADD a1 a0 3 (constant broadcast handled by the VM; shown raw here):
-//! let input = a0.as_slice::<f64>().unwrap();
-//! kernels::map1(a1.as_mut_slice::<f64>().unwrap(), &full, input, &full, |x| x + 3.0);
-//! assert_eq!(a1.to_f64_vec(), vec![3.0; 10]);
+//! // BH_IDENTITY a0 [0:10:1] 1, then BH_IDENTITY a0 [0:10:2] 3:
+//! kernels::fill(a0.as_mut_slice::<f64>().unwrap(), &full, 1.0);
+//! kernels::fill(a0.as_mut_slice::<f64>().unwrap(), &evens, 3.0);
+//! assert_eq!(a0.to_f64_vec(), [3.0, 1.0].repeat(5));
 //! ```
 
 #![warn(missing_docs)]

@@ -151,6 +151,63 @@ impl Scalar {
         }
     }
 
+    /// The value's bit pattern widened to 64 bits: zero-extended for
+    /// `bool` and unsigned integers, sign-extended for signed ones, and
+    /// the IEEE-754 bits for floats, so every NaN payload and signed zero
+    /// stays distinct. Together with its dtype this names the value
+    /// exactly; structural digests, the plan auditor and plan containers
+    /// all encode constants this way.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bh_tensor::{DType, Scalar};
+    /// assert_eq!(Scalar::I8(-1).to_bits(), u64::MAX);
+    /// assert_eq!(Scalar::from_bits(DType::Int8, u64::MAX), Some(Scalar::I8(-1)));
+    /// // 0xFF is not how an i8 is widened.
+    /// assert_eq!(Scalar::from_bits(DType::Int8, 0xFF), None);
+    /// ```
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Scalar::Bool(v) => v as u64,
+            Scalar::U8(v) => v as u64,
+            Scalar::U16(v) => v as u64,
+            Scalar::U32(v) => v as u64,
+            Scalar::U64(v) => v,
+            Scalar::I8(v) => v as i64 as u64,
+            Scalar::I16(v) => v as i64 as u64,
+            Scalar::I32(v) => v as i64 as u64,
+            Scalar::I64(v) => v as u64,
+            Scalar::F32(v) => v.to_bits() as u64,
+            Scalar::F64(v) => v.to_bits(),
+        }
+    }
+
+    /// The inverse of [`Scalar::to_bits`]: the `dtype` value with that
+    /// pattern, or `None` for a pattern `to_bits` never produces (a
+    /// `bool` other than 0 or 1, an integer out of range or not
+    /// sign-extended, an `f32` with high bits set). So every value has
+    /// exactly one pattern.
+    pub fn from_bits(dtype: DType, bits: u64) -> Option<Scalar> {
+        Some(match dtype {
+            DType::Bool => match bits {
+                0 => Scalar::Bool(false),
+                1 => Scalar::Bool(true),
+                _ => return None,
+            },
+            DType::UInt8 => Scalar::U8(u8::try_from(bits).ok()?),
+            DType::UInt16 => Scalar::U16(u16::try_from(bits).ok()?),
+            DType::UInt32 => Scalar::U32(u32::try_from(bits).ok()?),
+            DType::UInt64 => Scalar::U64(bits),
+            DType::Int8 => Scalar::I8(i8::try_from(bits as i64).ok()?),
+            DType::Int16 => Scalar::I16(i16::try_from(bits as i64).ok()?),
+            DType::Int32 => Scalar::I32(i32::try_from(bits as i64).ok()?),
+            DType::Int64 => Scalar::I64(bits as i64),
+            DType::Float32 => Scalar::F32(f32::from_bits(u32::try_from(bits).ok()?)),
+            DType::Float64 => Scalar::F64(f64::from_bits(bits)),
+        })
+    }
+
     /// Cast to another dtype with `as`-cast semantics.
     pub fn cast(self, dtype: DType) -> Scalar {
         if self.dtype() == dtype {

@@ -928,23 +928,6 @@ BH_SYNC z\nBH_SYNC m\n";
     }
 
     #[test]
-    fn engine_can_be_switched_between_runs() {
-        let p = parse_program(
-            "BH_IDENTITY a0 [0:512:1] 1\nBH_ADD a0 a0 2\nBH_MULTIPLY a0 a0 a0\nBH_SYNC a0\n",
-        )
-        .unwrap();
-        let mut vm = Vm::new();
-        vm.run(&p).unwrap();
-        let naive = vm.read_by_name(&p, "a0").unwrap();
-        vm.recycle();
-        vm.set_engine(Engine::Fusing { block: 64 });
-        assert_eq!(vm.engine(), Engine::Fusing { block: 64 });
-        vm.run(&p).unwrap();
-        assert_eq!(vm.read_by_name(&p, "a0").unwrap(), naive);
-        assert!(vm.stats().fused_groups >= 1);
-    }
-
-    #[test]
     fn broadcast_vector_input() {
         let p = parse_program(
             ".base row f64[3] input\n.base m f64[2,3]\n\

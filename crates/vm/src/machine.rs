@@ -187,14 +187,6 @@ impl Vm {
         self.engine
     }
 
-    /// Switch the execution engine. Takes effect on the next `run`;
-    /// existing memory and counters are untouched, which lets a pooled VM
-    /// be re-targeted between runs without reallocating.
-    pub fn set_engine(&mut self, engine: Engine) -> &mut Self {
-        self.engine = engine;
-        self
-    }
-
     /// Clear memory and counters but keep the base-slot table and, within
     /// the largest footprint of any single run so far, the storage this
     /// VM allocated, so later runs of *any* program reuse it instead of

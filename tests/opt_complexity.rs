@@ -289,3 +289,40 @@ fn a_long_cast_chain_is_admitted_and_served_in_bounded_time() {
          exceeds {ADMISSION_BUDGET:?}: admission is no longer linear"
     );
 }
+
+/// `y = x·x` followed by `squarings` copies of `y = y·y`: `x` raised to
+/// 2^(squarings + 1), one multiply per doubling.
+fn squaring_chain(dtype: &str, squarings: usize) -> Program {
+    let mut text = format!(".base x {dtype}[4] input\n.base y {dtype}[4]\nBH_MULTIPLY y x x\n");
+    for _ in 0..squarings {
+        text.push_str("BH_MULTIPLY y y y\n");
+    }
+    text.push_str("BH_SYNC y\n");
+    parse_program(&text).expect("generated byte-code parses")
+}
+
+/// The multiply-chain re-roll weighs a run against the shortest schedule
+/// for its exponent, and the exponent doubles with every squaring: a
+/// 42-instruction program names x^(2^41). Sizing anything by the
+/// exponent aborts the process on allocation; these chains are already
+/// optimal, so every plan keeps its multiplies.
+#[test]
+fn a_squaring_chain_with_a_huge_exponent_prepares_in_bounded_time() {
+    let rt = Runtime::new();
+    for dtype in ["i64", "f64"] {
+        for squarings in [40, 60] {
+            let source = squaring_chain(dtype, squarings);
+            verify(&source).expect("the generated program verifies");
+            let begun = Instant::now();
+            let (plan, _) = rt.prepare(&source).expect("the chain prepares");
+            assert!(
+                begun.elapsed() < BUDGET,
+                "preparing x^(2^{}) over {dtype} took {:?}",
+                squarings + 1,
+                begun.elapsed()
+            );
+            assert_eq!(plan.program.count_op(Opcode::Multiply), squarings + 1);
+            assert_eq!(plan.program.count_op(Opcode::Power), 0);
+        }
+    }
+}
