@@ -309,23 +309,6 @@ impl Program {
         }
         s
     }
-
-    /// Total abstract element-work of the program under the per-op unit
-    /// costs (see [`Opcode::unit_cost`]); a quick static proxy used in
-    /// tests.
-    pub fn static_cost(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| {
-                let n = i
-                    .out_view()
-                    .or_else(|| i.operands.first().and_then(|o| o.as_view()))
-                    .and_then(|v| self.view_nelem(v))
-                    .unwrap_or(0) as u64;
-                i.op.unit_cost() * n
-            })
-            .sum()
-    }
 }
 
 /// Make implicit bounds explicit so `:` prints as `0:10:1` like the paper.
@@ -572,13 +555,6 @@ BH_SYNC a0 [0:10:1]
         assert_eq!(p.view_nelem(&half), Some(5));
         assert_eq!(p.view_nelem(&strided), Some(5));
         assert_eq!(p.view_nelem(&broken), None);
-    }
-
-    #[test]
-    fn static_cost_scales_with_length() {
-        let p = listing2();
-        // identity(1) + 3 adds(1) + sync(1) on 10 elements each
-        assert_eq!(p.static_cost(), 5 * 10);
     }
 
     #[test]

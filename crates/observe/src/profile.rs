@@ -160,7 +160,7 @@ impl DigestProfile {
     /// histograms and the observational `par_shards`/`reduce_shards`
     /// counters are deliberately excluded — those are *allowed* to vary
     /// with parallelism. The thread-matrix test asserts equality of this
-    /// key across `BH_VM_TEST_THREADS`.
+    /// key across every thread count of `bohrium_repro::testing::legs`.
     pub fn deterministic_key(&self) -> impl PartialEq + fmt::Debug {
         (
             self.fingerprint,

@@ -745,7 +745,9 @@ fn submit_many_bounces_only_the_malformed_requests() {
     assert!(outcomes[2].is_ok());
     assert_eq!(server.queue_depth(), 2);
 
-    // The two admitted requests (same digest, verified once) still run.
+    // The two admitted requests still run. Both were verified at
+    // admission: no plan for their digest is resident until their batch
+    // runs.
     while server.service_once() {}
     for outcome in outcomes.into_iter().flatten() {
         outcome.wait().unwrap();

@@ -36,23 +36,130 @@ pub use bh_tensor as tensor;
 pub use bh_vm as vm;
 
 pub mod testing {
-    //! Semantic-equivalence harness.
+    //! Semantic-equivalence harness and the one engine test matrix.
     //!
     //! The soundness property of every rewrite (DESIGN.md §6): executing a
     //! program before and after transformation must produce element-wise
     //! equal synced results. These helpers bind deterministic random data
-    //! to `input` bases, execute on the naive VM, and compare.
-    //! [`Audited`] proves the same property statically, one rule
-    //! application at a time.
+    //! to `input` bases, execute on the reference [`Leg`] (the naive
+    //! engine, serial), and compare. [`check`] holds every other leg of
+    //! [`legs`] to the reference on one program. [`Audited`] proves the
+    //! rewrite property statically, one rule application at a time.
 
     use bh_ir::{check_equiv, EquivOptions, Opcode, Program};
     use bh_opt::{standard_rules, OptOptions, Optimizer, RewriteCtx, RewriteRule};
     use bh_tensor::{random_tensor, Distribution, Tensor};
-    use bh_vm::{Engine, Vm, VmError};
-    use std::cell::Cell;
+    use bh_vm::{Engine, Vm, VmError, WorkerPool};
+    use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
     use std::fmt;
     use std::rc::Rc;
+    use std::sync::Arc;
+
+    /// One run of the test matrix: an engine at a worker-thread count.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Leg {
+        /// The engine the leg's VM runs.
+        pub engine: Engine,
+        /// Worker threads, the calling thread included.
+        pub threads: usize,
+    }
+
+    const fn leg(engine: Engine, threads: usize) -> Leg {
+        Leg { engine, threads }
+    }
+
+    const fn fusing(block: usize) -> Engine {
+        Engine::Fusing { block }
+    }
+
+    /// The matrix: a covering set, not the product. Every engine runs
+    /// serially and sharded; block 3 splits every run into ragged
+    /// blocks, 512 splits the 4 096-element canonical reduction block,
+    /// and 4 096 is the default. Threads 2 and 3 split 4 096-grained
+    /// lanes unevenly, 4 is the multi-worker steady state.
+    const LEGS: [Leg; 8] = [
+        Leg::REFERENCE,
+        leg(Engine::Naive, 4),
+        leg(fusing(3), 1),
+        leg(fusing(3), 2),
+        leg(fusing(512), 1),
+        leg(fusing(512), 3),
+        leg(fusing(4096), 1),
+        leg(fusing(4096), 4),
+    ];
+
+    /// Every leg of the matrix, the reference first.
+    pub fn legs() -> &'static [Leg] {
+        &LEGS
+    }
+
+    thread_local! {
+        /// One pool per thread count and test thread: a pool shared with
+        /// a concurrently running test is often busy, and a busy pool
+        /// runs a job serially, which would skip the sharded paths.
+        static POOLS: RefCell<BTreeMap<usize, Arc<WorkerPool>>> = RefCell::default();
+    }
+
+    impl Leg {
+        /// The leg every other leg is held to: the naive engine, serial.
+        pub const REFERENCE: Leg = leg(Engine::Naive, 1);
+
+        /// A fresh VM for this leg, with a parallel threshold of 1 so even
+        /// tiny fixtures take the sharded paths, on this thread's cached
+        /// worker pool of the leg's size.
+        pub fn vm(self) -> Vm {
+            let pool = POOLS.with(|pools| {
+                let mut pools = pools.borrow_mut();
+                let pool = pools
+                    .entry(self.threads)
+                    .or_insert_with(|| Arc::new(WorkerPool::new(self.threads)));
+                Arc::clone(pool)
+            });
+            let mut vm = Vm::with_engine(self.engine);
+            vm.set_worker_pool(pool).set_par_threshold(1);
+            vm
+        }
+    }
+
+    impl fmt::Display for Leg {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "{:?}×{}", self.engine, self.threads)
+        }
+    }
+
+    /// How [`check`] compares a leg's tensor with the reference's.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Compare {
+        /// Bit-identical; any NaN matches any NaN.
+        Bits,
+        /// `Tensor ==`: `-0.0` equals `+0.0`, a NaN equals nothing.
+        Equal,
+        /// Floats within an absolute tolerance (NaN matches only NaN);
+        /// integers and bools exactly.
+        Within(f64),
+    }
+
+    impl Compare {
+        /// Whether `got` matches `want`.
+        pub fn matches(self, want: &Tensor, got: &Tensor) -> bool {
+            if want.dtype() != got.dtype() || want.shape() != got.shape() {
+                return false;
+            }
+            // An f32 widens to f64 exactly, the sign of a zero included.
+            let pairs = || want.to_f64_vec().into_iter().zip(got.to_f64_vec());
+            let nans = |a: f64, b: f64| a.is_nan() && b.is_nan();
+            match self {
+                Compare::Bits if want.dtype().is_float() => {
+                    pairs().all(|(a, b)| nans(a, b) || a.to_bits() == b.to_bits())
+                }
+                Compare::Within(tol) if want.dtype().is_float() => {
+                    pairs().all(|(a, b)| nans(a, b) || a == b || (a - b).abs() <= tol)
+                }
+                _ => want == got,
+            }
+        }
+    }
 
     /// Deterministic random tensor for the `i`-th input base of a program.
     pub fn input_tensor(program: &Program, index: usize, seed: u64) -> Tensor {
@@ -65,8 +172,8 @@ pub mod testing {
         )
     }
 
-    /// Execute `program` with seeded inputs and collect the value of every
-    /// register read by a `BH_SYNC`, keyed by register name.
+    /// Execute `program` on `leg` with seeded inputs and collect the value
+    /// of every register read by a `BH_SYNC`, keyed by register name.
     ///
     /// # Errors
     ///
@@ -74,29 +181,9 @@ pub mod testing {
     pub fn run_synced(
         program: &Program,
         seed: u64,
-        engine: Engine,
+        leg: Leg,
     ) -> Result<BTreeMap<String, Tensor>, VmError> {
-        run_synced_threads(program, seed, engine, 1)
-    }
-
-    /// [`run_synced`] on a VM with `threads` workers and a parallel
-    /// threshold of 1, so even tiny test fixtures exercise the sharded
-    /// execution paths. `threads` comes from the `BH_VM_TEST_THREADS` env
-    /// knob in the equivalence suite (CI runs the matrix {1, 2, 4}).
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM validation/execution failures.
-    pub fn run_synced_threads(
-        program: &Program,
-        seed: u64,
-        engine: Engine,
-        threads: usize,
-    ) -> Result<BTreeMap<String, Tensor>, VmError> {
-        let mut vm = Vm::with_engine(engine);
-        if threads > 1 {
-            vm.set_threads(threads).set_par_threshold(1);
-        }
+        let mut vm = leg.vm();
         for (i, base) in program.bases().iter().enumerate() {
             if base.is_input {
                 let t = input_tensor(program, i, seed);
@@ -116,8 +203,40 @@ pub mod testing {
         Ok(out)
     }
 
+    /// Run `program` with seeded inputs on every leg of [`legs`] and hold
+    /// each to the reference leg under `compare`. Returns the reference
+    /// leg's synced values, for a suite to check against its own oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first leg that fails to run, syncs another set
+    /// of registers or differs from the reference, and the register.
+    pub fn check(program: &Program, seed: u64, compare: Compare) -> BTreeMap<String, Tensor> {
+        let run = |leg: Leg| {
+            run_synced(program, seed, leg)
+                .unwrap_or_else(|e| panic!("{leg} failed: {e}\n{program}"))
+        };
+        let reference = run(Leg::REFERENCE);
+        for &leg in &legs()[1..] {
+            let got = run(leg);
+            assert!(
+                reference.keys().eq(got.keys()),
+                "{leg}: synced registers differ from the reference\n{program}"
+            );
+            for (name, want) in &reference {
+                assert!(
+                    compare.matches(want, &got[name]),
+                    "{leg}: `{name}` differs from {} ({compare:?})\n{program}",
+                    Leg::REFERENCE
+                );
+            }
+        }
+        reference
+    }
+
     /// Maximum absolute difference between the *float-valued* synced
-    /// outputs of two programs under the same seeded inputs.
+    /// outputs of two programs under the same seeded inputs, on the
+    /// reference leg.
     /// `f64::INFINITY` when the synced register sets disagree, or when an
     /// integer/bool output differs at all — discrete dtypes have no
     /// rounding to forgive, so any mismatch is a divergence regardless of
@@ -128,8 +247,8 @@ pub mod testing {
     /// Panics if either program fails to execute (the tests' job is
     /// exactly to catch that).
     pub fn max_divergence(a: &Program, b: &Program, seed: u64) -> f64 {
-        let ra = run_synced(a, seed, Engine::Naive).expect("reference program must run");
-        let rb = run_synced(b, seed, Engine::Naive).expect("transformed program must run");
+        let ra = run_synced(a, seed, Leg::REFERENCE).expect("reference program must run");
+        let rb = run_synced(b, seed, Leg::REFERENCE).expect("transformed program must run");
         if ra.len() != rb.len() {
             return f64::INFINITY;
         }
@@ -267,16 +386,6 @@ pub mod testing {
             self.audited(program, |rule, p| rule.lower(p, ctx))
         }
     }
-
-    /// VM worker-thread count under test: the `BH_VM_TEST_THREADS` env
-    /// knob (CI runs the {1, 2, 4} matrix), defaulting to 1.
-    pub fn test_threads() -> usize {
-        std::env::var("BH_VM_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -284,6 +393,7 @@ mod tests {
     use super::testing::*;
     use bh_ir::{parse_program, Instruction, Opcode, Program};
     use bh_opt::{optimize, OptOptions, Optimizer, RewriteCtx, RewriteRule};
+    use bh_tensor::Tensor;
     use bh_vm::Engine;
 
     const LISTING2: &str = "\
@@ -346,7 +456,7 @@ BH_SYNC a0 [0:10:1]
     fn run_synced_collects_only_synced_regs() {
         let p =
             parse_program("BH_IDENTITY a [0:4:1] 1\nBH_IDENTITY b [0:4:1] 2\nBH_SYNC a\n").unwrap();
-        let out = run_synced(&p, 1, Engine::Naive).unwrap();
+        let out = run_synced(&p, 1, Leg::REFERENCE).unwrap();
         assert!(out.contains_key("a"));
         assert!(!out.contains_key("b"));
     }
@@ -383,10 +493,55 @@ BH_SYNC a0 [0:10:1]
     #[test]
     fn inputs_are_deterministic_per_seed() {
         let p = parse_program(".base x f64[8] input\nBH_SYNC x\n").unwrap();
-        let a = run_synced(&p, 3, Engine::Naive).unwrap();
-        let b = run_synced(&p, 3, Engine::Naive).unwrap();
+        let a = run_synced(&p, 3, Leg::REFERENCE).unwrap();
+        let b = run_synced(&p, 3, Leg::REFERENCE).unwrap();
         assert_eq!(a["x"], b["x"]);
-        let c = run_synced(&p, 4, Engine::Naive).unwrap();
+        let c = run_synced(&p, 4, Leg::REFERENCE).unwrap();
         assert_ne!(a["x"], c["x"]);
+    }
+
+    #[test]
+    fn bits_match_any_nan_but_not_a_zero_of_the_other_sign() {
+        let quiet = Tensor::from_vec(vec![f64::NAN, 1.0]);
+        let other_nan = Tensor::from_vec(vec![-f64::NAN, 1.0]);
+        assert!(Compare::Bits.matches(&quiet, &other_nan));
+        assert!(!Compare::Equal.matches(&quiet, &quiet));
+        let (neg, pos) = (
+            Tensor::from_vec(vec![-0.0f32]),
+            Tensor::from_vec(vec![0.0f32]),
+        );
+        assert!(!Compare::Bits.matches(&neg, &pos));
+        assert!(Compare::Equal.matches(&neg, &pos));
+    }
+
+    #[test]
+    fn within_forgives_floats_only() {
+        let (a, b) = (
+            Tensor::from_vec(vec![1.0f64]),
+            Tensor::from_vec(vec![1.75f64]),
+        );
+        assert!(Compare::Within(1.0).matches(&a, &b));
+        assert!(!Compare::Within(0.5).matches(&a, &b));
+        let (i, j) = (Tensor::from_vec(vec![1i32]), Tensor::from_vec(vec![2i32]));
+        assert!(!Compare::Within(1.0).matches(&i, &j));
+    }
+
+    #[test]
+    fn legs_cover_every_engine_serial_and_sharded_and_threads_one_to_four() {
+        let legs = legs();
+        assert_eq!((legs[0].engine, legs[0].threads), (Engine::Naive, 1));
+        assert!(legs.len() <= 8);
+        for block in [None, Some(3), Some(512), Some(4096)] {
+            let engine = block.map_or(Engine::Naive, |block| Engine::Fusing { block });
+            let threads = legs
+                .iter()
+                .filter(|l| l.engine == engine)
+                .map(|l| l.threads);
+            assert!(threads.clone().any(|t| t == 1), "{engine:?} serial");
+            assert!(threads.clone().any(|t| t >= 2), "{engine:?} sharded");
+        }
+        for t in 1..=4 {
+            assert!(legs.iter().any(|l| l.threads == t), "{t} threads");
+        }
     }
 }

@@ -19,41 +19,12 @@ use bohrium_repro::ir::{check_equiv, parse_program, EquivCode, EquivOptions, Opc
 use bohrium_repro::opt::{OptLevel, OptOptions, Optimizer, RewriteCtx, RewriteRule};
 use bohrium_repro::runtime::Runtime;
 use bohrium_repro::testing::{assert_equivalent, Audited};
+use common::gen::{arb_front_end_chain, arb_mixed_chain, arb_program};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 
-/// Strategy mirroring `tests/equivalence.rs`: random element-wise chains
-/// over three same-shape registers, as text.
-fn arb_program(dtype: &'static str, max_len: usize) -> impl Strategy<Value = String> {
-    let ops = prop_oneof![
-        Just("BH_ADD"),
-        Just("BH_SUBTRACT"),
-        Just("BH_MULTIPLY"),
-        Just("BH_MAXIMUM"),
-        Just("BH_MINIMUM"),
-    ];
-    let operand = prop_oneof![
-        Just("r0".to_owned()),
-        Just("r1".to_owned()),
-        Just("r2".to_owned()),
-        (0i64..4).prop_map(|c| c.to_string()),
-    ];
-    let instr = (ops, 0usize..3, operand.clone(), operand)
-        .prop_map(|(op, out, a, b)| format!("{op} r{out} {a} {b}"));
-    proptest::collection::vec(instr, 1..max_len).prop_map(move |body| {
-        let mut text = format!(
-            ".base r0 {dtype}[16] input\n.base r1 {dtype}[16]\n.base r2 {dtype}[16]\n\
-             BH_IDENTITY r1 2\nBH_IDENTITY r2 3\n"
-        );
-        for line in body {
-            text.push_str(&line);
-            text.push('\n');
-        }
-        text.push_str("BH_SYNC r0\nBH_SYNC r1\nBH_SYNC r2\n");
-        text
-    })
-}
+mod common;
 
 /// The standard pipeline at every level × math policy must audit clean
 /// under the matching [`EquivOptions`].
@@ -81,104 +52,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn integer_pipeline_plans_audit_clean(text in arb_program("i64", 12)) {
+    fn integer_pipeline_plans_audit_clean(text in arb_program("i64", 12, true)) {
         assert_audits_clean(&text);
     }
 
     #[test]
-    fn float_pipeline_plans_audit_clean(text in arb_program("f64", 12)) {
+    fn float_pipeline_plans_audit_clean(text in arb_program("f64", 12, true)) {
         assert_audits_clean(&text);
     }
 
     #[test]
-    fn bool_pipeline_plans_audit_clean(text in arb_program("bool", 8)) {
+    fn bool_pipeline_plans_audit_clean(text in arb_program("bool", 8, true)) {
         assert_audits_clean(&text);
     }
-}
-
-/// Affine chains as a front end records them: every link writes a fresh
-/// register, the register it read is freed after it, and one `BH_SYNC`
-/// ends the program. A link adds or subtracts a constant on either side,
-/// multiplies, or divides by 2, 4, 0.5, 3 or 10 (0.5 only for floats: it
-/// casts to a zero divisor in `i64`); one `BH_MAXIMUM` sits somewhere in
-/// the chain.
-fn arb_front_end_chain(dtype: &'static str) -> impl Strategy<Value = String> {
-    let divisors: &'static [&'static str] = if dtype == "f64" {
-        &["2", "4", "0.5", "3", "10"]
-    } else {
-        &["2", "4", "3", "10"]
-    };
-    let link = prop_oneof![
-        (1i64..4, 0usize..2).prop_map(|(c, left)| ("BH_ADD", left == 1, c.to_string())),
-        (1i64..4, 0usize..2).prop_map(|(c, left)| ("BH_SUBTRACT", left == 1, c.to_string())),
-        (1i64..4).prop_map(|c| ("BH_MULTIPLY", false, c.to_string())),
-        (0..divisors.len()).prop_map(move |i| ("BH_DIVIDE", false, divisors[i].to_owned())),
-    ];
-    (proptest::collection::vec(link, 1..8), 0usize..8, 1i64..4).prop_map(move |(links, at, top)| {
-        let n = links.len() + 1;
-        let mut text = format!(".base r0 {dtype}[16] input\n");
-        for k in 1..=n {
-            text.push_str(&format!(".base r{k} {dtype}[16]\n"));
-        }
-        let mut links = links.into_iter();
-        for k in 1..=n {
-            let src = format!("r{}", k - 1);
-            text.push_str(&match (k - 1 == at % n, links.next()) {
-                (true, _) | (_, None) => format!("BH_MAXIMUM r{k} {src} {top}\n"),
-                (false, Some((op, true, c))) => format!("{op} r{k} {c} {src}\n"),
-                (false, Some((op, false, c))) => format!("{op} r{k} {src} {c}\n"),
-            });
-            if k > 1 {
-                text.push_str(&format!("BH_FREE {src}\n"));
-            }
-        }
-        text.push_str(&format!("BH_SYNC r{n}\n"));
-        text
-    })
-}
-
-/// A rawer variant of [`arb_front_end_chain`]: a link may also update its
-/// register in place, and a register a link leaves is freed, synced there
-/// or kept to the end. Constants include negatives and exact fractions,
-/// divisors include −3, 6 and 7.
-fn arb_mixed_chain(dtype: &'static str) -> impl Strategy<Value = String> {
-    const CONSTANTS: [&str; 9] = ["1", "2", "3", "0.5", "-1", "-2", "4", "0.25", "5"];
-    let divisors: &'static [&'static str] = if dtype == "f64" {
-        &["2", "4", "0.5", "3", "10", "7", "0.25", "-3", "6"]
-    } else {
-        &["2", "4", "3", "10", "7", "-3", "6"]
-    };
-    let link = (0usize..10, 0usize..9, 0usize..6);
-    proptest::collection::vec(link, 1..16).prop_map(move |links| {
-        let mut decls = format!(".base r0 {dtype}[16] input\n");
-        let (mut body, mut kept) = (String::new(), String::new());
-        let (mut src, mut fresh) = (0, 1);
-        for (op, c, place) in links {
-            let out = if place == 0 && src != 0 { src } else { fresh };
-            let (c, d) = (CONSTANTS[c], divisors[c % divisors.len()]);
-            body.push_str(&match op {
-                0 => format!("BH_ADD r{out} {c} r{src}\n"),
-                1 | 2 => format!("BH_ADD r{out} r{src} {c}\n"),
-                3 => format!("BH_SUBTRACT r{out} {c} r{src}\n"),
-                4 => format!("BH_SUBTRACT r{out} r{src} {c}\n"),
-                5 | 6 => format!("BH_MULTIPLY r{out} r{src} {c}\n"),
-                7 | 8 => format!("BH_DIVIDE r{out} r{src} {d}\n"),
-                _ => format!("BH_MAXIMUM r{out} r{src} {c}\n"),
-            });
-            if out == fresh {
-                decls.push_str(&format!(".base r{out} {dtype}[16]\n"));
-                fresh += 1;
-                match (src, place) {
-                    (0, _) => {}
-                    (_, 1) => body.push_str(&format!("BH_SYNC r{src}\n")),
-                    (_, 2) => kept.push_str(&format!("BH_SYNC r{src}\n")),
-                    _ => body.push_str(&format!("BH_FREE r{src}\n")),
-                }
-            }
-            src = out;
-        }
-        format!("{decls}{body}{kept}BH_SYNC r{src}\n")
-    })
 }
 
 /// Every level × math policy folds `source` with no rule application

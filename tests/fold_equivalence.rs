@@ -9,8 +9,7 @@
 use bohrium_repro::ir::{parse_program, Opcode};
 use bohrium_repro::opt::const_eval;
 use bohrium_repro::tensor::{DType, Scalar};
-use bohrium_repro::testing::test_threads;
-use bohrium_repro::vm::{Engine, Vm};
+use bohrium_repro::testing::{check, Compare};
 use proptest::prelude::*;
 
 /// Every op-code the integer branch of `const_eval` handles.
@@ -75,14 +74,12 @@ fn arb_operand() -> impl Strategy<Value = i64> {
     ]
 }
 
-/// Both element-wise paths: the naive engine runs every byte-code on the
+/// Execute `a ⊕ b` on the actual byte-code VM in `dtype` arithmetic, on
+/// every leg of the test matrix, and return the resulting element. Both
+/// element-wise paths run: the naive engine runs every byte-code on the
 /// strided interpreter, while on the fusing engine `BH_IDENTITY x a` and
 /// the op fuse into one compiled group.
-const ENGINES: [Engine; 2] = [Engine::Naive, Engine::Fusing { block: 2 }];
-
-/// Execute `a ⊕ b` on the actual byte-code VM's `engine` in `dtype`
-/// arithmetic and return the resulting element.
-fn vm_eval(engine: Engine, op: Opcode, a: i64, b: i64, dtype: DType, threads: usize) -> Scalar {
+fn vm_eval(op: Opcode, a: i64, b: i64, dtype: DType) -> Scalar {
     // `BH_IDENTITY x a` materialises the left operand in-dtype; the op
     // then runs with the right operand as an immediate constant — the
     // exact shape constant merging rewrites.
@@ -91,12 +88,7 @@ fn vm_eval(engine: Engine, op: Opcode, a: i64, b: i64, dtype: DType, threads: us
         op.name()
     );
     let program = parse_program(&text).expect("generated program parses");
-    let mut vm = Vm::with_engine(engine);
-    if threads > 1 {
-        vm.set_threads(threads).set_par_threshold(1);
-    }
-    vm.run(&program).expect("program executes");
-    let x = vm.read_by_name(&program, "x").expect("synced");
+    let x = &check(&program, 0, Compare::Bits)["x"];
     let first = x.get(&[0]).expect("element 0");
     // All four lanes saw the same operands; sanity-check broadcast.
     assert_eq!(first, x.get(&[3]).expect("element 3"));
@@ -106,9 +98,8 @@ fn vm_eval(engine: Engine, op: Opcode, a: i64, b: i64, dtype: DType, threads: us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // `const_eval(op, a, b, dtype)` must equal the VM-executed op on both
-    // element-wise paths for every foldable opcode × integer dtype (exact,
-    // bit-for-bit).
+    // `const_eval(op, a, b, dtype)` must equal the VM-executed op on every
+    // leg for every foldable opcode × integer dtype (exact, bit-for-bit).
     #[test]
     fn const_eval_matches_vm(
         op in arb_op(),
@@ -118,21 +109,18 @@ proptest! {
     ) {
         let folded = const_eval(op, Scalar::I64(a), Scalar::I64(b), dtype)
             .expect("integer branch handles every op in INT_FOLDABLE");
-        for engine in ENGINES {
-            let executed = vm_eval(engine, op, a, b, dtype, test_threads());
-            prop_assert_eq!(
-                folded,
-                executed,
-                "{} {} {} in {} on {:?}: folder {:?} != VM {:?}",
-                a, op.name(), b, dtype, engine, folded, executed
-            );
-        }
+        let executed = vm_eval(op, a, b, dtype);
+        prop_assert_eq!(
+            folded,
+            executed,
+            "{} {} {} in {}: folder {:?} != VM {:?}",
+            a, op.name(), b, dtype, folded, executed
+        );
     }
 }
 
 #[test]
 fn const_eval_matches_vm_on_known_regressions() {
-    let threads = test_threads();
     // (op, a, b, dtype) corner cases that diverged before this suite.
     let cases = [
         (Opcode::Divide, 255, 2, DType::UInt8),     // folder said 0
@@ -148,14 +136,12 @@ fn const_eval_matches_vm_on_known_regressions() {
     ];
     for (op, a, b, dtype) in cases {
         let folded = const_eval(op, Scalar::I64(a), Scalar::I64(b), dtype).unwrap();
-        for engine in ENGINES {
-            let executed = vm_eval(engine, op, a, b, dtype, threads);
-            assert_eq!(
-                folded,
-                executed,
-                "{a} {} {b} in {dtype} on {engine:?}: folder {folded:?} != VM {executed:?}",
-                op.name()
-            );
-        }
+        let executed = vm_eval(op, a, b, dtype);
+        assert_eq!(
+            folded,
+            executed,
+            "{a} {} {b} in {dtype}: folder {folded:?} != VM {executed:?}",
+            op.name()
+        );
     }
 }

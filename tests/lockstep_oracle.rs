@@ -13,7 +13,7 @@
 
 use bohrium_repro::ir::{parse_program, Program};
 use bohrium_repro::tensor::{Shape, Tensor};
-use bohrium_repro::vm::{Engine, Vm};
+use bohrium_repro::testing::legs;
 
 /// The canonical block length, restated rather than imported.
 const BLOCK: usize = 4096;
@@ -28,26 +28,16 @@ const LENGTHS: [usize; 5] = [
     (1 << 20) + 5,
 ];
 
-const ENGINES: [Engine; 3] = [
-    Engine::Naive,
-    Engine::Fusing { block: 512 },
-    Engine::Fusing { block: 4096 },
-];
-
-/// Run `p` with `inputs` bound at every engine and at threads
-/// {1, 2, 3, 4}, and hand each value of `result` to `check`.
+/// Run `p` with `inputs` bound on every leg of the test matrix, and hand
+/// each value of `result` to `check`.
 fn each_run(p: &Program, inputs: &[(&str, &Tensor)], result: &str, check: impl Fn(&str, Tensor)) {
-    for engine in ENGINES {
-        for threads in 1..=4 {
-            let mut vm = Vm::with_engine(engine);
-            vm.set_threads(threads).set_par_threshold(1);
-            for (name, t) in inputs {
-                vm.bind_by_name(p, name, t).unwrap();
-            }
-            vm.run(p).unwrap();
-            let got = vm.read_by_name(p, result).unwrap();
-            check(&format!("{engine:?}×{threads}"), got);
+    for &leg in legs() {
+        let mut vm = leg.vm();
+        for (name, t) in inputs {
+            vm.bind_by_name(p, name, t).unwrap();
         }
+        vm.run(p).unwrap();
+        check(&leg.to_string(), vm.read_by_name(p, result).unwrap());
     }
 }
 

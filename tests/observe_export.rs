@@ -21,7 +21,7 @@ use bohrium_repro::ir::{parse_program, Opcode};
 use bohrium_repro::observe::{EvalSample, MetricSet, ProfileTable};
 use bohrium_repro::runtime::{AuditCounters, Runtime, RuntimeStats};
 use bohrium_repro::serve::ServeStats;
-use bohrium_repro::testing::test_threads;
+use bohrium_repro::testing::legs;
 use bohrium_repro::vm::ExecStats;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -161,8 +161,8 @@ fn workloads() -> Vec<bohrium_repro::ir::Program> {
 
 #[test]
 fn profile_counters_are_bit_identical_across_thread_counts() {
-    // {1, 2, 4} plus whatever the CI matrix pins via BH_VM_TEST_THREADS.
-    let mut counts = vec![1usize, 2, 4, test_threads()];
+    // Every thread count of the test matrix.
+    let mut counts: Vec<usize> = legs().iter().map(|leg| leg.threads).collect();
     counts.sort_unstable();
     counts.dedup();
 

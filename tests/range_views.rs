@@ -1,12 +1,11 @@
 //! `BH_RANGE` writes the logical index of each element of its output
 //! view. A contiguous view is written by one direct loop; any other
 //! view walks its offsets in logical order. Offset, strided, reversed
-//! and 2-D views are checked against values computed here, on both
-//! engines at the `BH_VM_TEST_THREADS` thread count.
+//! and 2-D views are checked against values computed here, on every leg
+//! of the test matrix.
 
 use bohrium_repro::ir::parse_program;
-use bohrium_repro::testing::{run_synced_threads, test_threads};
-use bohrium_repro::vm::Engine;
+use bohrium_repro::testing::{check, Compare};
 
 /// Runs `BH_RANGE r{view}` over a zero-filled `dtype` base `r` of
 /// `shape` and checks every element of `r`: the logical index at the
@@ -22,11 +21,8 @@ fn check_range(dtype: &str, shape: &[usize], view: &str, view_offsets: &[usize])
     for (k, &off) in view_offsets.iter().enumerate() {
         want[off] = k as f64;
     }
-    let threads = test_threads();
-    for engine in [Engine::Naive, Engine::Fusing { block: 4096 }] {
-        let got = run_synced_threads(&p, 0, engine, threads).expect("runs");
-        assert_eq!(got["r"].to_f64_vec(), want, "{engine:?}×{threads}: {text}");
-    }
+    let got = check(&p, 0, Compare::Equal);
+    assert_eq!(got["r"].to_f64_vec(), want, "{text}");
 }
 
 #[test]

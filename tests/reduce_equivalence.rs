@@ -4,16 +4,12 @@
 //! exists to guarantee. Covers non-power-of-two lengths straddling the
 //! canonical partial-block boundary, strided/sliced input views, rank-2
 //! axis reductions (the lane-parallel path) and fused chains feeding a
-//! reduction. The VM thread count honours `BH_VM_TEST_THREADS` (CI runs
-//! the {1, 2, 4} matrix; 2 exercises uneven shard splits).
+//! reduction. Every case runs on every leg of the test matrix, whose
+//! thread counts 2 and 3 split the 4096-grained lanes unevenly.
 
 use bohrium_repro::ir::parse_program;
-use bohrium_repro::testing::{run_synced, run_synced_threads, test_threads};
-use bohrium_repro::vm::Engine;
+use bohrium_repro::testing::{check, input_tensor, Compare};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-
-use bohrium_repro::tensor::Tensor;
 
 /// The reduction op-codes and the scalar-output dtype they produce for a
 /// given input dtype (bool widens to i64).
@@ -33,31 +29,11 @@ fn out_dtype(dtype: &str) -> &str {
     }
 }
 
-/// Run `text` serially and at every thread count under test, on both
-/// engines, and assert all synced outputs are exactly equal.
+/// Run `text` on every leg and assert all synced outputs are exactly
+/// equal.
 fn assert_thread_and_engine_invariant(text: &str) {
     let p = parse_program(text).unwrap_or_else(|e| panic!("program must parse: {e}\n{text}"));
-    let reference: BTreeMap<String, Tensor> =
-        run_synced(&p, 41, Engine::Naive).expect("serial naive run");
-    // 2 and 3 split 4096-grained lanes unevenly; the env knob (CI matrix)
-    // and a 4-way floor cover the multi-worker steady state.
-    let threads = [2usize, 3, test_threads().max(4)];
-    for engine in [Engine::Naive, Engine::Fusing { block: 512 }] {
-        for t in [1usize].iter().chain(&threads) {
-            let got = run_synced_threads(&p, 41, engine, *t).expect("threaded run");
-            assert_eq!(
-                reference.len(),
-                got.len(),
-                "{engine:?}×{t}: synced register sets differ"
-            );
-            for (name, want) in &reference {
-                assert_eq!(
-                    want, &got[name],
-                    "{engine:?}×{t}: `{name}` diverged\n{text}"
-                );
-            }
-        }
-    }
+    check(&p, 41, Compare::Equal);
 }
 
 fn arb_dtype() -> impl Strategy<Value = &'static str> {
@@ -216,8 +192,7 @@ fn parallel_sum_value_is_canonical() {
     let n = 10_000usize;
     let text = format!(".base x f64[{n}] input\n.base s f64[]\nBH_ADD_REDUCE s x 0\nBH_SYNC s\n");
     let p = parse_program(&text).unwrap();
-    let input = bohrium_repro::testing::input_tensor(&p, 0, 41);
-    let vals = input.to_f64_vec();
+    let vals = input_tensor(&p, 0, 41).to_f64_vec();
     let mut want = 0.0f64;
     for blk in vals.chunks(4096) {
         let mut partial = 0.0f64;
@@ -226,14 +201,12 @@ fn parallel_sum_value_is_canonical() {
         }
         want += partial;
     }
-    for threads in [1usize, 2, 4] {
-        let got = run_synced_threads(&p, 41, Engine::Naive, threads).unwrap();
-        assert_eq!(got["s"].to_f64_vec(), vec![want], "threads={threads}");
-    }
+    let got = check(&p, 41, Compare::Bits);
+    assert_eq!(got["s"].to_f64_vec(), vec![want]);
 }
 
-/// A scan lane is never split: at every length, engine and thread count a
-/// scan is the sequential left-to-right running fold (NumPy `cumsum`),
+/// A scan lane is never split: at every length and on every leg a scan
+/// is the sequential left-to-right running fold (NumPy `cumsum`),
 /// checked against a plain loop. Both lengths exceed one canonical
 /// reduction block, so a blocked scan formula would differ in the last
 /// bits.
@@ -244,22 +217,14 @@ fn long_scan_is_the_sequential_running_fold() {
             ".base x f64[{n}] input\n.base c f64[{n}]\nBH_ADD_ACCUMULATE c x 0\nBH_SYNC c\n"
         );
         let p = parse_program(&text).unwrap();
-        let input = bohrium_repro::testing::input_tensor(&p, 0, 41);
-        let vals = input.to_f64_vec();
+        let vals = input_tensor(&p, 0, 41).to_f64_vec();
         let mut want = vals.clone();
         for k in 1..n {
             want[k] = want[k - 1] + vals[k];
         }
         let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-        for engine in [Engine::Naive, Engine::Fusing { block: 512 }] {
-            for threads in [1usize, 2, 4] {
-                let got = run_synced_threads(&p, 41, engine, threads).unwrap();
-                let got: Vec<u64> = got["c"].to_f64_vec().iter().map(|v| v.to_bits()).collect();
-                assert!(
-                    got == want,
-                    "n={n} {engine:?}×{threads}: scan must be the running fold"
-                );
-            }
-        }
+        let got = check(&p, 41, Compare::Bits);
+        let got: Vec<u64> = got["c"].to_f64_vec().iter().map(|v| v.to_bits()).collect();
+        assert!(got == want, "n={n}: scan must be the running fold");
     }
 }

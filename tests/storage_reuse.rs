@@ -4,32 +4,16 @@
 //! any program. The property: a VM that first ran a *different* program
 //! over same-shaped bases, leaving a poison pattern (NaN, all-ones bits)
 //! in every buffer, computes bit for bit what a fresh VM computes, with
-//! identical [`ExecStats`], on both engines and at thread counts
-//! {1, `BH_VM_TEST_THREADS`}. Every base is compared, synced or not.
+//! identical [`ExecStats`], on every leg of the test matrix. Every base
+//! is compared, synced or not.
 //! Deterministic cases pin the observable-zeros rule on a poisoned VM
 //! and check that the reuse really happened.
 
 use bohrium_repro::ir::{parse_program, verify, Instruction, Opcode, Program, Reg, ViewRef};
 use bohrium_repro::tensor::{DType, Scalar, Tensor};
-use bohrium_repro::testing::{input_tensor, test_threads};
-use bohrium_repro::vm::{Engine, ExecStats, Vm};
+use bohrium_repro::testing::{input_tensor, legs, Leg};
+use bohrium_repro::vm::{ExecStats, Vm};
 use proptest::prelude::*;
-
-const ENGINES: [Engine; 2] = [Engine::Naive, Engine::Fusing { block: 3 }];
-
-fn thread_counts() -> Vec<usize> {
-    let mut threads = vec![1, test_threads()];
-    threads.dedup();
-    threads
-}
-
-fn vm(engine: Engine, threads: usize) -> Vm {
-    let mut vm = Vm::with_engine(engine);
-    if threads > 1 {
-        vm.set_threads(threads).set_par_threshold(1);
-    }
-    vm
-}
 
 /// Where a tensor's elements live.
 fn storage(t: &Tensor) -> usize {
@@ -40,7 +24,8 @@ fn storage(t: &Tensor) -> usize {
     }
 }
 
-/// A tensor's elements as raw bits, so NaN compares equal to NaN.
+/// A tensor's elements as raw bits, so NaN compares equal to NaN with the
+/// same payload only: the poison is a NaN.
 fn bits(t: &Tensor) -> Vec<u64> {
     match t.dtype() {
         DType::Float64 => t
@@ -82,8 +67,8 @@ fn poison_for(program: &Program) -> Program {
 
 /// A VM that ran [`poison_for`]`(program)` and was recycled, with the
 /// storage addresses the poison run left in its stash.
-fn poisoned_vm(program: &Program, engine: Engine, threads: usize) -> (Vm, Vec<usize>) {
-    let mut vm = vm(engine, threads);
+fn poisoned_vm(program: &Program, leg: Leg) -> (Vm, Vec<usize>) {
+    let mut vm = leg.vm();
     let poison = poison_for(program);
     vm.run(&poison).expect("poison program runs");
     let stashed = (0..poison.bases().len())
@@ -173,18 +158,16 @@ fn assemble(
     text
 }
 
-/// Fresh VM vs poisoned VM on every engine and thread count.
+/// Fresh VM vs poisoned VM on every leg.
 fn assert_reuse_invisible(program: &Program, seed: u64, unbound: u32) {
-    for engine in ENGINES {
-        for threads in thread_counts() {
-            let expected = run_on(&mut vm(engine, threads), program, seed, unbound);
-            let (mut reused, _) = poisoned_vm(program, engine, threads);
-            let got = run_on(&mut reused, program, seed, unbound);
-            assert_eq!(
-                got, expected,
-                "recycled storage changed the run on {engine:?} x{threads}:\n{program}"
-            );
-        }
+    for &leg in legs() {
+        let expected = run_on(&mut leg.vm(), program, seed, unbound);
+        let (mut reused, _) = poisoned_vm(program, leg);
+        let got = run_on(&mut reused, program, seed, unbound);
+        assert_eq!(
+            got, expected,
+            "recycled storage changed the run on {leg}:\n{program}"
+        );
     }
 }
 
@@ -241,21 +224,19 @@ proptest! {
     }
 }
 
-/// Run `text` on a poisoned VM on every engine and thread count, check
-/// that the VM reused poisoned storage for `reused` and return `name`.
+/// Run `text` on a poisoned VM on every leg, check that the VM reused
+/// poisoned storage for `reused` and return `name`.
 fn on_poisoned_vm(text: &str, reused: &str, name: &str, check: impl Fn(Vec<f64>)) {
     let program = parse_program(text).unwrap();
-    for engine in ENGINES {
-        for threads in thread_counts() {
-            let (mut vm, stashed) = poisoned_vm(&program, engine, threads);
-            vm.run(&program).unwrap();
-            let storage_of_reused = storage(&vm.read_by_name(&program, reused).unwrap());
-            assert!(
-                stashed.contains(&storage_of_reused),
-                "{engine:?} x{threads}: `{reused}` did not reuse poisoned storage"
-            );
-            check(vm.read_by_name(&program, name).unwrap().to_f64_vec());
-        }
+    for &leg in legs() {
+        let (mut vm, stashed) = poisoned_vm(&program, leg);
+        vm.run(&program).unwrap();
+        let storage_of_reused = storage(&vm.read_by_name(&program, reused).unwrap());
+        assert!(
+            stashed.contains(&storage_of_reused),
+            "{leg}: `{reused}` did not reuse poisoned storage"
+        );
+        check(vm.read_by_name(&program, name).unwrap().to_f64_vec());
     }
 }
 
@@ -290,17 +271,15 @@ fn an_unbound_input_reads_zeros() {
 fn a_result_held_across_a_second_run_is_unchanged() {
     let seven = parse_program(".base y f64[4]\nBH_IDENTITY y 7\nBH_SYNC y\n").unwrap();
     let nine = parse_program(".base z f64[4]\nBH_IDENTITY z 9\nBH_SYNC z\n").unwrap();
-    for engine in ENGINES {
-        for threads in thread_counts() {
-            let mut vm = vm(engine, threads);
-            vm.run(&seven).unwrap();
-            let held = vm.read_by_name(&seven, "y").unwrap();
-            vm.recycle();
-            vm.run(&nine).unwrap();
-            let z = vm.read_by_name(&nine, "z").unwrap();
-            assert_ne!(storage(&z), storage(&held));
-            assert_eq!(held.to_f64_vec(), [7.0; 4]);
-            assert_eq!(z.to_f64_vec(), [9.0; 4]);
-        }
+    for &leg in legs() {
+        let mut vm = leg.vm();
+        vm.run(&seven).unwrap();
+        let held = vm.read_by_name(&seven, "y").unwrap();
+        vm.recycle();
+        vm.run(&nine).unwrap();
+        let z = vm.read_by_name(&nine, "z").unwrap();
+        assert_ne!(storage(&z), storage(&held));
+        assert_eq!(held.to_f64_vec(), [7.0; 4]);
+        assert_eq!(z.to_f64_vec(), [9.0; 4]);
     }
 }

@@ -6,9 +6,9 @@
 //!    with one witness program per [`VerifyCode`], asserting every rule
 //!    fires with its specific stable code (the codes clients switch on).
 //! 2. **Soundness of the witness** — property tests generating random
-//!    byte-code: any program the verifier accepts must execute on both
-//!    engines and at thread counts {1, 4} without `VmError::Invalid`,
-//!    without panicking, and with engine-independent results. This is the
+//!    byte-code: any program the verifier accepts must execute on every
+//!    leg of the test matrix without `VmError::Invalid`, without
+//!    panicking, and with engine-independent results. This is the
 //!    exact property that justifies `Vm::run_verified` eliding per-eval
 //!    checks.
 
@@ -17,8 +17,8 @@ use bohrium_repro::ir::{
     ViewRef,
 };
 use bohrium_repro::tensor::{DType, Scalar, Shape};
-use bohrium_repro::testing::run_synced_threads;
-use bohrium_repro::vm::{Engine, VmError};
+use bohrium_repro::testing::{check, run_synced, Compare, Leg};
+use bohrium_repro::vm::VmError;
 use proptest::prelude::*;
 
 /// One witness program per verifier rule. Most are expressible in the
@@ -263,7 +263,7 @@ fn assembled_candidates_can_reach_execution() {
     let text = assemble(6, 4, &body);
     let program = parse_program(&text).expect("candidate parses");
     verify(&program).expect("candidate verifies");
-    run_synced_threads(&program, 7, Engine::Naive, 1).expect("candidate runs");
+    run_synced(&program, 7, Leg::REFERENCE).expect("candidate runs");
 }
 
 proptest! {
@@ -297,28 +297,10 @@ proptest! {
         // whole case loop, not just the current case.)
         if let Ok(program) = parse_program(&text) {
             if verify(&program).is_ok() {
-                // Accepted by the verifier: must run clean everywhere.
-                let mut results = Vec::new();
-                for engine in [Engine::Naive, Engine::Fusing { block: 4 }] {
-                    for threads in [1usize, 4] {
-                        match run_synced_threads(&program, seed, engine, threads) {
-                            Ok(synced) => results.push(synced),
-                            Err(VmError::Invalid(errors)) => panic!(
-                                "verified program re-flagged Invalid ({errors:?}) \
-                                 on {engine:?} x{threads}:\n{program}"
-                            ),
-                            Err(other) => panic!(
-                                "verified program failed ({other}) on \
-                                 {engine:?} x{threads}:\n{program}"
-                            ),
-                        }
-                    }
-                }
-                // Engine- and thread-count-independent results
-                // (elementwise body, so equality is exact).
-                for other in &results[1..] {
-                    prop_assert_eq!(&results[0], other);
-                }
+                // Accepted by the verifier: must run clean on every leg,
+                // with leg-independent results (elementwise body, so
+                // equality is exact).
+                check(&program, seed, Compare::Equal);
             }
         }
     }
