@@ -319,7 +319,8 @@ impl ProfileTable {
     }
 
     fn stripe(&self, fingerprint: u64) -> &Mutex<Stripe> {
-        // The fingerprint is FNV-1a output: well-mixed low bits.
+        // The fingerprint is an avalanched 64-bit hash: well-mixed low
+        // bits.
         &self.stripes[(fingerprint as usize) & (self.stripes.len() - 1)]
     }
 

@@ -258,10 +258,34 @@ impl Runtime {
     /// [`VmError::Invalid`] when an operand names an undeclared register
     /// or the optimised program fails verification.
     pub fn prepare(&self, program: &Program) -> Result<(Arc<EvalPlan>, bool), VmError> {
-        let digest = program.structural_digest();
+        self.prepare_digested(program, &program.structural_digest())
+    }
+
+    /// [`Runtime::prepare`] for a caller that already holds `program`'s
+    /// structural digest, so the program is not encoded again: a serving
+    /// layer digests each request once, at submission, and prepares its
+    /// batch with that digest. A hit costs one hash-keyed probe and, on a
+    /// hash match, one compare of the encodings.
+    ///
+    /// `digest` must be `program.structural_digest()`; a different digest
+    /// would file the plan under another program's key. Debug builds
+    /// assert it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::prepare`].
+    pub fn prepare_digested(
+        &self,
+        program: &Program,
+        digest: &ProgramDigest,
+    ) -> Result<(Arc<EvalPlan>, bool), VmError> {
+        debug_assert!(
+            program.structural_digest() == *digest,
+            "prepare_digested: the digest is not this program's"
+        );
         // Bind the lookup to a local so the cache guard drops *here*, not
         // at the end of the `if let` body.
-        let cached = self.cache.lock().get(&digest);
+        let cached = self.cache.lock().get(digest);
         if let Some(plan) = cached {
             self.stats.lock().cache_hits += 1;
             return Ok((plan, true));
@@ -338,7 +362,7 @@ impl Runtime {
                 &plan.opcode_census,
             );
         }
-        let plan = self.cache.lock().insert(digest, plan);
+        let plan = self.cache.lock().insert(digest.clone(), plan);
         Ok((plan, false))
     }
 

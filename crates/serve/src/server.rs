@@ -244,15 +244,36 @@ impl Shared {
     /// the plan was verified when it was built, and a resident digest
     /// cannot fail `prepare`, which is all admission rules out.
     ///
+    /// `passed` maps each digest that passed verification earlier in the
+    /// same submission call to the program that passed. A request whose
+    /// program equals it is admitted without verifying again, so a burst
+    /// of one cold program is verified once. The program is compared, not
+    /// only the digest: the digest encodes resolved geometry, so an
+    /// explicit slice bound past its axis, which the verifier rejects,
+    /// digests like the in-range bound it clamps to.
+    ///
     /// Called *outside* the sched lock — verification cost must never
     /// stall other submitters or the workers.
     #[allow(clippy::result_large_err)]
-    fn admit(&self, request: Request) -> Result<Request, Rejected> {
-        if self.runtime.has_plan(&request.digest) {
+    fn admit(
+        &self,
+        request: Request,
+        passed: &mut HashMap<ProgramDigest, Arc<Program>>,
+    ) -> Result<Request, Rejected> {
+        let seen = passed.get(&request.digest).is_some_and(|program| {
+            Arc::ptr_eq(program, &request.program) || **program == *request.program
+        });
+        if seen || self.runtime.has_plan(&request.digest) {
             return Ok(request);
         }
+        self.stats.lock().admission_verifications += 1;
         match bh_ir::verify(&request.program) {
-            Ok(_) => Ok(request),
+            Ok(_) => {
+                passed
+                    .entry(request.digest.clone())
+                    .or_insert_with(|| Arc::clone(&request.program));
+                Ok(request)
+            }
             Err(errors) => Err(Rejected {
                 reason: ServeError::Malformed(errors),
                 request,
@@ -309,7 +330,10 @@ impl Shared {
         self.trace(TracePhase::Begin, "batch", leader_fp, None);
 
         // One plan lookup (or one optimiser run) for the whole batch …
-        match self.runtime.prepare(&live[0].program) {
+        match self
+            .runtime
+            .prepare_digested(&live[0].program, &live[0].digest)
+        {
             Err(e) => {
                 failed = live.len() as u64;
                 for r in live {
@@ -695,7 +719,8 @@ impl Server {
     pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
         let now = Instant::now();
         let mut outcome = None;
-        self.enqueue_all([self.shared.admit(request)], now, |o| outcome = Some(o));
+        let admitted = self.shared.admit(request, &mut HashMap::new());
+        self.enqueue_all([admitted], now, |o| outcome = Some(o));
         outcome.expect("one request, one outcome")
     }
 
@@ -708,7 +733,9 @@ impl Server {
     /// lanes, so they gather into the same micro-batch. Each request is
     /// accepted or bounced individually — a full queue rejects the
     /// overflow, not the whole group, and a program failing admission
-    /// verification bounces only its own request.
+    /// verification bounces only its own request. A cold program is
+    /// verified once per call, however many copies of it the call
+    /// carries.
     ///
     /// # Examples
     ///
@@ -743,9 +770,11 @@ impl Server {
         // must not self-deadlock on the non-reentrant sched mutex.
         // Admission verification also happens out here, for the same
         // reason: verifying a cold digest must not stall the scheduler.
+        // A program is verified at most once per call.
+        let mut passed = HashMap::new();
         let admissions: Vec<Result<Request, Rejected>> = requests
             .into_iter()
-            .map(|request| self.shared.admit(request))
+            .map(|request| self.shared.admit(request, &mut passed))
             .collect();
         let mut out = Vec::with_capacity(admissions.len());
         self.enqueue_all(admissions, now, |o| out.push(o));
