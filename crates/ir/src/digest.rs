@@ -14,12 +14,14 @@
 //! construction: hashing a digest hashes that one word, and equality
 //! compares the hashes first and the bytes only when they match. Equality
 //! of digests is therefore equality of structure — no hash-collision
-//! caveats — at O(1) for almost every unequal pair.
+//! caveats — at O(1) for almost every unequal pair. A [`ProgramHandle`]
+//! carries a program together with its digest, so a caller that keys
+//! work by digest encodes the program once.
 
 use crate::operand::Operand;
 use crate::program::Program;
+use crate::verify::slice_bound_ok;
 use bh_tensor::{Scalar, Slice};
-use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -51,9 +53,9 @@ pub struct ProgramDigest {
 }
 
 impl ProgramDigest {
-    fn new(bytes: &[u8]) -> ProgramDigest {
+    fn new(bytes: Vec<u8>) -> ProgramDigest {
         ProgramDigest {
-            hash: hash64(bytes),
+            hash: hash64(&bytes),
             bytes: Arc::from(bytes),
         }
     }
@@ -99,6 +101,54 @@ impl Hash for ProgramDigest {
 impl std::fmt::Display for ProgramDigest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.fingerprint())
+    }
+}
+
+/// A program paired with its structural digest, computed here and only
+/// here, so the pair cannot disagree.
+///
+/// A caller that keys work by digest — a serving layer batching requests,
+/// a runtime probing its plan cache — digests a program once, builds a
+/// handle, and passes the handle on instead of encoding the program again.
+/// Cloning bumps two reference counts. Clients serving repeated traffic
+/// should build one handle per logical program and reuse it.
+#[derive(Clone)]
+pub struct ProgramHandle {
+    program: Arc<Program>,
+    digest: ProgramDigest,
+}
+
+impl ProgramHandle {
+    /// Digest and wrap a program.
+    pub fn new(program: Program) -> ProgramHandle {
+        ProgramHandle::from_arc(Arc::new(program))
+    }
+
+    /// Digest an already-shared program.
+    pub fn from_arc(program: Arc<Program>) -> ProgramHandle {
+        let digest = program.structural_digest();
+        ProgramHandle { program, digest }
+    }
+
+    /// The wrapped program.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// The wrapped program's structural digest.
+    pub fn digest(&self) -> &ProgramDigest {
+        &self.digest
+    }
+}
+
+impl std::fmt::Debug for ProgramHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ProgramHandle({} instrs, digest {})",
+            self.program.instrs().len(),
+            self.digest
+        )
     }
 }
 
@@ -149,33 +199,26 @@ fn hash64(bytes: &[u8]) -> u64 {
 }
 
 /// Encoding version; bump when the canonical format changes so persisted
-/// digests can never alias across versions.
+/// digests can never alias across versions. Moving slice bounds past
+/// their axis from tag 0 to tag 1 kept version 1: only programs the
+/// verifier rejects changed bytes, and their new bytes (the raw slices)
+/// are no other program's.
 const VERSION: u8 = 1;
-
-/// Scratch encodings larger than this are not kept between digests, so
-/// one huge program does not pin its encoding's size on every thread that
-/// digested it.
-const SCRATCH_KEEP: usize = 1 << 20;
-
-thread_local! {
-    /// The thread's encoding buffer: a digest is encoded here and copied
-    /// once into an exactly sized shared allocation.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
 
 impl Program {
     /// The canonical structural digest of this program (see module docs).
     pub fn structural_digest(&self) -> ProgramDigest {
-        SCRATCH.with_borrow_mut(|out| {
-            out.clear();
-            Encoder { out: &mut *out }.program(self);
-            let digest = ProgramDigest::new(out);
-            if out.capacity() > SCRATCH_KEEP {
-                *out = Vec::new();
-            }
-            digest
-        })
+        let mut out = Vec::with_capacity(encoded_len_estimate(self));
+        Encoder { out: &mut out }.program(self);
+        ProgramDigest::new(out)
     }
+}
+
+/// A capacity the encoding of `program` rarely outgrows: a base costs
+/// at most a few dozen bytes, an instruction its name and count plus
+/// ~50 bytes per operand of rank ≤ 2.
+fn encoded_len_estimate(program: &Program) -> usize {
+    16 + 48 * program.bases().len() + 192 * program.instrs().len()
 }
 
 struct Encoder<'a> {
@@ -209,13 +252,18 @@ impl Encoder<'_> {
                         // different spellings of the same elements (`a0`,
                         // `a0[:]`, `a0[0:10:1]`) digest identically. A view
                         // without slices is its base's row-major layout,
-                        // written straight from the shape. An unresolvable
-                        // view (invalid slice) falls back to the raw slice
-                        // list under tag 1, and a register no base declares
-                        // (the verifier's V103) under tag 2 without looking
-                        // up a base: digesting is total, so admission can
-                        // reject such a program instead of panicking while
-                        // building the request.
+                        // written straight from the shape. A view that
+                        // does not resolve (invalid slice), or resolves
+                        // only by clamping an explicit bound past its axis
+                        // (`a0[0:20:1]` over ten elements, the verifier's
+                        // V104), falls back to the raw slice list under
+                        // tag 1: such a spelling fails verification, so it
+                        // must not share a key with the in-range spelling
+                        // whose plan may be resident. A register no base
+                        // declares (the verifier's V103) goes under tag 2
+                        // without looking up a base: digesting is total,
+                        // so admission can reject such a program instead
+                        // of panicking while building the request.
                         let Some(base) = bases.get(v.reg.index()) else {
                             self.raw_slices(2, v.slices.as_deref());
                             continue;
@@ -224,8 +272,12 @@ impl Encoder<'_> {
                             self.contiguous(base.shape.dims());
                             continue;
                         };
-                        match program.resolve_view(v) {
-                            Ok(geom) => {
+                        let in_range = slices.iter().zip(base.shape.dims()).all(|(s, &n)| {
+                            slice_bound_ok(s.start, n as i64) && slice_bound_ok(s.stop, n as i64)
+                        });
+                        let geom = in_range.then(|| program.resolve_view(v).ok()).flatten();
+                        match geom {
+                            Some(geom) => {
                                 self.out.push(0);
                                 self.u64_(geom.offset() as u64);
                                 self.usize_(geom.dims().len());
@@ -234,7 +286,7 @@ impl Encoder<'_> {
                                     self.u64_(d.stride as u64);
                                 }
                             }
-                            Err(_) => self.raw_slices(1, Some(slices)),
+                            None => self.raw_slices(1, Some(slices)),
                         }
                     }
                     Operand::Const(c) => {
@@ -606,6 +658,30 @@ mod tests {
             let full = vec![Slice::full(); dims.len()];
             assert_eq!(digest(None), digest(Some(full)), "{dims:?}");
         }
+    }
+
+    #[test]
+    fn a_bound_past_its_axis_digests_apart_from_its_clamp() {
+        // The verifier rejects an explicit bound past the axis (V104), so
+        // such a spelling must not share the key of the in-range spelling
+        // it would clamp to; in-range spellings still share one key.
+        let program =
+            |slice: &str| format!(".base a f64[10]\nBH_IDENTITY a {slice} 1\nBH_SYNC a\n");
+        let in_range = digest_of(&program("[0:10:1]"));
+        assert_eq!(in_range, digest_of(&program("[:]")));
+        assert_eq!(in_range, digest_of(&program("[-10:10:1]")));
+        for past in ["[0:20:1]", "[-20:10:1]", "[11::1]"] {
+            let text = program(past);
+            assert!(
+                crate::verify(&parse_program(&text).unwrap()).is_err(),
+                "{past}"
+            );
+            assert_ne!(in_range, digest_of(&text), "{past}");
+        }
+        assert_ne!(
+            digest_of(&program("[0:20:1]")),
+            digest_of(&program("[0:30:1]"))
+        );
     }
 
     #[test]

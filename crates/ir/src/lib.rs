@@ -44,7 +44,7 @@ mod program;
 pub mod verify;
 
 pub use analysis::{first_touch, DefUse, FirstTouch, Liveness};
-pub use digest::ProgramDigest;
+pub use digest::{ProgramDigest, ProgramHandle};
 pub use equiv::{check_equiv, EquivCode, EquivError, EquivOptions, EquivWitness};
 pub use fold::const_eval;
 pub use instr::Instruction;

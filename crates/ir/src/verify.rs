@@ -609,7 +609,7 @@ fn check_view(
 /// the axis — non-negative values in `0..=n`, negative (from-the-end)
 /// values no further back than `-n` (`resolve` would silently clamp;
 /// the verifier treats clamping as an error in untrusted byte-code).
-fn slice_bound_ok(bound: Option<i64>, n: i64) -> bool {
+pub(crate) fn slice_bound_ok(bound: Option<i64>, n: i64) -> bool {
     match bound {
         None => true,
         Some(v) if v < 0 => v + n >= -1, // -(n), and -1 as "before start" for step<0

@@ -2,7 +2,7 @@
 
 use crate::cache::{EvalPlan, TransformCache};
 use crate::stats::RuntimeStats;
-use bh_ir::{Program, ProgramDigest};
+use bh_ir::{Program, ProgramDigest, ProgramHandle};
 use bh_observe::{DigestProfile, EvalSample, ProfileTable, TracePhase, TraceSink};
 use bh_opt::{OptLevel, OptOptions, OptReport, Optimizer};
 use bh_tensor::Tensor;
@@ -258,31 +258,33 @@ impl Runtime {
     /// [`VmError::Invalid`] when an operand names an undeclared register
     /// or the optimised program fails verification.
     pub fn prepare(&self, program: &Program) -> Result<(Arc<EvalPlan>, bool), VmError> {
-        self.prepare_digested(program, &program.structural_digest())
+        self.prepare_keyed(program, &program.structural_digest())
     }
 
-    /// [`Runtime::prepare`] for a caller that already holds `program`'s
-    /// structural digest, so the program is not encoded again: a serving
-    /// layer digests each request once, at submission, and prepares its
-    /// batch with that digest. A hit costs one hash-keyed probe and, on a
-    /// hash match, one compare of the encodings.
-    ///
-    /// `digest` must be `program.structural_digest()`; a different digest
-    /// would file the plan under another program's key. Debug builds
-    /// assert it.
+    /// [`Runtime::prepare`] for a caller that already holds the program's
+    /// structural digest in a [`ProgramHandle`], so the program is not
+    /// encoded again: a serving layer digests each request once, at
+    /// submission, and prepares its batch with that handle. A hit costs
+    /// one hash-keyed probe and, on a hash match, one compare of the
+    /// encodings. The handle computed its digest from its own program, so
+    /// the plan is always filed under that program's key.
     ///
     /// # Errors
     ///
     /// As [`Runtime::prepare`].
     pub fn prepare_digested(
         &self,
+        handle: &ProgramHandle,
+    ) -> Result<(Arc<EvalPlan>, bool), VmError> {
+        self.prepare_keyed(handle.program(), handle.digest())
+    }
+
+    /// The body of [`Runtime::prepare`]; `digest` is `program`'s.
+    fn prepare_keyed(
+        &self,
         program: &Program,
         digest: &ProgramDigest,
     ) -> Result<(Arc<EvalPlan>, bool), VmError> {
-        debug_assert!(
-            program.structural_digest() == *digest,
-            "prepare_digested: the digest is not this program's"
-        );
         // Bind the lookup to a local so the cache guard drops *here*, not
         // at the end of the `if let` body.
         let cached = self.cache.lock().get(digest);
@@ -720,6 +722,19 @@ mod tests {
         let (v, o) = rt.eval(&q, &[], q.reg_by_name("z").unwrap()).unwrap();
         assert!(o.cache_hit);
         assert_eq!(v.to_f64_vec(), vec![3.0; 10]);
+    }
+
+    #[test]
+    fn a_handle_prepares_under_its_own_digest() {
+        let rt = Runtime::new();
+        let handle = ProgramHandle::new(listing2());
+        let (built, hit) = rt.prepare_digested(&handle).unwrap();
+        assert!(!hit);
+        assert!(rt.has_plan(handle.digest()));
+        let (plan, hit) = rt.prepare(&listing2()).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&built, &plan));
+        assert!(rt.prepare_digested(&handle).unwrap().1);
     }
 
     #[test]

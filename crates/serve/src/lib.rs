@@ -81,7 +81,8 @@ mod request;
 mod server;
 mod stats;
 
+pub use bh_ir::ProgramHandle;
 pub use error::ServeError;
-pub use request::{ProgramHandle, Request, Response, Ticket};
+pub use request::{Request, Response, Ticket};
 pub use server::{Rejected, Server, ServerBuilder};
 pub use stats::{BatchSizeDist, LatencyHistogram, ServeReport, ServeStats, TenantQuotas};

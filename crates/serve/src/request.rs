@@ -1,7 +1,7 @@
 //! Requests, responses and the completion ticket.
 
 use crate::error::ServeError;
-use bh_ir::{Program, ProgramDigest, Reg};
+use bh_ir::{Program, ProgramDigest, ProgramHandle, Reg};
 use bh_runtime::EvalOutcome;
 use bh_tensor::Tensor;
 use parking_lot::Mutex;
@@ -9,58 +9,11 @@ use std::fmt;
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// A program paired with its precomputed structural digest.
-///
-/// Submitting through a handle makes enqueueing O(1): the digest — the
-/// batching key — is computed once here instead of once per request.
-/// Clients serving repeated traffic should build one handle per logical
-/// program and reuse it.
-#[derive(Clone)]
-pub struct ProgramHandle {
-    program: Arc<Program>,
-    digest: ProgramDigest,
-}
-
-impl ProgramHandle {
-    /// Digest and wrap a program.
-    pub fn new(program: Program) -> ProgramHandle {
-        ProgramHandle::from_arc(Arc::new(program))
-    }
-
-    /// Digest an already-shared program.
-    pub fn from_arc(program: Arc<Program>) -> ProgramHandle {
-        let digest = program.structural_digest();
-        ProgramHandle { program, digest }
-    }
-
-    /// The wrapped program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// The structural digest requests made from this handle batch under.
-    pub fn digest(&self) -> &ProgramDigest {
-        &self.digest
-    }
-}
-
-impl fmt::Debug for ProgramHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ProgramHandle({} instrs, digest {})",
-            self.program.instrs().len(),
-            self.digest
-        )
-    }
-}
-
 /// One unit of work for the server: which tenant it belongs to, what to
 /// run, what to bind, what to read back, and how long it may wait.
 pub struct Request {
     pub(crate) tenant: String,
-    pub(crate) program: Arc<Program>,
-    pub(crate) digest: ProgramDigest,
+    pub(crate) handle: ProgramHandle,
     pub(crate) bindings: Vec<(Reg, Tensor)>,
     pub(crate) result: Option<Reg>,
     pub(crate) deadline: Option<Duration>,
@@ -77,8 +30,7 @@ impl Request {
     pub fn with_handle(tenant: impl Into<String>, handle: &ProgramHandle) -> Request {
         Request {
             tenant: tenant.into(),
-            program: Arc::clone(handle.program()),
-            digest: handle.digest().clone(),
+            handle: handle.clone(),
             bindings: Vec::new(),
             result: None,
             deadline: None,
@@ -115,7 +67,7 @@ impl Request {
 
     /// The digest this request batches under.
     pub fn digest(&self) -> &ProgramDigest {
-        &self.digest
+        self.handle.digest()
     }
 }
 
@@ -123,7 +75,7 @@ impl fmt::Debug for Request {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Request")
             .field("tenant", &self.tenant)
-            .field("digest", &self.digest.to_string())
+            .field("digest", &self.handle.digest().to_string())
             .field("bindings", &self.bindings.len())
             .field("result", &self.result)
             .field("deadline", &self.deadline)

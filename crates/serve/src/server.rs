@@ -17,7 +17,7 @@
 use crate::error::ServeError;
 use crate::request::{Request, Response, Slot, Ticket};
 use crate::stats::{LatencyHistogram, ServeReport, ServeStats, TenantQuotas};
-use bh_ir::{Program, ProgramDigest, Reg};
+use bh_ir::{ProgramHandle, Reg};
 use bh_observe::{Collect, MetricSet, TracePhase, TraceSink};
 use bh_runtime::Runtime;
 use bh_tensor::Tensor;
@@ -69,8 +69,7 @@ const MAX_TENANT_WEIGHT: u64 = 1 << 20;
 
 /// A request as it sits in a tenant lane.
 struct Queued {
-    program: Arc<Program>,
-    digest: ProgramDigest,
+    handle: ProgramHandle,
     bindings: Vec<(Reg, Tensor)>,
     result: Option<Reg>,
     deadline: Option<Instant>,
@@ -176,7 +175,10 @@ impl Sched {
             for (name, lane) in self.lanes.iter_mut() {
                 let mut from_lane = 0u64;
                 while batch.len() < max_batch {
-                    let Some(i) = lane.queue.iter().position(|r| r.digest == batch[0].digest)
+                    let Some(i) = lane
+                        .queue
+                        .iter()
+                        .position(|r| r.handle.digest() == batch[0].handle.digest())
                     else {
                         break;
                     };
@@ -242,38 +244,21 @@ impl Shared {
     /// space and failing later inside a batch. A digest whose plan is
     /// resident in the runtime's cache is admitted on that probe alone:
     /// the plan was verified when it was built, and a resident digest
-    /// cannot fail `prepare`, which is all admission rules out.
-    ///
-    /// `passed` maps each digest that passed verification earlier in the
-    /// same submission call to the program that passed. A request whose
-    /// program equals it is admitted without verifying again, so a burst
-    /// of one cold program is verified once. The program is compared, not
-    /// only the digest: the digest encodes resolved geometry, so an
-    /// explicit slice bound past its axis, which the verifier rejects,
-    /// digests like the in-range bound it clamps to.
+    /// cannot fail `prepare`, which is all admission rules out. The probe
+    /// admits only the structure that was prepared, not a look-alike the
+    /// verifier would bounce: the verifier ignores register names, and a
+    /// slice bound past its axis (V104) digests apart from the in-range
+    /// spelling it clamps to.
     ///
     /// Called *outside* the sched lock — verification cost must never
     /// stall other submitters or the workers.
     #[allow(clippy::result_large_err)]
-    fn admit(
-        &self,
-        request: Request,
-        passed: &mut HashMap<ProgramDigest, Arc<Program>>,
-    ) -> Result<Request, Rejected> {
-        let seen = passed.get(&request.digest).is_some_and(|program| {
-            Arc::ptr_eq(program, &request.program) || **program == *request.program
-        });
-        if seen || self.runtime.has_plan(&request.digest) {
+    fn admit(&self, request: Request) -> Result<Request, Rejected> {
+        if self.runtime.has_plan(request.handle.digest()) {
             return Ok(request);
         }
-        self.stats.lock().admission_verifications += 1;
-        match bh_ir::verify(&request.program) {
-            Ok(_) => {
-                passed
-                    .entry(request.digest.clone())
-                    .or_insert_with(|| Arc::clone(&request.program));
-                Ok(request)
-            }
+        match bh_ir::verify(request.handle.program()) {
+            Ok(_) => Ok(request),
             Err(errors) => Err(Rejected {
                 reason: ServeError::Malformed(errors),
                 request,
@@ -294,7 +279,7 @@ impl Shared {
                 self.trace(
                     TracePhase::End,
                     "queue",
-                    r.digest.fingerprint(),
+                    r.handle.digest().fingerprint(),
                     r.tenant.clone(),
                 );
             }
@@ -323,17 +308,14 @@ impl Shared {
         let mut latency = LatencyHistogram::new();
         let traced = self.tracing();
         let leader_fp = if traced {
-            live[0].digest.fingerprint()
+            live[0].handle.digest().fingerprint()
         } else {
             0
         };
         self.trace(TracePhase::Begin, "batch", leader_fp, None);
 
         // One plan lookup (or one optimiser run) for the whole batch …
-        match self
-            .runtime
-            .prepare_digested(&live[0].program, &live[0].digest)
-        {
+        match self.runtime.prepare_digested(&live[0].handle) {
             Err(e) => {
                 failed = live.len() as u64;
                 for r in live {
@@ -677,7 +659,7 @@ impl Server {
             self.shared.trace(
                 TracePhase::Begin,
                 "queue",
-                request.digest.fingerprint(),
+                request.handle.digest().fingerprint(),
                 Some(Arc::clone(&tag)),
             );
             Some(tag)
@@ -687,8 +669,7 @@ impl Server {
         sched.enqueue(
             &request.tenant,
             Queued {
-                program: request.program,
-                digest: request.digest,
+                handle: request.handle,
                 bindings: request.bindings,
                 result: request.result,
                 deadline,
@@ -719,8 +700,7 @@ impl Server {
     pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
         let now = Instant::now();
         let mut outcome = None;
-        let admitted = self.shared.admit(request, &mut HashMap::new());
-        self.enqueue_all([admitted], now, |o| outcome = Some(o));
+        self.enqueue_all([self.shared.admit(request)], now, |o| outcome = Some(o));
         outcome.expect("one request, one outcome")
     }
 
@@ -733,9 +713,7 @@ impl Server {
     /// lanes, so they gather into the same micro-batch. Each request is
     /// accepted or bounced individually — a full queue rejects the
     /// overflow, not the whole group, and a program failing admission
-    /// verification bounces only its own request. A cold program is
-    /// verified once per call, however many copies of it the call
-    /// carries.
+    /// verification bounces only its own request.
     ///
     /// # Examples
     ///
@@ -770,11 +748,9 @@ impl Server {
         // must not self-deadlock on the non-reentrant sched mutex.
         // Admission verification also happens out here, for the same
         // reason: verifying a cold digest must not stall the scheduler.
-        // A program is verified at most once per call.
-        let mut passed = HashMap::new();
         let admissions: Vec<Result<Request, Rejected>> = requests
             .into_iter()
-            .map(|request| self.shared.admit(request, &mut passed))
+            .map(|request| self.shared.admit(request))
             .collect();
         let mut out = Vec::with_capacity(admissions.len());
         self.enqueue_all(admissions, now, |o| out.push(o));

@@ -168,10 +168,6 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Requests that completed successfully.
     pub completed: u64,
-    /// Programs verified at admission: never for a digest whose plan is
-    /// resident, and once per distinct program per `submit_many` call.
-    /// Not exported.
-    pub admission_verifications: u64,
     /// Requests that failed during preparation or execution.
     pub failed: u64,
     /// Requests failed fast because their deadline passed while queued.

@@ -110,74 +110,21 @@ fn a_digest_prepared_through_the_runtime_is_admitted() {
     assert_eq!(server.stats().rejected, 1);
 }
 
-/// `count` requests for separately parsed copies of the program `handle`
-/// wraps: equal digests that share no allocation.
-fn copies(handle: &ProgramHandle, count: usize) -> Vec<Request> {
-    (0..count)
-        .map(|_| Request::new("t", handle.program().as_ref().clone()))
-        .collect()
-}
-
 #[test]
-fn a_cold_burst_is_verified_once_per_submit_many() {
-    let server = one_plan_server();
-    let a = chain(8, 4);
-    let outcomes = server.submit_many(copies(&a, 16));
-    assert!(outcomes.iter().all(Result::is_ok));
-    assert_eq!(server.stats().admission_verifications, 1);
-    while server.service_once() {}
-    for ticket in outcomes.into_iter().flatten() {
-        assert_eq!(ticket.wait().unwrap().value, None);
-    }
-    assert_eq!(server.stats().completed, 16);
-}
-
-#[test]
-fn good_bad_good_verifies_the_good_digest_once() {
-    let server = one_plan_server();
-    let good = chain(8, 1);
-    let bad = ProgramHandle::new(parse_program("BH_ADD a0 [0:4:1] a0 [0:4:1] 1\n").unwrap());
-    let mut requests = copies(&good, 1);
-    requests.push(Request::with_handle("t", &bad));
-    requests.extend(copies(&good, 1));
-    let outcomes = server.submit_many(requests);
-    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
-    assert!(matches!(
-        outcomes[1].as_ref().unwrap_err().reason,
-        ServeError::Malformed(_)
-    ));
-    let stats = server.stats();
-    assert_eq!((stats.admission_verifications, stats.rejected), (2, 1));
-}
-
-#[test]
-fn a_resident_program_is_not_verified() {
-    let server = one_plan_server();
-    let a = chain(8, 2);
-    server.runtime().prepare(a.program()).unwrap();
-    let outcomes = server.submit_many(copies(&a, 4));
-    assert!(outcomes.iter().all(Result::is_ok));
-    assert!(server.submit(Request::with_handle("t", &a)).is_ok());
-    assert_eq!(server.stats().admission_verifications, 0);
-}
-
-#[test]
-fn a_spelling_the_digest_does_not_distinguish_is_still_verified() {
+fn an_out_of_range_spelling_is_verified_while_its_in_range_twin_is_resident() {
     let server = one_plan_server();
     let parse = |text: &str| ProgramHandle::new(parse_program(text).unwrap());
     let in_range = parse(".base a f64[10]\nBH_IDENTITY a [0:10:1] 1\nBH_SYNC a\n");
-    // `[0:20:1]` clamps to the same ten elements, so it digests the same,
-    // but an explicit bound past the axis fails verification.
+    // `[0:20:1]` would clamp to the same ten elements, but an explicit
+    // bound past the axis fails verification, so it digests apart and the
+    // resident in-range plan does not admit it.
     let past_end = parse(".base a f64[10]\nBH_IDENTITY a [0:20:1] 1\nBH_SYNC a\n");
-    assert_eq!(in_range.digest(), past_end.digest());
-    let outcomes = server.submit_many(vec![
-        Request::with_handle("t", &in_range),
-        Request::with_handle("t", &past_end),
-    ]);
-    assert!(outcomes[0].is_ok());
-    assert!(matches!(
-        outcomes[1].as_ref().unwrap_err().reason,
-        ServeError::Malformed(_)
-    ));
-    assert_eq!(server.stats().admission_verifications, 2);
+    assert_ne!(in_range.digest(), past_end.digest());
+    assert_eq!(serve(&server, &in_range), vec![1.0; 10]);
+    assert!(server.runtime().has_plan(in_range.digest()));
+    let rejected = server
+        .submit(Request::with_handle("t", &past_end))
+        .unwrap_err();
+    assert!(matches!(rejected.reason, ServeError::Malformed(_)));
+    assert_eq!(server.stats().rejected, 1);
 }

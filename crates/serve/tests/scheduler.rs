@@ -745,9 +745,9 @@ fn submit_many_bounces_only_the_malformed_requests() {
     assert!(outcomes[2].is_ok());
     assert_eq!(server.queue_depth(), 2);
 
-    // The two admitted requests still run. No plan for their digest is
-    // resident until their batch runs, so admission verified it, once:
-    // the second request shares the first one's pass.
+    // The two admitted requests still run. Both were verified at
+    // admission: no plan for their digest is resident until their batch
+    // runs.
     while server.service_once() {}
     for outcome in outcomes.into_iter().flatten() {
         outcome.wait().unwrap();
