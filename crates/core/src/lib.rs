@@ -53,11 +53,6 @@ mod pipeline;
 mod rule;
 pub mod rules;
 
-/// Compile-time scalar folding, re-exported from `bh-ir` (it moved there
-/// so the static plan auditor can share the exact same arithmetic).
-pub use bh_ir::fold;
-
-pub use bh_ir::fold::const_eval;
 pub use pipeline::{
     optimize, optimize_at, standard_rules, OptLevel, OptOptions, OptReport, Optimizer,
 };

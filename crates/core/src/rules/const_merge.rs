@@ -40,9 +40,9 @@
 //! BH_FREE a3
 //! ```
 
-use crate::fold::const_eval;
 use crate::rule::{reassoc_allowed, RewriteCtx, RewriteRule};
 use bh_ir::affine::Affine;
+use bh_ir::const_eval;
 use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, ViewRef};
 use bh_tensor::{DType, Scalar};
 use std::cmp::Reverse;

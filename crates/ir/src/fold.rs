@@ -1,130 +1,87 @@
 //! Compile-time scalar evaluation for constant folding.
 //!
 //! The constant-merging rule of Listing 3 needs `1 + 1 + 1 = 3` evaluated
-//! at transformation time, in the *target dtype's* arithmetic (wrapping
-//! u8 addition must wrap here exactly as it would in the VM).
+//! at transformation time exactly as the VM would evaluate it, in the
+//! *target dtype's* arithmetic (wrapping u8 addition must wrap here as it
+//! does in the VM). [`const_eval`] is one more loop over the op-code's
+//! element function from [`crate::semantics`], so it agrees with the VM
+//! by construction.
 
-use crate::Opcode;
-use bh_tensor::{DType, Scalar};
+use crate::semantics::{elementwise, Kernel};
+use crate::{OpKind, Opcode};
+use bh_tensor::{DType, Element, Scalar};
 
-/// Evaluate `a ⊕ b` in `dtype` arithmetic, for the foldable op-codes.
+/// Evaluate `a ⊕ b` in `dtype` arithmetic: both constants are bound into
+/// `dtype` as the VM binds an immediate ([`Scalar::cast`]), and `op`'s
+/// element function applies to them.
 ///
-/// Returns `None` for op-codes the folder does not handle (the caller must
-/// then leave the byte-code untouched).
+/// Total: `None` unless `op` is a binary element-wise op-code whose type
+/// rule maps `dtype` to itself (the auditor reads unverified programs),
+/// and `None` for a constant into an integer dtype that is not an
+/// integral `i64` value. The caller must then leave the byte-code
+/// untouched.
 pub fn const_eval(op: Opcode, a: Scalar, b: Scalar, dtype: DType) -> Option<Scalar> {
-    if dtype.is_float() {
-        let (x, y) = (a.as_f64(), b.as_f64());
-        let v = match op {
-            Opcode::Add => x + y,
-            Opcode::Subtract => x - y,
-            Opcode::Multiply => x * y,
-            Opcode::Divide => x / y,
-            Opcode::Maximum => x.max(y),
-            Opcode::Minimum => x.min(y),
-            Opcode::Power => x.powf(y),
-            _ => return None,
-        };
-        return Some(Scalar::from_f64(v, dtype));
-    }
-    if dtype == DType::Bool {
-        let (x, y) = (a.as_f64() != 0.0, b.as_f64() != 0.0);
-        let v = match op {
-            Opcode::Add | Opcode::LogicalOr | Opcode::BitwiseOr | Opcode::Maximum => x | y,
-            Opcode::Multiply | Opcode::LogicalAnd | Opcode::BitwiseAnd | Opcode::Minimum => x & y,
-            Opcode::Subtract | Opcode::LogicalXor | Opcode::BitwiseXor => x ^ y,
-            _ => return None,
-        };
-        return Some(Scalar::Bool(v));
-    }
-    // Integer dtypes: canonicalise both operands into the dtype's domain
-    // (wrap to width, then sign- or zero-extend back into i64) and fold
-    // there, so value-dependent ops see exactly what the VM's in-dtype
-    // element ops see. Folding raw i64s diverged for unsigned dtypes:
-    // u8 `255 / 2` is 127 in-domain, but an i64 carrying -1 gave 0.
-    let (x, y) = (
-        to_domain(a.as_integral()?, dtype),
-        to_domain(b.as_integral()?, dtype),
-    );
-    let signed = dtype.is_signed_integer();
-    let bits = dtype.size_of() as u32 * 8;
-    let v = match op {
-        // Wrapping ring ops commute with truncation (arithmetic mod 2^64
-        // truncated to 2^w equals arithmetic mod 2^w), so they may run in
-        // i64 regardless of signedness.
-        Opcode::Add => x.wrapping_add(y),
-        Opcode::Subtract => x.wrapping_sub(y),
-        Opcode::Multiply => x.wrapping_mul(y),
-        // Value-dependent ops run in the dtype's own domain.
-        Opcode::Divide => {
-            if y == 0 {
-                0
-            } else if signed {
-                x.wrapping_div(y)
-            } else {
-                ((x as u64) / (y as u64)) as i64
-            }
-        }
-        Opcode::Mod => {
-            // Floored modulo, matching `VmElement::vm_mod`: a non-zero
-            // result takes the divisor's sign; mod 0 is 0.
-            if y == 0 {
-                0
-            } else if signed {
-                let r = x.wrapping_rem(y);
-                if r != 0 && (r < 0) != (y < 0) {
-                    r.wrapping_add(y)
-                } else {
-                    r
-                }
-            } else {
-                ((x as u64) % (y as u64)) as i64
-            }
-        }
-        Opcode::Power => {
-            // Matching `VmElement::vm_pow`: negative exponents truncate
-            // (1^-n = 1, else 0); exponents beyond u32::MAX saturate.
-            if signed && y < 0 {
-                i64::from(x == 1)
-            } else {
-                let e = u64::min(y as u64, u32::MAX as u64) as u32;
-                (x as u64).wrapping_pow(e) as i64
-            }
-        }
-        Opcode::Maximum if signed => x.max(y),
-        Opcode::Maximum => ((x as u64).max(y as u64)) as i64,
-        Opcode::Minimum if signed => x.min(y),
-        Opcode::Minimum => ((x as u64).min(y as u64)) as i64,
-        Opcode::BitwiseAnd => x & y,
-        Opcode::BitwiseOr => x | y,
-        Opcode::BitwiseXor => x ^ y,
-        Opcode::LeftShift => x.wrapping_shl((y as u32) % bits),
-        Opcode::RightShift if signed => x.wrapping_shr((y as u32) % bits),
-        Opcode::RightShift => ((x as u64) >> ((y as u32) % bits)) as i64,
-        _ => return None,
-    };
-    Some(Scalar::from_i64(v, dtype))
+    let typed =
+        op.kind() == OpKind::ElementwiseBinary && op.result_dtype(dtype).ok() == Some(dtype);
+    let integral = !dtype.is_integer() || (a.as_integral().is_some() && b.as_integral().is_some());
+    (typed && integral).then(|| elementwise(op, dtype, dtype, Consts(a.cast(dtype), b.cast(dtype))))
 }
 
-/// Wrap `v` to `dtype`'s width and extend it back into an `i64` carrying
-/// the dtype's *value*: sign-extended for signed dtypes, zero-extended
-/// for unsigned ones (u64 keeps its bit pattern, so `x as u64` always
-/// recovers the domain value).
-fn to_domain(v: i64, dtype: DType) -> i64 {
-    let bits = dtype.size_of() as u32 * 8;
-    if bits == 64 {
-        return v;
+/// Two constants of the operating dtype: the loop [`const_eval`] runs.
+struct Consts(Scalar, Scalar);
+
+impl Kernel for Consts {
+    type Out = Scalar;
+
+    fn map1<I: Element, O: Element>(self, f: impl Fn(I) -> O) -> Scalar {
+        Scalar::from(f(self.0.get::<I>()))
     }
-    let shift = 64 - bits;
-    if dtype.is_signed_integer() {
-        (v << shift) >> shift
-    } else {
-        v & ((1i64 << bits) - 1)
+
+    fn map2<I: Element, O: Element>(self, f: impl Fn(I, I) -> O) -> Scalar {
+        Scalar::from(f(self.0.get::<I>(), self.1.get::<I>()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ALL_OPCODES;
+    use bh_tensor::ALL_DTYPES;
+
+    #[test]
+    fn const_eval_is_total_and_keeps_the_dtype() {
+        // The auditor folds constants of unverified programs: no op-code
+        // and dtype may reach an unreachable arm, and a fold keeps the
+        // dtype, or it is refused.
+        let operands = [Scalar::I64(3), Scalar::F64(-2.5), Scalar::Bool(true)];
+        for &op in ALL_OPCODES {
+            for dtype in ALL_DTYPES {
+                let folds = op.kind() == OpKind::ElementwiseBinary
+                    && op.result_dtype(dtype).ok() == Some(dtype);
+                for a in operands {
+                    for b in operands {
+                        let got = const_eval(op, a, b, dtype);
+                        if !folds {
+                            assert_eq!(got, None, "{op} on {dtype}");
+                        } else if let Some(v) = got {
+                            assert_eq!(v.dtype(), dtype, "{op} on {dtype}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_folds_bind_each_constant_in_f32() {
+        // The VM binds 2⁻²⁴ + 2⁻⁵⁰ as the f32 2⁻²⁴, and 1 + 2⁻²⁴ is a tie
+        // that rounds to even: 1. Summing in f64 and rounding once would
+        // land above the tie, on 1 + 2⁻²³.
+        let b = Scalar::F64(2f64.powi(-24) + 2f64.powi(-50));
+        let got = const_eval(Opcode::Add, Scalar::F64(1.0), b, DType::Float32);
+        assert_eq!(got, Some(Scalar::F32(1.0)));
+        assert_eq!((1.0 + b.as_f64()) as f32, 1.0 + 2f32.powi(-23));
+    }
 
     #[test]
     fn merges_the_paper_constants() {
@@ -306,6 +263,21 @@ mod tests {
             ),
             None
         );
+        // A comparison changes the dtype; a logical op admits bool only.
+        assert_eq!(
+            const_eval(Opcode::Less, Scalar::I32(1), Scalar::I32(2), DType::Int32),
+            None
+        );
+        assert_eq!(
+            const_eval(
+                Opcode::LogicalAnd,
+                Scalar::I32(1),
+                Scalar::I32(1),
+                DType::Int32
+            ),
+            None
+        );
+        // Bool mod is defined, as the VM computes it: always false.
         assert_eq!(
             const_eval(
                 Opcode::Mod,
@@ -313,7 +285,7 @@ mod tests {
                 Scalar::Bool(true),
                 DType::Bool
             ),
-            None
+            Some(Scalar::Bool(false))
         );
     }
 

@@ -35,12 +35,13 @@ pub mod affine;
 pub mod analysis;
 mod digest;
 pub mod equiv;
-pub mod fold;
+mod fold;
 mod instr;
 mod opcode;
 mod operand;
 mod parse;
 mod program;
+pub mod semantics;
 pub mod verify;
 
 pub use analysis::{first_touch, DefUse, FirstTouch, Liveness};

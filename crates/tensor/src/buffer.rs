@@ -11,7 +11,8 @@
 //! ([`std::sync::Arc::make_mut`]); exclusively owned buffers mutate in
 //! place with no overhead.
 
-use crate::dtype::{DType, Element};
+use crate::dtype::DType;
+use crate::eltops::Element;
 use crate::error::TensorError;
 use crate::scalar::Scalar;
 use std::any::Any;
@@ -207,19 +208,10 @@ impl Buffer {
 
     /// The dtype of the stored elements.
     pub fn dtype(&self) -> DType {
-        match self {
-            Buffer::Bool(_) => DType::Bool,
-            Buffer::U8(_) => DType::UInt8,
-            Buffer::U16(_) => DType::UInt16,
-            Buffer::U32(_) => DType::UInt32,
-            Buffer::U64(_) => DType::UInt64,
-            Buffer::I8(_) => DType::Int8,
-            Buffer::I16(_) => DType::Int16,
-            Buffer::I32(_) => DType::Int32,
-            Buffer::I64(_) => DType::Int64,
-            Buffer::F32(_) => DType::Float32,
-            Buffer::F64(_) => DType::Float64,
+        fn of<T: Element>(_: &[T]) -> DType {
+            T::DTYPE
         }
+        for_each_variant!(self, v, of(v))
     }
 
     /// Number of elements.
@@ -278,19 +270,7 @@ impl Buffer {
                 len: self.len(),
             });
         }
-        Ok(match self {
-            Buffer::Bool(v) => Scalar::Bool(v[idx]),
-            Buffer::U8(v) => Scalar::U8(v[idx]),
-            Buffer::U16(v) => Scalar::U16(v[idx]),
-            Buffer::U32(v) => Scalar::U32(v[idx]),
-            Buffer::U64(v) => Scalar::U64(v[idx]),
-            Buffer::I8(v) => Scalar::I8(v[idx]),
-            Buffer::I16(v) => Scalar::I16(v[idx]),
-            Buffer::I32(v) => Scalar::I32(v[idx]),
-            Buffer::I64(v) => Scalar::I64(v[idx]),
-            Buffer::F32(v) => Scalar::F32(v[idx]),
-            Buffer::F64(v) => Scalar::F64(v[idx]),
-        })
+        Ok(for_each_variant!(self, v, Scalar::from(v[idx])))
     }
 
     /// Write one element from a [`Scalar`] (cast to the buffer dtype).
@@ -306,33 +286,23 @@ impl Buffer {
             });
         }
         let v = value.cast(self.dtype());
-        match self {
-            Buffer::Bool(b) => Arc::make_mut(b)[idx] = v.get::<bool>(),
-            Buffer::U8(b) => Arc::make_mut(b)[idx] = v.get::<u8>(),
-            Buffer::U16(b) => Arc::make_mut(b)[idx] = v.get::<u16>(),
-            Buffer::U32(b) => Arc::make_mut(b)[idx] = v.get::<u32>(),
-            Buffer::U64(b) => Arc::make_mut(b)[idx] = v.get::<u64>(),
-            Buffer::I8(b) => Arc::make_mut(b)[idx] = v.get::<i8>(),
-            Buffer::I16(b) => Arc::make_mut(b)[idx] = v.get::<i16>(),
-            Buffer::I32(b) => Arc::make_mut(b)[idx] = v.get::<i32>(),
-            Buffer::I64(b) => Arc::make_mut(b)[idx] = v.get::<i64>(),
-            Buffer::F32(b) => Arc::make_mut(b)[idx] = v.get::<f32>(),
-            Buffer::F64(b) => Arc::make_mut(b)[idx] = v.get::<f64>(),
-        }
+        for_each_variant!(self, b, Arc::make_mut(b)[idx] = v.get());
         Ok(())
     }
 
-    /// Copy into a new buffer of another dtype, element-wise `as`-cast.
+    /// Copy into a new buffer of another dtype, each element converted by
+    /// [`Element::cast`].
     pub fn cast(&self, dtype: DType) -> Buffer {
         if dtype == self.dtype() {
             return self.clone();
         }
-        let mut out = Buffer::zeros(dtype, self.len());
-        for i in 0..self.len() {
-            let s = self.get_scalar(i).expect("index in range");
-            out.set_scalar(i, s).expect("index in range");
-        }
-        out
+        for_each_variant!(
+            self,
+            v,
+            with_dtype!(dtype, T, {
+                Buffer::from_vec(v.iter().map(|&x| x.cast::<T>()).collect::<Vec<T>>())
+            })
+        )
     }
 
     /// All elements converted to `f64` (testing / display convenience).

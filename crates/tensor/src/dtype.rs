@@ -273,83 +273,10 @@ impl FromStr for DType {
     }
 }
 
-/// Statically typed element: the bridge between Rust generic kernels and the
-/// dynamically typed [`DType`] world.
-///
-/// Sealed: implemented exactly for the eleven supported element types.
-pub trait Element:
-    Copy + PartialEq + PartialOrd + fmt::Debug + fmt::Display + Send + Sync + 'static + private::Sealed
-{
-    /// The dynamic dtype tag corresponding to `Self`.
-    const DTYPE: DType;
-    /// Additive identity.
-    fn zero() -> Self;
-    /// Multiplicative identity.
-    fn one() -> Self;
-    /// Lossy conversion from f64 (used for constants).
-    fn from_f64(v: f64) -> Self;
-    /// Lossy conversion to f64 (used for comparisons in tests).
-    fn to_f64(self) -> f64;
-}
-
-mod private {
-    pub trait Sealed {}
-}
-
-macro_rules! impl_element {
-    ($($t:ty => $d:expr, $zero:expr, $one:expr;)*) => {$(
-        impl private::Sealed for $t {}
-        impl Element for $t {
-            const DTYPE: DType = $d;
-            #[inline] fn zero() -> Self { $zero }
-            #[inline] fn one() -> Self { $one }
-            #[inline] fn from_f64(v: f64) -> Self { v as $t }
-            #[inline] fn to_f64(self) -> f64 { self as f64 }
-        }
-    )*};
-}
-
-impl_element! {
-    u8  => DType::UInt8,  0, 1;
-    u16 => DType::UInt16, 0, 1;
-    u32 => DType::UInt32, 0, 1;
-    u64 => DType::UInt64, 0, 1;
-    i8  => DType::Int8,   0, 1;
-    i16 => DType::Int16,  0, 1;
-    i32 => DType::Int32,  0, 1;
-    i64 => DType::Int64,  0, 1;
-    f32 => DType::Float32, 0.0, 1.0;
-    f64 => DType::Float64, 0.0, 1.0;
-}
-
-impl private::Sealed for bool {}
-impl Element for bool {
-    const DTYPE: DType = DType::Bool;
-    #[inline]
-    fn zero() -> Self {
-        false
-    }
-    #[inline]
-    fn one() -> Self {
-        true
-    }
-    #[inline]
-    fn from_f64(v: f64) -> Self {
-        v != 0.0
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        if self {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Element;
 
     #[test]
     fn sizes_match_rust_types() {

@@ -20,7 +20,7 @@
 //! loops check a lane's bounds once, by its two ends, and then index
 //! unchecked.
 
-use crate::dtype::Element;
+use crate::eltops::Element;
 use crate::view::ViewGeom;
 
 /// A data-parallel range executor: the substrate the parallel reduction

@@ -37,6 +37,7 @@
 
 mod buffer;
 mod dtype;
+mod eltops;
 mod error;
 pub mod kernels;
 mod random;
@@ -46,7 +47,8 @@ mod tensor;
 mod view;
 
 pub use buffer::Buffer;
-pub use dtype::{DType, Element, ParseDTypeError, ALL_DTYPES};
+pub use dtype::{DType, ParseDTypeError, ALL_DTYPES};
+pub use eltops::Element;
 pub use error::TensorError;
 pub use random::{random_tensor, Distribution};
 pub use scalar::{ParseScalarError, Scalar};

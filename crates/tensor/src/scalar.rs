@@ -5,7 +5,9 @@
 //! dynamically typed value used by the IR, the optimizer's constant folder
 //! and the VM.
 
-use crate::dtype::{DType, Element};
+use crate::dtype::DType;
+use crate::eltops::Element;
+use crate::with_dtype;
 use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
@@ -96,19 +98,7 @@ impl Scalar {
     /// Build a scalar of `dtype` from an `i64` without an f64 round-trip,
     /// so 64-bit integer constants keep full precision.
     pub fn from_i64(v: i64, dtype: DType) -> Scalar {
-        match dtype {
-            DType::Bool => Scalar::Bool(v != 0),
-            DType::UInt8 => Scalar::U8(v as u8),
-            DType::UInt16 => Scalar::U16(v as u16),
-            DType::UInt32 => Scalar::U32(v as u32),
-            DType::UInt64 => Scalar::U64(v as u64),
-            DType::Int8 => Scalar::I8(v as i8),
-            DType::Int16 => Scalar::I16(v as i16),
-            DType::Int32 => Scalar::I32(v as i32),
-            DType::Int64 => Scalar::I64(v),
-            DType::Float32 => Scalar::F32(v as f32),
-            DType::Float64 => Scalar::F64(v as f64),
-        }
+        Scalar::I64(v).cast(dtype)
     }
 
     /// Value as f64 (lossy for u64/i64 beyond 2^53).
@@ -208,35 +198,28 @@ impl Scalar {
         })
     }
 
-    /// Cast to another dtype with `as`-cast semantics.
+    /// Cast to another dtype by [`Element::cast`], the one conversion
+    /// between element types (its doc states the rule). The same dtype
+    /// returns `self`, bit for bit.
     pub fn cast(self, dtype: DType) -> Scalar {
+        fn to<S: Element>(v: S, dtype: DType) -> Scalar {
+            with_dtype!(dtype, T, Scalar::from(v.cast::<T>()))
+        }
         if self.dtype() == dtype {
             return self;
         }
-        // Integers cast through i64 to preserve 64-bit precision where
-        // possible; floats through f64.
         match self {
-            Scalar::U64(v) if !dtype.is_float() && dtype != DType::Bool => {
-                // u64 -> integer target: wrap like `as`.
-                match dtype {
-                    DType::UInt8 => Scalar::U8(v as u8),
-                    DType::UInt16 => Scalar::U16(v as u16),
-                    DType::UInt32 => Scalar::U32(v as u32),
-                    DType::UInt64 => Scalar::U64(v),
-                    DType::Int8 => Scalar::I8(v as i8),
-                    DType::Int16 => Scalar::I16(v as i16),
-                    DType::Int32 => Scalar::I32(v as i32),
-                    DType::Int64 => Scalar::I64(v as i64),
-                    _ => unreachable!(),
-                }
-            }
-            s => {
-                if let Some(i) = s.as_integral() {
-                    Scalar::from_i64(i, dtype)
-                } else {
-                    Scalar::from_f64(s.as_f64(), dtype)
-                }
-            }
+            Scalar::Bool(v) => to(v, dtype),
+            Scalar::U8(v) => to(v, dtype),
+            Scalar::U16(v) => to(v, dtype),
+            Scalar::U32(v) => to(v, dtype),
+            Scalar::U64(v) => to(v, dtype),
+            Scalar::I8(v) => to(v, dtype),
+            Scalar::I16(v) => to(v, dtype),
+            Scalar::I32(v) => to(v, dtype),
+            Scalar::I64(v) => to(v, dtype),
+            Scalar::F32(v) => to(v, dtype),
+            Scalar::F64(v) => to(v, dtype),
         }
     }
 
@@ -290,28 +273,6 @@ impl Scalar {
     pub fn partial_cmp_value(self, other: Scalar) -> Option<Ordering> {
         self.as_f64().partial_cmp(&other.as_f64())
     }
-}
-
-macro_rules! impl_from {
-    ($($t:ty => $v:ident,)*) => {$(
-        impl From<$t> for Scalar {
-            fn from(v: $t) -> Scalar { Scalar::$v(v) }
-        }
-    )*};
-}
-
-impl_from! {
-    bool => Bool,
-    u8 => U8,
-    u16 => U16,
-    u32 => U32,
-    u64 => U64,
-    i8 => I8,
-    i16 => I16,
-    i32 => I32,
-    i64 => I64,
-    f32 => F32,
-    f64 => F64,
 }
 
 impl fmt::Display for Scalar {

@@ -6,7 +6,8 @@
 //! directly on them.
 
 use crate::buffer::Buffer;
-use crate::dtype::{DType, Element};
+use crate::dtype::DType;
+use crate::eltops::Element;
 use crate::error::TensorError;
 use crate::scalar::Scalar;
 use crate::shape::Shape;

@@ -1,226 +1,18 @@
-//! The op dispatch both element-wise paths share, and the serial strided
-//! interpreter.
-//!
-//! [`elementwise`] and [`fold`] match an op-code once and hand its element
-//! function to a loop — a [`Kernel`] or a [`Fold`] — as a function *item*
-//! (or capture-free closure), never a pointer, so every loop
-//! monomorphises over its op and inlines it. The fusing engine's compiled
-//! steps (`Vm::compile_fused_step`), the interpreter below, the reductions
-//! and scans and the fused reductions all dispatch here. Binary
-//! arithmetic, same-dtype unary op-codes, comparisons with predicates,
-//! bitwise and logical op-codes, float-only op-codes and folds each have
-//! one match, and each family is instantiated only for the dtypes its
-//! type rule admits.
+//! The serial strided interpreter.
 //!
 //! The interpreter ([`map1`], [`map2`]) runs one element-wise byte-code
 //! over any views — strided, reversed, broadcast, aliased — on the calling
 //! thread, walking offsets with `bh_tensor::kernels::zip_offsets`, where
-//! the compiled steps walk `k in lo..hi`. The two paths share the dispatch
-//! but no index walk, which keeps the naive engine an independent
-//! reference for the fusing one. An interpreter [`Input`] is a constant, a
-//! view of another base, or a view of the output's own base; the last is
-//! read in place unless [`Input::own`]'s hazard rule copies it first.
+//! the fusing engine's compiled steps walk `k in lo..hi`. Both take the
+//! op's element function from `bh_ir::semantics`, the one map from an
+//! op-code to what it computes, but share no index walk, which keeps the
+//! naive engine an independent reference for the fusing one. An
+//! interpreter [`Input`] is a constant, a view of another base, or a view
+//! of the output's own base; the last is read in place unless
+//! [`Input::own`]'s hazard rule copies it first.
 
-use crate::eltops::VmElement;
-use bh_ir::{Opcode, TypeRule};
-use bh_tensor::{kernels, with_dtype, DType, Element, ViewGeom};
+use bh_tensor::{kernels, Element, ViewGeom};
 use std::borrow::Cow;
-
-/// An element-wise loop, handed its op's element function: one method
-/// per arity, `I` the operating and `O` the output element type.
-pub(crate) trait Kernel {
-    /// What the loop returns.
-    type Out;
-    /// Loop `out = f(a)`.
-    fn map1<I: Element, O: Element>(
-        self,
-        f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
-    ) -> Self::Out;
-    /// Loop `out = f(a, b)`.
-    fn map2<I: Element, O: Element>(
-        self,
-        f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
-    ) -> Self::Out;
-}
-
-/// [`with_dtype!`] over the dtypes a bitwise or logical op-code admits:
-/// bool and the integers.
-macro_rules! with_bits_dtype {
-    ($dtype:expr, $T:ident, $body:expr) => {
-        with_bits_dtype!($dtype, $T, $body; Bool bool, UInt8 u8, UInt16 u16,
-            UInt32 u32, UInt64 u64, Int8 i8, Int16 i16, Int32 i32, Int64 i64)
-    };
-    ($dtype:expr, $T:ident, $body:expr; $($d:ident $t:ty),*) => {
-        match $dtype {
-            $(DType::$d => {
-                type $T = $t;
-                $body
-            })*
-            other => unreachable!("bitwise op on {other}: the verifier admits integers and bool"),
-        }
-    };
-}
-
-/// Hand element-wise `op`'s function over operating dtype `in_dtype`,
-/// writing `out_dtype`, to `k`.
-///
-/// Each op family is instantiated only for the dtypes its type rule
-/// admits: a float-only op-code for f32 and f64, a bitwise or logical one
-/// for bool and the integers. The verifier rejects every other pairing
-/// (V300), so those arms are unreachable for a verified program.
-pub(crate) fn elementwise<K: Kernel>(
-    op: Opcode,
-    in_dtype: DType,
-    out_dtype: DType,
-    k: K,
-) -> K::Out {
-    match op.type_rule() {
-        TypeRule::CompareLike => with_dtype!(in_dtype, T, compare::<T, K>(op, k)),
-        TypeRule::FloatOnly => match in_dtype {
-            DType::Float32 => float::<f32, K>(op, k),
-            DType::Float64 => float::<f64, K>(op, k),
-            other => unreachable!("{op} on {other}: the verifier admits floats only"),
-        },
-        TypeRule::IntLike | TypeRule::BoolOnly => {
-            with_bits_dtype!(in_dtype, T, bitwise::<T, K>(op, k))
-        }
-        TypeRule::Cast if in_dtype != out_dtype => {
-            with_dtype!(in_dtype, I, with_dtype!(out_dtype, O, k.map1(cast::<I, O>)))
-        }
-        _ if op.arity() == 2 => with_dtype!(in_dtype, T, binary::<T, K>(op, k)),
-        _ => with_dtype!(in_dtype, T, unary::<T, K>(op, k)),
-    }
-}
-
-/// Binary arithmetic: `T × T → T`.
-fn binary<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
-    match op {
-        Opcode::Add => k.map2(T::vm_add),
-        Opcode::Subtract => k.map2(T::vm_sub),
-        Opcode::Multiply => k.map2(T::vm_mul),
-        Opcode::Divide => k.map2(T::vm_div),
-        Opcode::Power => k.map2(T::vm_pow),
-        Opcode::Mod => k.map2(T::vm_mod),
-        Opcode::Maximum => k.map2(T::vm_max),
-        Opcode::Minimum => k.map2(T::vm_min),
-        other => unreachable!("{other} is not a binary arithmetic op"),
-    }
-}
-
-/// Same-dtype unary op-codes that every dtype admits: `T → T`.
-fn unary<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
-    match op {
-        Opcode::Identity => k.map1(|x: T| x),
-        Opcode::Absolute => k.map1(T::vm_abs),
-        Opcode::Sign => k.map1(T::vm_sign),
-        other => unreachable!("{other} is not a same-dtype unary op"),
-    }
-}
-
-/// Bitwise and logical op-codes, over bool and the integers.
-fn bitwise<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
-    match op {
-        Opcode::BitwiseAnd | Opcode::LogicalAnd => k.map2(T::vm_and),
-        Opcode::BitwiseOr | Opcode::LogicalOr => k.map2(T::vm_or),
-        Opcode::BitwiseXor | Opcode::LogicalXor => k.map2(T::vm_xor),
-        Opcode::LeftShift => k.map2(T::vm_shl),
-        Opcode::RightShift => k.map2(T::vm_shr),
-        Opcode::Invert | Opcode::LogicalNot => k.map1(T::vm_not),
-        other => unreachable!("{other} is not a bitwise or logical op"),
-    }
-}
-
-/// Float-only op-codes, over f32 and f64: each computes in f64.
-fn float<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
-    macro_rules! f64_map1 {
-        ($f:expr) => {
-            k.map1(|x: T| x.vm_float_unary($f))
-        };
-    }
-    match op {
-        Opcode::Arctan2 => k.map2(|a: T, b: T| T::from_f64(a.to_f64().atan2(b.to_f64()))),
-        Opcode::Sqrt => f64_map1!(f64::sqrt),
-        Opcode::Exp => f64_map1!(f64::exp),
-        Opcode::Exp2 => f64_map1!(f64::exp2),
-        Opcode::Expm1 => f64_map1!(f64::exp_m1),
-        Opcode::Log => f64_map1!(f64::ln),
-        Opcode::Log2 => f64_map1!(f64::log2),
-        Opcode::Log10 => f64_map1!(f64::log10),
-        Opcode::Log1p => f64_map1!(f64::ln_1p),
-        Opcode::Sin => f64_map1!(f64::sin),
-        Opcode::Cos => f64_map1!(f64::cos),
-        Opcode::Tan => f64_map1!(f64::tan),
-        Opcode::Sinh => f64_map1!(f64::sinh),
-        Opcode::Cosh => f64_map1!(f64::cosh),
-        Opcode::Tanh => f64_map1!(f64::tanh),
-        Opcode::Arcsin => f64_map1!(f64::asin),
-        Opcode::Arccos => f64_map1!(f64::acos),
-        Opcode::Arctan => f64_map1!(f64::atan),
-        Opcode::Arcsinh => f64_map1!(f64::asinh),
-        Opcode::Arccosh => f64_map1!(f64::acosh),
-        Opcode::Arctanh => f64_map1!(f64::atanh),
-        Opcode::Ceil => f64_map1!(f64::ceil),
-        Opcode::Floor => f64_map1!(f64::floor),
-        Opcode::Trunc => f64_map1!(f64::trunc),
-        Opcode::Rint => f64_map1!(rint),
-        other => unreachable!("{other} is not a float-only op"),
-    }
-}
-
-/// `BH_RINT`: round half to even, matching IEEE.
-fn rint(v: f64) -> f64 {
-    let r = v.round();
-    if (v - v.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-        r - v.signum()
-    } else {
-        r
-    }
-}
-
-/// Comparisons (`T × T → bool`) and predicates (`T → bool`).
-fn compare<T: VmElement, K: Kernel>(op: Opcode, k: K) -> K::Out {
-    match op {
-        Opcode::Greater => k.map2(|a: T, b: T| a > b),
-        Opcode::GreaterEqual => k.map2(|a: T, b: T| a >= b),
-        Opcode::Less => k.map2(|a: T, b: T| a < b),
-        Opcode::LessEqual => k.map2(|a: T, b: T| a <= b),
-        Opcode::Equal => k.map2(|a: T, b: T| a == b),
-        Opcode::NotEqual => k.map2(|a: T, b: T| a != b),
-        Opcode::IsNan => k.map1(|a: T| a.to_f64().is_nan()),
-        Opcode::IsInf => k.map1(|a: T| a.to_f64().is_infinite()),
-        other => unreachable!("{other} is not a comparison or predicate"),
-    }
-}
-
-/// A reduction or scan loop, handed its fold's identity and function.
-pub(crate) trait Fold {
-    /// What the loop returns.
-    type Out;
-    /// Fold with `f`, starting from `init`.
-    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> Self::Out;
-}
-
-/// Hand fold op-code `op`'s identity and function over `dtype` to `k`.
-/// The identity is the value folding starts from in every engine, serial
-/// or sharded (`f(init, x) == x` for all `x` the fold can produce, which
-/// is what makes the blocked combine in
-/// `bh_tensor::kernels::par_reduce_lane` exact on short lanes).
-pub(crate) fn fold<K: Fold>(op: Opcode, dtype: DType, k: K) -> K::Out {
-    with_dtype!(dtype, T, {
-        match op {
-            Opcode::Add => k.fold(T::zero(), T::vm_add),
-            Opcode::Multiply => k.fold(T::one(), T::vm_mul),
-            Opcode::Maximum => k.fold(T::vm_lowest(), T::vm_max),
-            Opcode::Minimum => k.fold(T::vm_highest(), T::vm_min),
-            other => unreachable!("{other} is not a fold op"),
-        }
-    })
-}
-
-/// The dtype-converting `BH_IDENTITY`.
-fn cast<I: Element, O: Element>(x: I) -> O {
-    O::from_f64(x.to_f64())
-}
 
 /// One input of an interpreted byte-code, in the operating dtype.
 pub(crate) enum Input<'a, T: Element> {
@@ -317,7 +109,9 @@ pub(crate) fn map2<I: Element, O: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bh_tensor::{Shape, Slice};
+    use bh_ir::semantics::{elementwise, Kernel};
+    use bh_ir::Opcode;
+    use bh_tensor::{DType, Shape, Slice};
 
     fn full(n: usize) -> ViewGeom {
         ViewGeom::contiguous(&Shape::vector(n))

@@ -40,7 +40,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
-mod eltops;
 mod error;
 mod exec;
 mod fusion;
@@ -49,7 +48,6 @@ mod pool;
 mod stash;
 mod stats;
 
-pub use eltops::VmElement;
 pub use error::VmError;
 pub use machine::{Engine, Vm};
 pub use pool::{PooledVm, VmPool, WorkerPool};

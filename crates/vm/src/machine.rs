@@ -20,9 +20,11 @@
 //!   serial interpreter.
 //!
 //! Both element-wise paths, the reductions and the scans take their op's
-//! element function from `exec`'s one dispatch. The interpreter receives
-//! it as an `exec::Kernel` in `Interpret`, the compiled path in `Compile`,
-//! which builds one generic step per arity: `step1` or `step2`.
+//! element function from `bh_ir::semantics`, the one map from an op-code
+//! to what it computes (the constant folder reads the same map). The
+//! interpreter receives it as a `Kernel` in `Interpret`, the compiled
+//! path in `Compile`, which builds one generic step per arity: `step1` or
+//! `step2`.
 
 use crate::error::VmError;
 use crate::exec::{self, Input};
@@ -30,6 +32,7 @@ use crate::fusion::{self, FusedInput, FusedInstr};
 use crate::pool::WorkerPool;
 use crate::stash::Stash;
 use crate::stats::ExecStats;
+use bh_ir::semantics::{self, Fold, Kernel};
 use bh_ir::{
     BaseDecl, FirstTouch, Instruction, OpKind, Opcode, Operand, Program, Reg, TypeRule, ViewRef,
 };
@@ -38,8 +41,6 @@ use bh_tensor::kernels::{self, RangeExecutor};
 use bh_tensor::{with_dtype, Buffer, DType, Element, Scalar, Shape, Tensor, ViewGeom};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-use crate::eltops::VmElement;
 
 /// Default minimum element count before an operation shards across the
 /// worker pool.
@@ -550,7 +551,7 @@ impl Vm {
         self.stats.flops += rinstr.op.unit_cost() * n;
 
         let fold = rinstr.op.fold_op().expect("reductions fold");
-        let total_shards = exec::fold(
+        let total_shards = semantics::fold(
             fold,
             dtype,
             FusedReduce {
@@ -602,7 +603,7 @@ impl Vm {
     /// pointer is what lets LLVM vectorise the loop (two pointers that
     /// are equal fail its runtime overlap check).
     fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
-        exec::elementwise(
+        semantics::elementwise(
             fi.op,
             fi.in_dtype,
             fi.out_dtype,
@@ -678,7 +679,7 @@ impl Vm {
 
     fn exec_instr(&mut self, program: &Program, instr: &Instruction) -> Result<(), VmError> {
         match instr.op.kind() {
-            OpKind::System => self.exec_system(program, instr),
+            OpKind::System => self.exec_system(instr),
             OpKind::Generator => self.exec_generator(program, instr),
             OpKind::Reduction | OpKind::Scan => self.exec_reduce_scan(program, instr),
             OpKind::LinAlg => self.exec_linalg(program, instr),
@@ -688,7 +689,7 @@ impl Vm {
         }
     }
 
-    fn exec_system(&mut self, program: &Program, instr: &Instruction) -> Result<(), VmError> {
+    fn exec_system(&mut self, instr: &Instruction) -> Result<(), VmError> {
         match instr.op {
             Opcode::Sync => {
                 self.stats.instructions += 1;
@@ -698,7 +699,6 @@ impl Vm {
             Opcode::Free => {
                 self.stats.instructions += 1;
                 if let Some(v) = instr.operands.first().and_then(|o| o.as_view()) {
-                    let _ = program;
                     if let Some(slot) = self.bases.get_mut(v.reg.index()) {
                         *slot = None;
                     }
@@ -805,7 +805,7 @@ impl Vm {
             Some(p) if p.threads() > 1 && in_view.nelem() >= self.par_threshold => p.as_ref(),
             _ => &kernels::InlineExec,
         };
-        let shards = exec::fold(
+        let shards = semantics::fold(
             fold,
             work_dtype,
             ReduceScan {
@@ -923,7 +923,7 @@ impl Vm {
             // from a copy.
             copy_own: instr.op.type_rule() == TypeRule::CompareLike,
         };
-        exec::elementwise(fi.op, fi.in_dtype, fi.out_dtype, interpret);
+        semantics::elementwise(fi.op, fi.in_dtype, fi.out_dtype, interpret);
         self.bases[out_reg.index()] = Some(out);
         Ok(())
     }
@@ -1181,7 +1181,7 @@ impl Compile<'_> {
     }
 }
 
-impl exec::Kernel for Compile<'_> {
+impl Kernel for Compile<'_> {
     type Out = FusedStep;
 
     fn map1<I: Element, O: Element>(
@@ -1238,7 +1238,7 @@ impl<'a> Interpret<'a> {
     }
 }
 
-impl exec::Kernel for Interpret<'_> {
+impl Kernel for Interpret<'_> {
     type Out = ();
 
     fn map1<I: Element, O: Element>(self, f: impl Fn(I) -> O + Copy + Send + Sync + 'static) {
@@ -1267,10 +1267,10 @@ struct ReduceScan<'a> {
     axis: usize,
 }
 
-impl exec::Fold for ReduceScan<'_> {
+impl Fold for ReduceScan<'_> {
     type Out = usize;
 
-    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
+    fn fold<T: Element>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
         let out = self.out.as_mut_slice::<T>().expect("dtype matches decl");
         let input = trusted(self.input.as_slice::<T>(), "input is in the work dtype");
         let (executor, ov, iv, axis) = (self.executor, self.ov, self.iv, self.axis);
@@ -1294,10 +1294,10 @@ struct FusedReduce<'a> {
     block: usize,
 }
 
-impl exec::Fold for FusedReduce<'_> {
+impl Fold for FusedReduce<'_> {
     type Out = usize;
 
-    fn fold<T: VmElement>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
+    fn fold<T: Element>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
         let (vm, steps, nelem, block) = (self.vm, self.steps, self.nelem, self.block);
         let src = vm.raw_const::<T>(self.input, 0, nelem);
         let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
