@@ -8,7 +8,7 @@
 //! exactly what makes the byte-code rewrite sound.
 
 use crate::error::LinalgError;
-use crate::lu::LuFactorization;
+use crate::lu::{LuFactorization, Sharding};
 use crate::matmul::matmul;
 use crate::util::cast_like;
 use bh_tensor::{DType, Tensor};
@@ -30,7 +30,17 @@ use bh_tensor::{DType, Tensor};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn inverse(a: &Tensor) -> Result<Tensor, LinalgError> {
-    let lu = LuFactorization::factorize(a)?;
+    inverse_on(a, &mut Sharding::serial())
+}
+
+/// [`inverse`] with the factorisation's updates sharded as `par` says.
+/// The result does not depend on `par`.
+///
+/// # Errors
+///
+/// As [`inverse`].
+pub fn inverse_on(a: &Tensor, par: &mut Sharding) -> Result<Tensor, LinalgError> {
+    let lu = LuFactorization::factorize_on(a, par)?;
     let n = lu.dim();
     let identity = Tensor::eye(DType::Float64, n);
     let inv = lu.solve_mat(&identity)?;
@@ -56,7 +66,17 @@ pub fn solve_via_inverse(a: &Tensor, b: &Tensor) -> Result<Tensor, LinalgError> 
 ///
 /// Propagates factorisation and dimension failures.
 pub fn solve_lu(a: &Tensor, b: &Tensor) -> Result<Tensor, LinalgError> {
-    let lu = LuFactorization::factorize(a)?;
+    solve_lu_on(a, b, &mut Sharding::serial())
+}
+
+/// [`solve_lu`] with the factorisation's updates sharded as `par` says.
+/// The result does not depend on `par`.
+///
+/// # Errors
+///
+/// As [`solve_lu`].
+pub fn solve_lu_on(a: &Tensor, b: &Tensor, par: &mut Sharding) -> Result<Tensor, LinalgError> {
+    let lu = LuFactorization::factorize_on(a, par)?;
     let x = match b.shape().rank() {
         1 => lu.solve_vec(b)?,
         2 => lu.solve_mat(b)?,

@@ -30,6 +30,9 @@ mod matmul;
 mod util;
 
 pub use error::LinalgError;
-pub use inverse::{det, inverse, inverse_solve_flops, lu_solve_flops, solve_lu, solve_via_inverse};
-pub use lu::LuFactorization;
+pub use inverse::{
+    det, inverse, inverse_on, inverse_solve_flops, lu_solve_flops, solve_lu, solve_lu_on,
+    solve_via_inverse,
+};
+pub use lu::{LuFactorization, Sharding};
 pub use matmul::{matmul, matmul_flops, matmul_result_shape, transpose};

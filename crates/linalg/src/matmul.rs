@@ -55,13 +55,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, LinalgError> {
     let bv = b.to_f64_vec();
     let mut out = vec![0.0f64; ar * bc];
     // ikj loop order: streams B rows, decent cache behaviour without
-    // blocking; ample for the experiment sizes (n ≤ 512).
+    // blocking; ample for the experiment sizes (n ≤ 512). A zero `aik` is
+    // not skipped: `0·∞` and `0·NaN` are NaN, as in IEEE and NumPy.
     for i in 0..ar {
         for k in 0..ac {
             let aik = av[i * ac + k];
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &bv[k * bc..(k + 1) * bc];
             let orow = &mut out[i * bc..(i + 1) * bc];
             for j in 0..bc {
@@ -169,6 +167,22 @@ mod tests {
         assert_eq!(matmul(&x, &a).unwrap().to_f64_vec(), vec![4., 6.]);
         let d = matmul(&x, &x).unwrap();
         assert_eq!(d.to_f64_vec(), vec![2.0]);
+    }
+
+    #[test]
+    fn zero_times_inf_or_nan_is_nan() {
+        let a = Tensor::from_vec(vec![0.0f64, 1.0]);
+        for bad in [f64::INFINITY, f64::NAN] {
+            let b = Tensor::from_vec(vec![bad, 1.0]);
+            let d = matmul(&a, &b).unwrap().to_f64_vec();
+            assert!(d[0].is_nan(), "[0, 1]·[{bad}, 1] = {d:?}");
+        }
+        // A zero row still yields a zero wherever B is finite.
+        let a = m(1, 2, vec![0.0, 0.0]);
+        let b = m(2, 2, vec![f64::INFINITY, 2.0, 3.0, -4.0]);
+        let c = matmul(&a, &b).unwrap().to_f64_vec();
+        assert!(c[0].is_nan());
+        assert_eq!(c[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

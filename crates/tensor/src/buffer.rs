@@ -296,20 +296,21 @@ impl Buffer {
         if dtype == self.dtype() {
             return self.clone();
         }
-        for_each_variant!(
-            self,
-            v,
-            with_dtype!(dtype, T, {
-                Buffer::from_vec(v.iter().map(|&x| x.cast::<T>()).collect::<Vec<T>>())
-            })
-        )
+        with_dtype!(dtype, T, Buffer::from_vec(self.cast_vec::<T>()))
     }
 
-    /// All elements converted to `f64` (testing / display convenience).
+    /// All elements converted to `f64` by [`Element::cast`]; an `f64`
+    /// buffer is copied as a slice.
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.len())
-            .map(|i| self.get_scalar(i).expect("index in range").as_f64())
-            .collect()
+        match self {
+            Buffer::F64(v) => v.to_vec(),
+            _ => self.cast_vec(),
+        }
+    }
+
+    /// Every element cast to `T`, in one typed loop.
+    fn cast_vec<T: Element>(&self) -> Vec<T> {
+        for_each_variant!(self, v, v.iter().map(|&x| x.cast::<T>()).collect())
     }
 }
 
@@ -421,6 +422,39 @@ mod tests {
     fn to_f64_vec() {
         let b = Buffer::from_vec(vec![1i32, 2, 3]);
         assert_eq!(b.to_f64_vec(), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn to_f64_vec_agrees_with_scalar_as_f64_on_every_dtype() {
+        let big = (1i64 << 53) + 1;
+        let buffers = [
+            Buffer::from_vec(vec![false, true]),
+            Buffer::from_vec(vec![0u8, 1, u8::MAX]),
+            Buffer::from_vec(vec![0u16, u16::MAX]),
+            Buffer::from_vec(vec![0u32, u32::MAX]),
+            Buffer::from_vec(vec![0u64, big as u64, u64::MAX, u64::MAX - 1]),
+            Buffer::from_vec(vec![i8::MIN, -1, 0, i8::MAX]),
+            Buffer::from_vec(vec![i16::MIN, i16::MAX]),
+            Buffer::from_vec(vec![i32::MIN, -1, i32::MAX]),
+            Buffer::from_vec(vec![i64::MIN, -big, big, i64::MAX]),
+            Buffer::from_vec(vec![0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::MIN, 0.1]),
+            Buffer::from_vec(vec![
+                0.0f64,
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::MIN_POSITIVE,
+                0.1,
+            ]),
+        ];
+        for b in &buffers {
+            let got = b.to_f64_vec();
+            assert_eq!(got.len(), b.len());
+            for (i, v) in got.iter().enumerate() {
+                let want = b.get_scalar(i).unwrap().as_f64();
+                assert_eq!(v.to_bits(), want.to_bits(), "{b:?}[{i}]");
+            }
+        }
     }
 
     #[test]

@@ -253,6 +253,25 @@ mod tests {
     }
 
     #[test]
+    fn matmul_program_keeps_zero_times_inf_and_nan() {
+        let p = parse_program(
+            ".base a f64[2] input\n.base b f64[2] input\n.base x f64[1]\n\
+             BH_MATMUL x a b\nBH_SYNC x\n",
+        )
+        .unwrap();
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut vm = Vm::new();
+            vm.bind_by_name(&p, "a", &Tensor::from_vec(vec![0.0f64, 1.0]))
+                .unwrap();
+            vm.bind_by_name(&p, "b", &Tensor::from_vec(vec![bad, 1.0]))
+                .unwrap();
+            vm.run(&p).unwrap();
+            let x = vm.read_by_name(&p, "x").unwrap().to_f64_vec();
+            assert!(x[0].is_nan(), "[0, 1]·[{bad}, 1] = {x:?}");
+        }
+    }
+
+    #[test]
     fn free_releases_memory() {
         let (p, vm) = run_text(
             "BH_IDENTITY a0 [0:4:1] 1\n\

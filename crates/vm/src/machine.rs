@@ -852,7 +852,7 @@ impl Vm {
                 // inverse = factorise + n pair-solves ≈ 2n³
                 self.stats.flops += 2 * (n as u64).pow(3);
                 self.account_in_tensor(&a);
-                linalg::inverse(&a)?
+                self.sharded_lu(|par| linalg::inverse_on(&a, par))?
             }
             Opcode::Solve => {
                 let a = self.materialize_view(program, view_of(&instr.operands[1]))?;
@@ -866,7 +866,7 @@ impl Vm {
                 self.stats.flops += linalg::lu_solve_flops(n, k);
                 self.account_in_tensor(&a);
                 self.account_in_tensor(&b);
-                linalg::solve_lu(&a, &b)?
+                self.sharded_lu(|par| linalg::solve_lu_on(&a, &b, par))?
             }
             other => unreachable!("{other} is not a linalg op"),
         };
@@ -882,6 +882,23 @@ impl Vm {
             .expect("just allocated");
         write_tensor_into_view(buffer, &out_geom, &result);
         Ok(())
+    }
+
+    /// Run an LU-based op with its trailing updates sharded over the
+    /// worker pool from `par_threshold` multiply-adds on (DESIGN.md §10),
+    /// and count the shards.
+    fn sharded_lu(
+        &mut self,
+        op: impl FnOnce(&mut linalg::Sharding) -> Result<Tensor, linalg::LinalgError>,
+    ) -> Result<Tensor, VmError> {
+        let executor: &dyn RangeExecutor = match &self.workers {
+            Some(p) if p.threads() > 1 => p.as_ref(),
+            _ => &kernels::InlineExec,
+        };
+        let mut par = linalg::Sharding::new(executor, self.par_threshold);
+        let result = op(&mut par)?;
+        self.stats.par_shards += par.shards() as u64;
+        Ok(result)
     }
 
     /// The serial strided interpreter for one element-wise byte-code:
@@ -946,16 +963,28 @@ impl Vm {
             })
     }
 
-    /// Copy a view of a register out into an owned contiguous tensor.
+    /// A view of a register as an owned contiguous tensor. A view of the
+    /// whole base shares its storage (copy-on-write), another contiguous
+    /// view is one slice copy, and only a strided one walks its offsets.
     fn materialize_view(&mut self, program: &Program, v: &ViewRef) -> Result<Tensor, VmError> {
         self.ensure_alloc(program, v.reg);
         let geom = program.resolve_view(v)?;
         let dtype = program.base(v.reg).dtype;
         let buf = self.borrow_buffer(v.reg)?;
-        let out = with_dtype!(dtype, T, {
-            let s = buf.as_slice::<T>().expect("dtype matches decl");
-            Buffer::from_vec(bh_tensor::kernels::materialize(s, &geom))
-        });
+        let (lo, n) = (geom.offset(), geom.nelem());
+        let out = if !geom.is_contiguous() {
+            with_dtype!(dtype, T, {
+                let s = buf.as_slice::<T>().expect("dtype matches decl");
+                Buffer::from_vec(bh_tensor::kernels::materialize(s, &geom))
+            })
+        } else if lo == 0 && n == buf.len() {
+            buf.clone()
+        } else {
+            with_dtype!(dtype, T, {
+                let s = buf.as_slice::<T>().expect("dtype matches decl");
+                Buffer::from_vec(s.get(lo..lo + n).expect("view escapes buffer").to_vec())
+            })
+        };
         Tensor::from_parts(out, geom.shape()).map_err(VmError::from)
     }
 

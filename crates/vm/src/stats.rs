@@ -19,10 +19,12 @@ pub struct ExecStats {
     pub kernels: u64,
     /// Fused groups executed (fusing engine only).
     pub fused_groups: u64,
-    /// Contiguous element shards dispatched to the worker pool by the
-    /// fusing engine's compiled element-wise runs — fused groups and
-    /// unfused contiguous instructions alike (0 when everything ran
-    /// serially). Purely observational:
+    /// Shards dispatched to the worker pool: contiguous element shards
+    /// of the fusing engine's compiled element-wise runs (fused groups
+    /// and unfused contiguous instructions alike), the ranges of parallel
+    /// folds (also counted in [`ExecStats::reduce_shards`]) and the row
+    /// shards of the LU's trailing updates behind `BH_SOLVE` and
+    /// `BH_INVERSE` (0 when everything ran serially). Purely observational:
     /// sharding never changes results or the other counters
     /// (DESIGN.md §10).
     pub par_shards: u64,
