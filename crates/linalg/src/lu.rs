@@ -20,7 +20,7 @@
 
 use crate::error::LinalgError;
 use crate::util::{as_f64_matrix, square_dim};
-use bh_tensor::kernels::{InlineExec, RangeExecutor};
+use bh_tensor::kernels::{InlineExec, RangeExecutor, ShardSlice};
 use bh_tensor::{Shape, Tensor};
 use std::fmt;
 
@@ -353,17 +353,14 @@ fn factor_in_place(
         let rows = n - j1;
         let madds = rows * (n - j1) * (j1 - j0);
         if par.exec.threads() > 1 && madds >= par.min_madds {
-            let tail = RowsPtr(tail.as_mut_ptr());
+            let tail = ShardSlice::new(tail);
             let task = |lo: usize, hi: usize| {
-                // SAFETY: `tail` points at the `rows × n` block after the
-                // panel, which `a` keeps borrowed until `run_ranges`
-                // returns; the executor hands each call a disjoint
+                // SAFETY: the executor hands each call a disjoint
                 // `[lo, hi)` within `[0, rows)`, so each call's rows alias
                 // no other call's, and `u` lies before `tail` in `a`.
-                let block = unsafe {
-                    std::slice::from_raw_parts_mut(tail.get().add(lo * n), (hi - lo) * n)
-                };
-                update_trailing(block, u, n, j0, j1);
+                unsafe {
+                    tail.with_claim(lo * n, hi * n, |block| update_trailing(block, u, n, j0, j1))
+                }
             };
             let shards = par.exec.run_ranges(rows, TILE_ROWS, &task);
             if shards > 1 {
@@ -374,21 +371,6 @@ fn factor_in_place(
         }
     }
     Ok((perm, swaps))
-}
-
-/// The trailing rows' base pointer, sent to the shards of one update.
-struct RowsPtr(*mut f64);
-// SAFETY: shards write pairwise-disjoint row ranges of the block (the
-// `RangeExecutor` contract), so sending the pointer cannot alias a write.
-unsafe impl Send for RowsPtr {}
-// SAFETY: as above; concurrent shards never touch the same row.
-unsafe impl Sync for RowsPtr {}
-
-impl RowsPtr {
-    /// Accessor, so closures capture the `Sync` wrapper, not the pointer.
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
 }
 
 /// `x -= l·u` for the panel's `k` in order, on the whole rows in `block`

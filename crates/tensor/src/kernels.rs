@@ -23,6 +23,8 @@
 use crate::eltops::Element;
 use crate::view::ViewGeom;
 
+pub use crate::shard::ShardSlice;
+
 /// A data-parallel range executor: the substrate the parallel reduction
 /// and scan kernels ([`par_reduce_axis`], [`par_scan_axis`]) shard their
 /// lanes (and a single reduction lane's canonical blocks) over.
@@ -45,6 +47,8 @@ pub trait RangeExecutor: Sync {
     ///
     /// `task` may be invoked from multiple threads at once, but always
     /// with pairwise-disjoint `[lo, hi)` ranges covering `[0, n)` exactly.
+    /// A task writes memory other shards can see only through a
+    /// [`ShardSlice`], which states the soundness argument once.
     fn run_ranges(&self, n: usize, grain: usize, task: &(dyn Fn(usize, usize) + Sync)) -> usize;
 }
 
@@ -88,24 +92,6 @@ pub fn shard_ranges(n: usize, shards: usize, grain: usize) -> Vec<(usize, usize)
         lo_block = hi_block;
     }
     out
-}
-
-/// Raw pointer that may cross threads. Safety rests on the caller handing
-/// each thread a disjoint element range (the [`RangeExecutor`] contract).
-struct SyncPtr<T>(*mut T);
-// SAFETY: every user hands each thread a disjoint element range (the
-// [`RangeExecutor`] contract documented above), so moving the pointer to
-// another thread cannot create an aliased write.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: as above — concurrent shards never touch the same element.
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare `*mut T`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
 }
 
 /// Iterate `N` same-shaped views in lock-step, invoking `f` with the base
@@ -182,13 +168,10 @@ pub fn fill<T: Element>(out: &mut [T], ov: &ViewGeom, value: T) {
         out[start..end].fill(value);
         return;
     }
-    let ptr = out.as_mut_ptr();
     let len = out.len();
     zip_offsets([ov], |[o]| {
         assert!(o < len, "view escapes buffer");
-        // SAFETY: bounds asserted above; offsets are distinct per logical
-        // element or harmlessly rewritten with the same value.
-        unsafe { *ptr.add(o) = value };
+        out[o] = value;
     });
 }
 
@@ -217,7 +200,6 @@ pub fn reduce_axis<T: Element>(
         reduced.shape(),
         "output shape must drop the reduced axis"
     );
-    let optr = out.as_mut_ptr();
     let (olen, ilen) = (out.len(), input.len());
     zip_offsets([ov, &reduced], |[o, base]| {
         let mut acc = init;
@@ -229,8 +211,7 @@ pub fn reduce_axis<T: Element>(
             off += axis_stride;
         }
         assert!(o < olen, "view escapes buffer");
-        // SAFETY: bounds asserted; out is a distinct slice from input.
-        unsafe { *optr.add(o) = acc };
+        out[o] = acc;
     });
 }
 
@@ -257,7 +238,6 @@ pub fn accumulate_axis<T: Element>(
     let out_stride = ov.dims()[axis].stride;
     let in_lanes = remove_axis(iv, axis);
     let out_lanes = remove_axis(ov, axis);
-    let optr = out.as_mut_ptr();
     let (olen, ilen) = (out.len(), input.len());
     zip_offsets([&out_lanes, &in_lanes], |[obase, ibase]| {
         let mut acc: Option<T> = None;
@@ -272,8 +252,7 @@ pub fn accumulate_axis<T: Element>(
                 None => v,
                 Some(a) => f(a, v),
             };
-            // SAFETY: bounds asserted; lanes write disjoint elements.
-            unsafe { *optr.add(o) = next };
+            out[o] = next;
             acc = Some(next);
             ioff += in_stride;
             ooff += out_stride;
@@ -403,10 +382,10 @@ pub fn par_reduce_lane<T: Element>(
     assert_lane_in(input.len(), base, len, stride);
     let nblocks = len.div_ceil(REDUCE_BLOCK);
     let mut partials = vec![init; nblocks];
-    let pptr = SyncPtr(partials.as_mut_ptr());
+    let shared = ShardSlice::new(&mut partials);
     let put = |b: usize, p: T| {
-        // SAFETY: block indices are unique across disjoint ranges.
-        unsafe { *pptr.get().add(b) = p }
+        // SAFETY: block `b` lies in this shard's range, and `b < nblocks`.
+        unsafe { shared.write(b, p) }
     };
     let shards = exec.run_ranges(len, REDUCE_BLOCK, &|lo, hi| {
         // `lo` is a multiple of REDUCE_BLOCK (grain contract), so the
@@ -471,12 +450,12 @@ pub fn par_reduce_axis<T: Element>(
         out[o] = value;
         return shards;
     }
-    let optr = SyncPtr(out.as_mut_ptr());
+    let out = ShardSlice::new(out);
     let put = |o: usize, acc: T| {
         assert!(o < olen, "view escapes buffer");
         // SAFETY: bounds asserted; output offsets are unique per lane and
-        // lanes are partitioned disjointly across ranges.
-        unsafe { *optr.get().add(o) = acc };
+        // this shard's lanes are its own.
+        unsafe { out.write(o, acc) };
     };
     exec.run_ranges(lanes.len(), 1, &|lo, hi| {
         for chunk in lanes[lo..hi].chunks(LOCKSTEP_LANES) {
@@ -554,23 +533,23 @@ pub fn par_scan_axis<T: Element>(
     let mut lanes: Vec<(usize, usize)> = Vec::with_capacity(in_lanes.nelem());
     zip_offsets([&out_lanes, &in_lanes], |[o, i]| lanes.push((o, i)));
     let (olen, ilen) = (out.len(), input.len());
-    let optr = SyncPtr(out.as_mut_ptr());
+    let out = ShardSlice::new(out);
     exec.run_ranges(lanes.len(), 1, &|lo, hi| {
         for &(obase, ibase) in &lanes[lo..hi] {
             assert_lane_in(ilen, ibase, axis_len, in_stride);
             assert_lane_in(olen, obase, axis_len, out_stride);
             let (mut ioff, mut ooff) = (ibase as isize, obase as isize);
             // SAFETY: both lanes were checked by their two ends; lanes
-            // write pairwise-disjoint elements and are partitioned
-            // disjointly across ranges.
+            // write pairwise-disjoint elements, and this shard's lanes are
+            // its own.
             unsafe {
                 let mut acc = *input.get_unchecked(ioff as usize);
-                *optr.get().add(ooff as usize) = acc;
+                out.write(ooff as usize, acc);
                 for _ in 1..axis_len {
                     ioff += in_stride;
                     ooff += out_stride;
                     acc = f(acc, *input.get_unchecked(ioff as usize));
-                    *optr.get().add(ooff as usize) = acc;
+                    out.write(ooff as usize, acc);
                 }
             }
         }
@@ -904,7 +883,7 @@ mod tests {
         for axis in [0usize, 1] {
             let mut want = vec![0i64; 24];
             accumulate_axis(&mut want, &iv, &input, &iv, axis, |a, b| a + b);
-            for threads in [1usize, 3] {
+            for threads in [1usize, 2, 3] {
                 let mut got = vec![0i64; 24];
                 par_scan_axis(
                     &ScopedExec(threads),

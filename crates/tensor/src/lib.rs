@@ -43,6 +43,7 @@ pub mod kernels;
 mod random;
 mod scalar;
 mod shape;
+mod shard;
 mod tensor;
 mod view;
 
