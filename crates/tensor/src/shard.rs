@@ -75,16 +75,6 @@ impl<'a> ShardSlice<'a> {
         }
     }
 
-    /// Elements in the slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slice has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Run `f` on elements `[lo, hi)` as a `&mut [T]`.
     ///
     /// # Safety
@@ -96,22 +86,25 @@ impl<'a> ShardSlice<'a> {
     /// # Panics
     ///
     /// Panics with "view escapes buffer" when the range is out of
-    /// bounds, and when `T` is not the slice's element type. Debug builds panic with "claims overlap" when the
-    /// range overlaps a live claim, or one another thread made.
+    /// bounds, and when `T` is not the slice's element type. Debug
+    /// builds panic with "claims overlap" when the range overlaps a live
+    /// claim, or one another thread made.
     pub unsafe fn with_claim<T: Element, R>(
         &self,
         lo: usize,
         hi: usize,
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
-        let ptr = self.range::<T>(lo, hi);
+        assert_eq!(T::DTYPE, self.dtype, "ShardSlice element type");
+        assert!(lo <= hi && hi <= self.len, "view escapes buffer");
         #[cfg(debug_assertions)]
         if let Err((l, h)) = self.record().claim(lo, hi) {
             panic!("claims overlap: [{lo}, {hi}) and [{l}, {h})");
         }
-        // SAFETY: `range` checked bounds and type; the caller guarantees
-        // no other access to `[lo, hi)` while `f` runs.
-        let out = f(unsafe { std::slice::from_raw_parts_mut(ptr, hi - lo) });
+        // SAFETY: bounds and type are asserted above; the caller
+        // guarantees no other access to `[lo, hi)` while `f` runs.
+        let out =
+            f(unsafe { std::slice::from_raw_parts_mut(self.ptr.cast::<T>().add(lo), hi - lo) });
         #[cfg(debug_assertions)]
         self.record().release(lo, hi);
         out
@@ -127,14 +120,6 @@ impl<'a> ShardSlice<'a> {
         debug_assert!(T::DTYPE == self.dtype && i < self.len);
         // SAFETY: in bounds, typed and exclusive by the caller's contract.
         unsafe { self.ptr.cast::<T>().add(i).write(value) }
-    }
-
-    /// Pointer to element `lo`, once `[lo, hi)` is checked to be in
-    /// bounds and `T` to be the element type.
-    fn range<T: Element>(&self, lo: usize, hi: usize) -> *mut T {
-        assert_eq!(T::DTYPE, self.dtype, "ShardSlice element type");
-        assert!(lo <= hi && hi <= self.len, "view escapes buffer");
-        self.ptr.cast::<T>().wrapping_add(lo)
     }
 
     #[cfg(debug_assertions)]
