@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn scalar_bits_round_trip_every_dtype() {
         for &dtype in &ALL_DTYPES {
-            let c = Scalar::from_f64(1.0, dtype);
+            let c = Scalar::from_i64(1, dtype);
             let back = scalar_from_bits(dtype, c.to_bits()).unwrap();
             assert_eq!(c, back, "{dtype}");
         }

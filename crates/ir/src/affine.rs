@@ -119,7 +119,7 @@ impl Affine {
             return (self, next);
         };
         // Exact: `r` is a power of two.
-        let over_p = |c: Scalar| Scalar::from_f64(c.as_f64() * r.as_f64(), dtype);
+        let over_p = |c: Scalar| Scalar::F64(c.as_f64() * r.as_f64()).cast(dtype);
         let lower = match self {
             Div(d) => Div(over_p(d)),
             Lin(k, b) => Lin(k.map(over_p), b.map(over_p)),
@@ -175,7 +175,7 @@ pub fn dyadic_reciprocal(c: Scalar, dtype: DType) -> Option<Scalar> {
     if !dtype.is_float() || !v.is_normal() || v.to_bits() & MANTISSA != 0 {
         return None;
     }
-    let r = Scalar::from_f64(1.0 / v, dtype);
+    let r = Scalar::F64(1.0 / v).cast(dtype);
     r.as_f64().is_finite().then_some(r)
 }
 
@@ -187,7 +187,7 @@ const MANTISSA: u64 = (1 << 52) - 1;
 fn binade(k: Option<Scalar>) -> Option<Scalar> {
     let (dtype, v) = k.map(|k| (k.dtype(), k.as_f64()))?;
     (dtype.is_float() && v.is_normal())
-        .then(|| Scalar::from_f64(f64::from_bits(v.to_bits() & !MANTISSA), dtype))
+        .then(|| Scalar::F64(f64::from_bits(v.to_bits() & !MANTISSA)).cast(dtype))
 }
 
 /// `Div(d)`, when the algebra keeps a divide by `d`.

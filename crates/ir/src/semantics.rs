@@ -129,7 +129,7 @@ fn float<T: Element, K: Kernel>(op: Opcode, k: K) -> K::Out {
         };
     }
     match op {
-        Opcode::Arctan2 => k.map2(|a: T, b: T| T::from_f64(a.to_f64().atan2(b.to_f64()))),
+        Opcode::Arctan2 => k.map2(|a: T, b: T| a.to_f64().atan2(b.to_f64()).cast::<T>()),
         Opcode::Sqrt => f64_map1!(f64::sqrt),
         Opcode::Exp => f64_map1!(f64::exp),
         Opcode::Exp2 => f64_map1!(f64::exp2),

@@ -360,8 +360,8 @@ mod tests {
 
     #[test]
     fn element_conversions() {
-        assert_eq!(<i32 as Element>::from_f64(3.7), 3);
-        assert!(<bool as Element>::from_f64(2.0));
+        assert_eq!(3.7f64.cast::<i32>(), 3);
+        assert!(2.0f64.cast::<bool>());
         assert_eq!(true.to_f64(), 1.0);
         assert_eq!(<f32 as Element>::one().to_f64(), 1.0);
     }

@@ -3,6 +3,7 @@
 
 use crate::dtype::DType;
 use crate::scalar::Scalar;
+use crate::shard::{ShardRoot, ShardSlice};
 use std::fmt;
 
 /// Statically typed element: the bridge between Rust generic kernels and the
@@ -48,8 +49,6 @@ pub trait Element:
     fn zero() -> Self;
     /// Multiplicative identity.
     fn one() -> Self;
-    /// Lossy conversion from f64 (used for constants).
-    fn from_f64(v: f64) -> Self;
     /// Lossy conversion to f64 (used for comparisons in tests).
     fn to_f64(self) -> f64;
 
@@ -104,7 +103,9 @@ pub trait Element:
     fn highest() -> Self;
 }
 
-mod private {
+pub(crate) mod private {
+    use crate::shard::{ShardRoot, ShardSlice};
+
     /// An element's value in the widest type of its kind: what
     /// [`super::Element::cast`] converts through. Bools are 0 or 1, and a
     /// float widens to `f64` exactly.
@@ -119,6 +120,10 @@ mod private {
         fn widen(self) -> Wide;
         fn narrow(w: Wide) -> Self;
         fn scalar(self) -> super::Scalar;
+        /// A [`crate::shard::ShardRoot`] holding `slice`.
+        fn root(slice: ShardSlice<'_, Self>) -> ShardRoot<'_>;
+        /// `root`'s slice, if it holds `Self`.
+        fn shard<'r, 'a>(root: &'r ShardRoot<'a>) -> Option<&'r ShardSlice<'a, Self>>;
     }
 }
 
@@ -142,13 +147,16 @@ macro_rules! impl_int {
                 }
             }
             #[inline] fn scalar(self) -> Scalar { Scalar::$s(self) }
+            #[inline] fn root(slice: ShardSlice<'_, Self>) -> ShardRoot<'_> { ShardRoot::$s(slice) }
+            #[inline] fn shard<'r, 'a>(root: &'r ShardRoot<'a>) -> Option<&'r ShardSlice<'a, Self>> {
+                match root { ShardRoot::$s(slice) => Some(slice), _ => None }
+            }
         }
 
         impl Element for $t {
             const DTYPE: DType = DType::$d;
             #[inline] fn zero() -> Self { 0 }
             #[inline] fn one() -> Self { 1 }
-            #[inline] fn from_f64(v: f64) -> Self { v as $t }
             #[inline] fn to_f64(self) -> f64 { self as f64 }
             #[inline] fn bh_add(self, b: Self) -> Self { self.wrapping_add(b) }
             #[inline] fn bh_sub(self, b: Self) -> Self { self.wrapping_sub(b) }
@@ -227,13 +235,16 @@ macro_rules! impl_float {
                 }
             }
             #[inline] fn scalar(self) -> Scalar { Scalar::$s(self) }
+            #[inline] fn root(slice: ShardSlice<'_, Self>) -> ShardRoot<'_> { ShardRoot::$s(slice) }
+            #[inline] fn shard<'r, 'a>(root: &'r ShardRoot<'a>) -> Option<&'r ShardSlice<'a, Self>> {
+                match root { ShardRoot::$s(slice) => Some(slice), _ => None }
+            }
         }
 
         impl Element for $t {
             const DTYPE: DType = DType::$d;
             #[inline] fn zero() -> Self { 0.0 }
             #[inline] fn one() -> Self { 1.0 }
-            #[inline] fn from_f64(v: f64) -> Self { v as $t }
             #[inline] fn to_f64(self) -> f64 { self as f64 }
             #[inline] fn bh_add(self, b: Self) -> Self { self + b }
             #[inline] fn bh_sub(self, b: Self) -> Self { self - b }
@@ -286,6 +297,17 @@ impl private::Sealed for bool {
     fn scalar(self) -> Scalar {
         Scalar::Bool(self)
     }
+    #[inline]
+    fn root(slice: ShardSlice<'_, Self>) -> ShardRoot<'_> {
+        ShardRoot::Bool(slice)
+    }
+    #[inline]
+    fn shard<'r, 'a>(root: &'r ShardRoot<'a>) -> Option<&'r ShardSlice<'a, Self>> {
+        match root {
+            ShardRoot::Bool(slice) => Some(slice),
+            _ => None,
+        }
+    }
 }
 
 impl Element for bool {
@@ -297,10 +319,6 @@ impl Element for bool {
     #[inline]
     fn one() -> Self {
         true
-    }
-    #[inline]
-    fn from_f64(v: f64) -> Self {
-        v != 0.0
     }
     #[inline]
     fn to_f64(self) -> f64 {

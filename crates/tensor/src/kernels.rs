@@ -23,7 +23,7 @@
 use crate::eltops::Element;
 use crate::view::ViewGeom;
 
-pub use crate::shard::ShardSlice;
+pub use crate::shard::{ShardRoot, ShardSlice};
 
 /// A data-parallel range executor: the substrate the parallel reduction
 /// and scan kernels ([`par_reduce_axis`], [`par_scan_axis`]) shard their

@@ -61,7 +61,7 @@ fn sample(rng: &mut StdRng, dtype: DType, dist: Distribution) -> Scalar {
                 Distribution::Range(lo, hi) => rng.gen_range(lo..hi),
                 Distribution::NonZero => rng.gen_range(1.0..2.0),
             };
-            Scalar::from_f64(v, d)
+            Scalar::F64(v).cast(d)
         }
         d => {
             let (lo, hi) = match dist {

@@ -69,30 +69,12 @@ impl Scalar {
 
     /// The additive identity of `dtype`.
     pub fn zero(dtype: DType) -> Scalar {
-        Scalar::from_f64(0.0, dtype)
+        Scalar::from_i64(0, dtype)
     }
 
     /// The multiplicative identity of `dtype`.
     pub fn one(dtype: DType) -> Scalar {
-        Scalar::from_f64(1.0, dtype)
-    }
-
-    /// Build a scalar of `dtype` from an `f64`, with C-style truncation for
-    /// integer targets (saturating at the type bounds like `as` casts).
-    pub fn from_f64(v: f64, dtype: DType) -> Scalar {
-        match dtype {
-            DType::Bool => Scalar::Bool(v != 0.0),
-            DType::UInt8 => Scalar::U8(v as u8),
-            DType::UInt16 => Scalar::U16(v as u16),
-            DType::UInt32 => Scalar::U32(v as u32),
-            DType::UInt64 => Scalar::U64(v as u64),
-            DType::Int8 => Scalar::I8(v as i8),
-            DType::Int16 => Scalar::I16(v as i16),
-            DType::Int32 => Scalar::I32(v as i32),
-            DType::Int64 => Scalar::I64(v as i64),
-            DType::Float32 => Scalar::F32(v as f32),
-            DType::Float64 => Scalar::F64(v),
-        }
+        Scalar::from_i64(1, dtype)
     }
 
     /// Build a scalar of `dtype` from an `i64` without an f64 round-trip,
@@ -348,7 +330,7 @@ impl FromStr for Scalar {
                         return Ok(Scalar::from_i64(i, dtype));
                     }
                     let f: f64 = body.parse().map_err(|_| err())?;
-                    return Ok(Scalar::from_f64(f, dtype));
+                    return Ok(Scalar::F64(f).cast(dtype));
                 }
             }
         }
@@ -447,6 +429,20 @@ mod tests {
         assert_eq!("3i32".parse::<Scalar>().unwrap(), Scalar::I32(3));
         assert_eq!("1.5f32".parse::<Scalar>().unwrap(), Scalar::F32(1.5));
         assert_eq!("255u8".parse::<Scalar>().unwrap(), Scalar::U8(255));
+    }
+
+    #[test]
+    fn an_out_of_range_typed_literal_follows_the_cast_rule() {
+        // A typed literal is its value cast by the one rule: `300.5u8`
+        // truncates to 300 and wraps to 44, as `300u8` does.
+        let want = Scalar::F64(300.5).cast(DType::UInt8);
+        assert_eq!(want, Scalar::U8(44));
+        assert_eq!("300.5u8".parse::<Scalar>().unwrap(), want);
+        assert_eq!("300u8".parse::<Scalar>().unwrap(), want);
+        assert_eq!(
+            "-1.5e3i8".parse::<Scalar>().unwrap(),
+            Scalar::F64(-1500.0).cast(DType::Int8)
+        );
     }
 
     #[test]

@@ -1,32 +1,36 @@
 //! [`ShardSlice`]: the one way a write crosses the shards of a
 //! [`RangeExecutor::run_ranges`](crate::kernels::RangeExecutor::run_ranges)
-//! call.
+//! call, and [`ShardRoot`], a buffer's `ShardSlice` of whatever element
+//! type it holds.
 
-use crate::dtype::DType;
+use crate::buffer::Buffer;
+use crate::eltops::private::Sealed as _;
 use crate::eltops::Element;
+use crate::with_dtype;
 use std::fmt;
 use std::marker::PhantomData;
 
 /// A slice shared by the shards of one
 /// [`RangeExecutor::run_ranges`](crate::kernels::RangeExecutor::run_ranges)
-/// call, each of which reads and writes elements no other shard touches.
+/// call, each of which reads and writes elements no other shard writes.
 ///
-/// It is built once per run from a whole `&mut [T]`
-/// ([`ShardSlice::new`]) and borrows it until dropped, so every pointer
-/// the shards use into the slice is derived from that one root. Its
-/// element type is a run-time tag, as for [`crate::Buffer`]: each access
-/// names its element type, and a claim checks it against the tag (a
-/// single-element access in debug builds).
+/// It is built once per run from a whole `&mut [T]` ([`ShardSlice::new`]),
+/// or from a whole `&[T]` that the run only reads
+/// ([`ShardSlice::read_only`]), and borrows it until dropped, so every
+/// pointer the shards use into the slice is derived from that one root.
 ///
 /// A shard that owns a contiguous range borrows it as a `&mut [T]`
-/// ([`ShardSlice::with_claim`]); a strided walk or a per-block partial
-/// writes single elements ([`ShardSlice::write`]). Both methods are
-/// `unsafe`: the executor's partition of `[0, n)` is what keeps two
-/// shards' elements apart, and no check in a release build sees it.
+/// ([`ShardSlice::with_claim`]) and reads one as a `&[T]`
+/// ([`ShardSlice::read_range`]); a strided walk or a per-block partial
+/// writes and reads single elements ([`ShardSlice::write`],
+/// [`ShardSlice::read`]). All four are `unsafe`: the executor's partition
+/// of `[0, n)` is what keeps two shards' elements apart, and no check in a
+/// release build sees it.
 ///
 /// Debug builds record each claim, never each element: two claims that
-/// are alive at once must not overlap, and no two threads may claim
-/// overlapping ranges during the slice's life. A broken partition panics
+/// are alive at once must not overlap, no two threads may claim
+/// overlapping ranges during the slice's life, and a range read must not
+/// overlap a live claim or another thread's. A broken partition panics
 /// with "claims overlap".
 ///
 /// # Soundness
@@ -37,38 +41,49 @@ use std::marker::PhantomData;
 ///
 /// 1. the storage outlives every shard: the slice borrows it for `'a`,
 ///    and `run_ranges` returns only after its last shard did;
-/// 2. every access is in bounds: a claim asserts its range, and a
-///    single-element write is in a range the caller checked;
-/// 3. every access has the element type the slice was built from (the
-///    dtype tag names exactly one [`Element`] type);
+/// 2. every access is in bounds: a claim or a range read asserts its
+///    range, and a single-element access is in a range the caller
+///    checked;
+/// 3. every write goes to storage borrowed mutably: a claim asserts it,
+///    and a single-element write is the caller's promise;
 /// 4. while one thread writes an element, no other thread reads or
 ///    writes it: the caller of each `unsafe` method guarantees it, by
 ///    touching only elements of the shard it runs (the `RangeExecutor`
 ///    contract hands out pairwise-disjoint ranges).
-pub struct ShardSlice<'a> {
-    ptr: *mut u8,
+pub struct ShardSlice<'a, T> {
+    ptr: *mut T,
     len: usize,
-    dtype: DType,
+    writable: bool,
     #[cfg(debug_assertions)]
     claims: std::sync::Mutex<claims::Claims>,
-    borrow: PhantomData<&'a mut [u8]>,
+    borrow: PhantomData<&'a mut [T]>,
 }
 
 // SAFETY: see "Soundness" above. `ptr` is a borrow of `'a` storage whose
-// elements (all `Send + Sync`) are touched by one thread at a time;
-// `len` and `dtype` are plain values and `claims` is a mutex.
-unsafe impl Send for ShardSlice<'_> {}
+// elements (`Send + Sync`) are touched by one thread at a time; `len`
+// and `writable` are plain values and `claims` is a mutex.
+unsafe impl<T: Send + Sync> Send for ShardSlice<'_, T> {}
 // SAFETY: as for `Send`: shared access touches each element from one
 // thread at a time, by the contract of the `unsafe` methods.
-unsafe impl Sync for ShardSlice<'_> {}
+unsafe impl<T: Send + Sync> Sync for ShardSlice<'_, T> {}
 
-impl<'a> ShardSlice<'a> {
+impl<'a, T: Element> ShardSlice<'a, T> {
     /// The shards' view of a slice they read and write.
-    pub fn new<T: Element>(data: &'a mut [T]) -> ShardSlice<'a> {
+    pub fn new(data: &'a mut [T]) -> ShardSlice<'a, T> {
+        Self::from_raw(data.as_mut_ptr(), data.len(), true)
+    }
+
+    /// The shards' view of a slice they only read: [`Self::with_claim`]
+    /// panics on it, and [`Self::write`] must not be called.
+    pub fn read_only(data: &'a [T]) -> ShardSlice<'a, T> {
+        Self::from_raw(data.as_ptr().cast_mut(), data.len(), false)
+    }
+
+    fn from_raw(ptr: *mut T, len: usize, writable: bool) -> ShardSlice<'a, T> {
         ShardSlice {
-            ptr: data.as_mut_ptr().cast(),
-            len: data.len(),
-            dtype: T::DTYPE,
+            ptr,
+            len,
+            writable,
             #[cfg(debug_assertions)]
             claims: Default::default(),
             borrow: PhantomData,
@@ -86,56 +101,134 @@ impl<'a> ShardSlice<'a> {
     /// # Panics
     ///
     /// Panics with "view escapes buffer" when the range is out of
-    /// bounds, and when `T` is not the slice's element type. Debug
-    /// builds panic with "claims overlap" when the range overlaps a live
-    /// claim, or one another thread made.
-    pub unsafe fn with_claim<T: Element, R>(
-        &self,
-        lo: usize,
-        hi: usize,
-        f: impl FnOnce(&mut [T]) -> R,
-    ) -> R {
-        assert_eq!(T::DTYPE, self.dtype, "ShardSlice element type");
+    /// bounds, and when the slice is read-only. Debug builds panic with
+    /// "claims overlap" when the range overlaps a live claim, or one
+    /// another thread made.
+    pub unsafe fn with_claim<R>(&self, lo: usize, hi: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+        assert!(self.writable, "claim on a read-only ShardSlice");
         assert!(lo <= hi && hi <= self.len, "view escapes buffer");
         #[cfg(debug_assertions)]
-        if let Err((l, h)) = self.record().claim(lo, hi) {
-            panic!("claims overlap: [{lo}, {hi}) and [{l}, {h})");
+        {
+            let clash = self.record().claim(lo, hi);
+            if let Err((l, h)) = clash {
+                panic!("claims overlap: [{lo}, {hi}) and [{l}, {h})");
+            }
         }
-        // SAFETY: bounds and type are asserted above; the caller
-        // guarantees no other access to `[lo, hi)` while `f` runs.
-        let out =
-            f(unsafe { std::slice::from_raw_parts_mut(self.ptr.cast::<T>().add(lo), hi - lo) });
+        // SAFETY: in bounds and mutably borrowed, asserted above; the
+        // caller guarantees no other access to `[lo, hi)` while `f` runs.
+        let out = f(unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) });
         #[cfg(debug_assertions)]
         self.record().release(lo, hi);
         out
+    }
+
+    /// Elements `[lo, hi)` as a `&[T]`.
+    ///
+    /// # Safety
+    ///
+    /// While the returned slice lives, no thread writes an element of
+    /// `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::with_claim`], except that a read-only slice is fine.
+    pub unsafe fn read_range(&self, lo: usize, hi: usize) -> &[T] {
+        assert!(lo <= hi && hi <= self.len, "view escapes buffer");
+        #[cfg(debug_assertions)]
+        {
+            let clash = self.record().clash(lo, hi);
+            if let Some((l, h)) = clash {
+                panic!("claims overlap: read [{lo}, {hi}) and [{l}, {h})");
+            }
+        }
+        // SAFETY: in bounds, asserted above; the caller guarantees no
+        // write to `[lo, hi)` while the slice lives.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(lo), hi - lo) }
     }
 
     /// Write element `i`.
     ///
     /// # Safety
     ///
-    /// `i < len()`, `T` is the slice's element type, and no other thread
-    /// reads or writes element `i` during the run.
-    pub unsafe fn write<T: Element>(&self, i: usize, value: T) {
-        debug_assert!(T::DTYPE == self.dtype && i < self.len);
-        // SAFETY: in bounds, typed and exclusive by the caller's contract.
-        unsafe { self.ptr.cast::<T>().add(i).write(value) }
+    /// `i < len`, the slice is not read-only, and no other thread reads
+    /// or writes element `i` during the run.
+    pub unsafe fn write(&self, i: usize, value: T) {
+        debug_assert!(self.writable && i < self.len);
+        // SAFETY: in bounds, writable and exclusive by the caller's
+        // contract.
+        unsafe { self.ptr.add(i).write(value) }
+    }
+
+    /// Read element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i < len`, and no other thread writes element `i` during the run.
+    pub unsafe fn read(&self, i: usize) -> T {
+        debug_assert!(i < self.len);
+        // SAFETY: in bounds and unraced by the caller's contract.
+        unsafe { self.ptr.add(i).read() }
     }
 
     #[cfg(debug_assertions)]
     fn record(&self) -> std::sync::MutexGuard<'_, claims::Claims> {
         self.claims
             .lock()
-            .expect("no claim panics while it holds the record")
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
-impl fmt::Debug for ShardSlice<'_> {
+impl<T> fmt::Debug for ShardSlice<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardSlice")
             .field("len", &self.len)
-            .field("dtype", &self.dtype)
+            .field("writable", &self.writable)
             .finish()
+    }
+}
+
+/// The [`ShardSlice`] of one [`Buffer`], of whatever element type it
+/// holds: a table of them, one per register, is the single root of every
+/// pointer a fused run takes into its buffers.
+#[derive(Debug)]
+#[allow(missing_docs)]
+pub enum ShardRoot<'a> {
+    Bool(ShardSlice<'a, bool>),
+    U8(ShardSlice<'a, u8>),
+    U16(ShardSlice<'a, u16>),
+    U32(ShardSlice<'a, u32>),
+    U64(ShardSlice<'a, u64>),
+    I8(ShardSlice<'a, i8>),
+    I16(ShardSlice<'a, i16>),
+    I32(ShardSlice<'a, i32>),
+    I64(ShardSlice<'a, i64>),
+    F32(ShardSlice<'a, f32>),
+    F64(ShardSlice<'a, f64>),
+}
+
+impl<'a> ShardRoot<'a> {
+    /// A buffer the run writes: its storage is un-shared first
+    /// ([`Buffer::as_mut_slice`]).
+    pub fn new(buffer: &'a mut Buffer) -> ShardRoot<'a> {
+        with_dtype!(buffer.dtype(), T, {
+            let data = buffer
+                .as_mut_slice::<T>()
+                .expect("dtype matches the buffer");
+            T::root(ShardSlice::new(data))
+        })
+    }
+
+    /// A buffer the run only reads.
+    pub fn read_only(buffer: &'a Buffer) -> ShardRoot<'a> {
+        with_dtype!(buffer.dtype(), T, {
+            let data = buffer.as_slice::<T>().expect("dtype matches the buffer");
+            T::root(ShardSlice::read_only(data))
+        })
+    }
+
+    /// The slice, if `T` is the buffer's element type.
+    pub fn get<T: Element>(&self) -> Option<&ShardSlice<'a, T>> {
+        T::shard(self)
     }
 }
 
@@ -158,22 +251,28 @@ mod claims {
     }
 
     impl Claims {
+        /// The live claim, or another thread's claimed range, that
+        /// `[lo, hi)` overlaps.
+        pub(super) fn clash(&self, lo: usize, hi: usize) -> Option<(usize, usize)> {
+            let me = std::thread::current().id();
+            let live = self.live.iter().copied().find(|&r| overlap(r, (lo, hi)));
+            live.or_else(|| {
+                self.owned
+                    .iter()
+                    .find(|&&(t, l, h)| t != me && overlap((l, h), (lo, hi)))
+                    .map(|&(_, l, h)| (l, h))
+            })
+        }
+
         /// Record `[lo, hi)`, or return the range it overlaps.
         pub(super) fn claim(&mut self, lo: usize, hi: usize) -> Result<(), (usize, usize)> {
             if lo == hi {
                 return Ok(());
             }
-            let me = std::thread::current().id();
-            let clash = self.live.iter().copied().find(|&r| overlap(r, (lo, hi)));
-            let clash = clash.or_else(|| {
-                self.owned
-                    .iter()
-                    .find(|&&(t, l, h)| t != me && overlap((l, h), (lo, hi)))
-                    .map(|&(_, l, h)| (l, h))
-            });
-            if let Some(range) = clash {
+            if let Some(range) = self.clash(lo, hi) {
                 return Err(range);
             }
+            let me = std::thread::current().id();
             self.live.push((lo, hi));
             match self
                 .owned
@@ -317,11 +416,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ShardSlice element type")]
-    fn a_claim_of_another_element_type_panics() {
-        let mut data = [0u8; 4];
+    #[should_panic(expected = "claim on a read-only ShardSlice")]
+    fn a_read_only_slice_refuses_claims() {
+        let data = [0u8; 4];
+        let shared = ShardSlice::read_only(&data);
+        // SAFETY: one thread; the slice refuses the claim.
+        unsafe { shared.with_claim(0, 4, |_| {}) };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "claims overlap")]
+    fn a_read_of_a_live_claim_panics_in_debug_builds() {
+        let mut data = [0i32; 8];
         let shared = ShardSlice::new(&mut data);
-        // SAFETY: one thread; the type check refuses the claim.
-        unsafe { shared.with_claim(0, 4, |_: &mut [i8]| {}) };
+        // SAFETY: one thread; the record refuses the read before a `&`
+        // to elements 2..4 exists beside the `&mut`.
+        unsafe {
+            shared.with_claim(0, 4, |_| {
+                shared.read_range(2, 6);
+            });
+        }
+    }
+
+    #[test]
+    fn a_root_hands_out_its_buffers_element_type_only() {
+        let mut buffer = Buffer::from_vec(vec![1.5f32, 2.5]);
+        let root = ShardRoot::new(&mut buffer);
+        assert!(root.get::<f64>().is_none());
+        let slice = root.get::<f32>().expect("the buffer holds f32");
+        // SAFETY: one thread.
+        unsafe { slice.with_claim(0, 2, |s| s[1] = s[0] * 4.0) };
+        drop(root);
+        assert_eq!(buffer.as_slice::<f32>(), Some(&[1.5, 6.0][..]));
     }
 }

@@ -123,10 +123,10 @@ mod tests {
     impl Kernel for At {
         type Out = f64;
         fn map1<I: Element, O: Element>(self, f: impl Fn(I) -> O) -> f64 {
-            f(I::from_f64(self.0)).to_f64()
+            f(self.0.cast::<I>()).to_f64()
         }
         fn map2<I: Element, O: Element>(self, f: impl Fn(I, I) -> O) -> f64 {
-            f(I::from_f64(self.0), I::from_f64(self.1)).to_f64()
+            f(self.0.cast::<I>(), self.1.cast::<I>()).to_f64()
         }
     }
 

@@ -667,6 +667,63 @@ BH_SYNC z\nBH_SYNC m\n";
         assert_eq!(vm.read_by_name(&p, "s").unwrap(), want);
     }
 
+    /// `program` on the naive engine, and on the fusing engine with
+    /// `block` at one and two threads (every run shards from one element
+    /// on), reading `name`: the values must agree, and the two-thread run
+    /// must have sharded. Returns the two-thread run's counters.
+    fn fused_at_one_and_two_threads(program: &str, block: usize, name: &str) -> ExecStats {
+        let p = parse_program(program).unwrap();
+        let mut naive = Vm::new();
+        naive.run(&p).unwrap();
+        let want = naive.read_by_name(&p, name).unwrap();
+        let mut stats = ExecStats::default();
+        for threads in [1, 2] {
+            let mut vm = Vm::with_engine(Engine::Fusing { block });
+            vm.set_threads(threads).set_par_threshold(1);
+            vm.run(&p).unwrap();
+            assert_eq!(
+                vm.read_by_name(&p, name).unwrap(),
+                want,
+                "{threads} threads"
+            );
+            stats = *vm.stats();
+        }
+        assert!(stats.par_shards > 1, "the two-thread run sharded");
+        stats
+    }
+
+    #[test]
+    fn a_fused_temporary_written_then_read_shards_at_two_threads() {
+        // Small enough for miri. `t` is written by one member of the
+        // group and read by the next, at the same offset, through the
+        // run's one root of it.
+        let text = ".base x f64[16]\n.base t f64[16]\n.base y f64[16]\n\
+                    BH_RANGE x\n\
+                    BH_MULTIPLY t x 3\n\
+                    BH_ADD t t x\n\
+                    BH_SUBTRACT y t x\n\
+                    BH_SYNC y\n";
+        let stats = fused_at_one_and_two_threads(text, 4, "y");
+        assert_eq!(stats.fused_groups, 1);
+    }
+
+    #[test]
+    fn a_fused_chain_feeding_a_reduction_shards_at_two_threads() {
+        // Two canonical reduction blocks, the second a short tail: the
+        // smallest run that shards the fused reduction over two threads.
+        let n = bh_tensor::kernels::REDUCE_BLOCK + 8;
+        let text = format!(
+            ".base x f64[{n}]\n.base s f64[]\n\
+             BH_RANGE x\n\
+             BH_MULTIPLY x x 0.5\n\
+             BH_ADD x x 1\n\
+             BH_ADD_REDUCE s x 0\n\
+             BH_SYNC s\n"
+        );
+        let stats = fused_at_one_and_two_threads(&text, 64, "s");
+        assert_eq!((stats.fused_reductions, stats.reduce_shards), (1, 2));
+    }
+
     #[test]
     fn fused_reduction_matches_unfused_at_every_thread_count() {
         // Long enough to span several canonical partial blocks; the float

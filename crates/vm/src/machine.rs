@@ -37,7 +37,7 @@ use bh_ir::{
     BaseDecl, FirstTouch, Instruction, OpKind, Opcode, Operand, Program, Reg, TypeRule, ViewRef,
 };
 use bh_linalg as linalg;
-use bh_tensor::kernels::{self, RangeExecutor};
+use bh_tensor::kernels::{self, RangeExecutor, ShardRoot, ShardSlice};
 use bh_tensor::{with_dtype, Buffer, DType, Element, Scalar, Shape, Tensor, ViewGeom};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -417,8 +417,8 @@ impl Vm {
 
     /// Execute compiled element-wise instructions — a fused group, or an
     /// unfused contiguous instruction as a group of one — as a single
-    /// kernel: compile every instruction into a range closure over raw
-    /// base pointers, then walk `[0, nelem)` in cache-sized blocks
+    /// kernel: compile every instruction into a range closure over the
+    /// run's [`ShardRoot`]s, then walk `[0, nelem)` in cache-sized blocks
     /// applying the whole chain per block — sharded across the worker
     /// pool when the run is large enough. Shard boundaries are multiples
     /// of `block`, so the block-walk inside each shard is identical to
@@ -436,7 +436,10 @@ impl Vm {
         // run is one kernel — identical counters for 1 or N threads.
         self.stats.kernels += 1;
         self.account_fused_chain(instrs, nelem);
-        let steps = self.prepare_fused_steps(program, instrs, nelem);
+        self.alloc_fused(program, instrs);
+        let pool = self.pool_for(nelem);
+        let roots = shard_roots(&mut self.bases, instrs, None);
+        let steps = compile_steps(&roots, instrs);
         let run_chain = |lo: usize, hi: usize| {
             let mut b = lo;
             while b < hi {
@@ -447,28 +450,14 @@ impl Vm {
                 b = e;
             }
         };
-        match self.workers.clone() {
-            Some(pool) if pool.threads() > 1 && nelem >= self.par_threshold => {
-                let shards = pool.run_ranges(nelem, block, &run_chain);
-                if shards > 1 {
-                    self.stats.par_shards += shards as u64;
-                }
-            }
-            _ => run_chain(0, nelem),
+        let shards = executor(&pool).run_ranges(nelem, block, &run_chain);
+        if shards > 1 {
+            self.stats.par_shards += shards as u64;
         }
     }
 
-    /// Shared prologue of the compiled paths: materialise every touched
-    /// base, CoW-unshare every *written* buffer **before** any pointer is
-    /// captured (a copy taken after a read pointer would leave that
-    /// reader staring at the stale allocation), then compile each
-    /// instruction over `nelem` elements.
-    fn prepare_fused_steps(
-        &mut self,
-        program: &Program,
-        instrs: &[FusedInstr],
-        nelem: usize,
-    ) -> Vec<FusedStep> {
+    /// Materialise every base a compiled run touches.
+    fn alloc_fused(&mut self, program: &Program, instrs: &[FusedInstr]) {
         for fi in instrs {
             self.ensure_alloc(program, fi.out);
             for input in &fi.inputs {
@@ -477,16 +466,13 @@ impl Vm {
                 }
             }
         }
-        for fi in instrs {
-            let buf = self.bases[fi.out.index()].as_mut().expect("just allocated");
-            with_dtype!(fi.out_dtype, T, {
-                let _ = buf.as_mut_slice::<T>().expect("dtype matches decl");
-            });
-        }
-        instrs
-            .iter()
-            .map(|fi| self.compile_fused_step(fi, nelem))
-            .collect()
+    }
+
+    /// The worker pool a run of `nelem` elements shards over, if any.
+    fn pool_for(&self, nelem: usize) -> Option<Arc<WorkerPool>> {
+        self.workers
+            .clone()
+            .filter(|pool| pool.threads() > 1 && nelem >= self.par_threshold)
     }
 
     /// Analytic per-instruction accounting for a compiled chain or one
@@ -535,7 +521,7 @@ impl Vm {
 
         self.ensure_alloc(program, in_ref.reg);
         self.ensure_alloc(program, out_ref.reg);
-        let steps = self.prepare_fused_steps(program, instrs, nelem);
+        self.alloc_fused(program, instrs);
         // Analytic accounting, shard-independent: chain instructions as in
         // `run_compiled`, plus the reduction's own traffic/flops — the
         // per-instruction totals a naive run would report, under a single
@@ -550,95 +536,36 @@ impl Vm {
         self.account_out(&out_geom, dtype);
         self.stats.flops += rinstr.op.unit_cost() * n;
 
+        // The output is a scalar base of its own (`fusion::find_groups`),
+        // outside the chain's roots.
+        let mut out = self.take_buffer(out_ref.reg)?;
+        let in_len = self.borrow_buffer(in_ref.reg)?.len();
+        assert!(nelem <= in_len, "view escapes buffer");
+        let pool = self.pool_for(nelem);
         let fold = rinstr.op.fold_op().expect("reductions fold");
-        let total_shards = semantics::fold(
-            fold,
-            dtype,
-            FusedReduce {
-                vm: self,
-                steps: &steps,
-                input: in_ref.reg,
-                out: out_ref.reg,
-                out_offset: out_geom.offset(),
-                nelem,
-                block,
-            },
-        );
+        let total_shards = {
+            let roots = shard_roots(&mut self.bases, instrs, Some(in_ref.reg));
+            let steps = compile_steps(&roots, instrs);
+            semantics::fold(
+                fold,
+                dtype,
+                FusedReduce {
+                    executor: executor(&pool),
+                    steps: &steps,
+                    input: trusted(roots[in_ref.reg.index()].as_ref(), "input allocated"),
+                    out: &mut out,
+                    out_offset: out_geom.offset(),
+                    nelem,
+                    block,
+                },
+            )
+        };
+        self.bases[out_ref.reg.index()] = Some(out);
         if total_shards > 1 {
             self.stats.par_shards += total_shards as u64;
             self.stats.reduce_shards += total_shards as u64;
         }
         Ok(())
-    }
-
-    /// Compile one element-wise instruction into a closure executing it
-    /// over an element range `[lo, hi)` of `[0, nelem)` through raw
-    /// pointers at each operand's first run element.
-    ///
-    /// # Safety argument
-    ///
-    /// The closures dereference raw pointers captured from `self.bases`.
-    /// This is sound because (a) every written buffer was un-shared
-    /// before any pointer was taken and no buffer is reallocated until
-    /// the run finishes, and every run was checked to lie inside its
-    /// buffer when its pointer was taken; (b) every view is a contiguous
-    /// run of `nelem` elements, so step index `k` is element `offset + k`
-    /// of each operand and concurrent shards write pairwise-disjoint
-    /// output ranges; (c) an input sharing the output's base either reads
-    /// the output's own element at each `k` (same offset) or no element
-    /// the output run covers ([`fusion::classify_single`] checks it, and
-    /// the verifier's V500 rejects any other alias), and inside a fused
-    /// group every base the group writes is read and written at one
-    /// offset ([`fusion::find_groups`] checks it), so no shard or block
-    /// reads what another writes; and (d) within one shard the chain runs
-    /// in program order, so a step's reads of an element happen before
-    /// any later step's write of it — exactly the serial interpreter's
-    /// order per element.
-    ///
-    /// An input that is the output's own run (same base, same offset) is
-    /// compiled to [`StepIn::Own`]: the loop reads element `k` through the
-    /// output's one [`RawMut`] just before writing it, with no second
-    /// pointer into the same storage. That is exactly the alias (c)
-    /// admits, so the argument above carries over unchanged; the single
-    /// pointer is what lets LLVM vectorise the loop (two pointers that
-    /// are equal fail its runtime overlap check).
-    fn compile_fused_step(&mut self, fi: &FusedInstr, nelem: usize) -> FusedStep {
-        semantics::elementwise(
-            fi.op,
-            fi.in_dtype,
-            fi.out_dtype,
-            Compile {
-                vm: self,
-                fi,
-                nelem,
-            },
-        )
-    }
-
-    /// Raw mutable pointer to element `offset` of a register's (already
-    /// unique) base storage, whose next `nelem` elements the caller writes.
-    fn raw_mut<T: Element>(&mut self, reg: Reg, offset: usize, nelem: usize) -> RawMut<T> {
-        let slice = trusted(
-            self.bases[reg.index()]
-                .as_mut()
-                .and_then(|b| b.as_mut_slice::<T>()),
-            "allocated and dtype matches decl",
-        );
-        assert!(offset + nelem <= slice.len(), "view escapes buffer");
-        RawMut(slice[offset..].as_mut_ptr())
-    }
-
-    /// Raw const pointer to element `offset` of a register's base
-    /// storage, whose next `nelem` elements the caller reads.
-    fn raw_const<T: Element>(&self, reg: Reg, offset: usize, nelem: usize) -> RawConst<T> {
-        let slice = trusted(
-            self.bases[reg.index()]
-                .as_ref()
-                .and_then(|b| b.as_slice::<T>()),
-            "allocated and dtype matches decl",
-        );
-        assert!(offset + nelem <= slice.len(), "view escapes buffer");
-        RawConst(slice[offset..].as_ptr())
     }
 
     fn ensure_slot(&mut self, reg: Reg) {
@@ -727,12 +654,12 @@ impl Vm {
                     if geom.is_contiguous() {
                         let (lo, n) = (geom.offset(), geom.nelem());
                         for (k, x) in slice[lo..lo + n].iter_mut().enumerate() {
-                            *x = <T as Element>::from_f64(k as f64);
+                            *x = (k as u64).cast::<T>();
                         }
                     } else {
                         // Write index values in logical order.
                         for (counter, off) in geom.offsets().enumerate() {
-                            slice[off] = <T as Element>::from_f64(counter as f64);
+                            slice[off] = (counter as u64).cast::<T>();
                         }
                     }
                 });
@@ -1010,7 +937,7 @@ impl Vm {
 
 /// One compiled element-wise instruction: executes the op over the
 /// element range `[lo, hi)` of every operand's contiguous run.
-type FusedStep = Box<dyn Step>;
+type FusedStep<'r> = Box<dyn Step + 'r>;
 
 /// A range loop behind a one-method vtable. A `dyn Fn` vtable also
 /// carries `call_mut` and a `call_once` shim, and LLVM copies each
@@ -1025,167 +952,210 @@ impl<F: Fn(usize, usize) + Send + Sync> Step for F {
     }
 }
 
-/// Raw mutable base pointer that may cross shard threads. Soundness is
-/// argued at [`Vm::compile_fused_step`].
-#[derive(Clone, Copy)]
-struct RawMut<T>(*mut T);
-// SAFETY: the wrapped pointer targets a base buffer that outlives the
-// fused run, and shards write disjoint `[lo, hi)` element ranges (see
-// `Vm::compile_fused_step`), so sending/sharing the pointer across the
-// pool threads cannot race.
-unsafe impl<T: Send> Send for RawMut<T> {}
-// SAFETY: as above — concurrent access is read-or-disjoint-write only.
-unsafe impl<T: Sync> Sync for RawMut<T> {}
-
-impl<T> RawMut<T> {
-    /// Accessor (not field access) so closures capture the `Sync` wrapper.
-    fn get(&self) -> *mut T {
-        self.0
+/// The executor a run shards over: `pool`, or the calling thread.
+fn executor(pool: &Option<Arc<WorkerPool>>) -> &dyn RangeExecutor {
+    match pool {
+        Some(pool) => pool.as_ref(),
+        None => &kernels::InlineExec,
     }
 }
 
-/// Raw const base pointer that may cross shard threads.
-#[derive(Clone, Copy)]
-struct RawConst<T>(*const T);
-// SAFETY: the pointer targets a base buffer that outlives the fused run
-// and is only ever read through this wrapper; shared reads across the
-// pool threads are race-free (see `Vm::compile_fused_step`).
-unsafe impl<T: Send> Send for RawConst<T> {}
-// SAFETY: as above — read-only access for the duration of the run.
-unsafe impl<T: Sync> Sync for RawConst<T> {}
-
-impl<T> RawConst<T> {
-    fn get(&self) -> *const T {
-        self.0
+/// The one root per register of a compiled run: every base the chain
+/// writes, un-shared now and borrowed mutably until the run ends, and
+/// every base it only reads (the chain's inputs and `also_read`),
+/// borrowed shared. Every pointer the run's steps and fold use into a
+/// base is derived from its root.
+fn shard_roots<'a>(
+    bases: &'a mut [Option<Buffer>],
+    instrs: &[FusedInstr],
+    also_read: Option<Reg>,
+) -> Vec<Option<ShardRoot<'a>>> {
+    let mut written = vec![None; bases.len()];
+    let inputs = instrs.iter().flat_map(|fi| &fi.inputs);
+    let read = inputs.filter_map(|input| match input {
+        FusedInput::Reg { reg, .. } => Some(*reg),
+        FusedInput::Const(_) => None,
+    });
+    for reg in read.chain(also_read) {
+        written[reg.index()] = Some(false);
     }
+    for fi in instrs {
+        written[fi.out.index()] = Some(true);
+    }
+    bases
+        .iter_mut()
+        .zip(written)
+        .map(|(slot, written)| match (slot, written) {
+            (Some(buffer), Some(true)) => Some(ShardRoot::new(buffer)),
+            (Some(buffer), Some(false)) => Some(ShardRoot::read_only(buffer)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Compile each instruction of a chain.
+///
+/// # Safety argument
+///
+/// A step reads and writes its operands' runs through the run's
+/// [`ShardRoot`]s, inside `unsafe` calls to [`ShardSlice::with_claim`]
+/// and [`ShardSlice::read_range`] whose contract is this: (a) the roots
+/// borrow every base until the run ends, and every claim and range read
+/// asserts its bounds; (b) every view is a contiguous run of `nelem`
+/// elements, so step index `k` is element `offset + k` of each operand
+/// and concurrent shards write pairwise-disjoint output ranges; (c) an
+/// input sharing the output's base either reads the output's own element
+/// at each `k` (same offset) or no element the output run covers
+/// ([`fusion::classify_single`] checks it, and the verifier's V500
+/// rejects any other alias), and inside a fused group every base the
+/// group writes is read and written at one offset
+/// ([`fusion::find_groups`] checks it), so no shard or block reads what
+/// another writes; and (d) within one shard the chain runs in program
+/// order, so a step's reads of an element happen before any later step's
+/// write of it — exactly the serial interpreter's order per element.
+///
+/// An input that is the output's own run (same base, same offset) is
+/// compiled to [`StepIn::Own`]: the loop reads element `k` from the
+/// output's claimed `&mut` slice just before writing it, with no second
+/// borrow of the same storage. That is exactly the alias (c) admits; the
+/// single slice is what lets LLVM vectorise the loop (two pointers that
+/// are equal fail its runtime overlap check).
+fn compile_steps<'r>(
+    roots: &'r [Option<ShardRoot<'r>>],
+    instrs: &[FusedInstr],
+) -> Vec<FusedStep<'r>> {
+    instrs
+        .iter()
+        .map(|fi| {
+            let compile = Compile { roots, fi };
+            semantics::elementwise(fi.op, fi.in_dtype, fi.out_dtype, compile)
+        })
+        .collect()
+}
+
+/// Run `offset ..` of a base, through the run's root of it.
+#[derive(Clone, Copy)]
+struct Run<'r, T> {
+    slice: &'r ShardSlice<'r, T>,
+    offset: usize,
 }
 
 /// Input of a compiled fused step.
 #[derive(Clone, Copy)]
-enum StepIn<T> {
-    /// First element of a contiguous run, read at the same index as the
-    /// output element.
-    Ptr(RawConst<T>),
+enum StepIn<'r, T> {
+    /// A run read at the same index as the output element.
+    Run(Run<'r, T>),
     /// The output's own run (same base, same offset): read through the
-    /// output pointer, so the loop reads and writes through one pointer.
+    /// output's claimed slice, so the loop reads and writes through one
+    /// slice.
     Own,
     /// Immediate constant, already cast to the operating dtype.
     Const(T),
 }
 
 /// Compiled `out[k] = f(a[k])`.
-fn step1<I: Element, O: Element>(
-    out: RawMut<O>,
-    a: StepIn<I>,
+fn step1<'r, I: Element, O: Element>(
+    out: Run<'r, O>,
+    a: StepIn<'r, I>,
     f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
-) -> FusedStep {
+) -> FusedStep<'r> {
     if let StepIn::Const(c) = a {
         return fill(out, f(c));
     }
     Box::new(move |lo, hi| {
-        let o = out.get();
-        // SAFETY: see `Vm::compile_fused_step` — pointers are live for
-        // the group, ranges are in-bounds and disjoint across shards,
-        // reads of an element precede its write within a shard. An
-        // in-place input reads through the output pointer itself.
+        let Run { slice, offset } = out;
+        // SAFETY: see `compile_steps`: this shard alone touches steps
+        // `[lo, hi)` of the runs it writes, and nothing writes a run it
+        // reads. An in-place input reads the output's own slice, and
+        // then `I` is `O`, so `cast` is the identity.
         unsafe {
-            match a {
-                StepIn::Ptr(pa) => {
-                    for k in lo..hi {
-                        *o.add(k) = f(*pa.get().add(k));
+            slice.with_claim(offset + lo, offset + hi, |o| match a {
+                StepIn::Run(a) => {
+                    let a = a.slice.read_range(a.offset + lo, a.offset + hi);
+                    for (o, &x) in o.iter_mut().zip(a) {
+                        *o = f(x);
                     }
                 }
-                _ if const { same_dtype::<I, O>() } => {
-                    let io = o.cast::<I>();
-                    for k in lo..hi {
-                        *o.add(k) = f(*io.add(k));
-                    }
-                }
-                _ => unreachable!("an in-place input has the output's dtype"),
-            }
+                _ => o.iter_mut().for_each(|o| *o = f(o.cast())),
+            })
         }
     })
 }
 
 /// Compiled `out[k] = v`.
-fn fill<O: Element>(out: RawMut<O>, v: O) -> FusedStep {
+fn fill<O: Element>(out: Run<'_, O>, v: O) -> FusedStep<'_> {
     Box::new(move |lo, hi| {
-        let o = out.get();
+        let Run { slice, offset } = out;
         // SAFETY: as in `step1`.
-        unsafe {
-            for k in lo..hi {
-                *o.add(k) = v;
-            }
-        }
+        unsafe { slice.with_claim(offset + lo, offset + hi, |o| o.fill(v)) }
     })
-}
-
-/// Whether `I` and `O` are one element type: an in-place step input has
-/// its output's dtype, so only then is an in-place loop instantiated.
-const fn same_dtype<I: Element, O: Element>() -> bool {
-    I::DTYPE as u8 == O::DTYPE as u8
 }
 
 /// Compiled `out[k] = f(a[k], b[k])`; a constant operand is bound into
 /// the function of a [`step1`].
-fn step2<I: Element, O: Element>(
-    out: RawMut<O>,
-    a: StepIn<I>,
-    b: StepIn<I>,
+fn step2<'r, I: Element, O: Element>(
+    out: Run<'r, O>,
+    a: StepIn<'r, I>,
+    b: StepIn<'r, I>,
     f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
-) -> FusedStep {
+) -> FusedStep<'r> {
     match (a, b) {
         (StepIn::Const(x), b) => step1(out, b, move |y| f(x, y)),
         (a, StepIn::Const(y)) => step1(out, a, move |x| f(x, y)),
         (a, b) => Box::new(move |lo, hi| {
-            let o = out.get();
-            let io = o.cast::<I>();
-            // SAFETY: as in `step1`; `io` is read only where an input is
-            // in place, and then `I` is `O`.
+            let Run { slice, offset } = out;
+            // SAFETY: as in `step1`.
             unsafe {
-                match (a, b) {
-                    (StepIn::Ptr(pa), StepIn::Ptr(pb)) => {
-                        for k in lo..hi {
-                            *o.add(k) = f(*pa.get().add(k), *pb.get().add(k));
+                slice.with_claim(offset + lo, offset + hi, |o| match (a, b) {
+                    (StepIn::Run(a), StepIn::Run(b)) => {
+                        let a = a.slice.read_range(a.offset + lo, a.offset + hi);
+                        let b = b.slice.read_range(b.offset + lo, b.offset + hi);
+                        for ((o, &x), &y) in o.iter_mut().zip(a).zip(b) {
+                            *o = f(x, y);
                         }
                     }
-                    _ if !const { same_dtype::<I, O>() } => {
-                        unreachable!("an in-place input has the output's dtype")
-                    }
-                    (StepIn::Own, StepIn::Ptr(pb)) => {
-                        for k in lo..hi {
-                            *o.add(k) = f(*io.add(k), *pb.get().add(k));
+                    (StepIn::Own, StepIn::Run(b)) => {
+                        let b = b.slice.read_range(b.offset + lo, b.offset + hi);
+                        for (o, &y) in o.iter_mut().zip(b) {
+                            *o = f(o.cast(), y);
                         }
                     }
-                    (StepIn::Ptr(pa), StepIn::Own) => {
-                        for k in lo..hi {
-                            *o.add(k) = f(*pa.get().add(k), *io.add(k));
+                    (StepIn::Run(a), StepIn::Own) => {
+                        let a = a.slice.read_range(a.offset + lo, a.offset + hi);
+                        for (o, &x) in o.iter_mut().zip(a) {
+                            *o = f(x, o.cast());
                         }
                     }
-                    _ => {
-                        for k in lo..hi {
-                            let x = *io.add(k);
-                            *o.add(k) = f(x, x);
-                        }
-                    }
-                }
+                    _ => o.iter_mut().for_each(|o| {
+                        let x = o.cast();
+                        *o = f(x, x);
+                    }),
+                })
             }
         }),
     }
 }
 
-/// Compiles one element-wise instruction over `nelem` elements into a
-/// [`FusedStep`] ([`Vm::compile_fused_step`]).
-struct Compile<'a> {
-    vm: &'a mut Vm,
-    fi: &'a FusedInstr,
-    nelem: usize,
+/// Compiles one element-wise instruction into a [`FusedStep`]
+/// ([`compile_steps`]).
+struct Compile<'r, 'f> {
+    roots: &'r [Option<ShardRoot<'r>>],
+    fi: &'f FusedInstr,
 }
 
-impl Compile<'_> {
-    /// Step input `i`: a constant, the output's own run, or a pointer at
-    /// another run's first element.
-    fn input<T: Element>(&self, i: usize) -> StepIn<T> {
+impl<'r> Compile<'r, '_> {
+    /// The run at `offset` of `reg`, through the run's root of it.
+    fn run<T: Element>(&self, reg: Reg, offset: usize) -> Run<'r, T> {
+        let root = self.roots[reg.index()].as_ref();
+        let slice = trusted(
+            root.and_then(ShardRoot::get::<T>),
+            "allocated and dtype matches decl",
+        );
+        Run { slice, offset }
+    }
+
+    /// Step input `i`: a constant, the output's own run, or another run.
+    fn input<T: Element>(&self, i: usize) -> StepIn<'r, T> {
         let fi = self.fi;
         match fi.inputs[i] {
             FusedInput::Const(c) => StepIn::Const(c.cast(T::DTYPE).get::<T>()),
@@ -1197,33 +1167,30 @@ impl Compile<'_> {
                 );
                 StepIn::Own
             }
-            FusedInput::Reg { reg, offset } => {
-                StepIn::Ptr(self.vm.raw_const::<T>(reg, offset, self.nelem))
-            }
+            FusedInput::Reg { reg, offset } => StepIn::Run(self.run(reg, offset)),
         }
     }
 
-    /// The output run, taken before any input pointer.
-    fn out<O: Element>(&mut self) -> RawMut<O> {
-        let (fi, nelem) = (self.fi, self.nelem);
-        self.vm.raw_mut::<O>(fi.out, fi.out_offset, nelem)
+    /// The output run.
+    fn out<O: Element>(&self) -> Run<'r, O> {
+        self.run(self.fi.out, self.fi.out_offset)
     }
 }
 
-impl Kernel for Compile<'_> {
-    type Out = FusedStep;
+impl<'r> Kernel for Compile<'r, '_> {
+    type Out = FusedStep<'r>;
 
     fn map1<I: Element, O: Element>(
-        mut self,
+        self,
         f: impl Fn(I) -> O + Copy + Send + Sync + 'static,
-    ) -> FusedStep {
+    ) -> FusedStep<'r> {
         step1(self.out(), self.input(0), f)
     }
 
     fn map2<I: Element, O: Element>(
-        mut self,
+        self,
         f: impl Fn(I, I) -> O + Copy + Send + Sync + 'static,
-    ) -> FusedStep {
+    ) -> FusedStep<'r> {
         step2(self.out(), self.input(0), self.input(1), f)
     }
 }
@@ -1314,10 +1281,12 @@ impl Fold for ReduceScan<'_> {
 /// The chain and fold of a fused reduction group
 /// ([`Vm::run_fused_reduce_group`]). Returns the shard count.
 struct FusedReduce<'a> {
-    vm: &'a mut Vm,
-    steps: &'a [FusedStep],
-    input: Reg,
-    out: Reg,
+    executor: &'a dyn RangeExecutor,
+    steps: &'a [FusedStep<'a>],
+    /// The root of the reduction's input base, which the fold reads
+    /// whole.
+    input: &'a ShardRoot<'a>,
+    out: &'a mut Buffer,
     out_offset: usize,
     nelem: usize,
     block: usize,
@@ -1327,11 +1296,11 @@ impl Fold for FusedReduce<'_> {
     type Out = usize;
 
     fn fold<T: Element>(self, init: T, f: impl Fn(T, T) -> T + Sync) -> usize {
-        let (vm, steps, nelem, block) = (self.vm, self.steps, self.nelem, self.block);
-        let src = vm.raw_const::<T>(self.input, 0, nelem);
+        let (steps, nelem, block) = (self.steps, self.nelem, self.block);
+        let src = trusted(self.input.get::<T>(), "dtype matches decl");
         let nblocks = nelem.div_ceil(kernels::REDUCE_BLOCK);
         let mut partials = vec![init; nblocks];
-        let pptr = RawMut(partials.as_mut_ptr());
+        let shared = ShardSlice::new(&mut partials);
         // The chain runs over each run of canonical blocks the fold is
         // about to read, in engine-block-sized chunks (element-wise, so
         // chunking cannot change values), and the fold reads it from cache.
@@ -1345,33 +1314,21 @@ impl Fold for FusedReduce<'_> {
                 b = e;
             }
         };
-        // SAFETY: same invariants as `compile_fused_step` (buffers
-        // un-shared before capture, disjoint shard ranges, program order
-        // within a shard); the fold reads elements `k` of `[0, nelem)` the
-        // chain finished writing in this same range.
-        let at = |k: usize| unsafe { *src.get().add(k) };
+        // SAFETY: `k < nelem`, which the caller checked against the
+        // input's length, and the chain finished writing element `k` in
+        // this same shard (or never writes the input).
+        let at = |k: usize| unsafe { src.read(k) };
         // SAFETY: partial slots are unique per canonical block, and blocks
         // are unique across disjoint shard ranges.
-        let put = |b: usize, p: T| unsafe { *pptr.get().add(b) = p };
+        let put = |b: usize, p: T| unsafe { shared.write(b, p) };
         // `lo` is a multiple of REDUCE_BLOCK (grain contract), so partial
         // boundaries are the canonical blocks regardless of sharding.
         let run = |lo: usize, hi: usize| kernels::fold_blocks(lo, hi, init, &f, chain, at, put);
-        let shards = match vm.workers.clone() {
-            Some(pool) if pool.threads() > 1 && nelem >= vm.par_threshold => {
-                pool.run_ranges(nelem, kernels::REDUCE_BLOCK, &run)
-            }
-            _ => {
-                run(0, nelem);
-                1
-            }
-        };
+        let shards = self.executor.run_ranges(nelem, kernels::REDUCE_BLOCK, &run);
+        drop(shared);
         // Fixed-order combine: block order, never arrival order.
         let total = partials.into_iter().fold(init, f);
-        let slot = vm.bases[self.out.index()].as_mut();
-        let out = trusted(
-            slot.and_then(Buffer::as_mut_slice::<T>),
-            "allocated, dtype matches decl",
-        );
+        let out = trusted(self.out.as_mut_slice::<T>(), "dtype matches decl");
         assert!(self.out_offset < out.len(), "view escapes buffer");
         out[self.out_offset] = total;
         shards
@@ -1445,13 +1402,10 @@ fn write_tensor_into_view(buffer: &mut Buffer, geom: &ViewGeom, data: &Tensor) {
     with_dtype!(dtype, T, {
         let src = data.as_slice::<T>().expect("cast above");
         let dst = buffer.as_mut_slice::<T>().expect("dtype of buffer");
-        let dst_ptr = dst.as_mut_ptr();
-        let dst_len = dst.len();
         let mut i = 0usize;
         bh_tensor::kernels::zip_offsets([geom], |[o]| {
-            assert!(o < dst_len, "view escapes buffer");
-            // SAFETY: bounds asserted; offsets are per-element unique.
-            unsafe { *dst_ptr.add(o) = src[i] };
+            assert!(o < dst.len(), "view escapes buffer");
+            dst[o] = src[i];
             i += 1;
         });
     });

@@ -6,7 +6,7 @@
 //! values are the boundaries where conversions differ: zero, ±1, every
 //! integer width's edges, 2⁵³ ± 1, `u64::MAX`, ±0.5, ±300.5, ±inf and NaN.
 
-use bohrium_repro::ir::{Instruction, Opcode, Program, ViewRef};
+use bohrium_repro::ir::{parse_program, Instruction, Opcode, Program, ViewRef};
 use bohrium_repro::tensor::{DType, Scalar, Shape, Slice, Tensor, ALL_DTYPES};
 use bohrium_repro::testing::{legs, Compare, Leg};
 
@@ -163,6 +163,26 @@ fn the_cast_rule_on_its_boundary_rows() {
         for &leg in legs() {
             let got = run(&register, leg, Some(&source)).get(&[0]).unwrap();
             assert_eq!(got, want, "{leg}: register {value:?} -> {to}");
+        }
+    }
+}
+
+#[test]
+fn range_values_follow_the_cast_rule() {
+    // `BH_RANGE` writes its counter cast by the one rule: past a narrow
+    // type's edge it wraps, so element 299 of a `u8` range is 43 and
+    // element 128 of an `i8` range is -128.
+    for (dtype, n) in [(DType::UInt8, 300), (DType::Int8, 200)] {
+        let range = parse_program(&format!(".base y {dtype}[{n}]\nBH_RANGE y\nBH_SYNC y\n"))
+            .expect("the range program parses");
+        let counters: Vec<Scalar> = (0..n as u64).map(|k| Scalar::U64(k).cast(dtype)).collect();
+        let want = tensor_of(dtype, &counters);
+        for &leg in legs() {
+            let got = run(&range, leg, None);
+            assert!(
+                Compare::Bits.matches(&want, &got),
+                "{leg}: BH_RANGE over {dtype}[{n}] gives {got:?}"
+            );
         }
     }
 }
