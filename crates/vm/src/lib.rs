@@ -347,7 +347,9 @@ BH_SYNC a1\n";
     fn parallel_fused_groups_match_serial_and_naive() {
         // Mixed chain over full views: arithmetic, compare into a bool
         // base, cast back — everything the step compiler handles — small
-        // arrays with a forced-low threshold so sharding really engages.
+        // arrays (miri-sized) with a forced-low threshold so sharding
+        // really engages. `y` and `m` are temporaries written by one
+        // member and read by the next.
         let text = "\
 .base x f64[100]\n.base y f64[100]\n.base m bool[100]\n.base z f64[100]\n\
 BH_IDENTITY x 1.5\n\
@@ -362,24 +364,26 @@ BH_SYNC z\nBH_SYNC m\n";
         naive.run(&p).unwrap();
         let mut serial = Vm::with_engine(Engine::Fusing { block: 16 });
         serial.run(&p).unwrap();
-        let mut par = Vm::with_engine(Engine::Fusing { block: 16 });
-        par.set_threads(4).set_par_threshold(1);
-        par.run(&p).unwrap();
-        for name in ["z", "m"] {
-            let a = naive.read_by_name(&p, name).unwrap();
-            let b = serial.read_by_name(&p, name).unwrap();
-            let c = par.read_by_name(&p, name).unwrap();
-            assert_eq!(a, b, "{name}: serial fused diverged from naive");
-            assert_eq!(b, c, "{name}: parallel fused diverged from serial fused");
+        for threads in [2, 4] {
+            let mut par = Vm::with_engine(Engine::Fusing { block: 16 });
+            par.set_threads(threads).set_par_threshold(1);
+            par.run(&p).unwrap();
+            for name in ["z", "m"] {
+                let a = naive.read_by_name(&p, name).unwrap();
+                let b = serial.read_by_name(&p, name).unwrap();
+                let c = par.read_by_name(&p, name).unwrap();
+                assert_eq!(a, b, "{name}: serial fused diverged from naive");
+                assert_eq!(b, c, "{name}: {threads} threads diverged from serial fused");
+            }
+            // Thread count must not change the cost counters (only the
+            // purely observational shard count may differ).
+            let mut s = *serial.stats();
+            let mut q = *par.stats();
+            assert!(q.par_shards > 0, "parallel engine must have sharded");
+            s.par_shards = 0;
+            q.par_shards = 0;
+            assert_eq!(s, q);
         }
-        // Thread count must not change the cost counters (only the purely
-        // observational shard count may differ).
-        let mut s = *serial.stats();
-        let mut q = *par.stats();
-        assert!(q.par_shards > 0, "parallel engine must have sharded");
-        s.par_shards = 0;
-        q.par_shards = 0;
-        assert_eq!(s, q);
     }
 
     #[test]
@@ -667,50 +671,12 @@ BH_SYNC z\nBH_SYNC m\n";
         assert_eq!(vm.read_by_name(&p, "s").unwrap(), want);
     }
 
-    /// `program` on the naive engine, and on the fusing engine with
-    /// `block` at one and two threads (every run shards from one element
-    /// on), reading `name`: the values must agree, and the two-thread run
-    /// must have sharded. Returns the two-thread run's counters.
-    fn fused_at_one_and_two_threads(program: &str, block: usize, name: &str) -> ExecStats {
-        let p = parse_program(program).unwrap();
-        let mut naive = Vm::new();
-        naive.run(&p).unwrap();
-        let want = naive.read_by_name(&p, name).unwrap();
-        let mut stats = ExecStats::default();
-        for threads in [1, 2] {
-            let mut vm = Vm::with_engine(Engine::Fusing { block });
-            vm.set_threads(threads).set_par_threshold(1);
-            vm.run(&p).unwrap();
-            assert_eq!(
-                vm.read_by_name(&p, name).unwrap(),
-                want,
-                "{threads} threads"
-            );
-            stats = *vm.stats();
-        }
-        assert!(stats.par_shards > 1, "the two-thread run sharded");
-        stats
-    }
-
-    #[test]
-    fn a_fused_temporary_written_then_read_shards_at_two_threads() {
-        // Small enough for miri. `t` is written by one member of the
-        // group and read by the next, at the same offset, through the
-        // run's one root of it.
-        let text = ".base x f64[16]\n.base t f64[16]\n.base y f64[16]\n\
-                    BH_RANGE x\n\
-                    BH_MULTIPLY t x 3\n\
-                    BH_ADD t t x\n\
-                    BH_SUBTRACT y t x\n\
-                    BH_SYNC y\n";
-        let stats = fused_at_one_and_two_threads(text, 4, "y");
-        assert_eq!(stats.fused_groups, 1);
-    }
-
     #[test]
     fn a_fused_chain_feeding_a_reduction_shards_at_two_threads() {
-        // Two canonical reduction blocks, the second a short tail: the
-        // smallest run that shards the fused reduction over two threads.
+        // Small enough for miri: two canonical reduction blocks, the
+        // second a short tail, the smallest run that shards the fused
+        // reduction over two threads. `x` is written by the chain and
+        // read by the fold through the run's one root of it.
         let n = bh_tensor::kernels::REDUCE_BLOCK + 8;
         let text = format!(
             ".base x f64[{n}]\n.base s f64[]\n\
@@ -720,8 +686,18 @@ BH_SYNC z\nBH_SYNC m\n";
              BH_ADD_REDUCE s x 0\n\
              BH_SYNC s\n"
         );
-        let stats = fused_at_one_and_two_threads(&text, 64, "s");
-        assert_eq!((stats.fused_reductions, stats.reduce_shards), (1, 2));
+        let p = parse_program(&text).unwrap();
+        let mut naive = Vm::new();
+        naive.run(&p).unwrap();
+        let want = naive.read_by_name(&p, "s").unwrap();
+        for (threads, shards) in [(1, 0), (2, 2)] {
+            let mut vm = Vm::with_engine(Engine::Fusing { block: 64 });
+            vm.set_threads(threads).set_par_threshold(1);
+            vm.run(&p).unwrap();
+            assert_eq!(vm.read_by_name(&p, "s").unwrap(), want, "{threads} threads");
+            let s = vm.stats();
+            assert_eq!((s.fused_reductions, s.reduce_shards), (1, shards));
+        }
     }
 
     #[test]

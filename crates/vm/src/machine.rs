@@ -728,15 +728,12 @@ impl Vm {
         // Serial and sharded runs share one kernel family whose combine
         // order is executor-independent (DESIGN.md §11), so the executor
         // choice below can never change results.
-        let executor: &dyn RangeExecutor = match &self.workers {
-            Some(p) if p.threads() > 1 && in_view.nelem() >= self.par_threshold => p.as_ref(),
-            _ => &kernels::InlineExec,
-        };
+        let pool = self.pool_for(in_view.nelem());
         let shards = semantics::fold(
             fold,
             work_dtype,
             ReduceScan {
-                executor,
+                executor: executor(&pool),
                 scan: instr.op.kind() == OpKind::Scan,
                 out: &mut out_buf,
                 ov: &out_geom,
