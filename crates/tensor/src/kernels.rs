@@ -40,7 +40,8 @@ pub trait RangeExecutor: Sync {
     /// Partition `[0, n)` into contiguous shards whose boundaries are
     /// multiples of `grain` (so a grain-sized block is never split across
     /// shards) and run `task(lo, hi)` once per shard, possibly
-    /// concurrently. Blocks until every shard has completed. Returns the
+    /// concurrently. Blocks until every shard has completed, even when
+    /// one panics: the panic reaches the caller only then. Returns the
     /// number of shards executed.
     ///
     /// # Safety contract for callers

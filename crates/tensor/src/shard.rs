@@ -40,7 +40,8 @@ use std::marker::PhantomData;
 /// because:
 ///
 /// 1. the storage outlives every shard: the slice borrows it for `'a`,
-///    and `run_ranges` returns only after its last shard did;
+///    and `run_ranges` returns, or unwinds, only after its last shard
+///    finished;
 /// 2. every access is in bounds: a claim or a range read asserts its
 ///    range, and a single-element access is in a range the caller
 ///    checked;

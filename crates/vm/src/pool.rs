@@ -14,7 +14,8 @@ use bh_tensor::kernels::{shard_ranges, RangeExecutor};
 use parking_lot::Mutex;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, PoisonError};
 
 /// A persistent pool of worker threads that executes contiguous element
 /// ranges in parallel: the engine behind the VM's fused-group sharding and
@@ -173,12 +174,25 @@ impl RangeExecutor for WorkerPool {
             return 1;
         }
         let shards = ranges.len();
+        // A shard that panics must neither end this call while other
+        // shards still run `task` (and write storage the caller owns) nor
+        // kill a worker the job waits for: every shard of the job runs
+        // under `catch_unwind`, and the first panic resumes here once the
+        // job has retired.
+        let panicked = std::sync::Mutex::new(None);
+        let guarded = |lo: usize, hi: usize| {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(lo, hi))) {
+                let mut first = panicked.lock().unwrap_or_else(PoisonError::into_inner);
+                first.get_or_insert(payload);
+            }
+        };
+        let guarded: &(dyn Fn(usize, usize) + Sync) = &guarded;
         // SAFETY: the transmute only erases the borrow lifetime. Workers
         // dereference the pointer exclusively between job publication and
-        // job retirement, and this call does not return until retirement,
-        // so the borrow outlives every dereference.
+        // job retirement, and this call does not return or unwind until
+        // retirement, so the borrow outlives every dereference.
         let task_ptr: TaskPtr =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), TaskPtr>(task) };
+            unsafe { std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), TaskPtr>(guarded) };
         let my_epoch;
         {
             let mut g = self.shared.state.lock().unwrap();
@@ -213,14 +227,21 @@ impl RangeExecutor for WorkerPool {
         let mut g = self.shared.state.lock().unwrap();
         loop {
             if g.done_epoch >= my_epoch {
+                drop(g);
+                if let Some(payload) = panicked
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                {
+                    panic::resume_unwind(payload);
+                }
                 return shards;
             }
             match g.grab_shard() {
-                // The submitter runs its shard through its own `task`
+                // The submitter runs its shard through its own `guarded`
                 // reference; the returned pointer is for the workers.
                 Some((_task, (lo, hi))) => {
                     drop(g);
-                    task(lo, hi);
+                    guarded(lo, hi);
                     g = self.shared.state.lock().unwrap();
                     finish_shard(&self.shared, &mut g);
                 }
@@ -499,6 +520,32 @@ mod tests {
             });
             assert_eq!(sum.load(Ordering::Relaxed), 999);
         }
+    }
+
+    #[test]
+    fn a_panicking_shard_panics_the_caller_once_the_job_drains() {
+        // Shard 1 runs on the worker or on the caller, whichever grabs it
+        // first: either way every shard finishes, the caller resumes the
+        // panic, and the worker lives on for the next job.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = WorkerPool::new(2);
+        for _ in 0..4 {
+            let ran = AtomicUsize::new(0);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_ranges(2, 1, &|lo, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    assert!(lo != 1, "shard 1 panics");
+                })
+            }));
+            let payload = caught.expect_err("the shard's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard 1 panics"));
+            assert_eq!(ran.load(Ordering::SeqCst), 2);
+        }
+        let ran = AtomicUsize::new(0);
+        pool.run_ranges(2, 1, &|_, _| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
     }
 
     #[test]
